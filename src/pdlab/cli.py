@@ -1,30 +1,44 @@
 """Command-line front end: argparse dispatch, JSON run configs, input and
 symbol construction from spec strings, and persistence of every report.
 
+Spec strings (--symbol, --mode, --space, --frame) share one grammar,
+'kind:k=v,...'; unknown keys are errors.  `experiment NAME` calls the
+pdlab.experiments function RUNNERS[NAME].  The keys of the config's "params"
+and "thresholds" are that runner's keyword arguments, less spec, A, symbol,
+a, frame and seed, which the CLI builds; each value must have the JSON type
+of the argument's annotation, and arguments without defaults are required.
+
 Exit codes: 0 success, 1 a selftest gate failed, 2 usage errors (unknown
-flags, malformed options or configs, missing input files).
+flags, malformed options or configs, unreadable input files).
 """
 
 from __future__ import annotations
 
 import argparse
+import collections.abc
+import inspect
 import json
 import math
 import sys
 import time
+import types
+import typing
 from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
 
-from .experiments import (
-    parse_norm,
-    run_continuity_table,
-    run_counterexample,
-    run_sigma_estimate,
-    run_wavefront,
+from . import experiments
+from .experiments import ExperimentReport, ching_for_grid, parse_norm
+from .frame import (
+    DEFAULT_FRAME,
+    FRAME_OPTIONS,
+    LPFrame,
+    ModulationFunction,
+    frame_from_options,
+    parse_options,
+    parse_spec,
 )
-from .frame import DEFAULT_FRAME, LPFrame, ModulationFunction
 from .grid import (
     GridFunction,
     GridSpec,
@@ -66,24 +80,19 @@ from .reporting import (
     write_report_json,
     write_report_svg,
 )
-from .symbols import ching_symbol, parse_symbol_spec
-from .experiments import ExperimentReport
+from .symbols import SYMBOL_OPTIONS, ching_options, ching_symbol, parse_symbol_spec
 
 
 # ---------------------------------------------------------------------------
-# option grammars shared by several subcommands
+# spec strings
 
 
-def _parse_kv(rest: str, what: str) -> dict[str, str]:
-    kv: dict[str, str] = {}
-    if not rest:
-        return kv
-    for item in rest.split(","):
-        k, eq, v = item.partition("=")
-        if not eq or not k.strip():
-            raise ValueError(f"bad {what} option {item!r}")
-        kv[k.strip()] = v.strip()
-    return kv
+INPUT_OPTIONS = {
+    "single": ("eta",),
+    "lacunary": ("N", "d", "theta"),
+    "ladder": ("J", "d"),
+    "random": ("band", "seed"),
+}
 
 
 def _parse_eta(text: str, n: int):
@@ -106,10 +115,9 @@ def make_input(text: str, spec: GridSpec, seed: int = 0) -> GridFunction:
     """
     from .experiments import lacunary_input
 
-    kind, _, rest = text.partition(":")
-    if kind == "file":
-        return read_pdgf(rest)
-    kv = _parse_kv(rest, f"input mode {kind!r}")
+    if text.startswith("file:"):
+        return read_pdgf(text.removeprefix("file:"))
+    kind, kv = parse_spec(text, INPUT_OPTIONS, "input")
     if kind == "single":
         if "eta" not in kv:
             raise ValueError("single mode needs eta=<freq>")
@@ -131,51 +139,23 @@ def make_input(text: str, spec: GridSpec, seed: int = 0) -> GridFunction:
             raise ValueError(f"ladder J={J} does not fit on an N={spec.N} grid")
         d = float(kv.get("d", "0.5"))
         return from_coeffs(spec, {2**j: 2.0 ** (-j * d) for j in range(1, J + 1)})
-    if kind == "random":
-        band = float(kv.get("band", "0.4"))
-        if not 0.0 < band <= 1.0:
-            raise ValueError(f"random band must be in (0, 1], got {band}")
-        rng = np.random.default_rng(int(kv.get("seed", str(seed))))
-        return random_band_limited(spec, band * (spec.N // 2), rng)
-    raise ValueError(f"unknown input mode {kind!r} in {text!r}")
-
-
-def frame_from_text(text: str) -> LPFrame:
-    kv = _parse_kv(text, "frame")
-    unknown = set(kv) - {"r", "R", "h", "profile"}
-    if unknown:
-        raise ValueError(f"unknown frame keys {sorted(unknown)}")
-    psi = ModulationFunction(
-        r=float(kv.get("r", "1")),
-        R=float(kv.get("R", "2")),
-        profile=kv.get("profile", "smoothstep"),
-    )
-    return LPFrame(psi=psi, h=int(kv.get("h", "3")))
+    band = float(kv.get("band", "0.4"))
+    if not 0.0 < band <= 1.0:
+        raise ValueError(f"random band must be in (0, 1], got {band}")
+    rng = np.random.default_rng(int(kv.get("seed", str(seed))))
+    return random_band_limited(spec, band * (spec.N // 2), rng)
 
 
 def symbol_factory(text: str, frame: LPFrame):
     """Grid-adaptive symbol builder for a spec string.
 
-    ching with jmax=auto picks the deepest truncation the grid holds,
-    recomputed per grid; everything else defers to parse_symbol_spec.
+    ching with jmax=auto picks the deepest truncation each grid holds
+    (experiments.ching_for_grid); everything else defers to parse_symbol_spec.
     """
-    normalized = text.replace(" ", "")
-    if normalized.startswith("ching:") and "jmax=auto" in normalized:
-        probe_text = normalized.replace("jmax=auto", "jmax=0")
-
-        def build(spec: GridSpec):
-            probe = parse_symbol_spec(probe_text, spec, frame)
-            reach = max(probe.A.a1, float(np.linalg.norm(probe.theta)))
-            cap = int(math.floor(math.log2((spec.N / 2) / reach) + 1e-12))
-            if cap < 1:
-                raise ValueError(
-                    f"grid N={spec.N} holds no truncation of {text!r}"
-                )
-            return ching_symbol(
-                d=probe.d, theta=probe.theta, A=probe.A, j_max=cap, spec=spec
-            )
-
-        return build
+    kind, kv = parse_spec(text, SYMBOL_OPTIONS, "symbol")
+    if kind == "ching" and kv.get("jmax") == "auto":
+        kw = ching_options(kv)
+        return lambda spec: ching_for_grid(spec, **kw)
     return lambda spec: parse_symbol_spec(text, spec, frame)
 
 
@@ -183,13 +163,11 @@ def symbol_factory(text: str, frame: LPFrame):
 # run configuration
 
 
-_CONFIG_KEYS = {"grid", "frame", "symbol", "params", "seed", "thresholds", "out"}
-
-
 @dataclass(frozen=True)
 class RunConfig:
     """Validated experiment configuration; `raw` keeps the file's JSON
-    object verbatim for embedding into reports."""
+    object verbatim for embedding into reports.  `params` and `thresholds`
+    are checked against the runner when it is dispatched."""
 
     grid: GridSpec | None
     frame: LPFrame
@@ -201,175 +179,163 @@ class RunConfig:
     raw: dict
 
 
-def config_from_dict(obj: dict) -> RunConfig:
+def _decode(value, hint, where: str):
+    """The JSON `value` as annotation `hint` asks, or ValueError."""
+    origin, args = typing.get_origin(hint), typing.get_args(hint)
+    if origin in (typing.Union, types.UnionType):
+        if value is None and type(None) in args:
+            return None
+        errors = []
+        for member in args:
+            try:
+                return _decode(value, member, where)
+            except ValueError as exc:
+                errors.append(exc)
+        raise errors[0]
+    if hint is float and type(value) in (int, float):
+        return float(value)
+    if hint in (int, bool, str) and type(value) is hint:
+        return value
+    if (origin or hint) is dict and isinstance(value, dict):
+        return {k: _decode(v, args[1], f"{where}.{k}") for k, v in value.items()} if args else value
+    if origin is tuple and isinstance(value, list) and len(value) == len(args):
+        return tuple(_decode(v, t, f"{where}[{i}]") for i, (v, t) in enumerate(zip(value, args)))
+    if origin in (list, collections.abc.Sequence) and isinstance(value, list):
+        return [_decode(v, args[0], f"{where}[{i}]") for i, v in enumerate(value)]
+    wanted = {float: "a number", int: "an integer", bool: "true or false", str: "a string",
+              dict: "an object", tuple: f"a list of {len(args)}"}.get(origin or hint, "a list")
+    raise ValueError(f"{where} must be {wanted}, got {json.dumps(value)}")
+
+
+def _decode_object(obj, hints: dict, where: str) -> dict:
+    """A config object whose keys are `hints`' keys and whose values have
+    the JSON types of the matching annotations."""
     if not isinstance(obj, dict):
-        raise ValueError("config must be a JSON object")
-    unknown = set(obj) - _CONFIG_KEYS
+        raise ValueError(f"{where} must be an object")
+    unknown = set(obj) - set(hints)
     if unknown:
-        raise ValueError(f"unknown config keys {sorted(unknown)}")
-    grid = None
-    if obj.get("grid") is not None:
-        g = obj["grid"]
-        extra = set(g) - {"n", "N"}
-        if extra:
-            raise ValueError(f"unknown grid keys {sorted(extra)}")
+        raise ValueError(f"unknown {where} keys {sorted(unknown)}")
+    return {k: _decode(v, hints[k], f"{where}.{k}") for k, v in obj.items()}
+
+
+_CONFIG = {
+    "grid": dict | None,
+    "frame": dict | None,
+    "symbol": str | None,
+    "params": dict,
+    "seed": int,
+    "thresholds": dict,
+    "out": dict[str, str],
+}
+
+
+def config_from_dict(obj: dict) -> RunConfig:
+    c = _decode_object(obj, _CONFIG, "config")
+    grid = c.get("grid")
+    if grid is not None:
+        g = _decode_object(grid, {"n": int, "N": int}, "grid")
         if "N" not in g:
             raise ValueError("config grid needs N")
-        grid = GridSpec(n=int(g.get("n", 1)), N=int(g["N"]))
-    frame = DEFAULT_FRAME
-    if obj.get("frame") is not None:
-        f = obj["frame"]
-        extra = set(f) - {"r", "R", "h", "profile"}
-        if extra:
-            raise ValueError(f"unknown frame keys {sorted(extra)}")
-        frame = LPFrame(
-            psi=ModulationFunction(
-                r=float(f.get("r", 1.0)),
-                R=float(f.get("R", 2.0)),
-                profile=f.get("profile", "smoothstep"),
-            ),
-            h=int(f.get("h", 3)),
-        )
-    symbol = obj.get("symbol")
-    if symbol is not None and not isinstance(symbol, str):
-        raise ValueError("config symbol must be a spec string")
-    params = obj.get("params", {})
-    if not isinstance(params, dict):
-        raise ValueError("config params must be an object")
-    thresholds = obj.get("thresholds", {})
-    if not isinstance(thresholds, dict):
-        raise ValueError("config thresholds must be an object")
-    for k, v in thresholds.items():
-        if not isinstance(v, (int, float)) or isinstance(v, bool):
-            raise ValueError(f"threshold {k!r} must be a number")
-    out = obj.get("out", {})
-    if not isinstance(out, dict) or any(not isinstance(v, str) for v in out.values()):
-        raise ValueError("config out must map names to path strings")
-    seed = obj.get("seed", 0)
-    if not isinstance(seed, int) or isinstance(seed, bool):
-        raise ValueError("config seed must be an integer")
-    return RunConfig(grid, frame, symbol, dict(params), seed, dict(thresholds), dict(out), obj)
+        grid = GridSpec(n=g.get("n", 1), N=g["N"])
+    frame = c.get("frame")
+    if frame is not None:
+        frame = frame_from_options(_decode_object(frame, FRAME_OPTIONS, "frame"))
+    return RunConfig(
+        grid=grid,
+        frame=frame or DEFAULT_FRAME,
+        symbol=c.get("symbol"),
+        params=c.get("params", {}),
+        seed=c.get("seed", 0),
+        thresholds=c.get("thresholds", {}),
+        out=c.get("out", {}),
+        raw=obj,
+    )
 
 
 def load_config(path) -> RunConfig:
     return config_from_dict(json.loads(Path(path).read_text()))
 
 
-def _pop_known(src: dict, allowed: set[str], what: str) -> dict:
-    unknown = set(src) - allowed
-    if unknown:
-        raise ValueError(f"unknown {what} keys {sorted(unknown)}")
-    return {k: src[k] for k in allowed if k in src}
+RUNNERS = {
+    "counterexample": "run_counterexample",
+    "wavefront": "run_wavefront",
+    "continuity": "run_continuity_table",
+    "sigma": "run_sigma_estimate",
+}
+"""Experiment name -> runner function name in pdlab.experiments."""
+
+# runner arguments the CLI builds from the config itself
+_SUPPLIED = ("spec", "A", "symbol", "a", "frame", "seed")
 
 
 def dispatch_experiment(runner: str, cfg: RunConfig) -> ExperimentReport:
-    if runner == "counterexample":
-        if cfg.symbol is not None:
-            raise ValueError("counterexample builds its own symbol; drop config symbol")
-        p = _pop_known(cfg.params, {"d", "N_list"}, "counterexample params")
-        th = _pop_known(
-            cfg.thresholds, {"family_margin", "family_factor"}, "counterexample thresholds"
-        )
-        kw: dict = dict(th)
-        if "d" in p:
-            kw["d"] = float(p["d"])
-        if "N_list" in p:
-            kw["N_list"] = tuple(int(x) for x in p["N_list"])
-        if cfg.grid is not None:
-            kw["spec"] = cfg.grid
-        return run_counterexample(**kw)
-    if runner == "wavefront":
-        if cfg.symbol is not None:
-            raise ValueError("wavefront builds its own symbol; drop config symbol")
-        p = _pop_known(cfg.params, {"d", "J", "m_range", "holder_grid"}, "wavefront params")
-        th = _pop_known(cfg.thresholds, {"slope_tol"}, "wavefront thresholds")
-        kw = dict(th)
-        if "d" in p:
-            kw["d"] = float(p["d"])
-        if "J" in p:
-            kw["J"] = int(p["J"])
-        if "m_range" in p:
-            kw["m_range"] = [int(m) for m in p["m_range"]]
-        if "holder_grid" in p:
-            kw["holder_grid"] = int(p["holder_grid"])
-        if cfg.grid is not None:
-            kw["spec"] = cfg.grid
-        return run_wavefront(**kw)
-    if runner == "continuity":
-        if cfg.symbol is None:
-            raise ValueError("continuity needs a config symbol")
-        p = _pop_known(
-            cfg.params,
-            {"cases", "grids", "trials", "band_fraction", "family_theta"},
-            "continuity params",
-        )
-        th = _pop_known(
-            cfg.thresholds,
-            {"stability", "growth_factor", "family_factor", "family_margin"},
-            "continuity thresholds",
-        )
-        if "cases" not in p:
-            raise ValueError("continuity needs params.cases")
-        cases = [tuple(c) for c in p["cases"]]
-        if any(len(c) != 2 for c in cases):
-            raise ValueError("each continuity case is a [source, target] pair")
-        kw = dict(th)
-        if "grids" in p:
-            kw["grids"] = [int(g) for g in p["grids"]]
-        if "trials" in p:
-            kw["trials"] = int(p["trials"])
-        if "band_fraction" in p:
-            kw["band_fraction"] = float(p["band_fraction"])
-        if "family_theta" in p:
-            kw["family_theta"] = int(p["family_theta"])
-        return run_continuity_table(
-            symbol_factory(cfg.symbol, cfg.frame),
-            cases,
-            seed=cfg.seed,
-            frame=cfg.frame,
-            **kw,
-        )
-    if runner == "sigma":
-        if cfg.symbol is None:
-            raise ValueError("sigma needs a config symbol")
-        if cfg.grid is None:
-            raise ValueError("sigma needs a config grid")
-        p = _pop_known(
-            cfg.params,
-            {"s_grid", "alphas", "offset", "j_range", "eps_grid", "r_expected", "strict"},
-            "sigma params",
-        )
-        th = _pop_known(cfg.thresholds, {"slope_tol", "sigma_tol"}, "sigma thresholds")
-        kw = dict(th)
-        if "s_grid" in p:
-            kw["s_grid"] = [float(s) for s in p["s_grid"]]
-        if "alphas" in p:
-            kw["alphas"] = [int(a) for a in p["alphas"]]
-        if "offset" in p:
-            kw["offset"] = int(p["offset"])
-        if "j_range" in p:
-            kw["j_range"] = [int(j) for j in p["j_range"]]
-        if "eps_grid" in p:
-            kw["eps_grid"] = [float(e) for e in p["eps_grid"]]
-        if "r_expected" in p:
-            kw["r_expected"] = float(p["r_expected"])
-        if "strict" in p:
-            kw["strict"] = bool(p["strict"])
-        a = symbol_factory(cfg.symbol, cfg.frame)(cfg.grid)
-        return run_sigma_estimate(a, cfg.grid, **kw)
-    raise ValueError(f"unknown experiment {runner!r}")
+    """Call the runner with the config's params and thresholds decoded by
+    the runner's own signature, plus the arguments the CLI supplies."""
+    fn = getattr(experiments, RUNNERS[runner])  # at call time: it may be rebound
+    params = inspect.signature(fn).parameters
+    hints = typing.get_type_hints(fn)
+    settable = {k: hints[k] for k in params if k not in _SUPPLIED}
+    kw = _decode_object(cfg.params, settable, "params")
+    thresholds = _decode_object(cfg.thresholds, settable, "thresholds")
+    both = set(kw) & set(thresholds)
+    if both:
+        raise ValueError(f"keys {sorted(both)} are set in both params and thresholds")
+    kw.update(thresholds)
+    for k in settable:
+        if params[k].default is inspect.Parameter.empty and k not in kw:
+            raise ValueError(f"{runner} needs params.{k}")
+
+    takes_symbol = "symbol" in params or "a" in params
+    if takes_symbol and cfg.symbol is None:
+        raise ValueError(f"{runner} needs a config symbol")
+    if cfg.symbol is not None and not takes_symbol:
+        raise ValueError(f"{runner} builds its own symbol; drop config symbol")
+    if "spec" in params:
+        if cfg.grid is None and params["spec"].default is inspect.Parameter.empty:
+            raise ValueError(f"{runner} needs a config grid")
+        kw["spec"] = cfg.grid
+    elif cfg.grid is not None:
+        raise ValueError(f"{runner} takes no config grid")
+    if "symbol" in params:
+        kw["symbol"] = symbol_factory(cfg.symbol, cfg.frame)
+    if "a" in params:
+        kw["a"] = symbol_factory(cfg.symbol, cfg.frame)(cfg.grid)
+    if "frame" in params:
+        kw["frame"] = cfg.frame
+    if "seed" in params:
+        kw["seed"] = cfg.seed
+    return fn(**kw)
 
 
 # ---------------------------------------------------------------------------
 # per-subcommand helpers
 
 
+_GRID_DEFAULT = 256
+
+
 def _grid_from_args(args) -> GridSpec:
-    return GridSpec(n=args.n, N=args.grid)
+    return GridSpec(
+        n=1 if args.n is None else args.n, N=_GRID_DEFAULT if args.grid is None else args.grid
+    )
 
 
 def _frame_from_args(args) -> LPFrame:
-    return frame_from_text(args.frame) if args.frame else DEFAULT_FRAME
+    if not args.frame:
+        return DEFAULT_FRAME
+    return frame_from_options(parse_options(args.frame, FRAME_OPTIONS, "frame"))
+
+
+def _read_input(args) -> GridFunction:
+    """The --input .pdgf file; explicit --grid/--n must match its grid."""
+    u = read_pdgf(args.input)
+    for flag, given, actual in (("--grid", args.grid, u.spec.N), ("--n", args.n, u.spec.n)):
+        if given is not None and given != actual:
+            raise ValueError(
+                f"{args.input} holds an n={u.spec.n}, N={u.spec.N} function; "
+                f"{flag} {given} disagrees"
+            )
+    return u
 
 
 def _resolve_io(args) -> tuple[GridFunction, GridSpec]:
@@ -379,12 +345,7 @@ def _resolve_io(args) -> tuple[GridFunction, GridSpec]:
     Generator modes realize on the --grid/--n lattice.
     """
     if args.input is not None:
-        u = read_pdgf(args.input)
-        if args.grid != _GRID_DEFAULT and (u.spec.N != args.grid or u.spec.n != args.n):
-            raise ValueError(
-                f"{args.input} holds an n={u.spec.n}, N={u.spec.N} function; "
-                f"--grid/--n disagree"
-            )
+        u = _read_input(args)
         return u, u.spec
     spec = _grid_from_args(args)
     return make_input(args.mode, spec, seed=args.seed), spec
@@ -423,12 +384,17 @@ def _dominant_modes(y: GridFunction, limit: int = 8) -> list[dict]:
     return out
 
 
+def _add_grid_flags(p: argparse.ArgumentParser, frame: bool = True) -> None:
+    p.add_argument("--grid", type=int, help=f"grid size N (default {_GRID_DEFAULT})")
+    p.add_argument("--n", type=int, choices=(1, 2), help="dimension (default 1)")
+    if frame:
+        p.add_argument("--frame", help="frame options r=..,R=..,h=..[,profile=..]")
+    p.add_argument("--seed", type=int, default=0, help="seed for random generators")
+
+
 def _add_symbol_flags(p: argparse.ArgumentParser) -> None:
     p.add_argument("--symbol", required=True, help="symbol spec string")
-    p.add_argument("--grid", type=int, default=_GRID_DEFAULT, help="grid size N")
-    p.add_argument("--n", type=int, choices=(1, 2), default=1, help="dimension")
-    p.add_argument("--frame", help="frame options r=..,R=..,h=..[,profile=..]")
-    p.add_argument("--seed", type=int, default=0, help="seed for random generators")
+    _add_grid_flags(p)
 
 
 def _add_io_flags(p: argparse.ArgumentParser) -> None:
@@ -436,9 +402,6 @@ def _add_io_flags(p: argparse.ArgumentParser) -> None:
     src = p.add_mutually_exclusive_group(required=True)
     src.add_argument("--input", help="input .pdgf file")
     src.add_argument("--mode", help="input generator string")
-
-
-_GRID_DEFAULT = 256
 
 
 # ---------------------------------------------------------------------------
@@ -502,7 +465,7 @@ def cmd_norms(args) -> int:
                 print(",".join(str(x) for x in row))
         return 0
     if args.input is not None:
-        u = read_pdgf(args.input)
+        u = _read_input(args)
     elif args.mode is not None:
         u = make_input(args.mode, spec, seed=args.seed)
     else:
@@ -543,7 +506,7 @@ def cmd_vfm(args) -> int:
             raise ValueError("--refine counts grids, need at least 2")
         if args.mode is None:
             raise ValueError("--refine needs --mode (the input is re-sampled per grid)")
-        specs = [GridSpec(n=args.n, N=args.grid << i) for i in range(args.refine)]
+        specs = [GridSpec(n=spec.n, N=spec.N << i) for i in range(args.refine)]
         rr = vfm_refinement(
             build, lambda s: make_input(args.mode, s, seed=args.seed), specs, psis
         )
@@ -632,10 +595,15 @@ def _pointwise_csv(args, header, rows, summary: dict) -> int:
     return 0
 
 
-def _x_column(spec: GridSpec) -> np.ndarray:
-    if spec.n == 1:
-        return spec.axis_coords()
-    return np.arange(spec.npoints, dtype=float)
+def _ratio_rows(spec: GridSpec, lhs: np.ndarray, rhs: np.ndarray) -> list[tuple]:
+    """(x, lhs, rhs, lhs/rhs) per grid point; x is the flat index for n=2."""
+    with np.errstate(divide="ignore", invalid="ignore"):
+        ratio = np.where(rhs > 0.0, lhs / rhs, np.where(lhs > 0.0, np.inf, 0.0))
+    xs = spec.axis_coords() if spec.n == 1 else np.arange(spec.npoints, dtype=float)
+    return [
+        (repr(float(x)), repr(float(a)), repr(float(b)), repr(float(r)))
+        for x, a, b, r in zip(xs, lhs, rhs, ratio)
+    ]
 
 
 def cmd_pointwise_factorize(args) -> int:
@@ -648,17 +616,10 @@ def cmd_pointwise_factorize(args) -> int:
     rhs = (
         symbol_factor(a, p, None, spec).values.real * peetre_maximal(u, p).values.real
     ).ravel()
-    with np.errstate(divide="ignore", invalid="ignore"):
-        ratio = np.where(rhs > 0.0, lhs / rhs, np.where(lhs > 0.0, np.inf, 0.0))
-    xs = _x_column(spec)
-    rows = [
-        (repr(float(x)), repr(float(a_)), repr(float(b)), repr(float(r)))
-        for x, a_, b, r in zip(xs, lhs, rhs, ratio)
-    ]
     return _pointwise_csv(
         args,
         ("x", "lhs", "rhs", "ratio"),
-        rows,
+        _ratio_rows(spec, lhs, rhs),
         {
             "max_ratio": rep.max_ratio,
             "holds": rep.holds,
@@ -699,17 +660,10 @@ def cmd_pointwise_mihlin(args) -> int:
     rep = mihlin_bound_check(a, p, c, spec=spec, slack=args.slack)
     lhs = symbol_factor(a, p, None, spec).values.real.ravel()
     rhs = (c * mihlin_rhs(a, p, None, spec)).ravel()
-    with np.errstate(divide="ignore", invalid="ignore"):
-        ratio = np.where(rhs > 0.0, lhs / rhs, np.where(lhs > 0.0, np.inf, 0.0))
-    xs = _x_column(spec)
-    rows = [
-        (repr(float(x)), repr(float(a_)), repr(float(b)), repr(float(r)))
-        for x, a_, b, r in zip(xs, lhs, rhs, ratio)
-    ]
     return _pointwise_csv(
         args,
         ("x", "lhs", "rhs", "ratio"),
-        rows,
+        _ratio_rows(spec, lhs, rhs),
         {"k": rep.k, "c_used": rep.c_used, "worst_ratio": rep.worst_ratio, "holds": rep.holds},
     )
 
@@ -800,14 +754,14 @@ def gate_corona_containment():
 
 
 def gate_lacunary_amplification():
-    rep = run_counterexample(N_list=(2, 3), spec=GridSpec(1, 2**11))
+    rep = experiments.run_counterexample(N_list=(2, 3), spec=GridSpec(1, 2**11))
     _gate(rep.verdicts["identity"], "lattice identity a(x,D)v_N = c_N v failed")
     ratios = list(rep.series("ratio").values())
     _gate(ratios[1] > ratios[0], "amplification ratios did not increase")
 
 
 def gate_wavefront_flip():
-    rep = run_wavefront(J=5, spec=GridSpec(1, 256))
+    rep = experiments.run_wavefront(J=5, spec=GridSpec(1, 256))
     _gate(rep.verdicts["flip_exact"], "flip identity failed")
     _gate(rep.verdicts["spectrum_flipped"], "output mass not on the flipped half-axis")
 
@@ -900,7 +854,7 @@ def gate_sigma_order():
     a = ching_symbol(
         0.0, theta=1, A=RadialBump(zero_order=1, zero_width=0.25), j_max=7, spec=spec
     )
-    rep = run_sigma_estimate(a, spec, r_expected=1.0)
+    rep = experiments.run_sigma_estimate(a, spec, r_expected=1.0)
     _gate(rep.verdicts["sigma_matches"], "sigma_hat missed the planted zero order")
     _gate(rep.verdicts["onset_matches"], "boundedness onset missed -r")
 
@@ -908,7 +862,7 @@ def gate_sigma_order():
 def gate_continuity_identity():
     from .symbols import ConstantSymbol
 
-    rep = run_continuity_table(
+    rep = experiments.run_continuity_table(
         ConstantSymbol(1.0), cases=[("L:p=2", "L:p=2")], grids=(64, 128), trials=3
     )
     _gate(
@@ -988,10 +942,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--input", help="input .pdgf file")
     p.add_argument("--mode", help="input generator string")
     p.add_argument("--corpus", help="JSON list of generator strings")
-    p.add_argument("--grid", type=int, default=_GRID_DEFAULT)
-    p.add_argument("--n", type=int, choices=(1, 2), default=1)
-    p.add_argument("--frame", help="frame options r=..,R=..,h=..")
-    p.add_argument("--seed", type=int, default=0)
+    _add_grid_flags(p)
     p.add_argument("--json", action="store_true", help="print JSON instead of a bare float")
     p.add_argument("--out", help="write corpus norms as CSV")
     p.set_defaults(func=cmd_norms)
@@ -1035,9 +986,7 @@ def build_parser() -> argparse.ArgumentParser:
     q.add_argument("--N-exp", type=float, default=None, help="Peetre exponent (default n/p+1)")
     q.add_argument("--trials", type=int, default=8)
     q.add_argument("--band", type=float, default=0.4)
-    q.add_argument("--grid", type=int, default=_GRID_DEFAULT)
-    q.add_argument("--n", type=int, choices=(1, 2), default=1)
-    q.add_argument("--seed", type=int, default=0)
+    _add_grid_flags(q, frame=False)
     q.add_argument("--out", help="write the CSV here (summary JSON to stdout)")
     q.set_defaults(func=cmd_pointwise_maximal)
 
@@ -1060,9 +1009,7 @@ def build_parser() -> argparse.ArgumentParser:
     q.set_defaults(func=cmd_pointwise_moment_decay)
 
     p = sub.add_parser("experiment", help="run a packaged experiment from a JSON config")
-    p.add_argument(
-        "runner", choices=("counterexample", "wavefront", "continuity", "sigma")
-    )
+    p.add_argument("runner", choices=tuple(RUNNERS))
     p.add_argument("--config", required=True, help="JSON run configuration")
     p.add_argument("--out", required=True, help="JSON report path")
     p.add_argument("--csv", help="flat CSV path (default: report stem .csv)")
@@ -1085,6 +1032,9 @@ def main(argv=None) -> int:
     except FileNotFoundError as exc:
         missing = exc.filename if exc.filename else str(exc)
         print(f"error: input file not found: {missing}", file=sys.stderr)
+        return 2
+    except OSError as exc:
+        print(f"error: {exc}", file=sys.stderr)
         return 2
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)

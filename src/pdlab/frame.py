@@ -11,6 +11,7 @@ relies on that clamping.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from typing import Collection
 
 import numpy as np
 
@@ -87,6 +88,14 @@ def make_modulation(r: float, R: float) -> ModulationFunction:
     return ModulationFunction(r=r, R=R)
 
 
+def modulation_saturation(psi: ModulationFunction, spec: GridSpec) -> int:
+    """Least m with psi(2^-m .) identically 1 on the frequency lattice."""
+    m = 0
+    while psi.r * 2.0**m < spec.nyquist_radius:
+        m += 1
+    return m
+
+
 def min_separation(psi: ModulationFunction) -> int:
     """Least integer h >= 2 with 2R < r*2^h."""
     h = 2
@@ -131,10 +140,7 @@ class LPFrame:
 
     def j_saturation(self, spec: GridSpec) -> int:
         """Smallest m with psi(2^{-m} eta) = 1 on the whole lattice."""
-        m = 0
-        while self.psi.r * 2.0**m < spec.nyquist_radius:
-            m += 1
-        return m
+        return modulation_saturation(self.psi, spec)
 
     def lattice_blocks(self, spec: GridSpec, j_max: int | None = None) -> list[np.ndarray]:
         """Tabulated Phi_0..Phi_{j_max}; cached per grid."""
@@ -178,3 +184,46 @@ def block_project(u: GridFunction, frame: LPFrame, j: int, kind: str = "corona")
 
 
 DEFAULT_FRAME = LPFrame(psi=ModulationFunction(r=1.0, R=2.0), h=3)
+
+
+# ---------------------------------------------------------------------------
+# the option grammar of symbol, input, space and frame specs
+
+
+def parse_options(text: str, allowed: Collection[str], what: str) -> dict[str, str]:
+    """Split 'k=v,k=v' into stripped strings; an item without '=' or a key
+    outside `allowed` raises ValueError."""
+    opts: dict[str, str] = {}
+    for item in text.split(",") if text.strip() else ():
+        key, eq, value = item.partition("=")
+        key = key.strip()
+        if not eq or not key:
+            raise ValueError(f"bad {what} option {item!r}")
+        if key not in allowed:
+            known = ", ".join(sorted(allowed))
+            raise ValueError(f"unknown {what} option {key!r}; allowed: {known}")
+        opts[key] = value.strip()
+    return opts
+
+
+def parse_spec(
+    text: str, kinds: dict[str, Collection[str]], what: str
+) -> tuple[str, dict[str, str]]:
+    """Split 'kind:k=v,...' into the kind and its options; `kinds` maps each
+    accepted kind to the option keys it allows."""
+    kind, _, rest = text.partition(":")
+    kind = kind.strip()
+    if kind not in kinds:
+        raise ValueError(f"unknown {what} kind {kind!r} in {text!r}")
+    return kind, parse_options(rest, kinds[kind], what)
+
+
+FRAME_OPTIONS = {"r": float, "R": float, "h": int, "profile": str}
+
+
+def frame_from_options(opts: dict) -> LPFrame:
+    """LPFrame from FRAME_OPTIONS values, as text or typed; keys left out
+    take DEFAULT_FRAME's values."""
+    v = {key: FRAME_OPTIONS[key](value) for key, value in opts.items()}
+    psi = ModulationFunction(v.get("r", 1.0), v.get("R", 2.0), v.get("profile", "smoothstep"))
+    return LPFrame(psi=psi, h=v.get("h", 3))

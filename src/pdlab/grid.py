@@ -12,6 +12,7 @@ hold for trigonometric polynomials hold here to rounding error.
 from __future__ import annotations
 
 import json
+import os
 import struct
 from dataclasses import dataclass
 
@@ -195,9 +196,11 @@ def read_pdgf(path) -> GridFunction:
         if magic != _PDGF_MAGIC:
             raise ValueError(f"{path}: bad magic {magic!r}")
         spec = GridSpec(int(n), int(N))
-        raw = fh.read(16 * spec.npoints)
-    if len(raw) != 16 * spec.npoints:
-        raise ValueError(f"{path}: truncated payload")
+        nbytes = 16 * spec.npoints
+        # check the header's size claim before allocating for it
+        if os.fstat(fh.fileno()).st_size - _PDGF_HEADER.size < nbytes:
+            raise ValueError(f"{path}: truncated payload, header claims n={n}, N={N}")
+        raw = fh.read(nbytes)
     values = np.frombuffer(raw, dtype="<c16").reshape(spec.shape)
     return GridFunction(spec, values.astype(complex))
 

@@ -14,8 +14,16 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from ._threads import pmap
-from .frame import DEFAULT_FRAME, LPFrame, ModulationFunction
-from .grid import GridFunction, GridSpec, SpectralFunction, fft_forward, fft_inverse, lp_norm
+from .frame import DEFAULT_FRAME, LPFrame, ModulationFunction, modulation_saturation
+from .grid import (
+    TWO_PI,
+    GridFunction,
+    GridSpec,
+    SpectralFunction,
+    fft_forward,
+    fft_inverse,
+    lp_norm,
+)
 from .symbols import (
     Symbol,
     TABLE_ENTRY_GUARD,
@@ -26,8 +34,6 @@ from .symbols import (
 )
 
 DIRECT_APPLY_GUARD = 16384
-
-TWO_PI = 2.0 * np.pi
 
 DEFAULT_PSI_FAMILY = (
     ModulationFunction(r=1.0, R=2.0),
@@ -111,14 +117,6 @@ def _apply_table_flat(tab2d: np.ndarray, cflat: np.ndarray, spec: GridSpec) -> n
 # vanishing frequency modulation
 
 
-def modulation_saturation(psi: ModulationFunction, spec: GridSpec) -> int:
-    """Least m with psi(2^-m .) identically 1 on the frequency lattice."""
-    m = 0
-    while psi.r * 2.0**m < spec.nyquist_radius:
-        m += 1
-    return m
-
-
 def vfm_apply(a: Symbol, u: GridFunction, psi: ModulationFunction, m: int) -> GridFunction:
     """OP(psi(2^{-m}D_x)a(x,eta) psi(2^{-m}eta)) u."""
     return apply_auto(modulate_symbol(a, m, psi, u.spec), u)
@@ -149,6 +147,8 @@ def vfm_limit(
 ) -> VfmTrace:
     if len(psis) < 2:
         raise ValueError("need at least two modulation functions to witness independence")
+    if m_max is not None and m_max < 0:
+        raise ValueError(f"m_max must be >= 0, got {m_max}")
     spec = u.spec
     tags = [f"psi(r={p.r:g},R={p.R:g})" for p in psis]
     sats = {t: modulation_saturation(p, spec) for t, p in zip(tags, psis)}

@@ -10,7 +10,7 @@ import numpy as np
 
 from ._threads import pmap
 from .frame import ModulationFunction
-from .grid import GridFunction, GridSpec, fft_forward, lp_norm
+from .grid import TWO_PI, GridFunction, GridSpec, fft_forward, lp_norm
 from .symbols import (
     Symbol,
     TabulatedSymbol,
@@ -19,8 +19,6 @@ from .symbols import (
     partial_ift,
     symbol_partial_ft,
 )
-
-TWO_PI = 2.0 * np.pi
 
 # Central differences of order k need a stencil of width k on the eta
 # lattice; beyond this the stencil stops resolving anything near the

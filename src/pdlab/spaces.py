@@ -12,8 +12,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from ._threads import pmap
-from .frame import DEFAULT_FRAME, LPFrame, lp_blocks
+from .frame import DEFAULT_FRAME, LPFrame, lp_blocks, parse_spec
 from .grid import (
+    TWO_PI,
     GridFunction,
     GridSpec,
     SpectralFunction,
@@ -22,8 +23,6 @@ from .grid import (
     lp_norm,
 )
 from .pointwise import MaximalParams, peetre_maximal, spectral_radius
-
-TWO_PI = 2.0 * math.pi
 
 BESOV = "B"
 TRIEBEL_LIZORKIN = "F"
@@ -59,26 +58,18 @@ class SpaceParams:
 
 def parse_space(text: str, frame: LPFrame | None = None) -> SpaceParams:
     """Parse 'F:s=0.5,p=2,q=1' or 'B:s=-1,p=inf,q=inf' into SpaceParams."""
-    scale, sep, rest = text.partition(":")
-    scale = scale.strip()
-    if not sep or scale not in (BESOV, TRIEBEL_LIZORKIN):
-        raise ValueError(f"space must look like 'B:s=...,p=...,q=...', got {text!r}")
+    keys = ("s", "p", "q")
+    scale, opts = parse_spec(text, {BESOV: keys, TRIEBEL_LIZORKIN: keys}, "space")
     fields: dict[str, float] = {}
-    for item in rest.split(","):
-        key, eq, val = item.partition("=")
-        key = key.strip()
-        if not eq or key not in ("s", "p", "q"):
-            raise ValueError(f"bad space field {item!r} in {text!r}")
+    for key in keys:
+        if key not in opts:
+            raise ValueError(f"space {text!r} is missing {key}")
         try:
-            fields[key] = float(val)
+            fields[key] = float(opts[key])
         except ValueError as exc:
             raise ValueError(f"bad value for {key} in {text!r}") from exc
-    for key in ("s", "p", "q"):
-        if key not in fields:
-            raise ValueError(f"space {text!r} is missing {key}")
     return SpaceParams(
-        s=fields["s"], p=fields["p"], q=fields["q"], scale=scale,
-        frame=frame if frame is not None else DEFAULT_FRAME,
+        **fields, scale=scale, frame=frame if frame is not None else DEFAULT_FRAME
     )
 
 

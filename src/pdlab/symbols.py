@@ -18,8 +18,8 @@ from pathlib import Path
 
 import numpy as np
 
-from .frame import LPFrame, ModulationFunction, smoothstep
-from .grid import GridFunction, GridSpec
+from .frame import DEFAULT_FRAME, LPFrame, ModulationFunction, parse_spec, smoothstep
+from .grid import GridFunction, GridSpec, read_pdgf
 
 TABLE_ENTRY_GUARD = 1 << 22  # complex entries; 64 MiB of table
 DENSE_MATRIX_GUARD = 4096  # N^n cap for dense operator matrices
@@ -801,6 +801,28 @@ def _parse_theta(text: str) -> tuple[int, ...]:
     return tuple(vec)
 
 
+SYMBOL_OPTIONS = {
+    "const": ("c",),
+    "ching": ("d", "theta", "jmax", "a0", "a1", "b0", "b1", "zr", "zat", "zw"),
+    "elementary": ("seed", "J", "d", "spread", "file"),
+    "table": ("file",),
+}
+"""Symbol spec kinds and the option keys each accepts."""
+
+
+def ching_options(opts: dict[str, str]) -> dict:
+    """d, theta and the bump A of a ching spec's options (jmax is the caller's)."""
+    names = {"a0": "a0", "a1": "a1", "b0": "b0", "b1": "b1", "zat": "zero_at", "zw": "zero_width"}
+    bump_kw: dict = {dst: float(opts[src]) for src, dst in names.items() if src in opts}
+    if "zr" in opts:
+        bump_kw["zero_order"] = int(opts["zr"])
+    return {
+        "d": float(opts.get("d", "0")),
+        "theta": _parse_theta(opts.get("theta", "+1")),
+        "A": RadialBump(**bump_kw) if bump_kw else DEFAULT_BUMP,
+    }
+
+
 def parse_symbol_spec(text: str, spec: GridSpec, frame: LPFrame | None = None) -> Symbol:
     """Build a symbol from a CLI string.
 
@@ -810,42 +832,20 @@ def parse_symbol_spec(text: str, spec: GridSpec, frame: LPFrame | None = None) -
            table:file=sym.pdsy
            const[:c=1]
     """
-    from .frame import DEFAULT_FRAME
-    from .grid import read_pdgf
-
     frame = frame if frame is not None else DEFAULT_FRAME
-    kind, _, rest = text.partition(":")
-    kv: dict[str, str] = {}
-    if rest:
-        for item in rest.split(","):
-            k, _, v = item.partition("=")
-            if not _ or not k:
-                raise ValueError(f"bad symbol option {item!r} in {text!r}")
-            kv[k.strip()] = v.strip()
-
+    kind, kv = parse_spec(text, SYMBOL_OPTIONS, "symbol")
     if kind == "const":
         return ConstantSymbol(complex(kv.get("c", "1")))
     if kind == "ching":
-        bump_kw = {}
-        for src, dst in (("a0", "a0"), ("a1", "a1"), ("b0", "b0"), ("b1", "b1"),
-                         ("zat", "zero_at"), ("zw", "zero_width")):
-            if src in kv:
-                bump_kw[dst] = float(kv[src])
-        if "zr" in kv:
-            bump_kw["zero_order"] = int(kv["zr"])
-        A = RadialBump(**bump_kw) if bump_kw else DEFAULT_BUMP
-        return ching_symbol(
-            d=float(kv.get("d", "0")),
-            theta=_parse_theta(kv.get("theta", "+1")),
-            A=A,
-            j_max=int(kv.get("jmax", "8")),
-            spec=spec,
-        )
+        return ching_symbol(**ching_options(kv), j_max=int(kv.get("jmax", "8")), spec=spec)
     if kind == "elementary":
         if "file" in kv:
             manifest = json.loads(Path(kv["file"]).read_text())
+            paths = manifest.get("multipliers") if isinstance(manifest, dict) else None
+            if not isinstance(paths, list):
+                raise ValueError(f"{kv['file']}: manifest needs a 'multipliers' list")
             base = Path(kv["file"]).parent
-            mults = [read_pdgf(base / p) for p in manifest["multipliers"]]
+            mults = [read_pdgf(base / p) for p in paths]
             return ElementarySymbol(mults, frame, d=float(manifest.get("d", 0.0)))
         return random_elementary(
             spec,
@@ -855,11 +855,9 @@ def parse_symbol_spec(text: str, spec: GridSpec, frame: LPFrame | None = None) -
             seed=int(kv.get("seed", "0")),
             spread=float(kv.get("spread", "1")),
         )
-    if kind == "table":
-        if "file" not in kv:
-            raise ValueError("table symbol needs file=...")
-        sym = read_pdsy(kv["file"])
-        if sym.spec != spec:
-            raise ValueError(f"{kv['file']}: table is on {sym.spec}, expected {spec}")
-        return sym
-    raise ValueError(f"unknown symbol kind {kind!r} in {text!r}")
+    if "file" not in kv:
+        raise ValueError("table symbol needs file=...")
+    sym = read_pdsy(kv["file"])
+    if sym.spec != spec:
+        raise ValueError(f"{kv['file']}: table is on {sym.spec}, expected {spec}")
+    return sym

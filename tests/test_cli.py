@@ -1,11 +1,13 @@
 """Command-line front end: every subcommand on small grids, the experiment
 reports against direct runner calls, and the exit-code contract."""
 
+import functools
 import json
 
 import numpy as np
 import pytest
 
+from pdlab import experiments
 from pdlab import (
     GridSpec,
     ching_for_grid,
@@ -205,3 +207,127 @@ def test_experiment_report_matches_runner(capsys, tmp_path, runner):
     assert got == want
     for suffix in (".csv", ".dat"):
         assert (tmp_path / "report").with_suffix(suffix).stat().st_size > 0
+
+
+def test_experiment_accepts_null_where_the_annotation_admits_none(capsys, tmp_path):
+    config = {"symbol": SIGMA_SYMBOL, "grid": {"n": 1, "N": 256},
+              "params": {"r_expected": None, "j_range": None, "s_grid": [-1.0, 0.0]}}
+    assert run_experiment(tmp_path, "sigma", config) == 0
+    direct = run_sigma_estimate(
+        ching_symbol(0.0, theta=1, A=RadialBump(zero_order=1, zero_width=0.25), j_max=6,
+                     spec=GridSpec(1, 256)),
+        GridSpec(1, 256), s_grid=[-1.0, 0.0],
+    )
+    got = json.loads((tmp_path / "report.json").read_text())
+    assert got == json.loads(json.dumps(report_to_dict(direct, config=config)))
+
+
+def test_integer_thresholds_are_reported_as_floats(capsys, tmp_path):
+    config = {"grid": {"n": 1, "N": 2048}, "params": {"N_list": [2, 3]},
+              "thresholds": {"family_factor": 2}}
+    assert run_experiment(tmp_path, "counterexample", config) == 0
+    assert '"family_factor": 2.0,' in (tmp_path / "report.json").read_text()
+
+
+def test_runner_is_looked_up_at_call_time(capsys, tmp_path, monkeypatch):
+    # a wrapper bound into pdlab.experiments after import (as a tracer does)
+    # must be the function that runs, with its wrapped signature decoded
+    calls = []
+    real = experiments.run_wavefront
+
+    @functools.wraps(real)
+    def spy(**kw):
+        calls.append(kw)
+        return real(**kw)
+
+    monkeypatch.setattr(experiments, "run_wavefront", spy)
+    assert run_experiment(tmp_path, "wavefront", {"params": {"J": 4, "holder_grid": 256}}) == 0
+    assert calls == [{"J": 4, "holder_grid": 256, "spec": None}]
+
+
+# ---------------------------------------------------------------------------
+# exit-code contract: malformed input exits 2 with a one-line error
+
+
+CASE = [["L:p=2", "L:p=2"]]
+
+BAD_CONFIGS = {
+    "scalar cases": ("continuity", {"symbol": "const", "params": {"cases": 5}}),
+    "scalar grids": ("continuity", {"symbol": "const", "params": {"cases": CASE, "grids": 5}}),
+    "case of three": ("continuity", {"symbol": "const", "params": {"cases": [CASE[0] * 2]}}),
+    "missing cases": ("continuity", {"symbol": "const"}),
+    "grid for continuity": ("continuity", {"symbol": "const", "grid": {"N": 64},
+                                           "params": {"cases": CASE}}),
+    "seed in params": ("continuity", {"symbol": "const", "params": {"cases": CASE, "seed": 1}}),
+    "scalar N_list": ("counterexample", {"params": {"N_list": 3}}),
+    "list d": ("counterexample", {"params": {"d": [1]}}),
+    "string d": ("counterexample", {"params": {"d": "0.5"}}),
+    "unknown param": ("counterexample", {"params": {"dd": 1}}),
+    "symbol for counterexample": ("counterexample", {"symbol": "const"}),
+    "scalar grid": ("counterexample", {"grid": 5}),
+    "float grid N": ("counterexample", {"grid": {"N": 2048.0}, "params": {"N_list": [2, 3]}}),
+    "scalar frame": ("wavefront", {"frame": 5}),
+    "float frame h": ("wavefront", {"frame": {"h": 3.5}}),
+    "float J": ("wavefront", {"params": {"J": 2.5}}),
+    "key in params and thresholds": ("wavefront", {"params": {"J": 4},
+                                                   "thresholds": {"J": 4}}),
+    "string strict": ("sigma", {"symbol": SIGMA_SYMBOL, "grid": {"N": 256},
+                                "params": {"strict": "no"}}),
+    "sigma without grid": ("sigma", {"symbol": "const"}),
+    "scalar out": ("sigma", {"symbol": "const", "grid": {"N": 64}, "out": 5}),
+}
+
+
+@pytest.mark.parametrize("name", sorted(BAD_CONFIGS))
+def test_malformed_config_exits_2(capsys, tmp_path, name):
+    runner, config = BAD_CONFIGS[name]
+    assert run_experiment(tmp_path, runner, config) == 2
+    assert_one_line_error(capsys)
+
+
+def write_manifest(tmp_path):
+    path = tmp_path / "manifest.json"
+    path.write_text(json.dumps({"d": 0.0}))
+    return f"elementary:file={path}"
+
+
+def write_oversized_header(tmp_path):
+    path = tmp_path / "huge.pdgf"
+    path.write_bytes(b"PDGF" + np.array([2, 2**31, 0], dtype="<u4").tobytes())
+    return str(path)
+
+
+BAD_ARGV = {
+    "input is a directory": lambda t, u: ["apply", *SYMBOL, "--input", str(t)],
+    "negative m-max": lambda t, u: ["vfm", *SYMBOL, *SMALL, "--m-max", "-1"],
+    "manifest without multipliers": lambda t, u: ["apply", "--symbol", write_manifest(t),
+                                                  *SMALL],
+    "ching key typo": lambda t, u: ["apply", "--symbol", "ching:d=0,theta=1,jmx=3",
+                                    "--grid", "1024", "--mode", "single:eta=3"],
+    "random key typo": lambda t, u: ["apply", *SYMBOL, "--grid", "32",
+                                     "--mode", "random:band=0.4,sede=5"],
+    "frame key typo": lambda t, u: ["apply", *SYMBOL, *SMALL, "--frame", "r=1,RR=2"],
+    "space key typo": lambda t, u: ["norms", "--space", "B:s=0,p=2,qq=2", *SMALL],
+    "apply --grid disagrees with input": lambda t, u: ["apply", *SYMBOL, "--input", u,
+                                                       "--grid", "256"],
+    "apply --n disagrees with input": lambda t, u: ["apply", *SYMBOL, "--input", u,
+                                                    "--n", "2"],
+    "norms --grid disagrees with input": lambda t, u: ["norms", "--space", "L:p=2",
+                                                       "--input", u, "--grid", "64"],
+    "norms --n disagrees with input": lambda t, u: ["norms", "--space", "L:p=2",
+                                                    "--input", u, "--n", "2"],
+    "pdgf header larger than file": lambda t, u: ["norms", "--space", "L:p=2", "--input",
+                                                  write_oversized_header(t)],
+}
+
+
+@pytest.mark.parametrize("name", sorted(BAD_ARGV))
+def test_malformed_argv_exits_2(capsys, tmp_path, pdgf, name):
+    assert main(BAD_ARGV[name](tmp_path, str(pdgf))) == 2
+    assert_one_line_error(capsys)
+
+
+def assert_one_line_error(capsys):
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1, err
+    assert "Traceback" not in err

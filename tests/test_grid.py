@@ -187,6 +187,15 @@ def test_pdgf_bad_magic(tmp_path):
         read_pdgf(path)
 
 
+@pytest.mark.parametrize("n, N", [(1, 64), (1, 2**31), (2, 2**31)])
+def test_pdgf_header_claims_more_than_the_file(tmp_path, n, N):
+    # header plus one sample: the size check must fire before any allocation
+    path = tmp_path / "short.pdgf"
+    path.write_bytes(b"PDGF" + np.array([n, N, 0], dtype="<u4").tobytes() + bytes(16))
+    with pytest.raises(ValueError, match="truncated"):
+        read_pdgf(path)
+
+
 def test_json_round_trip():
     spec = GridSpec(2, 8)
     rng = np.random.default_rng(2)
