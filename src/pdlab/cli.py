@@ -218,7 +218,7 @@ def _decode_object(obj, hints: dict, where: str) -> dict:
     return {k: _decode(v, hints[k], f"{where}.{k}") for k, v in obj.items()}
 
 
-_CONFIG = {
+_CONFIG_TYPES = {
     "grid": dict | None,
     "frame": dict | None,
     "symbol": str | None,
@@ -230,7 +230,7 @@ _CONFIG = {
 
 
 def config_from_dict(obj: dict) -> RunConfig:
-    c = _decode_object(obj, _CONFIG, "config")
+    c = _decode_object(obj, _CONFIG_TYPES, "config")
     grid = c.get("grid")
     if grid is not None:
         g = _decode_object(grid, {"n": int, "N": int}, "grid")
@@ -315,9 +315,8 @@ _GRID_DEFAULT = 256
 
 
 def _grid_from_args(args) -> GridSpec:
-    return GridSpec(
-        n=1 if args.n is None else args.n, N=_GRID_DEFAULT if args.grid is None else args.grid
-    )
+    n = 1 if args.n is None else args.n
+    return GridSpec(n=n, N=_GRID_DEFAULT if args.grid is None else args.grid)
 
 
 def _frame_from_args(args) -> LPFrame:

@@ -225,5 +225,6 @@ def frame_from_options(opts: dict) -> LPFrame:
     """LPFrame from FRAME_OPTIONS values, as text or typed; keys left out
     take DEFAULT_FRAME's values."""
     v = {key: FRAME_OPTIONS[key](value) for key, value in opts.items()}
-    psi = ModulationFunction(v.get("r", 1.0), v.get("R", 2.0), v.get("profile", "smoothstep"))
-    return LPFrame(psi=psi, h=v.get("h", 3))
+    d = DEFAULT_FRAME
+    psi = ModulationFunction(v.get("r", d.r), v.get("R", d.R), v.get("profile", d.psi.profile))
+    return LPFrame(psi=psi, h=v.get("h", d.h))
