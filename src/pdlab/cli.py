@@ -113,8 +113,6 @@ def make_input(text: str, spec: GridSpec, seed: int = 0) -> GridFunction:
            random:band=0.4[,seed=0]
            file:u.pdgf
     """
-    from .experiments import lacunary_input
-
     if text.startswith("file:"):
         return read_pdgf(text.removeprefix("file:"))
     kind, kv = parse_spec(text, INPUT_OPTIONS, "input")
@@ -125,7 +123,7 @@ def make_input(text: str, spec: GridSpec, seed: int = 0) -> GridFunction:
     if kind == "lacunary":
         if "N" not in kv:
             raise ValueError("lacunary mode needs N=<family index>")
-        return lacunary_input(
+        return experiments.lacunary_input(
             spec,
             int(kv["N"]),
             d=float(kv.get("d", "0")),
