@@ -7,6 +7,8 @@ pdlab.experiments function RUNNERS[NAME].  The keys of the config's "params"
 and "thresholds" are that runner's keyword arguments, less spec, A, symbol,
 a, frame and seed, which the CLI builds; each value must have the JSON type
 of the argument's annotation, and arguments without defaults are required.
+A config grid, seed or frame the runner cannot use is an error, as is an
+explicit --grid/--n that disagrees with an input file (--input or file:).
 
 Exit codes: 0 success, 1 a selftest gate failed, 2 usage errors (unknown
 flags, malformed options or configs, unreadable input files).
@@ -294,6 +296,10 @@ def dispatch_experiment(runner: str, cfg: RunConfig) -> ExperimentReport:
         kw["spec"] = cfg.grid
     elif cfg.grid is not None:
         raise ValueError(f"{runner} takes no config grid")
+    if "seed" in cfg.raw and "seed" not in params:
+        raise ValueError(f"{runner} takes no config seed")
+    if cfg.raw.get("frame") is not None and not {"frame", "symbol", "a"} & set(params):
+        raise ValueError(f"{runner} takes no config frame")
     if "symbol" in params:
         kw["symbol"] = symbol_factory(cfg.symbol, cfg.frame)
     if "a" in params:
@@ -323,29 +329,37 @@ def _frame_from_args(args) -> LPFrame:
     return frame_from_options(parse_options(args.frame, FRAME_OPTIONS, "frame"))
 
 
-def _read_input(args) -> GridFunction:
-    """The --input .pdgf file; explicit --grid/--n must match its grid."""
-    u = read_pdgf(args.input)
+def _read_input(args, path: str) -> GridFunction:
+    """The .pdgf file at path (--input or a file: mode); explicit
+    --grid/--n must match its grid."""
+    u = read_pdgf(path)
     for flag, given, actual in (("--grid", args.grid, u.spec.N), ("--n", args.n, u.spec.n)):
         if given is not None and given != actual:
             raise ValueError(
-                f"{args.input} holds an n={u.spec.n}, N={u.spec.N} function; "
+                f"{path} holds an n={u.spec.n}, N={u.spec.N} function; "
                 f"{flag} {given} disagrees"
             )
     return u
 
 
+def _make_input(args, text: str, spec: GridSpec) -> GridFunction:
+    if text.startswith("file:"):
+        return _read_input(args, text.removeprefix("file:"))
+    return make_input(text, spec, seed=args.seed)
+
+
 def _resolve_io(args) -> tuple[GridFunction, GridSpec]:
     """The input function and the grid every other object is built on.
 
-    A .pdgf input defines the grid; explicit --grid/--n must then agree.
-    Generator modes realize on the --grid/--n lattice.
+    A .pdgf input (--input or a file: mode) defines the grid; explicit
+    --grid/--n must then agree.  Generator modes realize on the --grid/--n
+    lattice.
     """
     if args.input is not None:
-        u = _read_input(args)
-        return u, u.spec
-    spec = _grid_from_args(args)
-    return make_input(args.mode, spec, seed=args.seed), spec
+        u = _read_input(args, args.input)
+    else:
+        u = _make_input(args, args.mode, _grid_from_args(args))
+    return u, u.spec
 
 
 def _emit_json(obj: dict, out_path: str | None) -> None:
@@ -451,7 +465,7 @@ def cmd_norms(args) -> int:
         for i, entry in enumerate(entries):
             if not isinstance(entry, str):
                 raise ValueError(f"corpus entry {i} must be a generator string")
-            u = make_input(entry, spec, seed=args.seed)
+            u = _make_input(args, entry, spec)
             label, fn, _ = parse_norm(args.space, frame)
             rows.append((i, entry, label, repr(fn(u))))
         if args.out:
@@ -462,9 +476,9 @@ def cmd_norms(args) -> int:
                 print(",".join(str(x) for x in row))
         return 0
     if args.input is not None:
-        u = _read_input(args)
+        u = _read_input(args, args.input)
     elif args.mode is not None:
-        u = make_input(args.mode, spec, seed=args.seed)
+        u = _make_input(args, args.mode, spec)
     else:
         raise ValueError("norms needs --input, --mode, or --corpus")
     label, fn, _ = parse_norm(args.space, frame)

@@ -52,6 +52,14 @@ def smoothstep(t) -> np.ndarray:
     return out
 
 
+def on_distinct(fn, t: np.ndarray) -> np.ndarray:
+    """fn(t) for an element-wise fn, evaluated once per distinct entry of t
+    and scattered back: bit-identical to fn(t), and cheaper where entries
+    repeat, as lattice radii do.  fn may stack outputs on leading axes."""
+    vals, inverse = np.unique(t, return_inverse=True)
+    return fn(vals)[..., inverse.reshape(np.shape(t))]
+
+
 @dataclass(frozen=True)
 class ModulationFunction:
     """psi with psi=1 on |xi|<=r, psi=0 on |xi|>=R, radially non-increasing."""
@@ -148,8 +156,11 @@ class LPFrame:
             j_max = self.j_saturation(spec)
         key = (spec.n, spec.N, j_max)
         if key not in self._block_cache:
-            rad = spec.freq_radius()
-            self._block_cache[key] = [self.block_radial(j, rad) for j in range(j_max + 1)]
+            stack = on_distinct(
+                lambda t: np.stack([self.block_radial(j, t) for j in range(j_max + 1)]),
+                spec.freq_radius(),
+            )
+            self._block_cache[key] = list(stack)
         return self._block_cache[key]
 
 

@@ -2,9 +2,13 @@
 three-series paradifferential splitting, kernels, and support rules.
 
 apply() is the definitional reference: a row-by-row quadrature of
-sum_eta a(x,eta) c_eta e^{ix.eta} with phases computed on the fly.  The
-structured paths (separable terms, cached cumulative tables) must agree
-with it to 1e-10 and are what experiments run on large grids.
+sum_eta a(x,eta) c_eta e^{ix.eta} with phases computed on the fly.
+apply_auto() is what experiments run on large grids; it takes the first
+strategy the symbol's structure allows, each within 1e-10 of apply():
+  1. spectral shift (Symbol.shift_terms, e.g. Ching): one FFT pair and a
+     scatter-add of weight * g * u_hat onto eta + xi per term;
+  2. separable, sum_j m_j(x) (g_j(D)u)(x) (Symbol.separable_terms);
+  3. the reference apply().
 """
 from __future__ import annotations
 
@@ -25,6 +29,7 @@ from .grid import (
     lp_norm,
 )
 from .symbols import (
+    ShiftTerm,
     Symbol,
     TABLE_ENTRY_GUARD,
     modulate_symbol,
@@ -66,7 +71,7 @@ def apply(a: Symbol, u: GridFunction) -> GridFunction:
     if spec.npoints > DIRECT_APPLY_GUARD:
         raise ValueError(
             f"direct apply needs N^n <= {DIRECT_APPLY_GUARD}, got {spec.npoints}; "
-            "use apply_fast_elementary or the experiment drivers"
+            "use apply_auto or the experiment drivers"
         )
     c = fft_forward(u).coeffs.reshape(-1)
     xm = _flat_coords(spec)
@@ -88,13 +93,8 @@ def apply(a: Symbol, u: GridFunction) -> GridFunction:
     return GridFunction(spec, out.reshape(spec.shape))
 
 
-def apply_fast_elementary(a: Symbol, u: GridFunction) -> GridFunction:
-    """sum_j m_j(x) (g_j(D)u)(x) for symbols with separable terms;
-    cost O(J N^n log N)."""
+def _apply_separable(terms: list[tuple[np.ndarray, np.ndarray]], u: GridFunction) -> GridFunction:
     spec = u.spec
-    terms = a.separable_terms(spec)
-    if terms is None:
-        raise ValueError(f"{type(a).__name__} has no separable structure")
     c = fft_forward(u).coeffs
     out = np.zeros(spec.shape, dtype=complex)
     for m, g in terms:
@@ -102,10 +102,36 @@ def apply_fast_elementary(a: Symbol, u: GridFunction) -> GridFunction:
     return GridFunction(spec, out)
 
 
+def _apply_shift(terms: list[ShiftTerm], u: GridFunction) -> GridFunction:
+    spec = u.spec
+    c = fft_forward(u).coeffs.reshape(-1)
+    out = np.zeros(spec.npoints, dtype=complex)
+    for t in terms:
+        src = np.unravel_index(t.idx, spec.shape)
+        dst = np.ravel_multi_index(
+            tuple(i + x for i, x in zip(src, t.xi)), spec.shape, mode="wrap"
+        )
+        out[dst] += t.weight * t.g * c[t.idx]  # eta -> eta + xi is one-to-one
+    return fft_inverse(SpectralFunction(spec, out.reshape(spec.shape)))
+
+
+def apply_fast_elementary(a: Symbol, u: GridFunction) -> GridFunction:
+    """sum_j m_j(x) (g_j(D)u)(x) for symbols with separable terms;
+    cost O(J N^n log N)."""
+    terms = a.separable_terms(u.spec)
+    if terms is None:
+        raise ValueError(f"{type(a).__name__} has no separable structure")
+    return _apply_separable(terms, u)
+
+
 def apply_auto(a: Symbol, u: GridFunction) -> GridFunction:
-    """Fast path when the symbol has structure, reference path otherwise."""
-    if a.separable_terms(u.spec) is not None:
-        return apply_fast_elementary(a, u)
+    """Spectral shift, else separable terms, else the reference apply()."""
+    shifts = a.shift_terms(u.spec)
+    if shifts is not None:
+        return _apply_shift(shifts, u)
+    terms = a.separable_terms(u.spec)
+    if terms is not None:
+        return _apply_separable(terms, u)
     return apply(a, u)
 
 

@@ -15,10 +15,11 @@ import json
 import struct
 from dataclasses import dataclass
 from pathlib import Path
+from typing import NamedTuple
 
 import numpy as np
 
-from .frame import DEFAULT_FRAME, LPFrame, ModulationFunction, parse_spec, smoothstep
+from .frame import DEFAULT_FRAME, LPFrame, ModulationFunction, on_distinct, parse_spec, smoothstep
 from .grid import GridFunction, GridSpec, read_pdgf
 
 TABLE_ENTRY_GUARD = 1 << 22  # complex entries; 64 MiB of table
@@ -68,6 +69,22 @@ def nyquist_mask(spec: GridSpec) -> np.ndarray:
 # base class
 
 
+class ShiftTerm(NamedTuple):
+    """Term j = weight * e^{i xi.x} g(eta), xi folded into [-N/2, N/2)^n;
+    g holds the values on the flat eta-lattice indices idx, zero elsewhere."""
+
+    j: int
+    weight: float
+    xi: tuple[int, ...]
+    idx: np.ndarray
+    g: np.ndarray
+
+    def g_table(self, spec: GridSpec) -> np.ndarray:
+        out = np.zeros(spec.npoints)
+        out[self.idx] = self.g
+        return out.reshape(spec.shape)
+
+
 class Symbol:
     """Base symbol: order d, optional twisted-diagonal flag, lattice table."""
 
@@ -81,6 +98,11 @@ class Symbol:
     @property
     def has_eval(self) -> bool:
         return type(self).eval is not Symbol.eval
+
+    def shift_terms(self, spec: GridSpec) -> list[ShiftTerm] | None:
+        """Terms with a(x,eta) = sum_j weight_j e^{i xi_j.x} g_j(eta); None
+        when the x-spectrum is not one lattice delta per term."""
+        return None
 
     def separable_terms(self, spec: GridSpec) -> list[tuple[np.ndarray, np.ndarray]] | None:
         """Terms (m_j over the x-grid, g_j over the eta-lattice) if a(x,eta)
@@ -270,6 +292,11 @@ DEFAULT_BUMP = RadialBump()  # support [3/4,5/4], plateau [9/10,11/10]
 class ChingSymbol(Symbol):
     """a(x,eta) = sum_{j=0}^{j_max} 2^{jd} e^{-i 2^j theta.x} A(2^{-j}|eta|).
 
+    On the lattice, level j only moves frequency mass by -2^j theta (mod N):
+    a(x,D)u = F^{-1}[sum_j 2^{jd} shift_{-2^j theta}(A(2^{-j}|D|) u_hat)]
+    exactly.  shift_terms gives each level once; the spectral and separable
+    terms are built from it.
+
     theta is an integer lattice vector. When |theta| exceeds the bump's outer
     radius a1, every x-frequency -2^j theta clears the eta support by a fixed
     angle, which puts the symbol in the twisted-diagonal class with
@@ -315,38 +342,41 @@ class ChingSymbol(Symbol):
             out = out + (2.0 ** (j * self.d) * amp) * np.exp(-1j * 2.0**j * phase)
         return out
 
-    def spectral_terms(self, spec: GridSpec) -> list[tuple[np.ndarray, np.ndarray]]:
-        """Exact x-spectra: term j is a delta of weight 2^{jd} at -2^j theta
-        (folded mod N onto the lattice, exact for grid exponentials)."""
+    def shift_terms(self, spec: GridSpec) -> list[ShiftTerm]:
+        """Level j: weight 2^{jd}, xi = -2^j theta folded mod N, and
+        g_j = A(2^{-j}|eta|) * nyquist_mask, evaluated on the open annulus
+        a0 2^j < |eta| < a1 2^j outside which A vanishes; levels with g_j = 0
+        are dropped."""
         self.validate_for(spec)
-        rad = spec.freq_radius()
-        nyq = nyquist_mask(spec)
+        rad = spec.freq_radius().ravel()
+        nyq = nyquist_mask(spec).ravel()
         half = spec.N // 2
         terms = []
         for j in range(self.j_max + 1):
-            g = self.A(rad * 2.0**-j) * nyq
+            idx = np.flatnonzero((rad > self.A.a0 * 2.0**j) & (rad < self.A.a1 * 2.0**j))
+            g = on_distinct(self.A, rad[idx] * 2.0**-j) * nyq[idx]
             if not np.any(g):
                 continue
+            xi = tuple((-(2**j) * t + half) % spec.N - half for t in self.theta)
+            terms.append(ShiftTerm(j, 2.0 ** (j * self.d), xi, idx, g))
+        return terms
+
+    def spectral_terms(self, spec: GridSpec) -> list[tuple[np.ndarray, np.ndarray]]:
+        """Exact x-spectra: term j is a delta of weight 2^{jd} at -2^j theta
+        (folded mod N onto the lattice, exact for grid exponentials)."""
+        terms = []
+        for t in self.shift_terms(spec):
             mhat = np.zeros(spec.shape, dtype=complex)
-            idx = tuple((-(2**j) * t + half) % spec.N for t in self.theta)
-            mhat[idx] = 2.0 ** (j * self.d)
-            terms.append((mhat, g))
+            mhat[tuple(x + spec.N // 2 for x in t.xi)] = t.weight
+            terms.append((mhat, t.g_table(spec)))
         return terms
 
     def separable_terms(self, spec: GridSpec) -> list[tuple[np.ndarray, np.ndarray]]:
-        self.validate_for(spec)
-        mesh = spec.coord_mesh()
-        phase = sum(m * t for m, t in zip(mesh, self.theta))
-        rad = spec.freq_radius()
-        nyq = nyquist_mask(spec)
-        terms = []
-        for j in range(self.j_max + 1):
-            g = self.A(rad * 2.0**-j) * nyq
-            if not np.any(g):
-                continue
-            m = 2.0 ** (j * self.d) * np.exp(-1j * 2.0**j * phase)
-            terms.append((m.astype(complex), g))
-        return terms
+        phase = sum(m * t for m, t in zip(spec.coord_mesh(), self.theta))
+        return [
+            ((t.weight * np.exp(-1j * 2.0**t.j * phase)).astype(complex), t.g_table(spec))
+            for t in self.shift_terms(spec)
+        ]
 
 
 def ching_symbol(
@@ -411,28 +441,23 @@ class ElementarySymbol(Symbol):
 def modulate_symbol(
     a: Symbol, m: int, psi: ModulationFunction, spec: GridSpec | None = None
 ) -> Symbol:
-    """b_m(x,eta) = [psi(2^{-m}D_x)a](x,eta) * psi(2^{-m}eta)."""
+    """b_m(x,eta) = [psi(2^{-m}D_x)a](x,eta) * psi(2^{-m}eta); a itself once
+    psi(2^{-m}.) is 1 on the whole lattice."""
     spec = _resolve_spec(a, spec)
     scale = 2.0**-m
     mult = psi.radial(spec.freq_radius() * scale)
-    saturated = bool(np.all(mult == 1.0))  # plateau covers the lattice: exact no-op
+    if np.all(mult == 1.0):  # plateau covers the lattice: exact no-op
+        return a
     terms = a.separable_terms(spec)
     if terms is not None:
         out_terms = []
         for mx, g in terms:
-            if saturated:
-                mx_f = mx
-            else:
-                chat = np.fft.fftshift(np.fft.fftn(mx)) / spec.npoints
-                mx_f = np.fft.ifftn(np.fft.ifftshift(chat * mult)) * spec.npoints
+            chat = np.fft.fftshift(np.fft.fftn(mx)) / spec.npoints
+            mx_f = np.fft.ifftn(np.fft.ifftshift(chat * mult)) * spec.npoints
             out_terms.append((mx_f, g * mult))
         return SeparableSymbol(spec, out_terms, d=a.d, tdc_B=a.tdc_B)
-    tab = a.table(spec)
-    if saturated:
-        filtered = tab.copy()
-    else:
-        ahat = partial_ft(tab, spec)
-        filtered = partial_ift(ahat * mult.reshape(spec.shape + (1,) * spec.n), spec)
+    ahat = partial_ft(a.table(spec), spec)
+    filtered = partial_ift(ahat * mult.reshape(spec.shape + (1,) * spec.n), spec)
     filtered = filtered * mult.reshape((1,) * spec.n + spec.shape)
     return TabulatedSymbol(spec, filtered, d=a.d, tdc_B=a.tdc_B)
 

@@ -275,6 +275,12 @@ BAD_CONFIGS = {
                                 "params": {"strict": "no"}}),
     "sigma without grid": ("sigma", {"symbol": "const"}),
     "scalar out": ("sigma", {"symbol": "const", "grid": {"N": 64}, "out": 5}),
+    "seed for counterexample": ("counterexample", {"seed": 7}),
+    "frame for counterexample": ("counterexample", {"frame": {"h": 4}}),
+    "seed and frame for counterexample": ("counterexample", {"seed": 7, "frame": {"h": 4}}),
+    "seed for wavefront": ("wavefront", {"seed": 1}),
+    "frame for wavefront": ("wavefront", {"frame": {"h": 4}}),
+    "seed for sigma": ("sigma", {"symbol": SIGMA_SYMBOL, "grid": {"N": 256}, "seed": 1}),
 }
 
 
@@ -282,6 +288,25 @@ BAD_CONFIGS = {
 def test_malformed_config_exits_2(capsys, tmp_path, name):
     runner, config = BAD_CONFIGS[name]
     assert run_experiment(tmp_path, runner, config) == 2
+    assert_one_line_error(capsys)
+
+
+def test_config_frame_reaches_a_runner_through_its_symbol(capsys, tmp_path):
+    config = {"symbol": SIGMA_SYMBOL, "grid": {"N": 256}, "frame": {"h": 4},
+              "params": {"s_grid": [-1.0, 0.0], "eps_grid": [0.125, 0.0625]}}
+    assert run_experiment(tmp_path, "sigma", config) == 0
+
+
+def test_file_mode_defines_the_grid(capsys, tmp_path, pdgf):
+    obj = run_json(capsys, ["norms", "--space", "L:p=2", "--mode", f"file:{pdgf}", "--json"])
+    assert obj["grid"] == {"n": 1, "N": 32}
+    obj = run_json(capsys, ["apply", *SYMBOL, "--mode", f"file:{pdgf}", "--grid", "32"])
+    assert obj["grid"] == {"n": 1, "N": 32}
+    corpus = tmp_path / "corpus.json"
+    corpus.write_text(json.dumps([f"file:{pdgf}", "single:eta=2"]))
+    assert main(["norms", "--space", "L:p=2", "--corpus", str(corpus)]) == 0
+    assert len(capsys.readouterr().out.splitlines()) == 3
+    assert main(["norms", "--space", "L:p=2", "--corpus", str(corpus), "--grid", "64"]) == 2
     assert_one_line_error(capsys)
 
 
@@ -318,6 +343,14 @@ BAD_ARGV = {
                                                     "--input", u, "--n", "2"],
     "pdgf header larger than file": lambda t, u: ["norms", "--space", "L:p=2", "--input",
                                                   write_oversized_header(t)],
+    "norms --grid disagrees with file mode": lambda t, u: ["norms", "--space", "L:p=2",
+                                                           "--mode", f"file:{u}", "--grid", "64"],
+    "norms --grid, --n disagree with file mode": lambda t, u: [
+        "norms", "--space", "L:p=2", "--mode", f"file:{u}", "--grid", "256", "--n", "2"],
+    "apply --grid disagrees with file mode": lambda t, u: ["apply", *SYMBOL, "--mode",
+                                                           f"file:{u}", "--grid", "256"],
+    "vfm --n disagrees with file mode": lambda t, u: ["vfm", *SYMBOL, "--mode", f"file:{u}",
+                                                      "--n", "2"],
 }
 
 

@@ -183,6 +183,12 @@ class TestCounterexample:
             "control_no_blow_up": True,
         }
 
+    def test_identity_residuals_at_rounding_level(self):
+        # the shift path moves each level's mass exactly; no phase table
+        rep = run_counterexample()
+        for N in (2, 3, 4):
+            assert rep.value(f"residual[N={N}]") <= 1e-14
+
     def test_identity_holds_for_positive_order(self):
         rep = run_counterexample(d=0.5, N_list=(2, 3), spec=GridSpec(1, 2**11))
         assert rep.verdicts["identity"] is True

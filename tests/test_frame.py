@@ -11,6 +11,7 @@ from pdlab.frame import (
     lp_blocks,
     make_modulation,
     min_separation,
+    on_distinct,
     smoothstep,
 )
 from pdlab.grid import GridFunction, GridSpec, fft_forward, random_band_limited
@@ -191,3 +192,26 @@ def test_frame_equivalence_two_psis():
     spread = max(ratios) / min(ratios)
     assert np.isfinite(spread)
     assert spread < 4.0
+
+
+@pytest.mark.parametrize("n, N", [(1, 2**14), (2, 256)])
+@pytest.mark.parametrize(
+    "frame", [DEFAULT_FRAME, LPFrame(ModulationFunction(0.8, 1.6), h=4)], ids=["default", "alt"]
+)
+def test_lattice_blocks_match_full_grid_evaluation(n, N, frame):
+    spec = GridSpec(n, N)
+    rad = spec.freq_radius()
+    blocks = LPFrame(frame.psi, frame.h).lattice_blocks(spec)  # fresh cache
+    assert len(blocks) == frame.j_saturation(spec) + 1
+    for j, b in enumerate(blocks):
+        assert np.array_equal(b, frame.block_radial(j, rad))
+
+
+def test_on_distinct_is_bit_identical_and_keeps_shape():
+    rng = np.random.default_rng(5)
+    t = rng.choice(rng.uniform(-0.5, 1.5, 40), size=(7, 9))
+    assert np.array_equal(on_distinct(smoothstep, t), smoothstep(t))
+    stacked = on_distinct(lambda v: np.stack([smoothstep(v), smoothstep(2 * v)]), t)
+    assert stacked.shape == (2, 7, 9)
+    assert np.array_equal(stacked[1], smoothstep(2 * t))
+    assert on_distinct(smoothstep, np.empty(0)).shape == (0,)

@@ -37,9 +37,12 @@ from pdlab.operators import (
     vfm_limit,
     vfm_refinement,
 )
+from pdlab.experiments import ching_for_grid
 from pdlab.symbols import (
     ChingSymbol,
     ConstantSymbol,
+    ElementarySymbol,
+    RadialBump,
     SeparableSymbol,
     TabulatedSymbol,
     ching_symbol,
@@ -560,3 +563,67 @@ class TestConcurrency:
         monkeypatch.setenv("PDLAB_THREADS", "4")
         threaded = paradiff_split(a, u).total()
         assert np.array_equal(serial.values, threaded.values)
+
+
+class TestShiftPath:
+    """apply_auto's spectral-shift strategy for one-delta-per-level symbols."""
+
+    @pytest.mark.parametrize(
+        "n, N, theta, d",
+        [(1, 2048, 1, 0.0), (1, 2048, 1, 1.5), (1, 2048, -3, 0.0), (1, 2048, -3, 1.5),
+         (2, 64, (1, 1), 0.0), (2, 64, (-2, 1), 1.5)],
+    )
+    def test_matches_reference(self, n, N, theta, d):
+        spec = GridSpec(n, N)
+        a = ching_for_grid(spec, d=d, theta=theta)
+        u = random_band_limited(spec, 0.4 * N / 2, np.random.default_rng(80))
+        ref = apply(a, u).values
+        err = np.max(np.abs(apply_auto(a, u).values - ref)) / np.max(np.abs(ref))
+        assert err <= 1e-10
+
+    def test_fold_below_minus_nyquist(self):
+        # level 4 shifts eta = -18 by -16 to -34, which folds to +30 on N=64;
+        # no other level sees |eta| = 18
+        spec = GridSpec(1, 64)
+        a = ching_symbol(0.0, 1, j_max=4, spec=spec)
+        u = single_mode(spec, -18)
+        y = apply_auto(a, u)
+        c = fft_forward(y).coeffs
+        top = spec.N // 2 + 30
+        assert abs(c[top] - a.A(18.0 / 16.0)) < 1e-14
+        c[top] = 0.0
+        assert np.max(np.abs(c)) < 1e-14
+        assert np.max(np.abs(y.values - apply(a, u).values)) < 1e-12
+
+    def test_level_with_empty_annulus(self):
+        # (0.3, 0.45) 2^j holds no integer radius for j = 0, 1, 2
+        bump = RadialBump(a0=0.3, b0=0.35, b1=0.4, a1=0.45)
+        spec = GridSpec(1, 128)
+        a = ching_symbol(0.5, 1, A=bump, j_max=6, spec=spec)
+        levels = [t.j for t in a.shift_terms(spec)]
+        assert levels == [3, 4, 5, 6]
+        assert len(a.separable_terms(spec)) == len(levels)
+        u = random_band_limited(spec, 60, np.random.default_rng(81))
+        ref = apply(a, u).values
+        assert np.max(np.abs(apply_auto(a, u).values - ref)) <= 1e-10 * np.max(np.abs(ref))
+
+    def test_separable_terms_called_once_or_never(self, monkeypatch):
+        calls = []
+
+        def spy(cls):
+            real = cls.separable_terms
+
+            def counted(self, spec):
+                calls.append(cls.__name__)
+                return real(self, spec)
+
+            monkeypatch.setattr(cls, "separable_terms", counted)
+
+        spy(ElementarySymbol)
+        spy(ChingSymbol)
+        spec = GridSpec(1, 256)
+        u = random_band_limited(spec, 100, np.random.default_rng(82))
+        apply_auto(random_elementary(spec, DEFAULT_FRAME, J=5, seed=1), u)
+        assert calls == ["ElementarySymbol"]
+        apply_auto(ching_for_grid(spec), u)
+        assert calls == ["ElementarySymbol"]

@@ -127,6 +127,28 @@ class TestChingSymbol:
         with pytest.raises(ValueError):
             ChingSymbol(d=0.0, theta=(0, 0))
 
+    @pytest.mark.parametrize(
+        "n, N, theta, A",
+        [(1, 2**18, 1, DEFAULT_BUMP), (1, 2048, -3, DEFAULT_BUMP), (2, 256, (1, 1), DEFAULT_BUMP),
+         (2, 64, (-2, 1), RadialBump(zero_order=1, zero_width=0.25))],
+    )
+    def test_level_bumps_match_full_grid_evaluation(self, n, N, theta, A):
+        spec = GridSpec(n=n, N=N)
+        tnorm = float(np.linalg.norm(np.atleast_1d(theta)))
+        j_max = int(np.floor(np.log2(N / 2 / max(A.a1, tnorm))))
+        a = ching_symbol(d=1.5, theta=theta, A=A, j_max=j_max, spec=spec)
+        rad, nyq = spec.freq_radius(), nyquist_mask(spec)
+        full = {j: A(rad * 2.0**-j) * nyq for j in range(j_max + 1)}
+        terms = a.shift_terms(spec)
+        assert [t.j for t in terms] == [j for j, g in full.items() if np.any(g)]
+        for t, (mhat, g) in zip(terms, a.spectral_terms(spec)):
+            assert np.array_equal(t.g_table(spec), full[t.j])
+            assert np.array_equal(g, full[t.j])
+            assert t.weight == 2.0 ** (1.5 * t.j)
+            want = np.atleast_1d(-(2**t.j) * np.asarray(theta))
+            assert all((x - w) % N == 0 and -N // 2 <= x < N // 2 for x, w in zip(t.xi, want))
+            assert mhat[tuple(x + N // 2 for x in t.xi)] == t.weight
+
 
 class TestNyquistMask:
     def test_masked_rows(self):
