@@ -502,6 +502,13 @@ def cmd_vfm(args) -> int:
     psis = tuple(
         ModulationFunction(r=1.0 * 0.8**i, R=2.0 * 0.8**i) for i in range(args.psi_count)
     )
+    if args.refine:
+        if args.refine < 2:
+            raise ValueError("--refine counts grids, need at least 2")
+        if args.mode is None or args.mode.startswith("file:"):
+            raise ValueError(
+                "--refine needs a generator --mode (the input is re-sampled per grid)"
+            )
     trace = vfm_limit(build(spec), u, psis, m_max=args.m_max)
     obj: dict = {
         "grid": {"n": spec.n, "N": spec.N},
@@ -513,10 +520,6 @@ def cmd_vfm(args) -> int:
         "cross_profile_deviation": trace.cross_dev,
     }
     if args.refine:
-        if args.refine < 2:
-            raise ValueError("--refine counts grids, need at least 2")
-        if args.mode is None:
-            raise ValueError("--refine needs --mode (the input is re-sampled per grid)")
         specs = [GridSpec(n=spec.n, N=spec.N << i) for i in range(args.refine)]
         rr = vfm_refinement(
             build, lambda s: make_input(args.mode, s, seed=args.seed), specs, psis

@@ -20,7 +20,7 @@ from typing import Callable, Sequence
 import numpy as np
 
 from ._threads import pmap
-from .frame import DEFAULT_FRAME, LPFrame
+from .frame import DEFAULT_FRAME, LPFrame, parse_options
 from .grid import (
     GridFunction,
     GridSpec,
@@ -421,9 +421,9 @@ def parse_norm(
     head, _, body = text.partition(":")
     head = head.strip().upper()
     if head in ("L", "H"):
-        key, _, val = body.partition("=")
         want = "p" if head == "L" else "s"
-        if key.strip() != want or not val.strip():
+        val = parse_options(body, (want,), f"{head} norm").get(want)
+        if not val:
             raise ValueError(f"{head} norm takes '{head}:{want}=<value>', got {case!r}")
         x = float(val)
         if head == "L":

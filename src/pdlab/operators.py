@@ -9,10 +9,12 @@ strategy the symbol's structure allows, each within 1e-10 of apply():
      scatter-add of weight * g * u_hat onto eta + xi per term;
   2. separable, sum_j m_j(x) (g_j(D)u)(x) (Symbol.separable_terms);
   3. the reference apply().
+paradiff_split() runs in the spectral domain: it shears a_hat(xi, eta) once
+into a_hat(xi, zeta - xi), and each summand of the three series is a
+weighted sum of that table's rows followed by one inverse FFT.
 """
 from __future__ import annotations
 
-import functools
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -34,7 +36,6 @@ from .symbols import (
     TABLE_ENTRY_GUARD,
     modulate_symbol,
     operator_matrix,
-    partial_ift,
     symbol_partial_ft,
 )
 
@@ -54,15 +55,6 @@ def _flat_freqs(spec: GridSpec) -> np.ndarray:
     return np.stack([m.astype(float) for m in spec.freq_mesh()], axis=-1).reshape(
         spec.npoints, spec.n
     )
-
-
-@functools.lru_cache(maxsize=4)
-def _phase_matrix(spec: GridSpec) -> np.ndarray:
-    """e^{ix.eta} over (flat x, flat eta); cached for the structured paths."""
-    if spec.npoints**2 > TABLE_ENTRY_GUARD:
-        raise ValueError(f"phase matrix too large for N^n = {spec.npoints}")
-    dots = _flat_coords(spec) @ _flat_freqs(spec).T
-    return np.exp(1j * dots)
 
 
 def apply(a: Symbol, u: GridFunction) -> GridFunction:
@@ -133,10 +125,6 @@ def apply_auto(a: Symbol, u: GridFunction) -> GridFunction:
     if terms is not None:
         return _apply_separable(terms, u)
     return apply(a, u)
-
-
-def _apply_table_flat(tab2d: np.ndarray, cflat: np.ndarray, spec: GridSpec) -> np.ndarray:
-    return ((tab2d * _phase_matrix(spec)) @ cflat).reshape(spec.shape)
 
 
 # ---------------------------------------------------------------------------
@@ -278,57 +266,58 @@ class ParadiffTerms:
 
 def paradiff_split(a: Symbol, u: GridFunction, frame: LPFrame = DEFAULT_FRAME) -> ParadiffTerms:
     spec = u.spec
+    if spec.npoints**2 > TABLE_ENTRY_GUARD:
+        raise ValueError(
+            f"paradiff split needs (N^n)^2 <= {TABLE_ENTRY_GUARD} table entries, "
+            f"got {spec.npoints**2}"
+        )
     K = frame.j_saturation(spec)
     h = frame.h
-    rad = spec.freq_radius()
+    rad = spec.freq_radius().reshape(-1)
 
-    # cumulative symbol tables A[m] = OP-table of psi(2^{-m}D_x)a; A[-1] = 0
-    ahat = symbol_partial_ft(a, spec)
-    xi_shape = spec.shape + (1,) * spec.n
-    A: dict[int, np.ndarray] = {}
-    for m in range(K + 1):
-        mult = frame.ball_radial(m, rad).reshape(xi_shape)
-        A[m] = partial_ift(ahat * mult, spec).reshape(spec.npoints, spec.npoints)
-    zero_tab = np.zeros((spec.npoints, spec.npoints), dtype=complex)
+    # sheared[xi, zeta] = a_hat(xi, zeta - xi), with zeta - xi folded mod N:
+    # on the lattice e^{ix.(xi+eta)} = e^{ix.zeta}, so every summand is
+    # c_hat(zeta) = sum_xi w(xi) a_hat(xi, zeta - xi) v(zeta - xi)
+    idx = np.unravel_index(np.arange(spec.npoints), spec.shape)
+    shear = np.ravel_multi_index(
+        tuple(i[None, :] - i[:, None] + spec.N // 2 for i in idx), spec.shape, mode="wrap"
+    )
+    sheared = np.take_along_axis(
+        symbol_partial_ft(a, spec).reshape(spec.npoints, spec.npoints), shear, axis=1
+    )
 
-    def A_at(m: int) -> np.ndarray:
-        return A[m] if m >= 0 else zero_tab
+    # psi[m] = psi(2^{-m} xi), the x-frequency cut of the cumulative symbol a^m
+    psi = [frame.ball_radial(m, rad) for m in range(K + 1)]
 
     # cumulative input coefficients: ball[m] = coeffs of u^m
-    c = fft_forward(u).coeffs
-    blocks = frame.lattice_blocks(spec, K)
-    ball: dict[int, np.ndarray] = {}
-    acc = np.zeros(spec.shape)
-    for m in range(K + 1):
-        acc = acc + blocks[m]
-        ball[m] = acc
+    c = fft_forward(u).coeffs.reshape(-1)
+    blocks = [b.reshape(-1) for b in frame.lattice_blocks(spec, K)]
+    ball = list(np.cumsum(blocks, axis=0))
+    zero = np.zeros(spec.npoints)
 
-    def u_ball(m: int) -> np.ndarray:
-        if m < 0:
-            return np.zeros(spec.shape, dtype=complex)
-        return c * ball[m]
+    def at(seq: list[np.ndarray], m: int) -> np.ndarray:
+        return seq[m] if m >= 0 else zero
 
-    def u_block(k: int) -> np.ndarray:
-        return c * blocks[k]
-
-    def run(tab: np.ndarray, coeffs: np.ndarray) -> GridFunction:
-        return GridFunction(spec, _apply_table_flat(tab, coeffs.reshape(-1), spec))
+    def run(w: np.ndarray, v: np.ndarray) -> GridFunction:
+        terms = v[shear]
+        terms *= sheared
+        return fft_inverse(SpectralFunction(spec, (w @ terms).reshape(spec.shape)))
 
     t1_parts = dict(
         zip(range(h, K + 1),
-            pmap(lambda k: run(A_at(k - h), u_block(k)), range(h, K + 1)))
+            pmap(lambda k: run(psi[k - h], c * blocks[k]), range(h, K + 1)))
     )
 
     def t2_summand(k: int) -> GridFunction:
-        first = run(A_at(k) - A_at(k - h), u_block(k))
-        second = run(A_at(k) - A_at(k - 1), u_ball(k - 1) - u_ball(k - h))
+        first = run(psi[k] - at(psi, k - h), c * blocks[k])
+        second = run(psi[k] - at(psi, k - 1), c * (at(ball, k - 1) - at(ball, k - h)))
         return first + second
 
     t2_parts = dict(zip(range(0, K + 1), pmap(t2_summand, range(0, K + 1))))
 
     t3_parts = dict(
         zip(range(h, K + 1),
-            pmap(lambda j: run(A_at(j) - A_at(j - 1), u_ball(j - h)), range(h, K + 1)))
+            pmap(lambda j: run(psi[j] - at(psi, j - 1), c * ball[j - h]), range(h, K + 1)))
     )
 
     def series_sum(parts: dict[int, GridFunction]) -> GridFunction:

@@ -351,6 +351,10 @@ BAD_ARGV = {
                                                            f"file:{u}", "--grid", "256"],
     "vfm --n disagrees with file mode": lambda t, u: ["vfm", *SYMBOL, "--mode", f"file:{u}",
                                                       "--n", "2"],
+    "vfm --refine with file mode": lambda t, u: ["vfm", *SYMBOL, "--mode", f"file:{u}",
+                                                 "--refine", "2"],
+    "vfm --refine with file mode, ching": lambda t, u: [
+        "vfm", "--symbol", "ching:jmax=auto", "--mode", f"file:{u}", "--refine", "2"],
 }
 
 
@@ -358,6 +362,11 @@ BAD_ARGV = {
 def test_malformed_argv_exits_2(capsys, tmp_path, pdgf, name):
     assert main(BAD_ARGV[name](tmp_path, str(pdgf))) == 2
     assert_one_line_error(capsys)
+
+
+def test_vfm_refine_names_the_generator_mode(capsys, pdgf):
+    assert main(["vfm", *SYMBOL, "--mode", f"file:{pdgf}", "--refine", "2"]) == 2
+    assert "--refine needs a generator --mode" in capsys.readouterr().err
 
 
 def assert_one_line_error(capsys):

@@ -312,6 +312,12 @@ class TestParseNorm:
         with pytest.raises(ValueError):
             parse_norm("Z:s=1,p=2,q=2")
 
+    def test_lebesgue_and_sobolev_use_the_option_grammar(self):
+        with pytest.raises(ValueError, match="unknown .* option 'q'"):
+            parse_norm("L:p=2,q=3")
+        with pytest.raises(ValueError, match="unknown .* option 'p'"):
+            parse_norm("h:s=1,p=2")
+
 
 class TestContinuityTable:
     def test_identity_all_ratios_one(self):

@@ -1,6 +1,7 @@
 """Application paths, modulation limits, the three-series splitting,
 corona geometry, kernels, and both support rules."""
 import time
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -432,6 +433,54 @@ class TestCorona:
         top = max(r.k for r in report.rows if r.series == "t2" and r.active)
         row = next(r for r in report.rows if r.series == "t2" and r.k == top)
         assert row.below_tdc_mass > 1e-3
+
+
+class TestSpectralParadiff:
+    """The split as one sheared spectral table: 2-d grids, reruns, the
+    table guard and the memory it takes."""
+
+    def test_identity_and_corona_2d(self):
+        spec = GridSpec(2, 32)
+        a = random_elementary(spec, DEFAULT_FRAME, J=4, seed=11)
+        u = random_band_limited(spec, 12, np.random.default_rng(90))
+        terms = paradiff_split(a, u)
+        assert rel_sup(terms.total(), apply(a, u)) <= 1e-10
+        assert corona_ball_report(terms).max_outside <= 1e-10
+
+    def test_threaded_reruns_are_bit_identical_2d(self, monkeypatch):
+        monkeypatch.setenv("PDLAB_THREADS", "2")
+        spec = GridSpec(2, 32)
+        a = random_elementary(spec, DEFAULT_FRAME, J=4, seed=12)
+        u = random_band_limited(spec, 12, np.random.default_rng(91))
+        first, second = paradiff_split(a, u), paradiff_split(a, u)
+        for name in ("t1_summands", "t2_summands", "t3_summands"):
+            one, two = getattr(first, name), getattr(second, name)
+            assert sorted(one) == sorted(two)
+            assert all(np.array_equal(one[k].values, two[k].values) for k in one)
+
+    def test_guard_raises_before_any_table(self, monkeypatch):
+        def no_table(*args):
+            raise AssertionError("symbol table built before the guard")
+
+        monkeypatch.setattr(ops, "TABLE_ENTRY_GUARD", 1000)
+        monkeypatch.setattr(ops, "symbol_partial_ft", no_table)
+        spec = GridSpec(1, 64)
+        u = random_band_limited(spec, 20, np.random.default_rng(92))
+        with pytest.raises(ValueError, match="table entries"):
+            paradiff_split(ConstantSymbol(1.0), u)
+
+    def test_peak_memory_under_eight_tables(self, monkeypatch):
+        monkeypatch.setenv("PDLAB_THREADS", "2")
+        spec = GridSpec(1, 1024)
+        a = random_elementary(spec, DEFAULT_FRAME, J=5, seed=13)
+        u = random_band_limited(spec, 400, np.random.default_rng(93))
+        tracemalloc.start()
+        try:
+            paradiff_split(a, u)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 8 * spec.npoints**2 * 16
 
 
 class TestKernel:

@@ -1,5 +1,7 @@
 """Maximal functions, symbol factors, the pointwise factorization gate,
 integrability constants, the derivative-sum bound, and the decay sweeps."""
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -91,6 +93,24 @@ def brute_peetre(u, p):
     return out
 
 
+def exhaustive_peetre(u, p):
+    """Maximum over every offset with the weight (1 + R|y|)^{-N}, no early
+    stop: the pruned scan must reproduce it bit for bit."""
+    spec = u.spec
+    N = spec.N
+    ax = (((np.arange(N) + N // 2) % N) - N // 2) * spec.spacing
+    if spec.n == 1:
+        radius = np.abs(ax)
+    else:
+        radius = np.sqrt(ax[:, None] ** 2 + ax[None, :] ** 2)
+    w = (1.0 + p.R_spec * radius) ** (-p.N_exp)
+    absu = np.abs(u.values)
+    axes = tuple(range(spec.n))
+    return np.max(
+        [np.roll(absu, y, axis=axes) * w[y] for y in np.ndindex(spec.shape)], axis=0
+    )
+
+
 class TestMaximalParams:
     def test_validation(self):
         with pytest.raises(ValueError, match="N_exp"):
@@ -169,6 +189,52 @@ class TestPeetreMaximal:
         c = peetre_maximal(u, MaximalParams(1.0, 16.0)).values.real
         assert np.all(b <= a)
         assert np.all(c <= a)
+
+
+class TestPeetrePrunedScan:
+    """The offset scan stops early; it must still equal the full maximum."""
+
+    @pytest.mark.parametrize("n, N, band", [(1, 64, 20), (1, 16, 5), (2, 16, 6), (2, 8, 3)])
+    @pytest.mark.parametrize("p", [MaximalParams(1.5, 4.0), MaximalParams(0.1, 3.0)])
+    def test_equals_exhaustive_scan(self, n, N, band, p):
+        spec = GridSpec(n, N)
+        u = random_band_limited(spec, band, np.random.default_rng(17 + N + n))
+        got = peetre_maximal(u, p).values.real
+        assert np.array_equal(got, exhaustive_peetre(u, p))
+        assert np.allclose(got, brute_peetre(u, p), rtol=1e-13, atol=0)
+
+    @pytest.mark.parametrize("n, N", [(1, 32), (2, 8)])
+    def test_single_spike_scans_every_offset(self, n, N):
+        # each point gets a nonzero value only from its own offset to the
+        # spike, so min(best) stays 0 and the scan visits every offset
+        spec = GridSpec(n, N)
+        spike = np.zeros(spec.shape, dtype=complex)
+        spike[(3,) * n] = 2.5
+        u = GridFunction(spec, spike)
+        p = MaximalParams(1.0, 4.0)
+        got = peetre_maximal(u, p).values.real
+        assert np.array_equal(got, exhaustive_peetre(u, p))
+        assert np.allclose(got, brute_peetre(u, p), rtol=1e-13, atol=0)
+        assert got.min() > 0.0
+
+    @pytest.mark.parametrize("n", [1, 2])
+    def test_zero_input(self, n):
+        spec = GridSpec(n, 16)
+        u = GridFunction(spec, np.zeros(spec.shape, dtype=complex))
+        got = peetre_maximal(u, MaximalParams(1.0, 2.0)).values
+        assert np.array_equal(got, brute_peetre(u, MaximalParams(1.0, 2.0)))
+        assert not got.any()
+
+    def test_peak_memory_2d_64(self):
+        spec = GridSpec(2, 64)
+        u = random_band_limited(spec, 20, np.random.default_rng(18))
+        tracemalloc.start()
+        try:
+            peetre_maximal(u, MaximalParams(2.0, 20.0))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 4 * 2**20
 
 
 class TestSymbolFactor:
