@@ -2,8 +2,11 @@
 from __future__ import annotations
 
 import os
+import threading
 from collections.abc import Callable, Iterable, Sequence
 from concurrent.futures import ThreadPoolExecutor
+
+_local = threading.local()  # in_worker: this thread belongs to a pmap pool
 
 
 def worker_count(task_count: int) -> int:
@@ -20,10 +23,12 @@ def worker_count(task_count: int) -> int:
 
 
 def pmap(fn: Callable, items: Iterable) -> list:
-    """map preserving order; runs on a thread pool when it can help."""
+    """map preserving order; runs on a thread pool when it can help, and
+    inline when called from a pool worker, so pools never nest."""
     seq: Sequence = list(items)
     workers = worker_count(len(seq))
-    if workers <= 1 or len(seq) <= 1:
+    if workers <= 1 or len(seq) <= 1 or getattr(_local, "in_worker", False):
         return [fn(item) for item in seq]
-    with ThreadPoolExecutor(max_workers=workers) as pool:
+    mark = (_local, "in_worker", True)  # set on each pool thread as it starts
+    with ThreadPoolExecutor(workers, initializer=setattr, initargs=mark) as pool:
         return list(pool.map(fn, seq))

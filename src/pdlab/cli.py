@@ -63,16 +63,11 @@ from .operators import (
 )
 from .pointwise import (
     MaximalParams,
-    default_maximal_params,
     factorization_check,
     maximal_lp_constant,
     maximal_ratio,
     mihlin_bound_check,
-    mihlin_rhs,
-    mihlin_ratio,
     moment_decay_check,
-    peetre_maximal,
-    symbol_factor,
 )
 from .reporting import (
     _sanitize,
@@ -624,16 +619,11 @@ def cmd_pointwise_factorize(args) -> int:
     u, spec = _resolve_io(args)
     frame = _frame_from_args(args)
     a = symbol_factory(args.symbol, frame)(spec)
-    p = default_maximal_params(u, args.tau)
-    rep = factorization_check(a, u, p=p, tau=args.tau)
-    lhs = np.abs(apply_auto(a, u).values).ravel()
-    rhs = (
-        symbol_factor(a, p, None, spec).values.real * peetre_maximal(u, p).values.real
-    ).ravel()
+    rep = factorization_check(a, u, tau=args.tau)
     return _pointwise_csv(
         args,
         ("x", "lhs", "rhs", "ratio"),
-        _ratio_rows(spec, lhs, rhs),
+        _ratio_rows(spec, rep.lhs.ravel(), rep.bound.ravel()),
         {
             "max_ratio": rep.max_ratio,
             "holds": rep.holds,
@@ -670,14 +660,11 @@ def cmd_pointwise_mihlin(args) -> int:
     a = symbol_factory(args.symbol, frame)(spec)
     R = args.R if args.R is not None else spec.N / 4.0
     p = MaximalParams(N_exp=args.N_exp, R_spec=R)
-    c = args.c if args.c is not None else mihlin_ratio(a, p, None, spec)
-    rep = mihlin_bound_check(a, p, c, spec=spec, slack=args.slack)
-    lhs = symbol_factor(a, p, None, spec).values.real.ravel()
-    rhs = (c * mihlin_rhs(a, p, None, spec)).ravel()
+    rep = mihlin_bound_check(a, p, args.c, spec=spec, slack=args.slack)
     return _pointwise_csv(
         args,
         ("x", "lhs", "rhs", "ratio"),
-        _ratio_rows(spec, lhs, rhs),
+        _ratio_rows(spec, rep.factor.ravel(), (rep.c_used * rep.rhs).ravel()),
         {"k": rep.k, "c_used": rep.c_used, "worst_ratio": rep.worst_ratio, "holds": rep.holds},
     )
 

@@ -104,14 +104,6 @@ def modulation_saturation(psi: ModulationFunction, spec: GridSpec) -> int:
     return m
 
 
-def min_separation(psi: ModulationFunction) -> int:
-    """Least integer h >= 2 with 2R < r*2^h."""
-    h = 2
-    while 2.0 * psi.R >= psi.r * 2.0**h:
-        h += 1
-    return h
-
-
 @dataclass(frozen=True)
 class LPFrame:
     """Dyadic frame: blocks Phi_0 = psi, Phi_j = phi(2^{-j} .) with phi = psi - psi(2 .)."""

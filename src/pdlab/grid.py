@@ -74,6 +74,17 @@ class GridSpec:
         return np.sqrt(sum(m.astype(float) ** 2 for m in mesh))
 
 
+def lattice_phase(spec: GridSpec, k, eta) -> np.ndarray:
+    """e^{i x_k.eta} for integer grid indices k and frequencies eta, arrays
+    of shape (..., n); the result has k's leading axes, then eta's.  Since
+    x_k.eta = 2pi (k.eta)/N, k.eta is reduced mod N in int64 and the phase
+    read from the N roots of unity, with no rounding that grows with |x.eta|."""
+    k = np.asarray(k, dtype=np.int64)
+    km = np.tensordot(k, np.asarray(eta, dtype=np.int64), axes=([-1], [-1]))
+    roots = np.exp(1j * (TWO_PI * np.arange(spec.N) / spec.N))
+    return roots[km % spec.N]
+
+
 def _check_values(spec: GridSpec, values: np.ndarray) -> np.ndarray:
     arr = np.asarray(values, dtype=complex)
     if arr.shape == (spec.npoints,):

@@ -2,7 +2,8 @@
 three-series paradifferential splitting, kernels, and support rules.
 
 apply() is the definitional reference: a row-by-row quadrature of
-sum_eta a(x,eta) c_eta e^{ix.eta} with phases computed on the fly.
+sum_eta a(x,eta) c_eta e^{ix.eta}, whose phases are exact lattice roots of
+unity, e^{ix_k.eta} = e^{2 pi i (k.eta mod N)/N} (grid.lattice_phase).
 apply_auto() is what experiments run on large grids; it takes the first
 strategy the symbol's structure allows, each within 1e-10 of apply():
   1. spectral shift (Symbol.shift_terms, e.g. Ching): one FFT pair and a
@@ -28,6 +29,7 @@ from .grid import (
     SpectralFunction,
     fft_forward,
     fft_inverse,
+    lattice_phase,
     lp_norm,
 )
 from .symbols import (
@@ -47,16 +49,6 @@ DEFAULT_PSI_FAMILY = (
 )
 
 
-def _flat_coords(spec: GridSpec) -> np.ndarray:
-    return np.stack(spec.coord_mesh(), axis=-1).reshape(spec.npoints, spec.n)
-
-
-def _flat_freqs(spec: GridSpec) -> np.ndarray:
-    return np.stack([m.astype(float) for m in spec.freq_mesh()], axis=-1).reshape(
-        spec.npoints, spec.n
-    )
-
-
 def apply(a: Symbol, u: GridFunction) -> GridFunction:
     """Reference quadrature; exact on the lattice, cost O(N^{2n})."""
     spec = u.spec
@@ -66,8 +58,8 @@ def apply(a: Symbol, u: GridFunction) -> GridFunction:
             "use apply_auto or the experiment drivers"
         )
     c = fft_forward(u).coeffs.reshape(-1)
-    xm = _flat_coords(spec)
-    em = _flat_freqs(spec)
+    k = np.indices(spec.shape).reshape(spec.n, -1).T  # flat grid indices
+    eta = k - spec.N // 2  # the frequency lattice, same flat order
 
     use_eval = a.has_eval and spec.npoints**2 > TABLE_ENTRY_GUARD
     tab = None if use_eval else a.table(spec).reshape(spec.npoints, spec.npoints)
@@ -76,12 +68,11 @@ def apply(a: Symbol, u: GridFunction) -> GridFunction:
     step = max(1, (1 << 21) // spec.npoints)
     for lo in range(0, spec.npoints, step):
         hi = min(lo + step, spec.npoints)
-        phases = np.exp(1j * (xm[lo:hi] @ em.T))
         if use_eval:
-            rows = a.eval(xm[lo:hi, None, :], em[None, :, :])
+            rows = a.eval(TWO_PI * k[lo:hi, None, :] / spec.N, eta[None, :, :].astype(float))
         else:
             rows = tab[lo:hi]
-        out[lo:hi] = (rows * phases) @ c
+        out[lo:hi] = (rows * lattice_phase(spec, k[lo:hi], eta)) @ c
     return GridFunction(spec, out.reshape(spec.shape))
 
 
@@ -105,15 +96,6 @@ def _apply_shift(terms: list[ShiftTerm], u: GridFunction) -> GridFunction:
         )
         out[dst] += t.weight * t.g * c[t.idx]  # eta -> eta + xi is one-to-one
     return fft_inverse(SpectralFunction(spec, out.reshape(spec.shape)))
-
-
-def apply_fast_elementary(a: Symbol, u: GridFunction) -> GridFunction:
-    """sum_j m_j(x) (g_j(D)u)(x) for symbols with separable terms;
-    cost O(J N^n log N)."""
-    terms = a.separable_terms(u.spec)
-    if terms is None:
-        raise ValueError(f"{type(a).__name__} has no separable structure")
-    return _apply_separable(terms, u)
 
 
 def apply_auto(a: Symbol, u: GridFunction) -> GridFunction:
@@ -454,14 +436,6 @@ def kernel_apply(K: np.ndarray, u: GridFunction) -> GridFunction:
     spec = u.spec
     flat = K.reshape(spec.npoints, spec.npoints) @ u.values.reshape(-1)
     return GridFunction(spec, (spec.spacing**spec.n) * flat.reshape(spec.shape))
-
-
-def kernel_form(K: np.ndarray, v: GridFunction, u: GridFunction) -> complex:
-    """<K, v (x) conj(u)> with the product measure: equals <a(x,D)u, v>."""
-    spec = u.spec
-    w = spec.spacing ** (2 * spec.n)
-    outer = np.multiply.outer(np.conj(v.values).reshape(-1), u.values.reshape(-1))
-    return complex(w * np.sum(K.reshape(spec.npoints, spec.npoints) * outer))
 
 
 # ---------------------------------------------------------------------------

@@ -4,7 +4,7 @@ pointwise factorization bound with its derivative-sum and decay controls."""
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -189,6 +189,14 @@ def symbol_factor(
     return GridFunction(spec, out.reshape(spec.shape))
 
 
+def _worst_ratio(lhs: np.ndarray, rhs: np.ndarray) -> float:
+    """max lhs/rhs where rhs > 0; inf if lhs > 0 anywhere rhs vanishes."""
+    pos = rhs > 0.0
+    if np.any(~pos & (lhs > 0.0)):
+        return float("inf")
+    return float(np.max(lhs[pos] / rhs[pos])) if pos.any() else 0.0
+
+
 @dataclass(frozen=True)
 class FactorizationReport:
     params: MaximalParams
@@ -196,6 +204,8 @@ class FactorizationReport:
     holds: bool
     factor_sup: float
     maximal_sup: float
+    lhs: np.ndarray = field(repr=False, compare=False)  # |a(x,D)u| per grid point
+    bound: np.ndarray = field(repr=False, compare=False)  # F_a u* per grid point
 
 
 def factorization_check(
@@ -232,16 +242,15 @@ def factorization_check(
     factor = symbol_factor(a, p, chi, spec).values.real
     maximal = peetre_maximal(u, p).values.real
     bound = factor * maximal
-    pos = bound > 0.0
-    ratio = float(np.max(lhs[pos] / bound[pos])) if pos.any() else 0.0
-    if np.any(~pos & (lhs > 0.0)):
-        ratio = float("inf")
+    ratio = _worst_ratio(lhs, bound)
     return FactorizationReport(
         params=p,
         max_ratio=ratio,
         holds=ratio <= 1.0 + FACTORIZATION_SLACK,
         factor_sup=float(factor.max()),
         maximal_sup=float(maximal.max()),
+        lhs=lhs,
+        bound=bound,
     )
 
 
@@ -338,15 +347,7 @@ def mihlin_ratio(
 ) -> float:
     """Smallest c with F_a <= c * mihlin_rhs everywhere (inf if the rhs
     vanishes where F_a does not)."""
-    chi = as_cutoff(chi)
-    spec = _resolve_spec(a, spec)
-    factor = symbol_factor(a, p, chi, spec).values.real
-    rhs = mihlin_rhs(a, p, chi, spec)
-    pos = rhs > 0.0
-    ratio = float(np.max(factor[pos] / rhs[pos])) if pos.any() else 0.0
-    if np.any(~pos & (factor > 0.0)):
-        ratio = float("inf")
-    return ratio
+    return mihlin_bound_check(a, p, None, chi, spec).worst_ratio
 
 
 @dataclass(frozen=True)
@@ -355,25 +356,33 @@ class MihlinReport:
     c_used: float
     worst_ratio: float
     holds: bool
+    factor: np.ndarray = field(repr=False, compare=False)  # F_a per grid point
+    rhs: np.ndarray = field(repr=False, compare=False)  # derivative sum per grid point
 
 
 def mihlin_bound_check(
     a: Symbol,
     p: MaximalParams,
-    c: float,
+    c: float | None,
     chi: AuxCutoff | None = None,
     spec: GridSpec | None = None,
     slack: float = 0.01,
 ) -> MihlinReport:
     """F_a <= c * derivative-sum at every x, with relative slack on the
-    fitted constant c (fit on one corpus, verify on another)."""
+    fitted constant c (fit on one corpus, verify on another); c = None
+    uses a's own worst ratio."""
     spec = _resolve_spec(a, spec)
-    ratio = mihlin_ratio(a, p, chi, spec)
+    factor = symbol_factor(a, p, chi, spec).values.real
+    rhs = mihlin_rhs(a, p, chi, spec)
+    ratio = _worst_ratio(factor, rhs)
+    c = ratio if c is None else float(c)
     return MihlinReport(
         k=derivative_order(p, spec.n),
-        c_used=float(c),
+        c_used=c,
         worst_ratio=ratio,
         holds=ratio <= c * (1.0 + slack),
+        factor=factor,
+        rhs=rhs,
     )
 
 

@@ -20,7 +20,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .frame import DEFAULT_FRAME, LPFrame, ModulationFunction, on_distinct, parse_spec, smoothstep
-from .grid import GridFunction, GridSpec, read_pdgf
+from .grid import GridFunction, GridSpec, lattice_phase, read_pdgf
 
 TABLE_ENTRY_GUARD = 1 << 22  # complex entries; 64 MiB of table
 DENSE_MATRIX_GUARD = 4096  # N^n cap for dense operator matrices
@@ -86,7 +86,11 @@ class ShiftTerm(NamedTuple):
 
 
 class Symbol:
-    """Base symbol: order d, optional twisted-diagonal flag, lattice table."""
+    """Base symbol: order d, optional twisted-diagonal flag, lattice table.
+
+    Shift terms, where a subclass gives them, derive the separable terms
+    (m_j = weight_j e^{i xi_j.x}, an exact lattice phase), the spectral
+    terms (a delta of weight_j at xi_j) and, through these, the table."""
 
     d: float = 0.0
     tdc_B: float | None = None
@@ -107,11 +111,23 @@ class Symbol:
     def separable_terms(self, spec: GridSpec) -> list[tuple[np.ndarray, np.ndarray]] | None:
         """Terms (m_j over the x-grid, g_j over the eta-lattice) if a(x,eta)
         = sum_j m_j(x) g_j(eta); None when no such structure is known."""
-        return None
+        shifts = self.shift_terms(spec)
+        if shifts is None:
+            return None
+        k = np.moveaxis(np.indices(spec.shape), 0, -1)
+        return [(t.weight * lattice_phase(spec, k, t.xi), t.g_table(spec)) for t in shifts]
 
     def spectral_terms(self, spec: GridSpec) -> list[tuple[np.ndarray, np.ndarray]] | None:
         """Terms (mhat_j over the shifted xi-lattice, g_j over eta) with
         a_hat(xi,eta) = sum_j mhat_j(xi) g_j(eta); exact where possible."""
+        shifts = self.shift_terms(spec)
+        if shifts is not None:
+            terms = []
+            for t in shifts:
+                mhat = np.zeros(spec.shape, dtype=complex)
+                mhat[tuple(x + spec.N // 2 for x in t.xi)] = t.weight
+                terms.append((mhat, t.g_table(spec)))
+            return terms
         terms = self.separable_terms(spec)
         if terms is None:
             return None
@@ -211,6 +227,21 @@ def symbol_partial_ft(a: Symbol, spec: GridSpec) -> np.ndarray:
 
 
 @dataclass
+class ShiftSymbol(Symbol):
+    """a(x,eta) = sum_j weight_j e^{i xi_j.x} g_j(eta) with tabulated terms."""
+
+    spec: GridSpec
+    terms: list[ShiftTerm]
+    d: float = 0.0
+    tdc_B: float | None = None
+
+    def shift_terms(self, spec: GridSpec) -> list[ShiftTerm]:
+        if spec != self.spec:
+            raise ValueError(f"realized on {self.spec}, requested {spec}")
+        return self.terms
+
+
+@dataclass
 class SeparableSymbol(Symbol):
     """a(x,eta) = sum_j m_j(x) g_j(eta) with tabulated factors."""
 
@@ -294,8 +325,8 @@ class ChingSymbol(Symbol):
 
     On the lattice, level j only moves frequency mass by -2^j theta (mod N):
     a(x,D)u = F^{-1}[sum_j 2^{jd} shift_{-2^j theta}(A(2^{-j}|D|) u_hat)]
-    exactly.  shift_terms gives each level once; the spectral and separable
-    terms are built from it.
+    exactly.  shift_terms gives each level once; the Symbol base class
+    derives the separable and spectral terms and the table from it.
 
     theta is an integer lattice vector. When |theta| exceeds the bump's outer
     radius a1, every x-frequency -2^j theta clears the eta support by a fixed
@@ -361,23 +392,6 @@ class ChingSymbol(Symbol):
             terms.append(ShiftTerm(j, 2.0 ** (j * self.d), xi, idx, g))
         return terms
 
-    def spectral_terms(self, spec: GridSpec) -> list[tuple[np.ndarray, np.ndarray]]:
-        """Exact x-spectra: term j is a delta of weight 2^{jd} at -2^j theta
-        (folded mod N onto the lattice, exact for grid exponentials)."""
-        terms = []
-        for t in self.shift_terms(spec):
-            mhat = np.zeros(spec.shape, dtype=complex)
-            mhat[tuple(x + spec.N // 2 for x in t.xi)] = t.weight
-            terms.append((mhat, t.g_table(spec)))
-        return terms
-
-    def separable_terms(self, spec: GridSpec) -> list[tuple[np.ndarray, np.ndarray]]:
-        phase = sum(m * t for m, t in zip(spec.coord_mesh(), self.theta))
-        return [
-            ((t.weight * np.exp(-1j * 2.0**t.j * phase)).astype(complex), t.g_table(spec))
-            for t in self.shift_terms(spec)
-        ]
-
 
 def ching_symbol(
     d: float,
@@ -442,12 +456,22 @@ def modulate_symbol(
     a: Symbol, m: int, psi: ModulationFunction, spec: GridSpec | None = None
 ) -> Symbol:
     """b_m(x,eta) = [psi(2^{-m}D_x)a](x,eta) * psi(2^{-m}eta); a itself once
-    psi(2^{-m}.) is 1 on the whole lattice."""
+    psi(2^{-m}.) is 1 on the whole lattice.
+
+    Shift terms stay shift terms, exactly: psi(2^{-m}D_x) acts on
+    e^{i xi_j.x} as the scalar psi(2^{-m}|xi_j|), which scales weight_j.
+    The dense route keeps the exact spectral zeros of a_hat.
+    """
     spec = _resolve_spec(a, spec)
     scale = 2.0**-m
-    mult = psi.radial(spec.freq_radius() * scale)
+    mult = on_distinct(psi.radial, spec.freq_radius() * scale)
     if np.all(mult == 1.0):  # plateau covers the lattice: exact no-op
         return a
+    shifts = a.shift_terms(spec)
+    if shifts is not None:
+        terms = [t._replace(weight=t.weight * mult[tuple(x + spec.N // 2 for x in t.xi)],
+                            g=t.g * mult.flat[t.idx]) for t in shifts]
+        return ShiftSymbol(spec, terms, d=a.d, tdc_B=a.tdc_B)
     terms = a.separable_terms(spec)
     if terms is not None:
         out_terms = []
@@ -456,10 +480,10 @@ def modulate_symbol(
             mx_f = np.fft.ifftn(np.fft.ifftshift(chat * mult)) * spec.npoints
             out_terms.append((mx_f, g * mult))
         return SeparableSymbol(spec, out_terms, d=a.d, tdc_B=a.tdc_B)
-    ahat = partial_ft(a.table(spec), spec)
-    filtered = partial_ift(ahat * mult.reshape(spec.shape + (1,) * spec.n), spec)
-    filtered = filtered * mult.reshape((1,) * spec.n + spec.shape)
-    return TabulatedSymbol(spec, filtered, d=a.d, tdc_B=a.tdc_B)
+    ones = (1,) * spec.n
+    ahat = symbol_partial_ft(a, spec) * mult.reshape(spec.shape + ones)
+    ahat = ahat * mult.reshape(ones + spec.shape)
+    return TabulatedSymbol(spec, partial_ift(ahat, spec), d=a.d, tdc_B=a.tdc_B, ahat=ahat)
 
 
 # ---------------------------------------------------------------------------
@@ -735,14 +759,13 @@ def matrix_to_symbol(M: np.ndarray, spec: GridSpec, d: float = 0.0) -> Tabulated
     T = M.reshape((spec.npoints,) + spec.shape)
     # (M e_eta)(x) = sum_y M[x,y] e^{iy.eta}: inverse DFT along y, shifted
     F = np.fft.fftshift(np.fft.ifftn(T, axes=y_axes), axes=y_axes) * spec.npoints
-    xm = np.stack(spec.coord_mesh(), axis=-1).reshape(spec.npoints, spec.n)
-    em = np.stack([m.astype(float) for m in spec.freq_mesh()], axis=-1)
+    k = np.indices(spec.shape).reshape(spec.n, -1).T  # flat grid indices
+    neg_eta = np.moveaxis(spec.N // 2 - np.indices(spec.shape), 0, -1)
     out = np.empty_like(F)
     step = max(1, (1 << 20) // spec.npoints)
     for lo in range(0, spec.npoints, step):
         hi = min(lo + step, spec.npoints)
-        dot = np.tensordot(xm[lo:hi], em, axes=([1], [spec.n]))
-        out[lo:hi] = np.exp(-1j * dot) * F[lo:hi]
+        out[lo:hi] = lattice_phase(spec, k[lo:hi], neg_eta) * F[lo:hi]
     return TabulatedSymbol(spec, out.reshape(spec.shape + spec.shape), d=d)
 
 

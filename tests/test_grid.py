@@ -12,6 +12,7 @@ from pdlab.grid import (
     from_coeffs,
     grid_function_from_json,
     grid_function_to_json,
+    lattice_phase,
     lp_norm,
     random_band_limited,
     read_pdgf,
@@ -32,6 +33,22 @@ def test_gridspec_validation():
         GridSpec(1, 12)
     with pytest.raises(ValueError):
         GridSpec(1, 4)
+
+
+@pytest.mark.parametrize("n, N", [(1, 4096), (2, 64)])
+def test_lattice_phase_is_the_grid_exponential(n, N):
+    spec = GridSpec(n, N)
+    rng = np.random.default_rng(0)
+    k = rng.integers(0, N, size=(50, n))
+    eta = rng.integers(-N // 2, N // 2, size=(40, n))
+    got = lattice_phase(spec, k, eta)
+    phase = (k * (TWO_PI / N)) @ eta.T
+    assert got.shape == (50, 40)
+    # float phases carry the rounding of x.eta, up to ~1e-12 rad here
+    assert np.max(np.abs(got - np.exp(1j * phase))) < 1e-15 * np.max(np.abs(phase))
+    # periodic in eta mod N, bit for bit, which float phases x.eta are not
+    assert np.array_equal(lattice_phase(spec, k, eta + N), got)
+    assert np.array_equal(lattice_phase(spec, k[0], eta[0]), got[0, 0])
 
 
 def test_constant_function_forward():

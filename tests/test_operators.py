@@ -22,14 +22,13 @@ from pdlab.grid import (
     single_mode,
 )
 from pdlab.operators import (
+    DEFAULT_PSI_FAMILY,
     CoronaReport,
     apply,
     apply_auto,
-    apply_fast_elementary,
     corona_ball_report,
     kernel,
     kernel_apply,
-    kernel_form,
     modulation_saturation,
     paradiff_split,
     spectral_support_rule_check,
@@ -45,14 +44,24 @@ from pdlab.symbols import (
     ElementarySymbol,
     RadialBump,
     SeparableSymbol,
+    Symbol,
     TabulatedSymbol,
     ching_symbol,
     mask_twisted_diagonal,
     matrix_to_symbol,
+    modulate_symbol,
     nyquist_mask,
     partial_ift,
     random_elementary,
 )
+
+
+def kernel_form(K, v, u):
+    """<K, v (x) conj(u)> with the product measure: equals <a(x,D)u, v>."""
+    spec = u.spec
+    w = spec.spacing ** (2 * spec.n)
+    outer = np.multiply.outer(np.conj(v.values).reshape(-1), u.values.reshape(-1))
+    return complex(w * np.sum(K.reshape(spec.npoints, spec.npoints) * outer))
 
 
 def random_table_symbol(spec, seed=0, d=0.0):
@@ -135,7 +144,7 @@ class TestApply:
         a = ching_symbol(0.0, (1, 0), j_max=2, spec=spec)
         u = random_band_limited(spec, 6, np.random.default_rng(3))
         direct = apply(a, u)
-        fast = apply_fast_elementary(a, u)
+        fast = apply_auto(a, u)
         assert np.max(np.abs(direct.values - fast.values)) < 1e-10 * lp_norm(u, np.inf)
 
 
@@ -145,14 +154,8 @@ class TestFastPath:
         a = random_elementary(spec, DEFAULT_FRAME, J=6, seed=7)
         u = random_band_limited(spec, 50, np.random.default_rng(4))
         direct = apply(a, u)
-        fast = apply_fast_elementary(a, u)
+        fast = apply_auto(a, u)
         assert np.max(np.abs(direct.values - fast.values)) < 1e-10 * lp_norm(u, np.inf)
-
-    def test_requires_structure(self):
-        spec = GridSpec(1, 32)
-        u = random_band_limited(spec, 8, np.random.default_rng(0))
-        with pytest.raises(ValueError, match="separable"):
-            apply_fast_elementary(random_table_symbol(spec), u)
 
     def test_single_block_is_frame_projection(self):
         spec = GridSpec(1, 64)
@@ -161,7 +164,7 @@ class TestFastPath:
 
         a = ElementarySymbol([ones], DEFAULT_FRAME)
         u = random_band_limited(spec, 30, np.random.default_rng(5))
-        y = apply_fast_elementary(a, u)
+        y = apply_auto(a, u)
         proj = block_project(u, DEFAULT_FRAME, 0)
         assert np.max(np.abs(y.values - proj.values)) < 1e-12
 
@@ -178,9 +181,9 @@ class TestFastPath:
                 times.append(time.perf_counter() - t0)
             return min(times)
 
-        apply_fast_elementary(a, u)  # warm caches before timing
+        apply_auto(a, u)  # warm caches before timing
         t_direct = best_of(lambda: apply(a, u))
-        t_fast = best_of(lambda: apply_fast_elementary(a, u))
+        t_fast = best_of(lambda: apply_auto(a, u))
         assert t_direct / t_fast >= 10.0
 
 
@@ -676,3 +679,45 @@ class TestShiftPath:
         assert calls == ["ElementarySymbol"]
         apply_auto(ching_for_grid(spec), u)
         assert calls == ["ElementarySymbol"]
+
+    @pytest.mark.parametrize("n, N", [(1, 2048), (2, 64)])
+    def test_reference_apply_agrees_to_rounding(self, n, N):
+        # apply's phases are exact roots of unity, so the oracle is as exact
+        # as the structured strategies
+        spec = GridSpec(n, N)
+        a = random_elementary(spec, DEFAULT_FRAME, J=5, seed=4)
+        u = random_band_limited(spec, 0.4 * N / 2, np.random.default_rng(83))
+        ref = apply(a, u).values
+        assert np.max(np.abs(apply_auto(a, u).values - ref)) <= 2e-15 * np.max(np.abs(ref))
+
+    # the reference apply tabulates the modulated symbol, which has no
+    # continuum evaluator: 2-d N=64 is past TABLE_ENTRY_GUARD
+    @pytest.mark.parametrize("n, N, theta", [(1, 1024, 1), (2, 32, (1, 1))])
+    def test_modulation_keeps_shift_terms(self, n, N, theta):
+        spec = GridSpec(n, N)
+        a = ching_for_grid(spec, d=0.5, theta=theta)
+        u = random_band_limited(spec, 0.4 * N / 2, np.random.default_rng(84))
+        psi = DEFAULT_PSI_FAMILY[0]
+        for m in range(modulation_saturation(psi, spec) + 1):
+            b = modulate_symbol(a, m, psi, spec)
+            assert b.shift_terms(spec) is not None
+            ref = apply(b, u).values
+            assert np.max(np.abs(apply_auto(b, u).values - ref)) <= 1e-12 * np.max(np.abs(ref))
+
+    def test_vfm_limit_never_tabulates(self, monkeypatch):
+        calls = []
+        for cls in (Symbol, ChingSymbol):
+            for name in ("separable_terms", "table"):
+                if name in vars(cls):
+                    real = vars(cls)[name]
+
+                    def counted(self, spec, _real=real, _name=name):
+                        calls.append(_name)
+                        return _real(self, spec)
+
+                    monkeypatch.setattr(cls, name, counted)
+        spec = GridSpec(1, 1024)
+        u = random_band_limited(spec, 400, np.random.default_rng(85))
+        trace = vfm_limit(ching_for_grid(spec), u)
+        assert calls == []
+        assert trace.cross_dev == 0.0

@@ -1,5 +1,6 @@
 """Maximal functions, symbol factors, the pointwise factorization gate,
 integrability constants, the derivative-sum bound, and the decay sweeps."""
+import threading
 import tracemalloc
 
 import numpy as np
@@ -7,6 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from pdlab._threads import pmap
 from pdlab.frame import DEFAULT_FRAME, ModulationFunction
 from pdlab.grid import (
     GridFunction,
@@ -572,3 +574,35 @@ class TestCutoffGrowth:
         assert rep.holds
         assert rep.sup_norms[1] > 1.0
         assert max(rep.sup_norms[0], *rep.sup_norms[2:]) < 1e-12
+
+
+class TestNestedPools:
+    """A pmap called from a pool worker runs inline: one live pool at most."""
+
+    def test_inner_pmap_runs_inline(self, monkeypatch):
+        monkeypatch.setenv("PDLAB_THREADS", "2")
+        base = threading.active_count()
+        live = []
+
+        def inner(x):
+            live.append(threading.active_count())
+            return x * x
+
+        got = pmap(lambda i: pmap(inner, range(3 * i, 3 * i + 3)), range(4))
+        assert got == [[x * x for x in range(3 * i, 3 * i + 3)] for i in range(4)]
+        assert max(live) <= base + 2
+
+    def test_nested_sites_match_serial(self, monkeypatch):
+        spec = GridSpec(1, 64)
+        a = random_elementary(spec, DEFAULT_FRAME, 4, seed=5)
+        p = MaximalParams(1.0, 8.0)
+
+        def run():
+            fit = fa_radius_exponent(a, 1.0, [2.0, 4.0, 8.0], spec=spec)
+            rep = moment_decay_check(a, p, [2.0, 4.0, 8.0], M=1, spec=spec)
+            return fit.values, rep.fit.values
+
+        monkeypatch.setenv("PDLAB_THREADS", "1")
+        serial = run()
+        monkeypatch.setenv("PDLAB_THREADS", "2")
+        assert np.array_equal(run(), serial)

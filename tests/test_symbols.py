@@ -195,6 +195,22 @@ class TestModulation:
             assert devs[m] == 0.0
         assert devs[0] > 0.0
 
+    @pytest.mark.parametrize("m", [2, 3, 4])
+    def test_ching_keeps_twisted_diagonal_zeros(self, m):
+        # |theta| = 2 > a1 puts the symbol in the twisted-diagonal class
+        spec = GridSpec(n=1, N=128)
+        a = ching_symbol(0.0, theta=2, j_max=5, spec=spec)
+        b = modulate_symbol(a, m, make_modulation(1.0, 2.0), spec)
+        assert b.shift_terms(spec) is not None
+        assert check_twisted_diagonal(b, a.tdc_B, spec=spec).violation_mass == 0.0
+
+    def test_dense_route_keeps_exact_spectral_zeros(self):
+        spec = GridSpec(n=1, N=128)
+        a = mask_twisted_diagonal(random_elementary(spec, DEFAULT_FRAME, J=5, seed=3), B=2.0)
+        assert check_twisted_diagonal(a, 2.0, spec=spec).violation_mass == 0.0
+        b = modulate_symbol(a, 4, make_modulation(1.0, 2.0), spec)
+        assert check_twisted_diagonal(b, 2.0, spec=spec).violation_mass == 0.0
+
     def test_x_spectrum_hard_zeros(self):
         spec = GridSpec(n=1, N=32)
         a = random_table_symbol(spec, seed=3)
