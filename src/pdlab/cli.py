@@ -809,12 +809,11 @@ def gate_strict_tdc():
 
 
 def gate_scales_agree():
-    from .spaces import SpaceParams, space_norm
+    from .spaces import SpaceParams, space_norms
 
     spec = GridSpec(1, 64)
     u = random_band_limited(spec, 20, np.random.default_rng(3))
-    b = space_norm(u, SpaceParams(0.5, 2.0, 2.0, "B"))
-    f = space_norm(u, SpaceParams(0.5, 2.0, 2.0, "F"))
+    b, f = space_norms(u, [SpaceParams(0.5, 2.0, 2.0, "B"), SpaceParams(0.5, 2.0, 2.0, "F")])
     _gate(abs(b - f) <= 1e-12 * f, f"B and F norms differ at p=q: {b!r} vs {f!r}")
 
 

@@ -31,8 +31,8 @@ from .grid import (
     single_mode,
     sobolev_norm,
 )
-from .operators import apply_auto
-from .spaces import SpaceParams, format_space, parse_space, space_norm
+from .operators import apply_auto, plan
+from .spaces import SpaceParams, format_space, parse_space, space_norm, space_norms
 from .symbols import (
     DEFAULT_BUMP,
     ChingSymbol,
@@ -213,16 +213,17 @@ def run_counterexample(
         raise ValueError("the family experiment runs on 1-d grids")
     j_max = top_N * top_N
     a = ching_symbol(d, theta=1, A=A, j_max=j_max, spec=spec)
+    op, control_op = plan(a, spec), plan(CONTROL_SYMBOL, spec)
     v = single_mode(spec, 0)
 
     def one_member(N: int) -> tuple[float, float, float, float, float]:
         v_n = lacunary_input(spec, N, d=d)
-        out = apply_auto(a, v_n)
+        out = op(v_n)
         c_n = amplification_factor(N)
         residual = lp_norm(out - c_n * v, math.inf)
         h_d = sobolev_norm(fft_forward(v_n), d)
         ratio = lp_norm(out, 2) / h_d
-        control = lp_norm(apply_auto(CONTROL_SYMBOL, v_n), 2) / h_d
+        control = lp_norm(control_op(v_n), 2) / h_d
         return c_n, residual, h_d, ratio, control
 
     results = pmap(one_member, N_list)
@@ -408,15 +409,16 @@ def run_wavefront(
 
 def parse_norm(
     case: str | SpaceParams, frame: LPFrame | None = None
-) -> tuple[str, Callable[[GridFunction], float], bool]:
-    """Resolve a norm label to (label, evaluator, uses_frame).
+) -> tuple[str, Callable[[GridFunction], float], SpaceParams | None]:
+    """Resolve a norm label to (label, evaluator, space), space being the
+    SpaceParams of a framed (B/F) norm and None for L and H.
 
     Accepts 'L:p=2' (Lebesgue), 'H:s=1' (Sobolev, p = 2), the dyadic-scale
     forms 'B:s=..,p=..,q=..' / 'F:s=..,p=..,q=..', or a SpaceParams.
     """
     if isinstance(case, SpaceParams):
         sp = case if frame is None else SpaceParams(case.s, case.p, case.q, case.scale, frame)
-        return format_space(sp), lambda u: space_norm(u, sp), True
+        return format_space(sp), lambda u: space_norm(u, sp), sp
     text = case.strip()
     head, _, body = text.partition(":")
     head = head.strip().upper()
@@ -427,10 +429,22 @@ def parse_norm(
             raise ValueError(f"{head} norm takes '{head}:{want}=<value>', got {case!r}")
         x = float(val)
         if head == "L":
-            return text, lambda u: lp_norm(u, x), False
-        return text, lambda u: sobolev_norm(fft_forward(u), x), False
+            return text, lambda u: lp_norm(u, x), None
+        return text, lambda u: sobolev_norm(fft_forward(u), x), None
     sp = parse_space(text, frame=frame)
-    return text, lambda u: space_norm(u, sp), True
+    return text, lambda u: space_norm(u, sp), sp
+
+
+def _norm_table(norms: Sequence[tuple], us: Sequence[GridFunction]) -> dict[tuple, list[float]]:
+    """Each parsed norm's value on each u; the framed ones from one block pass
+    per u, run serially (a pass per pool worker holds a grid-sized field each)."""
+    spaces = [sp for _, _, sp in norms if sp is not None]
+    table: dict[tuple, list[float]] = {norm: [] for norm in norms}
+    for u in us:
+        framed = dict(zip(spaces, space_norms(u, spaces)))
+        for label, fn, sp in table:
+            table[label, fn, sp].append(fn(u) if sp is None else framed[sp])
+    return table
 
 
 def _doubling_blow_up(grids: Sequence[int], est: Sequence[float], growth: float) -> bool:
@@ -521,36 +535,25 @@ def run_continuity_table(
             for N in family_indices(spec, theta=family_theta)
         ]
         inputs = probes + [u for _, u in fam]
-        outs = pmap(lambda u: apply_auto(sym, u), inputs)
-        control_outs = pmap(lambda u: apply_auto(CONTROL_SYMBOL, u), inputs)
+        family_N = [None] * len(probes) + [N for N, _ in fam]
+        outs = pmap(plan(sym, spec), inputs)
+        control_outs = pmap(plan(CONTROL_SYMBOL, spec), inputs)
+        src_of = _norm_table([src for src, _ in resolved], inputs)
+        tgt_of = _norm_table([tgt for _, tgt in resolved], outs)
+        control_of = _norm_table([tgt for _, tgt in resolved], control_outs)
 
         for lab, (src, tgt) in zip(labels, resolved):
-            src_norms = [src[1](u) for u in inputs]
-            ratios = [
-                tgt[1](out) / sn for out, sn in zip(outs, src_norms) if sn > 0.0
-            ]
-            control_ratios = [
-                tgt[1](out) / sn
-                for out, sn in zip(control_outs, src_norms)
-                if sn > 0.0
-            ]
+            ratios, control_ratios = (
+                [(N, tn / sn) for N, tn, sn in zip(family_N, of[tgt], src_of[src]) if sn > 0.0]
+                for of in (tgt_of, control_of)
+            )
             if not ratios:
                 raise ValueError(f"all probes had zero source norm for {lab!r}")
-            est[lab].append(max(ratios))
-            control_est[lab].append(max(control_ratios))
+            est[lab].append(max(r for _, r in ratios))
+            control_est[lab].append(max(r for _, r in control_ratios))
             if gi == len(grids) - 1 and fam:
-                offset = len(probes)
-                fam_src = src_norms[offset:]
-                family_rows[lab] = [
-                    (N, tgt[1](out) / sn)
-                    for (N, _), out, sn in zip(fam, outs[offset:], fam_src)
-                    if sn > 0.0
-                ]
-                control_family[lab] = [
-                    tgt[1](out) / sn
-                    for out, sn in zip(control_outs[offset:], fam_src)
-                    if sn > 0.0
-                ]
+                family_rows[lab] = [(N, r) for N, r in ratios if N is not None]
+                control_family[lab] = [r for N, r in control_ratios if N is not None]
 
     entries: list[tuple[str, float, str]] = []
     verdicts: dict = {}
@@ -685,7 +688,7 @@ def run_sigma_estimate(
     def sweep(sym: Symbol) -> list[float]:
         d_sym = float(sym.d)
         probes = [single_mode(spec, 2**j + offset) for j in j_range]
-        outs = pmap(lambda u: apply_auto(sym, u), probes)
+        outs = pmap(plan(sym, spec), probes)
         for j, u, out in zip(j_range, probes, outs):
             # an output at rounding-dust level carries no signal; a slope
             # fitted through it would measure the FFT noise floor
@@ -694,12 +697,12 @@ def run_sigma_estimate(
                     f"probe at eta = 2^{j}+{offset} annihilated by the symbol; "
                     "j_range must stay inside its active band"
                 )
+        pairs = [(fft_forward(out), fft_forward(u)) for out, u in zip(outs, probes)]
         slopes = []
         for s in s_grid:
             ratios = [
-                sobolev_norm(fft_forward(out), s)
-                / sobolev_norm(fft_forward(u), s + d_sym)
-                for out, u in zip(outs, probes)
+                sobolev_norm(out_hat, s) / sobolev_norm(u_hat, s + d_sym)
+                for out_hat, u_hat in pairs
             ]
             slopes.append(float(np.polyfit(j_range, np.log2(ratios), 1)[0]))
         return slopes

@@ -18,6 +18,7 @@ import numpy as np
 from .grid import GridFunction, GridSpec, fft_forward, fft_inverse
 
 _GL_NODES, _GL_WEIGHTS = np.polynomial.legendre.leggauss(96)
+BLOCK_CACHE_KEYS = 8  # grids whose block tables one LPFrame keeps
 
 
 def _bump(t: np.ndarray) -> np.ndarray:
@@ -143,17 +144,21 @@ class LPFrame:
         return modulation_saturation(self.psi, spec)
 
     def lattice_blocks(self, spec: GridSpec, j_max: int | None = None) -> list[np.ndarray]:
-        """Tabulated Phi_0..Phi_{j_max}; cached per grid."""
+        """Tabulated Phi_0..Phi_{j_max}, for the last BLOCK_CACHE_KEYS grids
+        cached; pool workers racing here at worst build one table twice."""
         if j_max is None:
             j_max = self.j_saturation(spec)
         key = (spec.n, spec.N, j_max)
-        if key not in self._block_cache:
+        blocks = self._block_cache.get(key)
+        if blocks is None:
             stack = on_distinct(
                 lambda t: np.stack([self.block_radial(j, t) for j in range(j_max + 1)]),
                 spec.freq_radius(),
             )
-            self._block_cache[key] = list(stack)
-        return self._block_cache[key]
+            blocks = self._block_cache[key] = list(stack)
+            for stale in list(self._block_cache)[:-BLOCK_CACHE_KEYS]:
+                self._block_cache.pop(stale, None)
+        return blocks
 
 
 def lp_blocks(frame: LPFrame, spec: GridSpec, j_max: int | None = None) -> list[np.ndarray]:

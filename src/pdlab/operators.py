@@ -4,12 +4,14 @@ three-series paradifferential splitting, kernels, and support rules.
 apply() is the definitional reference: a row-by-row quadrature of
 sum_eta a(x,eta) c_eta e^{ix.eta}, whose phases are exact lattice roots of
 unity, e^{ix_k.eta} = e^{2 pi i (k.eta mod N)/N} (grid.lattice_phase).
-apply_auto() is what experiments run on large grids; it takes the first
-strategy the symbol's structure allows, each within 1e-10 of apply():
+plan(a, spec) is what experiments run on large grids: like an FFTW plan it is
+built once per (symbol, grid), shared read-only by pool workers, and holds
+the terms of the first strategy the symbol allows, each within 1e-10 of apply():
   1. spectral shift (Symbol.shift_terms, e.g. Ching): one FFT pair and a
      scatter-add of weight * g * u_hat onto eta + xi per term;
   2. separable, sum_j m_j(x) (g_j(D)u)(x) (Symbol.separable_terms);
   3. the reference apply().
+apply_auto(a, u) is plan(a, u.spec)(u).
 paradiff_split() runs in the spectral domain: it shears a_hat(xi, eta) once
 into a_hat(xi, zeta - xi), and each summand of the three series is a
 weighted sum of that table's rows followed by one inverse FFT.
@@ -17,6 +19,7 @@ weighted sum of that table's rows followed by one inverse FFT.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from typing import Callable
 
 import numpy as np
 
@@ -33,6 +36,7 @@ from .grid import (
     lp_norm,
 )
 from .symbols import (
+    ShiftSymbol,
     ShiftTerm,
     Symbol,
     TABLE_ENTRY_GUARD,
@@ -98,15 +102,24 @@ def _apply_shift(terms: list[ShiftTerm], u: GridFunction) -> GridFunction:
     return fft_inverse(SpectralFunction(spec, out.reshape(spec.shape)))
 
 
+def plan(a: Symbol, spec: GridSpec) -> Callable[[GridFunction], GridFunction]:
+    """u -> a(x,D)u on spec; the strategy is picked and its terms built once."""
+    shifts = a.shift_terms(spec)
+    terms = a.separable_terms(spec) if shifts is None else None
+
+    def planned(u: GridFunction) -> GridFunction:
+        if u.spec != spec:
+            raise ValueError(f"planned for {spec}, got an input on {u.spec}")
+        if shifts is not None:
+            return _apply_shift(shifts, u)
+        return apply(a, u) if terms is None else _apply_separable(terms, u)
+
+    return planned
+
+
 def apply_auto(a: Symbol, u: GridFunction) -> GridFunction:
     """Spectral shift, else separable terms, else the reference apply()."""
-    shifts = a.shift_terms(u.spec)
-    if shifts is not None:
-        return _apply_shift(shifts, u)
-    terms = a.separable_terms(u.spec)
-    if terms is not None:
-        return _apply_separable(terms, u)
-    return apply(a, u)
+    return plan(a, u.spec)(u)
 
 
 # ---------------------------------------------------------------------------
@@ -146,6 +159,9 @@ def vfm_limit(
     if m_max is not None and m_max < 0:
         raise ValueError(f"m_max must be >= 0, got {m_max}")
     spec = u.spec
+    # tabulate shift terms once; modulate_symbol rescales them per (psi, m)
+    if (shifts := a.shift_terms(spec)) is not None:
+        a = ShiftSymbol(spec, shifts, d=a.d, tdc_B=a.tdc_B)
     tags = [f"psi(r={p.r:g},R={p.R:g})" for p in psis]
     sats = {t: modulation_saturation(p, spec) for t, p in zip(tags, psis)}
     top = max(sats.values()) + 1 if m_max is None else m_max

@@ -1,13 +1,19 @@
 """Besov and Lizorkin-Triebel quasi-norms with their scale embeddings, plus
 the vector maximal inequality, the dyadic summation lemma, and convergence
 probes for block series under ball, corona, and asymmetric-corona spectral
-conditions."""
+conditions.
+
+space_norms() serves every B/F quasi-norm asked of one u from one pass: one
+forward FFT, then one inverse FFT per block, whose field gives each B case its
+||Phi_j(D)u||_p and joins each F case's running sum of (2^{sj}|Phi_j(D)u|)^q
+in block order (bit-identical to summing the stack), so memory is O(N^n)."""
 from __future__ import annotations
 
 import dataclasses
 import logging
 import math
 from dataclasses import dataclass
+from typing import Iterable, Iterator, Sequence
 
 import numpy as np
 
@@ -79,56 +85,78 @@ def format_space(sp: SpaceParams) -> str:
 
 def lp_block_fields(
     u: GridFunction, frame: LPFrame, j_max: int | None = None
-) -> list[np.ndarray]:
-    """Grid values of Phi_j(D)u for j = 0..j_max (default: the closing shell)."""
+) -> Iterator[np.ndarray]:
+    """Grid values of Phi_j(D)u, j = 0..j_max (default: the closing shell), one at a time."""
     c = fft_forward(u)
     blocks = lp_blocks(frame, u.spec, j_max)
     _log.debug(
         "block sum truncated at shell j_max=%d (Nyquist radius %.6g)",
         len(blocks) - 1, u.spec.nyquist_radius,
     )
-    return [
+    return (
         fft_inverse(SpectralFunction(u.spec, c.coeffs * mult)).values
         for mult in blocks
-    ]
+    )
 
 
 def _shell_weights(s: float, count: int) -> np.ndarray:
     return 2.0 ** (s * np.arange(count, dtype=float))
 
 
-def _weighted_ellq(values: np.ndarray, q: float) -> float:
-    """ell_q over the leading axis of a nonnegative array; sup for q = inf."""
-    if math.isinf(q):
-        return float(values.max(axis=0)) if values.ndim == 1 else values.max(axis=0)
-    out = np.sum(values**q, axis=0) ** (1.0 / q)
-    return float(out) if np.ndim(out) == 0 else out
+def _block_norms(
+    spec: GridSpec, fields: Iterable[np.ndarray], count: int, spaces: Sequence[SpaceParams]
+) -> list[float]:
+    """Each case's quasi-norm over `count` block fields, read once in order."""
+    weights = [_shell_weights(sp.s, count) for sp in spaces]
+    sums: list = [[] if sp.scale == BESOV else 0.0 for sp in spaces]
+    fields = iter(fields)
+    for j in range(count):
+        f = next(fields)
+        for k, sp in enumerate(spaces):
+            if sp.scale == BESOV:
+                sums[k].append(lp_norm(GridFunction(spec, f), sp.p))
+            elif math.isinf(sp.q):
+                sums[k] = np.maximum(sums[k], weights[k][j] * np.abs(f))
+            else:
+                sums[k] = sums[k] + (weights[k][j] * np.abs(f)) ** sp.q
+        del f  # before the next field is made
+    norms = []
+    for w, sp, a in zip(weights, spaces, sums):
+        if sp.scale == BESOV:  # a: each field's ||.||_p; for F, the pointwise sum
+            a = w * np.array(a)
+            norms.append(float(a.max() if math.isinf(sp.q) else np.sum(a**sp.q) ** (1.0 / sp.q)))
+        else:
+            g = a if math.isinf(sp.q) else a ** (1.0 / sp.q)
+            norms.append(lp_norm(GridFunction(spec, g), sp.p))
+    return norms
+
+
+def space_norms(u: GridFunction, spaces: Sequence[SpaceParams]) -> list[float]:
+    """Every quasi-norm in `spaces` of u, from one block pass per frame."""
+    norms: dict = {}
+    for frame in dict.fromkeys(sp.frame for sp in spaces):
+        mine = list(dict.fromkeys(sp for sp in spaces if sp.frame == frame))
+        count = frame.j_saturation(u.spec) + 1
+        norms.update(zip(mine, _block_norms(u.spec, lp_block_fields(u, frame), count, mine)))
+    return [norms[sp] for sp in spaces]
 
 
 def besov_norm(u: GridFunction, sp: SpaceParams) -> float:
     """(sum_j 2^{sjq} ||Phi_j(D)u||_p^q)^{1/q}; sup over j for q = inf."""
     if sp.scale != BESOV:
         raise ValueError("besov_norm needs scale 'B'")
-    fields = lp_block_fields(u, sp.frame)
-    terms = np.array([lp_norm(GridFunction(u.spec, f), sp.p) for f in fields])
-    return float(_weighted_ellq(_shell_weights(sp.s, len(terms)) * terms, sp.q))
+    return space_norms(u, [sp])[0]
 
 
 def triebel_norm(u: GridFunction, sp: SpaceParams) -> float:
     """||(sum_j 2^{sjq} |Phi_j(D)u(.)|^q)^{1/q}||_p."""
     if sp.scale != TRIEBEL_LIZORKIN:
         raise ValueError("triebel_norm needs scale 'F'")
-    fields = lp_block_fields(u, sp.frame)
-    stack = np.abs(np.stack(fields))
-    w = _shell_weights(sp.s, len(fields)).reshape((len(fields),) + (1,) * u.spec.n)
-    g = _weighted_ellq(w * stack, sp.q)
-    return lp_norm(GridFunction(u.spec, g), sp.p)
+    return space_norms(u, [sp])[0]
 
 
 def space_norm(u: GridFunction, sp: SpaceParams) -> float:
-    if sp.scale == BESOV:
-        return besov_norm(u, sp)
-    return triebel_norm(u, sp)
+    return space_norms(u, [sp])[0]
 
 
 def holder_norm(u: GridFunction, s: float) -> float:
@@ -192,13 +220,13 @@ def vector_maximal_check(
                 )
 
     def one(blocks: list[GridFunction]) -> float:
-        starred = np.stack([
-            np.abs(peetre_maximal(u, MaximalParams(N_exp, R * 2.0**k)).values)
+        sp = SpaceParams(0.0, p, q, TRIEBEL_LIZORKIN)  # unit weights: the plain ell_q
+        starred = (
+            peetre_maximal(u, MaximalParams(N_exp, R * 2.0**k)).values
             for k, u in enumerate(blocks)
-        ])
-        plain = np.abs(np.stack([u.values for u in blocks]))
-        lhs = lp_norm(GridFunction(spec, _weighted_ellq(starred, q)), p)
-        rhs = lp_norm(GridFunction(spec, _weighted_ellq(plain, q)), p)
+        )
+        lhs = _block_norms(spec, starred, len(blocks), [sp])[0]
+        rhs = _block_norms(spec, (u.values for u in blocks), len(blocks), [sp])[0]
         if rhs == 0.0:
             return 0.0
         return lhs / rhs
@@ -292,24 +320,15 @@ def embedding_report(
     s_target = s - n / p + n / p_target
     sp_tgt = SpaceParams(s_target, p_target, q, TRIEBEL_LIZORKIN, fr)
 
-    def ratios(u: GridFunction) -> tuple[float, float, float]:
-        f = triebel_norm(u, sp_f)
-        lo = besov_norm(u, sp_lo)
-        hi = besov_norm(u, sp_hi)
-        tgt = triebel_norm(u, sp_tgt)
-        if f == 0.0:
-            return 0.0, 0.0, 0.0
-        return f / lo, hi / f, tgt / f
-
-    rows = pmap(ratios, members)
-    inner = max(r[0] for r in rows)
-    outer = max(r[1] for r in rows)
-    sob = max(r[2] for r in rows)
+    spaces = [sp_f, sp_lo, sp_hi, sp_tgt, SpaceParams(s, math.inf, math.inf, BESOV, fr)]
+    norms = pmap(lambda u: space_norms(u, spaces), members)
+    rows = [(0.0, 0.0, 0.0) if f == 0.0 else (f / lo, hi / f, tgt / f)
+            for f, lo, hi, tgt, _ in norms]
+    inner, outer, sob = (max(col) for col in zip(*rows))
 
     band = None
     if 0.0 < s < 1.0:
-        sp_inf = SpaceParams(s, math.inf, math.inf, BESOV, fr)
-        hb = [holder_norm(u, s) / besov_norm(u, sp_inf) for u in members]
+        hb = [holder_norm(u, s) / nm[4] for u, nm in zip(members, norms)]
         band = (float(min(hb)), float(max(hb)))
 
     holds = (
@@ -448,16 +467,7 @@ def corona_series_sum(
     for u in blocks[1:]:
         total = total + u
 
-    count = len(blocks)
-    w = _shell_weights(sp.s, count)
-    if sp.scale == TRIEBEL_LIZORKIN:
-        stack = np.abs(np.stack([u.values for u in blocks]))
-        g = _weighted_ellq(w.reshape((count,) + (1,) * n) * stack, sp.q)
-        block_bound = lp_norm(GridFunction(spec, g), sp.p)
-    else:
-        terms = np.array([lp_norm(u, sp.p) for u in blocks])
-        block_bound = float(_weighted_ellq(w * terms, sp.q))
-
+    block_bound = _block_norms(spec, (u.values for u in blocks), len(blocks), [sp])[0]
     sum_norm = space_norm(total, dataclasses.replace(sp, s=s_prime))
     ratio = math.inf if block_bound == 0.0 and sum_norm > 0.0 else (
         0.0 if block_bound == 0.0 else sum_norm / block_bound

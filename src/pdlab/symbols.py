@@ -90,7 +90,7 @@ class Symbol:
 
     Shift terms, where a subclass gives them, derive the separable terms
     (m_j = weight_j e^{i xi_j.x}, an exact lattice phase), the spectral
-    terms (a delta of weight_j at xi_j) and, through these, the table."""
+    terms (a delta of weight_j at xi_j) and the table."""
 
     d: float = 0.0
     tdc_B: float | None = None
@@ -142,6 +142,13 @@ class Symbol:
                 f"table would hold {spec.npoints**2} entries "
                 f"(> {TABLE_ENTRY_GUARD}); use the structured paths"
             )
+        shifts = self.shift_terms(spec)
+        if shifts is not None:  # g_j vanishes off its annulus: add only there
+            flat = np.zeros((spec.npoints, spec.npoints), dtype=complex)
+            k = np.moveaxis(np.indices(spec.shape), 0, -1).reshape(-1, spec.n)
+            for t in shifts:
+                flat[:, t.idx] += np.multiply.outer(t.weight * lattice_phase(spec, k, t.xi), t.g)
+            return flat.reshape(spec.shape + spec.shape)
         terms = self.separable_terms(spec)
         if terms is not None:
             out = np.zeros(spec.shape + spec.shape, dtype=complex)

@@ -6,6 +6,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
+import pdlab.spaces as spaces
 from pdlab import (
     BLOW_UP,
     BOUNDED,
@@ -35,7 +36,7 @@ from pdlab import (
     sobolev_norm,
     space_norm,
 )
-from pdlab.symbols import RadialBump
+from pdlab.symbols import ChingSymbol, RadialBump
 
 
 def family_ratio_oracle(N: int) -> float:
@@ -279,18 +280,18 @@ class TestParseNorm:
         spec = GridSpec(1, 64)
         u = lacunary_input(spec, 2)
         label, fn, framed = parse_norm("L:p=2")
-        assert label == "L:p=2" and framed is False
+        assert label == "L:p=2" and framed is None
         assert fn(u) == lp_norm(u, 2)
         _, fn_h, framed_h = parse_norm("H:s=1")
-        assert framed_h is False
+        assert framed_h is None
         assert fn_h(u) == sobolev_norm(fft_forward(u), 1.0)
 
     def test_dyadic_scales(self):
         spec = GridSpec(1, 64)
         u = lacunary_input(spec, 2)
         label, fn, framed = parse_norm("F:s=0.5,p=2,q=1")
-        assert framed is True
         sp = SpaceParams(0.5, 2.0, 1.0, "F")
+        assert framed == sp
         assert fn(u) == pytest.approx(space_norm(u, sp), rel=1e-13)
         label_b, fn_b, _ = parse_norm(sp)
         assert label_b.startswith("F:")
@@ -317,6 +318,59 @@ class TestParseNorm:
             parse_norm("L:p=2,q=3")
         with pytest.raises(ValueError, match="unknown .* option 'p'"):
             parse_norm("h:s=1,p=2")
+
+
+@pytest.fixture
+def shift_term_calls(monkeypatch):
+    """(symbol, grid) of every ChingSymbol.shift_terms call; the symbols are
+    kept alive, so their ids stay distinct."""
+    calls = []
+    real = ChingSymbol.shift_terms
+
+    def counted(self, spec):
+        calls.append((self, spec))
+        return real(self, spec)
+
+    monkeypatch.setattr(ChingSymbol, "shift_terms", counted)
+    return calls
+
+
+class TestPlansAndPasses:
+    def test_counterexample_plans_its_symbol_once(self, shift_term_calls):
+        rep = run_counterexample(N_list=(2, 3))
+        assert rep.verdicts["identity"]
+        assert len(shift_term_calls) == 1
+
+    def test_continuity_plans_once_per_grid(self, shift_term_calls):
+        run_continuity_table(
+            lambda spec: ching_for_grid(spec), cases=[("F:s=0,p=2,q=1", "L:p=2")],
+            grids=(64, 128, 2048), trials=3,
+        )
+        keys = [(id(a), spec) for a, spec in shift_term_calls]
+        assert len(keys) == 3 and len(set(keys)) == 3
+
+    def test_one_block_pass_per_framed_function(self, monkeypatch):
+        seen = []
+        real = spaces.lp_block_fields
+
+        def spy(u, frame, j_max=None):
+            seen.append(u)
+            return real(u, frame, j_max)
+
+        monkeypatch.setattr(spaces, "lp_block_fields", spy)
+        grids, trials = (64, 128), 3
+        rep = run_continuity_table(
+            lambda spec: ching_for_grid(spec),
+            cases=[("F:s=0,p=2,q=1", "B:s=0,p=2,q=2"), ("B:s=0,p=2,q=2", "F:s=0.5,p=2,q=1"),
+                   ("L:p=2", "B:s=0,p=2,q=2")],
+            grids=grids, trials=trials,
+        )
+        # every input once for its sources, every output and control output
+        # once for its targets
+        inputs = sum(trials + len(family_indices(GridSpec(1, g))) for g in grids)
+        assert len(seen) == 3 * inputs
+        assert len(set(map(id, seen))) == len(seen)
+        assert len(rep.series("est")) == 3 * len(grids)
 
 
 class TestContinuityTable:

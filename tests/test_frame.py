@@ -1,9 +1,13 @@
+import sys
+from concurrent.futures import ThreadPoolExecutor
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from pdlab.frame import (
+    BLOCK_CACHE_KEYS,
     DEFAULT_FRAME,
     LPFrame,
     ModulationFunction,
@@ -222,3 +226,35 @@ def test_on_distinct_is_bit_identical_and_keeps_shape():
     assert stacked.shape == (2, 7, 9)
     assert np.array_equal(stacked[1], smoothstep(2 * t))
     assert on_distinct(smoothstep, np.empty(0)).shape == (0,)
+
+
+def test_block_cache_keeps_only_the_recent_grids():
+    frame = LPFrame(DEFAULT_FRAME.psi, DEFAULT_FRAME.h)
+    specs = [GridSpec(n, 2**k) for k in range(3, 9) for n in (1, 2)]
+    assert len(specs) > BLOCK_CACHE_KEYS
+    first = {spec: [b.copy() for b in frame.lattice_blocks(spec)] for spec in specs}
+    assert len(frame._block_cache) == BLOCK_CACHE_KEYS
+    assert [(n, N) for n, N, _ in frame._block_cache] == [
+        (s.n, s.N) for s in specs[-BLOCK_CACHE_KEYS:]
+    ]
+    for spec in specs:  # the early grids were evicted and are rebuilt
+        rebuilt = frame.lattice_blocks(spec)
+        assert len(rebuilt) == len(first[spec])
+        assert all(np.array_equal(a, b) for a, b in zip(rebuilt, first[spec]))
+    assert len(frame._block_cache) == BLOCK_CACHE_KEYS
+
+
+def test_block_cache_under_racing_threads():
+    frame = LPFrame(DEFAULT_FRAME.psi, DEFAULT_FRAME.h)
+    specs = [GridSpec(n, 2**k) for k in range(3, 10) for n in (1, 2)] * 4
+    want = {spec: LPFrame(frame.psi, frame.h).lattice_blocks(spec) for spec in set(specs)}
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        with ThreadPoolExecutor(8) as pool:
+            got = list(pool.map(frame.lattice_blocks, specs, timeout=60))
+    finally:
+        sys.setswitchinterval(interval)
+    for spec, blocks in zip(specs, got):
+        assert all(np.array_equal(a, b) for a, b in zip(blocks, want[spec]))
+    assert len(frame._block_cache) <= BLOCK_CACHE_KEYS

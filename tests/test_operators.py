@@ -31,6 +31,7 @@ from pdlab.operators import (
     kernel_apply,
     modulation_saturation,
     paradiff_split,
+    plan,
     spectral_support_rule_check,
     support_rule_check,
     vfm_apply,
@@ -721,3 +722,71 @@ class TestShiftPath:
         trace = vfm_limit(ching_for_grid(spec), u)
         assert calls == []
         assert trace.cross_dev == 0.0
+
+
+def parent_route(a, u):
+    """apply_auto as it was before plans: the strategy picked and its terms
+    built on every call; plans must reproduce it bit for bit."""
+    spec = u.spec
+    shifts = a.shift_terms(spec)
+    if shifts is not None:
+        c = fft_forward(u).coeffs.reshape(-1)
+        out = np.zeros(spec.npoints, dtype=complex)
+        for t in shifts:
+            src = np.unravel_index(t.idx, spec.shape)
+            dst = np.ravel_multi_index(
+                tuple(i + x for i, x in zip(src, t.xi)), spec.shape, mode="wrap"
+            )
+            out[dst] += t.weight * t.g * c[t.idx]
+        return fft_inverse(SpectralFunction(spec, out.reshape(spec.shape))).values
+    terms = a.separable_terms(spec)
+    if terms is not None:
+        c = fft_forward(u).coeffs
+        out = np.zeros(spec.shape, dtype=complex)
+        for m, g in terms:
+            out += m * fft_inverse(SpectralFunction(spec, c * g)).values
+        return out
+    return apply(a, u).values
+
+
+class TestPlan:
+    @pytest.mark.parametrize("n, N", [(1, 1024), (2, 32)])
+    @pytest.mark.parametrize(
+        "kind", ["ching", "elementary", "constant", "tabulated", "modulated-shift"]
+    )
+    def test_matches_the_per_call_route(self, n, N, kind):
+        spec = GridSpec(n, N)
+        ching = ching_for_grid(spec, d=0.5, theta=1 if n == 1 else (1, 1))
+        a = {
+            "ching": ching,
+            "elementary": random_elementary(spec, DEFAULT_FRAME, J=4, seed=6),
+            "constant": ConstantSymbol(2.0 - 0.5j),
+            "tabulated": random_table_symbol(spec, seed=6),
+            "modulated-shift": modulate_symbol(ching, 2, DEFAULT_PSI_FAMILY[1], spec),
+        }[kind]
+        op = plan(a, spec)
+        for seed in (86, 87):
+            u = random_band_limited(spec, 0.4 * N / 2, np.random.default_rng(seed))
+            assert np.array_equal(op(u).values, parent_route(a, u))
+            assert np.array_equal(apply_auto(a, u).values, parent_route(a, u))
+
+    def test_rejects_an_input_on_another_grid(self):
+        op = plan(ching_for_grid(GridSpec(1, 256)), GridSpec(1, 256))
+        for spec in (GridSpec(1, 128), GridSpec(2, 256)):
+            with pytest.raises(ValueError, match="planned for"):
+                op(single_mode(spec, (1,) * spec.n))
+
+    def test_vfm_limit_tabulates_the_shift_terms_once(self, monkeypatch):
+        calls = []
+        real = ChingSymbol.shift_terms
+
+        def counted(self, spec):
+            calls.append(spec)
+            return real(self, spec)
+
+        monkeypatch.setattr(ChingSymbol, "shift_terms", counted)
+        spec = GridSpec(1, 1024)
+        u = random_band_limited(spec, 400, np.random.default_rng(88))
+        trace = vfm_limit(ching_for_grid(spec), u)
+        assert calls == [spec]
+        assert len(trace.m_values) > 10 and trace.cross_dev == 0.0

@@ -2,13 +2,15 @@
 embedding constants, the vector maximal inequality, the summation lemma, and
 block-series convergence under ball / corona / asymmetric spectral conditions."""
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from pdlab.frame import DEFAULT_FRAME
+import pdlab.spaces as spaces
+from pdlab.frame import DEFAULT_FRAME, LPFrame, ModulationFunction
 from pdlab.grid import (
     GridFunction,
     GridSpec,
@@ -35,6 +37,8 @@ from pdlab.spaces import (
     holder_norm,
     lp_block_fields,
     parse_space,
+    space_norm,
+    space_norms,
     summation_lemma_check,
     triebel_norm,
     vector_maximal_check,
@@ -222,6 +226,69 @@ class TestTriebelNorm:
         assert f == pytest.approx(b, rel=1e-12)
 
 
+def stacked_norm(u: GridFunction, sp: SpaceParams) -> float:
+    """The quasi-norm from all J+1 block fields held at once: the reference
+    the one-pass norms must reproduce bit for bit."""
+    fields = list(lp_block_fields(u, sp.frame))
+    w = 2.0 ** (sp.s * np.arange(len(fields), dtype=float))
+    if sp.scale == BESOV:
+        terms = w * np.array([lp_norm(GridFunction(u.spec, f), sp.p) for f in fields])
+        return float(terms.max() if math.isinf(sp.q) else np.sum(terms**sp.q) ** (1.0 / sp.q))
+    vals = w.reshape((-1,) + (1,) * u.spec.n) * np.abs(np.stack(fields))
+    g = vals.max(axis=0) if math.isinf(sp.q) else np.sum(vals**sp.q, axis=0) ** (1.0 / sp.q)
+    return lp_norm(GridFunction(u.spec, g), sp.p)
+
+
+class TestOnePass:
+    CASES = [
+        SpaceParams(s, p, q, scale)
+        for scale, ps in ((BESOV, (1.5, 2.0, math.inf)), (TRIEBEL_LIZORKIN, (1.5, 2.0)))
+        for p in ps
+        for q in (0.7, 1.0, 2.0, math.inf)
+        for s in (-0.5, 0.5)
+    ]
+
+    @pytest.mark.parametrize("n, N", [(1, 2**12), (2, 64)])
+    def test_every_case_equals_its_own_call_and_the_stacked_sum(self, n, N):
+        u = rand_u(GridSpec(n, N), 0.4 * N / 2, 40 + n)
+        together = space_norms(u, self.CASES)
+        for sp, got in zip(self.CASES, together):
+            assert got == space_norm(u, sp) == stacked_norm(u, sp), format_space(sp)
+
+    def test_one_block_pass_per_frame(self, monkeypatch):
+        passes = []
+        real = spaces.lp_block_fields
+
+        def spy(u, frame, j_max=None):
+            passes.append(frame)
+            return real(u, frame, j_max)
+
+        monkeypatch.setattr(spaces, "lp_block_fields", spy)
+        u = rand_u(GridSpec(1, 256), 50.0, 7)
+        alt = LPFrame(ModulationFunction(0.8, 1.6), h=4)
+        space_norms(u, self.CASES)
+        assert passes == [DEFAULT_FRAME]
+        cases = [self.CASES[0], SpaceParams(0.5, 2.0, 1.0, TRIEBEL_LIZORKIN, alt), self.CASES[-1]]
+        got = space_norms(u, cases)
+        assert passes == [DEFAULT_FRAME, DEFAULT_FRAME, alt]
+        assert space_norms(u, []) == [] and len(passes) == 3
+        assert got == [space_norm(u, sp) for sp in cases]
+
+    def test_f_norm_memory_stays_grid_sized(self):
+        spec = GridSpec(1, 2**16)
+        u = rand_u(spec, 0.4 * spec.N / 2, 8)
+        sp = SpaceParams(0.0, 2.0, 1.0, TRIEBEL_LIZORKIN)
+        space_norm(u, sp)  # the frame's block tables are built outside the measurement
+        tracemalloc.start()
+        try:
+            space_norm(u, sp)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        # 17 blocks at this grid: a stack of the fields alone would be 17 arrays
+        assert peak < 6 * 16 * spec.npoints
+
+
 class TestNormInvariants:
     def test_power_of_two_scaling_is_bitwise(self):
         u = rand_u(GridSpec(1, 64), 20.0, 2)
@@ -276,6 +343,20 @@ class TestNormInvariants:
 
 
 class TestEmbeddingReport:
+    def test_one_block_pass_per_member(self, monkeypatch):
+        seen = []
+        real = spaces.lp_block_fields
+
+        def spy(u, frame, j_max=None):
+            seen.append(u)
+            return real(u, frame, j_max)
+
+        monkeypatch.setattr(spaces, "lp_block_fields", spy)
+        corpus = [rand_u(GridSpec(1, 64), 16.0, s) for s in range(5)]
+        rep = embedding_report(corpus, s=0.5, p=2.0, q=1.0, p_target=4.0)
+        assert rep.holder_band is not None
+        assert sorted(map(id, seen)) == sorted(map(id, corpus))
+
     def test_p_eq_q_sandwich_is_an_equality(self):
         corpus = [rand_u(GridSpec(1, 64), 16.0, s) for s in range(8)]
         rep = embedding_report(corpus, s=0.5, p=2.0, q=2.0, p_target=4.0)

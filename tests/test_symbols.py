@@ -204,6 +204,18 @@ class TestModulation:
         assert b.shift_terms(spec) is not None
         assert check_twisted_diagonal(b, a.tdc_B, spec=spec).violation_mass == 0.0
 
+    @pytest.mark.parametrize("n, N, theta", [(1, 2048, 1), (2, 32, (1, 1))])
+    def test_shift_table_equals_the_full_outer_products(self, n, N, theta):
+        # the table adds each level only on its annulus' columns; off them
+        # the full-grid outer product of the separable terms adds zeros
+        spec = GridSpec(n=n, N=N)
+        a = ching_symbol(0.5, theta=theta, j_max=int(np.log2(N)) - 2, spec=spec)
+        for sym in (a, modulate_symbol(a, 3, make_modulation(1.0, 2.0), spec)):
+            full = np.zeros(spec.shape + spec.shape, dtype=complex)
+            for m, g in sym.separable_terms(spec):
+                full += np.multiply.outer(m, g)
+            assert np.array_equal(sym.table(spec), full)
+
     def test_dense_route_keeps_exact_spectral_zeros(self):
         spec = GridSpec(n=1, N=128)
         a = mask_twisted_diagonal(random_elementary(spec, DEFAULT_FRAME, J=5, seed=3), B=2.0)
