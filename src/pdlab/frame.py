@@ -7,6 +7,12 @@ The radial profile is the integrated bump
 clamped to 0 on t<=0 and 1 on t>=1, so plateau values are attained exactly;
 everything downstream that needs hard zeros or an exact partition of unity
 relies on that clamping.
+
+The frame blocks are differences of balls: Phi_0 = psi and
+Phi_j = psi(2^-j .) - psi(2^(1-j) .).  Scaling a radius by a power of two
+is exact in floating point, so psi(2^-j .) evaluated once per j gives the
+same bits as phi = psi - psi(2 .) evaluated at 2^-j t, and each ball serves
+the two blocks that share it.
 """
 from __future__ import annotations
 
@@ -18,24 +24,25 @@ import numpy as np
 from .grid import GridFunction, GridSpec, fft_forward, fft_inverse
 
 _GL_NODES, _GL_WEIGHTS = np.polynomial.legendre.leggauss(96)
+_GL_SHIFTED = _GL_NODES + 1.0
+_QUAD_CHUNK = 2048  # radii per quadrature pass: (2048 x 96) temporaries of 1.5 MiB
 BLOCK_CACHE_KEYS = 8  # grids whose block tables one LPFrame keeps
 
 
-def _bump(t: np.ndarray) -> np.ndarray:
-    out = np.zeros_like(t)
-    inside = (t > 0.0) & (t < 1.0)
-    ti = t[inside]
-    with np.errstate(over="ignore", divide="ignore"):
-        out[inside] = np.exp(-1.0 / (ti * (1.0 - ti)))
-    return out
-
-
 def _bump_integral(t: np.ndarray) -> np.ndarray:
-    # Gauss-Legendre on [0, t]; the integrand is analytic inside and flat to
-    # all orders at both endpoints, so 96 nodes reach rounding accuracy.
-    half = 0.5 * t[..., None]
-    tau = half * (_GL_NODES + 1.0)
-    return np.sum(_bump(tau) * _GL_WEIGHTS, axis=-1) * half[..., 0]
+    # Gauss-Legendre on [0, t] for 1-d t in (0, 1]; the integrand is analytic
+    # inside and flat to all orders at both endpoints, so 96 nodes reach
+    # rounding accuracy.  The nodes lie inside (0, t), so the bump needs no
+    # support mask (a node rounded onto 0 or 1 gives exp(-inf) = 0); each t
+    # is its own row, so chunking the rows only bounds the scratch.
+    out = np.empty_like(t)
+    for start in range(0, t.size, _QUAD_CHUNK):
+        half = 0.5 * t[start : start + _QUAD_CHUNK, None]
+        tau = half * _GL_SHIFTED
+        with np.errstate(over="ignore", divide="ignore"):
+            bump = np.exp(-1.0 / (tau * (1.0 - tau)))
+        out[start : start + _QUAD_CHUNK] = np.sum(bump * _GL_WEIGHTS, axis=-1) * half[:, 0]
+    return out
 
 
 _BUMP_TOTAL = float(_bump_integral(np.asarray([1.0]))[0])
@@ -130,10 +137,10 @@ class LPFrame:
         return self.psi.R
 
     def block_radial(self, j: int, t) -> np.ndarray:
-        """Phi_j on radii t; j=0 is the ball block psi."""
+        """Phi_j on radii t: psi for j=0, psi(2^-j .) - psi(2^(1-j) .) after."""
         if j == 0:
-            return self.psi.radial(t)
-        return self.psi.corona(np.asarray(t, dtype=float) * 2.0 ** (-j))
+            return self.ball_radial(0, t)
+        return self.ball_radial(j, t) - self.ball_radial(j - 1, t)
 
     def ball_radial(self, j: int, t) -> np.ndarray:
         """psi(2^{-j}|xi|)."""
@@ -145,17 +152,27 @@ class LPFrame:
 
     def lattice_blocks(self, spec: GridSpec, j_max: int | None = None) -> list[np.ndarray]:
         """Tabulated Phi_0..Phi_{j_max}, for the last BLOCK_CACHE_KEYS grids
-        cached; pool workers racing here at worst build one table twice."""
+        cached; pool workers racing here at worst build one table twice.
+
+        Each ball psi(2^-m .) is evaluated once, on the distinct lattice
+        radii, and block m is the difference of balls m and m-1: the same
+        bits as block_radial, since the power-of-two scalings are exact."""
         if j_max is None:
             j_max = self.j_saturation(spec)
         key = (spec.n, spec.N, j_max)
         blocks = self._block_cache.get(key)
         if blocks is None:
-            stack = on_distinct(
-                lambda t: np.stack([self.block_radial(j, t) for j in range(j_max + 1)]),
-                spec.freq_radius(),
-            )
-            blocks = self._block_cache[key] = list(stack)
+
+            def blocks_on(radii: np.ndarray) -> np.ndarray:
+                stack = np.empty((j_max + 1, radii.size))
+                stack[0] = prev = self.ball_radial(0, radii)
+                for j in range(1, j_max + 1):
+                    ball = self.ball_radial(j, radii)
+                    stack[j] = ball - prev
+                    prev = ball
+                return stack
+
+            blocks = self._block_cache[key] = list(on_distinct(blocks_on, spec.freq_radius()))
             for stale in list(self._block_cache)[:-BLOCK_CACHE_KEYS]:
                 self._block_cache.pop(stale, None)
         return blocks

@@ -215,22 +215,30 @@ class TabulatedSymbol(Symbol):
 def symbol_partial_ft(a: Symbol, spec: GridSpec) -> np.ndarray:
     """a_hat(xi,eta), through the most exact route the symbol offers:
     a construction-time spectral table, exact per-term x-spectra, or an
-    FFT of the dense table as the last resort."""
+    FFT of the dense table as the last resort.  A shift term's x-spectrum
+    is one delta, so it fills one row of the table, on its eta indices."""
     cached = getattr(a, "ahat", None)
     if cached is not None and getattr(a, "spec", None) == spec:
         return cached
-    terms = a.spectral_terms(spec)
-    if terms is not None:
-        if spec.npoints**2 > TABLE_ENTRY_GUARD:
-            raise ValueError(
-                f"spectral table would hold {spec.npoints**2} entries "
-                f"(> {TABLE_ENTRY_GUARD}); use the structured paths"
-            )
-        out = np.zeros(spec.shape + spec.shape, dtype=complex)
-        for mhat, g in terms:
-            out += np.multiply.outer(mhat, g)
-        return out
-    return partial_ft(a.table(spec), spec)
+    shifts = a.shift_terms(spec)
+    terms = None if shifts is not None else a.spectral_terms(spec)
+    if shifts is None and terms is None:
+        return partial_ft(a.table(spec), spec)
+    if spec.npoints**2 > TABLE_ENTRY_GUARD:
+        raise ValueError(
+            f"spectral table would hold {spec.npoints**2} entries "
+            f"(> {TABLE_ENTRY_GUARD}); use the structured paths"
+        )
+    if shifts is not None:
+        out = np.zeros((spec.npoints, spec.npoints), dtype=complex)
+        for t in shifts:
+            row = np.ravel_multi_index(tuple(x + spec.N // 2 for x in t.xi), spec.shape)
+            out[row, t.idx] += t.weight * t.g
+        return out.reshape(spec.shape + spec.shape)
+    out = np.zeros(spec.shape + spec.shape, dtype=complex)
+    for mhat, g in terms:
+        out += np.multiply.outer(mhat, g)
+    return out
 
 
 @dataclass

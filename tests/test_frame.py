@@ -1,4 +1,5 @@
 import sys
+import tracemalloc
 from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
@@ -7,6 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from pdlab.frame import (
+    _QUAD_CHUNK,
     BLOCK_CACHE_KEYS,
     DEFAULT_FRAME,
     LPFrame,
@@ -62,6 +64,34 @@ def test_smoothstep_monotone(t, dt):
     a, b = smoothstep(np.array([t])), smoothstep(np.array([t + dt]))
     assert b[0] >= a[0]
     assert 0.0 <= a[0] <= 1.0
+
+
+@pytest.mark.parametrize(
+    "size", [_QUAD_CHUNK - 1, _QUAD_CHUNK, _QUAD_CHUNK + 1, 3 * _QUAD_CHUNK + 5]
+)
+def test_smoothstep_chunks_match_entrywise_evaluation(size):
+    rng = np.random.default_rng(size)
+    plateaus = [-2.0, -0.0, 0.0, 1.0, 1.5, 7.0] * 5
+    t = rng.permutation(np.concatenate([rng.uniform(0.0, 1.0, size), plateaus]))
+    assert np.count_nonzero((t > 0.0) & (t < 1.0)) == size
+    got = smoothstep(t)
+    assert np.array_equal(got, np.concatenate([smoothstep(t[i : i + 1]) for i in range(t.size)]))
+    assert np.all(got[t <= 0.0] == 0.0) and np.all(got[t >= 1.0] == 1.0)
+
+
+def test_smoothstep_accuracy():
+    t = np.linspace(0.0, 1.0, 4097)[1:-1]
+    s = smoothstep(t)
+    # the bump is symmetric about 1/2, so S(t) + S(1-t) = 1
+    assert np.max(np.abs(s + smoothstep(1.0 - t) - 1.0)) <= 1e-14
+    nodes, weights = np.polynomial.legendre.leggauss(256)
+
+    def integral(x):
+        tau = 0.5 * x[:, None] * (nodes + 1.0)
+        return np.sum(np.exp(-1.0 / (tau * (1.0 - tau))) * weights, axis=-1) * 0.5 * x
+
+    ref = integral(t) / integral(np.array([1.0]))[0]
+    assert np.max(np.abs(s - ref)) <= 1e-14
 
 
 def test_corona_nonnegative_everywhere():
@@ -216,6 +246,20 @@ def test_lattice_blocks_match_full_grid_evaluation(n, N, frame):
     assert len(blocks) == frame.j_saturation(spec) + 1
     for j, b in enumerate(blocks):
         assert np.array_equal(b, frame.block_radial(j, rad))
+        if j > 0:  # the ball difference is phi(2^-j .), bit for bit
+            assert np.array_equal(b, frame.psi.corona(rad * 2.0**-j))
+
+
+def test_lattice_blocks_memory_stays_table_sized():
+    spec = GridSpec(1, 2**16)
+    frame = LPFrame(DEFAULT_FRAME.psi, DEFAULT_FRAME.h)
+    tracemalloc.start()
+    try:
+        blocks = frame.lattice_blocks(spec)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 3 * sum(b.nbytes for b in blocks)
 
 
 def test_on_distinct_is_bit_identical_and_keeps_shape():

@@ -32,6 +32,7 @@ from pdlab.symbols import (
     random_elementary,
     read_pdsy,
     sigma_order_estimate,
+    symbol_partial_ft,
     symbol_seminorm,
     write_pdsy,
 )
@@ -206,8 +207,9 @@ class TestModulation:
 
     @pytest.mark.parametrize("n, N, theta", [(1, 2048, 1), (2, 32, (1, 1))])
     def test_shift_table_equals_the_full_outer_products(self, n, N, theta):
-        # the table adds each level only on its annulus' columns; off them
-        # the full-grid outer product of the separable terms adds zeros
+        # the table adds each level only on its annulus' columns, and the
+        # spectral table only on the one row of its x-frequency; off them the
+        # full-grid outer products of the separable and spectral terms add zeros
         spec = GridSpec(n=n, N=N)
         a = ching_symbol(0.5, theta=theta, j_max=int(np.log2(N)) - 2, spec=spec)
         for sym in (a, modulate_symbol(a, 3, make_modulation(1.0, 2.0), spec)):
@@ -215,6 +217,13 @@ class TestModulation:
             for m, g in sym.separable_terms(spec):
                 full += np.multiply.outer(m, g)
             assert np.array_equal(sym.table(spec), full)
+            full = np.zeros(spec.shape + spec.shape, dtype=complex)
+            for mhat, g in sym.spectral_terms(spec):
+                full += np.multiply.outer(mhat, g)
+            got = symbol_partial_ft(sym, spec)
+            assert np.array_equal(got, full)
+            assert np.array_equal(np.signbit(got.real), np.signbit(full.real))
+            assert np.array_equal(np.signbit(got.imag), np.signbit(full.imag))
 
     def test_dense_route_keeps_exact_spectral_zeros(self):
         spec = GridSpec(n=1, N=128)
