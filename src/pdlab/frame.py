@@ -49,9 +49,10 @@ _BUMP_TOTAL = float(_bump_integral(np.asarray([1.0]))[0])
 
 
 def smoothstep(t) -> np.ndarray:
-    """Monotone C-infinity ramp, exactly 0 for t<=0 and exactly 1 for t>=1."""
+    """Monotone C-infinity ramp, exactly 0 for t<=0 and exactly 1 for t>=1;
+    NaN stays NaN."""
     t = np.asarray(t, dtype=float)
-    out = np.empty_like(t)
+    out = np.full_like(t, np.nan)
     out[t <= 0.0] = 0.0
     out[t >= 1.0] = 1.0
     mid = (t > 0.0) & (t < 1.0)

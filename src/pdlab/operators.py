@@ -12,9 +12,16 @@ the terms of the first strategy the symbol allows, each within 1e-10 of apply():
   2. separable, sum_j m_j(x) (g_j(D)u)(x) (Symbol.separable_terms);
   3. the reference apply().
 apply_auto(a, u) is plan(a, u.spec)(u).
-paradiff_split() runs in the spectral domain: it shears a_hat(xi, eta) once
-into a_hat(xi, zeta - xi), and each summand of the three series is a
-weighted sum of that table's rows followed by one inverse FFT.
+paradiff_split() runs each summand of the three series, the w(D_x)-cut
+symbol applied to block coefficients v, through the same kernels and in the
+same order of strategies:
+  1. shift terms with weights weight_j w(xi_j): one scatter-add and one
+     inverse FFT, no table;
+  2. separable terms sum_j F^{-1}[w mhat_j](x) F^{-1}[g_j v](x), skipping the
+     terms where either factor is exactly zero;
+  3. for symbols with neither, the sheared table a_hat(xi, zeta - xi), built
+     once under TABLE_ENTRY_GUARD; a summand is a w-weighted sum of its rows
+     followed by one inverse FFT.
 """
 from __future__ import annotations
 
@@ -80,25 +87,25 @@ def apply(a: Symbol, u: GridFunction) -> GridFunction:
     return GridFunction(spec, out.reshape(spec.shape))
 
 
-def _apply_separable(terms: list[tuple[np.ndarray, np.ndarray]], u: GridFunction) -> GridFunction:
-    spec = u.spec
-    c = fft_forward(u).coeffs
-    out = np.zeros(spec.shape, dtype=complex)
+def _apply_separable(terms: list[tuple[np.ndarray, np.ndarray]], c: SpectralFunction) -> GridFunction:
+    """sum_j m_j(x) F^{-1}[g_j c](x) from the coefficients c."""
+    out = np.zeros(c.spec.shape, dtype=complex)
     for m, g in terms:
-        out += m * fft_inverse(SpectralFunction(spec, c * g)).values
-    return GridFunction(spec, out)
+        out += m * fft_inverse(SpectralFunction(c.spec, c.coeffs * g)).values
+    return GridFunction(c.spec, out)
 
 
-def _apply_shift(terms: list[ShiftTerm], u: GridFunction) -> GridFunction:
-    spec = u.spec
-    c = fft_forward(u).coeffs.reshape(-1)
+def _apply_shift(terms: list[ShiftTerm], c: SpectralFunction) -> GridFunction:
+    """F^{-1}[sum_j weight_j shift_{xi_j}(g_j c)] from the coefficients c."""
+    spec = c.spec
+    flat = c.coeffs.reshape(-1)
     out = np.zeros(spec.npoints, dtype=complex)
     for t in terms:
         src = np.unravel_index(t.idx, spec.shape)
         dst = np.ravel_multi_index(
             tuple(i + x for i, x in zip(src, t.xi)), spec.shape, mode="wrap"
         )
-        out[dst] += t.weight * t.g * c[t.idx]  # eta -> eta + xi is one-to-one
+        out[dst] += t.weight * t.g * flat[t.idx]  # eta -> eta + xi is one-to-one
     return fft_inverse(SpectralFunction(spec, out.reshape(spec.shape)))
 
 
@@ -111,8 +118,8 @@ def plan(a: Symbol, spec: GridSpec) -> Callable[[GridFunction], GridFunction]:
         if u.spec != spec:
             raise ValueError(f"planned for {spec}, got an input on {u.spec}")
         if shifts is not None:
-            return _apply_shift(shifts, u)
-        return apply(a, u) if terms is None else _apply_separable(terms, u)
+            return _apply_shift(shifts, fft_forward(u))
+        return apply(a, u) if terms is None else _apply_separable(terms, fft_forward(u))
 
     return planned
 
@@ -262,20 +269,44 @@ class ParadiffTerms:
         return self.t1 + self.t2 + self.t3
 
 
-def paradiff_split(a: Symbol, u: GridFunction, frame: LPFrame = DEFAULT_FRAME) -> ParadiffTerms:
-    spec = u.spec
+def _summand_route(a: Symbol, spec: GridSpec) -> Callable[[np.ndarray, np.ndarray], GridFunction]:
+    """run(w, v): the w(D_x)-cut symbol applied to flat coefficients v, i.e.
+    F^{-1}[c] with c(zeta) = sum_xi w(xi) a_hat(xi, zeta - xi) v(zeta - xi),
+    by the first route (module docstring) the symbol allows; the table guard
+    fires before any table is built."""
+    shifts = a.shift_terms(spec)
+    if shifts is not None:
+        # w(D_x) e^{i xi_j.x} = w(xi_j) e^{i xi_j.x}: a scalar per term
+        at_xi = [np.ravel_multi_index(tuple(x + spec.N // 2 for x in t.xi), spec.shape)
+                 for t in shifts]
+
+        def run_shift(w: np.ndarray, v: np.ndarray) -> GridFunction:
+            cut = [t._replace(weight=t.weight * w[i]) for t, i in zip(shifts, at_xi) if w[i] != 0.0]
+            return _apply_shift(cut, SpectralFunction(spec, v))
+
+        return run_shift
+
+    spectral = a.spectral_terms(spec)
+    if spectral is not None:
+
+        def run_separable(w: np.ndarray, v: np.ndarray) -> GridFunction:
+            c = SpectralFunction(spec, v)
+            cut = []
+            for mhat, g in spectral:  # an exactly zero factor gives an exact zero
+                if np.any(c.coeffs * g) and np.any(wm := w.reshape(spec.shape) * mhat):
+                    cut.append((fft_inverse(SpectralFunction(spec, wm)).values, g))
+            return _apply_separable(cut, c)
+
+        return run_separable
+
     if spec.npoints**2 > TABLE_ENTRY_GUARD:
         raise ValueError(
             f"paradiff split needs (N^n)^2 <= {TABLE_ENTRY_GUARD} table entries, "
             f"got {spec.npoints**2}"
         )
-    K = frame.j_saturation(spec)
-    h = frame.h
-    rad = spec.freq_radius().reshape(-1)
-
     # sheared[xi, zeta] = a_hat(xi, zeta - xi), with zeta - xi folded mod N:
-    # on the lattice e^{ix.(xi+eta)} = e^{ix.zeta}, so every summand is
-    # c_hat(zeta) = sum_xi w(xi) a_hat(xi, zeta - xi) v(zeta - xi)
+    # on the lattice e^{ix.(xi+eta)} = e^{ix.zeta}, so every summand is a
+    # w-weighted sum of the table's rows
     idx = np.unravel_index(np.arange(spec.npoints), spec.shape)
     shear = np.ravel_multi_index(
         tuple(i[None, :] - i[:, None] + spec.N // 2 for i in idx), spec.shape, mode="wrap"
@@ -283,6 +314,21 @@ def paradiff_split(a: Symbol, u: GridFunction, frame: LPFrame = DEFAULT_FRAME) -
     sheared = np.take_along_axis(
         symbol_partial_ft(a, spec).reshape(spec.npoints, spec.npoints), shear, axis=1
     )
+
+    def run_sheared(w: np.ndarray, v: np.ndarray) -> GridFunction:
+        terms = v[shear]
+        terms *= sheared
+        return fft_inverse(SpectralFunction(spec, (w @ terms).reshape(spec.shape)))
+
+    return run_sheared
+
+
+def paradiff_split(a: Symbol, u: GridFunction, frame: LPFrame = DEFAULT_FRAME) -> ParadiffTerms:
+    spec = u.spec
+    run = _summand_route(a, spec)
+    K = frame.j_saturation(spec)
+    h = frame.h
+    rad = spec.freq_radius().reshape(-1)
 
     # psi[m] = psi(2^{-m} xi), the x-frequency cut of the cumulative symbol a^m
     psi = [frame.ball_radial(m, rad) for m in range(K + 1)]
@@ -295,11 +341,6 @@ def paradiff_split(a: Symbol, u: GridFunction, frame: LPFrame = DEFAULT_FRAME) -
 
     def at(seq: list[np.ndarray], m: int) -> np.ndarray:
         return seq[m] if m >= 0 else zero
-
-    def run(w: np.ndarray, v: np.ndarray) -> GridFunction:
-        terms = v[shear]
-        terms *= sheared
-        return fft_inverse(SpectralFunction(spec, (w @ terms).reshape(spec.shape)))
 
     t1_parts = dict(
         zip(range(h, K + 1),

@@ -166,26 +166,48 @@ def symbol_factor(
     The y-sum runs over the same torus-centered offsets as peetre_maximal,
     so |a(x,D)u| <= F_a u* closes over exactly the lattice sums both
     sides are built from (Parseval on the offset sum).
+
+    A symbol with separable terms a = sum_j m_j(x) g_j(eta), every shift
+    symbol included, gives k(x,.) = sum_j m_j(x) k_j with k_j the kernel of
+    g_j chi: one inverse FFT per term whose g_j chi is not identically zero,
+    and no table.  Other symbols are tabulated.  Either way k is built and
+    summed over chunks of x-rows holding at most 2^22 entries.
     """
     chi = as_cutoff(chi)
     spec = _resolve_spec(a, spec)
-    tab = a.table(spec).reshape((spec.npoints,) + spec.shape)
     chiv = chi.values(spec, p.R_spec)
-    w = (1.0 + p.R_spec * _offset_radius(spec)) ** p.N_exp
+    w = ((1.0 + p.R_spec * _offset_radius(spec)) ** p.N_exp).reshape(-1)
     cell = (TWO_PI / spec.N) ** spec.n
-    e_axes = tuple(range(1, spec.n + 1))
+    e_axes = tuple(range(-spec.n, 0))
 
-    filtered = tab * chiv[None]
+    def kernel(filtered: np.ndarray) -> np.ndarray:
+        """k over y for a(x,.) chi tabulated on the trailing eta axes."""
+        k = np.fft.ifftn(np.fft.ifftshift(filtered, axes=e_axes), axes=e_axes)
+        return (k * (spec.npoints / TWO_PI**spec.n)).reshape(-1, spec.npoints)
+
+    terms = a.separable_terms(spec)
+    if terms is not None:
+        kept = [(m, gc) for m, g in terms if np.any(gc := g * chiv)]
+        mx = np.zeros((spec.npoints, len(kept)), dtype=complex)
+        ky = np.zeros((len(kept), spec.npoints), dtype=complex)
+        for i, (m, gc) in enumerate(kept):
+            mx[:, i] = m.reshape(-1)
+            ky[i] = kernel(gc)
+
+        def rows(lo: int, hi: int) -> np.ndarray:
+            return mx[lo:hi] @ ky
+
+    else:
+        tab = a.table(spec).reshape((spec.npoints,) + spec.shape)
+
+        def rows(lo: int, hi: int) -> np.ndarray:
+            return kernel(tab[lo:hi] * chiv)
+
+    out = np.empty(spec.npoints)
     step = max(1, (1 << 22) // spec.npoints)
-    chunks = [(lo, min(lo + step, spec.npoints)) for lo in range(0, spec.npoints, step)]
-
-    def run(bounds: tuple[int, int]) -> np.ndarray:
-        lo, hi = bounds
-        rows = np.fft.ifftn(np.fft.ifftshift(filtered[lo:hi], axes=e_axes), axes=e_axes)
-        k = rows * (spec.npoints / TWO_PI**spec.n)
-        return cell * np.sum(np.abs(k) * w[None], axis=e_axes)
-
-    out = np.concatenate(pmap(run, chunks))
+    for lo in range(0, spec.npoints, step):
+        hi = min(lo + step, spec.npoints)
+        out[lo:hi] = cell * np.sum(np.abs(rows(lo, hi)) * w, axis=-1)
     return GridFunction(spec, out.reshape(spec.shape))
 
 

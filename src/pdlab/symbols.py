@@ -80,7 +80,7 @@ class ShiftTerm(NamedTuple):
     g: np.ndarray
 
     def g_table(self, spec: GridSpec) -> np.ndarray:
-        out = np.zeros(spec.npoints)
+        out = np.zeros(spec.npoints, dtype=np.result_type(self.g))
         out[self.idx] = self.g
         return out.reshape(spec.shape)
 

@@ -104,6 +104,14 @@ class TestSubcommands:
         assert obj["residual_rel"] <= 1e-10
         assert ("corona" in obj) == (report == "corona")
 
+    def test_paradiff_corona_2d_past_the_table_cap(self, capsys):
+        # an elementary symbol is split from its separable terms, with no
+        # N^n x N^n table, so 2-d N=128 runs
+        obj = run_json(capsys, ["paradiff", *SYMBOL, "--grid", "128", "--n", "2", "--mode",
+                                "random:band=0.4,seed=2", "--report", "corona"])
+        assert obj["grid"] == {"n": 2, "N": 128} and obj["residual_rel"] <= 1e-10
+        assert obj["corona"]["max_outside"] <= 1e-10
+
     @pytest.mark.parametrize("kind", ["spatial", "spectral"])
     def test_support_rule(self, capsys, kind):
         obj = run_json(capsys, ["support-rule", *SYMBOL, *SMALL, "--kind", kind])
@@ -115,6 +123,11 @@ class TestSubcommands:
         assert set(obj) == {"max_ratio", "holds", "N_exp", "R"} and obj["holds"] is True
         rows = out.read_text().splitlines()
         assert rows[0] == "x,lhs,rhs,ratio" and len(rows) == 33
+
+    def test_pointwise_factorize_2d_past_the_table_cap(self, capsys, tmp_path):
+        argv = ["pointwise", "factorize", *SYMBOL, "--grid", "64", "--n", "2", "--mode",
+                "random:band=0.4,seed=2", "--out", str(tmp_path / "f.csv")]
+        assert run_json(capsys, argv)["holds"] is True
 
     @pytest.mark.parametrize("argv", [
         ["factorize", *SYMBOL, *SMALL],

@@ -94,6 +94,14 @@ def test_smoothstep_accuracy():
     assert np.max(np.abs(s - ref)) <= 1e-14
 
 
+def test_nan_in_gives_nan_out():
+    got = smoothstep(np.array([np.nan, 0.5, np.nan]))
+    assert np.isnan(got[0]) and np.isnan(got[2])
+    assert got[1] == smoothstep(np.array([0.5]))[0]
+    rad = make_modulation(1.0, 2.0).radial(np.array([np.nan, 0.5, 1.5]))
+    assert np.isnan(rad[0]) and rad[1] == 1.0 and 0.0 < rad[2] < 1.0
+
+
 def test_corona_nonnegative_everywhere():
     psi = make_modulation(1.0, 2.0)
     t = np.linspace(0.0, 5.0, 4001)

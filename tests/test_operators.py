@@ -2,6 +2,7 @@
 corona geometry, kernels, and both support rules."""
 import time
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -45,6 +46,7 @@ from pdlab.symbols import (
     ElementarySymbol,
     RadialBump,
     SeparableSymbol,
+    ShiftSymbol,
     Symbol,
     TabulatedSymbol,
     ching_symbol,
@@ -54,6 +56,7 @@ from pdlab.symbols import (
     nyquist_mask,
     partial_ift,
     random_elementary,
+    symbol_partial_ft,
 )
 
 
@@ -440,8 +443,8 @@ class TestCorona:
 
 
 class TestSpectralParadiff:
-    """The split as one sheared spectral table: 2-d grids, reruns, the
-    table guard and the memory it takes."""
+    """The split on 2-d grids and its reruns; the sheared table's guard and
+    the memory it takes."""
 
     def test_identity_and_corona_2d(self):
         spec = GridSpec(2, 32)
@@ -466,17 +469,32 @@ class TestSpectralParadiff:
         def no_table(*args):
             raise AssertionError("symbol table built before the guard")
 
+        spec = GridSpec(1, 64)
+        a = random_table_symbol(spec, seed=7)  # no structure: the sheared route
         monkeypatch.setattr(ops, "TABLE_ENTRY_GUARD", 1000)
         monkeypatch.setattr(ops, "symbol_partial_ft", no_table)
-        spec = GridSpec(1, 64)
         u = random_band_limited(spec, 20, np.random.default_rng(92))
         with pytest.raises(ValueError, match="table entries"):
-            paradiff_split(ConstantSymbol(1.0), u)
+            paradiff_split(a, u)
+
+    def test_structured_symbols_split_without_a_table(self, monkeypatch):
+        def no_table(*args):
+            raise AssertionError("table built on a structured route")
+
+        monkeypatch.setattr(ops, "TABLE_ENTRY_GUARD", 1000)
+        monkeypatch.setattr(ops, "symbol_partial_ft", no_table)
+        monkeypatch.setattr(Symbol, "table", no_table)
+        spec = GridSpec(1, 64)
+        u = random_band_limited(spec, 20, np.random.default_rng(92))
+        for a in (ConstantSymbol(1.0), random_elementary(spec, DEFAULT_FRAME, J=4, seed=7),
+                  ching_for_grid(spec)):
+            terms = paradiff_split(a, u)
+            assert rel_sup(terms.total(), apply_auto(a, u)) <= 1e-12
 
     def test_peak_memory_under_eight_tables(self, monkeypatch):
         monkeypatch.setenv("PDLAB_THREADS", "2")
         spec = GridSpec(1, 1024)
-        a = random_elementary(spec, DEFAULT_FRAME, J=5, seed=13)
+        a = random_table_symbol(spec, seed=13)  # no structure: the sheared route
         u = random_band_limited(spec, 400, np.random.default_rng(93))
         tracemalloc.start()
         try:
@@ -485,6 +503,98 @@ class TestSpectralParadiff:
         finally:
             tracemalloc.stop()
         assert peak < 8 * spec.npoints**2 * 16
+
+
+def sheared_twin(a, spec):
+    """a with its structure hidden: only the exact a_hat is kept, so the
+    split takes the sheared-table route (and never reads a table)."""
+    return TabulatedSymbol(spec, None, d=a.d, ahat=symbol_partial_ft(a, spec))
+
+
+def summands(terms):
+    return [y.values for part in (terms.t1_summands, terms.t2_summands, terms.t3_summands)
+            for _, y in sorted(part.items())]
+
+
+def split_gap(a, u):
+    """max |structured - sheared| over all summands, relative to the largest
+    summand sup."""
+    ours = summands(paradiff_split(a, u))
+    ref = summands(paradiff_split(sheared_twin(a, u.spec), u))
+    assert len(ours) == len(ref)
+    scale = max(np.max(np.abs(y)) for y in ref)
+    return max(np.max(np.abs(x - y)) for x, y in zip(ours, ref)) / scale
+
+
+class TestStructuredParadiff:
+    """The split routed by symbol structure: shift and separable summands
+    with no N^n x N^n table, checked against the sheared table."""
+
+    @pytest.mark.parametrize(
+        "n, N, kind",
+        [(1, 1024, "elementary"), (2, 32, "elementary"), (1, 2048, "ching"),
+         (1, 512, "modulated-shift"), (1, 256, "constant")],
+    )
+    def test_matches_the_sheared_table(self, monkeypatch, n, N, kind):
+        monkeypatch.setenv("PDLAB_THREADS", "1")  # one sheared temporary at a time
+        spec = GridSpec(n, N)
+        a = {
+            "elementary": lambda: random_elementary(spec, DEFAULT_FRAME, J=5, seed=15),
+            "ching": lambda: ching_for_grid(spec, d=0.5),
+            # |xi_j| = 3 2^j sits inside the transition band of a ball cut
+            "modulated-shift": lambda: modulate_symbol(
+                ching_for_grid(spec, d=0.5, theta=-3), 6, DEFAULT_PSI_FAMILY[0], spec),
+            "constant": lambda: ConstantSymbol(2.0 - 0.5j),
+        }[kind]()
+        u = random_band_limited(spec, 0.4 * N / 2, np.random.default_rng(94))
+        assert split_gap(a, u) <= 1e-13
+
+    def test_complex_g_agrees_on_every_route(self):
+        spec = GridSpec(1, 256)
+        terms = [t._replace(g=t.g * np.exp(1j * (0.3 * t.idx + t.j)))
+                 for t in ching_for_grid(spec, d=0.5).shift_terms(spec)]
+        a = ShiftSymbol(spec, terms, d=0.5)
+        u = random_band_limited(spec, 0.4 * spec.N / 2, np.random.default_rng(95))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            ref = apply(a, u)
+            separable = SeparableSymbol(spec, a.separable_terms(spec))
+            for y in (plan(a, spec)(u), apply_auto(separable, u), paradiff_split(a, u).total()):
+                assert rel_sup(y, ref) <= 1e-13
+            assert split_gap(a, u) <= 1e-13
+
+    def test_elementary_2d_256(self):
+        spec = GridSpec(2, 256)
+        a = random_elementary(spec, DEFAULT_FRAME, J=5, seed=16)
+        u = random_band_limited(spec, 0.4 * spec.N / 2, np.random.default_rng(96))
+        terms = paradiff_split(a, u)
+        assert rel_sup(terms.total(), apply_auto(a, u)) <= 1e-10
+        assert corona_ball_report(terms).max_outside <= 1e-10
+
+    def test_threaded_reruns_are_bit_identical(self, monkeypatch):
+        monkeypatch.setenv("PDLAB_THREADS", "2")
+        spec = GridSpec(1, 1024)
+        u = random_band_limited(spec, 400, np.random.default_rng(97))
+        for a in (random_elementary(spec, DEFAULT_FRAME, J=5, seed=17), ching_for_grid(spec)):
+            first, second = summands(paradiff_split(a, u)), summands(paradiff_split(a, u))
+            assert all(np.array_equal(x, y) for x, y in zip(first, second))
+
+    def test_peak_memory_flat_in_thread_count(self, monkeypatch):
+        spec = GridSpec(1, 1024)
+        a = random_elementary(spec, DEFAULT_FRAME, J=5, seed=18)
+        u = random_band_limited(spec, 400, np.random.default_rng(98))
+        paradiff_split(a, u)  # the frame's block tables are cached from here on
+        peaks = {}
+        for threads in ("1", "4"):
+            monkeypatch.setenv("PDLAB_THREADS", threads)
+            tracemalloc.start()
+            try:
+                paradiff_split(a, u)
+                peaks[threads] = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+        assert peaks["1"] < spec.npoints**2 * 16  # below one N^n x N^n table
+        assert peaks["4"] <= 1.1 * peaks["1"]
 
 
 class TestKernel:

@@ -315,6 +315,18 @@ class TestSymbolFactor:
         via_ball = symbol_factor(a, p, ball_cutoff(), spec)
         assert np.array_equal(via_psi.values, via_ball.values)
 
+    @pytest.mark.parametrize("n, N", [(1, 1024), (2, 32)])
+    def test_structured_route_matches_the_table(self, n, N):
+        # separable terms (elementary) and shift terms (Ching) never build
+        # a table; the tabulated twin of each symbol takes the table route
+        spec = GridSpec(n, N)
+        ching = ching_symbol(0.5, (1,) * n, j_max=3 if n == 2 else 7, spec=spec)
+        p = MaximalParams(1.0 + n / 2, N / 8)
+        for a in (random_elementary(spec, DEFAULT_FRAME, 4, seed=21), ching):
+            got = symbol_factor(a, p, spec=spec).values.real
+            ref = symbol_factor(TabulatedSymbol(spec, a.table(spec)), p, spec=spec).values.real
+            assert np.max(np.abs(got - ref)) <= 1e-13 * np.max(ref)
+
     def test_as_cutoff_rejects_other_types(self):
         with pytest.raises(TypeError, match="ModulationFunction"):
             as_cutoff(3.0)
@@ -372,6 +384,14 @@ class TestFactorizationGate:
         u = random_band_limited(spec, 4, np.random.default_rng(12))
         rep = factorization_check(ConstantSymbol(1.0), u)
         assert rep.holds and rep.params.N_exp == 2
+
+    def test_2d_elementary_past_the_table_cap(self):
+        # F_a of a separable symbol needs no N^n x N^n table, so 2-d N=64
+        # (16.8e6 table entries, past TABLE_ENTRY_GUARD) runs
+        spec = GridSpec(2, 64)
+        a = random_elementary(spec, DEFAULT_FRAME, 4, seed=22)
+        u = random_band_limited(spec, 12, np.random.default_rng(23))
+        assert factorization_check(a, u).holds
 
     @settings(max_examples=8, deadline=None)
     @given(seed=st.integers(0, 10_000))
