@@ -435,16 +435,12 @@ def parse_norm(
     return text, lambda u: space_norm(u, sp), sp
 
 
-def _norm_table(norms: Sequence[tuple], us: Sequence[GridFunction]) -> dict[tuple, list[float]]:
-    """Each parsed norm's value on each u; the framed ones from one block pass
-    per u, run serially (a pass per pool worker holds a grid-sized field each)."""
+def _norm_values(norms: Sequence[tuple], u: GridFunction) -> list[float]:
+    """Each parsed norm's value on u, the framed ones from one space_norms
+    pass; a continuity task calls it once per function it holds."""
     spaces = [sp for _, _, sp in norms if sp is not None]
-    table: dict[tuple, list[float]] = {norm: [] for norm in norms}
-    for u in us:
-        framed = dict(zip(spaces, space_norms(u, spaces)))
-        for label, fn, sp in table:
-            table[label, fn, sp].append(fn(u) if sp is None else framed[sp])
-    return table
+    framed = dict(zip(spaces, space_norms(u, spaces)))
+    return [fn(u) if sp is None else framed[sp] for _, fn, sp in norms]
 
 
 def _doubling_blow_up(grids: Sequence[int], est: Sequence[float], growth: float) -> bool:
@@ -498,6 +494,13 @@ def run_continuity_table(
 
     `symbol` may be a factory GridSpec -> Symbol for grid-bound symbols
     (tables, masks, grid-adapted truncations).
+
+    Each grid is one pool map with a task per input: the task makes its
+    probe (seeded by (seed, grid index, trial)) or family member, takes
+    the source norms, then applies the symbol's and the control's plans,
+    built once per grid, and takes each output's target norms before the
+    next output is made.  A grid so holds only the workers' live arrays,
+    and the rows are bit-identical for every thread count.
     """
     grids = [int(g) for g in grids]
     if len(grids) < 2 or sorted(grids) != grids or len(set(grids)) != len(grids):
@@ -511,6 +514,7 @@ def run_continuity_table(
         (parse_norm(src, frame), parse_norm(tgt, frame)) for src, tgt in cases
     ]
     labels = [f"{s[0]} -> {t[0]}" for s, t in resolved]
+    sources, targets = [s for s, _ in resolved], [t for _, t in resolved]
     uses_frame = any(s[2] or t[2] for s, t in resolved)
 
     est: dict[str, list[float]] = {lab: [] for lab in labels}
@@ -525,33 +529,36 @@ def run_continuity_table(
         symbol_label = _describe_symbol(sym)
         d_sym = float(getattr(sym, "d", 0.0))
 
-        def one_probe(t: int) -> GridFunction:
-            rng = np.random.default_rng([seed, gi, t])
-            return random_band_limited(spec, band_fraction * (g // 2), rng)
-
-        probes = pmap(one_probe, range(trials))
-        fam = [
-            (N, lacunary_input(spec, N, d=d_sym, theta=family_theta))
-            for N in family_indices(spec, theta=family_theta)
+        op, control_op = plan(sym, spec), plan(CONTROL_SYMBOL, spec)
+        members = [(None, t) for t in range(trials)] + [
+            (N, None) for N in family_indices(spec, theta=family_theta)
         ]
-        inputs = probes + [u for _, u in fam]
-        family_N = [None] * len(probes) + [N for N, _ in fam]
-        outs = pmap(plan(sym, spec), inputs)
-        control_outs = pmap(plan(CONTROL_SYMBOL, spec), inputs)
-        src_of = _norm_table([src for src, _ in resolved], inputs)
-        tgt_of = _norm_table([tgt for _, tgt in resolved], outs)
-        control_of = _norm_table([tgt for _, tgt in resolved], control_outs)
 
-        for lab, (src, tgt) in zip(labels, resolved):
-            ratios, control_ratios = (
-                [(N, tn / sn) for N, tn, sn in zip(family_N, of[tgt], src_of[src]) if sn > 0.0]
-                for of in (tgt_of, control_of)
+        def one_input(member: tuple) -> tuple[list[float], list[float], list[float]]:
+            N, t = member
+            if N is None:
+                rng = np.random.default_rng([seed, gi, t])
+                u = random_band_limited(spec, band_fraction * (g // 2), rng)
+            else:
+                u = lacunary_input(spec, N, d=d_sym, theta=family_theta)
+            return (
+                _norm_values(sources, u),
+                _norm_values(targets, op(u)),  # each output is dropped once measured
+                _norm_values(targets, control_op(u)),
             )
+
+        norms = pmap(one_input, members)
+
+        for i, lab in enumerate(labels):
+            ratios = [(N, tgt[i] / src[i])
+                      for (N, _), (src, tgt, _) in zip(members, norms) if src[i] > 0.0]
+            control_ratios = [(N, ctl[i] / src[i])
+                              for (N, _), (src, _, ctl) in zip(members, norms) if src[i] > 0.0]
             if not ratios:
                 raise ValueError(f"all probes had zero source norm for {lab!r}")
             est[lab].append(max(r for _, r in ratios))
             control_est[lab].append(max(r for _, r in control_ratios))
-            if gi == len(grids) - 1 and fam:
+            if gi == len(grids) - 1 and len(members) > trials:
                 family_rows[lab] = [(N, r) for N, r in ratios if N is not None]
                 control_family[lab] = [r for N, r in control_ratios if N is not None]
 

@@ -16,6 +16,7 @@ the two blocks that share it.
 """
 from __future__ import annotations
 
+import threading
 from dataclasses import dataclass, field
 from typing import Collection
 
@@ -120,6 +121,9 @@ class LPFrame:
     psi: ModulationFunction
     h: int = 3
     _block_cache: dict = field(default_factory=dict, hash=False, compare=False, repr=False)
+    _block_lock: threading.Lock = field(
+        default_factory=threading.Lock, hash=False, compare=False, repr=False
+    )
 
     def __post_init__(self) -> None:
         if self.h < 2:
@@ -153,7 +157,10 @@ class LPFrame:
 
     def lattice_blocks(self, spec: GridSpec, j_max: int | None = None) -> list[np.ndarray]:
         """Tabulated Phi_0..Phi_{j_max}, for the last BLOCK_CACHE_KEYS grids
-        cached; pool workers racing here at worst build one table twice.
+        cached.  A table is built under the frame's lock: pool workers that
+        miss the cache together wait for one build instead of each making
+        its own (at 1-d 2^18 a second build was the memory peak of a pass).
+        Cache hits take no lock.
 
         Each ball psi(2^-m .) is evaluated once, on the distinct lattice
         radii, and block m is the difference of balls m and m-1: the same
@@ -162,7 +169,12 @@ class LPFrame:
             j_max = self.j_saturation(spec)
         key = (spec.n, spec.N, j_max)
         blocks = self._block_cache.get(key)
-        if blocks is None:
+        if blocks is not None:
+            return blocks
+        with self._block_lock:
+            blocks = self._block_cache.get(key)
+            if blocks is not None:
+                return blocks
 
             def blocks_on(radii: np.ndarray) -> np.ndarray:
                 stack = np.empty((j_max + 1, radii.size))
@@ -176,7 +188,7 @@ class LPFrame:
             blocks = self._block_cache[key] = list(on_distinct(blocks_on, spec.freq_radius()))
             for stale in list(self._block_cache)[:-BLOCK_CACHE_KEYS]:
                 self._block_cache.pop(stale, None)
-        return blocks
+            return blocks
 
 
 def lp_blocks(frame: LPFrame, spec: GridSpec, j_max: int | None = None) -> list[np.ndarray]:

@@ -129,14 +129,14 @@ class SpectralFunction:
 
 def fft_forward(u: GridFunction) -> SpectralFunction:
     """Coefficients c_eta with u(x) = sum c_eta e^{i x.eta}, exact on the grid."""
-    N = u.spec.N
-    c = np.fft.fftshift(np.fft.fftn(u.values)) / N**u.spec.n
+    c = np.fft.fftshift(np.fft.fftn(u.values))
+    c /= u.spec.npoints  # in place: scaling commutes with the shift, bit for bit
     return SpectralFunction(u.spec, c)
 
 
 def fft_inverse(c: SpectralFunction) -> GridFunction:
-    N = c.spec.N
-    vals = np.fft.ifftn(np.fft.ifftshift(c.coeffs)) * N**c.spec.n
+    vals = np.fft.ifftn(np.fft.ifftshift(c.coeffs))
+    vals *= c.spec.npoints
     return GridFunction(c.spec, vals)
 
 
@@ -144,10 +144,15 @@ def lp_norm(u: GridFunction, p: float) -> float:
     """Riemann-sum quasi-norm ((2pi/N)^n sum |u|^p)^{1/p}; max for p=inf."""
     if p <= 0:
         raise ValueError("p must be positive")
-    a = np.abs(u.values)
+    return abs_lp_norm(u.spec, np.abs(u.values), p)
+
+
+def abs_lp_norm(spec: GridSpec, a: np.ndarray, p: float) -> float:
+    """lp_norm from the moduli a = |u| on spec's grid, for callers that
+    share one |u| between several norms."""
     if np.isinf(p):
         return float(a.max())
-    cell = (TWO_PI / u.spec.N) ** u.spec.n
+    cell = (TWO_PI / spec.N) ** spec.n
     return float((cell * np.sum(a**p)) ** (1.0 / p))
 
 

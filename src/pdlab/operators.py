@@ -429,34 +429,37 @@ def corona_ball_report(
     R_h = r / 2.0 - R * 2.0**-h
     rad = spec.freq_radius()
 
-    entries: list[tuple[str, int, float, float, np.ndarray]] = []
-    for k, y in sorted(terms.t1_summands.items()):
-        entries.append(("t1", k, R_h * 2.0**k, 1.25 * R * 2.0**k, fft_forward(y).coeffs))
-    for k, y in sorted(terms.t3_summands.items()):
-        entries.append(("t3", k, R_h * 2.0**k, 1.25 * R * 2.0**k, fft_forward(y).coeffs))
-    for k, y in sorted(terms.t2_summands.items()):
-        entries.append(("t2", k, 0.0, 2.0 * R * 2.0**k, fft_forward(y).coeffs))
+    corona, ball = (R_h, 1.25 * R), (0.0, 2.0 * R)
+    series_bounds = (("t1", terms.t1_summands, corona), ("t3", terms.t3_summands, corona),
+                     ("t2", terms.t2_summands, ball))
 
-    powers = [np.abs(c) ** 2 for *_rest, c in entries]
-    totals = [float(p.sum()) for p in powers]
-    mass_floor = floor * max(totals, default=0.0)
+    # one summand's spectrum at a time: its mass, outside share and share
+    # below the twisted-diagonal bound; the activity floor needs every mass
+    measured = []
+    for series, summands, (lo_1, hi_1) in series_bounds:
+        for k, y in sorted(summands.items()):
+            lo, hi = lo_1 * 2.0**k, hi_1 * 2.0**k
+            power = np.abs(fft_forward(y).coeffs) ** 2
+            total = float(power.sum())
+            out, tdc_lo, below = 0.0, None, None
+            if total > 0.0:
+                out = float(power[(rad < lo) | (rad > hi)].sum()) / total
+            if B is not None and series == "t2":
+                tdc_lo = r * 2.0**k / (2.0 ** (h + 1) * B)
+                if total > 0.0:
+                    below = float(power[rad < tdc_lo].sum()) / total
+            measured.append((series, k, lo, hi, total, out, tdc_lo, below))
+            del power  # before the next spectrum is made
+    mass_floor = floor * max((m[4] for m in measured), default=0.0)
 
     rows: list[CoronaRow] = []
     below_flags: list[tuple[int, float]] = []
-    for (series, k, lo, hi, _), power, total in zip(entries, powers, totals):
+    for series, k, lo, hi, total, out, tdc_lo, below in measured:
         active = total > mass_floor
-        if total == 0.0:
-            out = 0.0
-        else:
-            inside = (rad >= lo) & (rad <= hi)
-            out = float(power[~inside].sum()) / total
-        tdc_lo = None
-        below = None
-        if B is not None and series == "t2":
-            tdc_lo = r * 2.0**k / (2.0 ** (h + 1) * B)
-            if active:
-                below = float(power[rad < tdc_lo].sum()) / total
-                below_flags.append((k, below))
+        if not active:
+            below = None
+        elif below is not None:
+            below_flags.append((k, below))
         rows.append(CoronaRow(series, k, lo, hi, total, out, active, tdc_lo, below))
 
     eventual = None

@@ -4,9 +4,12 @@ probes for block series under ball, corona, and asymmetric-corona spectral
 conditions.
 
 space_norms() serves every B/F quasi-norm asked of one u from one pass: one
-forward FFT, then one inverse FFT per block, whose field gives each B case its
-||Phi_j(D)u||_p and joins each F case's running sum of (2^{sj}|Phi_j(D)u|)^q
-in block order (bit-identical to summing the stack), so memory is O(N^n)."""
+forward FFT, then one inverse FFT per block.  The modulus of each block field
+is taken once; it gives each B case its ||Phi_j(D)u||_p and joins each F
+case's running sum of (2^{sj}|Phi_j(D)u|)^q in block order (bit-identical to
+summing the stack), so memory is O(N^n).  Passes on different functions may
+run at once on pool workers (the continuity table runs one per input): they
+share the frame's block tables, which are built once per grid."""
 from __future__ import annotations
 
 import dataclasses
@@ -24,6 +27,7 @@ from .grid import (
     GridFunction,
     GridSpec,
     SpectralFunction,
+    abs_lp_norm,
     fft_forward,
     fft_inverse,
     lp_norm,
@@ -106,20 +110,24 @@ def _shell_weights(s: float, count: int) -> np.ndarray:
 def _block_norms(
     spec: GridSpec, fields: Iterable[np.ndarray], count: int, spaces: Sequence[SpaceParams]
 ) -> list[float]:
-    """Each case's quasi-norm over `count` block fields, read once in order."""
+    """Each case's quasi-norm over `count` block fields, read once in order.
+
+    The fields are finite grid values (each was checked when its
+    GridFunction was made); their moduli are taken once per field and
+    shared by every case, and each F case accumulates in place."""
     weights = [_shell_weights(sp.s, count) for sp in spaces]
-    sums: list = [[] if sp.scale == BESOV else 0.0 for sp in spaces]
+    sums: list = [[] if sp.scale == BESOV else np.zeros(spec.shape) for sp in spaces]
     fields = iter(fields)
     for j in range(count):
-        f = next(fields)
+        a = np.abs(next(fields))  # the field itself is dropped before the next is made
         for k, sp in enumerate(spaces):
             if sp.scale == BESOV:
-                sums[k].append(lp_norm(GridFunction(spec, f), sp.p))
+                sums[k].append(abs_lp_norm(spec, a, sp.p))
             elif math.isinf(sp.q):
-                sums[k] = np.maximum(sums[k], weights[k][j] * np.abs(f))
+                np.maximum(sums[k], weights[k][j] * a, out=sums[k])
             else:
-                sums[k] = sums[k] + (weights[k][j] * np.abs(f)) ** sp.q
-        del f  # before the next field is made
+                sums[k] += (weights[k][j] * a) ** sp.q
+        del a
     norms = []
     for w, sp, a in zip(weights, spaces, sums):
         if sp.scale == BESOV:  # a: each field's ||.||_p; for F, the pointwise sum

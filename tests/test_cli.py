@@ -260,6 +260,21 @@ def test_integer_thresholds_are_reported_as_floats(capsys, tmp_path):
     assert '"family_factor": 2.0,' in (tmp_path / "report.json").read_text()
 
 
+def test_continuity_files_are_byte_identical_across_thread_counts(capsys, tmp_path, monkeypatch):
+    config = {"symbol": "ching:d=0,theta=+1,jmax=auto", "seed": 3,
+              "params": {"cases": [["F:s=0,p=2,q=1", "L:p=2"], ["B:s=0,p=2,q=2", "H:s=0"]],
+                         "grids": [128, 2048], "trials": 3}}
+    written = []
+    for threads in ("1", "2"):
+        monkeypatch.setenv("PDLAB_THREADS", threads)
+        run_dir = tmp_path / f"threads-{threads}"
+        run_dir.mkdir()
+        assert run_experiment(run_dir, "continuity", config) == 0
+        written.append([(run_dir / "report").with_suffix(s).read_bytes() for s in (".json", ".csv")])
+    assert written[0] == written[1]
+    assert b"family[" in written[0][1]
+
+
 def test_runner_is_looked_up_at_call_time(capsys, tmp_path, monkeypatch):
     # a wrapper bound into pdlab.experiments after import (as a tracer does)
     # must be the function that runs, with its wrapped signature decoded

@@ -1,6 +1,7 @@
 """Experiment drivers: exact identities, verdict rules, and report plumbing."""
 
 import math
+import tracemalloc
 from fractions import Fraction
 
 import numpy as np
@@ -36,6 +37,10 @@ from pdlab import (
     sobolev_norm,
     space_norm,
 )
+from pdlab.frame import LPFrame
+from pdlab.grid import random_band_limited
+from pdlab.operators import plan
+from pdlab.spaces import space_norms
 from pdlab.symbols import ChingSymbol, RadialBump
 
 
@@ -371,6 +376,78 @@ class TestPlansAndPasses:
         assert len(seen) == 3 * inputs
         assert len(set(map(id, seen))) == len(seen)
         assert len(rep.series("est")) == 3 * len(grids)
+
+
+def serial_continuity(symbol_for, cases, grids, trials, seed=0, band_fraction=0.4):
+    """est and control est of every case on every grid, and the last grid's
+    family ratios, input by input: each probe or family member, its plans'
+    outputs and their norms, with each framed norm from its own space_norms."""
+    def norm(fn, sp, u):
+        return fn(u) if sp is None else space_norms(u, [sp])[0]
+
+    est, control, family = {}, {}, {}
+    for gi, g in enumerate(grids):
+        spec = GridSpec(1, g)
+        sym = symbol_for(spec)
+        op, control_op = plan(sym, spec), plan(ConstantSymbol(1.0), spec)
+        inputs = [
+            (None, random_band_limited(spec, band_fraction * (g // 2),
+                                       np.random.default_rng([seed, gi, t])))
+            for t in range(trials)
+        ] + [(N, lacunary_input(spec, N, d=sym.d)) for N in family_indices(spec)]
+        outs = [(op(u), control_op(u)) for _, u in inputs]
+        for src, tgt in cases:
+            (src_lab, src_fn, src_sp), (tgt_lab, tgt_fn, tgt_sp) = parse_norm(src), parse_norm(tgt)
+            lab = f"{src_lab} -> {tgt_lab}"
+            ratios = [
+                (N, norm(tgt_fn, tgt_sp, y) / sn, norm(tgt_fn, tgt_sp, y0) / sn)
+                for (N, u), (y, y0) in zip(inputs, outs)
+                if (sn := norm(src_fn, src_sp, u)) > 0.0
+            ]
+            est[f"{lab} @N={g}"] = max(r for _, r, _ in ratios)
+            control[f"{lab} @N={g}"] = max(r for _, _, r in ratios)
+            if gi == len(grids) - 1:
+                family.update({f"{lab} N={N}": r for N, r, _ in ratios if N is not None})
+    return est, control, family
+
+
+class TestOneTaskPerInput:
+    CASES = [("F:s=0,p=2,q=1", "L:p=2"), ("B:s=0,p=2,q=2", "H:s=0"),
+             ("L:p=2", "B:s=0,p=2,q=2"), ("H:s=0.5", "F:s=0.5,p=2,q=1")]
+
+    def test_rows_equal_across_thread_counts_and_the_serial_reference(self, monkeypatch):
+        kw = dict(cases=self.CASES, grids=(64, 2**12), trials=3, seed=5)
+        reports = []
+        for threads in ("1", "2"):
+            monkeypatch.setenv("PDLAB_THREADS", threads)
+            reports.append(run_continuity_table(ching_for_grid, **kw))
+        one, two = reports
+        assert one.rows == two.rows and one.verdicts == two.verdicts
+        est, control, family = serial_continuity(
+            ching_for_grid, self.CASES, (64, 2**12), trials=3, seed=5
+        )
+        assert two.series("est") == est
+        assert two.series("control est") == control
+        assert two.series("family") == family and len(family) == 2 * len(self.CASES)
+
+    def test_memory_holds_only_the_workers_inputs(self, monkeypatch):
+        # the stage-by-stage table held every input, output and control
+        # output of a grid at once: on this call its tracemalloc peak was
+        # 26.28-27.05 MiB (1-d 2^16, two threads, a fresh frame so the block
+        # table is built inside the measurement); one task per input peaks
+        # near 22 MiB
+        monkeypatch.setenv("PDLAB_THREADS", "2")
+        frame = LPFrame(DEFAULT_FRAME.psi, DEFAULT_FRAME.h)
+        tracemalloc.start()
+        try:
+            run_continuity_table(
+                ching_for_grid, cases=[("F:s=0,p=2,q=1", "L:p=2"), ("B:s=0,p=2,q=2", "L:p=2")],
+                grids=(64, 2**16), trials=2, frame=frame,
+            )
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 26.28 * 2**20
 
 
 class TestContinuityTable:

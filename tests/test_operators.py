@@ -442,6 +442,68 @@ class TestCorona:
         assert row.below_tdc_mass > 1e-3
 
 
+def all_at_once_rows(terms, B=None, floor=ops.MASS_FLOOR):
+    """corona_ball_report's rows from every summand's spectrum held at once:
+    the reference the one-summand-at-a-time report must reproduce."""
+    r, R, h = terms.frame.r, terms.frame.R, terms.frame.h
+    R_h = r / 2.0 - R * 2.0**-h
+    rad = terms.spec.freq_radius()
+    entries = [("t1", k, R_h * 2.0**k, 1.25 * R * 2.0**k, y)
+               for k, y in sorted(terms.t1_summands.items())]
+    entries += [("t3", k, R_h * 2.0**k, 1.25 * R * 2.0**k, y)
+                for k, y in sorted(terms.t3_summands.items())]
+    entries += [("t2", k, 0.0, 2.0 * R * 2.0**k, y) for k, y in sorted(terms.t2_summands.items())]
+    powers = [np.abs(fft_forward(y).coeffs) ** 2 for *_, y in entries]
+    totals = [float(p.sum()) for p in powers]
+    mass_floor = floor * max(totals, default=0.0)
+    rows = []
+    for (series, k, lo, hi, _), power, total in zip(entries, powers, totals):
+        active = total > mass_floor
+        inside = (rad >= lo) & (rad <= hi)
+        out = 0.0 if total == 0.0 else float(power[~inside].sum()) / total
+        tdc_lo = below = None
+        if B is not None and series == "t2":
+            tdc_lo = r * 2.0**k / (2.0 ** (h + 1) * B)
+            if active:
+                below = float(power[rad < tdc_lo].sum()) / total
+        rows.append(ops.CoronaRow(series, k, lo, hi, total, out, active, tdc_lo, below))
+    return rows, mass_floor
+
+
+class TestCoronaOneSummandAtATime:
+    @pytest.mark.parametrize("B", [None, 1.0])
+    @pytest.mark.parametrize("which", ["elementary-1024", "ching-2048"])
+    def test_rows_equal_the_all_at_once_reference(self, which, B):
+        if which == "elementary-1024":
+            spec = GridSpec(1, 1024)
+            a = random_elementary(spec, DEFAULT_FRAME, J=6, seed=8)
+        else:
+            spec = GridSpec(1, 2048)
+            a = ching_for_grid(spec)
+        u = random_band_limited(spec, 0.4 * spec.N / 2, np.random.default_rng(48))
+        terms = paradiff_split(a, u)
+        report = corona_ball_report(terms, B=B)
+        rows, mass_floor = all_at_once_rows(terms, B=B)
+        assert report.rows == rows and report.mass_floor == mass_floor
+        assert any(not r.active for r in rows) and any(r.active for r in rows)
+        if B is not None:
+            assert any(r.below_tdc_mass is not None for r in rows)
+
+    def test_peak_memory_above_the_split_stays_grid_sized(self):
+        spec = GridSpec(1, 2**14)
+        u = random_band_limited(spec, 0.4 * spec.N / 2, np.random.default_rng(49))
+        terms = paradiff_split(ching_for_grid(spec), u)
+        tracemalloc.start()
+        try:
+            report = corona_ball_report(terms, B=1.0)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert len(report.rows) > 30
+        # all at once this held every summand's spectrum and power (55 arrays)
+        assert peak <= 3 * 16 * spec.npoints
+
+
 class TestSpectralParadiff:
     """The split on 2-d grids and its reruns; the sheared table's guard and
     the memory it takes."""

@@ -2,15 +2,19 @@
 embedding constants, the vector maximal inequality, the summation lemma, and
 block-series convergence under ball / corona / asymmetric spectral conditions."""
 import math
+import threading
+import time
 import tracemalloc
+from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import pdlab.frame as frame_mod
 import pdlab.spaces as spaces
-from pdlab.frame import DEFAULT_FRAME, LPFrame, ModulationFunction
+from pdlab.frame import DEFAULT_FRAME, LPFrame, ModulationFunction, lp_blocks
 from pdlab.grid import (
     GridFunction,
     GridSpec,
@@ -273,6 +277,54 @@ class TestOnePass:
         assert passes == [DEFAULT_FRAME, DEFAULT_FRAME, alt]
         assert space_norms(u, []) == [] and len(passes) == 3
         assert got == [space_norm(u, sp) for sp in cases]
+
+    @pytest.mark.parametrize("n, N, j_max", [(1, 2**12, None), (2, 64, None), (1, 256, 9)])
+    def test_block_fields_are_fresh_inverse_transforms(self, n, N, j_max):
+        spec = GridSpec(n, N)
+        u = rand_u(spec, 0.4 * N / 2, 30 + n)
+        c = fft_forward(u).coeffs
+        blocks = lp_blocks(DEFAULT_FRAME, spec, j_max)
+        fields = list(lp_block_fields(u, DEFAULT_FRAME, j_max))
+        assert len(fields) == len(blocks)
+        assert len({id(f) for f in fields}) == len(fields)
+        assert not any(np.shares_memory(f, g) for f in fields for g in fields if f is not g)
+        for f, m in zip(fields, blocks):
+            assert np.array_equal(f, fft_inverse(SpectralFunction(spec, c * m)).values)
+
+    def test_a_pass_that_overflows_raises(self):
+        # finite values whose transform overflows: the coefficients' check
+        # still stops the pass before any norm is taken
+        u = GridFunction(GridSpec(1, 64), np.full(64, 1e308, dtype=complex))
+        with np.errstate(over="ignore", invalid="ignore"):
+            with pytest.raises(ValueError, match="non-finite"):
+                space_norms(u, [SpaceParams(0.0, 2.0, 1.0, TRIEBEL_LIZORKIN)])
+            with pytest.raises(ValueError, match="non-finite"):
+                next(lp_block_fields(u, DEFAULT_FRAME))
+
+    def test_racing_passes_build_the_block_table_once(self, monkeypatch):
+        frame = LPFrame(DEFAULT_FRAME.psi, DEFAULT_FRAME.h)  # an empty block cache
+        builds = []
+        real = frame_mod.on_distinct
+
+        def slow_build(fn, t):
+            builds.append(t.shape)
+            time.sleep(0.05)  # hold the build open while the other thread arrives
+            return real(fn, t)
+
+        monkeypatch.setattr(frame_mod, "on_distinct", slow_build)
+        spec = GridSpec(1, 2**12)
+        sp = SpaceParams(0.0, 2.0, 1.0, TRIEBEL_LIZORKIN, frame)
+        us = [rand_u(spec, 0.4 * spec.N / 2, seed) for seed in (11, 12)]
+        start = threading.Barrier(len(us))
+
+        def norm(u):
+            start.wait(timeout=30)
+            return space_norms(u, [sp])[0]
+
+        with ThreadPoolExecutor(len(us)) as pool:
+            got = list(pool.map(norm, us, timeout=60))
+        assert builds == [spec.shape]
+        assert got == [space_norm(u, sp) for u in us]
 
     def test_f_norm_memory_stays_grid_sized(self):
         spec = GridSpec(1, 2**16)
