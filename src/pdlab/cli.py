@@ -472,10 +472,8 @@ def cmd_norms(args) -> int:
         return 0
     if args.input is not None:
         u = _read_input(args, args.input)
-    elif args.mode is not None:
-        u = _make_input(args, args.mode, spec)
     else:
-        raise ValueError("norms needs --input, --mode, or --corpus")
+        u = _make_input(args, args.mode, spec)
     label, fn, _ = parse_norm(args.space, frame)
     value = fn(u)
     if args.json:
@@ -537,9 +535,7 @@ def cmd_paradiff(args) -> int:
     a = symbol_factory(args.symbol, frame)(spec)
     terms = paradiff_split(a, u, frame)
     y = apply_auto(a, u)
-    recon = GridFunction(
-        spec, terms.t1.values + terms.t2.values + terms.t3.values
-    )
+    recon = terms.total()
     denom = max(lp_norm(y, math.inf), 1e-300)
     obj: dict = {
         "grid": {"n": spec.n, "N": spec.N},
@@ -735,8 +731,7 @@ def _gate_paradiff_pair():
     u = random_band_limited(spec, 40, np.random.default_rng(2))
     terms = paradiff_split(tab, u)
     y = apply_auto(tab, u)
-    recon = GridFunction(spec, terms.t1.values + terms.t2.values + terms.t3.values)
-    return terms, y, recon
+    return terms, y, terms.total()
 
 
 def gate_paradiff_identity():
@@ -939,9 +934,10 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("norms", help="evaluate a norm on inputs")
     p.add_argument("--space", required=True, help="L:p=.., H:s=.., B:s=..,p=..,q=.., F:..")
-    p.add_argument("--input", help="input .pdgf file")
-    p.add_argument("--mode", help="input generator string")
-    p.add_argument("--corpus", help="JSON list of generator strings")
+    src = p.add_mutually_exclusive_group(required=True)
+    src.add_argument("--input", help="input .pdgf file")
+    src.add_argument("--mode", help="input generator string")
+    src.add_argument("--corpus", help="JSON list of generator strings")
     _add_grid_flags(p)
     p.add_argument("--json", action="store_true", help="print JSON instead of a bare float")
     p.add_argument("--out", help="write corpus norms as CSV")

@@ -32,7 +32,7 @@ from .grid import (
     sobolev_norm,
 )
 from .operators import apply_auto, plan
-from .spaces import SpaceParams, format_space, parse_space, space_norm, space_norms
+from .spaces import SpaceParams, format_space, parse_space, space_norms
 from .symbols import (
     DEFAULT_BUMP,
     ChingSymbol,
@@ -418,7 +418,7 @@ def parse_norm(
     """
     if isinstance(case, SpaceParams):
         sp = case if frame is None else SpaceParams(case.s, case.p, case.q, case.scale, frame)
-        return format_space(sp), lambda u: space_norm(u, sp), sp
+        return format_space(sp), lambda u: space_norms(u, [sp])[0], sp
     text = case.strip()
     head, _, body = text.partition(":")
     head = head.strip().upper()
@@ -432,7 +432,7 @@ def parse_norm(
             return text, lambda u: lp_norm(u, x), None
         return text, lambda u: sobolev_norm(fft_forward(u), x), None
     sp = parse_space(text, frame=frame)
-    return text, lambda u: space_norm(u, sp), sp
+    return text, lambda u: space_norms(u, [sp])[0], sp
 
 
 def _norm_values(norms: Sequence[tuple], u: GridFunction) -> list[float]:

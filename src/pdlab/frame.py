@@ -102,10 +102,6 @@ class ModulationFunction:
         return self.radial(t) - self.radial(2.0 * t)
 
 
-def make_modulation(r: float, R: float) -> ModulationFunction:
-    return ModulationFunction(r=r, R=R)
-
-
 def modulation_saturation(psi: ModulationFunction, spec: GridSpec) -> int:
     """Least m with psi(2^-m .) identically 1 on the frequency lattice."""
     m = 0
@@ -189,21 +185,6 @@ class LPFrame:
             for stale in list(self._block_cache)[:-BLOCK_CACHE_KEYS]:
                 self._block_cache.pop(stale, None)
             return blocks
-
-
-def lp_blocks(frame: LPFrame, spec: GridSpec, j_max: int | None = None) -> list[np.ndarray]:
-    """Multiplier tables Phi_0..Phi_{j_max} summing to 1 at every lattice eta.
-
-    Raises if j_max is too small for the partition to close at high frequency.
-    """
-    sat = frame.j_saturation(spec)
-    if j_max is None:
-        j_max = sat
-    elif j_max < sat:
-        raise ValueError(
-            f"j_max={j_max} insufficient: partition closes only from j_max={sat}"
-        )
-    return frame.lattice_blocks(spec, j_max)
 
 
 def block_project(u: GridFunction, frame: LPFrame, j: int, kind: str = "corona") -> GridFunction:

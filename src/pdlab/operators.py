@@ -3,7 +3,9 @@ three-series paradifferential splitting, kernels, and support rules.
 
 apply() is the definitional reference: a row-by-row quadrature of
 sum_eta a(x,eta) c_eta e^{ix.eta}, whose phases are exact lattice roots of
-unity, e^{ix_k.eta} = e^{2 pi i (k.eta mod N)/N} (grid.lattice_phase).
+unity, e^{ix_k.eta} = e^{2 pi i (k.eta mod N)/N} (grid.lattice_phase).  It
+reads the rows a(x_k, .) in chunks from Symbol.rows, the one dense source,
+and builds no table.
 plan(a, spec) is what experiments run on large grids: like an FFTW plan it is
 built once per (symbol, grid), shared read-only by pool workers, and holds
 the terms of the first strategy the symbol allows, each within 1e-10 of apply():
@@ -22,6 +24,11 @@ same order of strategies:
   3. for symbols with neither, the sheared table a_hat(xi, zeta - xi), built
      once under TABLE_ENTRY_GUARD; a summand is a w-weighted sum of its rows
      followed by one inverse FFT.
+The support rules check an output against the supports it may reach.  The
+spatial rule takes the output from plan() and the reach from the
+tau-supports of the kernel and of u.  The spectral rule reads the symbol's
+spectral terms (one indicator convolution per term) and falls back to the
+tau-thresholded a_hat table only for symbols without terms.
 """
 from __future__ import annotations
 
@@ -47,6 +54,7 @@ from .symbols import (
     ShiftTerm,
     Symbol,
     TABLE_ENTRY_GUARD,
+    _resolve_spec,
     modulate_symbol,
     operator_matrix,
     symbol_partial_ft,
@@ -61,7 +69,7 @@ DEFAULT_PSI_FAMILY = (
 
 
 def apply(a: Symbol, u: GridFunction) -> GridFunction:
-    """Reference quadrature; exact on the lattice, cost O(N^{2n})."""
+    """Reference quadrature over a.rows; exact on the lattice, cost O(N^{2n})."""
     spec = u.spec
     if spec.npoints > DIRECT_APPLY_GUARD:
         raise ValueError(
@@ -71,19 +79,14 @@ def apply(a: Symbol, u: GridFunction) -> GridFunction:
     c = fft_forward(u).coeffs.reshape(-1)
     k = np.indices(spec.shape).reshape(spec.n, -1).T  # flat grid indices
     eta = k - spec.N // 2  # the frequency lattice, same flat order
-
-    use_eval = a.has_eval and spec.npoints**2 > TABLE_ENTRY_GUARD
-    tab = None if use_eval else a.table(spec).reshape(spec.npoints, spec.npoints)
+    rows = a.rows(spec)
 
     out = np.empty(spec.npoints, dtype=complex)
     step = max(1, (1 << 21) // spec.npoints)
     for lo in range(0, spec.npoints, step):
         hi = min(lo + step, spec.npoints)
-        if use_eval:
-            rows = a.eval(TWO_PI * k[lo:hi, None, :] / spec.N, eta[None, :, :].astype(float))
-        else:
-            rows = tab[lo:hi]
-        out[lo:hi] = (rows * lattice_phase(spec, k[lo:hi], eta)) @ c
+        block = rows(slice(lo, hi))  # named: the product reuses the phase temporary
+        out[lo:hi] = (block * lattice_phase(spec, k[lo:hi], eta)) @ c
     return GridFunction(spec, out.reshape(spec.shape))
 
 
@@ -483,19 +486,10 @@ def corona_ball_report(
 
 def kernel(a: Symbol, spec: GridSpec | None = None) -> np.ndarray:
     """K[x,y] with apply(a,u)(x) = (2pi/N)^n sum_y K[x,y] u(y); exact."""
-    if spec is None:
-        spec = getattr(a, "spec", None)
-        if spec is None:
-            raise ValueError("pass spec for symbols without an attached grid")
+    spec = _resolve_spec(a, spec)
     M = operator_matrix(a, spec)  # carries the N^n <= 4096 guard
     scale = spec.npoints / TWO_PI**spec.n
     return (M * scale).reshape(spec.shape + spec.shape)
-
-
-def kernel_apply(K: np.ndarray, u: GridFunction) -> GridFunction:
-    spec = u.spec
-    flat = K.reshape(spec.npoints, spec.npoints) @ u.values.reshape(-1)
-    return GridFunction(spec, (spec.spacing**spec.n) * flat.reshape(spec.shape))
 
 
 # ---------------------------------------------------------------------------
@@ -518,43 +512,55 @@ class SupportReport:
     allowed_support: int
 
 
+def _support_report(y_power: np.ndarray, allowed: np.ndarray, tau: float) -> SupportReport:
+    total = float(y_power.sum())
+    viol = 0.0 if total == 0.0 else float(y_power[~allowed].sum()) / total
+    out_support = int(_tau_support(y_power, tau).sum())
+    return SupportReport(viol <= tau, viol, tau, out_support, int(allowed.sum()))
+
+
 def support_rule_check(a: Symbol, u: GridFunction, tau: float = 1e-8) -> SupportReport:
     """Spatial support rule: supp a(x,D)u within supp_tau K composed with
     supp_tau u; smooth cutoffs have global tails, so this is thresholded."""
     spec = u.spec
     K = kernel(a, spec).reshape(spec.npoints, spec.npoints)
-    y = kernel_apply(K, u)
     u_supp = _tau_support(np.abs(u.values.reshape(-1)) ** 2, tau)
-    K_supp = _tau_support(np.abs(K) ** 2, tau)
-    reach = (K_supp & u_supp[None, :]).any(axis=1)
-    y_power = np.abs(y.values.reshape(-1)) ** 2
-    total = float(y_power.sum())
-    viol = 0.0 if total == 0.0 else float(y_power[~reach].sum()) / total
-    return SupportReport(viol <= tau, viol, tau, int(_tau_support(y_power, tau).sum()), int(reach.sum()))
+    reach = (_tau_support(np.abs(K) ** 2, tau) & u_supp[None, :]).any(axis=1)
+    y = plan(a, spec)(u)
+    return _support_report(np.abs(y.values.reshape(-1)) ** 2, reach, tau)
+
+
+def _allowed_sumset(a: Symbol, spec: GridSpec, u_supp: np.ndarray, tau: float) -> np.ndarray:
+    """The spectral rule's allowed set, folded mod N (shifted layout).
+
+    With spectral terms a_hat = sum_j mhat_j(xi) g_j(eta), it is the union
+    over j of supp_tau mhat_j + (supp g_j & u_supp), each sumset a circular
+    convolution of two indicator arrays (one FFT product, thresholded at
+    1/2): ifftshift puts frequency f at index f mod N, where frequencies add
+    as indices.  Other symbols use the tau-thresholded table of a_hat."""
+    allowed = np.zeros(spec.shape, dtype=bool)
+    terms = a.spectral_terms(spec)
+    if terms is not None:
+        for mhat, g in terms:
+            eta = (g != 0) & u_supp
+            xi = _tau_support(np.abs(mhat) ** 2, tau)
+            if eta.any() and xi.any():
+                fx, fe = (np.fft.fftn(np.fft.ifftshift(ind)) for ind in (xi, eta))
+                allowed |= np.fft.fftshift(np.fft.ifftn(fx * fe).real > 0.5)
+        return allowed
+    a_supp = _tau_support(np.abs(symbol_partial_ft(a, spec)) ** 2, tau)
+    idx = np.nonzero(a_supp & u_supp.reshape((1,) * spec.n + spec.shape))
+    if idx[0].size:
+        half = spec.N // 2
+        allowed[tuple((idx[i] + idx[spec.n + i] - half) % spec.N for i in range(spec.n))] = True
+    return allowed
 
 
 def spectral_support_rule_check(a: Symbol, u: GridFunction, tau: float = 1e-10) -> SupportReport:
     """Frequency support rule: supp F(a(x,D)u) within the folded sumset
-    {xi + eta : (xi,eta) in supp_tau a_hat, eta in supp_tau u_hat}."""
-    spec = u.spec
-    ahat = symbol_partial_ft(a, spec)
-    c = fft_forward(u).coeffs
-    a_supp = _tau_support(np.abs(ahat) ** 2, tau)
-    u_supp = _tau_support(np.abs(c) ** 2, tau)
-    pair_supp = a_supp & u_supp.reshape((1,) * spec.n + spec.shape)
-
-    allowed = np.zeros(spec.shape, dtype=bool)
-    half = spec.N // 2
-    idx = np.nonzero(pair_supp)
-    if idx[0].size:
-        out_idx = tuple(
-            ((idx[i] - half) + (idx[spec.n + i] - half) + half) % spec.N
-            for i in range(spec.n)
-        )
-        allowed[out_idx] = True
-
+    {xi + eta : (xi,eta) in supp a_hat, eta in supp_tau u_hat}; see
+    _allowed_sumset for how supp a_hat is read."""
+    u_supp = _tau_support(np.abs(fft_forward(u).coeffs) ** 2, tau)
+    allowed = _allowed_sumset(a, u.spec, u_supp, tau)
     y = apply_auto(a, u)
-    y_power = np.abs(fft_forward(y).coeffs) ** 2
-    total = float(y_power.sum())
-    viol = 0.0 if total == 0.0 else float(y_power[~allowed].sum()) / total
-    return SupportReport(viol <= tau, viol, tau, int(_tau_support(y_power, tau).sum()), int(allowed.sum()))
+    return _support_report(np.abs(fft_forward(y).coeffs) ** 2, allowed, tau)

@@ -3,13 +3,14 @@ the vector maximal inequality, the dyadic summation lemma, and convergence
 probes for block series under ball, corona, and asymmetric-corona spectral
 conditions.
 
-space_norms() serves every B/F quasi-norm asked of one u from one pass: one
-forward FFT, then one inverse FFT per block.  The modulus of each block field
-is taken once; it gives each B case its ||Phi_j(D)u||_p and joins each F
-case's running sum of (2^{sj}|Phi_j(D)u|)^q in block order (bit-identical to
-summing the stack), so memory is O(N^n).  Passes on different functions may
-run at once on pool workers (the continuity table runs one per input): they
-share the frame's block tables, which are built once per grid."""
+space_norms() is the one entry point for B/F quasi-norms.  It serves every
+quasi-norm asked of one u from one pass: one forward FFT, then one inverse
+FFT per block.  The modulus of each block field is taken once; it gives
+each B case its ||Phi_j(D)u||_p and joins each F case's running sum of
+(2^{sj}|Phi_j(D)u|)^q in block order (bit-identical to summing the stack),
+so memory is O(N^n).  Passes on different functions may run at once on pool
+workers (the continuity table runs one per input): they share the frame's
+block tables, which are built once per grid."""
 from __future__ import annotations
 
 import dataclasses
@@ -21,7 +22,7 @@ from typing import Iterable, Iterator, Sequence
 import numpy as np
 
 from ._threads import pmap
-from .frame import DEFAULT_FRAME, LPFrame, lp_blocks, parse_spec
+from .frame import DEFAULT_FRAME, LPFrame, parse_spec
 from .grid import (
     TWO_PI,
     GridFunction,
@@ -90,9 +91,17 @@ def format_space(sp: SpaceParams) -> str:
 def lp_block_fields(
     u: GridFunction, frame: LPFrame, j_max: int | None = None
 ) -> Iterator[np.ndarray]:
-    """Grid values of Phi_j(D)u, j = 0..j_max (default: the closing shell), one at a time."""
+    """Grid values of Phi_j(D)u, j = 0..j_max (default: the closing shell), one
+    at a time.  Raises if j_max is too small for the blocks to sum to 1."""
+    sat = frame.j_saturation(u.spec)
+    if j_max is None:
+        j_max = sat
+    elif j_max < sat:
+        raise ValueError(
+            f"j_max={j_max} insufficient: partition closes only from j_max={sat}"
+        )
     c = fft_forward(u)
-    blocks = lp_blocks(frame, u.spec, j_max)
+    blocks = frame.lattice_blocks(u.spec, j_max)
     _log.debug(
         "block sum truncated at shell j_max=%d (Nyquist radius %.6g)",
         len(blocks) - 1, u.spec.nyquist_radius,
@@ -147,24 +156,6 @@ def space_norms(u: GridFunction, spaces: Sequence[SpaceParams]) -> list[float]:
         count = frame.j_saturation(u.spec) + 1
         norms.update(zip(mine, _block_norms(u.spec, lp_block_fields(u, frame), count, mine)))
     return [norms[sp] for sp in spaces]
-
-
-def besov_norm(u: GridFunction, sp: SpaceParams) -> float:
-    """(sum_j 2^{sjq} ||Phi_j(D)u||_p^q)^{1/q}; sup over j for q = inf."""
-    if sp.scale != BESOV:
-        raise ValueError("besov_norm needs scale 'B'")
-    return space_norms(u, [sp])[0]
-
-
-def triebel_norm(u: GridFunction, sp: SpaceParams) -> float:
-    """||(sum_j 2^{sjq} |Phi_j(D)u(.)|^q)^{1/q}||_p."""
-    if sp.scale != TRIEBEL_LIZORKIN:
-        raise ValueError("triebel_norm needs scale 'F'")
-    return space_norms(u, [sp])[0]
-
-
-def space_norm(u: GridFunction, sp: SpaceParams) -> float:
-    return space_norms(u, [sp])[0]
 
 
 def holder_norm(u: GridFunction, s: float) -> float:
@@ -476,7 +467,7 @@ def corona_series_sum(
         total = total + u
 
     block_bound = _block_norms(spec, (u.values for u in blocks), len(blocks), [sp])[0]
-    sum_norm = space_norm(total, dataclasses.replace(sp, s=s_prime))
+    sum_norm = space_norms(total, [dataclasses.replace(sp, s=s_prime)])[0]
     ratio = math.inf if block_bound == 0.0 and sum_norm > 0.0 else (
         0.0 if block_bound == 0.0 else sum_norm / block_bound
     )

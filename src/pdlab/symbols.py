@@ -15,7 +15,7 @@ import json
 import struct
 from dataclasses import dataclass
 from pathlib import Path
-from typing import NamedTuple
+from typing import Callable, NamedTuple
 
 import numpy as np
 
@@ -90,7 +90,12 @@ class Symbol:
 
     Shift terms, where a subclass gives them, derive the separable terms
     (m_j = weight_j e^{i xi_j.x}, an exact lattice phase), the spectral
-    terms (a delta of weight_j at xi_j) and the table."""
+    terms (a delta of weight_j at xi_j) and the table.
+
+    rows() is the one source of dense values, read by table() and by the
+    reference operators.apply.  It takes them from the first source the
+    symbol has: shift terms, then separable terms, then eval on the
+    lattice; TabulatedSymbol slices its stored table."""
 
     d: float = 0.0
     tdc_B: float | None = None
@@ -135,6 +140,40 @@ class Symbol:
             (np.fft.fftshift(np.fft.fftn(m)) / spec.npoints, g) for m, g in terms
         ]
 
+    def rows(self, spec: GridSpec) -> Callable[[np.ndarray | slice], np.ndarray]:
+        """k -> a(x_k, eta) over the flat eta-lattice, shape (len(k), N^n), for
+        flat grid indices k (an index array or a slice); the terms are
+        fetched once, here.  A shift term adds only where g_j is nonzero."""
+        kk = np.moveaxis(np.indices(spec.shape), 0, -1).reshape(-1, spec.n)
+        shifts = self.shift_terms(spec)
+        if shifts is not None:
+
+            def shift_rows(k):
+                kx = kk[k]
+                out = np.zeros((len(kx), spec.npoints), dtype=complex)
+                for t in shifts:
+                    phase = t.weight * lattice_phase(spec, kx, t.xi)
+                    out[:, t.idx] += np.multiply.outer(phase, t.g)
+                return out
+
+            return shift_rows
+        terms = self.separable_terms(spec)
+        if terms is not None:
+            flat = [(m.reshape(-1), g.reshape(-1)) for m, g in terms]
+
+            def separable_rows(k):
+                out = np.zeros((len(kk[k]), spec.npoints), dtype=complex)
+                for m, g in flat:
+                    out += np.multiply.outer(m[k], g)
+                return out
+
+            return separable_rows
+        if self.has_eval:
+            xs = np.stack(spec.coord_mesh(), axis=-1).reshape(-1, 1, spec.n)
+            es = np.stack(spec.freq_mesh(), axis=-1).reshape(1, -1, spec.n).astype(float)
+            return lambda k: self.eval(*np.broadcast_arrays(xs[k], es))
+        raise NotImplementedError(f"{type(self).__name__} cannot be tabulated")
+
     def table(self, spec: GridSpec) -> np.ndarray:
         """Dense table, shape spec.shape + spec.shape (x-axes then eta-axes)."""
         if spec.npoints**2 > TABLE_ENTRY_GUARD:
@@ -142,23 +181,7 @@ class Symbol:
                 f"table would hold {spec.npoints**2} entries "
                 f"(> {TABLE_ENTRY_GUARD}); use the structured paths"
             )
-        shifts = self.shift_terms(spec)
-        if shifts is not None:  # g_j vanishes off its annulus: add only there
-            flat = np.zeros((spec.npoints, spec.npoints), dtype=complex)
-            k = np.moveaxis(np.indices(spec.shape), 0, -1).reshape(-1, spec.n)
-            for t in shifts:
-                flat[:, t.idx] += np.multiply.outer(t.weight * lattice_phase(spec, k, t.xi), t.g)
-            return flat.reshape(spec.shape + spec.shape)
-        terms = self.separable_terms(spec)
-        if terms is not None:
-            out = np.zeros(spec.shape + spec.shape, dtype=complex)
-            for m, g in terms:
-                out += np.multiply.outer(m, g)
-            return out
-        if self.has_eval:
-            xs, es = lattice_pairs(spec)
-            return self.eval(xs, es)
-        raise NotImplementedError(f"{type(self).__name__} cannot be tabulated")
+        return self.rows(spec)(slice(None)).reshape(spec.shape + spec.shape)
 
 
 def lattice_pairs(spec: GridSpec) -> tuple[np.ndarray, np.ndarray]:
@@ -210,6 +233,10 @@ class TabulatedSymbol(Symbol):
         if spec != self.spec:
             raise ValueError(f"tabulated on {self.spec}, requested {spec}")
         return self._table
+
+    def rows(self, spec: GridSpec) -> Callable[[np.ndarray | slice], np.ndarray]:
+        flat = self.table(spec).reshape(spec.npoints, spec.npoints)
+        return lambda k: flat[k]
 
 
 def symbol_partial_ft(a: Symbol, spec: GridSpec) -> np.ndarray:

@@ -410,6 +410,27 @@ def test_malformed_argv_exits_2(capsys, tmp_path, pdgf, name):
     assert_one_line_error(capsys)
 
 
+NORMS_SOURCES = {
+    "--input and --mode": lambda c, u: ["--input", u, "--mode", "single:eta=3"],
+    "--input and --corpus": lambda c, u: ["--input", u, "--corpus", c],
+    "--mode and --corpus": lambda c, u: ["--mode", "single:eta=3", "--corpus", c],
+    "none of them": lambda c, u: ["--grid", "32"],
+}
+
+
+@pytest.mark.parametrize("name", sorted(NORMS_SOURCES))
+def test_norms_takes_exactly_one_input_source(capsys, tmp_path, pdgf, name):
+    corpus = tmp_path / "c.json"
+    corpus.write_text(json.dumps(["single:eta=1"]))
+    argv = ["norms", "--space", "L:p=2", *NORMS_SOURCES[name](str(corpus), str(pdgf))]
+    try:
+        code = main(argv)
+    except SystemExit as exc:  # argparse rejects bad usage this way
+        code = exc.code
+    assert code == 2
+    assert capsys.readouterr().out == ""
+
+
 def test_vfm_refine_names_the_generator_mode(capsys, pdgf):
     assert main(["vfm", *SYMBOL, "--mode", f"file:{pdgf}", "--refine", "2"]) == 2
     assert "--refine needs a generator --mode" in capsys.readouterr().err

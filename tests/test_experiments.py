@@ -35,7 +35,6 @@ from pdlab import (
     run_wavefront,
     single_mode,
     sobolev_norm,
-    space_norm,
 )
 from pdlab.frame import LPFrame
 from pdlab.grid import random_band_limited
@@ -297,7 +296,7 @@ class TestParseNorm:
         label, fn, framed = parse_norm("F:s=0.5,p=2,q=1")
         sp = SpaceParams(0.5, 2.0, 1.0, "F")
         assert framed == sp
-        assert fn(u) == pytest.approx(space_norm(u, sp), rel=1e-13)
+        assert fn(u) == pytest.approx(space_norms(u, [sp])[0], rel=1e-13)
         label_b, fn_b, _ = parse_norm(sp)
         assert label_b.startswith("F:")
         assert fn_b(u) == fn(u)

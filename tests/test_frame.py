@@ -14,8 +14,6 @@ from pdlab.frame import (
     LPFrame,
     ModulationFunction,
     block_project,
-    lp_blocks,
-    make_modulation,
     on_distinct,
     smoothstep,
 )
@@ -23,7 +21,7 @@ from pdlab.grid import GridFunction, GridSpec, fft_forward, random_band_limited
 
 
 def test_modulation_plateaus():
-    psi = make_modulation(1.0, 2.0)
+    psi = ModulationFunction(1.0, 2.0)
     assert psi.radial(0.5) == 1.0
     assert psi.radial(1.0) == 1.0
     assert psi.radial(3.0) == 0.0
@@ -34,9 +32,9 @@ def test_modulation_plateaus():
 
 def test_modulation_validation():
     with pytest.raises(ValueError):
-        make_modulation(2.0, 1.0)
+        ModulationFunction(2.0, 1.0)
     with pytest.raises(ValueError):
-        make_modulation(0.3, 0.9)  # R < 1
+        ModulationFunction(0.3, 0.9)  # R < 1
     with pytest.raises(ValueError):
         ModulationFunction(1.0, 2.0, profile="gaussian")
 
@@ -51,7 +49,7 @@ def min_separation(psi):
 
 def test_min_separation_default_frame():
     # 2R = 4 < r*2^h = 2^h forces h >= 3
-    psi = make_modulation(1.0, 2.0)
+    psi = ModulationFunction(1.0, 2.0)
     assert min_separation(psi) == 3
     with pytest.raises(ValueError):
         LPFrame(psi=psi, h=2)
@@ -98,12 +96,12 @@ def test_nan_in_gives_nan_out():
     got = smoothstep(np.array([np.nan, 0.5, np.nan]))
     assert np.isnan(got[0]) and np.isnan(got[2])
     assert got[1] == smoothstep(np.array([0.5]))[0]
-    rad = make_modulation(1.0, 2.0).radial(np.array([np.nan, 0.5, 1.5]))
+    rad = ModulationFunction(1.0, 2.0).radial(np.array([np.nan, 0.5, 1.5]))
     assert np.isnan(rad[0]) and rad[1] == 1.0 and 0.0 < rad[2] < 1.0
 
 
 def test_corona_nonnegative_everywhere():
-    psi = make_modulation(1.0, 2.0)
+    psi = ModulationFunction(1.0, 2.0)
     t = np.linspace(0.0, 5.0, 4001)
     assert np.all(psi.radial(t) - psi.radial(2 * t) >= 0.0)
 
@@ -119,7 +117,7 @@ def test_corona_support_bounds():
 
 
 def test_telescoping_pointwise():
-    psi = make_modulation(1.0, 2.0)
+    psi = ModulationFunction(1.0, 2.0)
     t = np.linspace(0.0, 40.0, 1500)
     for m in [1, 3, 5]:
         total = psi.radial(t).copy()
@@ -128,25 +126,19 @@ def test_telescoping_pointwise():
         assert np.max(np.abs(total - psi.radial(t * 2.0**-m))) < 1e-12
 
 
-def test_lp_blocks_partition_of_unity():
+def test_lattice_blocks_partition_of_unity():
     spec = GridSpec(1, 64)
-    blocks = lp_blocks(DEFAULT_FRAME, spec)
+    blocks = DEFAULT_FRAME.lattice_blocks(spec)
     total = sum(blocks)
     assert np.max(np.abs(total - 1.0)) < 1e-12
     spec2 = GridSpec(2, 16)
-    total2 = sum(lp_blocks(DEFAULT_FRAME, spec2))
+    total2 = sum(DEFAULT_FRAME.lattice_blocks(spec2))
     assert np.max(np.abs(total2 - 1.0)) < 1e-12
-
-
-def test_lp_blocks_insufficient_jmax_flagged():
-    spec = GridSpec(1, 64)
-    with pytest.raises(ValueError):
-        lp_blocks(DEFAULT_FRAME, spec, j_max=3)
 
 
 def test_blocks_at_origin_and_shells():
     spec = GridSpec(1, 64)
-    blocks = lp_blocks(DEFAULT_FRAME, spec)
+    blocks = DEFAULT_FRAME.lattice_blocks(spec)
     half = spec.N // 2
     assert blocks[0][half] == 1.0
     for j in range(1, len(blocks)):
@@ -161,7 +153,7 @@ def test_blocks_at_origin_and_shells():
 
 def test_partition_at_random_radii():
     rng = np.random.default_rng(4)
-    psi = make_modulation(1.0, 2.0)
+    psi = ModulationFunction(1.0, 2.0)
     t = rng.uniform(0.0, 30.0, size=50)
     m = 6
     total = psi.radial(t).copy()
@@ -225,7 +217,7 @@ def test_frame_equivalence_two_psis():
     rng = np.random.default_rng(31)
     spec = GridSpec(1, 128)
     frame_a = DEFAULT_FRAME
-    frame_b = LPFrame(psi=make_modulation(0.8, 1.6), h=3)
+    frame_b = LPFrame(psi=ModulationFunction(0.8, 1.6), h=3)
     ratios = []
     for _ in range(50):
         u = random_band_limited(spec, 40.0, rng)

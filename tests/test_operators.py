@@ -29,7 +29,6 @@ from pdlab.operators import (
     apply_auto,
     corona_ball_report,
     kernel,
-    kernel_apply,
     modulation_saturation,
     paradiff_split,
     plan,
@@ -60,6 +59,13 @@ from pdlab.symbols import (
 )
 
 
+def kernel_sum(K, u):
+    """(2pi/N)^n sum_y K[x,y] u(y): the operator read off its kernel."""
+    spec = u.spec
+    flat = K.reshape(spec.npoints, spec.npoints) @ u.values.reshape(-1)
+    return GridFunction(spec, (spec.spacing**spec.n) * flat.reshape(spec.shape))
+
+
 def kernel_form(K, v, u):
     """<K, v (x) conj(u)> with the product measure: equals <a(x,D)u, v>."""
     spec = u.spec
@@ -82,6 +88,16 @@ def x_independent_symbol(spec, weights):
     ahat[zero] = weights
     table = partial_ift(ahat, spec)
     return TabulatedSymbol(spec, table, ahat=ahat)
+
+
+class EvalOnly(Symbol):
+    """A symbol known only through another symbol's continuum evaluator."""
+
+    def __init__(self, inner):
+        self.inner = inner
+
+    def eval(self, x, eta):
+        return self.inner.eval(x, eta)
 
 
 def rel_sup(y, ref):
@@ -133,14 +149,14 @@ class TestApply:
         with pytest.raises(ValueError, match="direct apply"):
             apply(ConstantSymbol(1.0), u)
 
-    def test_eval_branch_matches_table_branch(self, monkeypatch):
+    def test_eval_branch_matches_table_branch(self):
         spec = GridSpec(1, 64)
         a = ching_symbol(0.5, 1, j_max=4, spec=spec)
         u = random_band_limited(spec, 24, np.random.default_rng(2))
         via_table = apply(a, u)
-        # shrink the table budget so the chunked continuum evaluator runs
-        monkeypatch.setattr(ops, "TABLE_ENTRY_GUARD", 100)
-        via_eval = apply(a, u)
+        evaluated = EvalOnly(a)  # its rows come from eval on the lattice
+        assert np.max(np.abs(evaluated.table(spec) - a.table(spec))) < 1e-12
+        via_eval = apply(evaluated, u)
         assert np.max(np.abs(via_eval.values - via_table.values)) < 1e-10 * lp_norm(u, np.inf)
 
     def test_two_dimensional(self):
@@ -664,7 +680,7 @@ class TestKernel:
         spec = GridSpec(1, 32)
         K = kernel(ConstantSymbol(1.0), spec)
         u = random_band_limited(spec, 12, np.random.default_rng(50))
-        y = kernel_apply(K, u)
+        y = kernel_sum(K, u)
         assert np.max(np.abs(y.values - u.values)) < 1e-10 * lp_norm(u, np.inf)
 
     def test_multiplication_kernel(self):
@@ -673,14 +689,14 @@ class TestKernel:
         a = SeparableSymbol(spec, [(m, np.ones(spec.shape))])
         K = kernel(a, spec)
         u = random_band_limited(spec, 12, np.random.default_rng(51))
-        y = kernel_apply(K, u)
+        y = kernel_sum(K, u)
         assert np.max(np.abs(y.values - m * u.values)) < 1e-10 * lp_norm(u, np.inf)
 
     def test_matches_apply(self):
         spec = GridSpec(1, 64)
         a = random_table_symbol(spec, seed=9)
         u = random_band_limited(spec, 24, np.random.default_rng(52))
-        y_kernel = kernel_apply(kernel(a, spec), u)
+        y_kernel = kernel_sum(kernel(a, spec), u)
         y_direct = apply(a, u)
         assert np.max(np.abs(y_kernel.values - y_direct.values)) < 1e-10 * np.max(
             np.abs(y_direct.values)
@@ -777,6 +793,30 @@ class TestSpectralSupportRule:
         assert power[np.argmax(power)] / power.sum() > 1.0 - 1e-12
         assert spec.axis_freqs()[np.argmax(power)] == -24
 
+    def test_ching_holds_from_its_shift_terms(self):
+        # the bump's small nonzero values fall below tau in a thresholded
+        # a_hat table (a false 1.5e-8 violation); the rule reads supp g_j
+        spec = GridSpec(1, 2048)
+        a = ching_for_grid(spec)
+        u = random_band_limited(spec, 0.5 * spec.N / 2, np.random.default_rng(1))
+        report = spectral_support_rule_check(a, u, tau=1e-8)
+        assert report.holds
+        assert report.violation_mass < 1e-20
+
+    @pytest.mark.parametrize("n, N, seed", [(1, 256, 1), (1, 1024, 1), (2, 32, 4)])
+    @pytest.mark.parametrize("tau", [1e-8, 1e-10])
+    def test_term_sumset_contains_the_table_sumset(self, n, N, seed, tau):
+        spec = GridSpec(n, N)
+        a = random_elementary(spec, DEFAULT_FRAME, J=4, seed=seed)
+        u = random_band_limited(spec, 0.2 * N / 2, np.random.default_rng(seed))
+        u_supp = ops._tau_support(np.abs(fft_forward(u).coeffs) ** 2, tau)
+        terms = ops._allowed_sumset(a, spec, u_supp, tau)
+        as_table = TabulatedSymbol(spec, a.table(spec), ahat=symbol_partial_ft(a, spec))
+        table = ops._allowed_sumset(as_table, spec, u_supp, tau)
+        assert np.all(terms | ~table)
+        report = spectral_support_rule_check(a, u, tau)
+        assert report.holds and report.allowed_support == terms.sum()
+
 
 class TestConcurrency:
     def test_thread_count_does_not_change_results(self, monkeypatch):
@@ -863,8 +903,6 @@ class TestShiftPath:
         ref = apply(a, u).values
         assert np.max(np.abs(apply_auto(a, u).values - ref)) <= 2e-15 * np.max(np.abs(ref))
 
-    # the reference apply tabulates the modulated symbol, which has no
-    # continuum evaluator: 2-d N=64 is past TABLE_ENTRY_GUARD
     @pytest.mark.parametrize("n, N, theta", [(1, 1024, 1), (2, 32, (1, 1))])
     def test_modulation_keeps_shift_terms(self, n, N, theta):
         spec = GridSpec(n, N)
@@ -876,6 +914,17 @@ class TestShiftPath:
             assert b.shift_terms(spec) is not None
             ref = apply(b, u).values
             assert np.max(np.abs(apply_auto(b, u).values - ref)) <= 1e-12 * np.max(np.abs(ref))
+
+    def test_reference_reads_modulated_shift_rows_past_the_table_cap(self):
+        # a modulated ShiftSymbol has no continuum evaluator, and 2-d N=64 is
+        # past TABLE_ENTRY_GUARD: apply reads its rows from the shift terms
+        spec = GridSpec(2, 64)
+        ching = ching_for_grid(spec, d=0.5, theta=(1, 1))
+        a = modulate_symbol(ching, 3, DEFAULT_PSI_FAMILY[0], spec)
+        assert isinstance(a, ShiftSymbol) and not a.has_eval
+        u = random_band_limited(spec, 0.4 * spec.N / 2, np.random.default_rng(89))
+        ref = plan(a, spec)(u).values
+        assert np.max(np.abs(apply(a, u).values - ref)) <= 1e-12 * np.max(np.abs(ref))
 
     def test_vfm_limit_never_tabulates(self, monkeypatch):
         calls = []

@@ -14,7 +14,7 @@ from hypothesis import strategies as st
 
 import pdlab.frame as frame_mod
 import pdlab.spaces as spaces
-from pdlab.frame import DEFAULT_FRAME, LPFrame, ModulationFunction, lp_blocks
+from pdlab.frame import DEFAULT_FRAME, LPFrame, ModulationFunction
 from pdlab.grid import (
     GridFunction,
     GridSpec,
@@ -34,17 +34,14 @@ from pdlab.spaces import (
     CORONA,
     TRIEBEL_LIZORKIN,
     SpaceParams,
-    besov_norm,
     corona_series_sum,
     embedding_report,
     format_space,
     holder_norm,
     lp_block_fields,
     parse_space,
-    space_norm,
     space_norms,
     summation_lemma_check,
-    triebel_norm,
     vector_maximal_check,
 )
 
@@ -111,14 +108,9 @@ class TestBesovNorm:
         spec = GridSpec(1, 64)
         u = GridFunction(spec, np.ones(64))
         for p in (1.0, 2.0, math.inf):
-            got = besov_norm(u, SpaceParams(0.7, p, 1.5, BESOV))
+            got = space_norms(u, [SpaceParams(0.7, p, 1.5, BESOV)])[0]
             want = TWO_PI ** (0.0 if math.isinf(p) else 1.0 / p)
             assert got == pytest.approx(want, rel=1e-13)
-
-    def test_wrong_scale_rejected(self):
-        u = rand_u(GridSpec(1, 32), 8.0, 0)
-        with pytest.raises(ValueError, match="'B'"):
-            besov_norm(u, SpaceParams(0.0, 2.0, 2.0, TRIEBEL_LIZORKIN))
 
     def test_mode4_lands_in_a_single_shell(self):
         # at |eta| = 4 the corona weights vanish exactly except at j = 2,
@@ -129,7 +121,7 @@ class TestBesovNorm:
         spec = GridSpec(1, 64)
         u = single_mode(spec, 4)
         for q in (1.0, 3.0, math.inf):
-            got = besov_norm(u, SpaceParams(0.5, 2.0, q, BESOV))
+            got = space_norms(u, [SpaceParams(0.5, 2.0, q, BESOV)])[0]
             assert got == pytest.approx(2.0 ** (0.5 * 2) * TWO_PI**0.5, rel=1e-12)
 
     def test_single_mode_matches_block_weight_oracle(self):
@@ -147,7 +139,7 @@ class TestBesovNorm:
                 combined = sum(
                     (2.0 ** (s * j) * w) ** q for j, w in enumerate(weights)
                 ) ** (1.0 / q)
-            got = besov_norm(u, SpaceParams(s, p, q, BESOV))
+            got = space_norms(u, [SpaceParams(s, p, q, BESOV)])[0]
             assert got == pytest.approx(combined * TWO_PI ** (1.0 / p), rel=1e-12)
 
     def test_smoothness_reweighting_is_algebraic(self):
@@ -159,7 +151,7 @@ class TestBesovNorm:
         ])
         j = np.arange(len(terms), dtype=float)
         hand = float(np.sum((2.0 ** ((s2 - s) * j) * 2.0 ** (s * j) * terms) ** q) ** (1.0 / q))
-        got = besov_norm(u, SpaceParams(s2, p, q, BESOV))
+        got = space_norms(u, [SpaceParams(s2, p, q, BESOV)])[0]
         assert got == pytest.approx(hand, rel=1e-13)
 
     def test_q_inf_is_the_sup_over_shells(self):
@@ -170,7 +162,7 @@ class TestBesovNorm:
             lp_norm(GridFunction(spec, f), p) for f in lp_block_fields(u, DEFAULT_FRAME)
         ]
         hand = max(2.0 ** (s * j) * t for j, t in enumerate(terms))
-        assert besov_norm(u, SpaceParams(s, p, math.inf, BESOV)) == hand
+        assert space_norms(u, [SpaceParams(s, p, math.inf, BESOV)])[0] == hand
 
 
 class TestTriebelNorm:
@@ -178,14 +170,9 @@ class TestTriebelNorm:
         spec = GridSpec(1, 64)
         u = rand_u(spec, 20.0, 1)
         for pq in (0.7, 1.0, 2.0, 3.5):
-            b = besov_norm(u, SpaceParams(0.3, pq, pq, BESOV))
-            f = triebel_norm(u, SpaceParams(0.3, pq, pq, TRIEBEL_LIZORKIN))
+            b = space_norms(u, [SpaceParams(0.3, pq, pq, BESOV)])[0]
+            f = space_norms(u, [SpaceParams(0.3, pq, pq, TRIEBEL_LIZORKIN)])[0]
             assert f == pytest.approx(b, rel=1e-12)
-
-    def test_wrong_scale_rejected(self):
-        u = rand_u(GridSpec(1, 32), 8.0, 0)
-        with pytest.raises(ValueError, match="'F'"):
-            triebel_norm(u, SpaceParams(0.0, 2.0, 2.0, BESOV))
 
     def test_agrees_with_parseval_norm_up_to_partition_overlap(self):
         # s=0, p=q=2: the only gap to the exact H^0 norm is sum_j Phi_j^2,
@@ -195,7 +182,7 @@ class TestTriebelNorm:
         lo, hi = 1.0 / math.sqrt(2.0), math.sqrt(2.0)
         for seed in range(50):
             u = rand_u(spec, 24.0, seed)
-            ratio = triebel_norm(u, sp) / sobolev_norm(fft_forward(u), 0.0)
+            ratio = space_norms(u, [sp])[0] / sobolev_norm(fft_forward(u), 0.0)
             assert lo <= ratio <= hi
 
     def test_single_mode_matches_block_weight_oracle(self):
@@ -213,20 +200,20 @@ class TestTriebelNorm:
                 combined = sum(
                     (2.0 ** (s * j) * w) ** q for j, w in enumerate(weights)
                 ) ** (1.0 / q)
-            got = triebel_norm(u, SpaceParams(s, p, q, TRIEBEL_LIZORKIN))
+            got = space_norms(u, [SpaceParams(s, p, q, TRIEBEL_LIZORKIN)])[0]
             assert got == pytest.approx(combined * TWO_PI ** (1.0 / p), rel=1e-12)
 
     def test_constant_function(self):
         spec = GridSpec(1, 64)
         u = GridFunction(spec, np.ones(64))
-        got = triebel_norm(u, SpaceParams(-0.3, 2.0, 1.0, TRIEBEL_LIZORKIN))
+        got = space_norms(u, [SpaceParams(-0.3, 2.0, 1.0, TRIEBEL_LIZORKIN)])[0]
         assert got == pytest.approx(TWO_PI**0.5, rel=1e-13)
 
     def test_two_dimensional_grid(self):
         spec = GridSpec(2, 16)
         u = rand_u(spec, 6.0, 5)
-        b = besov_norm(u, SpaceParams(0.5, 2.0, 2.0, BESOV))
-        f = triebel_norm(u, SpaceParams(0.5, 2.0, 2.0, TRIEBEL_LIZORKIN))
+        b = space_norms(u, [SpaceParams(0.5, 2.0, 2.0, BESOV)])[0]
+        f = space_norms(u, [SpaceParams(0.5, 2.0, 2.0, TRIEBEL_LIZORKIN)])[0]
         assert f == pytest.approx(b, rel=1e-12)
 
 
@@ -257,7 +244,7 @@ class TestOnePass:
         u = rand_u(GridSpec(n, N), 0.4 * N / 2, 40 + n)
         together = space_norms(u, self.CASES)
         for sp, got in zip(self.CASES, together):
-            assert got == space_norm(u, sp) == stacked_norm(u, sp), format_space(sp)
+            assert got == space_norms(u, [sp])[0] == stacked_norm(u, sp), format_space(sp)
 
     def test_one_block_pass_per_frame(self, monkeypatch):
         passes = []
@@ -276,14 +263,19 @@ class TestOnePass:
         got = space_norms(u, cases)
         assert passes == [DEFAULT_FRAME, DEFAULT_FRAME, alt]
         assert space_norms(u, []) == [] and len(passes) == 3
-        assert got == [space_norm(u, sp) for sp in cases]
+        assert got == [space_norms(u, [sp])[0] for sp in cases]
+
+    def test_lp_block_fields_insufficient_jmax_flagged(self):
+        spec = GridSpec(1, 64)
+        with pytest.raises(ValueError):
+            lp_block_fields(rand_u(spec, 8.0, 0), DEFAULT_FRAME, j_max=3)
 
     @pytest.mark.parametrize("n, N, j_max", [(1, 2**12, None), (2, 64, None), (1, 256, 9)])
     def test_block_fields_are_fresh_inverse_transforms(self, n, N, j_max):
         spec = GridSpec(n, N)
         u = rand_u(spec, 0.4 * N / 2, 30 + n)
         c = fft_forward(u).coeffs
-        blocks = lp_blocks(DEFAULT_FRAME, spec, j_max)
+        blocks = DEFAULT_FRAME.lattice_blocks(spec, j_max)
         fields = list(lp_block_fields(u, DEFAULT_FRAME, j_max))
         assert len(fields) == len(blocks)
         assert len({id(f) for f in fields}) == len(fields)
@@ -324,16 +316,16 @@ class TestOnePass:
         with ThreadPoolExecutor(len(us)) as pool:
             got = list(pool.map(norm, us, timeout=60))
         assert builds == [spec.shape]
-        assert got == [space_norm(u, sp) for u in us]
+        assert got == [space_norms(u, [sp])[0] for u in us]
 
     def test_f_norm_memory_stays_grid_sized(self):
         spec = GridSpec(1, 2**16)
         u = rand_u(spec, 0.4 * spec.N / 2, 8)
         sp = SpaceParams(0.0, 2.0, 1.0, TRIEBEL_LIZORKIN)
-        space_norm(u, sp)  # the frame's block tables are built outside the measurement
+        space_norms(u, [sp])  # the frame's block tables are built outside the measurement
         tracemalloc.start()
         try:
-            space_norm(u, sp)
+            space_norms(u, [sp])
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
@@ -346,8 +338,8 @@ class TestNormInvariants:
         u = rand_u(GridSpec(1, 64), 20.0, 2)
         spb = SpaceParams(0.5, 2.0, 2.0, BESOV)
         spf = SpaceParams(0.5, 2.0, 2.0, TRIEBEL_LIZORKIN)
-        assert besov_norm(u * 2.0, spb) == 2.0 * besov_norm(u, spb)
-        assert triebel_norm(u * 2.0, spf) == 2.0 * triebel_norm(u, spf)
+        assert space_norms(u * 2.0, [spb])[0] == 2.0 * space_norms(u, [spb])[0]
+        assert space_norms(u * 2.0, [spf])[0] == 2.0 * space_norms(u, [spf])[0]
 
     def test_general_homogeneity(self):
         u = rand_u(GridSpec(1, 64), 20.0, 2)
@@ -355,8 +347,9 @@ class TestNormInvariants:
         mod = abs(lam)
         spb = SpaceParams(-0.4, 2.5, 1.2, BESOV)
         spf = SpaceParams(-0.4, 2.5, 1.2, TRIEBEL_LIZORKIN)
-        assert besov_norm(u * lam, spb) == pytest.approx(mod * besov_norm(u, spb), rel=1e-12)
-        assert triebel_norm(u * lam, spf) == pytest.approx(mod * triebel_norm(u, spf), rel=1e-12)
+        for sp in (spb, spf):
+            got = space_norms(u * lam, [sp])[0]
+            assert got == pytest.approx(mod * space_norms(u, [sp])[0], rel=1e-12)
 
     def test_lambda_subadditivity(self):
         spec = GridSpec(1, 64)
@@ -365,19 +358,18 @@ class TestNormInvariants:
             for seed in range(10):
                 u = rand_u(spec, 20.0, seed)
                 v = rand_u(spec, 20.0, 100 + seed)
-                for scale, norm in ((BESOV, besov_norm), (TRIEBEL_LIZORKIN, triebel_norm)):
+                for scale in (BESOV, TRIEBEL_LIZORKIN):
                     sp = SpaceParams(0.3, p, q, scale)
-                    lhs = norm(u + v, sp) ** lam
-                    rhs = norm(u, sp) ** lam + norm(v, sp) ** lam
+                    n_uv, n_u, n_v = (space_norms(w, [sp])[0] for w in (u + v, u, v))
+                    lhs = n_uv**lam
+                    rhs = n_u**lam + n_v**lam
                     assert lhs <= rhs * (1.0 + 1e-12)
 
     def test_sum_exponent_monotonicity(self):
         # ell_q shrinks as q grows, so the norm is non-increasing in q
         u = rand_u(GridSpec(1, 64), 20.0, 6)
-        for scale, norm in ((BESOV, besov_norm), (TRIEBEL_LIZORKIN, triebel_norm)):
-            vals = [
-                norm(u, SpaceParams(0.4, 2.0, q, scale)) for q in (1.0, 2.5, math.inf)
-            ]
+        for scale in (BESOV, TRIEBEL_LIZORKIN):
+            vals = space_norms(u, [SpaceParams(0.4, 2.0, q, scale) for q in (1.0, 2.5, math.inf)])
             assert vals[0] >= vals[1] * (1.0 - 1e-12)
             assert vals[1] >= vals[2] * (1.0 - 1e-12)
 
@@ -389,8 +381,8 @@ class TestNormInvariants:
     )
     def test_scales_agree_at_p_eq_q(self, s, pq, seed):
         u = rand_u(GridSpec(1, 32), 10.0, seed)
-        b = besov_norm(u, SpaceParams(s, pq, pq, BESOV))
-        f = triebel_norm(u, SpaceParams(s, pq, pq, TRIEBEL_LIZORKIN))
+        b = space_norms(u, [SpaceParams(s, pq, pq, BESOV)])[0]
+        f = space_norms(u, [SpaceParams(s, pq, pq, TRIEBEL_LIZORKIN)])[0]
         assert f == pytest.approx(b, rel=1e-12)
 
 

@@ -4,7 +4,7 @@ import json
 import numpy as np
 import pytest
 
-from pdlab.frame import DEFAULT_FRAME, make_modulation
+from pdlab.frame import DEFAULT_FRAME, ModulationFunction
 from pdlab.grid import GridFunction, GridSpec, random_band_limited
 from pdlab.symbols import (
     DEFAULT_BUMP,
@@ -172,7 +172,7 @@ class TestModulation:
         spec = GridSpec(n=1, N=32)
         g = np.exp(-0.1 * spec.axis_freqs().astype(float) ** 2)
         a = SeparableSymbol(spec, [(np.ones(spec.shape, dtype=complex), g)])
-        psi = make_modulation(1.0, 2.0)
+        psi = ModulationFunction(1.0, 2.0)
         m = 2
         b = modulate_symbol(a, m, psi)
         want = np.multiply.outer(np.ones(spec.N), g * psi.radial(np.abs(spec.axis_freqs()) / 2.0**m))
@@ -185,7 +185,7 @@ class TestModulation:
             a = random_elementary(spec, DEFAULT_FRAME, J=3, seed=2)
         else:
             a = random_table_symbol(spec, seed=2)
-        psi = make_modulation(1.0, 2.0)
+        psi = ModulationFunction(1.0, 2.0)
         # plateau covers all |xi| <= 16 once 2^m >= 16
         m_sat = 4
         base = a.table(spec)
@@ -201,7 +201,7 @@ class TestModulation:
         # |theta| = 2 > a1 puts the symbol in the twisted-diagonal class
         spec = GridSpec(n=1, N=128)
         a = ching_symbol(0.0, theta=2, j_max=5, spec=spec)
-        b = modulate_symbol(a, m, make_modulation(1.0, 2.0), spec)
+        b = modulate_symbol(a, m, ModulationFunction(1.0, 2.0), spec)
         assert b.shift_terms(spec) is not None
         assert check_twisted_diagonal(b, a.tdc_B, spec=spec).violation_mass == 0.0
 
@@ -212,7 +212,7 @@ class TestModulation:
         # full-grid outer products of the separable and spectral terms add zeros
         spec = GridSpec(n=n, N=N)
         a = ching_symbol(0.5, theta=theta, j_max=int(np.log2(N)) - 2, spec=spec)
-        for sym in (a, modulate_symbol(a, 3, make_modulation(1.0, 2.0), spec)):
+        for sym in (a, modulate_symbol(a, 3, ModulationFunction(1.0, 2.0), spec)):
             full = np.zeros(spec.shape + spec.shape, dtype=complex)
             for m, g in sym.separable_terms(spec):
                 full += np.multiply.outer(m, g)
@@ -229,13 +229,13 @@ class TestModulation:
         spec = GridSpec(n=1, N=128)
         a = mask_twisted_diagonal(random_elementary(spec, DEFAULT_FRAME, J=5, seed=3), B=2.0)
         assert check_twisted_diagonal(a, 2.0, spec=spec).violation_mass == 0.0
-        b = modulate_symbol(a, 4, make_modulation(1.0, 2.0), spec)
+        b = modulate_symbol(a, 4, ModulationFunction(1.0, 2.0), spec)
         assert check_twisted_diagonal(b, 2.0, spec=spec).violation_mass == 0.0
 
     def test_x_spectrum_hard_zeros(self):
         spec = GridSpec(n=1, N=32)
         a = random_table_symbol(spec, seed=3)
-        psi = make_modulation(1.0, 2.0)
+        psi = ModulationFunction(1.0, 2.0)
         b = modulate_symbol(a, 1, psi, spec)
         bhat = partial_ft(b.table(spec), spec)
         dead = psi.radial(np.abs(spec.axis_freqs()) / 2.0) == 0.0
