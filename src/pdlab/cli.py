@@ -18,6 +18,7 @@ from __future__ import annotations
 
 import argparse
 import collections.abc
+import functools
 import inspect
 import json
 import math
@@ -722,6 +723,7 @@ def _gate(cond: bool, msg: str) -> None:
         raise AssertionError(msg)
 
 
+@functools.cache  # a pure function of fixed constants: both paradiff gates share one build
 def _gate_paradiff_pair():
     from .symbols import TabulatedSymbol, random_elementary
 

@@ -689,8 +689,7 @@ def run_sigma_estimate(
         tab = a
     else:
         tab = TabulatedSymbol(spec, a.table(spec), d=a.d)
-    # serial over alphas: sigma_order_estimate already spreads its eps over the pool
-    fits = [sigma_order_estimate(tab, alpha, eps_grid=eps_grid, spec=spec) for alpha in alphas]
+    fits = sigma_order_estimate(tab, alphas, eps_grid=eps_grid, spec=spec)
 
     def sweep(sym: Symbol) -> list[float]:
         d_sym = float(sym.d)

@@ -478,7 +478,8 @@ class ElementarySymbol(Symbol):
         for j, m in enumerate(self.multipliers):
             mv = m.values[tuple(idx[..., i] for i in range(self.spec.n))]
             out = out + mv * self.frame.block_radial(j, enorm)
-        return out
+        # the Nyquist rows are cut, as in separable_terms
+        return np.where(np.any(eta == -(self.spec.N // 2), axis=-1), 0.0, out)
 
     def separable_terms(self, spec: GridSpec) -> list[tuple[np.ndarray, np.ndarray]]:
         if spec != self.spec:
@@ -575,15 +576,18 @@ def localize_symbol(a: Symbol, eps: float, spec: GridSpec | None = None) -> Tabu
     """a_chi,eps with hat(a_chi,eps)(xi,eta) = a_hat(xi,eta) chi(xi+eta, eps*eta).
 
     The result's partial FT is exactly zero wherever 1+|xi+eta| > 2 eps |eta|.
+    sigma_order_estimate masks one shared a_hat the same way at every eps.
     """
     spec = _resolve_spec(a, spec)
     if not (0.0 < eps <= 1.0):
         raise ValueError("eps must lie in (0, 1]")
-    chi = build_chi()
-    ahat = symbol_partial_ft(a, spec)
+    return _localize(symbol_partial_ft(a, spec), eps, spec, a.d)
+
+
+def _localize(ahat: np.ndarray, eps: float, spec: GridSpec, d: float) -> TabulatedSymbol:
     sum_rad, eta_rad = _sum_radius_mesh(spec)
-    masked = ahat * chi.from_radii(sum_rad, eps * eta_rad)
-    return TabulatedSymbol(spec, partial_ift(masked, spec), d=a.d, ahat=masked)
+    masked = ahat * build_chi().from_radii(sum_rad, eps * eta_rad)
+    return TabulatedSymbol(spec, partial_ift(masked, spec), d=d, ahat=masked)
 
 
 def mask_twisted_diagonal(a: Symbol, B: float, spec: GridSpec | None = None) -> TabulatedSymbol:
@@ -702,13 +706,16 @@ class SigmaFit:
     fit_points: int
 
 
-def _dyadic_shells(spec: GridSpec, margin: int) -> list[tuple[int, np.ndarray]]:
+def _dyadic_shells(spec: GridSpec, alpha: tuple[int, ...]) -> list[tuple[int, np.ndarray]]:
+    margin = max(2, sum(alpha))
     rad = spec.freq_radius()
     shells = []
     R = 1
     while 2 * R <= spec.N // 2 - margin:
         shells.append((R, (rad >= R) & (rad <= 2 * R)))
         R *= 2
+    if not shells:
+        raise ValueError(f"grid too small for any dyadic shell with margin {margin}")
     return shells
 
 
@@ -723,44 +730,51 @@ def _eta_difference(table: np.ndarray, alpha: tuple[int, ...], spec: GridSpec) -
 
 def sigma_order_estimate(
     a: Symbol,
-    alpha,
+    alphas,
     eps_grid=(0.5, 0.25, 0.125, 0.0625),
     spec: GridSpec | None = None,
-) -> SigmaFit:
-    """Exponent of the localized-symbol decay in eps, per shell-normalized
-    annulus L2 sups; see SigmaFit.  Shells within max(2,|alpha|) cells of
-    the Nyquist boundary are dropped.
+) -> list[SigmaFit]:
+    """One SigmaFit per multi-index in `alphas`, in order: the exponent of
+    the localized-symbol decay in eps, per shell-normalized annulus L2
+    sups.  Shells within max(2,|alpha|) cells of the Nyquist boundary are
+    dropped.  a's partial FT is taken once; each eps is one pool task that
+    localizes once and reads every alpha from that one table.
     """
     spec = _resolve_spec(a, spec)
-    alpha = as_multiindex(alpha, spec.n)
+    alphas = [as_multiindex(alpha, spec.n) for alpha in alphas]
     eps_grid = tuple(float(e) for e in eps_grid)
     if any(not (0.0 < e < 1.0) for e in eps_grid):
         raise ValueError("eps values must lie in (0,1)")
-    margin = max(2, sum(alpha))
-    shells = _dyadic_shells(spec, margin)
-    if not shells:
-        raise ValueError(f"grid too small for any dyadic shell with margin {margin}")
+    shell_sets = [_dyadic_shells(spec, alpha) for alpha in alphas]
 
     from ._threads import pmap
 
-    def one_eps(eps: float) -> tuple[float, dict]:
-        tab = localize_symbol(a, eps, spec).table(spec)
-        diff = _eta_difference(tab, alpha, spec) if sum(alpha) else tab
-        sq = np.abs(diff) ** 2
-        e_axes = tuple(range(spec.n, 2 * spec.n))
-        per_shell = {}
-        best = 0.0
-        for R, mask in shells:
-            sup_x = np.max(np.sum(sq * mask, axis=e_axes))
-            raw = float(np.sqrt(sup_x))
-            per_shell[R] = raw
-            best = max(best, float(R) ** (sum(alpha) - a.d - spec.n / 2.0) * raw)
-        return best, per_shell
+    ahat = symbol_partial_ft(a, spec)
+    e_axes = tuple(range(spec.n, 2 * spec.n))
 
-    results = pmap(one_eps, eps_grid)
+    def one_eps(eps: float) -> list[tuple[float, dict]]:
+        tab = _localize(ahat, eps, spec, a.d).table(spec)
+        out = []
+        for alpha, shells in zip(alphas, shell_sets):
+            diff = _eta_difference(tab, alpha, spec) if sum(alpha) else tab
+            sq = np.abs(diff) ** 2
+            per_shell = {}
+            best = 0.0
+            for R, mask in shells:
+                sup_x = np.max(np.sum(sq * mask, axis=e_axes))
+                raw = float(np.sqrt(sup_x))
+                per_shell[R] = raw
+                best = max(best, float(R) ** (sum(alpha) - a.d - spec.n / 2.0) * raw)
+            out.append((best, per_shell))
+        return out
+
+    results = pmap(one_eps, eps_grid)  # results[i][k]: eps_grid[i], alphas[k]
+    return [_sigma_fit(al, eps_grid, [r[k] for r in results], spec) for k, al in enumerate(alphas)]
+
+
+def _sigma_fit(alpha, eps_grid, results, spec: GridSpec) -> SigmaFit:
     values = tuple(r[0] for r in results)
     shell_values = tuple(r[1] for r in results)
-
     pts = [(e, v) for e, v in zip(eps_grid, values) if v > 0.0]
     if len(pts) < 2:
         return SigmaFit(alpha, eps_grid, values, shell_values, None, float("inf"), len(pts))

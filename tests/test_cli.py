@@ -172,6 +172,23 @@ class TestSubcommands:
         assert main(["selftest", "--quick"]) == 0
         assert capsys.readouterr().out.strip().endswith("10 gates passed")
 
+    def test_selftest_builds_the_three_series_pair_once(self, capsys, monkeypatch):
+        calls = []
+        real = cli.paradiff_split
+
+        def counted(*args, **kwargs):
+            calls.append(args)
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(cli, "paradiff_split", counted)
+        cli._gate_paradiff_pair.cache_clear()
+        try:
+            assert main(["selftest"]) == 0
+        finally:
+            cli._gate_paradiff_pair.cache_clear()
+        assert capsys.readouterr().out.strip().endswith("14 gates passed")
+        assert len(calls) == 1
+
 
 # ---------------------------------------------------------------------------
 # experiment reports equal direct runner calls

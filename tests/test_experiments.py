@@ -8,6 +8,7 @@ import numpy as np
 import pytest
 
 import pdlab.spaces as spaces
+import pdlab.symbols as symbols
 from pdlab import (
     BLOW_UP,
     BOUNDED,
@@ -571,6 +572,22 @@ class TestSigmaEstimate:
         assert rep.verdicts["sigma_matches"] is True
         assert rep.verdicts["onset_matches"] is True
         assert rep.verdicts["control_regular"] is True
+
+    def test_one_partial_ft_per_run(self, monkeypatch):
+        calls = []
+        real = symbols.partial_ft
+
+        def counted(table, spec):
+            calls.append(spec)
+            return real(table, spec)
+
+        monkeypatch.setattr(symbols, "partial_ft", counted)
+        spec = GridSpec(1, 512)
+        a = ching_symbol(
+            0.0, theta=1, A=RadialBump(zero_order=1, zero_width=0.25), j_max=7, spec=spec
+        )
+        run_sigma_estimate(a, spec, r_expected=1.0)
+        assert calls == [spec]
 
     def test_growth_slopes_track_order(self):
         spec = GridSpec(1, 512)

@@ -159,6 +159,12 @@ class TestApply:
         via_eval = apply(evaluated, u)
         assert np.max(np.abs(via_eval.values - via_table.values)) < 1e-10 * lp_norm(u, np.inf)
 
+    @pytest.mark.parametrize("n,N,J", [(1, 64, 5), (2, 16, 3)])
+    def test_elementary_eval_cuts_the_nyquist_rows(self, n, N, J):
+        spec = GridSpec(n, N)
+        a = random_elementary(spec, DEFAULT_FRAME, J=J, seed=1)
+        assert np.all(EvalOnly(a).table(spec) == a.table(spec))
+
     def test_two_dimensional(self):
         spec = GridSpec(2, 16)
         a = ching_symbol(0.0, (1, 0), j_max=2, spec=spec)

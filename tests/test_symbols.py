@@ -4,6 +4,7 @@ import json
 import numpy as np
 import pytest
 
+import pdlab.symbols as symbols
 from pdlab.frame import DEFAULT_FRAME, ModulationFunction
 from pdlab.grid import GridFunction, GridSpec, random_band_limited
 from pdlab.symbols import (
@@ -413,7 +414,7 @@ class TestSigmaEstimate:
     def test_strict_tdc_reports_infinity(self):
         spec = GridSpec(n=1, N=64)
         a = mask_twisted_diagonal(random_table_symbol(spec, seed=7), B=2.0)
-        fit = sigma_order_estimate(a, 0, eps_grid=(0.25, 0.125, 0.0625))
+        (fit,) = sigma_order_estimate(a, [0], eps_grid=(0.25, 0.125, 0.0625))
         assert fit.sigma_hat == float("inf")
         assert fit.values == (0.0, 0.0, 0.0)
 
@@ -423,7 +424,7 @@ class TestSigmaEstimate:
         A = RadialBump(zero_order=r)
         a = ching_symbol(d=0.0, theta=1, A=A, j_max=6, spec=spec)
         tab = TabulatedSymbol(spec, a.table(spec), d=0.0)
-        fit = sigma_order_estimate(tab, 0)
+        (fit,) = sigma_order_estimate(tab, [0])
         assert abs(fit.sigma_hat - r) <= tol
 
     def test_annulus_bound_stable_across_grids(self):
@@ -434,7 +435,7 @@ class TestSigmaEstimate:
             spec = GridSpec(n=1, N=N)
             a = ching_symbol(d=0.0, theta=1, j_max=4, spec=spec)
             tab = TabulatedSymbol(spec, a.table(spec), d=0.0)
-            fit = sigma_order_estimate(tab, alpha)
+            (fit,) = sigma_order_estimate(tab, [alpha])
             best = 0.0
             for eps, shells in zip(fit.eps, fit.shell_values):
                 for R, raw in shells.items():
@@ -446,7 +447,40 @@ class TestSigmaEstimate:
     def test_eps_validation(self):
         spec = GridSpec(n=1, N=32)
         with pytest.raises(ValueError):
-            sigma_order_estimate(random_table_symbol(spec), 0, eps_grid=(1.0,))
+            sigma_order_estimate(random_table_symbol(spec), [0], eps_grid=(1.0,))
+
+    @pytest.mark.parametrize(
+        "n,N,alphas",
+        [(1, 512, [0, 1]), (2, 16, [(0, 0), (1, 0)])],
+    )
+    def test_all_alphas_in_one_call_equal_one_call_each(self, n, N, alphas):
+        spec = GridSpec(n=n, N=N)
+        if n == 1:
+            A = RadialBump(zero_order=1, zero_width=0.25)
+            a = ching_symbol(d=0.0, theta=1, A=A, j_max=7, spec=spec)
+        else:
+            a = random_elementary(spec, DEFAULT_FRAME, J=3, seed=2)
+        together = sigma_order_estimate(a, alphas, (0.25, 0.125, 0.0625), spec)
+        apart = [
+            sigma_order_estimate(a, [alpha], (0.25, 0.125, 0.0625), spec)[0]
+            for alpha in alphas
+        ]
+        assert together == apart
+
+    @pytest.mark.parametrize("alphas", [[0], [0, 1], [0, 1, 2]])
+    def test_one_localization_per_eps_for_every_alpha(self, monkeypatch, alphas):
+        built = []
+        real = symbols._localize
+
+        def counted(ahat, eps, spec, d):
+            built.append(eps)
+            return real(ahat, eps, spec, d)
+
+        monkeypatch.setattr(symbols, "_localize", counted)
+        eps_grid = (0.25, 0.125, 0.0625)
+        fits = sigma_order_estimate(random_table_symbol(GridSpec(n=1, N=64)), alphas, eps_grid)
+        assert len(fits) == len(alphas)
+        assert sorted(built) == sorted(eps_grid)
 
 
 class TestAdjoint:
