@@ -1,14 +1,16 @@
 """Command-line front end: argparse dispatch, JSON run configs, input and
 symbol construction from spec strings, and persistence of every report.
 
-Spec strings (--symbol, --mode, --space, --frame) share one grammar,
-'kind:k=v,...'; unknown keys are errors.  `experiment NAME` calls the
-pdlab.experiments function RUNNERS[NAME].  The keys of the config's "params"
-and "thresholds" are that runner's keyword arguments, less spec, A, symbol,
-a, frame and seed, which the CLI builds; each value must have the JSON type
-of the argument's annotation, and arguments without defaults are required.
-A config grid, seed or frame the runner cannot use is an error, as is an
-explicit --grid/--n that disagrees with an input file (--input or file:).
+Spec strings (--mode, --symbol, --space, --frame) share one grammar,
+'kind:k=v,...' (a frame has no kind): a kind's keys are its builder's
+keyword arguments (INPUT_KINDS, SYMBOL_KINDS, NORM_KINDS, FRAME_KINDS), those
+without defaults are required, and each value is decoded by the argument's
+annotation.  Configs follow the same rule: `experiment NAME` calls the
+pdlab.experiments function RUNNERS[NAME], and the keys of "params" and
+"thresholds" are its keyword arguments less those the CLI builds (spec, A,
+symbol, a, frame, seed).  Unknown keys are errors, as are a config grid,
+seed or frame the runner cannot use and an explicit --grid/--n that
+disagrees with an input file (--input or file:).
 
 Exit codes: 0 success, 1 a selftest gate failed, 2 usage errors (unknown
 flags, malformed options or configs, unreadable input files).
@@ -17,29 +19,28 @@ flags, malformed options or configs, unreadable input files).
 from __future__ import annotations
 
 import argparse
-import collections.abc
 import functools
 import inspect
 import json
 import math
 import sys
 import time
-import types
-import typing
 from dataclasses import dataclass
 from pathlib import Path
+from typing import Annotated
 
 import numpy as np
 
 from . import experiments
-from .experiments import ExperimentReport, ching_for_grid, parse_norm
+from .experiments import ExperimentReport, parse_norm
 from .frame import (
     DEFAULT_FRAME,
-    FRAME_OPTIONS,
+    FRAME_KINDS,
     LPFrame,
     ModulationFunction,
+    decode_options,
     frame_from_options,
-    parse_options,
+    keyword_options,
     parse_spec,
 )
 from .grid import (
@@ -78,28 +79,55 @@ from .reporting import (
     write_report_json,
     write_report_svg,
 )
-from .symbols import SYMBOL_OPTIONS, ching_options, ching_symbol, parse_symbol_spec
+from .spaces import SpaceParams, space_norms, summation_lemma_check
+from .symbols import (
+    ConstantSymbol,
+    RadialBump,
+    TabulatedSymbol,
+    check_twisted_diagonal,
+    ching_symbol,
+    localize_symbol,
+    mask_twisted_diagonal,
+    parse_symbol_spec,
+    random_elementary,
+    symbol_factory,
+)
 
 
 # ---------------------------------------------------------------------------
 # spec strings
 
 
-INPUT_OPTIONS = {
-    "single": ("eta",),
-    "lacunary": ("N", "d", "theta"),
-    "ladder": ("J", "d"),
-    "random": ("band", "seed"),
-}
-
-
-def _parse_eta(text: str, n: int):
+def _parse_eta(text: str) -> tuple[int, ...]:
     """'32' for n=1, '3x-4' for n=2 (comma is taken by the option list)."""
-    parts = text.split("x")
-    if len(parts) != n:
-        raise ValueError(f"eta {text!r} has {len(parts)} components, grid has n={n}")
-    vals = tuple(int(p) for p in parts)
-    return vals[0] if n == 1 else vals
+    return tuple(int(p) for p in text.split("x"))
+
+
+def _single(spec: GridSpec, run_seed: int, *, eta: Annotated[tuple[int, ...], _parse_eta]):
+    return single_mode(spec, eta)
+
+
+def _lacunary(spec: GridSpec, run_seed: int, *, N: int, d: float = 0.0, theta: int = 1):
+    return experiments.lacunary_input(spec, N, d=d, theta=theta)
+
+
+def _ladder(spec: GridSpec, run_seed: int, *, J: int = 6, d: float = 0.5):
+    if spec.n != 1:
+        raise ValueError("ladder mode runs on 1-d grids")
+    if not 1 <= J or 2**J > spec.N // 2:
+        raise ValueError(f"ladder J={J} does not fit on an N={spec.N} grid")
+    return from_coeffs(spec, {2**j: 2.0 ** (-j * d) for j in range(1, J + 1)})
+
+
+def _random(spec: GridSpec, run_seed: int, *, band: float = 0.4, seed: int | None = None):
+    if not 0.0 < band <= 1.0:
+        raise ValueError(f"random band must be in (0, 1], got {band}")
+    rng = np.random.default_rng(run_seed if seed is None else seed)
+    return random_band_limited(spec, band * (spec.N // 2), rng)
+
+
+INPUT_KINDS = {"single": _single, "lacunary": _lacunary, "ladder": _ladder, "random": _random}
+"""Input generator kinds; each builder takes (grid, run seed)."""
 
 
 def make_input(text: str, spec: GridSpec, seed: int = 0) -> GridFunction:
@@ -113,46 +141,7 @@ def make_input(text: str, spec: GridSpec, seed: int = 0) -> GridFunction:
     """
     if text.startswith("file:"):
         return read_pdgf(text.removeprefix("file:"))
-    kind, kv = parse_spec(text, INPUT_OPTIONS, "input")
-    if kind == "single":
-        if "eta" not in kv:
-            raise ValueError("single mode needs eta=<freq>")
-        return single_mode(spec, _parse_eta(kv["eta"], spec.n))
-    if kind == "lacunary":
-        if "N" not in kv:
-            raise ValueError("lacunary mode needs N=<family index>")
-        return experiments.lacunary_input(
-            spec,
-            int(kv["N"]),
-            d=float(kv.get("d", "0")),
-            theta=int(kv.get("theta", "1")),
-        )
-    if kind == "ladder":
-        if spec.n != 1:
-            raise ValueError("ladder mode runs on 1-d grids")
-        J = int(kv.get("J", "6"))
-        if not 1 <= J or 2**J > spec.N // 2:
-            raise ValueError(f"ladder J={J} does not fit on an N={spec.N} grid")
-        d = float(kv.get("d", "0.5"))
-        return from_coeffs(spec, {2**j: 2.0 ** (-j * d) for j in range(1, J + 1)})
-    band = float(kv.get("band", "0.4"))
-    if not 0.0 < band <= 1.0:
-        raise ValueError(f"random band must be in (0, 1], got {band}")
-    rng = np.random.default_rng(int(kv.get("seed", str(seed))))
-    return random_band_limited(spec, band * (spec.N // 2), rng)
-
-
-def symbol_factory(text: str, frame: LPFrame):
-    """Grid-adaptive symbol builder for a spec string.
-
-    ching with jmax=auto picks the deepest truncation each grid holds
-    (experiments.ching_for_grid); everything else defers to parse_symbol_spec.
-    """
-    kind, kv = parse_spec(text, SYMBOL_OPTIONS, "symbol")
-    if kind == "ching" and kv.get("jmax") == "auto":
-        kw = ching_options(kv)
-        return lambda spec: ching_for_grid(spec, **kw)
-    return lambda spec: parse_symbol_spec(text, spec, frame)
+    return parse_spec(text, INPUT_KINDS, "input")(spec, seed)
 
 
 # ---------------------------------------------------------------------------
@@ -175,45 +164,6 @@ class RunConfig:
     raw: dict
 
 
-def _decode(value, hint, where: str):
-    """The JSON `value` as annotation `hint` asks, or ValueError."""
-    origin, args = typing.get_origin(hint), typing.get_args(hint)
-    if origin in (typing.Union, types.UnionType):
-        if value is None and type(None) in args:
-            return None
-        errors = []
-        for member in args:
-            try:
-                return _decode(value, member, where)
-            except ValueError as exc:
-                errors.append(exc)
-        raise errors[0]
-    if hint is float and type(value) in (int, float):
-        return float(value)
-    if hint in (int, bool, str) and type(value) is hint:
-        return value
-    if (origin or hint) is dict and isinstance(value, dict):
-        return {k: _decode(v, args[1], f"{where}.{k}") for k, v in value.items()} if args else value
-    if origin is tuple and isinstance(value, list) and len(value) == len(args):
-        return tuple(_decode(v, t, f"{where}[{i}]") for i, (v, t) in enumerate(zip(value, args)))
-    if origin in (list, collections.abc.Sequence) and isinstance(value, list):
-        return [_decode(v, args[0], f"{where}[{i}]") for i, v in enumerate(value)]
-    wanted = {float: "a number", int: "an integer", bool: "true or false", str: "a string",
-              dict: "an object", tuple: f"a list of {len(args)}"}.get(origin or hint, "a list")
-    raise ValueError(f"{where} must be {wanted}, got {json.dumps(value)}")
-
-
-def _decode_object(obj, hints: dict, where: str) -> dict:
-    """A config object whose keys are `hints`' keys and whose values have
-    the JSON types of the matching annotations."""
-    if not isinstance(obj, dict):
-        raise ValueError(f"{where} must be an object")
-    unknown = set(obj) - set(hints)
-    if unknown:
-        raise ValueError(f"unknown {where} keys {sorted(unknown)}")
-    return {k: _decode(v, hints[k], f"{where}.{k}") for k, v in obj.items()}
-
-
 _CONFIG_TYPES = {
     "grid": dict | None,
     "frame": dict | None,
@@ -226,16 +176,15 @@ _CONFIG_TYPES = {
 
 
 def config_from_dict(obj: dict) -> RunConfig:
-    c = _decode_object(obj, _CONFIG_TYPES, "config")
+    c = decode_options(obj, _CONFIG_TYPES, "config")
     grid = c.get("grid")
     if grid is not None:
-        g = _decode_object(grid, {"n": int, "N": int}, "grid")
-        if "N" not in g:
-            raise ValueError("config grid needs N")
+        g = decode_options(grid, {"n": int, "N": int}, "grid", required=("N",))
         grid = GridSpec(n=g.get("n", 1), N=g["N"])
     frame = c.get("frame")
     if frame is not None:
-        frame = frame_from_options(_decode_object(frame, FRAME_OPTIONS, "frame"))
+        hints, _ = keyword_options(frame_from_options)
+        frame = frame_from_options(**decode_options(frame, hints, "frame"))
     return RunConfig(
         grid=grid,
         frame=frame or DEFAULT_FRAME,
@@ -268,11 +217,10 @@ def dispatch_experiment(runner: str, cfg: RunConfig) -> ExperimentReport:
     """Call the runner with the config's params and thresholds decoded by
     the runner's own signature, plus the arguments the CLI supplies."""
     fn = getattr(experiments, RUNNERS[runner])  # at call time: it may be rebound
-    params = inspect.signature(fn).parameters
-    hints = typing.get_type_hints(fn)
-    settable = {k: hints[k] for k in params if k not in _SUPPLIED}
-    kw = _decode_object(cfg.params, settable, "params")
-    thresholds = _decode_object(cfg.thresholds, settable, "thresholds")
+    params = inspect.signature(fn, eval_str=True).parameters
+    settable = {k: p.annotation for k, p in params.items() if k not in _SUPPLIED}
+    kw = decode_options(cfg.params, settable, "params")
+    thresholds = decode_options(cfg.thresholds, settable, "thresholds")
     both = set(kw) & set(thresholds)
     if both:
         raise ValueError(f"keys {sorted(both)} are set in both params and thresholds")
@@ -320,9 +268,7 @@ def _grid_from_args(args) -> GridSpec:
 
 
 def _frame_from_args(args) -> LPFrame:
-    if not args.frame:
-        return DEFAULT_FRAME
-    return frame_from_options(parse_options(args.frame, FRAME_OPTIONS, "frame"))
+    return parse_spec(args.frame, FRAME_KINDS, "frame")() if args.frame else DEFAULT_FRAME
 
 
 def _read_input(args, path: str) -> GridFunction:
@@ -451,9 +397,9 @@ def cmd_apply(args) -> int:
 
 
 def cmd_norms(args) -> int:
-    frame = _frame_from_args(args)
-    spec = _grid_from_args(args)
+    label, fn, _ = parse_norm(args.space, _frame_from_args(args))
     if args.corpus is not None:
+        spec = _grid_from_args(args)
         entries = json.loads(Path(args.corpus).read_text())
         if not isinstance(entries, list):
             raise ValueError("corpus must be a JSON list of generator strings")
@@ -462,7 +408,6 @@ def cmd_norms(args) -> int:
             if not isinstance(entry, str):
                 raise ValueError(f"corpus entry {i} must be a generator string")
             u = _make_input(args, entry, spec)
-            label, fn, _ = parse_norm(args.space, frame)
             rows.append((i, entry, label, repr(fn(u))))
         if args.out:
             write_csv(args.out, ("index", "mode", "space", "norm"), rows)
@@ -471,17 +416,10 @@ def cmd_norms(args) -> int:
             for row in rows:
                 print(",".join(str(x) for x in row))
         return 0
-    if args.input is not None:
-        u = _read_input(args, args.input)
-    else:
-        u = _make_input(args, args.mode, spec)
-    label, fn, _ = parse_norm(args.space, frame)
+    u, spec = _resolve_io(args)
     value = fn(u)
     if args.json:
-        _emit_json(
-            {"space": label, "value": value, "grid": {"n": u.spec.n, "N": u.spec.N}},
-            None,
-        )
+        _emit_json({"space": label, "value": value, "grid": {"n": spec.n, "N": spec.N}}, None)
     else:
         print(repr(value))
     return 0
@@ -725,8 +663,6 @@ def _gate(cond: bool, msg: str) -> None:
 
 @functools.cache  # a pure function of fixed constants: both paradiff gates share one build
 def _gate_paradiff_pair():
-    from .symbols import TabulatedSymbol, random_elementary
-
     spec = GridSpec(1, 128)
     a = random_elementary(spec, DEFAULT_FRAME, J=5, seed=1)
     tab = TabulatedSymbol(spec, a.table(spec), d=0.0)
@@ -779,8 +715,6 @@ def gate_frequency_shift():
 
 
 def gate_factorization():
-    from .symbols import random_elementary
-
     spec = GridSpec(1, 128)
     for seed in (0, 1, 2):
         a = random_elementary(spec, DEFAULT_FRAME, J=4, seed=seed)
@@ -793,8 +727,6 @@ def gate_factorization():
 
 
 def gate_strict_tdc():
-    from .symbols import check_twisted_diagonal, localize_symbol, mask_twisted_diagonal
-
     spec = GridSpec(1, 128)
     a = ching_symbol(0.0, theta=2, j_max=5, spec=spec)
     mass = check_twisted_diagonal(a, a.tdc_B, spec=spec).violation_mass
@@ -806,8 +738,6 @@ def gate_strict_tdc():
 
 
 def gate_scales_agree():
-    from .spaces import SpaceParams, space_norms
-
     spec = GridSpec(1, 64)
     u = random_band_limited(spec, 20, np.random.default_rng(3))
     b, f = space_norms(u, [SpaceParams(0.5, 2.0, 2.0, "B"), SpaceParams(0.5, 2.0, 2.0, "F")])
@@ -815,15 +745,11 @@ def gate_scales_agree():
 
 
 def gate_summation_lemma():
-    from .spaces import summation_lemma_check
-
     c = summation_lemma_check(s=-0.5, q=2.0, count=100, length=32, seed=0)
     _gate(math.isfinite(c) and c > 0.0, f"summation lemma fit returned {c!r}")
 
 
 def gate_support_rule():
-    from .symbols import random_elementary
-
     spec = GridSpec(1, 128)
     a = random_elementary(spec, DEFAULT_FRAME, J=4, seed=5)
     u = random_band_limited(spec, 16, np.random.default_rng(6))
@@ -845,8 +771,6 @@ def gate_maximal_stability():
 
 
 def gate_sigma_order():
-    from .symbols import RadialBump
-
     spec = GridSpec(1, 512)
     a = ching_symbol(
         0.0, theta=1, A=RadialBump(zero_order=1, zero_width=0.25), j_max=7, spec=spec
@@ -857,8 +781,6 @@ def gate_sigma_order():
 
 
 def gate_continuity_identity():
-    from .symbols import ConstantSymbol
-
     rep = experiments.run_continuity_table(
         ConstantSymbol(1.0), cases=[("L:p=2", "L:p=2")], grids=(64, 128), trials=3
     )
@@ -870,8 +792,6 @@ def gate_continuity_identity():
 
 
 def gate_vfm_independence():
-    from .symbols import random_elementary
-
     spec = GridSpec(1, 128)
     a = random_elementary(spec, DEFAULT_FRAME, J=4, seed=7)
     u = random_band_limited(spec, 16, np.random.default_rng(8))
@@ -1031,10 +951,7 @@ def main(argv=None) -> int:
         missing = exc.filename if exc.filename else str(exc)
         print(f"error: input file not found: {missing}", file=sys.stderr)
         return 2
-    except OSError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except ValueError as exc:
+    except (OSError, ValueError, OverflowError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

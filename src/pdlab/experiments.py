@@ -20,7 +20,7 @@ from typing import Callable, Sequence
 import numpy as np
 
 from ._threads import pmap
-from .frame import DEFAULT_FRAME, LPFrame, parse_options
+from .frame import DEFAULT_FRAME, LPFrame, parse_spec
 from .grid import (
     GridFunction,
     GridSpec,
@@ -32,15 +32,15 @@ from .grid import (
     sobolev_norm,
 )
 from .operators import apply_auto, plan
-from .spaces import SpaceParams, format_space, parse_space, space_norms
+from .spaces import SPACE_KINDS, SpaceParams, format_space, space_norms
 from .symbols import (
     DEFAULT_BUMP,
-    ChingSymbol,
     ConstantSymbol,
     RadialBump,
     Symbol,
     TabulatedSymbol,
     check_twisted_diagonal,
+    ching_for_grid,
     ching_symbol,
     mask_twisted_diagonal,
     sigma_order_estimate,
@@ -162,17 +162,6 @@ def lacunary_input(spec: GridSpec, N: int, d: float = 0.0, theta: int = 1) -> Gr
 def family_indices(spec: GridSpec, theta: int = 1, cap: int = 5) -> list[int]:
     """Family indices whose top mode 2^{N^2} theta fits on the grid."""
     return [N for N in range(2, cap + 1) if 2 ** (N * N) * abs(theta) < spec.N // 2]
-
-
-def ching_for_grid(
-    spec: GridSpec, d: float = 0.0, theta=1, A: RadialBump = DEFAULT_BUMP
-) -> ChingSymbol:
-    """Lacunary-series symbol truncated at the deepest level the grid holds."""
-    tnorm = float(np.linalg.norm(np.atleast_1d(theta)))
-    cap = (spec.N / 2) / max(A.a1, tnorm)
-    if cap < 1.0:
-        raise ValueError(f"grid N={spec.N} cannot hold even the j=0 term")
-    return ching_symbol(d, theta, A=A, j_max=int(math.floor(math.log2(cap) + 1e-12)), spec=spec)
 
 
 def _family_blow_up(ratios: Sequence[float], margin: float, factor: float) -> bool:
@@ -407,6 +396,18 @@ def run_wavefront(
 # continuity tables
 
 
+def _lebesgue(frame: LPFrame, *, p: float) -> Callable[[GridFunction], float]:
+    return lambda u: lp_norm(u, p)
+
+
+def _sobolev(frame: LPFrame, *, s: float) -> Callable[[GridFunction], float]:
+    return lambda u: sobolev_norm(fft_forward(u), s)
+
+
+NORM_KINDS = {"L": _lebesgue, "H": _sobolev, **SPACE_KINDS}
+"""Norm kinds; a builder takes the frame and gives an evaluator, or for B, F a SpaceParams."""
+
+
 def parse_norm(
     case: str | SpaceParams, frame: LPFrame | None = None
 ) -> tuple[str, Callable[[GridFunction], float], SpaceParams | None]:
@@ -414,25 +415,19 @@ def parse_norm(
     SpaceParams of a framed (B/F) norm and None for L and H.
 
     Accepts 'L:p=2' (Lebesgue), 'H:s=1' (Sobolev, p = 2), the dyadic-scale
-    forms 'B:s=..,p=..,q=..' / 'F:s=..,p=..,q=..', or a SpaceParams.
+    forms 'B:s=..,p=..,q=..' / 'F:s=..,p=..,q=..', or a SpaceParams.  The
+    kind's case is free: 'l:p=inf' is 'L:p=inf'.
     """
     if isinstance(case, SpaceParams):
         sp = case if frame is None else SpaceParams(case.s, case.p, case.q, case.scale, frame)
         return format_space(sp), lambda u: space_norms(u, [sp])[0], sp
     text = case.strip()
-    head, _, body = text.partition(":")
-    head = head.strip().upper()
-    if head in ("L", "H"):
-        want = "p" if head == "L" else "s"
-        val = parse_options(body, (want,), f"{head} norm").get(want)
-        if not val:
-            raise ValueError(f"{head} norm takes '{head}:{want}=<value>', got {case!r}")
-        x = float(val)
-        if head == "L":
-            return text, lambda u: lp_norm(u, x), None
-        return text, lambda u: sobolev_norm(fft_forward(u), x), None
-    sp = parse_space(text, frame=frame)
-    return text, lambda u: space_norms(u, [sp])[0], sp
+    head, colon, body = text.partition(":")
+    build = parse_spec(head.upper() + colon + body, NORM_KINDS, "norm")
+    norm = build(frame if frame is not None else DEFAULT_FRAME)
+    if isinstance(norm, SpaceParams):
+        return text, lambda u: space_norms(u, [norm])[0], norm
+    return text, norm, None
 
 
 def _norm_values(norms: Sequence[tuple], u: GridFunction) -> list[float]:

@@ -16,9 +16,15 @@ the two blocks that share it.
 """
 from __future__ import annotations
 
+import collections.abc
+import functools
+import inspect
+import json
 import threading
+import types
+import typing
 from dataclasses import dataclass, field
-from typing import Collection
+from typing import Callable
 
 import numpy as np
 
@@ -202,48 +208,112 @@ def block_project(u: GridFunction, frame: LPFrame, j: int, kind: str = "corona")
     return fft_inverse(type(c)(u.spec, c.coeffs * mult))
 
 
-DEFAULT_FRAME = LPFrame(psi=ModulationFunction(r=1.0, R=2.0), h=3)
+def frame_from_options(
+    *, r: float = 1.0, R: float = 2.0, h: int = 3, profile: str = "smoothstep"
+) -> LPFrame:
+    """The frame of a --frame spec or a config "frame" object."""
+    return LPFrame(psi=ModulationFunction(r, R, profile), h=h)
+
+
+DEFAULT_FRAME = frame_from_options()
 
 
 # ---------------------------------------------------------------------------
-# the option grammar of symbol, input, space and frame specs
+# the option grammar: inputs, symbols, norms and frames are named by spec
+# strings 'kind:k=v,...'.  A spec family is a table kind -> builder, and a
+# kind's keys are its builder's keyword-only arguments: those without a
+# default are required, and each value is decoded by the argument's
+# annotation, by the rule that also decodes JSON run configs.
 
 
-def parse_options(text: str, allowed: Collection[str], what: str) -> dict[str, str]:
-    """Split 'k=v,k=v' into stripped strings; an item without '=' or a key
-    outside `allowed` raises ValueError."""
-    opts: dict[str, str] = {}
-    for item in text.split(",") if text.strip() else ():
-        key, eq, value = item.partition("=")
-        key = key.strip()
-        if not eq or not key:
-            raise ValueError(f"bad {what} option {item!r}")
-        if key not in allowed:
-            known = ", ".join(sorted(allowed))
-            raise ValueError(f"unknown {what} option {key!r}; allowed: {known}")
-        opts[key] = value.strip()
-    return opts
+FRAME_KINDS = {"": frame_from_options}  # the kind "" takes bare 'k=v,...' text
 
 
-def parse_spec(
-    text: str, kinds: dict[str, Collection[str]], what: str
-) -> tuple[str, dict[str, str]]:
-    """Split 'kind:k=v,...' into the kind and its options; `kinds` maps each
-    accepted kind to the option keys it allows."""
-    kind, _, rest = text.partition(":")
+def decode(value, hint, where: str, text: bool = False):
+    """`value` as annotation `hint` asks, or ValueError.
+
+    A JSON value must already have the hint's type (an integer serves a
+    float).  Spec text (`text`) is converted by int, float, complex or str,
+    by membership for a Literal, and by `parse` for Annotated[T, parse],
+    which only spec text uses.  A hint the grammar cannot read: TypeError."""
+    origin, args = typing.get_origin(hint), typing.get_args(hint)
+    if origin in (typing.Union, types.UnionType):
+        if value is None and type(None) in args:
+            return None
+        errors = []
+        for member in args:
+            try:
+                return decode(value, member, where, text)
+            except ValueError as exc:
+                errors.append(exc)
+        raise errors[0]
+    if origin is typing.Literal and value in args:
+        return value
+    if text:
+        if origin is typing.Literal or hint is type(None):
+            raise ValueError(f"bad value for {where}")
+        if hint not in (int, float, complex, str) and origin is not typing.Annotated:
+            raise TypeError(f"the option grammar cannot read {hint!r} ({where})")
+        try:
+            return args[1](value) if origin is typing.Annotated else hint(value)
+        except ValueError as exc:
+            raise ValueError(f"bad value for {where}") from exc
+    if hint is float and type(value) in (int, float):
+        return float(value)
+    if hint in (int, bool, str) and type(value) is hint:
+        return value
+    if (origin or hint) is dict and isinstance(value, dict):
+        return {k: decode(v, args[1], f"{where}.{k}") for k, v in value.items()} if args else value
+    if origin is tuple and isinstance(value, list) and len(value) == len(args):
+        return tuple(decode(v, t, f"{where}[{i}]") for i, (v, t) in enumerate(zip(value, args)))
+    if origin in (list, collections.abc.Sequence) and isinstance(value, list):
+        return [decode(v, args[0], f"{where}[{i}]") for i, v in enumerate(value)]
+    wanted = {float: "a number", int: "an integer", bool: "true or false", str: "a string",
+              dict: "an object", tuple: f"a list of {len(args)}"}.get(origin or hint, "a list")
+    raise ValueError(f"{where} must be {wanted}, got {json.dumps(value)}")
+
+
+def keyword_options(builder: Callable) -> tuple[dict, list]:
+    """The keys of the spec kind `builder` builds, its keyword-only arguments:
+    (key -> evaluated annotation, the keys without a default)."""
+    params = inspect.signature(builder, eval_str=True).parameters.values()
+    params = [p for p in params if p.kind is p.KEYWORD_ONLY]
+    return {p.name: p.annotation for p in params}, [p.name for p in params if p.default is p.empty]
+
+
+def decode_options(values, hints: dict, what: str, spec: str | None = None, required=()) -> dict:
+    """The object `values` decoded by `hints` (key -> annotation): as the text
+    of spec string `spec` when given, else as JSON.  A key outside `hints` or
+    a missing `required` key raises ValueError."""
+    if not isinstance(values, dict):
+        raise ValueError(f"{what} must be an object")
+    for key in values:
+        if key not in hints:
+            raise ValueError(f"unknown {what} option {key!r}; allowed: {', '.join(sorted(hints))}")
+    text = spec is not None
+    missing = [key for key in required if key not in values]
+    if missing:
+        raise ValueError(f"{what} {spec!r} is missing {', '.join(missing)}" if text
+                         else f"{what} is missing {', '.join(missing)}")
+    return {k: decode(v, hints[k], f"{k} in {spec!r}" if text else f"{what}.{k}", text)
+            for k, v in values.items()}
+
+
+def parse_spec(text: str, kinds: dict[str, Callable], what: str) -> functools.partial:
+    """The builder of spec `text`'s kind with its options bound; the caller
+    passes the builder's positional arguments (grid, frame, ...).
+
+    An item without '=', a key the builder does not take, a missing required
+    key and a value its annotation rejects each raise ValueError."""
+    kind, _, rest = ("", "", text) if "" in kinds else text.partition(":")
     kind = kind.strip()
     if kind not in kinds:
         raise ValueError(f"unknown {what} kind {kind!r} in {text!r}")
-    return kind, parse_options(rest, kinds[kind], what)
-
-
-FRAME_OPTIONS = {"r": float, "R": float, "h": int, "profile": str}
-
-
-def frame_from_options(opts: dict) -> LPFrame:
-    """LPFrame from FRAME_OPTIONS values, as text or typed; keys left out
-    take DEFAULT_FRAME's values."""
-    v = {key: FRAME_OPTIONS[key](value) for key, value in opts.items()}
-    d = DEFAULT_FRAME
-    psi = ModulationFunction(v.get("r", d.r), v.get("R", d.R), v.get("profile", d.psi.profile))
-    return LPFrame(psi=psi, h=v.get("h", d.h))
+    values = {}
+    for item in rest.split(",") if rest.strip() else ():
+        key, eq, value = item.partition("=")
+        if not eq or not key.strip():
+            raise ValueError(f"bad {what} option {item!r}")
+        values[key.strip()] = value.strip()
+    hints, required = keyword_options(kinds[kind])
+    return functools.partial(kinds[kind], **decode_options(values, hints, what, text, required))

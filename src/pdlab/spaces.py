@@ -14,6 +14,7 @@ block tables, which are built once per grid."""
 from __future__ import annotations
 
 import dataclasses
+import functools
 import logging
 import math
 from dataclasses import dataclass
@@ -67,21 +68,17 @@ class SpaceParams:
             raise ValueError("p = inf is out of scope on the 'F' scale")
 
 
+def _space(scale: str, frame: LPFrame, *, s: float, p: float, q: float) -> SpaceParams:
+    return SpaceParams(s, p, q, scale, frame)
+
+
+SPACE_KINDS = {scale: functools.partial(_space, scale) for scale in (BESOV, TRIEBEL_LIZORKIN)}
+"""Space spec kinds; each builder takes the frame."""
+
+
 def parse_space(text: str, frame: LPFrame | None = None) -> SpaceParams:
     """Parse 'F:s=0.5,p=2,q=1' or 'B:s=-1,p=inf,q=inf' into SpaceParams."""
-    keys = ("s", "p", "q")
-    scale, opts = parse_spec(text, {BESOV: keys, TRIEBEL_LIZORKIN: keys}, "space")
-    fields: dict[str, float] = {}
-    for key in keys:
-        if key not in opts:
-            raise ValueError(f"space {text!r} is missing {key}")
-        try:
-            fields[key] = float(opts[key])
-        except ValueError as exc:
-            raise ValueError(f"bad value for {key} in {text!r}") from exc
-    return SpaceParams(
-        **fields, scale=scale, frame=frame if frame is not None else DEFAULT_FRAME
-    )
+    return parse_spec(text, SPACE_KINDS, "space")(frame if frame is not None else DEFAULT_FRAME)
 
 
 def format_space(sp: SpaceParams) -> str:

@@ -12,10 +12,11 @@ symbols, so conjugate-symmetry bookkeeping never enters.
 from __future__ import annotations
 
 import json
+import math
 import struct
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Callable, NamedTuple
+from typing import Annotated, Callable, Literal, NamedTuple
 
 import numpy as np
 
@@ -905,63 +906,81 @@ def _parse_theta(text: str) -> tuple[int, ...]:
     return tuple(vec)
 
 
-SYMBOL_OPTIONS = {
-    "const": ("c",),
-    "ching": ("d", "theta", "jmax", "a0", "a1", "b0", "b1", "zr", "zat", "zw"),
-    "elementary": ("seed", "J", "d", "spread", "file"),
-    "table": ("file",),
-}
-"""Symbol spec kinds and the option keys each accepts."""
+def ching_for_grid(
+    spec: GridSpec, d: float = 0.0, theta=1, A: RadialBump = DEFAULT_BUMP
+) -> ChingSymbol:
+    """Lacunary-series symbol truncated at the deepest level the grid holds."""
+    tnorm = float(np.linalg.norm(np.atleast_1d(theta)))
+    cap = (spec.N / 2) / max(A.a1, tnorm)
+    if cap < 1.0:
+        raise ValueError(f"grid N={spec.N} cannot hold even the j=0 term")
+    return ching_symbol(d, theta, A=A, j_max=int(math.floor(math.log2(cap) + 1e-12)), spec=spec)
 
 
-def ching_options(opts: dict[str, str]) -> dict:
-    """d, theta and the bump A of a ching spec's options (jmax is the caller's)."""
-    names = {"a0": "a0", "a1": "a1", "b0": "b0", "b1": "b1", "zat": "zero_at", "zw": "zero_width"}
-    bump_kw: dict = {dst: float(opts[src]) for src, dst in names.items() if src in opts}
-    if "zr" in opts:
-        bump_kw["zero_order"] = int(opts["zr"])
-    return {
-        "d": float(opts.get("d", "0")),
-        "theta": _parse_theta(opts.get("theta", "+1")),
-        "A": RadialBump(**bump_kw) if bump_kw else DEFAULT_BUMP,
-    }
+def _const(spec: GridSpec, frame: LPFrame, *, c: complex = 1.0) -> ConstantSymbol:
+    return ConstantSymbol(c)
+
+
+def _ching(
+    spec: GridSpec, frame: LPFrame, *, d: float = 0.0,
+    theta: Annotated[tuple[int, ...], _parse_theta] = (1,), jmax: int | Literal["auto"] = 8,
+    a0: float = DEFAULT_BUMP.a0, a1: float = DEFAULT_BUMP.a1,
+    b0: float = DEFAULT_BUMP.b0, b1: float = DEFAULT_BUMP.b1,
+    zr: int = DEFAULT_BUMP.zero_order, zat: float = DEFAULT_BUMP.zero_at,
+    zw: float = DEFAULT_BUMP.zero_width,
+) -> ChingSymbol:
+    """jmax=auto: the deepest level the grid holds; zr, zat, zw: the bump's zero."""
+    A = RadialBump(a0, a1, b0, b1, zero_order=zr, zero_at=zat, zero_width=zw)
+    if jmax == "auto":
+        return ching_for_grid(spec, d, theta, A)
+    return ching_symbol(d, theta, A=A, j_max=jmax, spec=spec)
+
+
+def _elementary(
+    spec: GridSpec, frame: LPFrame, *, file: str | None = None, J: int | None = None,
+    d: float | None = None, seed: int | None = None, spread: float | None = None,
+) -> ElementarySymbol:
+    """random_elementary (J defaults to 6), or the multipliers a manifest
+    file lists; a file takes none of the generator's keys."""
+    given = {k: v for k, v in dict(J=J, d=d, seed=seed, spread=spread).items() if v is not None}
+    if file is None:
+        return random_elementary(spec, frame, **{"J": 6, **given})
+    if given:
+        raise ValueError(f"elementary file= takes no {', '.join(given)}")
+    manifest = json.loads(Path(file).read_text())
+    paths = manifest.get("multipliers") if isinstance(manifest, dict) else None
+    if not isinstance(paths, list):
+        raise ValueError(f"{file}: manifest needs a 'multipliers' list")
+    mults = [read_pdgf(Path(file).parent / p) for p in paths]
+    return ElementarySymbol(mults, frame, d=float(manifest.get("d", 0.0)))
+
+
+def _table(spec: GridSpec, frame: LPFrame, *, file: str) -> TabulatedSymbol:
+    sym = read_pdsy(file)
+    if sym.spec != spec:
+        raise ValueError(f"{file}: table is on {sym.spec}, expected {spec}")
+    return sym
+
+
+SYMBOL_KINDS = {"const": _const, "ching": _ching, "elementary": _elementary, "table": _table}
+"""Symbol spec kinds; each builder takes (grid, frame)."""
 
 
 def parse_symbol_spec(text: str, spec: GridSpec, frame: LPFrame | None = None) -> Symbol:
     """Build a symbol from a CLI string.
 
     Forms: ching:d=0,theta=+1,jmax=8[,a0=..,a1=..,b0=..,b1=..,zr=..,zat=..,zw=..]
+           (jmax=auto: the deepest truncation the grid holds)
            elementary:seed=0,J=6[,d=0][,spread=1]
            elementary:file=manifest.json   (keys: d, multipliers=[pdgf paths])
            table:file=sym.pdsy
            const[:c=1]
     """
-    frame = frame if frame is not None else DEFAULT_FRAME
-    kind, kv = parse_spec(text, SYMBOL_OPTIONS, "symbol")
-    if kind == "const":
-        return ConstantSymbol(complex(kv.get("c", "1")))
-    if kind == "ching":
-        return ching_symbol(**ching_options(kv), j_max=int(kv.get("jmax", "8")), spec=spec)
-    if kind == "elementary":
-        if "file" in kv:
-            manifest = json.loads(Path(kv["file"]).read_text())
-            paths = manifest.get("multipliers") if isinstance(manifest, dict) else None
-            if not isinstance(paths, list):
-                raise ValueError(f"{kv['file']}: manifest needs a 'multipliers' list")
-            base = Path(kv["file"]).parent
-            mults = [read_pdgf(base / p) for p in paths]
-            return ElementarySymbol(mults, frame, d=float(manifest.get("d", 0.0)))
-        return random_elementary(
-            spec,
-            frame,
-            J=int(kv.get("J", "6")),
-            d=float(kv.get("d", "0")),
-            seed=int(kv.get("seed", "0")),
-            spread=float(kv.get("spread", "1")),
-        )
-    if "file" not in kv:
-        raise ValueError("table symbol needs file=...")
-    sym = read_pdsy(kv["file"])
-    if sym.spec != spec:
-        raise ValueError(f"{kv['file']}: table is on {sym.spec}, expected {spec}")
-    return sym
+    return symbol_factory(text, frame if frame is not None else DEFAULT_FRAME)(spec)
+
+
+def symbol_factory(text: str, frame: LPFrame) -> Callable[[GridSpec], Symbol]:
+    """Grid-adaptive symbol builder for a spec string, parsed once: ching
+    with jmax=auto picks the deepest truncation each grid holds."""
+    build = parse_spec(text, SYMBOL_KINDS, "symbol")
+    return lambda spec: build(spec, frame)

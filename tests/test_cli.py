@@ -418,6 +418,16 @@ BAD_ARGV = {
                                                  "--refine", "2"],
     "vfm --refine with file mode, ching": lambda t, u: [
         "vfm", "--symbol", "ching:jmax=auto", "--mode", f"file:{u}", "--refine", "2"],
+    "elementary J overflows": lambda t, u: ["apply", "--symbol", "elementary:J=1100",
+                                            "--grid", "64", "--mode", "random:band=0.4"],
+    "ladder d overflows": lambda t, u: ["apply", "--symbol", "const", "--grid", "64",
+                                        "--mode", "ladder:J=3,d=-1e308"],
+    "frame h overflows": lambda t, u: ["apply", "--symbol", "const", "--grid", "64",
+                                       "--frame", "h=2000", "--mode", "random:band=0.4"],
+    "ching d overflows": lambda t, u: ["apply", "--symbol", "ching:d=1e308,jmax=3",
+                                       "--grid", "64", "--mode", "random:band=0.4"],
+    "generator keys next to a manifest": lambda t, u: [
+        "apply", "--symbol", write_manifest(t) + ",J=9,seed=5,d=2,spread=3", *SMALL],
 }
 
 
@@ -425,6 +435,39 @@ BAD_ARGV = {
 def test_malformed_argv_exits_2(capsys, tmp_path, pdgf, name):
     assert main(BAD_ARGV[name](tmp_path, str(pdgf))) == 2
     assert_one_line_error(capsys)
+
+
+BAD_VALUES = {  # spec: (key, argv)
+    "lacunary:N=x": ("N", ["apply", "--symbol", "const", "--grid", "64", "--mode", "lacunary:N=x"]),
+    "ching:d=abc": ("d", ["apply", "--symbol", "ching:d=abc", *SMALL]),
+    "h=x": ("h", ["apply", *SYMBOL, *SMALL, "--frame", "h=x"]),
+    "B:s=x,p=2,q=2": ("s", ["norms", "--space", "B:s=x,p=2,q=2", *SMALL]),
+}
+
+
+@pytest.mark.parametrize("spec", sorted(BAD_VALUES))
+def test_malformed_value_names_key_and_spec(capsys, spec):
+    key, argv = BAD_VALUES[spec]
+    assert main(argv) == 2
+    assert capsys.readouterr().err == f"error: bad value for {key} in {spec!r}\n"
+
+
+def test_failed_gate_exits_1_and_stops(capsys, monkeypatch):
+    # the frequency-shift gate runs for real on a symbol that shifts nothing;
+    # the other gates only record that they ran
+    from pdlab.symbols import ConstantSymbol
+
+    ran = []
+    gates = [(name, functools.partial(ran.append, name)) for name, _ in cli.QUICK_GATES]
+    name = "frequency-shift bookkeeping"
+    at = [n for n, _ in gates].index(name)
+    gates[at] = (name, cli.gate_frequency_shift)
+    monkeypatch.setattr(cli, "QUICK_GATES", gates)
+    monkeypatch.setattr(cli, "parse_symbol_spec", lambda text, spec: ConstantSymbol(1.0))
+    assert main(["selftest", "--quick"]) == 1
+    out = capsys.readouterr().out
+    assert f"FAIL {name}: output spectrum is not the single frequency 0" in out
+    assert ran == [n for n, _ in gates[:at]]
 
 
 NORMS_SOURCES = {

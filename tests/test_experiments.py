@@ -308,6 +308,14 @@ class TestParseNorm:
         _, fn, _ = parse_norm("l:p=inf")
         assert fn(u) == lp_norm(u, math.inf)
 
+    def test_one_case_rule_for_every_kind(self):
+        for text in ("b:s=0,p=2,q=2", "f:s=0.5,p=2,q=1", "h:s=1", "l:p=2"):
+            label, _, framed = parse_norm(text)
+            assert label == text
+            assert framed == parse_norm(text[0].upper() + text[1:])[2]
+        with pytest.raises(ValueError, match="bad value for p in 'L:p=two'"):
+            parse_norm("l:p=two")
+
     def test_rejects_malformed(self):
         with pytest.raises(ValueError):
             parse_norm("L:q=2")

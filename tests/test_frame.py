@@ -1,6 +1,8 @@
+import inspect
 import sys
 import tracemalloc
 from concurrent.futures import ThreadPoolExecutor
+from typing import Annotated, Literal
 
 import numpy as np
 import pytest
@@ -12,9 +14,13 @@ from pdlab.frame import (
     BLOCK_CACHE_KEYS,
     DEFAULT_FRAME,
     LPFrame,
+    FRAME_KINDS,
     ModulationFunction,
     block_project,
+    decode,
+    keyword_options,
     on_distinct,
+    parse_spec,
     smoothstep,
 )
 from pdlab.grid import GridFunction, GridSpec, fft_forward, random_band_limited
@@ -302,3 +308,98 @@ def test_block_cache_under_racing_threads():
     for spec, blocks in zip(specs, got):
         assert all(np.array_equal(a, b) for a, b in zip(blocks, want[spec]))
     assert len(frame._block_cache) <= BLOCK_CACHE_KEYS
+
+
+# ---------------------------------------------------------------------------
+# the option grammar
+
+
+class TestDecode:
+    def test_text_is_converted_by_the_annotation(self):
+        assert decode("3", int, "k", text=True) == 3
+        assert decode("inf", float, "k", text=True) == float("inf")
+        assert decode("1+2j", complex, "k", text=True) == 1 + 2j
+        assert decode("auto", int | Literal["auto"], "k", text=True) == "auto"
+        assert decode("7", int | Literal["auto"], "k", text=True) == 7
+        assert decode("3x-4", Annotated[tuple, lambda t: t.split("x")], "k", text=True) == ["3", "-4"]
+        with pytest.raises(ValueError, match="bad value for k in 'x:k=deep'"):
+            decode("deep", int | Literal["auto"], "k in 'x:k=deep'", text=True)
+        with pytest.raises(ValueError, match="bad value for k"):
+            decode("2.5", int | None, "k", text=True)
+
+    def test_json_values_must_have_the_type(self):
+        assert decode(2, float, "k") == 2.0 and type(decode(2, float, "k")) is float
+        assert decode([1, 2.5], tuple[int, float], "k") == (1, 2.5)
+        with pytest.raises(ValueError, match="k must be an integer"):
+            decode("3", int, "k")
+
+    def test_a_hint_the_grammar_cannot_read_is_a_type_error(self):
+        with pytest.raises(TypeError, match="cannot read"):
+            decode("1", list[int], "k", text=True)
+
+
+class TestParseSpec:
+    @staticmethod
+    def build(spec, *, n: int, x: float = 0.5):
+        return spec, n, x
+
+    def test_binds_the_builders_keywords(self):
+        kinds = {"k": self.build}
+        assert parse_spec("k:n=2", kinds, "thing")("grid") == ("grid", 2, 0.5)
+        assert parse_spec(" k : n = 2 , x = 1e3 ", kinds, "thing")("grid") == ("grid", 2, 1000.0)
+
+    def test_rejects_what_the_builder_does_not_take(self):
+        kinds = {"k": self.build}
+        with pytest.raises(ValueError, match="unknown thing kind 'j' in 'j:n=2'"):
+            parse_spec("j:n=2", kinds, "thing")
+        with pytest.raises(ValueError, match="bad thing option 'n'"):
+            parse_spec("k:n", kinds, "thing")
+        with pytest.raises(ValueError, match="unknown thing option 'y'; allowed: n, x"):
+            parse_spec("k:n=2,y=1", kinds, "thing")
+        with pytest.raises(ValueError, match="thing 'k:x=1' is missing n"):
+            parse_spec("k:x=1", kinds, "thing")
+
+    def test_the_frame_spec_has_no_kind(self):
+        assert parse_spec("r=0.5,R=1.5,h=4", FRAME_KINDS, "frame")() == LPFrame(
+            ModulationFunction(0.5, 1.5), h=4)
+        assert parse_spec("", FRAME_KINDS, "frame")() == DEFAULT_FRAME
+        assert keyword_options(FRAME_KINDS[""]) == (
+            {"r": float, "R": float, "h": int, "profile": str}, [])
+
+
+def _kind_tables():
+    """(table name, table, positional arguments of its builders) for every
+    spec family; the grid is the smallest that holds ching's default jmax=8."""
+    from pdlab.cli import INPUT_KINDS
+    from pdlab.experiments import NORM_KINDS
+    from pdlab.symbols import SYMBOL_KINDS
+
+    spec = GridSpec(1, 1024)
+    return spec, [("input", INPUT_KINDS, (spec, 0)), ("symbol", SYMBOL_KINDS, (spec, DEFAULT_FRAME)),
+                  ("norm", NORM_KINDS, (DEFAULT_FRAME,)), ("frame", FRAME_KINDS, ())]
+
+
+def test_every_option_has_an_annotation_the_grammar_reads():
+    for what, table, _ in _kind_tables()[1]:
+        for kind, builder in table.items():
+            for key, hint in keyword_options(builder)[0].items():
+                assert hint is not inspect.Parameter.empty, (what, kind, key)
+                try:  # a bad value is fine; a TypeError means the hint is unreadable
+                    decode("1", hint, f"{key} in {kind!r}", text=True)
+                except ValueError:
+                    pass
+
+
+def test_every_kind_builds_from_its_required_keys(tmp_path):
+    from pdlab.symbols import ConstantSymbol, write_pdsy
+
+    spec, tables = _kind_tables()
+    table_file = tmp_path / "t.pdsy"
+    write_pdsy(ConstantSymbol(2.0), spec, table_file)
+    samples = {"eta": "3", "N": "2", "file": str(table_file), "s": "0", "p": "2", "q": "2"}
+    for what, table, args in tables:
+        for kind, builder in table.items():
+            _, required = keyword_options(builder)
+            body = ",".join(f"{k}={samples[k]}" for k in required)
+            text = body if kind == "" else f"{kind}:{body}" if body else kind
+            assert parse_spec(text, table, what)(*args) is not None, (what, text)

@@ -20,6 +20,7 @@ from pdlab.symbols import (
     as_multiindex,
     build_chi,
     check_twisted_diagonal,
+    ching_for_grid,
     ching_symbol,
     lattice_pairs,
     localize_symbol,
@@ -639,3 +640,24 @@ class TestParseSymbolSpec:
             parse_symbol_spec("mystery:x=1", spec)
         with pytest.raises(ValueError, match="bad symbol option"):
             parse_symbol_spec("ching:d", spec)
+
+    @pytest.mark.parametrize("N", [64, 2048])
+    def test_jmax_auto_is_the_deepest_truncation(self, N):
+        spec = GridSpec(n=1, N=N)
+        got = parse_symbol_spec("ching:jmax=auto", spec).shift_terms(spec)
+        want = ching_for_grid(spec).shift_terms(spec)
+        assert [(t.j, t.weight, t.xi) for t in got] == [(t.j, t.weight, t.xi) for t in want]
+        assert all(np.array_equal(a.g_table(spec), b.g_table(spec)) for a, b in zip(got, want))
+
+    def test_manifest_takes_no_generator_keys(self, tmp_path):
+        manifest = tmp_path / "sym.json"
+        manifest.write_text(json.dumps({"d": 0.0, "multipliers": []}))
+        with pytest.raises(ValueError, match="takes no J, seed"):
+            parse_symbol_spec(f"elementary:file={manifest},J=9,seed=5", GridSpec(n=1, N=16))
+
+    def test_bad_values_name_key_and_spec(self):
+        spec = GridSpec(n=1, N=16)
+        for text, key in [("ching:d=abc", "d"), ("ching:jmax=deep", "jmax"),
+                          ("ching:theta=e3", "theta"), ("const:c=x", "c")]:
+            with pytest.raises(ValueError, match=f"bad value for {key} in '{text}'"):
+                parse_symbol_spec(text, spec)
