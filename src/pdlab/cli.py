@@ -2,15 +2,13 @@
 symbol construction from spec strings, and persistence of every report.
 
 Spec strings (--mode, --symbol, --space, --frame) share one grammar,
-'kind:k=v,...' (a frame has no kind): a kind's keys are its builder's
-keyword arguments (INPUT_KINDS, SYMBOL_KINDS, NORM_KINDS, FRAME_KINDS), those
-without defaults are required, and each value is decoded by the argument's
-annotation.  Configs follow the same rule: `experiment NAME` calls the
-pdlab.experiments function RUNNERS[NAME], and the keys of "params" and
-"thresholds" are its keyword arguments less those the CLI builds (spec, A,
-symbol, a, frame, seed).  Unknown keys are errors, as are a config grid,
-seed or frame the runner cannot use and an explicit --grid/--n that
-disagrees with an input file (--input or file:).
+'kind:k=v,...' (a frame has no kind): a kind's keys are its builder's keyword
+arguments, those without defaults are required, and each value is decoded by
+the argument's annotation.  `experiment NAME` calls the pdlab.experiments
+function RUNNERS[NAME] by the same rule: "params" and "thresholds" are its
+keyword arguments less those the CLI builds (spec, A, symbol, a, frame, seed).
+Unknown keys are errors, as are a config grid, seed or frame the runner cannot
+use and a --grid/--n that disagrees with an input file (--input or file:).
 
 Exit codes: 0 success, 1 a selftest gate failed, 2 usage errors (unknown
 flags, malformed options or configs, unreadable input files).
@@ -35,13 +33,13 @@ from . import experiments
 from .experiments import ExperimentReport, parse_norm
 from .frame import (
     DEFAULT_FRAME,
-    FRAME_KINDS,
     LPFrame,
     ModulationFunction,
     decode_options,
     frame_from_options,
     keyword_options,
     parse_spec,
+    split_options,
 )
 from .grid import (
     GridFunction,
@@ -79,19 +77,7 @@ from .reporting import (
     write_report_json,
     write_report_svg,
 )
-from .spaces import SpaceParams, space_norms, summation_lemma_check
-from .symbols import (
-    ConstantSymbol,
-    RadialBump,
-    TabulatedSymbol,
-    check_twisted_diagonal,
-    ching_symbol,
-    localize_symbol,
-    mask_twisted_diagonal,
-    parse_symbol_spec,
-    random_elementary,
-    symbol_factory,
-)
+from .symbols import ching_symbol, parse_symbol_spec, symbol_factory
 
 
 # ---------------------------------------------------------------------------
@@ -104,6 +90,9 @@ def _parse_eta(text: str) -> tuple[int, ...]:
 
 
 def _single(spec: GridSpec, run_seed: int, *, eta: Annotated[tuple[int, ...], _parse_eta]):
+    if len(eta) != spec.n:
+        text = "x".join(map(str, eta))
+        raise ValueError(f"eta {text!r} has {len(eta)} components, grid has n={spec.n}")
     return single_mode(spec, eta)
 
 
@@ -268,7 +257,11 @@ def _grid_from_args(args) -> GridSpec:
 
 
 def _frame_from_args(args) -> LPFrame:
-    return parse_spec(args.frame, FRAME_KINDS, "frame")() if args.frame else DEFAULT_FRAME
+    if not args.frame:
+        return DEFAULT_FRAME
+    hints, _ = keyword_options(frame_from_options)
+    values = split_options(args.frame, "frame")
+    return frame_from_options(**decode_options(values, hints, "frame", args.frame))
 
 
 def _read_input(args, path: str) -> GridFunction:
@@ -397,9 +390,9 @@ def cmd_apply(args) -> int:
 
 
 def cmd_norms(args) -> int:
-    label, fn, _ = parse_norm(args.space, _frame_from_args(args))
+    frame = _frame_from_args(args)
+    spec = _grid_from_args(args)
     if args.corpus is not None:
-        spec = _grid_from_args(args)
         entries = json.loads(Path(args.corpus).read_text())
         if not isinstance(entries, list):
             raise ValueError("corpus must be a JSON list of generator strings")
@@ -408,6 +401,7 @@ def cmd_norms(args) -> int:
             if not isinstance(entry, str):
                 raise ValueError(f"corpus entry {i} must be a generator string")
             u = _make_input(args, entry, spec)
+            label, fn, _ = parse_norm(args.space, frame)
             rows.append((i, entry, label, repr(fn(u))))
         if args.out:
             write_csv(args.out, ("index", "mode", "space", "norm"), rows)
@@ -416,10 +410,17 @@ def cmd_norms(args) -> int:
             for row in rows:
                 print(",".join(str(x) for x in row))
         return 0
-    u, spec = _resolve_io(args)
+    if args.input is not None:
+        u = _read_input(args, args.input)
+    else:
+        u = _make_input(args, args.mode, spec)
+    label, fn, _ = parse_norm(args.space, frame)
     value = fn(u)
     if args.json:
-        _emit_json({"space": label, "value": value, "grid": {"n": spec.n, "N": spec.N}}, None)
+        _emit_json(
+            {"space": label, "value": value, "grid": {"n": u.spec.n, "N": u.spec.N}},
+            None,
+        )
     else:
         print(repr(value))
     return 0
@@ -663,6 +664,8 @@ def _gate(cond: bool, msg: str) -> None:
 
 @functools.cache  # a pure function of fixed constants: both paradiff gates share one build
 def _gate_paradiff_pair():
+    from .symbols import TabulatedSymbol, random_elementary
+
     spec = GridSpec(1, 128)
     a = random_elementary(spec, DEFAULT_FRAME, J=5, seed=1)
     tab = TabulatedSymbol(spec, a.table(spec), d=0.0)
@@ -715,6 +718,8 @@ def gate_frequency_shift():
 
 
 def gate_factorization():
+    from .symbols import random_elementary
+
     spec = GridSpec(1, 128)
     for seed in (0, 1, 2):
         a = random_elementary(spec, DEFAULT_FRAME, J=4, seed=seed)
@@ -727,6 +732,8 @@ def gate_factorization():
 
 
 def gate_strict_tdc():
+    from .symbols import check_twisted_diagonal, localize_symbol, mask_twisted_diagonal
+
     spec = GridSpec(1, 128)
     a = ching_symbol(0.0, theta=2, j_max=5, spec=spec)
     mass = check_twisted_diagonal(a, a.tdc_B, spec=spec).violation_mass
@@ -738,6 +745,8 @@ def gate_strict_tdc():
 
 
 def gate_scales_agree():
+    from .spaces import SpaceParams, space_norms
+
     spec = GridSpec(1, 64)
     u = random_band_limited(spec, 20, np.random.default_rng(3))
     b, f = space_norms(u, [SpaceParams(0.5, 2.0, 2.0, "B"), SpaceParams(0.5, 2.0, 2.0, "F")])
@@ -745,11 +754,15 @@ def gate_scales_agree():
 
 
 def gate_summation_lemma():
+    from .spaces import summation_lemma_check
+
     c = summation_lemma_check(s=-0.5, q=2.0, count=100, length=32, seed=0)
     _gate(math.isfinite(c) and c > 0.0, f"summation lemma fit returned {c!r}")
 
 
 def gate_support_rule():
+    from .symbols import random_elementary
+
     spec = GridSpec(1, 128)
     a = random_elementary(spec, DEFAULT_FRAME, J=4, seed=5)
     u = random_band_limited(spec, 16, np.random.default_rng(6))
@@ -771,6 +784,8 @@ def gate_maximal_stability():
 
 
 def gate_sigma_order():
+    from .symbols import RadialBump
+
     spec = GridSpec(1, 512)
     a = ching_symbol(
         0.0, theta=1, A=RadialBump(zero_order=1, zero_width=0.25), j_max=7, spec=spec
@@ -781,6 +796,8 @@ def gate_sigma_order():
 
 
 def gate_continuity_identity():
+    from .symbols import ConstantSymbol
+
     rep = experiments.run_continuity_table(
         ConstantSymbol(1.0), cases=[("L:p=2", "L:p=2")], grids=(64, 128), trials=3
     )
@@ -792,6 +809,8 @@ def gate_continuity_identity():
 
 
 def gate_vfm_independence():
+    from .symbols import random_elementary
+
     spec = GridSpec(1, 128)
     a = random_elementary(spec, DEFAULT_FRAME, J=4, seed=7)
     u = random_band_limited(spec, 16, np.random.default_rng(8))

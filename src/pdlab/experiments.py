@@ -406,6 +406,7 @@ def _sobolev(frame: LPFrame, *, s: float) -> Callable[[GridFunction], float]:
 
 NORM_KINDS = {"L": _lebesgue, "H": _sobolev, **SPACE_KINDS}
 """Norm kinds; a builder takes the frame and gives an evaluator, or for B, F a SpaceParams."""
+_ANY_CASE_NORM_KINDS = {c: f for kind, f in NORM_KINDS.items() for c in (kind, kind.lower())}
 
 
 def parse_norm(
@@ -422,9 +423,7 @@ def parse_norm(
         sp = case if frame is None else SpaceParams(case.s, case.p, case.q, case.scale, frame)
         return format_space(sp), lambda u: space_norms(u, [sp])[0], sp
     text = case.strip()
-    head, colon, body = text.partition(":")
-    build = parse_spec(head.upper() + colon + body, NORM_KINDS, "norm")
-    norm = build(frame if frame is not None else DEFAULT_FRAME)
+    norm = parse_spec(text, _ANY_CASE_NORM_KINDS, "norm")(frame or DEFAULT_FRAME)
     if isinstance(norm, SpaceParams):
         return text, lambda u: space_norms(u, [norm])[0], norm
     return text, norm, None

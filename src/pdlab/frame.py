@@ -220,22 +220,17 @@ DEFAULT_FRAME = frame_from_options()
 
 # ---------------------------------------------------------------------------
 # the option grammar: inputs, symbols, norms and frames are named by spec
-# strings 'kind:k=v,...'.  A spec family is a table kind -> builder, and a
-# kind's keys are its builder's keyword-only arguments: those without a
-# default are required, and each value is decoded by the argument's
-# annotation, by the rule that also decodes JSON run configs.
-
-
-FRAME_KINDS = {"": frame_from_options}  # the kind "" takes bare 'k=v,...' text
+# strings 'kind:k=v,...' (a frame's has no 'kind:').  A spec family is a
+# table kind -> builder, and a kind's keys are its builder's keyword-only
+# arguments: those without a default are required, and each value is decoded
+# by the argument's annotation, by the rule that also decodes JSON configs.
 
 
 def decode(value, hint, where: str, text: bool = False):
-    """`value` as annotation `hint` asks, or ValueError.
-
-    A JSON value must already have the hint's type (an integer serves a
-    float).  Spec text (`text`) is converted by int, float, complex or str,
-    by membership for a Literal, and by `parse` for Annotated[T, parse],
-    which only spec text uses.  A hint the grammar cannot read: TypeError."""
+    """`value` as annotation `hint` asks, or ValueError.  A JSON value must
+    have the hint's type (an integer serves a float); spec `text` is read by
+    int, float, complex, str, a Literal's members or the parse of
+    Annotated[T, parse].  A hint the grammar cannot read: TypeError."""
     origin, args = typing.get_origin(hint), typing.get_args(hint)
     if origin in (typing.Union, types.UnionType):
         if value is None and type(None) in args:
@@ -273,12 +268,14 @@ def decode(value, hint, where: str, text: bool = False):
     raise ValueError(f"{where} must be {wanted}, got {json.dumps(value)}")
 
 
-def keyword_options(builder: Callable) -> tuple[dict, list]:
+@functools.cache
+def keyword_options(builder: Callable) -> tuple[dict, tuple]:
     """The keys of the spec kind `builder` builds, its keyword-only arguments:
     (key -> evaluated annotation, the keys without a default)."""
     params = inspect.signature(builder, eval_str=True).parameters.values()
     params = [p for p in params if p.kind is p.KEYWORD_ONLY]
-    return {p.name: p.annotation for p in params}, [p.name for p in params if p.default is p.empty]
+    required = tuple(p.name for p in params if p.default is p.empty)
+    return {p.name: p.annotation for p in params}, required
 
 
 def decode_options(values, hints: dict, what: str, spec: str | None = None, required=()) -> dict:
@@ -290,30 +287,34 @@ def decode_options(values, hints: dict, what: str, spec: str | None = None, requ
     for key in values:
         if key not in hints:
             raise ValueError(f"unknown {what} option {key!r}; allowed: {', '.join(sorted(hints))}")
-    text = spec is not None
     missing = [key for key in required if key not in values]
     if missing:
-        raise ValueError(f"{what} {spec!r} is missing {', '.join(missing)}" if text
-                         else f"{what} is missing {', '.join(missing)}")
-    return {k: decode(v, hints[k], f"{k} in {spec!r}" if text else f"{what}.{k}", text)
-            for k, v in values.items()}
+        label = what if spec is None else f"{what} {spec!r}"
+        raise ValueError(f"{label} is missing {', '.join(missing)}")
+    return {k: decode(v, hints[k], f"{what}.{k}" if spec is None else f"{k} in {spec!r}",
+                      spec is not None) for k, v in values.items()}
 
 
-def parse_spec(text: str, kinds: dict[str, Callable], what: str) -> functools.partial:
-    """The builder of spec `text`'s kind with its options bound; the caller
-    passes the builder's positional arguments (grid, frame, ...).
-
-    An item without '=', a key the builder does not take, a missing required
-    key and a value its annotation rejects each raise ValueError."""
-    kind, _, rest = ("", "", text) if "" in kinds else text.partition(":")
-    kind = kind.strip()
-    if kind not in kinds:
-        raise ValueError(f"unknown {what} kind {kind!r} in {text!r}")
+def split_options(text: str, what: str) -> dict[str, str]:
+    """'k=v,k=v' as stripped strings; an item without '=' raises ValueError."""
     values = {}
-    for item in rest.split(",") if rest.strip() else ():
+    for item in text.split(",") if text.strip() else ():
         key, eq, value = item.partition("=")
         if not eq or not key.strip():
             raise ValueError(f"bad {what} option {item!r}")
         values[key.strip()] = value.strip()
-    hints, required = keyword_options(kinds[kind])
-    return functools.partial(kinds[kind], **decode_options(values, hints, what, text, required))
+    return values
+
+
+def parse_spec(text: str, kinds: dict[str, Callable], what: str) -> functools.partial:
+    """The builder of spec `text`'s kind with its options bound; the caller
+    passes the builder's positional arguments (grid, frame, ...).  An item
+    without '=', a key the builder does not take, a missing required key and
+    a value its annotation rejects each raise ValueError."""
+    kind, _, rest = text.partition(":")
+    build = kinds.get(kind.strip())
+    if build is None:
+        raise ValueError(f"unknown {what} kind {kind.strip()!r} in {text!r}")
+    hints, required = keyword_options(build)
+    values = split_options(rest, what)
+    return functools.partial(build, **decode_options(values, hints, what, text, required))

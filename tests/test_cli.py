@@ -452,6 +452,12 @@ def test_malformed_value_names_key_and_spec(capsys, spec):
     assert capsys.readouterr().err == f"error: bad value for {key} in {spec!r}\n"
 
 
+def test_eta_names_the_grid_dimension(capsys):
+    assert main(["apply", "--symbol", "const", "--grid", "32", "--n", "2",
+                 "--mode", "single:eta=3"]) == 2
+    assert capsys.readouterr().err == "error: eta '3' has 1 components, grid has n=2\n"
+
+
 def test_failed_gate_exits_1_and_stops(capsys, monkeypatch):
     # the frequency-shift gate runs for real on a symbol that shifts nothing;
     # the other gates only record that they ran

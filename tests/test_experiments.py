@@ -313,7 +313,7 @@ class TestParseNorm:
             label, _, framed = parse_norm(text)
             assert label == text
             assert framed == parse_norm(text[0].upper() + text[1:])[2]
-        with pytest.raises(ValueError, match="bad value for p in 'L:p=two'"):
+        with pytest.raises(ValueError, match="bad value for p in 'l:p=two'"):
             parse_norm("l:p=two")
 
     def test_rejects_malformed(self):

@@ -14,14 +14,15 @@ from pdlab.frame import (
     BLOCK_CACHE_KEYS,
     DEFAULT_FRAME,
     LPFrame,
-    FRAME_KINDS,
     ModulationFunction,
     block_project,
     decode,
+    frame_from_options,
     keyword_options,
     on_distinct,
     parse_spec,
     smoothstep,
+    split_options,
 )
 from pdlab.grid import GridFunction, GridSpec, fft_forward, random_band_limited
 
@@ -360,11 +361,12 @@ class TestParseSpec:
             parse_spec("k:x=1", kinds, "thing")
 
     def test_the_frame_spec_has_no_kind(self):
-        assert parse_spec("r=0.5,R=1.5,h=4", FRAME_KINDS, "frame")() == LPFrame(
-            ModulationFunction(0.5, 1.5), h=4)
-        assert parse_spec("", FRAME_KINDS, "frame")() == DEFAULT_FRAME
-        assert keyword_options(FRAME_KINDS[""]) == (
-            {"r": float, "R": float, "h": int, "profile": str}, [])
+        assert split_options(" r = 0.5 ,R=1.5,h=4", "frame") == {"r": "0.5", "R": "1.5", "h": "4"}
+        assert split_options("", "frame") == {}
+        assert frame_from_options(r=0.5, R=1.5, h=4) == LPFrame(ModulationFunction(0.5, 1.5), h=4)
+        assert frame_from_options() == DEFAULT_FRAME
+        assert keyword_options(frame_from_options) == (
+            {"r": float, "R": float, "h": int, "profile": str}, ())
 
 
 def _kind_tables():
@@ -376,7 +378,7 @@ def _kind_tables():
 
     spec = GridSpec(1, 1024)
     return spec, [("input", INPUT_KINDS, (spec, 0)), ("symbol", SYMBOL_KINDS, (spec, DEFAULT_FRAME)),
-                  ("norm", NORM_KINDS, (DEFAULT_FRAME,)), ("frame", FRAME_KINDS, ())]
+                  ("norm", NORM_KINDS, (DEFAULT_FRAME,)), ("frame", {"": frame_from_options}, ())]
 
 
 def test_every_option_has_an_annotation_the_grammar_reads():
@@ -401,5 +403,5 @@ def test_every_kind_builds_from_its_required_keys(tmp_path):
         for kind, builder in table.items():
             _, required = keyword_options(builder)
             body = ",".join(f"{k}={samples[k]}" for k in required)
-            text = body if kind == "" else f"{kind}:{body}" if body else kind
+            text = f"{kind}:{body}" if body else kind
             assert parse_spec(text, table, what)(*args) is not None, (what, text)
