@@ -15,7 +15,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable, Sequence
+from typing import Callable, NamedTuple, Sequence
 
 import numpy as np
 
@@ -24,12 +24,17 @@ from .frame import DEFAULT_FRAME, LPFrame, parse_spec
 from .grid import (
     GridFunction,
     GridSpec,
+    SpectralFunction,
+    as_spectral,
     fft_forward,
+    fft_inverse,
     from_coeffs,
     lp_norm,
-    random_band_limited,
+    mode_norm,
+    random_band_spectrum,
     single_mode,
     sobolev_norm,
+    spectrum_from_coeffs,
 )
 from .operators import apply_auto, plan
 from .spaces import SPACE_KINDS, SpaceParams, format_space, space_norms
@@ -138,25 +143,27 @@ def amplification_factor(N: int) -> float:
     return sum(1.0 / j for j in range(N, N * N + 1)) / math.log(N)
 
 
-def lacunary_input(spec: GridSpec, N: int, d: float = 0.0, theta: int = 1) -> GridFunction:
-    """v_N = sum_{j=N}^{N^2} e^{i 2^j theta x} / (j 2^{jd} log N) on a 1-d grid."""
-    if spec.n != 1:
-        raise ValueError("the lacunary family lives on 1-d grids")
+def lacunary_coeffs(N: int, d: float = 0.0, theta: int = 1) -> dict[int, float]:
+    """v_N as the modes {2^j theta: 1 / (j 2^{jd} log N)}, j = N..N^2, on no grid."""
     if N < 2:
         raise ValueError("family index must be >= 2")
     if theta == 0:
         raise ValueError("theta must be a nonzero integer")
+    log_n = math.log(N)
+    return {2**j * theta: 1.0 / (j * 2.0 ** (j * d) * log_n) for j in range(N, N * N + 1)}
+
+
+def lacunary_input(spec: GridSpec, N: int, d: float = 0.0, theta: int = 1) -> GridFunction:
+    """v_N = sum_{j=N}^{N^2} e^{i 2^j theta x} / (j 2^{jd} log N) on a 1-d grid."""
+    if spec.n != 1:
+        raise ValueError("the lacunary family lives on 1-d grids")
     top = 2 ** (N * N) * abs(theta)
     if top >= spec.N // 2:
         raise ValueError(
             f"family index {N} needs mode 2^{N * N}*|theta| = {top} "
             f"inside the lattice; grid holds |eta| < {spec.N // 2}"
         )
-    log_n = math.log(N)
-    coeffs = {
-        2**j * theta: 1.0 / (j * 2.0 ** (j * d) * log_n) for j in range(N, N * N + 1)
-    }
-    return from_coeffs(spec, coeffs)
+    return from_coeffs(spec, lacunary_coeffs(N, d, theta))
 
 
 def family_indices(spec: GridSpec, theta: int = 1, cap: int = 5) -> list[int]:
@@ -191,36 +198,42 @@ def run_counterexample(
     c_N * v to IDENTITY_TOL with c_N the amplification factor, while the
     ratios ||a(x,D)v_N||_L2 / ||v_N||_H^d grow along the family.  The
     identity operator runs the same inputs as the negative control.
+
+    With no spec the rows are exact, in mode space (lacunary_coeffs,
+    ChingSymbol.apply_modes, Parseval sums), so N may pass any grid: N = 8
+    reaches mode 2^64.  A spec runs the lattice route, selftest's oracle.  The
+    residual row is the ell-1 bound sum_eta |out_eta - c_N delta_0|, which
+    bounds max_x |a(x,D)v_N - c_N v| and equals it when the output is one mode.
     """
     N_list = [int(N) for N in N_list]
     if not N_list or sorted(N_list) != N_list or len(set(N_list)) != len(N_list):
         raise ValueError("N_list must be nonempty, strictly increasing")
-    top_N = max(N_list)
-    if spec is None:
-        spec = GridSpec(n=1, N=2 ** (top_N * top_N + 2))
-    if spec.n != 1:
+    if spec is not None and spec.n != 1:
         raise ValueError("the family experiment runs on 1-d grids")
-    j_max = top_N * top_N
+    j_max = max(N_list) ** 2
     a = ching_symbol(d, theta=1, A=A, j_max=j_max, spec=spec)
-    op, control_op = plan(a, spec), plan(CONTROL_SYMBOL, spec)
-    v = single_mode(spec, 0)
+    if spec is not None:
+        ops, etas = (plan(a, spec), plan(CONTROL_SYMBOL, spec)), spec.axis_freqs().tolist()
 
     def one_member(N: int) -> tuple[float, float, float, float, float]:
-        v_n = lacunary_input(spec, N, d=d)
-        out = op(v_n)
+        v_n = lacunary_coeffs(N, d)
+        if spec is None:
+            out, control = a.apply_modes(v_n), v_n  # the control, a = 1, returns v_N
+        else:
+            u = lacunary_input(spec, N, d=d)
+            out, control = (dict(zip(etas, fft_forward(op(u)).coeffs.tolist())) for op in ops)
         c_n = amplification_factor(N)
-        residual = lp_norm(out - c_n * v, math.inf)
-        h_d = sobolev_norm(fft_forward(v_n), d)
-        ratio = lp_norm(out, 2) / h_d
-        control = lp_norm(control_op(v_n), 2) / h_d
-        return c_n, residual, h_d, ratio, control
+        deviation = {**out, 0: out.get(0, 0.0) - c_n}  # a(x,D)v_N - c_N v, mode by mode
+        residual = math.fsum(map(abs, deviation.values()))
+        h_d = mode_norm(v_n, d)
+        return c_n, residual, h_d, mode_norm(out, 0.0) / h_d, mode_norm(control, 0.0) / h_d
 
     results = pmap(one_member, N_list)
 
     entries: list[tuple[str, float, str]] = []
     for N, (c_n, residual, h_d, ratio, control) in zip(N_list, results):
         entries.append((f"c[N={N}]", c_n, "(1/log N) sum_{j=N}^{N^2} 1/j"))
-        entries.append((f"residual[N={N}]", residual, "max_x |a(x,D)v_N - c_N v|"))
+        entries.append((f"residual[N={N}]", residual, "sum_eta |(a(x,D)v_N)_eta - c_N delta_0|"))
         entries.append((f"input norm[N={N}]", h_d, "||v_N||_{H^d}"))
         entries.append((f"ratio[N={N}]", ratio, "||a(x,D)v_N||_{L2} / ||v_N||_{H^d}"))
         entries.append(
@@ -249,7 +262,7 @@ def run_counterexample(
         parameters=parameters,
         rows=_build_rows(entries),
         verdicts=verdicts,
-        environment=_environment(spec),
+        environment={"grid": None} if spec is None else _environment(spec),
     )
 
 
@@ -396,12 +409,19 @@ def run_wavefront(
 # continuity tables
 
 
-def _lebesgue(frame: LPFrame, *, p: float) -> Callable[[GridFunction], float]:
-    return lambda u: lp_norm(u, p)
+class _Lebesgue(NamedTuple):  # the one norm kind that reads grid values
+    p: float
+
+    def __call__(self, u: GridFunction | SpectralFunction) -> float:
+        return lp_norm(u if isinstance(u, GridFunction) else fft_inverse(u), self.p)
 
 
-def _sobolev(frame: LPFrame, *, s: float) -> Callable[[GridFunction], float]:
-    return lambda u: sobolev_norm(fft_forward(u), s)
+def _lebesgue(frame: LPFrame, *, p: float) -> _Lebesgue:
+    return _Lebesgue(p)
+
+
+def _sobolev(frame: LPFrame, *, s: float) -> Callable[[GridFunction | SpectralFunction], float]:
+    return lambda u: sobolev_norm(as_spectral(u), s)
 
 
 NORM_KINDS = {"L": _lebesgue, "H": _sobolev, **SPACE_KINDS}
@@ -429,12 +449,17 @@ def parse_norm(
     return text, norm, None
 
 
-def _norm_values(norms: Sequence[tuple], u: GridFunction) -> list[float]:
+def _norm_values(norms: Sequence[tuple], u: GridFunction | SpectralFunction) -> list[float]:
     """Each parsed norm's value on u, the framed ones from one space_norms
-    pass; a continuity task calls it once per function it holds."""
+    pass, grid values of coefficients made once if an L norm asks; a
+    continuity task calls it once per function it holds."""
     spaces = [sp for _, _, sp in norms if sp is not None]
     framed = dict(zip(spaces, space_norms(u, spaces)))
-    return [fn(u) if sp is None else framed[sp] for _, fn, sp in norms]
+    x = u
+    if isinstance(u, SpectralFunction) and any(isinstance(fn, _Lebesgue) for _, fn, _ in norms):
+        x = fft_inverse(u)
+    return [framed[sp] if sp is not None else fn(x if isinstance(fn, _Lebesgue) else u)
+            for _, fn, sp in norms]
 
 
 def _doubling_blow_up(grids: Sequence[int], est: Sequence[float], growth: float) -> bool:
@@ -490,11 +515,12 @@ def run_continuity_table(
     (tables, masks, grid-adapted truncations).
 
     Each grid is one pool map with a task per input: the task makes its
-    probe (seeded by (seed, grid index, trial)) or family member, takes
-    the source norms, then applies the symbol's and the control's plans,
-    built once per grid, and takes each output's target norms before the
-    next output is made.  A grid so holds only the workers' live arrays,
-    and the rows are bit-identical for every thread count.
+    probe (seeded by (seed, grid index, trial)) or family member as exact
+    coefficients (the plans, H norms and block passes read them; an L source
+    norm gets grid values), takes the source norms, then applies the symbol's
+    and the control's plans, built once per grid, and takes each output's
+    target norms before the next output is made.  A grid so holds only the
+    workers' live arrays, and the rows are bit-identical for every thread count.
     """
     grids = [int(g) for g in grids]
     if len(grids) < 2 or sorted(grids) != grids or len(set(grids)) != len(grids):
@@ -532,9 +558,9 @@ def run_continuity_table(
             N, t = member
             if N is None:
                 rng = np.random.default_rng([seed, gi, t])
-                u = random_band_limited(spec, band_fraction * (g // 2), rng)
+                u = random_band_spectrum(spec, band_fraction * (g // 2), rng)
             else:
-                u = lacunary_input(spec, N, d=d_sym, theta=family_theta)
+                u = spectrum_from_coeffs(spec, lacunary_coeffs(N, d_sym, family_theta))
             return (
                 _norm_values(sources, u),
                 _norm_values(targets, op(u)),  # each output is dropped once measured

@@ -306,15 +306,24 @@ def split_options(text: str, what: str) -> dict[str, str]:
     return values
 
 
-def parse_spec(text: str, kinds: dict[str, Callable], what: str) -> functools.partial:
+def parse_spec(text: str, kinds: dict[str, Callable] | Callable, what: str) -> Callable:
     """The builder of spec `text`'s kind with its options bound; the caller
-    passes the builder's positional arguments (grid, frame, ...).  An item
-    without '=', a key the builder does not take, a missing required key and
-    a value its annotation rejects each raise ValueError."""
-    kind, _, rest = text.partition(":")
-    build = kinds.get(kind.strip())
+    passes the builder's positional arguments (grid, frame, ...).  A kindless
+    spec (a frame's) passes its builder for `kinds`.  An item without '=', a
+    key the builder does not take, a missing required key and a value its
+    annotation rejects each raise ValueError, as does an OverflowError in the
+    build, quoting the spec."""
+    kind, _, rest = ("", "", text) if callable(kinds) else text.partition(":")
+    build = kinds if callable(kinds) else kinds.get(kind.strip())
     if build is None:
         raise ValueError(f"unknown {what} kind {kind.strip()!r} in {text!r}")
     hints, required = keyword_options(build)
-    values = split_options(rest, what)
-    return functools.partial(build, **decode_options(values, hints, what, text, required))
+    values = decode_options(split_options(rest, what), hints, what, text, required)
+
+    def bound(*args):
+        try:
+            return build(*args, **values)
+        except OverflowError as exc:
+            raise ValueError(f"{what} {text!r}: {exc.args[-1]}") from exc
+
+    return bound

@@ -12,6 +12,7 @@ hold for trigonometric polynomials hold here to rounding error.
 from __future__ import annotations
 
 import json
+import math
 import os
 import struct
 from dataclasses import dataclass
@@ -134,6 +135,11 @@ def fft_forward(u: GridFunction) -> SpectralFunction:
     return SpectralFunction(u.spec, c)
 
 
+def as_spectral(u: GridFunction | SpectralFunction) -> SpectralFunction:
+    """u's coefficients: u itself if it holds them, else its forward FFT."""
+    return u if isinstance(u, SpectralFunction) else fft_forward(u)
+
+
 def fft_inverse(c: SpectralFunction) -> GridFunction:
     vals = np.fft.ifftn(np.fft.ifftshift(c.coeffs))
     vals *= c.spec.npoints
@@ -163,6 +169,12 @@ def sobolev_norm(c: SpectralFunction, s: float) -> float:
     return float(np.sqrt(TWO_PI**c.spec.n * total))
 
 
+def mode_norm(modes: dict, s: float) -> float:
+    """sobolev_norm of the 1-d sum of modes {eta: c}, eta a Python int: no grid."""
+    return math.sqrt(TWO_PI * math.fsum((1.0 + float(eta) ** 2) ** s * abs(c) ** 2
+                                        for eta, c in modes.items()))
+
+
 def single_mode(spec: GridSpec, eta) -> GridFunction:
     """e^{i x.eta} for an integer frequency eta (int for n=1, tuple for n=2)."""
     eta_vec = np.atleast_1d(np.asarray(eta, dtype=int))
@@ -176,25 +188,33 @@ def single_mode(spec: GridSpec, eta) -> GridFunction:
     return GridFunction(spec, np.exp(1j * phase))
 
 
-def from_coeffs(spec: GridSpec, coeff_map: dict) -> GridFunction:
-    """Build sum c_eta e^{i x.eta} from {eta: c} with integer eta keys."""
+def spectrum_from_coeffs(spec: GridSpec, coeff_map: dict) -> SpectralFunction:
+    """The coefficients {eta: c}, integer eta keys, on the lattice."""
     c = np.zeros(spec.shape, dtype=complex)
     half = spec.N // 2
     for eta, val in coeff_map.items():
         idx = tuple(np.atleast_1d(np.asarray(eta, dtype=int)) + half)
         c[idx] = val
-    return fft_inverse(SpectralFunction(spec, c))
+    return SpectralFunction(spec, c)
 
 
-def random_band_limited(
-    spec: GridSpec, radius: float, rng: np.random.Generator
-) -> GridFunction:
+def from_coeffs(spec: GridSpec, coeff_map: dict) -> GridFunction:
+    """Build sum c_eta e^{i x.eta} from {eta: c} with integer eta keys."""
+    return fft_inverse(spectrum_from_coeffs(spec, coeff_map))
+
+
+def random_band_spectrum(spec: GridSpec, radius: float, rng: np.random.Generator) -> SpectralFunction:
     """Random complex coefficients supported on |eta| <= radius."""
     mask = spec.freq_radius() <= radius
     c = np.zeros(spec.shape, dtype=complex)
     k = int(mask.sum())
     c[mask] = rng.standard_normal(k) + 1j * rng.standard_normal(k)
-    return fft_inverse(SpectralFunction(spec, c))
+    return SpectralFunction(spec, c)
+
+
+def random_band_limited(spec: GridSpec, radius: float, rng: np.random.Generator) -> GridFunction:
+    """The grid values of random_band_spectrum, from the same draws."""
+    return fft_inverse(random_band_spectrum(spec, radius, rng))
 
 
 def write_pdgf(u: GridFunction, path) -> None:

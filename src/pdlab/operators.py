@@ -44,6 +44,7 @@ from .grid import (
     GridFunction,
     GridSpec,
     SpectralFunction,
+    as_spectral,
     fft_forward,
     fft_inverse,
     lattice_phase,
@@ -68,15 +69,16 @@ DEFAULT_PSI_FAMILY = (
 )
 
 
-def apply(a: Symbol, u: GridFunction) -> GridFunction:
-    """Reference quadrature over a.rows; exact on the lattice, cost O(N^{2n})."""
+def apply(a: Symbol, u: GridFunction | SpectralFunction) -> GridFunction:
+    """Reference quadrature over a.rows, on u's values or coefficients; exact
+    on the lattice, cost O(N^{2n})."""
     spec = u.spec
     if spec.npoints > DIRECT_APPLY_GUARD:
         raise ValueError(
             f"direct apply needs N^n <= {DIRECT_APPLY_GUARD}, got {spec.npoints}; "
             "use apply_auto or the experiment drivers"
         )
-    c = fft_forward(u).coeffs.reshape(-1)
+    c = as_spectral(u).coeffs.reshape(-1)
     k = np.indices(spec.shape).reshape(spec.n, -1).T  # flat grid indices
     eta = k - spec.N // 2  # the frequency lattice, same flat order
     rows = a.rows(spec)
@@ -112,17 +114,18 @@ def _apply_shift(terms: list[ShiftTerm], c: SpectralFunction) -> GridFunction:
     return fft_inverse(SpectralFunction(spec, out.reshape(spec.shape)))
 
 
-def plan(a: Symbol, spec: GridSpec) -> Callable[[GridFunction], GridFunction]:
-    """u -> a(x,D)u on spec; the strategy is picked and its terms built once."""
+def plan(a: Symbol, spec: GridSpec) -> Callable[[GridFunction | SpectralFunction], GridFunction]:
+    """u -> a(x,D)u on spec; the strategy is picked and its terms built once.
+    u is grid values or coefficients, which skip the forward FFT."""
     shifts = a.shift_terms(spec)
     terms = a.separable_terms(spec) if shifts is None else None
 
-    def planned(u: GridFunction) -> GridFunction:
+    def planned(u: GridFunction | SpectralFunction) -> GridFunction:
         if u.spec != spec:
             raise ValueError(f"planned for {spec}, got an input on {u.spec}")
         if shifts is not None:
-            return _apply_shift(shifts, fft_forward(u))
-        return apply(a, u) if terms is None else _apply_separable(terms, fft_forward(u))
+            return _apply_shift(shifts, as_spectral(u))
+        return apply(a, u) if terms is None else _apply_separable(terms, as_spectral(u))
 
     return planned
 

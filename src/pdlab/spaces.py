@@ -4,13 +4,15 @@ probes for block series under ball, corona, and asymmetric-corona spectral
 conditions.
 
 space_norms() is the one entry point for B/F quasi-norms.  It serves every
-quasi-norm asked of one u from one pass: one forward FFT, then one inverse
-FFT per block.  The modulus of each block field is taken once; it gives
-each B case its ||Phi_j(D)u||_p and joins each F case's running sum of
-(2^{sj}|Phi_j(D)u|)^q in block order (bit-identical to summing the stack),
-so memory is O(N^n).  Passes on different functions may run at once on pool
-workers (the continuity table runs one per input): they share the frame's
-block tables, which are built once per grid."""
+quasi-norm asked of one u from one pass: a forward FFT unless u comes as
+coefficients, then one inverse FFT per block the spectrum touches (a block
+that misses it has the field 0: B takes 0.0, F adds nothing, bit for bit).
+The modulus of each block field is taken once; it gives each B case its
+||Phi_j(D)u||_p and joins each F case's running sum of (2^{sj}|Phi_j(D)u|)^q
+in block order (bit-identical to summing the stack), so memory is O(N^n).
+Passes on different functions may run at once on pool workers (the
+continuity table runs one per input): they share the frame's block tables,
+which are built once per grid."""
 from __future__ import annotations
 
 import dataclasses
@@ -30,6 +32,7 @@ from .grid import (
     GridSpec,
     SpectralFunction,
     abs_lp_norm,
+    as_spectral,
     fft_forward,
     fft_inverse,
     lp_norm,
@@ -86,10 +89,11 @@ def format_space(sp: SpaceParams) -> str:
 
 
 def lp_block_fields(
-    u: GridFunction, frame: LPFrame, j_max: int | None = None
-) -> Iterator[np.ndarray]:
+    u: GridFunction | SpectralFunction, frame: LPFrame, j_max: int | None = None
+) -> Iterator[np.ndarray | None]:
     """Grid values of Phi_j(D)u, j = 0..j_max (default: the closing shell), one
-    at a time.  Raises if j_max is too small for the blocks to sum to 1."""
+    at a time, from u's values or coefficients; None for a block the spectrum
+    misses.  Raises if j_max is too small for the blocks to sum to 1."""
     sat = frame.j_saturation(u.spec)
     if j_max is None:
         j_max = sat
@@ -97,16 +101,14 @@ def lp_block_fields(
         raise ValueError(
             f"j_max={j_max} insufficient: partition closes only from j_max={sat}"
         )
-    c = fft_forward(u)
+    c = as_spectral(u).coeffs
     blocks = frame.lattice_blocks(u.spec, j_max)
     _log.debug(
         "block sum truncated at shell j_max=%d (Nyquist radius %.6g)",
         len(blocks) - 1, u.spec.nyquist_radius,
     )
-    return (
-        fft_inverse(SpectralFunction(u.spec, c.coeffs * mult)).values
-        for mult in blocks
-    )
+    masked = (c * mult for mult in blocks)
+    return (fft_inverse(SpectralFunction(u.spec, m)).values if m.any() else None for m in masked)
 
 
 def _shell_weights(s: float, count: int) -> np.ndarray:
@@ -114,21 +116,26 @@ def _shell_weights(s: float, count: int) -> np.ndarray:
 
 
 def _block_norms(
-    spec: GridSpec, fields: Iterable[np.ndarray], count: int, spaces: Sequence[SpaceParams]
+    spec: GridSpec, fields: Iterable[np.ndarray | None], count: int, spaces: Sequence[SpaceParams]
 ) -> list[float]:
     """Each case's quasi-norm over `count` block fields, read once in order.
 
     The fields are finite grid values (each was checked when its
-    GridFunction was made); their moduli are taken once per field and
-    shared by every case, and each F case accumulates in place."""
+    GridFunction was made), or None for a field of zeros; their moduli are
+    taken once per field and shared by every case, and each F case
+    accumulates in place."""
     weights = [_shell_weights(sp.s, count) for sp in spaces]
     sums: list = [[] if sp.scale == BESOV else np.zeros(spec.shape) for sp in spaces]
     fields = iter(fields)
     for j in range(count):
-        a = np.abs(next(fields))  # the field itself is dropped before the next is made
+        a = next(fields)
+        if a is not None:
+            a = np.abs(a)  # the field itself is dropped before the next is made
         for k, sp in enumerate(spaces):
             if sp.scale == BESOV:
-                sums[k].append(abs_lp_norm(spec, a, sp.p))
+                sums[k].append(0.0 if a is None else abs_lp_norm(spec, a, sp.p))
+            elif a is None:
+                continue
             elif math.isinf(sp.q):
                 np.maximum(sums[k], weights[k][j] * a, out=sums[k])
             else:
@@ -145,8 +152,9 @@ def _block_norms(
     return norms
 
 
-def space_norms(u: GridFunction, spaces: Sequence[SpaceParams]) -> list[float]:
-    """Every quasi-norm in `spaces` of u, from one block pass per frame."""
+def space_norms(u: GridFunction | SpectralFunction, spaces: Sequence[SpaceParams]) -> list[float]:
+    """Every quasi-norm in `spaces` of u (grid values or coefficients), from
+    one block pass per frame."""
     norms: dict = {}
     for frame in dict.fromkeys(sp.frame for sp in spaces):
         mine = list(dict.fromkeys(sp for sp in spaces if sp.frame == frame))

@@ -387,6 +387,8 @@ class ChingSymbol(Symbol):
         self.theta = theta
         self.A = A
         self.j_max = int(j_max)
+        # the level weights 2^{jd}, made here so that an overflowing d fails at build
+        self.weights = tuple(2.0 ** (j * self.d) for j in range(self.j_max + 1))
         tnorm = float(np.linalg.norm(theta))
         self.tdc_B = A.a1 / (tnorm - A.a1) if tnorm > A.a1 else None
 
@@ -413,7 +415,7 @@ class ChingSymbol(Symbol):
             amp = self.A(enorm * 2.0**-j)
             if np.all(amp == 0.0):
                 continue
-            out = out + (2.0 ** (j * self.d) * amp) * np.exp(-1j * 2.0**j * phase)
+            out = out + (self.weights[j] * amp) * np.exp(-1j * 2.0**j * phase)
         return out
 
     def shift_terms(self, spec: GridSpec) -> list[ShiftTerm]:
@@ -432,8 +434,22 @@ class ChingSymbol(Symbol):
             if not np.any(g):
                 continue
             xi = tuple((-(2**j) * t + half) % spec.N - half for t in self.theta)
-            terms.append(ShiftTerm(j, 2.0 ** (j * self.d), xi, idx, g))
+            terms.append(ShiftTerm(j, self.weights[j], xi, idx, g))
         return terms
+
+    def apply_modes(self, modes: dict) -> dict:
+        """a(x,D) on a 1-d sum of modes {eta: c}, eta a Python int: level j
+        moves eta by -2^j theta with weight 2^{jd} A(2^{-j}|eta|), summed level
+        by level as shift_terms' route sums, less its lattice fold."""
+        if self.n != 1:
+            raise ValueError("mode sums are 1-d")
+        etas = list(modes)
+        g = self.A(2.0 ** -np.arange(self.j_max + 1)[:, None] * np.abs(np.asarray(etas, float)))
+        out: dict = {}
+        for j, k in zip(*np.nonzero(g)):
+            dst = etas[k] - 2 ** int(j) * self.theta[0]
+            out[dst] = out.get(dst, 0.0) + self.weights[j] * float(g[j, k]) * modes[etas[k]]
+        return out
 
 
 def ching_symbol(

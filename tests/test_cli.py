@@ -54,6 +54,18 @@ class TestSubcommands:
         assert out.stat().st_size > 0
         assert len(csv.read_text().splitlines()) == 33
 
+    def test_spectrum_csv_cells_are_plain_floats(self, capsys, tmp_path):
+        # every mode but eta = 1 holds transform dust, written as a bare float
+        csv = tmp_path / "s.csv"
+        run_json(capsys, ["apply", "--symbol", "const", "--grid", "8", "--mode", "single:eta=1",
+                          "--spectrum-csv", str(csv)])
+        header, *rows = [line.split(",") for line in csv.read_text().splitlines()]
+        assert header == ["eta1", "re", "im"] and len(rows) == 8
+        cells = {int(eta): (float(re), float(im)) for eta, re, im in rows}
+        assert list(cells) == list(range(-4, 4))
+        assert cells[1][0] == pytest.approx(1.0, abs=1e-15)
+        assert all(abs(re) + abs(im) < 1e-15 for eta, (re, im) in cells.items() if eta != 1)
+
     def test_apply_reads_pdgf(self, capsys, pdgf):
         obj = run_json(capsys, ["apply", *SYMBOL, "--input", str(pdgf)])
         assert obj["grid"] == {"n": 1, "N": 32}
@@ -426,6 +438,8 @@ BAD_ARGV = {
                                        "--frame", "h=2000", "--mode", "random:band=0.4"],
     "ching d overflows": lambda t, u: ["apply", "--symbol", "ching:d=1e308,jmax=3",
                                        "--grid", "64", "--mode", "random:band=0.4"],
+    "q-grid not a number": lambda t, u: ["pointwise", "moment-decay", *SYMBOL, "--grid", "32",
+                                         "--q-grid", "2,x"],
     "generator keys next to a manifest": lambda t, u: [
         "apply", "--symbol", write_manifest(t) + ",J=9,seed=5,d=2,spread=3", *SMALL],
 }
@@ -450,6 +464,35 @@ def test_malformed_value_names_key_and_spec(capsys, spec):
     key, argv = BAD_VALUES[spec]
     assert main(argv) == 2
     assert capsys.readouterr().err == f"error: bad value for {key} in {spec!r}\n"
+
+
+OVERFLOWS = {  # argv: the error line
+    "ching:d=1e308,jmax=3": (["apply", "--symbol", "ching:d=1e308,jmax=3", "--grid", "64",
+                              "--mode", "random:band=0.4"],
+                             "symbol 'ching:d=1e308,jmax=3': Numerical result out of range"),
+    "elementary:J=1100": (["apply", "--symbol", "elementary:J=1100", "--grid", "64",
+                           "--mode", "random:band=0.4"],
+                          "symbol 'elementary:J=1100': Numerical result out of range"),
+    "ladder:J=3,d=-1e308": (["apply", "--symbol", "const", "--grid", "64",
+                             "--mode", "ladder:J=3,d=-1e308"],
+                            "input 'ladder:J=3,d=-1e308': Numerical result out of range"),
+    "h=2000": (["apply", "--symbol", "const", "--grid", "64", "--frame", "h=2000",
+                "--mode", "random:band=0.4"],
+               "frame 'h=2000': Numerical result out of range"),
+}
+
+
+@pytest.mark.parametrize("spec", sorted(OVERFLOWS))
+def test_an_overflowing_value_names_its_spec(capsys, spec):
+    argv, message = OVERFLOWS[spec]
+    assert main(argv) == 2
+    assert capsys.readouterr().err == f"error: {message}\n"
+
+
+def test_q_grid_error_names_the_flag_and_its_text(capsys):
+    argv = ["pointwise", "moment-decay", *SYMBOL, "--grid", "32", "--q-grid", "2,x"]
+    assert main(argv) == 2
+    assert capsys.readouterr().err == "error: bad value for --q-grid '2,x'\n"
 
 
 def test_eta_names_the_grid_dimension(capsys):

@@ -38,7 +38,8 @@ from pdlab import (
     sobolev_norm,
 )
 from pdlab.frame import LPFrame
-from pdlab.grid import random_band_limited
+from pdlab.experiments import lacunary_coeffs
+from pdlab.grid import fft_inverse, random_band_spectrum, spectrum_from_coeffs
 from pdlab.operators import plan
 from pdlab.spaces import space_norms
 from pdlab.symbols import ChingSymbol, RadialBump
@@ -171,7 +172,7 @@ class TestChingForGrid:
 class TestCounterexample:
     def test_full_family_on_default_grid(self):
         rep = run_counterexample()
-        assert rep.environment["grid"] == {"n": 1, "N": 2**18}
+        assert rep.environment["grid"] is None  # the default runs in mode space, on no grid
         assert rep.parameters["j_max"] == 16
         ratios = rep.series("ratio")
         assert list(ratios) == ["N=2", "N=3", "N=4"]
@@ -217,6 +218,59 @@ class TestCounterexample:
             run_counterexample(N_list=(2, 2), spec=GridSpec(1, 2**11))
         with pytest.raises(ValueError):
             run_counterexample(N_list=(2,), spec=GridSpec(2, 64))
+
+
+class TestModeSpace:
+    def test_default_run_makes_no_fft(self, fft_calls):
+        rep = run_counterexample()
+        assert fft_calls == []
+        assert rep.verdicts == {"identity": True, "blow_up": True, "control_no_blow_up": True}
+
+    def test_family_runs_to_N8_past_any_grid(self):
+        # N = 8 reaches mode 2^64
+        rep = run_counterexample(N_list=range(2, 9))
+        assert rep.verdicts == {"identity": True, "blow_up": True, "control_no_blow_up": True}
+        assert rep.parameters["j_max"] == 64
+        for N in range(2, 9):
+            assert rep.value(f"residual[N={N}]") <= 1e-15
+            assert rep.value(f"ratio[N={N}]") == pytest.approx(family_ratio_oracle(N), rel=1e-13)
+            assert rep.value(f"control ratio[N={N}]") == pytest.approx(1.0, rel=1e-15)
+
+    @pytest.mark.parametrize("d", [0.0, 0.5])
+    def test_rows_match_the_lattice_oracle(self, d):
+        modes = run_counterexample(d=d, N_list=(2, 3))
+        lattice = run_counterexample(d=d, N_list=(2, 3), spec=GridSpec(1, 2**11))
+        assert modes.parameters == lattice.parameters and modes.verdicts == lattice.verdicts
+        assert modes.environment == {"grid": None}
+        assert lattice.environment["grid"] == {"n": 1, "N": 2**11}
+        for m, g in zip(modes.rows, lattice.rows, strict=True):
+            assert (m.quantity, m.formula) == (g.quantity, g.formula)
+            if m.quantity.startswith("residual"):
+                assert m.value <= 1e-15 and g.value <= 1e-10
+            else:
+                assert m.value == pytest.approx(g.value, rel=1e-13)
+
+    def test_apply_modes_matches_the_shift_route(self):
+        # positive modes, whose shifts stay inside the lattice, through every level
+        spec = GridSpec(1, 2**11)
+        a = ching_for_grid(spec, d=0.5)
+        rng = np.random.default_rng(3)
+        etas = rng.choice(np.arange(1, spec.N // 2), 60, replace=False)
+        modes = {int(e): complex(*rng.standard_normal(2)) for e in etas}
+        out = a.apply_modes(modes)
+        lattice = fft_forward(plan(a, spec)(spectrum_from_coeffs(spec, modes))).coeffs
+        exact = spectrum_from_coeffs(spec, out).coeffs
+        assert np.max(np.abs(exact - lattice)) <= 1e-13 * np.max(np.abs(exact))
+
+    def test_apply_modes_is_one_dimensional(self):
+        with pytest.raises(ValueError, match="1-d"):
+            ChingSymbol(0.0, (1, 1)).apply_modes({3: 1.0})
+
+    def test_lacunary_input_places_the_shared_coefficients(self):
+        spec = GridSpec(1, 2**11)
+        u = lacunary_input(spec, 3, d=0.5, theta=-1)
+        c = spectrum_from_coeffs(spec, lacunary_coeffs(3, 0.5, -1))
+        assert np.array_equal(u.values, fft_inverse(c).values)
 
 
 class TestWavefront:
@@ -350,8 +404,11 @@ def shift_term_calls(monkeypatch):
 
 class TestPlansAndPasses:
     def test_counterexample_plans_its_symbol_once(self, shift_term_calls):
-        rep = run_counterexample(N_list=(2, 3))
+        rep = run_counterexample(N_list=(2, 3), spec=GridSpec(1, 2**11))
         assert rep.verdicts["identity"]
+        assert len(shift_term_calls) == 1
+        # mode space builds no lattice terms at all
+        assert run_counterexample(N_list=(2, 3)).verdicts["identity"]
         assert len(shift_term_calls) == 1
 
     def test_continuity_plans_once_per_grid(self, shift_term_calls):
@@ -386,10 +443,66 @@ class TestPlansAndPasses:
         assert len(rep.series("est")) == 3 * len(grids)
 
 
+class TestCoefficientInputs:
+    """Continuity inputs as exact coefficients: every consumer skips its
+    forward FFT, and a block pass skips the blocks the spectrum misses."""
+
+    SPEC = GridSpec(1, 2**11)
+
+    def inputs(self):
+        spec = self.SPEC
+        probes = [random_band_spectrum(spec, 0.4 * (spec.N // 2), np.random.default_rng([0, 1, t]))
+                  for t in range(2)]
+        return probes + [spectrum_from_coeffs(spec, lacunary_coeffs(N, 0.5))
+                         for N in family_indices(spec)]
+
+    def test_consumers_give_the_values_of_grid_inputs(self):
+        a = ching_for_grid(self.SPEC, d=0.5)
+        op = plan(a, self.SPEC)
+        # q >= 1: with q < 1 the grid route's transform dust, ~1e-16 in every
+        # mode its forward FFT makes, is raised to the power q and shows
+        spaces_ = [SpaceParams(0.0, 2.0, 1.0, "F"), SpaceParams(0.0, 2.0, 2.0, "B"),
+                   SpaceParams(0.5, 1.5, math.inf, "B"), SpaceParams(-0.5, 1.0, 1.5, "F")]
+        _, h_norm, _ = parse_norm("H:s=0.5")
+        for c in self.inputs():
+            u = fft_inverse(c)
+            for got, want in zip(space_norms(c, spaces_), space_norms(u, spaces_), strict=True):
+                assert got == pytest.approx(want, rel=1e-13)
+            assert h_norm(c) == pytest.approx(h_norm(u), rel=1e-13)
+            y, y_grid = op(c).values, op(u).values
+            assert np.max(np.abs(y - y_grid)) <= 1e-13 * np.max(np.abs(y_grid))
+
+    def test_block_pass_on_v2_runs_three_inverse_ffts(self, fft_calls):
+        c = spectrum_from_coeffs(self.SPEC, lacunary_coeffs(2))
+        fields = list(spaces.lp_block_fields(c, DEFAULT_FRAME))
+        # modes 4, 8 and 16 each sit in one block
+        assert [j for j, f in enumerate(fields) if f is not None] == [2, 3, 4]
+        assert fft_calls == [("fft_inverse", self.SPEC)] * 3
+        fft_calls.clear()
+        space_norms(c, [SpaceParams(0.0, 2.0, 1.0, "F"), SpaceParams(0.0, 2.0, 2.0, "B")])
+        assert fft_calls == [("fft_inverse", self.SPEC)] * 3
+
+    def test_table_transforms_no_input_forward(self, fft_calls):
+        grids = (64, 128)
+        inputs = sum(2 + len(family_indices(GridSpec(1, g))) for g in grids)
+        # L sources: one inverse FFT per input for both, one per plan output;
+        # the H target transforms the two outputs forward
+        run_continuity_table(ching_for_grid, cases=[("L:p=2", "L:p=2"), ("L:p=inf", "H:s=0")],
+                             grids=grids, trials=2)
+        names = [name for name, _ in fft_calls]
+        assert names.count("fft_inverse") == 3 * inputs
+        assert names.count("fft_forward") == 2 * inputs
+        fft_calls.clear()
+        run_continuity_table(ching_for_grid, cases=[("F:s=0,p=2,q=1", "L:p=2"),
+                                                    ("H:s=0", "L:p=2")], grids=grids, trials=2)
+        assert [name for name, _ in fft_calls].count("fft_forward") == 0
+
+
 def serial_continuity(symbol_for, cases, grids, trials, seed=0, band_fraction=0.4):
     """est and control est of every case on every grid, and the last grid's
-    family ratios, input by input: each probe or family member, its plans'
-    outputs and their norms, with each framed norm from its own space_norms."""
+    family ratios, input by input: each probe or family member as
+    coefficients, its plans' outputs and their norms, with each framed norm
+    from its own space_norms."""
     def norm(fn, sp, u):
         return fn(u) if sp is None else space_norms(u, [sp])[0]
 
@@ -399,10 +512,11 @@ def serial_continuity(symbol_for, cases, grids, trials, seed=0, band_fraction=0.
         sym = symbol_for(spec)
         op, control_op = plan(sym, spec), plan(ConstantSymbol(1.0), spec)
         inputs = [
-            (None, random_band_limited(spec, band_fraction * (g // 2),
-                                       np.random.default_rng([seed, gi, t])))
+            (None, random_band_spectrum(spec, band_fraction * (g // 2),
+                                        np.random.default_rng([seed, gi, t])))
             for t in range(trials)
-        ] + [(N, lacunary_input(spec, N, d=sym.d)) for N in family_indices(spec)]
+        ] + [(N, spectrum_from_coeffs(spec, lacunary_coeffs(N, sym.d)))
+             for N in family_indices(spec)]
         outs = [(op(u), control_op(u)) for _, u in inputs]
         for src, tgt in cases:
             (src_lab, src_fn, src_sp), (tgt_lab, tgt_fn, tgt_sp) = parse_norm(src), parse_norm(tgt)

@@ -265,6 +265,16 @@ class TestOnePass:
         assert space_norms(u, []) == [] and len(passes) == 3
         assert got == [space_norms(u, [sp])[0] for sp in cases]
 
+    def test_a_skipped_block_gives_the_bits_of_a_zero_field(self):
+        spec = GridSpec(1, 256)
+        fields = list(lp_block_fields(rand_u(spec, 20.0, 9), DEFAULT_FRAME))
+        for j in (1, 4, len(fields) - 1):
+            fields[j] = None
+        zeros = [np.zeros(spec.shape, dtype=complex) if f is None else f for f in fields]
+        for sp in self.CASES:
+            skipped = spaces._block_norms(spec, iter(fields), len(fields), [sp])
+            assert skipped == spaces._block_norms(spec, iter(zeros), len(fields), [sp]), sp
+
     def test_lp_block_fields_insufficient_jmax_flagged(self):
         spec = GridSpec(1, 64)
         with pytest.raises(ValueError):
@@ -278,9 +288,12 @@ class TestOnePass:
         blocks = DEFAULT_FRAME.lattice_blocks(spec, j_max)
         fields = list(lp_block_fields(u, DEFAULT_FRAME, j_max))
         assert len(fields) == len(blocks)
+        # a block the spectrum misses (past the lattice at j_max=9) is None
+        assert [f is None for f in fields] == [not (c * m).any() for m in blocks]
+        fields = [f for f in fields if f is not None]
         assert len({id(f) for f in fields}) == len(fields)
         assert not any(np.shares_memory(f, g) for f in fields for g in fields if f is not g)
-        for f, m in zip(fields, blocks):
+        for f, m in zip(fields, [m for m in blocks if (c * m).any()]):
             assert np.array_equal(f, fft_inverse(SpectralFunction(spec, c * m)).values)
 
     def test_a_pass_that_overflows_raises(self):
