@@ -44,18 +44,21 @@ from .frame import (
 from .grid import (
     GridFunction,
     GridSpec,
+    as_spectral,
     fft_forward,
     from_coeffs,
     lp_norm,
     random_band_limited,
     read_pdgf,
     single_mode,
+    spectrum_from_coeffs,
     write_pdgf,
 )
 from .operators import (
     apply_auto,
     corona_ball_report,
     paradiff_split,
+    plan,
     spectral_support_rule_check,
     support_rule_check,
     vfm_limit,
@@ -705,8 +708,7 @@ def gate_wavefront_flip():
 def gate_frequency_shift():
     spec = GridSpec(1, 256)
     a = parse_symbol_spec("ching:d=0,theta=+1,jmax=6", spec)
-    y = apply_auto(a, single_mode(spec, 32))
-    c = fft_forward(y).coeffs
+    c = as_spectral(plan(a, spec)(spectrum_from_coeffs(spec, {32: 1.0}))).coeffs
     total = float(np.sum(np.abs(c) ** 2))
     _gate(total > 0.0, "shifted output vanished")
     at_zero = float(np.abs(c[spec.N // 2]) ** 2)

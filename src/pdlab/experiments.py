@@ -26,13 +26,12 @@ from .grid import (
     GridSpec,
     SpectralFunction,
     as_spectral,
+    as_values,
     fft_forward,
-    fft_inverse,
     from_coeffs,
     lp_norm,
     mode_norm,
     random_band_spectrum,
-    single_mode,
     sobolev_norm,
     spectrum_from_coeffs,
 )
@@ -220,8 +219,8 @@ def run_counterexample(
         if spec is None:
             out, control = a.apply_modes(v_n), v_n  # the control, a = 1, returns v_N
         else:
-            u = lacunary_input(spec, N, d=d)
-            out, control = (dict(zip(etas, fft_forward(op(u)).coeffs.tolist())) for op in ops)
+            u = spectrum_from_coeffs(spec, v_n)
+            out, control = (dict(zip(etas, as_spectral(op(u)).coeffs.tolist())) for op in ops)
         c_n = amplification_factor(N)
         deviation = {**out, 0: out.get(0, 0.0) - c_n}  # a(x,D)v_N - c_N v, mode by mode
         residual = math.fsum(map(abs, deviation.values()))
@@ -409,11 +408,11 @@ def run_wavefront(
 # continuity tables
 
 
-class _Lebesgue(NamedTuple):  # the one norm kind that reads grid values
+class _Lebesgue(NamedTuple):  # the one norm kind that may read grid values
     p: float
 
     def __call__(self, u: GridFunction | SpectralFunction) -> float:
-        return lp_norm(u if isinstance(u, GridFunction) else fft_inverse(u), self.p)
+        return lp_norm(u, self.p)
 
 
 def _lebesgue(frame: LPFrame, *, p: float) -> _Lebesgue:
@@ -451,15 +450,14 @@ def parse_norm(
 
 def _norm_values(norms: Sequence[tuple], u: GridFunction | SpectralFunction) -> list[float]:
     """Each parsed norm's value on u, the framed ones from one space_norms
-    pass, grid values of coefficients made once if an L norm asks; a
-    continuity task calls it once per function it holds."""
+    pass, grid values of coefficients made once if an L norm with p != 2
+    asks; a continuity task calls it once per function it holds."""
     spaces = [sp for _, _, sp in norms if sp is not None]
     framed = dict(zip(spaces, space_norms(u, spaces)))
-    x = u
-    if isinstance(u, SpectralFunction) and any(isinstance(fn, _Lebesgue) for _, fn, _ in norms):
-        x = fft_inverse(u)
-    return [framed[sp] if sp is not None else fn(x if isinstance(fn, _Lebesgue) else u)
-            for _, fn, sp in norms]
+    gridded = [isinstance(fn, _Lebesgue) and fn.p != 2 for _, fn, _ in norms]
+    x = as_values(u) if any(gridded) else u
+    return [framed[sp] if sp is not None else fn(x if g else u)
+            for (_, fn, sp), g in zip(norms, gridded)]
 
 
 def _doubling_blow_up(grids: Sequence[int], est: Sequence[float], growth: float) -> bool:
@@ -516,11 +514,12 @@ def run_continuity_table(
 
     Each grid is one pool map with a task per input: the task makes its
     probe (seeded by (seed, grid index, trial)) or family member as exact
-    coefficients (the plans, H norms and block passes read them; an L source
-    norm gets grid values), takes the source norms, then applies the symbol's
-    and the control's plans, built once per grid, and takes each output's
-    target norms before the next output is made.  A grid so holds only the
-    workers' live arrays, and the rows are bit-identical for every thread count.
+    coefficients (plans, block passes, H and L2 norms read them; an L norm
+    with p != 2 gets grid values), takes the source norms, then applies the
+    symbol's and the control's plans, built once per grid, and takes each
+    output's target norms (coefficients on the shift route) before the next
+    output is made.  A grid so holds only the workers' live arrays, and the
+    rows are bit-identical for every thread count.
     """
     grids = [int(g) for g in grids]
     if len(grids) < 2 or sorted(grids) != grids or len(set(grids)) != len(grids):
@@ -713,8 +712,8 @@ def run_sigma_estimate(
 
     def sweep(sym: Symbol) -> list[float]:
         d_sym = float(sym.d)
-        probes = [single_mode(spec, 2**j + offset) for j in j_range]
-        outs = pmap(plan(sym, spec), probes)
+        probes = [spectrum_from_coeffs(spec, {2**j + offset: 1.0}) for j in j_range]
+        outs = [as_spectral(out) for out in pmap(plan(sym, spec), probes)]
         for j, u, out in zip(j_range, probes, outs):
             # an output at rounding-dust level carries no signal; a slope
             # fitted through it would measure the FFT noise floor
@@ -723,12 +722,10 @@ def run_sigma_estimate(
                     f"probe at eta = 2^{j}+{offset} annihilated by the symbol; "
                     "j_range must stay inside its active band"
                 )
-        pairs = [(fft_forward(out), fft_forward(u)) for out, u in zip(outs, probes)]
         slopes = []
         for s in s_grid:
             ratios = [
-                sobolev_norm(out_hat, s) / sobolev_norm(u_hat, s + d_sym)
-                for out_hat, u_hat in pairs
+                sobolev_norm(out, s) / sobolev_norm(u, s + d_sym) for out, u in zip(outs, probes)
             ]
             slopes.append(float(np.polyfit(j_range, np.log2(ratios), 1)[0]))
         return slopes

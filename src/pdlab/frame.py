@@ -24,7 +24,7 @@ import threading
 import types
 import typing
 from dataclasses import dataclass, field
-from typing import Callable
+from typing import Callable, Iterator
 
 import numpy as np
 
@@ -33,7 +33,7 @@ from .grid import GridFunction, GridSpec, fft_forward, fft_inverse
 _GL_NODES, _GL_WEIGHTS = np.polynomial.legendre.leggauss(96)
 _GL_SHIFTED = _GL_NODES + 1.0
 _QUAD_CHUNK = 2048  # radii per quadrature pass: (2048 x 96) temporaries of 1.5 MiB
-BLOCK_CACHE_KEYS = 8  # grids whose block tables one LPFrame keeps
+BLOCK_CACHE_KEYS = 8  # grids whose block supports one LPFrame keeps
 
 
 def _bump_integral(t: np.ndarray) -> np.ndarray:
@@ -157,40 +157,58 @@ class LPFrame:
         """Smallest m with psi(2^{-m} eta) = 1 on the whole lattice."""
         return modulation_saturation(self.psi, spec)
 
-    def lattice_blocks(self, spec: GridSpec, j_max: int | None = None) -> list[np.ndarray]:
-        """Tabulated Phi_0..Phi_{j_max}, for the last BLOCK_CACHE_KEYS grids
-        cached.  A table is built under the frame's lock: pool workers that
-        miss the cache together wait for one build instead of each making
-        its own (at 1-d 2^18 a second build was the memory peak of a pass).
-        Cache hits take no lock.
+    def balls_on(self, radii: np.ndarray, j_max: int) -> Iterator[np.ndarray]:
+        """psi(2^-m radii), m = 0..j_max, one ball at a time, the bits of
+        ball_radial.  The quadrature runs once, on the distinct arguments in
+        (r, R) of all balls (on a lattice ball m's are a subset of ball
+        m+1's); psi is exactly 1 at or below r and 0 at or above R."""
+        scaled = (radii * 2.0**-m for m in range(j_max + 1))
+        inside = [t[(t > self.r) & (t < self.R)] for t in scaled]
+        values = on_distinct(self.psi.radial, np.concatenate(inside))
+        for m, mid in enumerate(np.split(values, np.cumsum([t.size for t in inside])[:-1])):
+            t = radii * 2.0**-m
+            ball = (t <= self.r).astype(float)
+            ball[(t > self.r) & (t < self.R)] = mid
+            yield ball
 
-        Each ball psi(2^-m .) is evaluated once, on the distinct lattice
-        radii, and block m is the difference of balls m and m-1: the same
-        bits as block_radial, since the power-of-two scalings are exact."""
+    def block_supports(
+        self, spec: GridSpec, j_max: int | None = None
+    ) -> list[tuple[np.ndarray, np.ndarray]]:
+        """Phi_0..Phi_{j_max} as (the flat lattice indices where Phi_j != 0,
+        ascending; Phi_j there), cached for the last BLOCK_CACHE_KEYS grids.
+        Pool workers that miss the cache together wait on the frame's lock
+        for one build; hits take no lock.  Block m is ball m less ball m-1,
+        each ball on the distinct lattice radii (balls_on): the bits of
+        block_radial, since the power-of-two scalings are exact."""
         if j_max is None:
             j_max = self.j_saturation(spec)
         key = (spec.n, spec.N, j_max)
-        blocks = self._block_cache.get(key)
-        if blocks is not None:
-            return blocks
+        supports = self._block_cache.get(key)
+        if supports is not None:
+            return supports
         with self._block_lock:
-            blocks = self._block_cache.get(key)
-            if blocks is not None:
-                return blocks
+            supports = self._block_cache.get(key)
+            if supports is None:
+                radii, inverse = np.unique(spec.freq_radius().reshape(-1), return_inverse=True)
+                supports, prev = [], 0.0
+                for ball in self.balls_on(radii, j_max):
+                    flat, prev = (ball - prev)[inverse], ball
+                    idx = np.flatnonzero(flat)
+                    supports.append((idx, flat[idx]))
+                self._block_cache[key] = supports
+                for stale in list(self._block_cache)[:-BLOCK_CACHE_KEYS]:
+                    self._block_cache.pop(stale, None)
+            return supports
 
-            def blocks_on(radii: np.ndarray) -> np.ndarray:
-                stack = np.empty((j_max + 1, radii.size))
-                stack[0] = prev = self.ball_radial(0, radii)
-                for j in range(1, j_max + 1):
-                    ball = self.ball_radial(j, radii)
-                    stack[j] = ball - prev
-                    prev = ball
-                return stack
-
-            blocks = self._block_cache[key] = list(on_distinct(blocks_on, spec.freq_radius()))
-            for stale in list(self._block_cache)[:-BLOCK_CACHE_KEYS]:
-                self._block_cache.pop(stale, None)
-            return blocks
+    def lattice_blocks(self, spec: GridSpec, j_max: int | None = None) -> list[np.ndarray]:
+        """Dense tables of Phi_0..Phi_{j_max}, made per call from
+        block_supports, for the callers that need whole tables (elementary
+        symbols, the paradifferential split)."""
+        tables = []
+        for idx, vals in self.block_supports(spec, j_max):
+            tables.append(np.zeros(spec.npoints))
+            tables[-1][idx] = vals
+        return [t.reshape(spec.shape) for t in tables]
 
 
 def block_project(u: GridFunction, frame: LPFrame, j: int, kind: str = "corona") -> GridFunction:

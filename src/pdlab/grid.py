@@ -146,11 +146,19 @@ def fft_inverse(c: SpectralFunction) -> GridFunction:
     return GridFunction(c.spec, vals)
 
 
-def lp_norm(u: GridFunction, p: float) -> float:
-    """Riemann-sum quasi-norm ((2pi/N)^n sum |u|^p)^{1/p}; max for p=inf."""
+def as_values(u: GridFunction | SpectralFunction) -> GridFunction:
+    """u's grid values: u itself if it holds them, else its inverse FFT."""
+    return u if isinstance(u, GridFunction) else fft_inverse(u)
+
+
+def lp_norm(u: GridFunction | SpectralFunction, p: float) -> float:
+    """Riemann-sum quasi-norm ((2pi/N)^n sum |u|^p)^{1/p}; max for p=inf.  Of
+    coefficients, p = 2 is Parseval's sqrt((2pi)^n sum |c|^2), no transform."""
     if p <= 0:
         raise ValueError("p must be positive")
-    return abs_lp_norm(u.spec, np.abs(u.values), p)
+    if isinstance(u, SpectralFunction) and p == 2:
+        return float(np.sqrt(TWO_PI**u.spec.n * np.sum(np.abs(u.coeffs) ** 2)))
+    return abs_lp_norm(u.spec, np.abs(as_values(u).values), p)
 
 
 def abs_lp_norm(spec: GridSpec, a: np.ndarray, p: float) -> float:
@@ -189,12 +197,15 @@ def single_mode(spec: GridSpec, eta) -> GridFunction:
 
 
 def spectrum_from_coeffs(spec: GridSpec, coeff_map: dict) -> SpectralFunction:
-    """The coefficients {eta: c}, integer eta keys, on the lattice."""
+    """The coefficients {eta: c}, integer eta keys; an eta off the lattice
+    [-N/2, N/2)^n raises ValueError."""
     c = np.zeros(spec.shape, dtype=complex)
     half = spec.N // 2
     for eta, val in coeff_map.items():
-        idx = tuple(np.atleast_1d(np.asarray(eta, dtype=int)) + half)
-        c[idx] = val
+        eta_vec = np.atleast_1d(np.asarray(eta, dtype=int))
+        if eta_vec.shape != (spec.n,) or np.any(eta_vec < -half) or np.any(eta_vec >= half):
+            raise ValueError(f"frequency {eta} is off the lattice [{-half}, {half})^{spec.n}")
+        c[tuple(eta_vec + half)] = val
     return SpectralFunction(spec, c)
 
 

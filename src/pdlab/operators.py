@@ -9,11 +9,11 @@ and builds no table.
 plan(a, spec) is what experiments run on large grids: like an FFTW plan it is
 built once per (symbol, grid), shared read-only by pool workers, and holds
 the terms of the first strategy the symbol allows, each within 1e-10 of apply():
-  1. spectral shift (Symbol.shift_terms, e.g. Ching): one FFT pair and a
-     scatter-add of weight * g * u_hat onto eta + xi per term;
+  1. spectral shift (Symbol.shift_terms, e.g. Ching, constants): a scatter-add
+     of weight * g * u_hat onto eta + xi per term, coefficients in and out;
   2. separable, sum_j m_j(x) (g_j(D)u)(x) (Symbol.separable_terms);
   3. the reference apply().
-apply_auto(a, u) is plan(a, u.spec)(u).
+apply_auto(a, u) is plan(a, u.spec)(u) as grid values.
 paradiff_split() runs each summand of the three series, the w(D_x)-cut
 symbol applied to block coefficients v, through the same kernels and in the
 same order of strategies:
@@ -25,7 +25,7 @@ same order of strategies:
      once under TABLE_ENTRY_GUARD; a summand is a w-weighted sum of its rows
      followed by one inverse FFT.
 The support rules check an output against the supports it may reach.  The
-spatial rule takes the output from plan() and the reach from the
+spatial rule takes the output from apply_auto() and the reach from the
 tau-supports of the kernel and of u.  The spectral rule reads the symbol's
 spectral terms (one indicator convolution per term) and falls back to the
 tau-thresholded a_hat table only for symbols without terms.
@@ -45,6 +45,7 @@ from .grid import (
     GridSpec,
     SpectralFunction,
     as_spectral,
+    as_values,
     fft_forward,
     fft_inverse,
     lattice_phase,
@@ -100,39 +101,49 @@ def _apply_separable(terms: list[tuple[np.ndarray, np.ndarray]], c: SpectralFunc
     return GridFunction(c.spec, out)
 
 
-def _apply_shift(terms: list[ShiftTerm], c: SpectralFunction) -> GridFunction:
-    """F^{-1}[sum_j weight_j shift_{xi_j}(g_j c)] from the coefficients c."""
-    spec = c.spec
+def _shift_targets(terms: list[ShiftTerm], spec: GridSpec) -> list[np.ndarray]:
+    """Each term's flat indices of eta + xi, for its flat indices idx of eta."""
+    def target(t: ShiftTerm) -> np.ndarray:
+        dst = tuple(i + x for i, x in zip(np.unravel_index(t.idx, spec.shape), t.xi))
+        return np.ravel_multi_index(dst, spec.shape, mode="wrap")
+
+    return [target(t) if any(t.xi) else t.idx for t in terms]
+
+
+def _apply_shift(
+    terms: list[ShiftTerm], c: SpectralFunction, targets: list[np.ndarray]
+) -> SpectralFunction:
+    """The coefficients sum_j weight_j shift_{xi_j}(g_j c); targets from _shift_targets."""
     flat = c.coeffs.reshape(-1)
-    out = np.zeros(spec.npoints, dtype=complex)
-    for t in terms:
-        src = np.unravel_index(t.idx, spec.shape)
-        dst = np.ravel_multi_index(
-            tuple(i + x for i, x in zip(src, t.xi)), spec.shape, mode="wrap"
-        )
+    out = np.zeros(c.spec.npoints, dtype=complex)
+    for t, dst in zip(terms, targets):
         out[dst] += t.weight * t.g * flat[t.idx]  # eta -> eta + xi is one-to-one
-    return fft_inverse(SpectralFunction(spec, out.reshape(spec.shape)))
+    return SpectralFunction(c.spec, out.reshape(c.spec.shape))
 
 
-def plan(a: Symbol, spec: GridSpec) -> Callable[[GridFunction | SpectralFunction], GridFunction]:
+def plan(
+    a: Symbol, spec: GridSpec
+) -> Callable[[GridFunction | SpectralFunction], GridFunction | SpectralFunction]:
     """u -> a(x,D)u on spec; the strategy is picked and its terms built once.
-    u is grid values or coefficients, which skip the forward FFT."""
+    u is grid values or coefficients, which skip the forward FFT; the shift
+    route returns coefficients, the others grid values."""
     shifts = a.shift_terms(spec)
+    targets = None if shifts is None else _shift_targets(shifts, spec)
     terms = a.separable_terms(spec) if shifts is None else None
 
-    def planned(u: GridFunction | SpectralFunction) -> GridFunction:
+    def planned(u: GridFunction | SpectralFunction) -> GridFunction | SpectralFunction:
         if u.spec != spec:
             raise ValueError(f"planned for {spec}, got an input on {u.spec}")
         if shifts is not None:
-            return _apply_shift(shifts, as_spectral(u))
+            return _apply_shift(shifts, as_spectral(u), targets)
         return apply(a, u) if terms is None else _apply_separable(terms, as_spectral(u))
 
     return planned
 
 
 def apply_auto(a: Symbol, u: GridFunction) -> GridFunction:
-    """Spectral shift, else separable terms, else the reference apply()."""
-    return plan(a, u.spec)(u)
+    """plan(a, u.spec)(u) as grid values."""
+    return as_values(plan(a, u.spec)(u))
 
 
 # ---------------------------------------------------------------------------
@@ -288,7 +299,8 @@ def _summand_route(a: Symbol, spec: GridSpec) -> Callable[[np.ndarray, np.ndarra
 
         def run_shift(w: np.ndarray, v: np.ndarray) -> GridFunction:
             cut = [t._replace(weight=t.weight * w[i]) for t, i in zip(shifts, at_xi) if w[i] != 0.0]
-            return _apply_shift(cut, SpectralFunction(spec, v))
+            out = _apply_shift(cut, SpectralFunction(spec, v), _shift_targets(cut, spec))
+            return fft_inverse(out)
 
         return run_shift
 
@@ -529,7 +541,7 @@ def support_rule_check(a: Symbol, u: GridFunction, tau: float = 1e-8) -> Support
     K = kernel(a, spec).reshape(spec.npoints, spec.npoints)
     u_supp = _tau_support(np.abs(u.values.reshape(-1)) ** 2, tau)
     reach = (_tau_support(np.abs(K) ** 2, tau) & u_supp[None, :]).any(axis=1)
-    y = plan(a, spec)(u)
+    y = apply_auto(a, u)
     return _support_report(np.abs(y.values.reshape(-1)) ** 2, reach, tau)
 
 

@@ -4,15 +4,16 @@ probes for block series under ball, corona, and asymmetric-corona spectral
 conditions.
 
 space_norms() is the one entry point for B/F quasi-norms.  It serves every
-quasi-norm asked of one u from one pass: a forward FFT unless u comes as
-coefficients, then one inverse FFT per block the spectrum touches (a block
-that misses it has the field 0: B takes 0.0, F adds nothing, bit for bit).
-The modulus of each block field is taken once; it gives each B case its
-||Phi_j(D)u||_p and joins each F case's running sum of (2^{sj}|Phi_j(D)u|)^q
-in block order (bit-identical to summing the stack), so memory is O(N^n).
-Passes on different functions may run at once on pool workers (the
-continuity table runs one per input): they share the frame's block tables,
-which are built once per grid."""
+quasi-norm asked of one u from one pass over |Phi_j(D)u| (lp_block_moduli):
+a forward FFT unless u comes as coefficients, then an inverse FFT for each
+block holding two modes or more.  A block that misses the spectrum gives 0
+(B takes 0.0, F adds nothing, bit for bit), one holding a single mode c' (as
+each block of a lacunary series does) the constant |c'|.  Each modulus gives
+each B case its ||Phi_j(D)u||_p and joins each F case's running sum of
+(2^{sj}|Phi_j(D)u|)^q in block order (bit-identical to summing the stack),
+so memory is O(N^n).  Passes on different functions may run at once on pool
+workers (the continuity table runs one per input): they share the frame's
+block supports, which are built once per grid."""
 from __future__ import annotations
 
 import dataclasses
@@ -88,27 +89,41 @@ def format_space(sp: SpaceParams) -> str:
     return f"{sp.scale}:s={sp.s:g},p={sp.p:g},q={sp.q:g}"
 
 
-def lp_block_fields(
+def lp_block_moduli(
     u: GridFunction | SpectralFunction, frame: LPFrame, j_max: int | None = None
 ) -> Iterator[np.ndarray | None]:
-    """Grid values of Phi_j(D)u, j = 0..j_max (default: the closing shell), one
-    at a time, from u's values or coefficients; None for a block the spectrum
-    misses.  Raises if j_max is too small for the blocks to sum to 1."""
-    sat = frame.j_saturation(u.spec)
+    """|Phi_j(D)u| on the grid, j = 0..j_max (default: the closing shell), one
+    at a time, from u's values or coefficients gathered on each block's
+    support: None where the spectrum misses the block, the constant |c'| with
+    no FFT where the block holds one mode c', else the modulus of its inverse
+    FFT.  Raises if j_max is too small for the blocks to sum to 1."""
+    spec = u.spec
+    sat = frame.j_saturation(spec)
     if j_max is None:
         j_max = sat
     elif j_max < sat:
         raise ValueError(
             f"j_max={j_max} insufficient: partition closes only from j_max={sat}"
         )
-    c = as_spectral(u).coeffs
-    blocks = frame.lattice_blocks(u.spec, j_max)
+    c = as_spectral(u).coeffs.reshape(-1)
+    supports = frame.block_supports(spec, j_max)
     _log.debug(
         "block sum truncated at shell j_max=%d (Nyquist radius %.6g)",
-        len(blocks) - 1, u.spec.nyquist_radius,
+        len(supports) - 1, spec.nyquist_radius,
     )
-    masked = (c * mult for mult in blocks)
-    return (fft_inverse(SpectralFunction(u.spec, m)).values if m.any() else None for m in masked)
+
+    def moduli() -> Iterator[np.ndarray | None]:
+        for idx, vals in supports:
+            masked = c[idx] * vals
+            live = np.count_nonzero(masked)
+            if live <= 1:
+                yield np.full(spec.shape, np.abs(masked).max()) if live else None
+                continue
+            block = np.zeros(spec.npoints, dtype=complex)
+            block[idx] = masked
+            yield np.abs(fft_inverse(SpectralFunction(spec, block.reshape(spec.shape))).values)
+
+    return moduli()
 
 
 def _shell_weights(s: float, count: int) -> np.ndarray:
@@ -116,21 +131,16 @@ def _shell_weights(s: float, count: int) -> np.ndarray:
 
 
 def _block_norms(
-    spec: GridSpec, fields: Iterable[np.ndarray | None], count: int, spaces: Sequence[SpaceParams]
+    spec: GridSpec, moduli: Iterable[np.ndarray | None], count: int, spaces: Sequence[SpaceParams]
 ) -> list[float]:
-    """Each case's quasi-norm over `count` block fields, read once in order.
-
-    The fields are finite grid values (each was checked when its
-    GridFunction was made), or None for a field of zeros; their moduli are
-    taken once per field and shared by every case, and each F case
-    accumulates in place."""
+    """Each case's quasi-norm over `count` block moduli |Phi_j(D)u|, read once
+    in order and shared by every case; None stands for a block of zeros.
+    Each F case accumulates in place."""
     weights = [_shell_weights(sp.s, count) for sp in spaces]
     sums: list = [[] if sp.scale == BESOV else np.zeros(spec.shape) for sp in spaces]
-    fields = iter(fields)
+    moduli = iter(moduli)
     for j in range(count):
-        a = next(fields)
-        if a is not None:
-            a = np.abs(a)  # the field itself is dropped before the next is made
+        a = next(moduli)  # dropped before the next modulus is made
         for k, sp in enumerate(spaces):
             if sp.scale == BESOV:
                 sums[k].append(0.0 if a is None else abs_lp_norm(spec, a, sp.p))
@@ -143,7 +153,7 @@ def _block_norms(
         del a
     norms = []
     for w, sp, a in zip(weights, spaces, sums):
-        if sp.scale == BESOV:  # a: each field's ||.||_p; for F, the pointwise sum
+        if sp.scale == BESOV:  # a: each block's ||.||_p; for F, the pointwise sum
             a = w * np.array(a)
             norms.append(float(a.max() if math.isinf(sp.q) else np.sum(a**sp.q) ** (1.0 / sp.q)))
         else:
@@ -159,7 +169,7 @@ def space_norms(u: GridFunction | SpectralFunction, spaces: Sequence[SpaceParams
     for frame in dict.fromkeys(sp.frame for sp in spaces):
         mine = list(dict.fromkeys(sp for sp in spaces if sp.frame == frame))
         count = frame.j_saturation(u.spec) + 1
-        norms.update(zip(mine, _block_norms(u.spec, lp_block_fields(u, frame), count, mine)))
+        norms.update(zip(mine, _block_norms(u.spec, lp_block_moduli(u, frame), count, mine)))
     return [norms[sp] for sp in spaces]
 
 
@@ -226,11 +236,11 @@ def vector_maximal_check(
     def one(blocks: list[GridFunction]) -> float:
         sp = SpaceParams(0.0, p, q, TRIEBEL_LIZORKIN)  # unit weights: the plain ell_q
         starred = (
-            peetre_maximal(u, MaximalParams(N_exp, R * 2.0**k)).values
+            np.abs(peetre_maximal(u, MaximalParams(N_exp, R * 2.0**k)).values)
             for k, u in enumerate(blocks)
         )
         lhs = _block_norms(spec, starred, len(blocks), [sp])[0]
-        rhs = _block_norms(spec, (u.values for u in blocks), len(blocks), [sp])[0]
+        rhs = _block_norms(spec, (np.abs(u.values) for u in blocks), len(blocks), [sp])[0]
         if rhs == 0.0:
             return 0.0
         return lhs / rhs
@@ -471,7 +481,7 @@ def corona_series_sum(
     for u in blocks[1:]:
         total = total + u
 
-    block_bound = _block_norms(spec, (u.values for u in blocks), len(blocks), [sp])[0]
+    block_bound = _block_norms(spec, (np.abs(u.values) for u in blocks), len(blocks), [sp])[0]
     sum_norm = space_norms(total, [dataclasses.replace(sp, s=s_prime)])[0]
     ratio = math.inf if block_bound == 0.0 and sum_norm > 0.0 else (
         0.0 if block_bound == 0.0 else sum_norm / block_bound

@@ -75,7 +75,7 @@ class ShiftTerm(NamedTuple):
     g holds the values on the flat eta-lattice indices idx, zero elsewhere."""
 
     j: int
-    weight: float
+    weight: complex
     xi: tuple[int, ...]
     idx: np.ndarray
     g: np.ndarray
@@ -300,7 +300,8 @@ class SeparableSymbol(Symbol):
 
 
 class ConstantSymbol(Symbol):
-    """a(x,eta) = c exactly (no Nyquist masking: the identity stays exact)."""
+    """a(x,eta) = c exactly (no Nyquist masking: the identity stays exact); one
+    shift term, xi = 0 with weight c and g = 1, so a plan scales coefficients."""
 
     def __init__(self, c: complex = 1.0, d: float = 0.0):
         self.c = complex(c)
@@ -312,8 +313,8 @@ class ConstantSymbol(Symbol):
         shape = np.broadcast_shapes(x.shape[:-1], np.asarray(eta, dtype=float).shape[:-1])
         return np.full(shape, self.c, dtype=complex)
 
-    def separable_terms(self, spec: GridSpec):
-        return [(np.full(spec.shape, self.c, dtype=complex), np.ones(spec.shape))]
+    def shift_terms(self, spec: GridSpec) -> list[ShiftTerm]:
+        return [ShiftTerm(0, self.c, (0,) * spec.n, np.arange(spec.npoints), np.ones(spec.npoints))]
 
 
 # ---------------------------------------------------------------------------
@@ -427,10 +428,14 @@ class ChingSymbol(Symbol):
         rad = spec.freq_radius().ravel()
         nyq = nyquist_mask(spec).ravel()
         half = spec.N // 2
+        levels = [np.flatnonzero((rad > self.A.a0 * 2.0**j) & (rad < self.A.a1 * 2.0**j))
+                  for j in range(self.j_max + 1)]
+        # one quadrature for all levels: the 2^-j|eta| repeat across levels
+        bumps = on_distinct(self.A, np.concatenate([rad[i] * 2**-j for j, i in enumerate(levels)]))
+        bumps = np.split(bumps, np.cumsum([i.size for i in levels])[:-1])
         terms = []
-        for j in range(self.j_max + 1):
-            idx = np.flatnonzero((rad > self.A.a0 * 2.0**j) & (rad < self.A.a1 * 2.0**j))
-            g = on_distinct(self.A, rad[idx] * 2.0**-j) * nyq[idx]
+        for j, (idx, bump) in enumerate(zip(levels, bumps)):
+            g = bump * nyq[idx]
             if not np.any(g):
                 continue
             xi = tuple((-(2**j) * t + half) % spec.N - half for t in self.theta)

@@ -39,7 +39,9 @@ from pdlab import (
 )
 from pdlab.frame import LPFrame
 from pdlab.experiments import lacunary_coeffs
-from pdlab.grid import fft_inverse, random_band_spectrum, spectrum_from_coeffs
+from pdlab.grid import (
+    as_spectral, as_values, fft_inverse, random_band_spectrum, spectrum_from_coeffs,
+)
 from pdlab.operators import plan
 from pdlab.spaces import space_norms
 from pdlab.symbols import ChingSymbol, RadialBump
@@ -258,7 +260,7 @@ class TestModeSpace:
         etas = rng.choice(np.arange(1, spec.N // 2), 60, replace=False)
         modes = {int(e): complex(*rng.standard_normal(2)) for e in etas}
         out = a.apply_modes(modes)
-        lattice = fft_forward(plan(a, spec)(spectrum_from_coeffs(spec, modes))).coeffs
+        lattice = as_spectral(plan(a, spec)(spectrum_from_coeffs(spec, modes))).coeffs
         exact = spectrum_from_coeffs(spec, out).coeffs
         assert np.max(np.abs(exact - lattice)) <= 1e-13 * np.max(np.abs(exact))
 
@@ -421,13 +423,13 @@ class TestPlansAndPasses:
 
     def test_one_block_pass_per_framed_function(self, monkeypatch):
         seen = []
-        real = spaces.lp_block_fields
+        real = spaces.lp_block_moduli
 
         def spy(u, frame, j_max=None):
             seen.append(u)
             return real(u, frame, j_max)
 
-        monkeypatch.setattr(spaces, "lp_block_fields", spy)
+        monkeypatch.setattr(spaces, "lp_block_moduli", spy)
         grids, trials = (64, 128), 3
         rep = run_continuity_table(
             lambda spec: ching_for_grid(spec),
@@ -469,29 +471,28 @@ class TestCoefficientInputs:
             for got, want in zip(space_norms(c, spaces_), space_norms(u, spaces_), strict=True):
                 assert got == pytest.approx(want, rel=1e-13)
             assert h_norm(c) == pytest.approx(h_norm(u), rel=1e-13)
-            y, y_grid = op(c).values, op(u).values
+            y, y_grid = as_values(op(c)).values, as_values(op(u)).values
             assert np.max(np.abs(y - y_grid)) <= 1e-13 * np.max(np.abs(y_grid))
 
-    def test_block_pass_on_v2_runs_three_inverse_ffts(self, fft_calls):
+    def test_block_pass_on_v2_runs_no_fft(self, fft_calls):
         c = spectrum_from_coeffs(self.SPEC, lacunary_coeffs(2))
-        fields = list(spaces.lp_block_fields(c, DEFAULT_FRAME))
-        # modes 4, 8 and 16 each sit in one block
-        assert [j for j, f in enumerate(fields) if f is not None] == [2, 3, 4]
-        assert fft_calls == [("fft_inverse", self.SPEC)] * 3
-        fft_calls.clear()
+        moduli = list(spaces.lp_block_moduli(c, DEFAULT_FRAME))
+        # modes 4, 8 and 16 each sit alone in one block: a constant modulus
+        assert [j for j, a in enumerate(moduli) if a is not None] == [2, 3, 4]
+        assert fft_calls == []
         space_norms(c, [SpaceParams(0.0, 2.0, 1.0, "F"), SpaceParams(0.0, 2.0, 2.0, "B")])
-        assert fft_calls == [("fft_inverse", self.SPEC)] * 3
+        assert fft_calls == []
 
     def test_table_transforms_no_input_forward(self, fft_calls):
         grids = (64, 128)
         inputs = sum(2 + len(family_indices(GridSpec(1, g))) for g in grids)
-        # L sources: one inverse FFT per input for both, one per plan output;
-        # the H target transforms the two outputs forward
+        # the L sources: one inverse FFT per input, for p = inf (L2 is a
+        # Parseval sum); the plan outputs stay coefficients for both targets
         run_continuity_table(ching_for_grid, cases=[("L:p=2", "L:p=2"), ("L:p=inf", "H:s=0")],
                              grids=grids, trials=2)
         names = [name for name, _ in fft_calls]
-        assert names.count("fft_inverse") == 3 * inputs
-        assert names.count("fft_forward") == 2 * inputs
+        assert names.count("fft_inverse") == inputs
+        assert names.count("fft_forward") == 0
         fft_calls.clear()
         run_continuity_table(ching_for_grid, cases=[("F:s=0,p=2,q=1", "L:p=2"),
                                                     ("H:s=0", "L:p=2")], grids=grids, trials=2)

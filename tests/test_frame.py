@@ -257,6 +257,33 @@ def test_lattice_blocks_match_full_grid_evaluation(n, N, frame):
             assert np.array_equal(b, frame.psi.corona(rad * 2.0**-j))
 
 
+@pytest.mark.parametrize("n, N", [(1, 2**18), (1, 2**11), (2, 256), (2, 64)])
+@pytest.mark.parametrize(
+    "frame", [DEFAULT_FRAME, LPFrame(ModulationFunction(0.8, 1.6), h=4)], ids=["default", "alt"]
+)
+def test_balls_from_one_pooled_quadrature_are_the_per_ball_bits(n, N, frame):
+    spec = GridSpec(n, N)
+    radii = np.unique(spec.freq_radius())
+    j_max = frame.j_saturation(spec)
+    balls = list(frame.balls_on(radii, j_max))
+    assert len(balls) == j_max + 1
+    for m, ball in enumerate(balls):
+        assert np.array_equal(ball, frame.ball_radial(m, radii))
+
+
+@pytest.mark.parametrize("n, N", [(1, 2**11), (2, 64)])
+def test_block_supports_hold_each_block_where_it_is_nonzero(n, N):
+    spec = GridSpec(n, N)
+    frame = LPFrame(DEFAULT_FRAME.psi, DEFAULT_FRAME.h)  # an empty block cache
+    supports = frame.block_supports(spec)
+    assert frame.block_supports(spec) is supports  # cached
+    rad = spec.freq_radius().reshape(-1)
+    for j, (idx, vals) in enumerate(supports):
+        want = frame.block_radial(j, rad)
+        assert np.array_equal(idx, np.flatnonzero(want))
+        assert np.array_equal(vals, want[idx])
+
+
 def test_lattice_blocks_memory_stays_table_sized():
     spec = GridSpec(1, 2**16)
     frame = LPFrame(DEFAULT_FRAME.psi, DEFAULT_FRAME.h)

@@ -7,6 +7,7 @@ from pdlab.grid import (
     GridFunction,
     GridSpec,
     SpectralFunction,
+    as_values,
     fft_forward,
     fft_inverse,
     from_coeffs,
@@ -18,6 +19,7 @@ from pdlab.grid import (
     read_pdgf,
     single_mode,
     sobolev_norm,
+    spectrum_from_coeffs,
     write_pdgf,
 )
 
@@ -198,6 +200,38 @@ def test_from_coeffs_and_band_limited():
     cv = fft_forward(v).coeffs
     rad = spec.freq_radius()
     assert np.max(np.abs(cv[rad > 4.0])) < 1e-13
+
+
+@pytest.mark.parametrize("eta", [-5, 4, 2**40])
+def test_off_lattice_frequencies_raise(eta):
+    spec = GridSpec(1, 8)
+    with pytest.raises(ValueError, match=f"frequency {eta} is off the lattice"):
+        spectrum_from_coeffs(spec, {eta: 1.0})
+    with pytest.raises(ValueError, match=f"frequency {eta} "):
+        from_coeffs(spec, {1: 1.0, eta: 1.0})
+
+
+def test_off_lattice_frequencies_raise_in_2d():
+    spec = GridSpec(2, 8)
+    for eta in ((0, 4), (-5, 0), (1,), (1, 2, 3)):
+        with pytest.raises(ValueError, match="off the lattice"):
+            spectrum_from_coeffs(spec, {eta: 1.0})
+    c = spectrum_from_coeffs(spec, {(-4, 3): 2.0})
+    assert c.coeffs[0, 7] == 2.0 and np.count_nonzero(c.coeffs) == 1
+
+
+@pytest.mark.parametrize("n, N", [(1, 64), (2, 16)])
+def test_lp_norm_of_coefficients(n, N):
+    spec = GridSpec(n, N)
+    rng = np.random.default_rng(11)
+    c = SpectralFunction(spec, rng.standard_normal(spec.shape) + 1j * rng.standard_normal(spec.shape))
+    u = fft_inverse(c)
+    assert as_values(u) is u and np.array_equal(as_values(c).values, u.values)
+    # p = 2 is Parseval's sum, no transform; any other p reads grid values
+    assert lp_norm(c, 2) == pytest.approx(lp_norm(u, 2), rel=1e-14)
+    assert lp_norm(c, 2) == np.sqrt(TWO_PI**n * np.sum(np.abs(c.coeffs) ** 2))
+    for p in (1.0, 3.0, np.inf):
+        assert lp_norm(c, p) == lp_norm(u, p)
 
 
 def test_pdgf_round_trip(tmp_path):

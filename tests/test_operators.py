@@ -15,6 +15,7 @@ from pdlab.grid import (
     GridFunction,
     GridSpec,
     SpectralFunction,
+    as_values,
     fft_forward,
     fft_inverse,
     from_coeffs,
@@ -643,7 +644,8 @@ class TestStructuredParadiff:
             warnings.simplefilter("error")
             ref = apply(a, u)
             separable = SeparableSymbol(spec, a.separable_terms(spec))
-            for y in (plan(a, spec)(u), apply_auto(separable, u), paradiff_split(a, u).total()):
+            for y in (as_values(plan(a, spec)(u)), apply_auto(separable, u),
+                      paradiff_split(a, u).total()):
                 assert rel_sup(y, ref) <= 1e-13
             assert split_gap(a, u) <= 1e-13
 
@@ -929,7 +931,7 @@ class TestShiftPath:
         a = modulate_symbol(ching, 3, DEFAULT_PSI_FAMILY[0], spec)
         assert isinstance(a, ShiftSymbol) and not a.has_eval
         u = random_band_limited(spec, 0.4 * spec.N / 2, np.random.default_rng(89))
-        ref = plan(a, spec)(u).values
+        ref = as_values(plan(a, spec)(u)).values
         assert np.max(np.abs(apply(a, u).values - ref)) <= 1e-12 * np.max(np.abs(ref))
 
     def test_vfm_limit_never_tabulates(self, monkeypatch):
@@ -994,8 +996,32 @@ class TestPlan:
         op = plan(a, spec)
         for seed in (86, 87):
             u = random_band_limited(spec, 0.4 * N / 2, np.random.default_rng(seed))
-            assert np.array_equal(op(u).values, parent_route(a, u))
+            assert np.array_equal(as_values(op(u)).values, parent_route(a, u))
             assert np.array_equal(apply_auto(a, u).values, parent_route(a, u))
+
+    @pytest.mark.parametrize("n, N", [(1, 1024), (2, 32)])
+    def test_shift_route_returns_the_coefficients_of_apply_auto(self, n, N):
+        spec = GridSpec(n, N)
+        ching = ching_for_grid(spec, d=0.5, theta=1 if n == 1 else (1, 1))
+        u = random_band_limited(spec, 0.4 * N / 2, np.random.default_rng(88))
+        modulated = modulate_symbol(ching, 2, DEFAULT_PSI_FAMILY[1], spec)
+        for a in (ching, ConstantSymbol(2.0 - 0.5j), modulated):
+            y = plan(a, spec)(u)
+            assert isinstance(y, SpectralFunction)
+            assert np.array_equal(fft_inverse(y).values, apply_auto(a, u).values)
+        y = plan(random_elementary(spec, DEFAULT_FRAME, J=4, seed=6), spec)(u)
+        assert isinstance(y, GridFunction)
+
+    @pytest.mark.parametrize("c", [1.0, 2.0 - 0.5j])
+    def test_constant_symbol_is_the_zero_shift(self, c, fft_calls):
+        spec = GridSpec(1, 256)
+        [term] = ConstantSymbol(c).shift_terms(spec)
+        assert term.xi == (0,) and term.weight == c and np.all(term.g == 1.0)
+        u = fft_forward(random_band_limited(spec, 50, np.random.default_rng(89)))
+        fft_calls.clear()
+        y = plan(ConstantSymbol(c), spec)(u)
+        assert fft_calls == []
+        assert np.array_equal(y.coeffs, c * u.coeffs)
 
     def test_rejects_an_input_on_another_grid(self):
         op = plan(ching_for_grid(GridSpec(1, 256)), GridSpec(1, 256))

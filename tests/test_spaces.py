@@ -14,6 +14,7 @@ from hypothesis import strategies as st
 
 import pdlab.frame as frame_mod
 import pdlab.spaces as spaces
+from pdlab.experiments import lacunary_coeffs
 from pdlab.frame import DEFAULT_FRAME, LPFrame, ModulationFunction
 from pdlab.grid import (
     GridFunction,
@@ -25,6 +26,7 @@ from pdlab.grid import (
     random_band_limited,
     single_mode,
     sobolev_norm,
+    spectrum_from_coeffs,
 )
 from pdlab.pointwise import maximal_lp_constant, spectral_radius
 from pdlab.spaces import (
@@ -38,7 +40,7 @@ from pdlab.spaces import (
     embedding_report,
     format_space,
     holder_norm,
-    lp_block_fields,
+    lp_block_moduli,
     parse_space,
     space_norms,
     summation_lemma_check,
@@ -53,7 +55,11 @@ def rand_u(spec: GridSpec, band: float, seed: int) -> GridFunction:
 
 
 def lp_seq(u: GridFunction) -> list[GridFunction]:
-    return [GridFunction(u.spec, f) for f in lp_block_fields(u, DEFAULT_FRAME)]
+    """The block fields Phi_j(D)u from the dense tables: the reference the
+    block moduli are checked against."""
+    c = fft_forward(u).coeffs
+    return [fft_inverse(SpectralFunction(u.spec, c * m))
+            for m in DEFAULT_FRAME.lattice_blocks(u.spec)]
 
 
 def annulus_noise(spec: GridSpec, lo: float, hi: float, rng) -> GridFunction:
@@ -147,7 +153,7 @@ class TestBesovNorm:
         u = rand_u(spec, 20.0, 3)
         s, s2, p, q = 0.25, -1.0, 2.0, 1.5
         terms = np.array([
-            lp_norm(GridFunction(spec, f), p) for f in lp_block_fields(u, DEFAULT_FRAME)
+            lp_norm(GridFunction(spec, f), p) for f in lp_block_moduli(u, DEFAULT_FRAME)
         ])
         j = np.arange(len(terms), dtype=float)
         hand = float(np.sum((2.0 ** ((s2 - s) * j) * 2.0 ** (s * j) * terms) ** q) ** (1.0 / q))
@@ -159,7 +165,7 @@ class TestBesovNorm:
         u = rand_u(spec, 20.0, 4)
         s, p = -0.5, 2.0
         terms = [
-            lp_norm(GridFunction(spec, f), p) for f in lp_block_fields(u, DEFAULT_FRAME)
+            lp_norm(GridFunction(spec, f), p) for f in lp_block_moduli(u, DEFAULT_FRAME)
         ]
         hand = max(2.0 ** (s * j) * t for j, t in enumerate(terms))
         assert space_norms(u, [SpaceParams(s, p, math.inf, BESOV)])[0] == hand
@@ -220,7 +226,7 @@ class TestTriebelNorm:
 def stacked_norm(u: GridFunction, sp: SpaceParams) -> float:
     """The quasi-norm from all J+1 block fields held at once: the reference
     the one-pass norms must reproduce bit for bit."""
-    fields = list(lp_block_fields(u, sp.frame))
+    fields = list(lp_block_moduli(u, sp.frame))
     w = 2.0 ** (sp.s * np.arange(len(fields), dtype=float))
     if sp.scale == BESOV:
         terms = w * np.array([lp_norm(GridFunction(u.spec, f), sp.p) for f in fields])
@@ -248,13 +254,13 @@ class TestOnePass:
 
     def test_one_block_pass_per_frame(self, monkeypatch):
         passes = []
-        real = spaces.lp_block_fields
+        real = spaces.lp_block_moduli
 
         def spy(u, frame, j_max=None):
             passes.append(frame)
             return real(u, frame, j_max)
 
-        monkeypatch.setattr(spaces, "lp_block_fields", spy)
+        monkeypatch.setattr(spaces, "lp_block_moduli", spy)
         u = rand_u(GridSpec(1, 256), 50.0, 7)
         alt = LPFrame(ModulationFunction(0.8, 1.6), h=4)
         space_norms(u, self.CASES)
@@ -267,10 +273,10 @@ class TestOnePass:
 
     def test_a_skipped_block_gives_the_bits_of_a_zero_field(self):
         spec = GridSpec(1, 256)
-        fields = list(lp_block_fields(rand_u(spec, 20.0, 9), DEFAULT_FRAME))
+        fields = list(lp_block_moduli(rand_u(spec, 20.0, 9), DEFAULT_FRAME))
         for j in (1, 4, len(fields) - 1):
             fields[j] = None
-        zeros = [np.zeros(spec.shape, dtype=complex) if f is None else f for f in fields]
+        zeros = [np.zeros(spec.shape) if f is None else f for f in fields]
         for sp in self.CASES:
             skipped = spaces._block_norms(spec, iter(fields), len(fields), [sp])
             assert skipped == spaces._block_norms(spec, iter(zeros), len(fields), [sp]), sp
@@ -278,23 +284,51 @@ class TestOnePass:
     def test_lp_block_fields_insufficient_jmax_flagged(self):
         spec = GridSpec(1, 64)
         with pytest.raises(ValueError):
-            lp_block_fields(rand_u(spec, 8.0, 0), DEFAULT_FRAME, j_max=3)
+            lp_block_moduli(rand_u(spec, 8.0, 0), DEFAULT_FRAME, j_max=3)
 
     @pytest.mark.parametrize("n, N, j_max", [(1, 2**12, None), (2, 64, None), (1, 256, 9)])
     def test_block_fields_are_fresh_inverse_transforms(self, n, N, j_max):
+        # the moduli of the fields: of fresh inverse transforms, one per block
+        # holding several modes, bit for bit those of the dense tables
         spec = GridSpec(n, N)
         u = rand_u(spec, 0.4 * N / 2, 30 + n)
         c = fft_forward(u).coeffs
         blocks = DEFAULT_FRAME.lattice_blocks(spec, j_max)
-        fields = list(lp_block_fields(u, DEFAULT_FRAME, j_max))
-        assert len(fields) == len(blocks)
+        moduli = list(lp_block_moduli(u, DEFAULT_FRAME, j_max))
+        assert len(moduli) == len(blocks)
         # a block the spectrum misses (past the lattice at j_max=9) is None
-        assert [f is None for f in fields] == [not (c * m).any() for m in blocks]
-        fields = [f for f in fields if f is not None]
-        assert len({id(f) for f in fields}) == len(fields)
-        assert not any(np.shares_memory(f, g) for f in fields for g in fields if f is not g)
-        for f, m in zip(fields, [m for m in blocks if (c * m).any()]):
-            assert np.array_equal(f, fft_inverse(SpectralFunction(spec, c * m)).values)
+        assert [a is None for a in moduli] == [not (c * m).any() for m in blocks]
+        moduli = [a for a in moduli if a is not None]
+        assert len({id(a) for a in moduli}) == len(moduli)
+        assert not any(np.shares_memory(a, b) for a in moduli for b in moduli if a is not b)
+        live = [m for m in blocks if (c * m).any()]
+        assert all(np.count_nonzero(c * m) > 1 for m in live)
+        for a, m in zip(moduli, live):
+            assert np.array_equal(a, np.abs(fft_inverse(SpectralFunction(spec, c * m)).values))
+
+    @pytest.mark.parametrize("n, N", [(1, 2**11), (2, 64)])
+    def test_one_mode_blocks_are_constant_moduli(self, n, N, fft_calls):
+        # v_3 at 1-d, and a 2-d input with one mode per block: a mode at
+        # |eta| = 2^j lies in block j alone
+        spec = GridSpec(n, N)
+        if n == 1:
+            modes = lacunary_coeffs(3)
+        else:
+            modes = {(0, 0): 0.5, (-2, 0): 1.0 - 2.0j, (0, 4): -0.25j, (0, -8): 3.0, (16, 0): 0.1}
+        c = spectrum_from_coeffs(spec, modes)
+        moduli = list(lp_block_moduli(c, DEFAULT_FRAME))
+        assert fft_calls == []
+        blocks = DEFAULT_FRAME.lattice_blocks(spec)
+        assert len(moduli) == len(blocks)
+        for a, m in zip(moduli, blocks):
+            masked = c.coeffs * m
+            assert np.count_nonzero(masked) <= 1
+            if a is None:
+                assert not masked.any()
+                continue
+            want = np.abs(fft_inverse(SpectralFunction(spec, masked)).values)
+            assert np.all(a == np.abs(masked).max())
+            assert np.max(np.abs(a - want)) <= 1e-15 * np.max(want)
 
     def test_a_pass_that_overflows_raises(self):
         # finite values whose transform overflows: the coefficients' check
@@ -304,19 +338,19 @@ class TestOnePass:
             with pytest.raises(ValueError, match="non-finite"):
                 space_norms(u, [SpaceParams(0.0, 2.0, 1.0, TRIEBEL_LIZORKIN)])
             with pytest.raises(ValueError, match="non-finite"):
-                next(lp_block_fields(u, DEFAULT_FRAME))
+                next(lp_block_moduli(u, DEFAULT_FRAME))
 
     def test_racing_passes_build_the_block_table_once(self, monkeypatch):
         frame = LPFrame(DEFAULT_FRAME.psi, DEFAULT_FRAME.h)  # an empty block cache
         builds = []
-        real = frame_mod.on_distinct
+        real = frame_mod.LPFrame.balls_on
 
-        def slow_build(fn, t):
-            builds.append(t.shape)
+        def slow_build(self, radii, j_max):
+            builds.append(spec.shape)
             time.sleep(0.05)  # hold the build open while the other thread arrives
-            return real(fn, t)
+            return real(self, radii, j_max)
 
-        monkeypatch.setattr(frame_mod, "on_distinct", slow_build)
+        monkeypatch.setattr(frame_mod.LPFrame, "balls_on", slow_build)
         spec = GridSpec(1, 2**12)
         sp = SpaceParams(0.0, 2.0, 1.0, TRIEBEL_LIZORKIN, frame)
         us = [rand_u(spec, 0.4 * spec.N / 2, seed) for seed in (11, 12)]
@@ -402,13 +436,13 @@ class TestNormInvariants:
 class TestEmbeddingReport:
     def test_one_block_pass_per_member(self, monkeypatch):
         seen = []
-        real = spaces.lp_block_fields
+        real = spaces.lp_block_moduli
 
         def spy(u, frame, j_max=None):
             seen.append(u)
             return real(u, frame, j_max)
 
-        monkeypatch.setattr(spaces, "lp_block_fields", spy)
+        monkeypatch.setattr(spaces, "lp_block_moduli", spy)
         corpus = [rand_u(GridSpec(1, 64), 16.0, s) for s in range(5)]
         rep = embedding_report(corpus, s=0.5, p=2.0, q=1.0, p_target=4.0)
         assert rep.holder_band is not None
