@@ -44,11 +44,13 @@ from .frame import (
 from .grid import (
     GridFunction,
     GridSpec,
+    SpectralFunction,
     as_spectral,
+    as_values,
     fft_forward,
-    from_coeffs,
     lp_norm,
     random_band_limited,
+    random_band_spectrum,
     read_pdgf,
     single_mode,
     spectrum_from_coeffs,
@@ -100,7 +102,7 @@ def _single(spec: GridSpec, run_seed: int, *, eta: Annotated[tuple[int, ...], _p
 
 
 def _lacunary(spec: GridSpec, run_seed: int, *, N: int, d: float = 0.0, theta: int = 1):
-    return experiments.lacunary_input(spec, N, d=d, theta=theta)
+    return experiments.lacunary_spectrum(spec, N, d=d, theta=theta)
 
 
 def _ladder(spec: GridSpec, run_seed: int, *, J: int = 6, d: float = 0.5):
@@ -108,22 +110,23 @@ def _ladder(spec: GridSpec, run_seed: int, *, J: int = 6, d: float = 0.5):
         raise ValueError("ladder mode runs on 1-d grids")
     if not 1 <= J or 2**J > spec.N // 2:
         raise ValueError(f"ladder J={J} does not fit on an N={spec.N} grid")
-    return from_coeffs(spec, {2**j: 2.0 ** (-j * d) for j in range(1, J + 1)})
+    return spectrum_from_coeffs(spec, {2**j: 2.0 ** (-j * d) for j in range(1, J + 1)})
 
 
 def _random(spec: GridSpec, run_seed: int, *, band: float = 0.4, seed: int | None = None):
     if not 0.0 < band <= 1.0:
         raise ValueError(f"random band must be in (0, 1], got {band}")
     rng = np.random.default_rng(run_seed if seed is None else seed)
-    return random_band_limited(spec, band * (spec.N // 2), rng)
+    return random_band_spectrum(spec, band * (spec.N // 2), rng)
 
 
 INPUT_KINDS = {"single": _single, "lacunary": _lacunary, "ladder": _ladder, "random": _random}
 """Input generator kinds; each builder takes (grid, run seed)."""
 
 
-def make_input(text: str, spec: GridSpec, seed: int = 0) -> GridFunction:
-    """Build a grid function from a generator string.
+def make_input(text: str, spec: GridSpec, seed: int = 0, coeffs: bool = False):
+    """Build a grid function from a generator string: its grid values, or
+    with `coeffs` the builder's output (exact coefficients but for single).
 
     Forms: single:eta=32 (n=2: eta=3x-4)
            lacunary:N=3[,d=0][,theta=1]
@@ -133,7 +136,8 @@ def make_input(text: str, spec: GridSpec, seed: int = 0) -> GridFunction:
     """
     if text.startswith("file:"):
         return read_pdgf(text.removeprefix("file:"))
-    return parse_spec(text, INPUT_KINDS, "input")(spec, seed)
+    u = parse_spec(text, INPUT_KINDS, "input")(spec, seed)
+    return u if coeffs else as_values(u)
 
 
 # ---------------------------------------------------------------------------
@@ -278,10 +282,11 @@ def _read_input(args, path: str) -> GridFunction:
     return u
 
 
-def _make_input(args, text: str, spec: GridSpec) -> GridFunction:
+def _make_input(args, text: str, spec: GridSpec) -> GridFunction | SpectralFunction:
+    """A file's grid values, or a generator's own output (make_input's coeffs)."""
     if text.startswith("file:"):
         return _read_input(args, text.removeprefix("file:"))
-    return make_input(text, spec, seed=args.seed)
+    return make_input(text, spec, seed=args.seed, coeffs=True)
 
 
 def _resolve_io(args) -> tuple[GridFunction, GridSpec]:
@@ -294,7 +299,7 @@ def _resolve_io(args) -> tuple[GridFunction, GridSpec]:
     if args.input is not None:
         u = _read_input(args, args.input)
     else:
-        u = _make_input(args, args.mode, _grid_from_args(args))
+        u = as_values(_make_input(args, args.mode, _grid_from_args(args)))
     return u, u.spec
 
 
@@ -785,15 +790,21 @@ def gate_maximal_stability():
 
 
 def gate_sigma_order():
-    from .symbols import RadialBump
+    from .symbols import RadialBump, TabulatedSymbol, sigma_order_estimate
 
+    bump = RadialBump(zero_order=1, zero_width=0.25)
     spec = GridSpec(1, 512)
-    a = ching_symbol(
-        0.0, theta=1, A=RadialBump(zero_order=1, zero_width=0.25), j_max=7, spec=spec
-    )
+    a = ching_symbol(0.0, theta=1, A=bump, j_max=7, spec=spec)
     rep = experiments.run_sigma_estimate(a, spec, r_expected=1.0)
     _gate(rep.verdicts["sigma_matches"], "sigma_hat missed the planted zero order")
     _gate(rep.verdicts["onset_matches"], "boundedness onset missed -r")
+    small = GridSpec(1, 128)  # the Gram route against the dense oracle
+    b = ching_symbol(0.0, theta=1, A=bump, j_max=5, spec=small)
+    gram, dense = ([v for fit in sigma_order_estimate(sym, (0, 1), spec=small)
+                    for shells in fit.shell_values for v in shells.values()]
+                   for sym in (b, TabulatedSymbol(small, b.table(small), d=b.d)))
+    gap = max(abs(g - w) for g, w in zip(gram, dense, strict=True))
+    _gate(gap <= 1e-13 * max(dense), f"Gram and dense shell values differ by {gap:.3e}")
 
 
 def gate_continuity_identity():

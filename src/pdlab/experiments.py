@@ -27,7 +27,6 @@ from .grid import (
     SpectralFunction,
     as_spectral,
     as_values,
-    fft_forward,
     from_coeffs,
     lp_norm,
     mode_norm,
@@ -35,14 +34,13 @@ from .grid import (
     sobolev_norm,
     spectrum_from_coeffs,
 )
-from .operators import apply_auto, plan
+from .operators import plan
 from .spaces import SPACE_KINDS, SpaceParams, format_space, space_norms
 from .symbols import (
     DEFAULT_BUMP,
     ConstantSymbol,
     RadialBump,
     Symbol,
-    TabulatedSymbol,
     check_twisted_diagonal,
     ching_for_grid,
     ching_symbol,
@@ -154,6 +152,11 @@ def lacunary_coeffs(N: int, d: float = 0.0, theta: int = 1) -> dict[int, float]:
 
 def lacunary_input(spec: GridSpec, N: int, d: float = 0.0, theta: int = 1) -> GridFunction:
     """v_N = sum_{j=N}^{N^2} e^{i 2^j theta x} / (j 2^{jd} log N) on a 1-d grid."""
+    return as_values(lacunary_spectrum(spec, N, d, theta))
+
+
+def lacunary_spectrum(spec: GridSpec, N: int, d: float = 0.0, theta: int = 1) -> SpectralFunction:
+    """The coefficients of lacunary_input, with no transform."""
     if spec.n != 1:
         raise ValueError("the lacunary family lives on 1-d grids")
     top = 2 ** (N * N) * abs(theta)
@@ -162,7 +165,7 @@ def lacunary_input(spec: GridSpec, N: int, d: float = 0.0, theta: int = 1) -> Gr
             f"family index {N} needs mode 2^{N * N}*|theta| = {top} "
             f"inside the lattice; grid holds |eta| < {spec.N // 2}"
         )
-    return from_coeffs(spec, lacunary_coeffs(N, d, theta))
+    return spectrum_from_coeffs(spec, lacunary_coeffs(N, d, theta))
 
 
 def family_indices(spec: GridSpec, theta: int = 1, cap: int = 5) -> list[int]:
@@ -269,9 +272,9 @@ def run_counterexample(
 # frequency flip
 
 
-def _signed_mass_fractions(u: GridFunction) -> tuple[float, float]:
+def _signed_mass_fractions(u: GridFunction | SpectralFunction) -> tuple[float, float]:
     """(positive, negative) axis-0 frequency mass fractions of |u-hat|^2."""
-    c = fft_forward(u).coeffs
+    c = as_spectral(u).coeffs
     eta = u.spec.freq_mesh()[0]
     power = np.abs(c) ** 2
     total = float(power.sum())
@@ -336,15 +339,16 @@ def run_wavefront(
         )
     m_range = [int(m) for m in m_range]
 
-    w_in = from_coeffs(spec, {2**j: 2.0 ** (-j * d) for j in range(1, J + 1)})
-    expected = from_coeffs(spec, {-(2**j): 1.0 for j in range(1, J + 1)})
+    # exact spectra throughout; only the flip residual is read on the grid
+    w_in = spectrum_from_coeffs(spec, {2**j: 2.0 ** (-j * d) for j in range(1, J + 1)})
+    expected = spectrum_from_coeffs(spec, {-(2**j): 1.0 for j in range(1, J + 1)})
     a = ching_symbol(d, theta=2, A=DEFAULT_BUMP, j_max=J, spec=spec)
 
-    out = apply_auto(a, w_in)
-    flip_residual = lp_norm(out - expected, math.inf)
+    out = as_spectral(plan(a, spec)(w_in))
+    flip_residual = lp_norm(SpectralFunction(spec, out.coeffs - expected.coeffs), math.inf)
     in_pos, in_neg = _signed_mass_fractions(w_in)
     out_pos, out_neg = _signed_mass_fractions(out)
-    control_pos, control_neg = _signed_mass_fractions(apply_auto(CONTROL_SYMBOL, w_in))
+    control_pos, control_neg = _signed_mass_fractions(plan(CONTROL_SYMBOL, spec)(w_in))
 
     entries: list[tuple[str, float, str]] = [
         ("flip residual", flip_residual, "max_x |a(x,D)w_in - sum_j e^{-i 2^j x}|"),
@@ -664,7 +668,9 @@ def run_sigma_estimate(
     """Twisted-diagonal order exponent plus the Sobolev boundedness onset.
 
     sigma_hat comes from the localized-symbol annulus sups for each
-    derivative order in `alphas`.  The eps grid must sit inside the
+    derivative order in `alphas`, read from the symbol itself (the Gram
+    route of sigma_order_estimate for shift terms, else its dense route on
+    the most exact a_hat the symbol gives).  The eps grid must sit inside the
     marked-zero window of the symbol's frequency profile (eps at most
     half the window width), otherwise the localization saturates and the
     fitted exponent reads low.  Independently, single-mode probes
@@ -701,14 +707,11 @@ def run_sigma_estimate(
 
     violation_mass = math.nan
     tdc_B = getattr(a, "tdc_B", None)
+    localized: Symbol = a
     if strict and tdc_B is not None:
         violation_mass = check_twisted_diagonal(a, tdc_B, spec=spec).violation_mass
-        tab: Symbol = mask_twisted_diagonal(a, tdc_B, spec=spec)
-    elif isinstance(a, TabulatedSymbol):
-        tab = a
-    else:
-        tab = TabulatedSymbol(spec, a.table(spec), d=a.d)
-    fits = sigma_order_estimate(tab, alphas, eps_grid=eps_grid, spec=spec)
+        localized = mask_twisted_diagonal(a, tdc_B, spec=spec)
+    fits = sigma_order_estimate(localized, alphas, eps_grid=eps_grid, spec=spec)
 
     def sweep(sym: Symbol) -> list[float]:
         d_sym = float(sym.d)

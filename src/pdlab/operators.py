@@ -336,7 +336,8 @@ def _summand_route(a: Symbol, spec: GridSpec) -> Callable[[np.ndarray, np.ndarra
     def run_sheared(w: np.ndarray, v: np.ndarray) -> GridFunction:
         terms = v[shear]
         terms *= sheared
-        return fft_inverse(SpectralFunction(spec, (w @ terms).reshape(spec.shape)))
+        # einsum, not @: a threaded BLAS product would nest inside pool workers
+        return fft_inverse(SpectralFunction(spec, np.einsum("k,kz->z", w, terms).reshape(spec.shape)))
 
     return run_sheared
 
@@ -571,11 +572,15 @@ def _allowed_sumset(a: Symbol, spec: GridSpec, u_supp: np.ndarray, tau: float) -
     return allowed
 
 
-def spectral_support_rule_check(a: Symbol, u: GridFunction, tau: float = 1e-10) -> SupportReport:
+def spectral_support_rule_check(
+    a: Symbol, u: GridFunction | SpectralFunction, tau: float = 1e-10
+) -> SupportReport:
     """Frequency support rule: supp F(a(x,D)u) within the folded sumset
     {xi + eta : (xi,eta) in supp a_hat, eta in supp_tau u_hat}; see
-    _allowed_sumset for how supp a_hat is read."""
-    u_supp = _tau_support(np.abs(fft_forward(u).coeffs) ** 2, tau)
+    _allowed_sumset for how supp a_hat is read.  u is transformed once at
+    most; the output spectrum is the plan's, exact on the shift route."""
+    c = as_spectral(u)
+    u_supp = _tau_support(np.abs(c.coeffs) ** 2, tau)
     allowed = _allowed_sumset(a, u.spec, u_supp, tau)
-    y = apply_auto(a, u)
-    return _support_report(np.abs(fft_forward(y).coeffs) ** 2, allowed, tau)
+    y = as_spectral(plan(a, u.spec)(c))
+    return _support_report(np.abs(y.coeffs) ** 2, allowed, tau)

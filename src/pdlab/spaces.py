@@ -4,12 +4,15 @@ probes for block series under ball, corona, and asymmetric-corona spectral
 conditions.
 
 space_norms() is the one entry point for B/F quasi-norms.  It serves every
-quasi-norm asked of one u from one pass over |Phi_j(D)u| (lp_block_moduli):
-a forward FFT unless u comes as coefficients, then an inverse FFT for each
-block holding two modes or more.  A block that misses the spectrum gives 0
-(B takes 0.0, F adds nothing, bit for bit), one holding a single mode c' (as
-each block of a lacunary series does) the constant |c'|.  Each modulus gives
-each B case its ||Phi_j(D)u||_p and joins each F case's running sum of
+quasi-norm asked of one u from one pass over u's coefficients gathered on
+each block's support (lp_block_coeffs; a forward FFT unless u comes as
+coefficients).  A B case with p = 2 reads ||Phi_j(D)u||_2 from them by
+Parseval; a pass whose cases are all of that kind runs no FFT.  Every other
+case reads the moduli |Phi_j(D)u|: an inverse FFT for each block holding
+two modes or more.  A block that misses the spectrum gives 0 (B takes 0.0,
+F adds nothing, bit for bit), one holding a single mode c' (as each block
+of a lacunary series does) the constant |c'|.  Each modulus gives each
+other B case its ||Phi_j(D)u||_p and joins each F case's running sum of
 (2^{sj}|Phi_j(D)u|)^q in block order (bit-identical to summing the stack),
 so memory is O(N^n).  Passes on different functions may run at once on pool
 workers (the continuity table runs one per input): they share the frame's
@@ -89,14 +92,12 @@ def format_space(sp: SpaceParams) -> str:
     return f"{sp.scale}:s={sp.s:g},p={sp.p:g},q={sp.q:g}"
 
 
-def lp_block_moduli(
+def lp_block_coeffs(
     u: GridFunction | SpectralFunction, frame: LPFrame, j_max: int | None = None
-) -> Iterator[np.ndarray | None]:
-    """|Phi_j(D)u| on the grid, j = 0..j_max (default: the closing shell), one
-    at a time, from u's values or coefficients gathered on each block's
-    support: None where the spectrum misses the block, the constant |c'| with
-    no FFT where the block holds one mode c', else the modulus of its inverse
-    FFT.  Raises if j_max is too small for the blocks to sum to 1."""
+) -> Iterator[tuple[np.ndarray, np.ndarray]]:
+    """(flat indices of Phi_j's support, Phi_j c there) for j = 0..j_max
+    (default: the closing shell), one block at a time, c being u's
+    coefficients.  Raises if j_max is too small for the blocks to sum to 1."""
     spec = u.spec
     sat = frame.j_saturation(spec)
     if j_max is None:
@@ -111,19 +112,28 @@ def lp_block_moduli(
         "block sum truncated at shell j_max=%d (Nyquist radius %.6g)",
         len(supports) - 1, spec.nyquist_radius,
     )
+    return ((idx, c[idx] * vals) for idx, vals in supports)
 
-    def moduli() -> Iterator[np.ndarray | None]:
-        for idx, vals in supports:
-            masked = c[idx] * vals
-            live = np.count_nonzero(masked)
-            if live <= 1:
-                yield np.full(spec.shape, np.abs(masked).max()) if live else None
-                continue
-            block = np.zeros(spec.npoints, dtype=complex)
-            block[idx] = masked
-            yield np.abs(fft_inverse(SpectralFunction(spec, block.reshape(spec.shape))).values)
 
-    return moduli()
+def lp_block_moduli(u: GridFunction | SpectralFunction, frame: LPFrame, j_max: int | None = None):
+    """|Phi_j(D)u| on the grid, j = 0..j_max, one at a time (_block_pass)."""
+    return _block_pass(lp_block_coeffs(u, frame, j_max), u.spec, None, True)
+
+
+def _block_pass(blocks, spec: GridSpec, l2: list | None, moduli: bool) -> Iterator:
+    """Per lp_block_coeffs pair: append ((2pi)^n sum |Phi_j c|^2)^{1/2} (Parseval)
+    to l2 if given, then yield None if not `moduli` (no FFT) or the block
+    holds no mode, |c'| if it holds one mode c', else |inverse FFT|."""
+    for idx, b in blocks:
+        if l2 is not None:
+            l2.append(float(np.sqrt(TWO_PI**spec.n * np.sum(np.abs(b) ** 2))))
+        live = np.count_nonzero(b) if moduli else 0
+        if live <= 1:
+            yield np.full(spec.shape, np.abs(b).max()) if live else None
+            continue
+        block = np.zeros(spec.npoints, dtype=complex)
+        block[idx] = b
+        yield np.abs(fft_inverse(SpectralFunction(spec, block.reshape(spec.shape))).values)
 
 
 def _shell_weights(s: float, count: int) -> np.ndarray:
@@ -131,11 +141,13 @@ def _shell_weights(s: float, count: int) -> np.ndarray:
 
 
 def _block_norms(
-    spec: GridSpec, moduli: Iterable[np.ndarray | None], count: int, spaces: Sequence[SpaceParams]
+    spec: GridSpec, moduli: Iterable[np.ndarray | None], count: int, spaces: Sequence[SpaceParams],
+    l2: Sequence[float] | None = None,
 ) -> list[float]:
     """Each case's quasi-norm over `count` block moduli |Phi_j(D)u|, read once
     in order and shared by every case; None stands for a block of zeros.
-    Each F case accumulates in place."""
+    Each F case accumulates in place.  A B case with p = 2 reads l2 if
+    given, each block's ||Phi_j(D)u||_2, filled before its modulus is read."""
     weights = [_shell_weights(sp.s, count) for sp in spaces]
     sums: list = [[] if sp.scale == BESOV else np.zeros(spec.shape) for sp in spaces]
     moduli = iter(moduli)
@@ -143,7 +155,8 @@ def _block_norms(
         a = next(moduli)  # dropped before the next modulus is made
         for k, sp in enumerate(spaces):
             if sp.scale == BESOV:
-                sums[k].append(0.0 if a is None else abs_lp_norm(spec, a, sp.p))
+                p2 = l2 is not None and sp.p == 2
+                sums[k].append(l2[j] if p2 else 0.0 if a is None else abs_lp_norm(spec, a, sp.p))
             elif a is None:
                 continue
             elif math.isinf(sp.q):
@@ -164,12 +177,16 @@ def _block_norms(
 
 def space_norms(u: GridFunction | SpectralFunction, spaces: Sequence[SpaceParams]) -> list[float]:
     """Every quasi-norm in `spaces` of u (grid values or coefficients), from
-    one block pass per frame."""
+    one block pass per frame; the moduli are made only if a case other
+    than B with p = 2 reads them."""
     norms: dict = {}
     for frame in dict.fromkeys(sp.frame for sp in spaces):
         mine = list(dict.fromkeys(sp for sp in spaces if sp.frame == frame))
         count = frame.j_saturation(u.spec) + 1
-        norms.update(zip(mine, _block_norms(u.spec, lp_block_moduli(u, frame), count, mine)))
+        p2 = [sp.scale == BESOV and sp.p == 2 for sp in mine]
+        moduli, l2 = not all(p2), [] if any(p2) else None
+        blocks = _block_pass(lp_block_coeffs(u, frame), u.spec, l2, moduli)
+        norms.update(zip(mine, _block_norms(u.spec, blocks, count, mine, l2)))
     return [norms[sp] for sp in spaces]
 
 

@@ -240,6 +240,16 @@ class TabulatedSymbol(Symbol):
         return lambda k: flat[k]
 
 
+def _shift_rows(shifts: list[ShiftTerm], spec: GridSpec) -> tuple[np.ndarray, np.ndarray]:
+    """a_hat's nonzero xi-rows: the distinct xi_j, shape (R, n), and row r =
+    sum of weight_j g_j over the terms at xi_r, shape (R,) + spec.shape."""
+    at = {xi: r for r, xi in enumerate(dict.fromkeys(t.xi for t in shifts))}
+    rows = np.zeros((len(at), spec.npoints), dtype=complex)
+    for t in shifts:
+        rows[at[t.xi], t.idx] += t.weight * t.g
+    return np.array(list(at), dtype=np.int64).reshape(-1, spec.n), rows.reshape((-1,) + spec.shape)
+
+
 def symbol_partial_ft(a: Symbol, spec: GridSpec) -> np.ndarray:
     """a_hat(xi,eta), through the most exact route the symbol offers:
     a construction-time spectral table, exact per-term x-spectra, or an
@@ -258,10 +268,9 @@ def symbol_partial_ft(a: Symbol, spec: GridSpec) -> np.ndarray:
             f"(> {TABLE_ENTRY_GUARD}); use the structured paths"
         )
     if shifts is not None:
-        out = np.zeros((spec.npoints, spec.npoints), dtype=complex)
-        for t in shifts:
-            row = np.ravel_multi_index(tuple(x + spec.N // 2 for x in t.xi), spec.shape)
-            out[row, t.idx] += t.weight * t.g
+        xis, rows = _shift_rows(shifts, spec)
+        out = np.zeros((spec.npoints,) + spec.shape, dtype=complex)
+        out[np.ravel_multi_index(tuple((xis + spec.N // 2).T), spec.shape)] = rows
         return out.reshape(spec.shape + spec.shape)
     out = np.zeros(spec.shape + spec.shape, dtype=complex)
     for mhat, g in terms:
@@ -579,19 +588,15 @@ def build_chi() -> ChiCutoff:
     return ChiCutoff()
 
 
-def _sum_radius_mesh(spec: GridSpec) -> tuple[np.ndarray, np.ndarray]:
-    """(|xi+eta|, |eta|) over the (xi, eta) product lattice."""
-    f = spec.axis_freqs().astype(float)
+def _sum_radius_mesh(spec: GridSpec, xis: np.ndarray | None = None) -> tuple[np.ndarray, np.ndarray]:
+    """(|xi+eta|, |eta|) over the (xi, eta) product lattice, or with xis
+    (shape (R, n)) over those rows xi only: shape (R,) + spec.shape."""
+    eta = [m.astype(float) for m in spec.freq_mesh()]
+    xi = eta if xis is None else list(xis.T.astype(float))
+    s = [x.reshape(x.shape + (1,) * spec.n) + e for x, e in zip(xi, eta)]
     if spec.n == 1:
-        s = f[:, None] + f[None, :]
-        return np.abs(s), np.abs(f)[None, :]
-    xi0, xi1 = np.meshgrid(f, f, indexing="ij")
-    et0, et1 = np.meshgrid(f, f, indexing="ij")
-    s0 = xi0[:, :, None, None] + et0[None, None, :, :]
-    s1 = xi1[:, :, None, None] + et1[None, None, :, :]
-    sum_rad = np.sqrt(s0**2 + s1**2)
-    eta_rad = np.sqrt(et0**2 + et1**2)[None, None, :, :]
-    return sum_rad, eta_rad
+        return np.abs(s[0]), np.abs(eta[0])
+    return np.sqrt(s[0] ** 2 + s[1] ** 2), np.sqrt(eta[0] ** 2 + eta[1] ** 2)
 
 
 def localize_symbol(a: Symbol, eps: float, spec: GridSpec | None = None) -> TabulatedSymbol:
@@ -742,7 +747,8 @@ def _dyadic_shells(spec: GridSpec, alpha: tuple[int, ...]) -> list[tuple[int, np
 
 
 def _eta_difference(table: np.ndarray, alpha: tuple[int, ...], spec: GridSpec) -> np.ndarray:
-    e_axes = tuple(range(spec.n, 2 * spec.n))
+    """D^alpha along the last spec.n axes (eta) by periodic rolls."""
+    e_axes = tuple(range(table.ndim - spec.n, table.ndim))
     out = np.zeros_like(table)
     for off, w in _difference_stencil(alpha, 1.0):
         shift = [-int(round(o)) for o in off]
@@ -759,8 +765,18 @@ def sigma_order_estimate(
     """One SigmaFit per multi-index in `alphas`, in order: the exponent of
     the localized-symbol decay in eps, per shell-normalized annulus L2
     sups.  Shells within max(2,|alpha|) cells of the Nyquist boundary are
-    dropped.  a's partial FT is taken once; each eps is one pool task that
-    localizes once and reads every alpha from that one table.
+    dropped.  Each eps is one pool task that localizes once for every alpha.
+
+    Gram route, for symbols with shift terms: a_hat is nonzero on R rows
+    xi_r only (the distinct xi_j; terms that share one add up), each
+    localized, h_r(eta) = a_hat(xi_r,eta) chi(xi_r+eta, eps eta), and
+    differenced on its own.  As T(x,eta) = sum_r e^{i x.xi_r} D^alpha h_r(eta),
+        sum_{eta in S} |T(x,eta)|^2 = sum_{r,s} e^{i x.(xi_r-xi_s)} G[r,s]
+    on each shell S, with G = H_S H_S^* the R x R Gram matrix of the rows on
+    S, read at every x through exact lattice phases, negatives clipped to 0:
+    no N^n x N^n array, no FFT, no TABLE_ENTRY_GUARD.  Dense route, the
+    oracle for every other symbol: a_hat once (symbol_partial_ft), localized
+    and inverse-transformed per eps, squared moduli summed over each shell.
     """
     spec = _resolve_spec(a, spec)
     alphas = [as_multiindex(alpha, spec.n) for alpha in alphas]
@@ -771,23 +787,33 @@ def sigma_order_estimate(
 
     from ._threads import pmap
 
-    ahat = symbol_partial_ft(a, spec)
-    e_axes = tuple(range(spec.n, 2 * spec.n))
+    shifts = a.shift_terms(spec)
+    if shifts is None:
+        ahat = symbol_partial_ft(a, spec)
+    else:
+        xis, ahat = _shift_rows(shifts, spec)
+        sum_rad, eta_rad = _sum_radius_mesh(spec, xis)
+        k = np.moveaxis(np.indices(spec.shape), 0, -1).reshape(-1, spec.n)
+        phase = lattice_phase(spec, k, xis)  # (N^n, R): e^{i x_k.xi_r}
+    e_axes = tuple(range(ahat.ndim - spec.n, ahat.ndim))
+
+    def shell_sup(diff: np.ndarray, mask: np.ndarray) -> float:
+        if shifts is None:  # diff holds the squared moduli here
+            return float(np.max(np.sum(diff * mask, axis=e_axes)))
+        h = diff[:, mask]  # einsum, not @: no threaded BLAS on pool workers
+        gram = np.einsum("rk,sk->rs", h, h.conj())
+        return max(0.0, float(np.einsum("xr,rs,xs->x", phase, gram, phase.conj()).real.max()))
 
     def one_eps(eps: float) -> list[tuple[float, dict]]:
-        tab = _localize(ahat, eps, spec, a.d).table(spec)
+        tab = (_localize(ahat, eps, spec, a.d).table(spec) if shifts is None
+               else ahat * build_chi().from_radii(sum_rad, eps * eta_rad))
         out = []
         for alpha, shells in zip(alphas, shell_sets):
             diff = _eta_difference(tab, alpha, spec) if sum(alpha) else tab
-            sq = np.abs(diff) ** 2
-            per_shell = {}
-            best = 0.0
-            for R, mask in shells:
-                sup_x = np.max(np.sum(sq * mask, axis=e_axes))
-                raw = float(np.sqrt(sup_x))
-                per_shell[R] = raw
-                best = max(best, float(R) ** (sum(alpha) - a.d - spec.n / 2.0) * raw)
-            out.append((best, per_shell))
+            diff = np.abs(diff) ** 2 if shifts is None else diff
+            per_shell = {R: float(np.sqrt(shell_sup(diff, mask))) for R, mask in shells}
+            scale = sum(alpha) - a.d - spec.n / 2.0
+            out.append((max(float(R) ** scale * v for R, v in per_shell.items()), per_shell))
         return out
 
     results = pmap(one_eps, eps_grid)  # results[i][k]: eps_grid[i], alphas[k]

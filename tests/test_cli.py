@@ -90,6 +90,14 @@ class TestSubcommands:
         obj = run_json(capsys, ["norms", "--space", "H:s=1", "--input", str(pdgf), "--json"])
         assert obj["grid"] == {"n": 1, "N": 32}
 
+    def test_norms_read_generator_coefficients(self, capsys, fft_calls):
+        # a B case with p = 2 of a generator's exact coefficients: no FFT
+        for mode in ("random:band=0.4,seed=2", "ladder:J=3,d=0.5", "lacunary:N=2"):
+            obj = run_json(capsys, ["norms", "--space", "B:s=0.5,p=2,q=2", "--mode", mode,
+                                    "--grid", "64", "--json"])
+            assert obj["value"] > 0.0
+        assert fft_calls == []
+
     def test_norms_corpus(self, capsys, tmp_path):
         corpus = tmp_path / "corpus.json"
         corpus.write_text(json.dumps(["single:eta=2", "ladder:J=3,d=0.5", "random:band=0.5"]))

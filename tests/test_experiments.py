@@ -291,6 +291,13 @@ class TestWavefront:
             "holder_consistent": True,
         }
 
+    def test_spectra_are_exact(self, fft_calls):
+        # one inverse FFT for the flip residual, one for the Hoelder ladder
+        rep = run_wavefront(J=5, spec=GridSpec(1, 256))
+        assert fft_calls == [("fft_inverse", GridSpec(1, 256)), ("fft_inverse", GridSpec(1, 4096))]
+        assert rep.value("control negative fraction") == 0.0
+        assert rep.value("input positive fraction") == rep.value("output negative fraction") == 1.0
+
     @pytest.mark.parametrize("d", [0.2, 0.8, 1.0])
     def test_holder_exponent_tracks_d(self, d):
         rep = run_wavefront(d=d, J=5, spec=GridSpec(1, 256))
@@ -423,13 +430,13 @@ class TestPlansAndPasses:
 
     def test_one_block_pass_per_framed_function(self, monkeypatch):
         seen = []
-        real = spaces.lp_block_moduli
+        real = spaces.lp_block_coeffs
 
         def spy(u, frame, j_max=None):
             seen.append(u)
             return real(u, frame, j_max)
 
-        monkeypatch.setattr(spaces, "lp_block_moduli", spy)
+        monkeypatch.setattr(spaces, "lp_block_coeffs", spy)
         grids, trials = (64, 128), 3
         rep = run_continuity_table(
             lambda spec: ching_for_grid(spec),
@@ -710,7 +717,8 @@ class TestSigmaEstimate:
             0.0, theta=1, A=RadialBump(zero_order=1, zero_width=0.25), j_max=7, spec=spec
         )
         run_sigma_estimate(a, spec, r_expected=1.0)
-        assert calls == [spec]
+        # a shift symbol takes the Gram route, which transforms nothing
+        assert calls == []
 
     def test_growth_slopes_track_order(self):
         spec = GridSpec(1, 512)

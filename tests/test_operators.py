@@ -771,6 +771,18 @@ class TestSpectralSupportRule:
         report = spectral_support_rule_check(ConstantSymbol(1.0), u)
         assert report.holds
 
+    def test_one_forward_fft_at_most(self, fft_calls):
+        # the input once, the output from the shift route's coefficients
+        spec = GridSpec(1, 4096)
+        a = ching_for_grid(spec)
+        u = random_band_limited(spec, 0.4 * 2048, np.random.default_rng(1))
+        fft_calls.clear()
+        on_values = spectral_support_rule_check(a, u)
+        assert [name for name, _ in fft_calls] == ["fft_forward"]
+        fft_calls.clear()
+        on_coeffs = spectral_support_rule_check(a, fft_forward(u))
+        assert fft_calls == [] and on_coeffs == on_values and on_values.holds
+
     def test_modulation_shifts_sumset(self):
         spec = GridSpec(1, 64)
         m = np.exp(1j * 5.0 * spec.axis_coords())

@@ -24,6 +24,7 @@ from pdlab.grid import (
     fft_inverse,
     lp_norm,
     random_band_limited,
+    random_band_spectrum,
     single_mode,
     sobolev_norm,
     spectrum_from_coeffs,
@@ -225,9 +226,14 @@ class TestTriebelNorm:
 
 def stacked_norm(u: GridFunction, sp: SpaceParams) -> float:
     """The quasi-norm from all J+1 block fields held at once: the reference
-    the one-pass norms must reproduce bit for bit."""
+    the one-pass norms must reproduce bit for bit.  B with p = 2 reads each
+    block's Parseval sum over its gathered coefficients."""
     fields = list(lp_block_moduli(u, sp.frame))
     w = 2.0 ** (sp.s * np.arange(len(fields), dtype=float))
+    if sp.scale == BESOV and sp.p == 2:
+        coeffs = [b for _, b in spaces.lp_block_coeffs(u, sp.frame)]
+        terms = w * np.array([np.sqrt(TWO_PI**u.spec.n * np.sum(np.abs(b) ** 2)) for b in coeffs])
+        return float(terms.max() if math.isinf(sp.q) else np.sum(terms**sp.q) ** (1.0 / sp.q))
     if sp.scale == BESOV:
         terms = w * np.array([lp_norm(GridFunction(u.spec, f), sp.p) for f in fields])
         return float(terms.max() if math.isinf(sp.q) else np.sum(terms**sp.q) ** (1.0 / sp.q))
@@ -254,13 +260,13 @@ class TestOnePass:
 
     def test_one_block_pass_per_frame(self, monkeypatch):
         passes = []
-        real = spaces.lp_block_moduli
+        real = spaces.lp_block_coeffs
 
         def spy(u, frame, j_max=None):
             passes.append(frame)
             return real(u, frame, j_max)
 
-        monkeypatch.setattr(spaces, "lp_block_moduli", spy)
+        monkeypatch.setattr(spaces, "lp_block_coeffs", spy)
         u = rand_u(GridSpec(1, 256), 50.0, 7)
         alt = LPFrame(ModulationFunction(0.8, 1.6), h=4)
         space_norms(u, self.CASES)
@@ -380,6 +386,42 @@ class TestOnePass:
         assert peak < 6 * 16 * spec.npoints
 
 
+class TestParsevalBlocks:
+    """B with p = 2 reads each block's L2 norm from its coefficients."""
+
+    CASES = [SpaceParams(s, 2.0, q, BESOV) for s in (-0.5, 0.5) for q in (0.7, 2.0, math.inf)]
+
+    @staticmethod
+    def moduli_route(u, sp: SpaceParams) -> float:
+        fields = list(lp_block_moduli(u, sp.frame))
+        w = 2.0 ** (sp.s * np.arange(len(fields), dtype=float))
+        terms = w * np.array(
+            [0.0 if f is None else lp_norm(GridFunction(u.spec, f), 2.0) for f in fields]
+        )
+        return float(terms.max() if math.isinf(sp.q) else np.sum(terms**sp.q) ** (1.0 / sp.q))
+
+    @pytest.mark.parametrize("n, N", [(1, 2**12), (2, 64), (2, 256)])
+    def test_b_only_pass_runs_no_fft_and_matches_the_moduli(self, n, N, fft_calls):
+        spec = GridSpec(n, N)
+        c = random_band_spectrum(spec, 0.4 * N / 2, np.random.default_rng(60 + n))
+        got = space_norms(c, self.CASES)
+        assert fft_calls == []
+        for sp, g in zip(self.CASES, got):
+            assert g == pytest.approx(self.moduli_route(c, sp), rel=1e-13), format_space(sp)
+
+    def test_an_f_case_still_takes_the_moduli(self, fft_calls):
+        spec = GridSpec(1, 2**10)
+        c = random_band_spectrum(spec, 200.0, np.random.default_rng(3))
+        f_case = SpaceParams(0.5, 2.0, 2.0, TRIEBEL_LIZORKIN)
+        alone = space_norms(c, [f_case])
+        inverse = len(fft_calls)
+        assert inverse > 0 and all(name == "fft_inverse" for name, _ in fft_calls)
+        fft_calls.clear()
+        both = space_norms(c, [self.CASES[1], f_case])
+        assert len(fft_calls) == inverse and both[1] == alone[0]
+        assert both[0] == space_norms(c, [self.CASES[1]])[0]
+
+
 class TestNormInvariants:
     def test_power_of_two_scaling_is_bitwise(self):
         u = rand_u(GridSpec(1, 64), 20.0, 2)
@@ -436,13 +478,13 @@ class TestNormInvariants:
 class TestEmbeddingReport:
     def test_one_block_pass_per_member(self, monkeypatch):
         seen = []
-        real = spaces.lp_block_moduli
+        real = spaces.lp_block_coeffs
 
         def spy(u, frame, j_max=None):
             seen.append(u)
             return real(u, frame, j_max)
 
-        monkeypatch.setattr(spaces, "lp_block_moduli", spy)
+        monkeypatch.setattr(spaces, "lp_block_coeffs", spy)
         corpus = [rand_u(GridSpec(1, 64), 16.0, s) for s in range(5)]
         rep = embedding_report(corpus, s=0.5, p=2.0, q=1.0, p_target=4.0)
         assert rep.holder_band is not None

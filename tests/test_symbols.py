@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 
 import pdlab.symbols as symbols
+from pdlab.experiments import run_sigma_estimate
 from pdlab.frame import DEFAULT_FRAME, ModulationFunction
 from pdlab.grid import GridFunction, GridSpec, random_band_limited
 from pdlab.symbols import (
@@ -482,6 +483,74 @@ class TestSigmaEstimate:
         fits = sigma_order_estimate(random_table_symbol(GridSpec(n=1, N=64)), alphas, eps_grid)
         assert len(fits) == len(alphas)
         assert sorted(built) == sorted(eps_grid)
+
+
+def shell_values(fits) -> list[float]:
+    return [v for fit in fits for shells in fit.shell_values for v in shells.values()]
+
+
+class TestSigmaGramRoute:
+    """The shift-term route of sigma_order_estimate against the dense route
+    on the same symbol's table and exact a_hat."""
+
+    @pytest.mark.parametrize(
+        "n,N,r,j_max,theta,alphas",
+        [(1, 256, r, 6, 1, [0, 1, 2]) for r in (0, 1, 2)]
+        + [(1, 512, r, 7, 1, [0, 1, 2]) for r in (0, 1, 2)]
+        + [(2, 32, 1, 3, (1, 0), [(0, 0), (1, 0), (0, 1)])],
+    )
+    def test_matches_the_dense_route(self, n, N, r, j_max, theta, alphas):
+        spec = GridSpec(n, N)
+        A = RadialBump(zero_order=r, zero_width=0.25) if r else RadialBump()
+        a = ching_symbol(0.0, theta=theta, A=A, j_max=j_max, spec=spec)
+        dense = TabulatedSymbol(spec, a.table(spec), d=a.d, ahat=symbol_partial_ft(a, spec))
+        gram, want = (shell_values(sigma_order_estimate(sym, alphas, spec=spec)) for sym in (a, dense))
+        assert max(want) > 0.0
+        assert np.max(np.abs(np.subtract(gram, want))) <= 1e-13 * max(want)
+
+    def test_terms_sharing_a_row_add_up(self):
+        # two copies of every level: each row of a_hat doubles, and so does
+        # every shell value, against the dense route on the doubled table
+        spec = GridSpec(1, 256)
+        a = ching_symbol(0.0, theta=1, A=RadialBump(zero_order=1, zero_width=0.25), j_max=6,
+                         spec=spec)
+        twice = symbols.ShiftSymbol(spec, a.shift_terms(spec) * 2, d=0.0)
+        dense = TabulatedSymbol(spec, twice.table(spec), d=0.0)
+        gram, want = (shell_values(sigma_order_estimate(sym, [0, 1], spec=spec))
+                      for sym in (twice, dense))
+        assert np.max(np.abs(np.subtract(gram, want))) <= 1e-13 * max(want)
+        single = shell_values(sigma_order_estimate(a, [0, 1], spec=spec))
+        assert np.allclose(gram, 2.0 * np.array(single), rtol=1e-13, atol=0.0)
+
+    def test_builds_no_table_and_runs_no_transform(self, monkeypatch, fft_calls):
+        called = []
+
+        def refuse(name):
+            def spy(*args, **kwargs):
+                called.append(name)
+                raise AssertionError(f"{name} called on the shift route")
+            return spy
+
+        for name in ("symbol_partial_ft", "partial_ft", "partial_ift"):
+            monkeypatch.setattr(symbols, name, refuse(name))
+        monkeypatch.setattr(Symbol, "table", refuse("Symbol.table"))
+        spec = GridSpec(1, 512)
+        a = ching_symbol(0.0, theta=1, A=RadialBump(zero_order=1, zero_width=0.25), j_max=7,
+                         spec=spec)
+        (fit,) = sigma_order_estimate(a, [0], spec=spec)
+        assert np.isfinite(fit.sigma_hat)
+        assert called == [] and fft_calls == []
+
+    def test_runs_past_the_table_guard(self):
+        spec = GridSpec(1, 2**12)
+        assert spec.npoints**2 > symbols.TABLE_ENTRY_GUARD
+        a = ching_symbol(0.0, theta=1, A=RadialBump(zero_order=1, zero_width=0.25), j_max=10,
+                         spec=spec)
+        with pytest.raises(ValueError, match="table"):
+            a.table(spec)
+        rep = run_sigma_estimate(a, spec, r_expected=1.0)
+        assert rep.verdicts["sigma_matches"] is True
+        assert rep.verdicts["onset_matches"] is True
 
 
 class TestAdjoint:
