@@ -337,7 +337,7 @@ def _summand_route(a: Symbol, spec: GridSpec) -> Callable[[np.ndarray, np.ndarra
         terms = v[shear]
         terms *= sheared
         # einsum, not @: a threaded BLAS product would nest inside pool workers
-        return fft_inverse(SpectralFunction(spec, np.einsum("k,kz->z", w, terms).reshape(spec.shape)))
+        return fft_inverse(SpectralFunction(spec, np.einsum("k,kz", w, terms).reshape(spec.shape)))
 
     return run_sheared
 

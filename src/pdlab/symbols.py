@@ -588,7 +588,7 @@ def build_chi() -> ChiCutoff:
     return ChiCutoff()
 
 
-def _sum_radius_mesh(spec: GridSpec, xis: np.ndarray | None = None) -> tuple[np.ndarray, np.ndarray]:
+def _sum_radius_mesh(spec: GridSpec, xis: np.ndarray | None = None) -> tuple[np.ndarray, ...]:
     """(|xi+eta|, |eta|) over the (xi, eta) product lattice, or with xis
     (shape (R, n)) over those rows xi only: shape (R,) + spec.shape."""
     eta = [m.astype(float) for m in spec.freq_mesh()]

@@ -504,7 +504,8 @@ class TestSigmaGramRoute:
         A = RadialBump(zero_order=r, zero_width=0.25) if r else RadialBump()
         a = ching_symbol(0.0, theta=theta, A=A, j_max=j_max, spec=spec)
         dense = TabulatedSymbol(spec, a.table(spec), d=a.d, ahat=symbol_partial_ft(a, spec))
-        gram, want = (shell_values(sigma_order_estimate(sym, alphas, spec=spec)) for sym in (a, dense))
+        gram, want = (shell_values(sigma_order_estimate(sym, alphas, spec=spec))
+                      for sym in (a, dense))
         assert max(want) > 0.0
         assert np.max(np.abs(np.subtract(gram, want))) <= 1e-13 * max(want)
 
