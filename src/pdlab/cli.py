@@ -121,12 +121,12 @@ def _random(spec: GridSpec, run_seed: int, *, band: float = 0.4, seed: int | Non
 
 
 INPUT_KINDS = {"single": _single, "lacunary": _lacunary, "ladder": _ladder, "random": _random}
-"""Input generator kinds; each builder takes (grid, run seed)."""
+"""Input generator kinds; each builder takes (grid, run seed) and gives exact
+coefficients (single: grid values)."""
 
 
-def make_input(text: str, spec: GridSpec, seed: int = 0, coeffs: bool = False):
-    """Build a grid function from a generator string: its grid values, or
-    with `coeffs` the builder's output (exact coefficients but for single).
+def make_input(text: str, spec: GridSpec, seed: int = 0) -> GridFunction:
+    """Build a grid function's values from a generator string.
 
     Forms: single:eta=32 (n=2: eta=3x-4)
            lacunary:N=3[,d=0][,theta=1]
@@ -136,8 +136,7 @@ def make_input(text: str, spec: GridSpec, seed: int = 0, coeffs: bool = False):
     """
     if text.startswith("file:"):
         return read_pdgf(text.removeprefix("file:"))
-    u = parse_spec(text, INPUT_KINDS, "input")(spec, seed)
-    return u if coeffs else as_values(u)
+    return as_values(parse_spec(text, INPUT_KINDS, "input")(spec, seed))
 
 
 # ---------------------------------------------------------------------------
@@ -283,10 +282,11 @@ def _read_input(args, path: str) -> GridFunction:
 
 
 def _make_input(args, text: str, spec: GridSpec) -> GridFunction | SpectralFunction:
-    """A file's grid values, or a generator's own output (make_input's coeffs)."""
+    """A file's grid values, or a generator's own output: exact coefficients
+    for all but single."""
     if text.startswith("file:"):
         return _read_input(args, text.removeprefix("file:"))
-    return make_input(text, spec, seed=args.seed, coeffs=True)
+    return parse_spec(text, INPUT_KINDS, "input")(spec, args.seed)
 
 
 def _resolve_io(args) -> tuple[GridFunction, GridSpec]:
