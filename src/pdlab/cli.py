@@ -47,7 +47,6 @@ from .grid import (
     SpectralFunction,
     as_spectral,
     as_values,
-    fft_forward,
     lp_norm,
     random_band_limited,
     random_band_spectrum,
@@ -289,17 +288,21 @@ def _make_input(args, text: str, spec: GridSpec) -> GridFunction | SpectralFunct
     return parse_spec(text, INPUT_KINDS, "input")(spec, args.seed)
 
 
-def _resolve_io(args) -> tuple[GridFunction, GridSpec]:
-    """The input function and the grid every other object is built on.
+def _input(args) -> GridFunction | SpectralFunction:
+    """The input function, on the grid every other object is built on.
 
     A .pdgf input (--input or a file: mode) defines the grid; explicit
     --grid/--n must then agree.  Generator modes realize on the --grid/--n
-    lattice.
+    lattice (_make_input).
     """
     if args.input is not None:
-        u = _read_input(args, args.input)
-    else:
-        u = as_values(_make_input(args, args.mode, _grid_from_args(args)))
+        return _read_input(args, args.input)
+    return _make_input(args, args.mode, _grid_from_args(args))
+
+
+def _resolve_io(args) -> tuple[GridFunction, GridSpec]:
+    """_input as grid values, and its grid."""
+    u = as_values(_input(args))
     return u, u.spec
 
 
@@ -310,8 +313,8 @@ def _emit_json(obj: dict, out_path: str | None) -> None:
     print(text)
 
 
-def _dominant_modes(y: GridFunction, limit: int = 8) -> list[dict]:
-    c = fft_forward(y).coeffs
+def _dominant_modes(y: SpectralFunction, limit: int = 8) -> list[dict]:
+    c = y.coeffs
     flat = np.abs(c).ravel()
     top = flat.max()
     if top == 0.0:
@@ -361,15 +364,16 @@ def _add_io_flags(p: argparse.ArgumentParser) -> None:
 
 
 def cmd_apply(args) -> int:
-    u, spec = _resolve_io(args)
-    frame = _frame_from_args(args)
-    a = symbol_factory(args.symbol, frame)(spec)
-    y = apply_auto(a, u)
+    u = as_spectral(_input(args))  # a generator's coefficients as they are; a file's by FFT
+    spec = u.spec
+    a = symbol_factory(args.symbol, _frame_from_args(args))(spec)
+    out = plan(a, spec)(u)  # coefficients on the shift route, else grid values
+    y = as_spectral(out)
     if args.out:
-        write_pdgf(y, args.out)
+        write_pdgf(as_values(out), args.out)
     if args.spectrum_csv:
         etas = zip(*(m.ravel().tolist() for m in spec.freq_mesh()))
-        coeffs = fft_forward(y).coeffs.ravel().tolist()  # Python complex: plain float cells
+        coeffs = y.coeffs.ravel().tolist()  # Python complex: plain float cells
         rows = [[*eta, repr(c.real), repr(c.imag)] for eta, c in zip(etas, coeffs)]
         write_csv(
             args.spectrum_csv,
@@ -397,13 +401,12 @@ def cmd_norms(args) -> int:
         entries = json.loads(Path(args.corpus).read_text())
         if not isinstance(entries, list):
             raise ValueError("corpus must be a JSON list of generator strings")
+        label, fn, _ = parse_norm(args.space, frame)
         rows = []
         for i, entry in enumerate(entries):
             if not isinstance(entry, str):
                 raise ValueError(f"corpus entry {i} must be a generator string")
-            u = _make_input(args, entry, spec)
-            label, fn, _ = parse_norm(args.space, frame)
-            rows.append((i, entry, label, repr(fn(u))))
+            rows.append((i, entry, label, repr(fn(_make_input(args, entry, spec)))))
         if args.out:
             write_csv(args.out, ("index", "mode", "space", "norm"), rows)
         else:
@@ -750,13 +753,19 @@ def gate_strict_tdc():
     _gate(peak == 0.0, f"localized strict-tdc symbol peaks at {peak:.3e}, not 0")
 
 
-def gate_scales_agree():
-    from .spaces import SpaceParams, space_norms
+def gate_scale_sandwich():
+    from .spaces import embedding_report
 
-    spec = GridSpec(1, 64)
-    u = random_band_limited(spec, 20, np.random.default_rng(3))
-    b, f = space_norms(u, [SpaceParams(0.5, 2.0, 2.0, "B"), SpaceParams(0.5, 2.0, 2.0, "F")])
-    _gate(abs(b - f) <= 1e-12 * f, f"B and F norms differ at p=q: {b!r} vs {f!r}")
+    u = random_band_limited(GridSpec(1, 64), 20, np.random.default_rng(3))
+    eq = embedding_report([u], s=0.5, p=2.0, q=2.0, p_target=4.0)
+    off = max(abs(eq.sandwich_inner - 1.0), abs(eq.sandwich_outer - 1.0))
+    _gate(off <= 1e-12, f"B and F norms differ at p=q: F/B {eq.sandwich_inner!r}, "
+                        f"B/F {eq.sandwich_outer!r}")
+    rep = embedding_report([u], s=0.5, p=2.0, q=1.0, p_target=4.0)
+    worst = max(rep.sandwich_inner, rep.sandwich_outer)
+    _gate(worst <= 1.0 + 1e-9 and rep.holds,
+          f"B^s_(p,min(p,q)) -> F^s_(p,q) -> B^s_(p,max(p,q)) fails at q=1: "
+          f"F/B {rep.sandwich_inner!r}, B/F {rep.sandwich_outer!r}")
 
 
 def gate_summation_lemma():
@@ -841,7 +850,7 @@ QUICK_GATES = [
     ("frequency-shift bookkeeping", gate_frequency_shift),
     ("pointwise factorization", gate_factorization),
     ("strict twisted-diagonal localization", gate_strict_tdc),
-    ("B equals F at p=q", gate_scales_agree),
+    ("B-F sandwich embedding", gate_scale_sandwich),
     ("dyadic summation lemma", gate_summation_lemma),
     ("spectral support rule", gate_support_rule),
 ]

@@ -150,13 +150,9 @@ def lacunary_coeffs(N: int, d: float = 0.0, theta: int = 1) -> dict[int, float]:
     return {2**j * theta: 1.0 / (j * 2.0 ** (j * d) * log_n) for j in range(N, N * N + 1)}
 
 
-def lacunary_input(spec: GridSpec, N: int, d: float = 0.0, theta: int = 1) -> GridFunction:
-    """v_N = sum_{j=N}^{N^2} e^{i 2^j theta x} / (j 2^{jd} log N) on a 1-d grid."""
-    return as_values(lacunary_spectrum(spec, N, d, theta))
-
-
 def lacunary_spectrum(spec: GridSpec, N: int, d: float = 0.0, theta: int = 1) -> SpectralFunction:
-    """The coefficients of lacunary_input, with no transform."""
+    """v_N = sum_{j=N}^{N^2} e^{i 2^j theta x} / (j 2^{jd} log N) on a 1-d grid,
+    as its exact coefficients (lacunary_coeffs on the lattice)."""
     if spec.n != 1:
         raise ValueError("the lacunary family lives on 1-d grids")
     top = 2 ** (N * N) * abs(theta)

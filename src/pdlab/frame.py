@@ -28,7 +28,7 @@ from typing import Callable, Iterator
 
 import numpy as np
 
-from .grid import GridFunction, GridSpec, fft_forward, fft_inverse
+from .grid import GridSpec
 
 _GL_NODES, _GL_WEIGHTS = np.polynomial.legendre.leggauss(96)
 _GL_SHIFTED = _GL_NODES + 1.0
@@ -211,21 +211,6 @@ class LPFrame:
         return [t.reshape(spec.shape) for t in tables]
 
 
-def block_project(u: GridFunction, frame: LPFrame, j: int, kind: str = "corona") -> GridFunction:
-    """u_j = phi(2^{-j}D)u (corona) or u^j = psi(2^{-j}D)u (ball); j<0 gives 0."""
-    if j < 0:
-        return GridFunction(u.spec, np.zeros(u.spec.shape, dtype=complex))
-    rad = u.spec.freq_radius()
-    if kind == "corona":
-        mult = frame.block_radial(j, rad)
-    elif kind == "ball":
-        mult = frame.ball_radial(j, rad)
-    else:
-        raise ValueError(f"kind must be 'corona' or 'ball', got {kind!r}")
-    c = fft_forward(u)
-    return fft_inverse(type(c)(u.spec, c.coeffs * mult))
-
-
 def frame_from_options(
     *, r: float = 1.0, R: float = 2.0, h: int = 3, profile: str = "smoothstep"
 ) -> LPFrame:
@@ -329,8 +314,10 @@ def parse_spec(text: str, kinds: dict[str, Callable] | Callable, what: str) -> C
     passes the builder's positional arguments (grid, frame, ...).  A kindless
     spec (a frame's) passes its builder for `kinds`.  An item without '=', a
     key the builder does not take, a missing required key and a value its
-    annotation rejects each raise ValueError, as does an OverflowError in the
-    build, quoting the spec."""
+    annotation rejects each raise ValueError, as does an OverflowError or a
+    ValueError in the build, quoting the spec; a builder's message that opens
+    with one of the spec's keys already names the value at fault and passes
+    as it is."""
     kind, _, rest = ("", "", text) if callable(kinds) else text.partition(":")
     build = kinds if callable(kinds) else kinds.get(kind.strip())
     if build is None:
@@ -343,5 +330,9 @@ def parse_spec(text: str, kinds: dict[str, Callable] | Callable, what: str) -> C
             return build(*args, **values)
         except OverflowError as exc:
             raise ValueError(f"{what} {text!r}: {exc.args[-1]}") from exc
+        except ValueError as exc:
+            if str(exc).partition(" ")[0] in values:
+                raise
+            raise ValueError(f"{what} {text!r}: {exc}") from exc
 
     return bound

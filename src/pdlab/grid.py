@@ -11,7 +11,6 @@ hold for trigonometric polynomials hold here to rounding error.
 """
 from __future__ import annotations
 
-import json
 import math
 import os
 import struct
@@ -250,30 +249,3 @@ def read_pdgf(path) -> GridFunction:
         raw = fh.read(nbytes)
     values = np.frombuffer(raw, dtype="<c16").reshape(spec.shape)
     return GridFunction(spec, values.astype(complex))
-
-
-_JSON_MAX_N = 64
-
-
-def grid_function_to_json(u: GridFunction) -> str:
-    if u.spec.N > _JSON_MAX_N:
-        raise ValueError(f"JSON form limited to N <= {_JSON_MAX_N}")
-    flat = u.values.ravel()
-    return json.dumps(
-        {
-            "format": "pdgf",
-            "n": u.spec.n,
-            "N": u.spec.N,
-            "re": flat.real.tolist(),
-            "im": flat.imag.tolist(),
-        }
-    )
-
-
-def grid_function_from_json(text: str) -> GridFunction:
-    obj = json.loads(text)
-    if obj.get("format") != "pdgf":
-        raise ValueError("not a pdgf JSON object")
-    spec = GridSpec(int(obj["n"]), int(obj["N"]))
-    values = np.asarray(obj["re"], dtype=float) + 1j * np.asarray(obj["im"], dtype=float)
-    return GridFunction(spec, values.reshape(spec.shape))

@@ -130,19 +130,6 @@ def ball_cutoff(psi: ModulationFunction | None = None) -> AuxCutoff:
     )
 
 
-def corona_cutoff(psi: ModulationFunction | None = None) -> AuxCutoff:
-    """chi supported on the annulus r/2 <= |eta|/R <= R_psi; it equals 1
-    exactly where psi(t) = 1 and psi(2t) = 0, which for R_psi = 2r is the
-    single radius |eta| = r R."""
-    psi = psi if psi is not None else ModulationFunction(1.0, 2.0)
-    return AuxCutoff(
-        psi.corona,
-        (psi.r / 2.0, psi.R),
-        (psi.R / 2.0, psi.r),
-        f"corona(r={psi.r:g},R={psi.R:g})",
-    )
-
-
 def as_cutoff(chi) -> AuxCutoff:
     """A plain modulation function means its plateau ball."""
     if chi is None:
@@ -361,17 +348,6 @@ def mihlin_rhs(
     return out
 
 
-def mihlin_ratio(
-    a: Symbol,
-    p: MaximalParams,
-    chi: AuxCutoff | None = None,
-    spec: GridSpec | None = None,
-) -> float:
-    """Smallest c with F_a <= c * mihlin_rhs everywhere (inf if the rhs
-    vanishes where F_a does not)."""
-    return mihlin_bound_check(a, p, None, chi, spec).worst_ratio
-
-
 @dataclass(frozen=True)
 class MihlinReport:
     k: int
@@ -437,25 +413,6 @@ def _fit_exponent(xs, values) -> ExponentFit:
     return ExponentFit(xs, values, slope, len(pts), cliff)
 
 
-def fa_radius_exponent(
-    a: Symbol,
-    N_exp: float,
-    radii,
-    chi: AuxCutoff | None = None,
-    spec: GridSpec | None = None,
-) -> ExponentFit:
-    """sup_x F_a(N,R;x) on a dyadic R sweep with the fitted log-log slope;
-    a corona chi isolates the R^d growth of an order-d symbol."""
-    chi = as_cutoff(chi)
-    spec = _resolve_spec(a, spec)
-
-    def one(R: float) -> float:
-        pr = MaximalParams(N_exp, float(R))
-        return float(symbol_factor(a, pr, chi, spec).values.real.max())
-
-    return _fit_exponent(radii, pmap(one, list(radii)))
-
-
 @dataclass(frozen=True)
 class MomentDecayReport:
     M: int
@@ -509,58 +466,4 @@ def moment_decay_check(
     holds = fit.slope <= -M + 0.5 or fit.cliff
     return MomentDecayReport(
         M=int(M), fit=fit, step_drops=tuple(drops), holds=holds
-    )
-
-
-@dataclass(frozen=True)
-class GrowthReport:
-    ks: tuple[int, ...]
-    sup_norms: tuple[float, ...]
-    slope: float
-    bound: float
-    holds: bool
-
-
-def cutoff_growth_check(
-    a: Symbol,
-    v: GridFunction,
-    k_grid,
-    N_exp: float = 0.0,
-    Phi: AuxCutoff | None = None,
-    Psi: AuxCutoff | None = None,
-    slack: float = 0.5,
-) -> GrowthReport:
-    """Growth in k of sup |OP(Phi(2^{-k}D_x) a Psi(2^{-k}eta)) v|.
-
-    Admissible slope: (N+d)_+ when supp Psi contains the origin, and N+d
-    without the positive part when it does not.  On the torus the
-    (1+|x|)^N target is bounded, so v bounded admits N_exp = 0; larger
-    N_exp only loosens the bound.
-    """
-    from .operators import apply
-
-    spec = v.spec
-    ahat = symbol_partial_ft(a, spec)
-    Phi = Phi if Phi is not None else corona_cutoff()
-    Psi = Psi if Psi is not None else ball_cutoff()
-    rad = spec.freq_radius()
-    ks = [int(k) for k in k_grid]
-
-    def one(k: int) -> float:
-        scale = 2.0**k
-        masked = ahat * Phi.profile(rad / scale).reshape(spec.shape + (1,) * spec.n)
-        table = partial_ift(masked, spec) * Psi.profile(rad / scale)[
-            (np.newaxis,) * spec.n
-        ]
-        return float(np.abs(apply(TabulatedSymbol(spec, table, d=a.d), v).values).max())
-
-    sups = pmap(one, ks)
-    fit = _fit_exponent([2.0**k for k in ks], sups)
-    bound = max(0.0, N_exp + a.d) if Psi.support[0] == 0.0 else N_exp + a.d
-    return GrowthReport(
-        ks=tuple(ks),
-        sup_norms=tuple(float(s) for s in sups),
-        slope=fit.slope,
-        bound=float(bound),
-        holds=fit.slope <= bound + slack,
     )

@@ -91,10 +91,6 @@ def write_report_json(report: ExperimentReport, path, config: dict | None = None
     Path(path).write_text(text + "\n")
 
 
-def read_report_json(path) -> ExperimentReport:
-    return report_from_dict(json.loads(Path(path).read_text()))
-
-
 def write_csv(path, header: Sequence[str], rows: Sequence[Sequence]) -> None:
     with open(path, "w", newline="") as fh:
         w = csv.writer(fh)

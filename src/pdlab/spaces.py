@@ -1,7 +1,7 @@
-"""Besov and Lizorkin-Triebel quasi-norms with their scale embeddings, plus
-the vector maximal inequality, the dyadic summation lemma, and convergence
-probes for block series under ball, corona, and asymmetric-corona spectral
-conditions.
+"""Besov and Lizorkin-Triebel quasi-norms, the check of their scale
+embeddings (embedding_report: the B-F sandwich, an exact inequality that a
+selftest gate runs, with the Sobolev and Hoelder constants) and the dyadic
+summation lemma.
 
 space_norms() is the one entry point for B/F quasi-norms.  It serves every
 quasi-norm asked of one u from one pass over u's coefficients gathered on
@@ -19,7 +19,6 @@ workers (the continuity table runs one per input): they share the frame's
 block supports, which are built once per grid."""
 from __future__ import annotations
 
-import dataclasses
 import functools
 import logging
 import math
@@ -29,7 +28,7 @@ from typing import Iterable, Iterator, Sequence
 import numpy as np
 
 from ._threads import pmap
-from .frame import DEFAULT_FRAME, LPFrame, parse_spec
+from .frame import DEFAULT_FRAME, LPFrame
 from .grid import (
     TWO_PI,
     GridFunction,
@@ -37,11 +36,9 @@ from .grid import (
     SpectralFunction,
     abs_lp_norm,
     as_spectral,
-    fft_forward,
     fft_inverse,
     lp_norm,
 )
-from .pointwise import MaximalParams, peetre_maximal, spectral_radius
 
 BESOV = "B"
 TRIEBEL_LIZORKIN = "F"
@@ -81,11 +78,6 @@ def _space(scale: str, frame: LPFrame, *, s: float, p: float, q: float) -> Space
 
 SPACE_KINDS = {scale: functools.partial(_space, scale) for scale in (BESOV, TRIEBEL_LIZORKIN)}
 """Space spec kinds; each builder takes the frame."""
-
-
-def parse_space(text: str, frame: LPFrame | None = None) -> SpaceParams:
-    """Parse 'F:s=0.5,p=2,q=1' or 'B:s=-1,p=inf,q=inf' into SpaceParams."""
-    return parse_spec(text, SPACE_KINDS, "space")(frame if frame is not None else DEFAULT_FRAME)
 
 
 def format_space(sp: SpaceParams) -> str:
@@ -213,58 +205,6 @@ def holder_norm(u: GridFunction, s: float) -> float:
     return float(np.max(np.abs(vals))) + best
 
 
-def _as_corpus(u_blocks) -> list[list[GridFunction]]:
-    members = list(u_blocks)
-    if not members:
-        raise ValueError("empty corpus")
-    if isinstance(members[0], GridFunction):
-        return [members]
-    return [list(m) for m in members]
-
-
-def vector_maximal_check(
-    u_blocks, p: float, q: float, N_exp: float, R: float = 1.0
-) -> float:
-    """Largest ratio ||(u_k*(N, R 2^k))_k||_{ell_q}||_p / ||(u_k)_k||_{ell_q}||_p.
-
-    u_blocks: one block sequence, or a corpus of them.  Each u_k must have
-    spectrum inside the ball of radius R 2^k; N_exp must exceed n/min(p,q).
-    The p-th power of the returned ratio bounds the integral form of the
-    inequality.
-    """
-    corpus = _as_corpus(u_blocks)
-    spec = corpus[0][0].spec
-    if math.isinf(p):
-        raise ValueError("p = inf is out of scope; the lemma assumes p < inf")
-    line = spec.n / min(p, q)
-    if not N_exp > line:
-        raise ValueError(
-            f"need N_exp > n/min(p,q) = {line:g}, got N_exp = {N_exp:g}"
-        )
-    for blocks in corpus:
-        for k, u in enumerate(blocks):
-            rad = spectral_radius(u)
-            if rad > R * 2.0**k + 1e-9:
-                raise ValueError(
-                    f"block {k}: spectrum reaches |eta| = {rad:g}, "
-                    f"outside the ball of radius R*2^k = {R * 2.0 ** k:g}"
-                )
-
-    def one(blocks: list[GridFunction]) -> float:
-        sp = SpaceParams(0.0, p, q, TRIEBEL_LIZORKIN)  # unit weights: the plain ell_q
-        starred = (
-            np.abs(peetre_maximal(u, MaximalParams(N_exp, R * 2.0**k)).values)
-            for k, u in enumerate(blocks)
-        )
-        lhs = _block_norms(spec, starred, len(blocks), [sp])[0]
-        rhs = _block_norms(spec, (np.abs(u.values) for u in blocks), len(blocks), [sp])[0]
-        if rhs == 0.0:
-            return 0.0
-        return lhs / rhs
-
-    return float(max(pmap(one, corpus)))
-
-
 def summation_lemma_check(
     s: float,
     q: float,
@@ -372,139 +312,4 @@ def embedding_report(
         sp=sp_f, p_target=p_target, s_target=s_target,
         sandwich_inner=float(inner), sandwich_outer=float(outer),
         sobolev_constant=float(sob), holder_band=band, holds=holds,
-    )
-
-
-BALL = "ball"
-CORONA = "corona"
-ASYMMETRIC = "asymmetric"
-
-_SUPPORT_TAU = 1e-10
-
-
-def _verify_block_spectra(
-    blocks: list[GridFunction], mode: str, A: float, theta: float, J: int
-) -> None:
-    spec = blocks[0].spec
-    rad = spec.freq_radius()
-    for j, u in enumerate(blocks):
-        c = np.abs(fft_forward(u).coeffs)
-        top = c.max()
-        if top == 0.0:
-            continue
-        live = c > _SUPPORT_TAU * top
-        hi = float(rad[live].max())
-        if hi > A * 2.0**j + 1e-9:
-            raise ValueError(
-                f"block {j}: spectrum reaches |xi| = {hi:g}, "
-                f"outside |xi| <= A*2^j = {A * 2.0 ** j:g}"
-            )
-        if mode != BALL and j >= J:
-            exponent = theta * j if mode == ASYMMETRIC else float(j)
-            floor = 2.0**exponent / A
-            lo = float(rad[live].min())
-            if lo < floor - 1e-9:
-                raise ValueError(
-                    f"block {j}: spectrum reaches down to |xi| = {lo:g}, "
-                    f"below the {mode} floor {floor:g}"
-                )
-
-
-@dataclass(frozen=True)
-class CoronaSeriesReport:
-    """Sum of a block series with its norm bound.
-
-    block_bound is F of the series: ||(sum_j |2^{sj} u_j|^q)^{1/q}||_p on the
-    'F' scale, (sum_j 2^{sjq} ||u_j||_p^q)^{1/q} on 'B'.  sum_norm is the
-    quasi-norm of the sum at smoothness s_prime; ratio their quotient."""
-
-    total: GridFunction
-    mode: str
-    A: float
-    theta: float
-    J: int
-    sp: SpaceParams
-    s_prime: float
-    block_bound: float
-    sum_norm: float
-    ratio: float
-
-
-def corona_series_sum(
-    u_blocks,
-    mode: str,
-    sp: SpaceParams,
-    A: float = 2.0,
-    s_prime: float | None = None,
-    theta: float = 1.0,
-    J: int = 1,
-) -> CoronaSeriesReport:
-    """Sum a block series and compare its quasi-norm at smoothness s_prime
-    with the block-side bound at smoothness sp.s.
-
-    Spectral conditions are verified on the coefficients, not assumed:
-      ball: |xi| <= A 2^j for every j;
-      corona: additionally |xi| >= 2^j / A for j >= J;
-      asymmetric: additionally |xi| >= 2^{theta j} / A for j >= J.
-    Admissible s_prime: corona keeps s_prime = s for all s; ball needs
-    s > max(0, n/p - n) and keeps s_prime = s; asymmetric needs
-    s_prime < s - (1-theta)/theta * (max(0, n/p - n) - s)_+ with
-    0 < theta < 1.
-    """
-    if mode not in (BALL, CORONA, ASYMMETRIC):
-        raise ValueError(f"mode must be ball|corona|asymmetric, got {mode!r}")
-    blocks = list(u_blocks)
-    if not blocks:
-        raise ValueError("empty block list")
-    spec = blocks[0].spec
-    n = spec.n
-    if mode == ASYMMETRIC:
-        if not 0.0 < theta < 1.0:
-            raise ValueError(f"asymmetric mode needs 0 < theta < 1, got {theta}")
-    else:
-        theta = 1.0
-    _verify_block_spectra(blocks, mode, A, theta, J)
-
-    critical = max(0.0, n / sp.p - n)
-    if mode == CORONA:
-        if s_prime is None:
-            s_prime = sp.s
-        if s_prime > sp.s:
-            raise ValueError(f"corona mode allows s_prime <= s = {sp.s:g}")
-    elif mode == BALL:
-        if not sp.s > critical:
-            raise ValueError(
-                f"ball mode needs s > max(0, n/p - n) = {critical:g}, got s = {sp.s:g}"
-            )
-        if sp.scale == TRIEBEL_LIZORKIN and not sp.q > n / (n + sp.s):
-            raise ValueError(
-                f"ball mode needs q > n/(n+s) = {n / (n + sp.s):g}, got q = {sp.q:g}"
-            )
-        if s_prime is None:
-            s_prime = sp.s
-        if s_prime > sp.s:
-            raise ValueError(f"ball mode allows s_prime <= s = {sp.s:g}")
-    else:
-        allowed = sp.s - (1.0 - theta) / theta * max(0.0, critical - sp.s)
-        if s_prime is None or not (
-            s_prime < allowed or (s_prime == sp.s and sp.s > critical)
-        ):
-            raise ValueError(
-                f"asymmetric mode needs s_prime < {allowed:g} "
-                f"(got s_prime = {s_prime})"
-            )
-
-    total = blocks[0]
-    for u in blocks[1:]:
-        total = total + u
-
-    block_bound = _block_norms(spec, (np.abs(u.values) for u in blocks), len(blocks), [sp])[0]
-    sum_norm = space_norms(total, [dataclasses.replace(sp, s=s_prime)])[0]
-    ratio = math.inf if block_bound == 0.0 and sum_norm > 0.0 else (
-        0.0 if block_bound == 0.0 else sum_norm / block_bound
-    )
-    return CoronaSeriesReport(
-        total=total, mode=mode, A=A, theta=theta, J=J, sp=sp,
-        s_prime=float(s_prime), block_bound=float(block_bound),
-        sum_norm=float(sum_norm), ratio=float(ratio),
     )

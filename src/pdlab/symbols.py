@@ -1,5 +1,6 @@
 """Symbols a(x,eta) on the discrete torus: construction, modulation,
-twisted-diagonal localization, seminorms, and adjoints.
+twisted-diagonal localization and order, the dense operator matrix, and the
+binary table format.
 
 A symbol is realized on a grid as a table over (x-axes..., eta-axes...).
 The partial Fourier transform in x maps the table to a_hat(xi, eta) with
@@ -40,8 +41,8 @@ def as_multiindex(alpha, n: int) -> tuple[int, ...]:
     return alpha
 
 
-def _difference_stencil(alpha: tuple[int, ...], h: float) -> list[tuple[np.ndarray, float]]:
-    """Iterated central differences: offsets and weights for D^alpha."""
+def _difference_stencil(alpha: tuple[int, ...]) -> list[tuple[np.ndarray, float]]:
+    """Iterated unit-step central differences: offsets and weights for D^alpha."""
     n = len(alpha)
     terms: list[tuple[np.ndarray, float]] = [(np.zeros(n), 1.0)]
     for axis, order in enumerate(alpha):
@@ -50,9 +51,9 @@ def _difference_stencil(alpha: tuple[int, ...], h: float) -> list[tuple[np.ndarr
             for off, w in terms:
                 for sgn in (+1.0, -1.0):
                     o = off.copy()
-                    o[axis] += sgn * h
+                    o[axis] += sgn
                     key = tuple(o)
-                    nxt[key] = nxt.get(key, 0.0) + w * sgn / (2.0 * h)
+                    nxt[key] = nxt.get(key, 0.0) + w * sgn / 2.0
             terms = [(np.asarray(k), w) for k, w in nxt.items()]
     return terms
 
@@ -183,16 +184,6 @@ class Symbol:
                 f"(> {TABLE_ENTRY_GUARD}); use the structured paths"
             )
         return self.rows(spec)(slice(None)).reshape(spec.shape + spec.shape)
-
-
-def lattice_pairs(spec: GridSpec) -> tuple[np.ndarray, np.ndarray]:
-    """Broadcast (x, eta) meshes of shape spec.shape + spec.shape + (n,)."""
-    xm = np.stack(spec.coord_mesh(), axis=-1)  # shape + (n,)
-    em = np.stack([m.astype(float) for m in spec.freq_mesh()], axis=-1)
-    ones = (1,) * spec.n
-    xs = xm.reshape(spec.shape + ones + (spec.n,))
-    es = em.reshape(ones + spec.shape + (spec.n,))
-    return np.broadcast_arrays(xs, es)
 
 
 def partial_ft(table: np.ndarray, spec: GridSpec) -> np.ndarray:
@@ -652,64 +643,6 @@ def check_twisted_diagonal(
 
 
 # ---------------------------------------------------------------------------
-# seminorms
-
-
-def symbol_seminorm(a: Symbol, alpha, beta, spec: GridSpec | None = None) -> float:
-    """sup over sampled lattice (x,eta) of |D^alpha_eta D^beta_x a| / (1+|eta|)^{d-|a|+|b|}.
-
-    Derivatives are iterated central differences: eta-step 0.5 through the
-    continuum evaluator when available, else step 1 on the table; x-step is
-    one grid spacing.  Points within max(2,|alpha|) cells of the frequency
-    boundary are excluded from the sup.
-    """
-    spec = _resolve_spec(a, spec)
-    alpha = as_multiindex(alpha, spec.n)
-    beta = as_multiindex(beta, spec.n)
-    if sum(alpha) + sum(beta) > 4:
-        raise ValueError("finite-difference budget |alpha|+|beta| <= 4")
-
-    margin = max(2, sum(alpha))
-    half = spec.N // 2
-    rad = spec.freq_radius()
-    valid = np.ones(spec.shape, dtype=bool)
-    for m in spec.freq_mesh():
-        valid &= (m >= -half + margin) & (m <= half - 1 - margin)
-
-    if a.has_eval:
-        eta_step = 0.5
-        xs, es = lattice_pairs(spec)
-        stencil_e = _difference_stencil(alpha, eta_step)
-        stencil_x = _difference_stencil(beta, spec.spacing)
-        acc = np.zeros(spec.shape + spec.shape, dtype=complex)
-        for eoff, ew in stencil_e:
-            for xoff, xw in stencil_x:
-                acc += (ew * xw) * a.eval(xs + xoff, es + eoff)
-        diff = acc
-    else:
-        tab = a.table(spec)
-        x_axes = tuple(range(spec.n))
-        e_axes = tuple(range(spec.n, 2 * spec.n))
-        diff = np.zeros_like(tab)
-        # physical x-step = one grid spacing, eta-step = one lattice unit;
-        # offsets convert to index rolls (roll by -k reads the value at +k)
-        stencil_e = _difference_stencil(alpha, 1.0)
-        stencil_x = _difference_stencil(beta, spec.spacing)
-        for eoff, ew in stencil_e:
-            for xoff, xw in stencil_x:
-                xshift = [-int(round(o / spec.spacing)) for o in xoff]
-                eshift = [-int(round(o)) for o in eoff]
-                shifted = np.roll(tab, xshift, axis=x_axes)
-                shifted = np.roll(shifted, eshift, axis=e_axes)
-                diff += (ew * xw) * shifted
-
-    weight = (1.0 + rad) ** (a.d - sum(alpha) + sum(beta))
-    ratio = np.abs(diff) / weight.reshape((1,) * spec.n + spec.shape)
-    sel = np.broadcast_to(valid.reshape((1,) * spec.n + spec.shape), ratio.shape)
-    return float(ratio[sel].max()) if np.any(sel) else 0.0
-
-
-# ---------------------------------------------------------------------------
 # twisted-diagonal order estimation
 
 
@@ -750,7 +683,7 @@ def _eta_difference(table: np.ndarray, alpha: tuple[int, ...], spec: GridSpec) -
     """D^alpha along the last spec.n axes (eta) by periodic rolls."""
     e_axes = tuple(range(table.ndim - spec.n, table.ndim))
     out = np.zeros_like(table)
-    for off, w in _difference_stencil(alpha, 1.0):
+    for off, w in _difference_stencil(alpha):
         shift = [-int(round(o)) for o in off]
         out += w * np.roll(table, shift, axis=e_axes)
     return out
@@ -834,7 +767,7 @@ def _sigma_fit(alpha, eps_grid, results, spec: GridSpec) -> SigmaFit:
 
 
 # ---------------------------------------------------------------------------
-# adjoint via the dense operator matrix
+# the dense operator matrix
 
 
 def operator_matrix(a: Symbol, spec: GridSpec) -> np.ndarray:
@@ -855,29 +788,6 @@ def operator_matrix(a: Symbol, spec: GridSpec) -> np.ndarray:
         gather = flat.reshape(spec.npoints, spec.npoints)
     rows = np.arange(spec.npoints)[:, None]
     return G[rows, gather] / spec.npoints
-
-
-def matrix_to_symbol(M: np.ndarray, spec: GridSpec, d: float = 0.0) -> TabulatedSymbol:
-    """Invert operator_matrix: b(x,eta) = e^{-ix.eta} (M e_eta)(x)."""
-    y_axes = tuple(range(1, spec.n + 1))
-    T = M.reshape((spec.npoints,) + spec.shape)
-    # (M e_eta)(x) = sum_y M[x,y] e^{iy.eta}: inverse DFT along y, shifted
-    F = np.fft.fftshift(np.fft.ifftn(T, axes=y_axes), axes=y_axes) * spec.npoints
-    k = np.indices(spec.shape).reshape(spec.n, -1).T  # flat grid indices
-    neg_eta = np.moveaxis(spec.N // 2 - np.indices(spec.shape), 0, -1)
-    out = np.empty_like(F)
-    step = max(1, (1 << 20) // spec.npoints)
-    for lo in range(0, spec.npoints, step):
-        hi = min(lo + step, spec.npoints)
-        out[lo:hi] = lattice_phase(spec, k[lo:hi], neg_eta) * F[lo:hi]
-    return TabulatedSymbol(spec, out.reshape(spec.shape + spec.shape), d=d)
-
-
-def adjoint_symbol_matrix(a: Symbol, spec: GridSpec) -> TabulatedSymbol:
-    """Symbol of the adjoint for the weighted inner product (2pi/N)^n sum(u conj(v));
-    the weight cancels, so this is the conjugate transpose of the matrix."""
-    M = operator_matrix(a, spec)
-    return matrix_to_symbol(M.conj().T, spec, d=a.d)
 
 
 # ---------------------------------------------------------------------------

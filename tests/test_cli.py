@@ -7,7 +7,7 @@ import json
 import numpy as np
 import pytest
 
-from pdlab import cli, experiments, pointwise
+from pdlab import cli, experiments, pointwise, spaces
 from pdlab import (
     GridSpec,
     ching_for_grid,
@@ -65,6 +65,26 @@ class TestSubcommands:
         assert list(cells) == list(range(-4, 4))
         assert cells[1][0] == pytest.approx(1.0, abs=1e-15)
         assert all(abs(re) + abs(im) < 1e-15 for eta, (re, im) in cells.items() if eta != 1)
+
+    @pytest.mark.parametrize("argv, counts", [
+        (["--symbol", "ching:d=0,theta=+1,jmax=auto", "--grid", "4096"], (0, 0)),
+        (["--symbol", "ching:d=0,theta=1e1+1e2,jmax=auto", "--grid", "256", "--n", "2"],
+         (0, 0)),
+        # one inverse per separable term, one forward of the output
+        (["--symbol", "elementary:seed=1", "--grid", "4096"], (1, 14)),
+    ])
+    def test_apply_works_on_coefficients(self, capsys, fft_calls, argv, counts):
+        # the generator's coefficients go in as they are, the plan's come out
+        run_json(capsys, ["apply", *argv, "--mode", "random:band=0.4,seed=1"])
+        names = [name for name, _ in fft_calls]
+        assert (names.count("fft_forward"), names.count("fft_inverse")) == counts
+
+    def test_apply_out_takes_one_inverse_fft(self, capsys, tmp_path, fft_calls):
+        out = tmp_path / "y.pdgf"
+        run_json(capsys, ["apply", "--symbol", "ching:d=0,theta=+1,jmax=auto", "--grid", "4096",
+                          "--mode", "random:band=0.4,seed=1", "--out", str(out)])
+        assert [name for name, _ in fft_calls] == ["fft_inverse"]
+        assert out.stat().st_size > 0
 
     def test_apply_reads_pdgf(self, capsys, pdgf):
         obj = run_json(capsys, ["apply", *SYMBOL, "--input", str(pdgf)])
@@ -459,19 +479,28 @@ def test_malformed_argv_exits_2(capsys, tmp_path, pdgf, name):
     assert_one_line_error(capsys)
 
 
-BAD_VALUES = {  # spec: (key, argv)
-    "lacunary:N=x": ("N", ["apply", "--symbol", "const", "--grid", "64", "--mode", "lacunary:N=x"]),
-    "ching:d=abc": ("d", ["apply", "--symbol", "ching:d=abc", *SMALL]),
-    "h=x": ("h", ["apply", *SYMBOL, *SMALL, "--frame", "h=x"]),
-    "B:s=x,p=2,q=2": ("s", ["norms", "--space", "B:s=x,p=2,q=2", *SMALL]),
+BAD_VALUES = {  # spec: (argv, the error line)
+    "lacunary:N=x": (["apply", "--symbol", "const", "--grid", "64", "--mode", "lacunary:N=x"],
+                     "bad value for N in 'lacunary:N=x'"),
+    "ching:d=abc": (["apply", "--symbol", "ching:d=abc", *SMALL],
+                    "bad value for d in 'ching:d=abc'"),
+    "h=x": (["apply", *SYMBOL, *SMALL, "--frame", "h=x"], "bad value for h in 'h=x'"),
+    "B:s=x,p=2,q=2": (["norms", "--space", "B:s=x,p=2,q=2", *SMALL],
+                      "bad value for s in 'B:s=x,p=2,q=2'"),
+    # values the annotation admits and the builder rejects
+    "random:band=0.4,seed=-1": (["apply", "--symbol", "const", "--grid", "64",
+                                 "--mode", "random:band=0.4,seed=-1"],
+                                "input 'random:band=0.4,seed=-1': expected non-negative integer"),
+    "elementary:seed=-3": (["apply", "--symbol", "elementary:seed=-3", *SMALL],
+                           "symbol 'elementary:seed=-3': expected non-negative integer"),
 }
 
 
 @pytest.mark.parametrize("spec", sorted(BAD_VALUES))
 def test_malformed_value_names_key_and_spec(capsys, spec):
-    key, argv = BAD_VALUES[spec]
+    argv, message = BAD_VALUES[spec]
     assert main(argv) == 2
-    assert capsys.readouterr().err == f"error: bad value for {key} in {spec!r}\n"
+    assert capsys.readouterr().err == f"error: {message}\n"
 
 
 OVERFLOWS = {  # argv: the error line
@@ -524,6 +553,32 @@ def test_failed_gate_exits_1_and_stops(capsys, monkeypatch):
     assert main(["selftest", "--quick"]) == 1
     out = capsys.readouterr().out
     assert f"FAIL {name}: output spectrum is not the single frequency 0" in out
+    assert ran == [n for n, _ in gates[:at]]
+
+
+@pytest.mark.parametrize("q, message", [
+    (2.0, "B and F norms differ at p=q"),
+    (1.0, "B^s_(p,min(p,q)) -> F^s_(p,q) -> B^s_(p,max(p,q)) fails at q=1"),
+])
+def test_failed_sandwich_gate_exits_1_and_stops(capsys, monkeypatch, q, message):
+    # the sandwich gate runs for real with its F norms at this q raised by a
+    # fifth, so F/B exceeds 1; the other gates only record that they ran
+    ran = []
+    gates = [(name, functools.partial(ran.append, name)) for name, _ in cli.QUICK_GATES]
+    name = "B-F sandwich embedding"
+    at = [n for n, _ in gates].index(name)
+    gates[at] = (name, cli.gate_scale_sandwich)
+    monkeypatch.setattr(cli, "QUICK_GATES", gates)
+    real = spaces.space_norms
+
+    def raised(u, sps):
+        return [v * 1.2 if sp.scale == "F" and sp.q == q else v
+                for v, sp in zip(real(u, sps), sps, strict=True)]
+
+    monkeypatch.setattr(spaces, "space_norms", raised)
+    assert main(["selftest", "--quick"]) == 1
+    out = capsys.readouterr().out
+    assert f"FAIL {name}: {message}" in out
     assert ran == [n for n, _ in gates[:at]]
 
 

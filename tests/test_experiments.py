@@ -25,7 +25,6 @@ from pdlab import (
     dyadic_increments,
     family_indices,
     fft_forward,
-    lacunary_input,
     lp_norm,
     mask_twisted_diagonal,
     parse_norm,
@@ -38,7 +37,7 @@ from pdlab import (
     sobolev_norm,
 )
 from pdlab.frame import LPFrame
-from pdlab.experiments import lacunary_coeffs
+from pdlab.experiments import lacunary_coeffs, lacunary_spectrum
 from pdlab.grid import (
     as_spectral, as_values, fft_inverse, random_band_spectrum, spectrum_from_coeffs,
 )
@@ -100,7 +99,7 @@ class TestAmplificationFactor:
 class TestLacunaryInput:
     def test_coefficient_layout(self):
         spec = GridSpec(n=1, N=2**6)
-        u = lacunary_input(spec, 2)
+        u = as_values(lacunary_spectrum(spec, 2))
         c = fft_forward(u).coeffs
         eta = spec.axis_freqs()
         log2 = math.log(2)
@@ -114,7 +113,7 @@ class TestLacunaryInput:
         spec = GridSpec(n=1, N=2**11)
         norms = []
         for N in (2, 3):
-            u = lacunary_input(spec, N)
+            u = as_values(lacunary_spectrum(spec, N))
             mass = math.fsum(
                 (1.0 / (j * math.log(N))) ** 2 for j in range(N, N * N + 1)
             )
@@ -126,8 +125,8 @@ class TestLacunaryInput:
 
     def test_d_rescales_modes(self):
         spec = GridSpec(n=1, N=2**6)
-        u0 = lacunary_input(spec, 2, d=0.0)
-        u1 = lacunary_input(spec, 2, d=1.0)
+        u0 = as_values(lacunary_spectrum(spec, 2, d=0.0))
+        u1 = as_values(lacunary_spectrum(spec, 2, d=1.0))
         c0 = fft_forward(u0).coeffs
         c1 = fft_forward(u1).coeffs
         eta = spec.axis_freqs()
@@ -138,13 +137,13 @@ class TestLacunaryInput:
     def test_guards(self):
         spec = GridSpec(n=1, N=64)
         with pytest.raises(ValueError):
-            lacunary_input(spec, 1)
+            lacunary_spectrum(spec, 1)
         with pytest.raises(ValueError):
-            lacunary_input(spec, 2, theta=0)
+            lacunary_spectrum(spec, 2, theta=0)
         with pytest.raises(ValueError, match="inside the lattice"):
-            lacunary_input(spec, 3, theta=1)
+            lacunary_spectrum(spec, 3, theta=1)
         with pytest.raises(ValueError):
-            lacunary_input(GridSpec(n=2, N=16), 2)
+            lacunary_spectrum(GridSpec(n=2, N=16), 2)
 
     def test_family_indices(self):
         assert family_indices(GridSpec(1, 2**11)) == [2, 3]
@@ -268,9 +267,9 @@ class TestModeSpace:
         with pytest.raises(ValueError, match="1-d"):
             ChingSymbol(0.0, (1, 1)).apply_modes({3: 1.0})
 
-    def test_lacunary_input_places_the_shared_coefficients(self):
+    def test_lacunary_values_place_the_shared_coefficients(self):
         spec = GridSpec(1, 2**11)
-        u = lacunary_input(spec, 3, d=0.5, theta=-1)
+        u = as_values(lacunary_spectrum(spec, 3, d=0.5, theta=-1))
         c = spectrum_from_coeffs(spec, lacunary_coeffs(3, 0.5, -1))
         assert np.array_equal(u.values, fft_inverse(c).values)
 
@@ -346,7 +345,7 @@ class TestDyadicIncrements:
 class TestParseNorm:
     def test_lebesgue_and_sobolev(self):
         spec = GridSpec(1, 64)
-        u = lacunary_input(spec, 2)
+        u = as_values(lacunary_spectrum(spec, 2))
         label, fn, framed = parse_norm("L:p=2")
         assert label == "L:p=2" and framed is None
         assert fn(u) == lp_norm(u, 2)
@@ -356,7 +355,7 @@ class TestParseNorm:
 
     def test_dyadic_scales(self):
         spec = GridSpec(1, 64)
-        u = lacunary_input(spec, 2)
+        u = as_values(lacunary_spectrum(spec, 2))
         label, fn, framed = parse_norm("F:s=0.5,p=2,q=1")
         sp = SpaceParams(0.5, 2.0, 1.0, "F")
         assert framed == sp

@@ -15,9 +15,8 @@ ALLOWED = {
     ("symbols.py", "partial_ft"): "a_hat(xi, eta), over the x-axes of a table",
     ("symbols.py", "partial_ift"): "the inverse of partial_ft",
     ("pointwise.py", "symbol_factor.kernel"): "kernels over the eta-axes of table rows",
-    # the dense operator matrix and back
+    # the dense operator matrix
     ("symbols.py", "operator_matrix"): "G[x, z] over the eta-axes of the table",
-    ("symbols.py", "matrix_to_symbol"): "(M e_eta)(x) over the y-axes of the matrix",
     # the separable branch of modulate_symbol: psi(2^-m D_x) m_j, on each m_j
     ("symbols.py", "modulate_symbol"): "cuts each separable m_j in x-frequency",
     # a circular convolution of two boolean support indicators

@@ -15,7 +15,6 @@ from pdlab.frame import (
     DEFAULT_FRAME,
     LPFrame,
     ModulationFunction,
-    block_project,
     decode,
     frame_from_options,
     keyword_options,
@@ -24,7 +23,14 @@ from pdlab.frame import (
     smoothstep,
     split_options,
 )
-from pdlab.grid import GridFunction, GridSpec, fft_forward, random_band_limited
+from pdlab.grid import (
+    GridFunction,
+    GridSpec,
+    SpectralFunction,
+    fft_forward,
+    fft_inverse,
+    random_band_limited,
+)
 
 
 def test_modulation_plateaus():
@@ -169,21 +175,16 @@ def test_partition_at_random_radii():
     assert np.max(np.abs(total - 1.0)) < 1e-12  # psi(2^-6 * 30) on plateau
 
 
-def test_block_project_constant():
+def test_blocks_of_a_constant():
     spec = GridSpec(1, 32)
     u = GridFunction(spec, np.ones(32))
-    u0 = block_project(u, DEFAULT_FRAME, 0)
+    c = fft_forward(u).coeffs
+    blocks = DEFAULT_FRAME.lattice_blocks(spec)
+    u0 = fft_inverse(SpectralFunction(spec, c * blocks[0]))
     assert np.max(np.abs(u0.values - 1.0)) < 1e-13
     for j in [1, 2, 3]:
-        uj = block_project(u, DEFAULT_FRAME, j)
+        uj = fft_inverse(SpectralFunction(spec, c * blocks[j]))
         assert np.max(np.abs(uj.values)) < 1e-14
-
-
-def test_block_project_negative_j_zero():
-    spec = GridSpec(1, 32)
-    u = GridFunction(spec, np.ones(32))
-    um = block_project(u, DEFAULT_FRAME, -2)
-    assert np.max(np.abs(um.values)) == 0.0
 
 
 def test_reconstruction_and_ball_telescoping():
@@ -191,13 +192,13 @@ def test_reconstruction_and_ball_telescoping():
     spec = GridSpec(1, 128)
     u = GridFunction(spec, rng.standard_normal(128) + 1j * rng.standard_normal(128))
     frame = DEFAULT_FRAME
-    j_max = frame.j_saturation(spec)
-    parts = [block_project(u, frame, j) for j in range(j_max + 1)]
+    c = fft_forward(u).coeffs
+    parts = [fft_inverse(SpectralFunction(spec, c * m)) for m in frame.lattice_blocks(spec)]
     total = sum(p.values for p in parts)
     assert np.max(np.abs(total - u.values)) <= 1e-12 * np.max(np.abs(u.values))
     # u^m = u_0 + ... + u_m
     for m in [2, 4]:
-        ball = block_project(u, frame, m, kind="ball")
+        ball = fft_inverse(SpectralFunction(spec, c * frame.ball_radial(m, spec.freq_radius())))
         acc = sum(p.values for p in parts[: m + 1])
         assert np.max(np.abs(ball.values - acc)) <= 1e-12 * np.max(np.abs(u.values))
 
@@ -215,7 +216,7 @@ def test_corona_hard_zero_mass():
         mult = frame.block_radial(k, rad)
         assert np.max(np.abs((cu * mult)[outside])) == 0.0
         # re-measuring through the inverse/forward pair only adds rounding noise
-        ck = fft_forward(block_project(u, frame, k)).coeffs
+        ck = fft_forward(fft_inverse(SpectralFunction(spec, cu * mult))).coeffs
         assert np.max(np.abs(ck[outside])) < 1e-13 * np.max(np.abs(cu))
 
 
@@ -229,11 +230,11 @@ def test_frame_equivalence_two_psis():
     for _ in range(50):
         u = random_band_limited(spec, 40.0, rng)
         norms = []
+        c = fft_forward(u).coeffs
         for fr in (frame_a, frame_b):
-            js = fr.j_saturation(spec)
             total = 0.0
-            for j in range(js + 1):
-                w = block_project(u, fr, j)
+            for j, m in enumerate(fr.lattice_blocks(spec)):
+                w = fft_inverse(SpectralFunction(spec, c * m))
                 total += (2.0 ** (0.5 * j) * np.sqrt(np.mean(np.abs(w.values) ** 2))) ** 2
             norms.append(np.sqrt(total))
         ratios.append(norms[0] / norms[1])

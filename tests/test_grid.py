@@ -1,5 +1,3 @@
-import json
-
 import numpy as np
 import pytest
 
@@ -11,8 +9,6 @@ from pdlab.grid import (
     fft_forward,
     fft_inverse,
     from_coeffs,
-    grid_function_from_json,
-    grid_function_to_json,
     lattice_phase,
     lp_norm,
     random_band_limited,
@@ -262,13 +258,3 @@ def test_pdgf_header_claims_more_than_the_file(tmp_path, n, N):
     path.write_bytes(b"PDGF" + np.array([n, N, 0], dtype="<u4").tobytes() + bytes(16))
     with pytest.raises(ValueError, match="truncated"):
         read_pdgf(path)
-
-
-def test_json_round_trip():
-    spec = GridSpec(2, 8)
-    rng = np.random.default_rng(2)
-    u = GridFunction(spec, rng.standard_normal(spec.shape) + 1j * rng.standard_normal(spec.shape))
-    text = grid_function_to_json(u)
-    v = grid_function_from_json(text)
-    assert np.allclose(v.values, u.values, rtol=0, atol=0)
-    assert json.loads(text)["N"] == 8

@@ -21,16 +21,12 @@ from pdlab.pointwise import (
     MaximalParams,
     as_cutoff,
     ball_cutoff,
-    corona_cutoff,
-    cutoff_growth_check,
     default_maximal_params,
     derivative_order,
-    fa_radius_exponent,
     factorization_check,
     maximal_lp_constant,
     maximal_ratio,
     mihlin_bound_check,
-    mihlin_ratio,
     mihlin_rhs,
     moment_decay_check,
     peetre_maximal,
@@ -289,24 +285,6 @@ class TestSymbolFactor:
             2.0 * symbol_factor(a, p, spec=spec).values,
         )
 
-    def test_corona_constant_stable_across_grids(self):
-        # sup_x F_a / R^d over a corona sweep: the fitted constant moves
-        # by well under 20% when the grid doubles
-        consts = {}
-        for N in (128, 256):
-            spec = GridSpec(1, N)
-            a = ching_symbol(0.5, 1, j_max=4, spec=spec)
-            vals = [
-                symbol_factor(
-                    a, MaximalParams(1.0, R), corona_cutoff(), spec
-                ).values.real.max()
-                / R**0.5
-                for R in (4.0, 8.0, 16.0)
-            ]
-            consts[N] = max(vals)
-        r = consts[256] / consts[128]
-        assert max(r, 1 / r) <= 1.2
-
     def test_modulation_function_accepted_as_cutoff(self):
         spec = GridSpec(1, 32)
         a = random_table_symbol(spec, 6)
@@ -483,7 +461,9 @@ class TestMihlinBound:
         spec = GridSpec(1, 128)
         p = MaximalParams(1.0, 16.0)
         fit = [
-            mihlin_ratio(random_elementary(spec, DEFAULT_FRAME, 4, seed=s), p, spec=spec)
+            mihlin_bound_check(
+                random_elementary(spec, DEFAULT_FRAME, 4, seed=s), p, None, spec=spec
+            ).worst_ratio
             for s in range(6)
         ]
         c = max(fit)
@@ -497,22 +477,9 @@ class TestMihlinBound:
         for N in (64, 128):
             spec = GridSpec(1, N)
             a = random_elementary(spec, DEFAULT_FRAME, 3, seed=2)
-            vals[N] = mihlin_ratio(a, MaximalParams(1.0, 8.0), spec=spec)
+            vals[N] = mihlin_bound_check(a, MaximalParams(1.0, 8.0), None, spec=spec).worst_ratio
         r = vals[128] / vals[64]
         assert max(r, 1 / r) <= 1.5
-
-    def test_corona_radius_sweep_recovers_order(self):
-        # sweep from R=16 up: below that the weighted y-tail is still
-        # accumulating (the window |y| <= pi cuts it off) and the local
-        # slope carries a spurious preasymptotic excess
-        spec = GridSpec(1, 512)
-        for d in (0.0, 1.0):
-            a = ching_symbol(d, 1, j_max=6, spec=spec)
-            fit = fa_radius_exponent(
-                a, 1.0, (16.0, 32.0, 64.0), corona_cutoff(), spec
-            )
-            assert abs(fit.slope - d) <= 0.3, f"d={d}: slope {fit.slope}"
-
 
 class TestMomentDecay:
     def test_high_pass_profile_validated(self):
@@ -559,43 +526,6 @@ class TestMomentDecay:
         assert rep.fit.slope <= -1.5
 
 
-class TestCutoffGrowth:
-    def test_sharp_rate_for_full_band_input(self):
-        # all-ones coefficients put ~2^k l1-mass in shell k, the torus
-        # realization of temperate order 1; the measured growth then sits
-        # within half an octave of (N+d)_+ = 1.5
-        spec = GridSpec(1, 256)
-        a = ching_symbol(0.5, 1, j_max=5, spec=spec)
-        v = from_coeffs(spec, {eta: 1.0 for eta in range(-48, 49)})
-        rep = cutoff_growth_check(a, v, (2, 3, 4, 5), N_exp=1.0)
-        assert rep.holds
-        assert rep.bound == 1.5
-        assert abs(rep.slope - rep.bound) <= 0.5
-
-    def test_positive_part_redundant_for_corona_psi(self):
-        # d = -2: with the ball Psi the admissible slope clips at 0, with
-        # a corona Psi (0 outside its support) the sharper N+d = -1 rate
-        # must hold as is
-        spec = GridSpec(1, 256)
-        a = ching_symbol(-2.0, 1, j_max=5, spec=spec)
-        v = from_coeffs(spec, {eta: 1.0 for eta in range(-48, 49)})
-        ball = cutoff_growth_check(a, v, (2, 3, 4, 5), N_exp=1.0)
-        corona = cutoff_growth_check(a, v, (2, 3, 4, 5), N_exp=1.0, Psi=corona_cutoff())
-        assert ball.bound == 0.0 and ball.holds
-        assert corona.bound == -1.0 and corona.holds
-        assert abs(corona.slope - corona.bound) <= 0.5
-
-    def test_single_mode_input_dies_past_its_shell(self):
-        # a fixed frequency only meets the x-shell at its own scale; all
-        # other k leave fp dust from the coefficient vector
-        spec = GridSpec(1, 256)
-        a = ching_symbol(0.5, 1, j_max=5, spec=spec)
-        rep = cutoff_growth_check(a, single_mode(spec, 4), (1, 2, 3, 4), N_exp=1.0)
-        assert rep.holds
-        assert rep.sup_norms[1] > 1.0
-        assert max(rep.sup_norms[0], *rep.sup_norms[2:]) < 1e-12
-
-
 class TestNestedPools:
     """A pmap called from a pool worker runs inline: one live pool at most."""
 
@@ -618,9 +548,7 @@ class TestNestedPools:
         p = MaximalParams(1.0, 8.0)
 
         def run():
-            fit = fa_radius_exponent(a, 1.0, [2.0, 4.0, 8.0], spec=spec)
-            rep = moment_decay_check(a, p, [2.0, 4.0, 8.0], M=1, spec=spec)
-            return fit.values, rep.fit.values
+            return moment_decay_check(a, p, [2.0, 4.0, 8.0], M=1, spec=spec).fit.values
 
         monkeypatch.setenv("PDLAB_THREADS", "1")
         serial = run()

@@ -7,7 +7,6 @@ import pytest
 
 from pdlab.experiments import ExperimentReport, ReportRow
 from pdlab.reporting import (
-    read_report_json,
     report_from_dict,
     report_series_points,
     report_to_dict,
@@ -65,7 +64,7 @@ class TestJsonRoundTrip:
         write_report_json(rep, path, config=cfg)
         obj = json.loads(path.read_text())
         assert obj["config"] == cfg
-        back = read_report_json(path)
+        back = report_from_dict(json.loads(path.read_text()))
         assert back.value("ratio[N=2]") == 1.6644794391276474
         assert math.isinf(back.value("sigma_hat[alpha=0]"))
 

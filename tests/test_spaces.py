@@ -1,6 +1,5 @@
 """Dyadic smoothness-space checks: block-level norm oracles, scale identities,
-embedding constants, the vector maximal inequality, the summation lemma, and
-block-series convergence under ball / corona / asymmetric spectral conditions."""
+the B-F sandwich and Sobolev embedding constants, and the summation lemma."""
 import math
 import threading
 import time
@@ -14,7 +13,7 @@ from hypothesis import strategies as st
 
 import pdlab.frame as frame_mod
 import pdlab.spaces as spaces
-from pdlab.experiments import lacunary_coeffs
+from pdlab.experiments import lacunary_coeffs, parse_norm
 from pdlab.frame import DEFAULT_FRAME, LPFrame, ModulationFunction
 from pdlab.grid import (
     GridFunction,
@@ -29,23 +28,16 @@ from pdlab.grid import (
     sobolev_norm,
     spectrum_from_coeffs,
 )
-from pdlab.pointwise import maximal_lp_constant, spectral_radius
 from pdlab.spaces import (
-    ASYMMETRIC,
-    BALL,
     BESOV,
-    CORONA,
     TRIEBEL_LIZORKIN,
     SpaceParams,
-    corona_series_sum,
     embedding_report,
     format_space,
     holder_norm,
     lp_block_moduli,
-    parse_space,
     space_norms,
     summation_lemma_check,
-    vector_maximal_check,
 )
 
 TWO_PI = 2.0 * math.pi
@@ -53,23 +45,6 @@ TWO_PI = 2.0 * math.pi
 
 def rand_u(spec: GridSpec, band: float, seed: int) -> GridFunction:
     return random_band_limited(spec, band, np.random.default_rng(seed))
-
-
-def lp_seq(u: GridFunction) -> list[GridFunction]:
-    """The block fields Phi_j(D)u from the dense tables: the reference the
-    block moduli are checked against."""
-    c = fft_forward(u).coeffs
-    return [fft_inverse(SpectralFunction(u.spec, c * m))
-            for m in DEFAULT_FRAME.lattice_blocks(u.spec)]
-
-
-def annulus_noise(spec: GridSpec, lo: float, hi: float, rng) -> GridFunction:
-    rad = spec.freq_radius()
-    mask = (rad >= lo) & (rad <= hi)
-    c = np.zeros(spec.shape, dtype=complex)
-    k = int(mask.sum())
-    c[mask] = rng.standard_normal(k) + 1j * rng.standard_normal(k)
-    return fft_inverse(SpectralFunction(spec, c))
 
 
 class TestSpaceParams:
@@ -91,23 +66,15 @@ class TestSpaceParams:
         with pytest.raises(ValueError, match="scale"):
             SpaceParams(0.0, 2.0, 2.0, "X")
 
-    def test_parse_space(self):
-        sp = parse_space("F:s=0.5,p=2,q=1")
+    def test_parse_norm_gives_the_space(self):
+        sp = parse_norm("F:s=0.5,p=2,q=1")[2]
         assert sp == SpaceParams(0.5, 2.0, 1.0, TRIEBEL_LIZORKIN)
-        sp = parse_space("B:s=-1,p=inf,q=inf")
+        sp = parse_norm("B:s=-1,p=inf,q=inf")[2]
         assert sp.scale == BESOV and math.isinf(sp.p) and math.isinf(sp.q)
-
-    def test_parse_space_errors(self):
-        with pytest.raises(ValueError, match="space"):
-            parse_space("G:s=0,p=2,q=2")
-        with pytest.raises(ValueError, match="missing q"):
-            parse_space("B:s=0,p=2")
-        with pytest.raises(ValueError, match="bad"):
-            parse_space("B:s=0,p=2,q=two")
 
     def test_format_space_round_trips(self):
         sp = SpaceParams(-0.25, 2.0, math.inf, TRIEBEL_LIZORKIN)
-        assert parse_space(format_space(sp)) == sp
+        assert parse_norm(format_space(sp))[2] == sp
 
 
 class TestBesovNorm:
@@ -542,53 +509,6 @@ class TestEmbeddingReport:
             holder_norm(u, 1.2)
 
 
-class TestVectorMaximal:
-    def test_single_block_reduces_to_scalar_constant(self):
-        u = rand_u(GridSpec(1, 64), 10.0, 7)
-        rad = spectral_radius(u)
-        got = vector_maximal_check([u], 2.0, 2.0, 1.0, R=rad)
-        want = maximal_lp_constant([u], 2.0, 1.0)
-        assert got == want
-
-    def test_equal_single_modes_give_exactly_one(self):
-        spec = GridSpec(1, 64)
-        blocks = [single_mode(spec, 2) for _ in range(4)]
-        c = vector_maximal_check(blocks, 2.0, 2.0, 1.0, R=2.0)
-        assert c == 1.0
-        assert c >= 1.0
-
-    def test_exponent_line_enforced(self):
-        u = single_mode(GridSpec(1, 32), 1)
-        with pytest.raises(ValueError, match="n/min"):
-            vector_maximal_check([u], 2.0, 2.0, 0.5, R=2.0)
-        with pytest.raises(ValueError, match="n/min"):
-            vector_maximal_check([u], 2.0, 0.4, 2.5, R=2.0)
-        assert vector_maximal_check([u], 2.0, 0.4, 2.6, R=2.0) >= 1.0
-
-    def test_p_inf_rejected(self):
-        u = single_mode(GridSpec(1, 32), 1)
-        with pytest.raises(ValueError, match="p = inf"):
-            vector_maximal_check([u], math.inf, 2.0, 3.0, R=2.0)
-
-    def test_band_violation_names_the_block(self):
-        u = rand_u(GridSpec(1, 64), 10.0, 1)
-        with pytest.raises(ValueError, match="block 0"):
-            vector_maximal_check([u], 2.0, 2.0, 1.0, R=1.0)
-
-    def test_lp_corpus_constant_stable_under_refinement(self):
-        cs = []
-        for N in (64, 128):
-            corpus = [lp_seq(rand_u(GridSpec(1, N), 24.0, s)) for s in range(30)]
-            cs.append(vector_maximal_check(corpus, 2.0, 2.0, 1.0, R=DEFAULT_FRAME.R))
-        assert cs[0] >= 1.0 and cs[0] < 3.0
-        assert 1.0 / 1.5 <= cs[1] / cs[0] <= 1.5
-
-    def test_sup_over_blocks_variant(self):
-        blocks = lp_seq(rand_u(GridSpec(1, 64), 24.0, 9))
-        c = vector_maximal_check(blocks, 2.0, math.inf, 1.0, R=DEFAULT_FRAME.R)
-        assert c >= 1.0 and math.isfinite(c)
-
-
 class TestSummationLemma:
     def test_delta_sequence_ratio_is_two(self):
         delta = np.zeros(64)
@@ -638,118 +558,3 @@ class TestSummationLemma:
         assert summation_lemma_check(-0.7, 1.5, b=[b]) == summation_lemma_check(
             -0.7, 1.5, b=[np.abs(b)]
         )
-
-
-class TestCoronaSeries:
-    def test_lp_blocks_reconstruct_the_function(self):
-        spec = GridSpec(1, 64)
-        u = rand_u(spec, 20.0, 3)
-        sp = SpaceParams(-0.5, 2.0, 2.0, TRIEBEL_LIZORKIN)
-        rep = corona_series_sum(lp_seq(u), CORONA, sp, A=2.0)
-        scale = float(np.max(np.abs(u.values)))
-        assert np.max(np.abs(rep.total.values - u.values)) <= 1e-12 * scale
-        assert rep.s_prime == sp.s
-        # the sum's own shell fields are exactly the input blocks here
-        assert rep.ratio == pytest.approx(1.0, rel=1e-12)
-
-    def test_besov_scale_variant_reconstructs_too(self):
-        spec = GridSpec(1, 64)
-        u = rand_u(spec, 20.0, 8)
-        sp = SpaceParams(0.3, 2.0, 1.0, BESOV)
-        rep = corona_series_sum(lp_seq(u), CORONA, sp, A=2.0)
-        assert rep.ratio == pytest.approx(1.0, rel=1e-12)
-
-    def test_corona_floor_violation_rejected(self):
-        spec = GridSpec(1, 64)
-        blocks = lp_seq(rand_u(spec, 20.0, 3))
-        leak = np.zeros(spec.shape, dtype=complex)
-        leak[spec.N // 2] = 1.0  # zero frequency
-        blocks[3] = blocks[3] + fft_inverse(SpectralFunction(spec, leak))
-        with pytest.raises(ValueError, match="below the corona floor"):
-            corona_series_sum(blocks, CORONA, SpaceParams(0.0, 2.0, 2.0, TRIEBEL_LIZORKIN), A=2.0)
-
-    def test_ball_ceiling_violation_rejected(self):
-        spec = GridSpec(1, 64)
-        blocks = [rand_u(spec, 10.0, 1)]
-        with pytest.raises(ValueError, match="outside"):
-            corona_series_sum(blocks, BALL, SpaceParams(0.5, 2.0, 2.0, TRIEBEL_LIZORKIN), A=2.0)
-
-    def test_ball_mode_needs_supercritical_smoothness(self):
-        spec = GridSpec(1, 64)
-        blocks = [rand_u(spec, 2.0, 1)]
-        with pytest.raises(ValueError, match="ball mode needs s >"):
-            corona_series_sum(blocks, BALL, SpaceParams(-0.5, 2.0, 2.0, TRIEBEL_LIZORKIN), A=2.0)
-
-    def test_ball_mode_constant_stable_under_refinement(self):
-        def ball_blocks(spec: GridSpec, seed: int, j_max: int) -> list[GridFunction]:
-            rng = np.random.default_rng(seed)
-            return [
-                annulus_noise(spec, 0.0, 2.0 * 2.0**j, rng) * 2.0 ** (-0.7 * j)
-                for j in range(j_max + 1)
-            ]
-
-        sp = SpaceParams(0.5, 2.0, 2.0, TRIEBEL_LIZORKIN)
-        tops = []
-        for N, j_max in ((64, 4), (128, 5)):
-            ratios = [
-                corona_series_sum(ball_blocks(GridSpec(1, N), seed, j_max), BALL, sp, A=2.0).ratio
-                for seed in range(8)
-            ]
-            assert all(0.0 < r < 2.0 for r in ratios)
-            tops.append(max(ratios))
-        assert 1.0 / 1.5 <= tops[1] / tops[0] <= 1.5
-
-    def test_asymmetric_admissibility(self):
-        spec = GridSpec(1, 64)
-        blocks = [single_mode(spec, 1)]
-        sp = SpaceParams(0.0, 2.0, 2.0, TRIEBEL_LIZORKIN)
-        with pytest.raises(ValueError, match="s_prime"):
-            corona_series_sum(blocks, ASYMMETRIC, sp, A=2.0, s_prime=0.0, theta=0.5)
-        with pytest.raises(ValueError, match="theta"):
-            corona_series_sum(blocks, ASYMMETRIC, sp, A=2.0, s_prime=-0.1, theta=1.0)
-
-    def test_asymmetric_shell_spread_corpus(self):
-        # inner radius grows like 2^{j/2} only: the designed blocks spread
-        # from shell j/2 up to shell j
-        def asym_blocks(spec: GridSpec, seed: int, j_max: int) -> list[GridFunction]:
-            rng = np.random.default_rng(seed)
-            out = []
-            for j in range(j_max + 1):
-                lo = 2.0 ** (0.5 * j) / 2.0 if j >= 1 else 0.0
-                out.append(annulus_noise(spec, lo, 2.0 * 2.0**j, rng) * 2.0 ** (-0.5 * j))
-            return out
-
-        sp = SpaceParams(0.0, 2.0, 2.0, TRIEBEL_LIZORKIN)
-        tops = []
-        for N, j_max in ((64, 4), (128, 5)):
-            reports = [
-                corona_series_sum(
-                    asym_blocks(GridSpec(1, N), seed, j_max), ASYMMETRIC, sp,
-                    A=2.0, s_prime=-0.1, theta=0.5,
-                )
-                for seed in range(8)
-            ]
-            assert all(r.s_prime == -0.1 for r in reports)
-            ratios = [r.ratio for r in reports]
-            assert all(0.0 < r < 2.0 for r in ratios)
-            tops.append(max(ratios))
-        assert 1.0 / 1.5 <= tops[1] / tops[0] <= 1.5
-
-    def test_corona_start_index_controls_the_floor(self):
-        spec = GridSpec(1, 64)
-        u = rand_u(spec, 20.0, 3)
-        blocks = lp_seq(u)
-        blocks[1] = rand_u(spec, 3.0, 99)  # reaches down to zero frequency
-        sp = SpaceParams(0.0, 2.0, 2.0, TRIEBEL_LIZORKIN)
-        with pytest.raises(ValueError, match="block 1"):
-            corona_series_sum(blocks, CORONA, sp, A=2.0, J=1)
-        rep = corona_series_sum(blocks, CORONA, sp, A=2.0, J=2)
-        assert math.isfinite(rep.ratio)
-
-    def test_empty_and_unknown_mode_rejected(self):
-        sp = SpaceParams(0.0, 2.0, 2.0, TRIEBEL_LIZORKIN)
-        with pytest.raises(ValueError, match="empty"):
-            corona_series_sum([], CORONA, sp)
-        u = single_mode(GridSpec(1, 32), 1)
-        with pytest.raises(ValueError, match="mode"):
-            corona_series_sum([u], "shell", sp)

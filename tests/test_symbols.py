@@ -1,4 +1,5 @@
-"""Symbol construction, modulation, localization, seminorms, adjoints."""
+"""Symbol construction, modulation, localization, the twisted-diagonal order,
+the dense operator matrix and the table format."""
 import json
 
 import numpy as np
@@ -17,16 +18,13 @@ from pdlab.symbols import (
     Symbol,
     TabulatedSymbol,
     _parse_theta,
-    adjoint_symbol_matrix,
     as_multiindex,
     build_chi,
     check_twisted_diagonal,
     ching_for_grid,
     ching_symbol,
-    lattice_pairs,
     localize_symbol,
     mask_twisted_diagonal,
-    matrix_to_symbol,
     modulate_symbol,
     nyquist_mask,
     operator_matrix,
@@ -36,7 +34,6 @@ from pdlab.symbols import (
     read_pdsy,
     sigma_order_estimate,
     symbol_partial_ft,
-    symbol_seminorm,
     write_pdsy,
 )
 
@@ -46,6 +43,16 @@ def random_table_symbol(spec, seed=0, d=0.0):
     shape = spec.shape + spec.shape
     tab = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
     return TabulatedSymbol(spec, tab, d=d)
+
+
+def eval_only(a: Symbol) -> Symbol:
+    """a seen through its continuum evaluator alone: its table is eval on the lattice."""
+
+    class EvalOnly(Symbol):
+        def eval(self, x, eta):
+            return a.eval(x, eta)
+
+    return EvalOnly()
 
 
 class TestRadialBump:
@@ -108,14 +115,12 @@ class TestChingSymbol:
     def test_table_matches_eval_on_lattice(self):
         spec = GridSpec(n=1, N=64)
         a = ching_symbol(d=0.5, theta=1, j_max=4, spec=spec)
-        xs, es = lattice_pairs(spec)
-        assert np.allclose(a.table(spec), a.eval(xs, es), atol=1e-12)
+        assert np.allclose(a.table(spec), eval_only(a).table(spec), atol=1e-12)
 
     def test_table_matches_eval_2d(self):
         spec = GridSpec(n=2, N=16)
         a = ching_symbol(d=0.0, theta=(1, 0), j_max=2, spec=spec)
-        xs, es = lattice_pairs(spec)
-        assert np.allclose(a.table(spec), a.eval(xs, es), atol=1e-12)
+        assert np.allclose(a.table(spec), eval_only(a).table(spec), atol=1e-12)
 
     def test_truncation_overflow_rejected(self):
         spec = GridSpec(n=1, N=64)
@@ -320,59 +325,7 @@ class TestLocalization:
             localize_symbol(a, 1.5, spec)
 
 
-class TestSeminorm:
-    def test_constant(self):
-        spec = GridSpec(n=1, N=32)
-        a = ConstantSymbol(1.0)
-        assert symbol_seminorm(a, 0, 0, spec) == pytest.approx(1.0, abs=1e-12)
-        assert symbol_seminorm(a, 1, 0, spec) == pytest.approx(0.0, abs=1e-12)
-        assert symbol_seminorm(a, 0, 2, spec) == pytest.approx(0.0, abs=1e-12)
-
-    def test_budget(self):
-        spec = GridSpec(n=1, N=32)
-        with pytest.raises(ValueError):
-            symbol_seminorm(ConstantSymbol(), 3, 2, spec)
-
-    def test_oscillating_weighted_symbol(self):
-        # a(x,eta) = e^{ix} (1+eta^2)^{1/2} of order 1: p00 = 1 at eta = 0,
-        # p10 ~ sup |eta|/sqrt(1+eta^2) ~ 1
-        spec = GridSpec(n=1, N=64)
-
-        class Osc(Symbol):
-            d = 1.0
-
-            def eval(self, x, eta):
-                x = np.asarray(x, dtype=float)
-                eta = np.asarray(eta, dtype=float)
-                return np.exp(1j * x[..., 0]) * np.sqrt(1.0 + eta[..., 0] ** 2)
-
-        a = Osc()
-        assert symbol_seminorm(a, 0, 0, spec) == pytest.approx(1.0, abs=1e-10)
-        assert 0.9 <= symbol_seminorm(a, 1, 0, spec) <= 1.1
-        # x-derivative multiplies by i, weight rises by one power
-        p01 = symbol_seminorm(a, 0, 1, spec)
-        assert 0.4 <= p01 <= 1.1
-
-    def test_ching_x_derivatives_finite(self):
-        spec = GridSpec(n=1, N=128)
-        a = ching_symbol(d=0.0, theta=1, j_max=5, spec=spec)
-        p00 = symbol_seminorm(a, 0, 0, spec)
-        assert 0.9 <= p00 <= 2.1
-        for beta in (1, 2):
-            p = symbol_seminorm(a, 0, beta, spec)
-            assert np.isfinite(p)
-            assert p <= 10.0 * p00
-
-    def test_tabulated_branch_matches_eval_branch(self):
-        spec = GridSpec(n=1, N=64)
-        a = ching_symbol(d=0.0, theta=1, j_max=3, spec=spec)
-        tab = TabulatedSymbol(spec, a.table(spec), d=a.d)
-        # x-differences are identical; eta steps differ (0.5 vs 1) so compare loosely
-        for alpha, beta in ((0, 0), (0, 1)):
-            pe = symbol_seminorm(a, alpha, beta, spec)
-            pt = symbol_seminorm(tab, alpha, beta, spec)
-            assert pt == pytest.approx(pe, rel=0.2)
-
+class TestMultiIndex:
     def test_multiindex_validation(self):
         assert as_multiindex(2, 1) == (2,)
         assert as_multiindex((1, 0), 2) == (1, 0)
@@ -554,73 +507,11 @@ class TestSigmaGramRoute:
         assert rep.verdicts["onset_matches"] is True
 
 
-class TestAdjoint:
-    def test_identity_self_adjoint(self):
-        spec = GridSpec(n=1, N=16)
-        b = adjoint_symbol_matrix(ConstantSymbol(1.0), spec)
-        assert np.allclose(b.table(spec), 1.0, atol=1e-12)
-
-    def test_multiplication_conjugates(self):
-        spec = GridSpec(n=1, N=16)
-        rng = np.random.default_rng(8)
-        m = rng.standard_normal(spec.N) + 1j * rng.standard_normal(spec.N)
-        a = SeparableSymbol(spec, [(m, np.ones(spec.shape))])
-        b = adjoint_symbol_matrix(a, spec)
-        want = np.multiply.outer(np.conj(m), np.ones(spec.N))
-        assert np.allclose(b.table(spec), want, atol=1e-12)
-
-    @pytest.mark.parametrize("n,N", [(1, 16), (2, 8)])
-    def test_involution(self, n, N):
-        spec = GridSpec(n=n, N=N)
-        a = random_table_symbol(spec, seed=9)
-        bb = adjoint_symbol_matrix(adjoint_symbol_matrix(a, spec), spec)
-        assert np.allclose(bb.table(spec), a.table(spec), atol=1e-10)
-
-    @pytest.mark.parametrize("n,N", [(1, 16), (2, 8)])
-    def test_hat_relation(self, n, N):
-        # b_hat(xi,eta) = conj(a_hat(-xi, xi+eta)) with mod-N folding
-        spec = GridSpec(n=n, N=N)
-        a = random_table_symbol(spec, seed=10)
-        ahat = partial_ft(a.table(spec), spec)
-        bhat = partial_ft(adjoint_symbol_matrix(a, spec).table(spec), spec)
-        half = N // 2
-        f = spec.axis_freqs()
-
-        def fold_idx(v):
-            return (v + half) % N
-
-        if n == 1:
-            XI, ETA = np.meshgrid(f, f, indexing="ij")
-            want = np.conj(ahat[fold_idx(-XI), fold_idx(XI + ETA)])
-        else:
-            X0, X1, E0, E1 = np.meshgrid(f, f, f, f, indexing="ij")
-            want = np.conj(ahat[fold_idx(-X0), fold_idx(-X1), fold_idx(X0 + E0), fold_idx(X1 + E1)])
-        assert np.allclose(bhat, want, atol=1e-10)
-
-    def test_matrix_round_trip(self):
-        spec = GridSpec(n=1, N=16)
-        a = random_table_symbol(spec, seed=11)
-        M = operator_matrix(a, spec)
-        back = operator_matrix(matrix_to_symbol(M, spec), spec)
-        assert np.allclose(back, M, atol=1e-12)
-
+class TestOperatorMatrix:
     def test_size_guard(self):
         spec = GridSpec(n=2, N=128)
         with pytest.raises(ValueError, match="dense"):
             operator_matrix(ConstantSymbol(), spec)
-
-    def test_tdc_adjoint_support(self):
-        # in-band two-theta symbol: adjoint support obeys |xi+eta| <= B(|eta|+1)
-        spec = GridSpec(n=1, N=128)
-        a = ching_symbol(d=0.0, theta=2, j_max=4, spec=spec)
-        tab = TabulatedSymbol(spec, a.table(spec), d=0.0)
-        bhat = partial_ft(adjoint_symbol_matrix(tab, spec).table(spec), spec)
-        f = spec.axis_freqs().astype(float)
-        s = np.abs(f[:, None] + f[None, :])
-        B = a.tdc_B
-        outside = s > B * (np.abs(f)[None, :] + 1.0)
-        total = np.sum(np.abs(bhat) ** 2)
-        assert np.sum(np.abs(bhat[outside]) ** 2) <= 1e-8 * total
 
 
 class TestSerialization:
