@@ -4,11 +4,25 @@ symbol construction from spec strings, and persistence of every report.
 Spec strings (--mode, --symbol, --space, --frame) share one grammar,
 'kind:k=v,...' (a frame has no kind): a kind's keys are its builder's keyword
 arguments, those without defaults are required, and each value is decoded by
-the argument's annotation.  `experiment NAME` calls the pdlab.experiments
-function RUNNERS[NAME] by the same rule: "params" and "thresholds" are its
-keyword arguments less those the CLI builds (spec, A, symbol, a, frame, seed).
-Unknown keys are errors, as are a config grid, seed or frame the runner cannot
-use and a --grid/--n that disagrees with an input file (--input or file:).
+the argument's annotation.  Subcommands follow the same rule: COMMANDS names
+each one's handler, whose keyword-only parameter psi_count: int = 2 is the
+flag --psi-count, decoded by the annotation, the default if absent (a bool is
+a switch, a Literal gives choices, no default makes it required); the
+docstring is the help.  Positional parameters with these names are supplied:
+
+    spec    the grid                                    --grid --n
+    u       the input: values if annotated GridFunction, --input | --mode,
+            coefficients if SpectralFunction            --grid --n --seed
+    a       the symbol on u's grid, else on spec        --symbol --frame
+    symbol  its builder; its text if annotated str      --symbol --frame
+    frame, seed  the frame, the run seed                --frame, --seed
+    mode    the --mode text, None with --input          as u
+    corpus  (text, input) per entry of a JSON list      --corpus, in u's group
+
+A .pdgf input (--input or file:) defines the grid: --grid/--n must agree.
+`experiment NAME` calls the pdlab.experiments function RUNNERS[NAME] by the
+same rule: the config's grid, frame, symbol and seed are supplied, "params"
+and "thresholds" give the rest, and an unusable key is an error.
 
 Exit codes: 0 success, 1 a selftest gate failed, 2 usage errors (unknown
 flags, malformed options or configs, unreadable input files).
@@ -23,9 +37,9 @@ import json
 import math
 import sys
 import time
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from pathlib import Path
-from typing import Annotated
+from typing import Annotated, Literal, get_args, get_origin
 
 import numpy as np
 
@@ -69,7 +83,6 @@ from .pointwise import (
     MaximalParams,
     factorization_check,
     maximal_lp_constant,
-    maximal_ratio,
     mihlin_bound_check,
     moment_decay_check,
 )
@@ -81,7 +94,7 @@ from .reporting import (
     write_report_json,
     write_report_svg,
 )
-from .symbols import ching_symbol, parse_symbol_spec, symbol_factory
+from .symbols import Symbol, ching_symbol, parse_symbol_spec, symbol_factory
 
 
 # ---------------------------------------------------------------------------
@@ -191,10 +204,6 @@ def config_from_dict(obj: dict) -> RunConfig:
     )
 
 
-def load_config(path) -> RunConfig:
-    return config_from_dict(json.loads(Path(path).read_text()))
-
-
 RUNNERS = {
     "counterexample": "run_counterexample",
     "wavefront": "run_wavefront",
@@ -203,16 +212,65 @@ RUNNERS = {
 }
 """Experiment name -> runner function name in pdlab.experiments."""
 
-# runner arguments the CLI builds from the config itself
-_SUPPLIED = ("spec", "A", "symbol", "a", "frame", "seed")
+
+# ---------------------------------------------------------------------------
+# supplied arguments
+
+
+def _seed(text: str) -> int:
+    if int(text) < 0:
+        raise ValueError("negative seed")
+    return int(text)
+
+
+_GRID_DEFAULT = 256
+_FLAGS = {  # flag -> (annotation, help): the flags supplied names bring
+    "input": (str, "input .pdgf file"),
+    "mode": (str, "input generator string"),
+    "corpus": (str, "JSON list of generator strings"),
+    "symbol": (str, "symbol spec string"),
+    "grid": (int, f"grid size N (default {_GRID_DEFAULT})"),
+    "n": (Literal[1, 2], "dimension (default 1)"),
+    "frame": (str, "frame options r=..,R=..,h=..[,profile=..]"),
+    "seed": (Annotated[int, _seed], "seed for random generators (default 0)"),
+}
+_BRINGS = {  # supplied name -> the flags it brings
+    "spec": ("grid", "n"),
+    "u": ("input", "mode", "grid", "n", "seed"),
+    "mode": ("input", "mode", "grid", "n", "seed"),
+    "corpus": ("corpus", "input", "mode", "grid", "n", "seed"),
+    "a": ("symbol", "frame", "grid", "n"),
+    "symbol": ("symbol", "frame"),
+    "frame": ("frame",),
+    "seed": ("seed",),
+}
+
+
+@functools.cache  # handlers and runners are module functions: read each signature once
+def _parameters(fn) -> dict[str, inspect.Parameter]:
+    return inspect.signature(fn, eval_str=True).parameters
+
+
+def _supply(params, spec: GridSpec | None, frame: LPFrame, symbol: str | None, seed: int) -> dict:
+    """The supplied names among `params` that `experiment` also fills: spec,
+    frame, seed, symbol (its text if annotated str) and `a` built on spec."""
+    kw = {k: v for k, v in (("spec", spec), ("frame", frame), ("seed", seed)) if k in params}
+    if "a" in params or "symbol" in params:
+        build = symbol_factory(symbol, frame)
+        if "a" in params:
+            kw["a"] = build(spec)
+        if "symbol" in params:
+            kw["symbol"] = symbol if params["symbol"].annotation is str else build
+    return kw
 
 
 def dispatch_experiment(runner: str, cfg: RunConfig) -> ExperimentReport:
     """Call the runner with the config's params and thresholds decoded by
     the runner's own signature, plus the arguments the CLI supplies."""
     fn = getattr(experiments, RUNNERS[runner])  # at call time: it may be rebound
-    params = inspect.signature(fn, eval_str=True).parameters
-    settable = {k: p.annotation for k, p in params.items() if k not in _SUPPLIED}
+    params = _parameters(fn)
+    settable = {k: p.annotation for k, p in params.items()
+                if k not in _BRINGS and k != "A"}  # A, a RadialBump, has no JSON form
     kw = decode_options(cfg.params, settable, "params")
     thresholds = decode_options(cfg.thresholds, settable, "thresholds")
     both = set(kw) & set(thresholds)
@@ -223,87 +281,52 @@ def dispatch_experiment(runner: str, cfg: RunConfig) -> ExperimentReport:
         if params[k].default is inspect.Parameter.empty and k not in kw:
             raise ValueError(f"{runner} needs params.{k}")
 
-    takes_symbol = "symbol" in params or "a" in params
-    if takes_symbol and cfg.symbol is None:
+    usable = {flag for k in params if k in _BRINGS for flag in _BRINGS[k]}
+    for key in ("grid", "frame", "symbol", "seed"):
+        if cfg.raw.get(key) is not None and key not in usable:
+            raise ValueError(f"{runner} takes no config {key}")
+    if cfg.symbol is None and "symbol" in usable:
         raise ValueError(f"{runner} needs a config symbol")
-    if cfg.symbol is not None and not takes_symbol:
-        raise ValueError(f"{runner} builds its own symbol; drop config symbol")
-    if "spec" in params:
-        if cfg.grid is None and params["spec"].default is inspect.Parameter.empty:
-            raise ValueError(f"{runner} needs a config grid")
-        kw["spec"] = cfg.grid
-    elif cfg.grid is not None:
-        raise ValueError(f"{runner} takes no config grid")
-    if "seed" in cfg.raw and "seed" not in params:
-        raise ValueError(f"{runner} takes no config seed")
-    if cfg.raw.get("frame") is not None and not {"frame", "symbol", "a"} & set(params):
-        raise ValueError(f"{runner} takes no config frame")
-    if "symbol" in params:
-        kw["symbol"] = symbol_factory(cfg.symbol, cfg.frame)
-    if "a" in params:
-        kw["a"] = symbol_factory(cfg.symbol, cfg.frame)(cfg.grid)
-    if "frame" in params:
-        kw["frame"] = cfg.frame
-    if "seed" in params:
-        kw["seed"] = cfg.seed
-    return fn(**kw)
+    if cfg.grid is None and "spec" in params and params["spec"].default is inspect.Parameter.empty:
+        raise ValueError(f"{runner} needs a config grid")
+    return fn(**kw, **_supply(params, cfg.grid, cfg.frame, cfg.symbol, cfg.seed))
+
+
+def _cli_supplied(params, flags: dict) -> dict:
+    """The supplied arguments among `params`, from the decoded flags."""
+    grid, n, seed = flags.get("grid"), flags.get("n"), flags.get("seed", 0)
+    spec = GridSpec(n=1 if n is None else n, N=_GRID_DEFAULT if grid is None else grid)
+    frame = (parse_spec(flags["frame"], frame_from_options, "frame")() if flags.get("frame")
+             else DEFAULT_FRAME)
+
+    def realize(text: str) -> GridFunction | SpectralFunction:
+        """A generator's own output on spec, or a file's grid values."""
+        if not text.startswith("file:"):
+            return parse_spec(text, INPUT_KINDS, "input")(spec, seed)
+        u = read_pdgf(path := text.removeprefix("file:"))
+        for flag, given, actual in (("--grid", grid, u.spec.N), ("--n", n, u.spec.n)):
+            if given is not None and given != actual:
+                raise ValueError(f"{path} holds an n={u.spec.n}, N={u.spec.N} function; "
+                                 f"{flag} {given} disagrees")
+        return u
+
+    kw = {"mode": flags.get("mode"), "corpus": None, "u": None}
+    if "corpus" in flags:
+        entries = json.loads(Path(flags["corpus"]).read_text())
+        if not isinstance(entries, list) or not all(isinstance(e, str) for e in entries):
+            raise ValueError("corpus must be a JSON list of generator strings")
+        kw["corpus"] = ((entry, realize(entry)) for entry in entries)
+    elif "u" in params:
+        u = realize("file:" + flags["input"] if "input" in flags else flags["mode"])
+        spec = u.spec
+        form = {GridFunction: as_values, SpectralFunction: as_spectral}
+        kw["u"] = form.get(params["u"].annotation, lambda v: v)(u)
+    kw = {k: v for k, v in kw.items() if k in params}
+    return kw | _supply(params, spec, frame, flags.get("symbol"), seed)
 
 
 # ---------------------------------------------------------------------------
-# per-subcommand helpers
-
-
-_GRID_DEFAULT = 256
-
-
-def _grid_from_args(args) -> GridSpec:
-    n = 1 if args.n is None else args.n
-    return GridSpec(n=n, N=_GRID_DEFAULT if args.grid is None else args.grid)
-
-
-def _frame_from_args(args) -> LPFrame:
-    if not args.frame:
-        return DEFAULT_FRAME
-    return parse_spec(args.frame, frame_from_options, "frame")()
-
-
-def _read_input(args, path: str) -> GridFunction:
-    """The .pdgf file at path (--input or a file: mode); explicit
-    --grid/--n must match its grid."""
-    u = read_pdgf(path)
-    for flag, given, actual in (("--grid", args.grid, u.spec.N), ("--n", args.n, u.spec.n)):
-        if given is not None and given != actual:
-            raise ValueError(
-                f"{path} holds an n={u.spec.n}, N={u.spec.N} function; "
-                f"{flag} {given} disagrees"
-            )
-    return u
-
-
-def _make_input(args, text: str, spec: GridSpec) -> GridFunction | SpectralFunction:
-    """A file's grid values, or a generator's own output: exact coefficients
-    for all but single."""
-    if text.startswith("file:"):
-        return _read_input(args, text.removeprefix("file:"))
-    return parse_spec(text, INPUT_KINDS, "input")(spec, args.seed)
-
-
-def _input(args) -> GridFunction | SpectralFunction:
-    """The input function, on the grid every other object is built on.
-
-    A .pdgf input (--input or a file: mode) defines the grid; explicit
-    --grid/--n must then agree.  Generator modes realize on the --grid/--n
-    lattice (_make_input).
-    """
-    if args.input is not None:
-        return _read_input(args, args.input)
-    return _make_input(args, args.mode, _grid_from_args(args))
-
-
-def _resolve_io(args) -> tuple[GridFunction, GridSpec]:
-    """_input as grid values, and its grid."""
-    u = as_values(_input(args))
-    return u, u.spec
+# output
 
 
 def _emit_json(obj: dict, out_path: str | None) -> None:
@@ -313,114 +336,77 @@ def _emit_json(obj: dict, out_path: str | None) -> None:
     print(text)
 
 
+def _write_rows(out: str | None, header, rows) -> None:
+    """CSV rows to the file `out`, or to stdout."""
+    if out:
+        return write_csv(out, header, rows)
+    print(",".join(header))
+    for row in rows:
+        print(",".join(str(x) for x in row))
+
+
 def _dominant_modes(y: SpectralFunction, limit: int = 8) -> list[dict]:
-    c = y.coeffs
-    flat = np.abs(c).ravel()
-    top = flat.max()
-    if top == 0.0:
-        return []
-    order = np.argsort(flat)[::-1][:limit]
-    mesh = y.spec.freq_mesh()
+    flat = np.abs(y.coeffs).ravel()
+    top, mesh = flat.max(), [m.ravel() for m in y.spec.freq_mesh()]
     out = []
-    for idx in order:
-        if flat[idx] <= 1e-12 * top:
+    for idx in np.argsort(flat)[::-1][:limit]:
+        if flat[idx] <= 1e-12 * top:  # all of them when top is 0
             break
-        pos = np.unravel_index(idx, y.spec.shape)
-        eta = [int(m[pos]) for m in mesh]
-        val = c[pos]
-        out.append(
-            {
-                "eta": eta[0] if y.spec.n == 1 else eta,
-                "abs": float(abs(val)),
-                "re": float(val.real),
-                "im": float(val.imag),
-            }
-        )
+        eta, val = [int(m[idx]) for m in mesh], y.coeffs.flat[idx]
+        out.append({"eta": eta[0] if y.spec.n == 1 else eta, "abs": float(abs(val)),
+                    "re": float(val.real), "im": float(val.imag)})
     return out
 
 
-def _add_grid_flags(p: argparse.ArgumentParser, frame: bool = True) -> None:
-    p.add_argument("--grid", type=int, help=f"grid size N (default {_GRID_DEFAULT})")
-    p.add_argument("--n", type=int, choices=(1, 2), help="dimension (default 1)")
-    if frame:
-        p.add_argument("--frame", help="frame options r=..,R=..,h=..[,profile=..]")
-    p.add_argument("--seed", type=int, default=0, help="seed for random generators")
-
-
-def _add_symbol_flags(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--symbol", required=True, help="symbol spec string")
-    _add_grid_flags(p)
-
-
-def _add_io_flags(p: argparse.ArgumentParser) -> None:
-    _add_symbol_flags(p)
-    src = p.add_mutually_exclusive_group(required=True)
-    src.add_argument("--input", help="input .pdgf file")
-    src.add_argument("--mode", help="input generator string")
+def _floats(text: str) -> list[float]:
+    return [float(q) for q in text.split(",")]
 
 
 # ---------------------------------------------------------------------------
 # subcommands
 
 
-def cmd_apply(args) -> int:
-    u = as_spectral(_input(args))  # a generator's coefficients as they are; a file's by FFT
+def cmd_apply(u: SpectralFunction, a: Symbol, symbol: str, *, out: str | None = None,
+              spectrum_csv: str | None = None) -> int:
+    """apply a symbol to an input function (--out: the output as .pdgf)"""
     spec = u.spec
-    a = symbol_factory(args.symbol, _frame_from_args(args))(spec)
-    out = plan(a, spec)(u)  # coefficients on the shift route, else grid values
-    y = as_spectral(out)
-    if args.out:
-        write_pdgf(as_values(out), args.out)
-    if args.spectrum_csv:
+    w = plan(a, spec)(u)  # coefficients on the shift route, else grid values
+    y = as_spectral(w)
+    if out:
+        write_pdgf(as_values(w), out)
+    if spectrum_csv:
         etas = zip(*(m.ravel().tolist() for m in spec.freq_mesh()))
         coeffs = y.coeffs.ravel().tolist()  # Python complex: plain float cells
         rows = [[*eta, repr(c.real), repr(c.imag)] for eta, c in zip(etas, coeffs)]
         write_csv(
-            args.spectrum_csv,
+            spectrum_csv,
             [f"eta{i + 1}" for i in range(spec.n)] + ["re", "im"],
             rows,
         )
     _emit_json(
         {
             "grid": {"n": spec.n, "N": spec.N},
-            "symbol": args.symbol,
+            "symbol": symbol,
             "in_l2": lp_norm(u, 2),
             "out_l2": lp_norm(y, 2),
             "dominant_modes": _dominant_modes(y),
-            "out": args.out,
+            "out": out,
         },
         None,
     )
     return 0
 
 
-def cmd_norms(args) -> int:
-    frame = _frame_from_args(args)
-    spec = _grid_from_args(args)
-    if args.corpus is not None:
-        entries = json.loads(Path(args.corpus).read_text())
-        if not isinstance(entries, list):
-            raise ValueError("corpus must be a JSON list of generator strings")
-        label, fn, _ = parse_norm(args.space, frame)
-        rows = []
-        for i, entry in enumerate(entries):
-            if not isinstance(entry, str):
-                raise ValueError(f"corpus entry {i} must be a generator string")
-            rows.append((i, entry, label, repr(fn(_make_input(args, entry, spec)))))
-        if args.out:
-            write_csv(args.out, ("index", "mode", "space", "norm"), rows)
-        else:
-            print("index,mode,space,norm")
-            for row in rows:
-                print(",".join(str(x) for x in row))
+def cmd_norms(u, corpus, frame: LPFrame, *, space: str, json: bool = False,
+              out: str | None = None) -> int:
+    """evaluate a norm --space (L:p=.., H:s=.., B:s=..,p=..,q=.., F:...) on inputs"""
+    label, fn, _ = parse_norm(space, frame)
+    if corpus is not None:
+        rows = [(i, entry, label, repr(fn(v))) for i, (entry, v) in enumerate(corpus)]
+        _write_rows(out, ("index", "mode", "space", "norm"), rows)
         return 0
-    if args.input is not None:
-        u = _read_input(args, args.input)
-    else:
-        u = _make_input(args, args.mode, spec)
-    label, fn, _ = parse_norm(args.space, frame)
     value = fn(u)
-    if args.json:
+    if json:
         _emit_json(
             {"space": label, "value": value, "grid": {"n": u.spec.n, "N": u.spec.N}},
             None,
@@ -430,116 +416,87 @@ def cmd_norms(args) -> int:
     return 0
 
 
-def cmd_vfm(args) -> int:
-    u, spec = _resolve_io(args)
-    frame = _frame_from_args(args)
-    build = symbol_factory(args.symbol, frame)
-    if args.psi_count < 2:
-        raise ValueError("need at least two modulation profiles")
+def cmd_vfm(u: GridFunction, a: Symbol, symbol: str, frame: LPFrame, mode: str | None,
+            seed: int, *, psi_count: int = 2, m_max: int | None = None, refine: int = 0,
+            out: str | None = None) -> int:
+    """vanishing frequency modulation trace (--refine K: on K doubling grids)"""
+    spec = u.spec
     psis = tuple(
-        ModulationFunction(r=1.0 * 0.8**i, R=2.0 * 0.8**i) for i in range(args.psi_count)
+        ModulationFunction(r=1.0 * 0.8**i, R=2.0 * 0.8**i) for i in range(psi_count)
     )
-    if args.refine:
-        if args.refine < 2:
+    if refine:
+        if refine < 2:
             raise ValueError("--refine counts grids, need at least 2")
-        if args.mode is None or args.mode.startswith("file:"):
+        if mode is None or mode.startswith("file:"):
             raise ValueError(
                 "--refine needs a generator --mode (the input is re-sampled per grid)"
             )
-    trace = vfm_limit(build(spec), u, psis, m_max=args.m_max)
+    trace = vfm_limit(a, u, psis, m_max=m_max)
     obj: dict = {
         "grid": {"n": spec.n, "N": spec.N},
-        "symbol": args.symbol,
+        "symbol": symbol,
         "tags": trace.tags,
         "m_values": trace.m_values,
         "l2_norms": trace.l2_norms,
         "m_sat": trace.m_sat,
         "cross_profile_deviation": trace.cross_dev,
     }
-    if args.refine:
-        specs = [GridSpec(n=spec.n, N=spec.N << i) for i in range(args.refine)]
+    if refine:
+        specs = [GridSpec(n=spec.n, N=spec.N << i) for i in range(refine)]
         rr = vfm_refinement(
-            build, lambda s: make_input(args.mode, s, seed=args.seed), specs, psis
+            symbol_factory(symbol, frame), lambda s: make_input(mode, s, seed=seed), specs, psis
         )
-        obj["refinement"] = {
-            "grid_sizes": list(rr.grid_sizes),
-            "l2_norms": list(rr.l2_norms),
-            "growth_factors": list(rr.growth_factors),
-            "rel_changes": list(rr.rel_changes),
-            "diverging": rr.diverging,
-            "cauchy": rr.cauchy,
-        }
-    _emit_json(obj, args.out)
+        obj["refinement"] = asdict(rr)
+    _emit_json(obj, out)
     return 0
 
 
-def cmd_paradiff(args) -> int:
-    u, spec = _resolve_io(args)
-    frame = _frame_from_args(args)
-    a = symbol_factory(args.symbol, frame)(spec)
+def cmd_paradiff(u: GridFunction, a: Symbol, symbol: str, frame: LPFrame, *,
+                 report: Literal["identity", "corona"] = "identity", B: float | None = None,
+                 out: str | None = None) -> int:
+    """three-series paradifferential split"""
     terms = paradiff_split(a, u, frame)
     y = apply_auto(a, u)
     recon = terms.total()
     denom = max(lp_norm(y, math.inf), 1e-300)
     obj: dict = {
-        "grid": {"n": spec.n, "N": spec.N},
-        "symbol": args.symbol,
+        "grid": {"n": u.spec.n, "N": u.spec.N},
+        "symbol": symbol,
         "K": terms.K,
         "residual_rel": lp_norm(recon - y, math.inf) / denom,
     }
-    if args.report == "corona":
-        rep = corona_ball_report(terms, B=args.B)
+    if report == "corona":
+        rep = corona_ball_report(terms, B=B)
+        keys = {"term": "series", "k": "k", "outside_mass": "outside_mass", "bound": "hi",
+                "lo": "lo", "mass": "mass", "active": "active"}  # JSON key -> CoronaRow field
         obj["corona"] = {
-            "rows": [
-                {
-                    "term": row.series,
-                    "k": row.k,
-                    "outside_mass": row.outside_mass,
-                    "bound": row.hi,
-                    "lo": row.lo,
-                    "mass": row.mass,
-                    "active": row.active,
-                }
-                for row in rep.rows
-            ],
+            "rows": [{key: getattr(row, f) for key, f in keys.items()} for row in rep.rows],
             "max_outside": rep.max_outside,
             "tdc_B": rep.tdc_B,
             "eventual_tdc_ok": rep.eventual_tdc_ok,
         }
-    _emit_json(obj, args.out)
+    _emit_json(obj, out)
     return 0
 
 
-def cmd_support_rule(args) -> int:
-    u, spec = _resolve_io(args)
-    frame = _frame_from_args(args)
-    a = symbol_factory(args.symbol, frame)(spec)
-    check = spectral_support_rule_check if args.kind == "spectral" else support_rule_check
-    rep = check(a, u, tau=args.tau)
-    _emit_json(
-        {
-            "grid": {"n": spec.n, "N": spec.N},
-            "symbol": args.symbol,
-            "kind": args.kind,
-            "holds": rep.holds,
-            "violation_mass": rep.violation_mass,
-            "tau": rep.tau,
-            "output_support": rep.output_support,
-            "allowed_support": rep.allowed_support,
-        },
-        args.out,
-    )
+def cmd_support_rule(u: GridFunction, a: Symbol, symbol: str, *, tau: float = 1e-8,
+                     kind: Literal["spatial", "spectral"] = "spatial",
+                     out: str | None = None) -> int:
+    """kernel or spectral support containment"""
+    check = spectral_support_rule_check if kind == "spectral" else support_rule_check
+    rep = check(a, u, tau=tau)
+    _emit_json({"grid": {"n": u.spec.n, "N": u.spec.N}, "symbol": symbol, "kind": kind,
+                **asdict(rep)}, out)
     return 0
 
 
-def _pointwise_csv(args, header, rows, summary: dict) -> int:
-    if args.out:
-        write_csv(args.out, header, rows)
+def _pointwise_csv(out: str | None, rows, summary: dict) -> int:
+    """x,lhs,rhs,ratio rows to --out and the summary to stdout, or the rows
+    to stdout and the summary to stderr."""
+    _write_rows(out, ("x", "lhs", "rhs", "ratio"), rows)
+    if out:
         _emit_json(summary, None)
     else:
-        print(",".join(header))
-        for row in rows:
-            print(",".join(str(x) for x in row))
         print(json.dumps(_sanitize(summary)), file=sys.stderr)
     return 0
 
@@ -555,15 +512,13 @@ def _ratio_rows(spec: GridSpec, lhs: np.ndarray, rhs: np.ndarray) -> list[tuple]
     ]
 
 
-def cmd_pointwise_factorize(args) -> int:
-    u, spec = _resolve_io(args)
-    frame = _frame_from_args(args)
-    a = symbol_factory(args.symbol, frame)(spec)
-    rep = factorization_check(a, u, tau=args.tau)
+def cmd_pointwise_factorize(u: GridFunction, a: Symbol, *, tau: float = 1e-10,
+                            out: str | None = None) -> int:
+    """|a(x,D)u| <= F_a u* per grid point"""
+    rep = factorization_check(a, u, tau=tau)
     return _pointwise_csv(
-        args,
-        ("x", "lhs", "rhs", "ratio"),
-        _ratio_rows(spec, rep.lhs.ravel(), rep.bound.ravel()),
+        out,
+        _ratio_rows(u.spec, rep.lhs.ravel(), rep.bound.ravel()),
         {
             "max_ratio": rep.max_ratio,
             "holds": rep.holds,
@@ -573,51 +528,45 @@ def cmd_pointwise_factorize(args) -> int:
     )
 
 
-def cmd_pointwise_maximal(args) -> int:
-    spec = _grid_from_args(args)
-    corpus = [
-        random_band_limited(spec, args.band * (spec.N // 2), np.random.default_rng([args.seed, t]))
-        for t in range(args.trials)
-    ]
-    n_exp = args.N_exp if args.N_exp is not None else math.floor(spec.n / args.p) + 1
-    rows = []
-    for t, u in enumerate(corpus):
-        rhs = lp_norm(u, args.p)
-        ratio = maximal_ratio([u], args.p, n_exp)
-        rows.append((t, repr(ratio * rhs), repr(rhs), repr(ratio)))
-    c_p = maximal_lp_constant(corpus, args.p, n_exp)
+def cmd_pointwise_maximal(spec: GridSpec, seed: int, *, p: float, N_exp: float | None = None,
+                          trials: int = 8, band: float = 0.4, out: str | None = None) -> int:
+    """fitted constant in ||u*||_p <= C||u||_p (--N-exp default ⌊n/p⌋+1)"""
+    if trials < 1:
+        raise ValueError(f"--trials must be at least 1, got {trials}")
+    n_exp = N_exp if N_exp is not None else math.floor(spec.n / p) + 1
+    rows, ratios = [], []
+    for t in range(trials):
+        u = random_band_limited(spec, band * (spec.N // 2), np.random.default_rng([seed, t]))
+        rhs = lp_norm(u, p)
+        ratios.append(maximal_lp_constant([u], p, n_exp))  # one u* per trial
+        rows.append((t, repr(ratios[-1] * rhs), repr(rhs), repr(ratios[-1])))
     return _pointwise_csv(
-        args,
-        ("x", "lhs", "rhs", "ratio"),
+        out,
         rows,
-        {"C_p": c_p, "p": args.p, "N_exp": n_exp, "trials": args.trials},
+        {"C_p": max(ratios), "p": p, "N_exp": n_exp, "trials": trials},
     )
 
 
-def cmd_pointwise_mihlin(args) -> int:
-    spec = _grid_from_args(args)
-    frame = _frame_from_args(args)
-    a = symbol_factory(args.symbol, frame)(spec)
-    R = args.R if args.R is not None else spec.N / 4.0
-    p = MaximalParams(N_exp=args.N_exp, R_spec=R)
-    rep = mihlin_bound_check(a, p, args.c, spec=spec, slack=args.slack)
+def cmd_pointwise_mihlin(spec: GridSpec, a: Symbol, *, N_exp: float = 2.0,
+                         R: float | None = None, c: float | None = None, slack: float = 0.01,
+                         out: str | None = None) -> int:
+    """F_a against the derivative-sum bound (--R default N/4, --c fitted)"""
+    params = MaximalParams(N_exp=N_exp, R_spec=R if R is not None else spec.N / 4.0)
+    rep = mihlin_bound_check(a, params, c, spec=spec, slack=slack)
     return _pointwise_csv(
-        args,
-        ("x", "lhs", "rhs", "ratio"),
+        out,
         _ratio_rows(spec, rep.factor.ravel(), (rep.c_used * rep.rhs).ravel()),
         {"k": rep.k, "c_used": rep.c_used, "worst_ratio": rep.worst_ratio, "holds": rep.holds},
     )
 
 
-def cmd_pointwise_moment_decay(args) -> int:
-    spec = _grid_from_args(args)
-    frame = _frame_from_args(args)
-    a = symbol_factory(args.symbol, frame)(spec)
-    R = args.R if args.R is not None else spec.N / 8.0
-    p = MaximalParams(N_exp=args.N_exp, R_spec=R)
-    floats = Annotated[list, lambda text: [float(q) for q in text.split(",")]]
-    q_grid = decode(args.q_grid, floats, f"--q-grid {args.q_grid!r}", text=True)
-    rep = moment_decay_check(a, p, q_grid, args.M, spec=spec)
+def cmd_pointwise_moment_decay(spec: GridSpec, a: Symbol, *, M: int = 2,
+                               q_grid: Annotated[list, _floats] = (2.0, 4.0, 8.0, 16.0),
+                               N_exp: float = 2.0, R: float | None = None,
+                               out: str | None = None) -> int:
+    """decay of F over x-high-passed symbols (--q-grid Q,Q,..; --R default N/8)"""
+    params = MaximalParams(N_exp=N_exp, R_spec=R if R is not None else spec.N / 8.0)
+    rep = moment_decay_check(a, params, q_grid, M, spec=spec)
     base_x, base_v = rep.fit.xs[0], rep.fit.values[0]
     rows = []
     for q, v in zip(rep.fit.xs, rep.fit.values):
@@ -625,8 +574,7 @@ def cmd_pointwise_moment_decay(args) -> int:
         r = v / fitted if fitted > 0.0 else (math.inf if v > 0.0 else 0.0)
         rows.append((repr(float(q)), repr(float(v)), repr(float(fitted)), repr(float(r))))
     return _pointwise_csv(
-        args,
-        ("x", "lhs", "rhs", "ratio"),
+        out,
         rows,
         {
             "M": rep.M,
@@ -638,17 +586,20 @@ def cmd_pointwise_moment_decay(args) -> int:
     )
 
 
-def cmd_experiment(args) -> int:
-    cfg = load_config(args.config)
-    report = dispatch_experiment(args.runner, cfg)
-    out = Path(args.out)
-    write_report_json(report, out, config=cfg.raw)
-    csv_path = args.csv or cfg.out.get("csv") or out.with_suffix(".csv")
-    dat_path = args.dat or cfg.out.get("dat") or out.with_suffix(".dat")
+def cmd_experiment(runner: Literal[tuple(RUNNERS)], *, config: str, out: str,
+                   csv: str | None = None, dat: str | None = None,
+                   svg: str | None = None) -> int:
+    """run a packaged experiment from a JSON config"""
+    cfg = config_from_dict(json.loads(Path(config).read_text()))
+    report = dispatch_experiment(runner, cfg)
+    path = Path(out)
+    write_report_json(report, path, config=cfg.raw)
+    csv_path = csv or cfg.out.get("csv") or path.with_suffix(".csv")
+    dat_path = dat or cfg.out.get("dat") or path.with_suffix(".dat")
     write_report_csv(report, csv_path)
     write_report_dat(report, dat_path)
-    written = [str(out), str(csv_path), str(dat_path)]
-    svg_path = args.svg or cfg.out.get("svg")
+    written = [str(path), str(csv_path), str(dat_path)]
+    svg_path = svg or cfg.out.get("svg")
     if svg_path:
         write_report_svg(report, svg_path)
         written.append(str(svg_path))
@@ -863,8 +814,9 @@ FULL_GATES = QUICK_GATES + [
 ]
 
 
-def cmd_selftest(args) -> int:
-    gates = QUICK_GATES if args.quick else FULL_GATES
+def cmd_selftest(*, quick: bool = False) -> int:
+    """run the exact-identity gate suite (--quick: core gates only)"""
+    gates = QUICK_GATES if quick else FULL_GATES
     for name, fn in gates:
         t0 = time.perf_counter()
         try:
@@ -881,112 +833,80 @@ def cmd_selftest(args) -> int:
 # parser assembly
 
 
+COMMANDS = {  # subcommand ('group name' if nested) -> handler in this module
+    "apply": "cmd_apply",
+    "norms": "cmd_norms",
+    "vfm": "cmd_vfm",
+    "paradiff": "cmd_paradiff",
+    "support-rule": "cmd_support_rule",
+    "pointwise factorize": "cmd_pointwise_factorize",
+    "pointwise maximal-constant": "cmd_pointwise_maximal",
+    "pointwise mihlin": "cmd_pointwise_mihlin",
+    "pointwise moment-decay": "cmd_pointwise_moment_decay",
+    "experiment": "cmd_experiment",
+    "selftest": "cmd_selftest",
+}
+
+_GROUPS = {"pointwise": "pointwise factorization estimates"}
+
+
+def _choices(hint) -> list[str] | None:
+    return [str(c) for c in get_args(hint)] if get_origin(hint) is Literal else None
+
+
+def _add_flag(p, name: str, required: bool, hint, help: str | None = None) -> None:
+    kw = {"action": "store_true"} if hint is bool else {"choices": _choices(hint)}
+    p.add_argument("--" + name.replace("_", "-"), required=required,
+                   default=argparse.SUPPRESS, help=help, **kw)
+
+
+def _add_flags(p: argparse.ArgumentParser, params) -> None:
+    """The flags the supplied names among `params` bring, then one per
+    keyword-only parameter; other positional parameters are arguments."""
+    brought = dict.fromkeys(f for k in params if k in _BRINGS for f in _BRINGS[k])
+    sources = p.add_mutually_exclusive_group(required=True) if "input" in brought else p
+    for name in brought:
+        group = sources if name in ("input", "mode", "corpus") else p  # exactly one is given
+        _add_flag(group, name, name == "symbol", *_FLAGS[name])
+    for name, q in params.items():
+        if q.kind is q.KEYWORD_ONLY:
+            shown = q.default not in (q.empty, None, False)
+            _add_flag(p, name, q.default is q.empty, q.annotation,
+                      f"default {q.default}" if shown else None)
+        elif name not in _BRINGS:
+            p.add_argument(name, choices=_choices(q.annotation))
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="pdlab",
         description="Type 1,1 pseudo-differential operators on the discrete torus",
     )
-    sub = parser.add_subparsers(dest="command", required=True)
-
-    p = sub.add_parser("apply", help="apply a symbol to an input function")
-    _add_io_flags(p)
-    p.add_argument("--out", help="write the output as .pdgf")
-    p.add_argument("--spectrum-csv", help="write the full output spectrum as CSV")
-    p.set_defaults(func=cmd_apply)
-
-    p = sub.add_parser("norms", help="evaluate a norm on inputs")
-    p.add_argument("--space", required=True, help="L:p=.., H:s=.., B:s=..,p=..,q=.., F:..")
-    src = p.add_mutually_exclusive_group(required=True)
-    src.add_argument("--input", help="input .pdgf file")
-    src.add_argument("--mode", help="input generator string")
-    src.add_argument("--corpus", help="JSON list of generator strings")
-    _add_grid_flags(p)
-    p.add_argument("--json", action="store_true", help="print JSON instead of a bare float")
-    p.add_argument("--out", help="write corpus norms as CSV")
-    p.set_defaults(func=cmd_norms)
-
-    p = sub.add_parser("vfm", help="vanishing frequency modulation trace")
-    _add_io_flags(p)
-    p.add_argument("--psi-count", type=int, default=2, help="number of modulation profiles")
-    p.add_argument("--m-max", type=int, default=None, help="cap the modulation sweep")
-    p.add_argument("--refine", type=int, default=0, help="compare this many doubling grids")
-    p.add_argument("--out", help="write the JSON report here")
-    p.set_defaults(func=cmd_vfm)
-
-    p = sub.add_parser("paradiff", help="three-series paradifferential split")
-    _add_io_flags(p)
-    p.add_argument(
-        "--report", choices=("identity", "corona"), default="identity",
-        help="identity residual only, or add the corona containment table",
-    )
-    p.add_argument("--B", type=float, default=None, help="twisted-diagonal constant")
-    p.add_argument("--out", help="write the JSON report here")
-    p.set_defaults(func=cmd_paradiff)
-
-    p = sub.add_parser("support-rule", help="kernel or spectral support containment")
-    _add_io_flags(p)
-    p.add_argument("--tau", type=float, default=1e-8, help="relative support threshold")
-    p.add_argument("--kind", choices=("spatial", "spectral"), default="spatial")
-    p.add_argument("--out", help="write the JSON report here")
-    p.set_defaults(func=cmd_support_rule)
-
-    p = sub.add_parser("pointwise", help="pointwise factorization estimates")
-    psub = p.add_subparsers(dest="pointwise_command", required=True)
-
-    q = psub.add_parser("factorize", help="|a(x,D)u| <= F_a u* per grid point")
-    _add_io_flags(q)
-    q.add_argument("--tau", type=float, default=1e-10)
-    q.add_argument("--out", help="write the CSV here (summary JSON to stdout)")
-    q.set_defaults(func=cmd_pointwise_factorize)
-
-    q = psub.add_parser("maximal-constant", help="fitted constant in ||u*||_p <= C||u||_p")
-    q.add_argument("--p", type=float, required=True)
-    q.add_argument("--N-exp", type=float, default=None, help="Peetre exponent (default n/p+1)")
-    q.add_argument("--trials", type=int, default=8)
-    q.add_argument("--band", type=float, default=0.4)
-    _add_grid_flags(q, frame=False)
-    q.add_argument("--out", help="write the CSV here (summary JSON to stdout)")
-    q.set_defaults(func=cmd_pointwise_maximal)
-
-    q = psub.add_parser("mihlin", help="F_a against the derivative-sum bound")
-    _add_symbol_flags(q)
-    q.add_argument("--N-exp", type=float, default=2.0)
-    q.add_argument("--R", type=float, default=None, help="spectral radius (default N/4)")
-    q.add_argument("--c", type=float, default=None, help="constant (default: fitted)")
-    q.add_argument("--slack", type=float, default=0.01)
-    q.add_argument("--out", help="write the CSV here (summary JSON to stdout)")
-    q.set_defaults(func=cmd_pointwise_mihlin)
-
-    q = psub.add_parser("moment-decay", help="decay of F over x-high-passed symbols")
-    _add_symbol_flags(q)
-    q.add_argument("--M", type=int, default=2)
-    q.add_argument("--q-grid", default="2,4,8,16", help="comma-separated dyadic Q values")
-    q.add_argument("--N-exp", type=float, default=2.0)
-    q.add_argument("--R", type=float, default=None, help="spectral radius (default N/8)")
-    q.add_argument("--out", help="write the CSV here (summary JSON to stdout)")
-    q.set_defaults(func=cmd_pointwise_moment_decay)
-
-    p = sub.add_parser("experiment", help="run a packaged experiment from a JSON config")
-    p.add_argument("runner", choices=tuple(RUNNERS))
-    p.add_argument("--config", required=True, help="JSON run configuration")
-    p.add_argument("--out", required=True, help="JSON report path")
-    p.add_argument("--csv", help="flat CSV path (default: report stem .csv)")
-    p.add_argument("--dat", help="gnuplot .dat path (default: report stem .dat)")
-    p.add_argument("--svg", help="SVG chart path (off unless given)")
-    p.set_defaults(func=cmd_experiment)
-
-    p = sub.add_parser("selftest", help="run the exact-identity gate suite")
-    p.add_argument("--quick", action="store_true", help="core gates only")
-    p.set_defaults(func=cmd_selftest)
-
+    subs = {"": parser.add_subparsers(dest="command", required=True)}
+    for name, handler in COMMANDS.items():
+        group, _, leaf = name.rpartition(" ")
+        if group not in subs:
+            p = subs[""].add_parser(group, help=_GROUPS[group])
+            subs[group] = p.add_subparsers(dest=f"{group}_command", required=True)
+        fn = globals()[handler]
+        doc = inspect.getdoc(fn)
+        p = subs[group].add_parser(leaf, help=doc, description=doc)
+        p.set_defaults(handler=handler)
+        _add_flags(p, _parameters(fn))
     return parser
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = vars(build_parser().parse_args(argv))
+    fn = globals()[args["handler"]]  # at call time: it may be rebound
+    params = _parameters(fn)
     try:
-        return args.func(args)
+        hints = {k: q.annotation for k, q in params.items()}
+        hints |= {k: hint for k, (hint, _) in _FLAGS.items()}
+        flags = {k: decode(v, hints[k], f"--{k.replace('_', '-')} {v!r}", True)
+                 if isinstance(v, str) else v for k, v in args.items() if k in hints}
+        own = {k: v for k, v in flags.items() if k in params and k not in _BRINGS}
+        return fn(**own, **_cli_supplied(params, flags))
     except FileNotFoundError as exc:
         missing = exc.filename if exc.filename else str(exc)
         print(f"error: input file not found: {missing}", file=sys.stderr)

@@ -232,7 +232,7 @@ DEFAULT_FRAME = frame_from_options()
 def decode(value, hint, where: str, text: bool = False):
     """`value` as annotation `hint` asks, or ValueError.  A JSON value must
     have the hint's type (an integer serves a float); spec `text` is read by
-    int, float, complex, str, a Literal's members or the parse of
+    int, float, complex, str, a Literal member's text or the parse of
     Annotated[T, parse].  A hint the grammar cannot read: TypeError."""
     origin, args = typing.get_origin(hint), typing.get_args(hint)
     if origin in (typing.Union, types.UnionType):
@@ -245,8 +245,10 @@ def decode(value, hint, where: str, text: bool = False):
             except ValueError as exc:
                 errors.append(exc)
         raise errors[0]
-    if origin is typing.Literal and value in args:
-        return value
+    if origin is typing.Literal:
+        for member in args:
+            if value == member or text and value == str(member):
+                return member
     if text:
         if origin is typing.Literal or hint is type(None):
             raise ValueError(f"bad value for {where}")

@@ -106,13 +106,12 @@ def peetre_maximal(u: GridFunction, p: MaximalParams) -> GridFunction:
 
 
 class AuxCutoff:
-    """Radial cutoff chi(eta) = profile(|eta|/R) with its support and
-    plateau radii (in units of R) known exactly up front."""
+    """Radial cutoff chi(eta) = profile(|eta|/R) with its support radii (in
+    units of R) known exactly up front."""
 
-    def __init__(self, profile, support, plateau, tag: str):
+    def __init__(self, profile, support, tag: str):
         self.profile = profile
         self.support = (float(support[0]), float(support[1]))
-        self.plateau = (float(plateau[0]), float(plateau[1]))
         self.tag = tag
 
     def values(self, spec: GridSpec, R: float) -> np.ndarray:
@@ -125,9 +124,7 @@ class AuxCutoff:
 def ball_cutoff(psi: ModulationFunction | None = None) -> AuxCutoff:
     """chi identically 1 on |eta| <= r R, vanishing outside |eta| <= R_psi R."""
     psi = psi if psi is not None else ModulationFunction(1.0, 2.0)
-    return AuxCutoff(
-        psi.radial, (0.0, psi.R), (0.0, psi.r), f"ball(r={psi.r:g},R={psi.R:g})"
-    )
+    return AuxCutoff(psi.radial, (0.0, psi.R), f"ball(r={psi.r:g},R={psi.R:g})")
 
 
 def as_cutoff(chi) -> AuxCutoff:

@@ -1,8 +1,11 @@
 """Command-line front end: every subcommand on small grids, the experiment
 reports against direct runner calls, and the exit-code contract."""
 
+import argparse
 import functools
+import inspect
 import json
+import typing
 
 import numpy as np
 import pytest
@@ -612,3 +615,135 @@ def assert_one_line_error(capsys):
     err = capsys.readouterr().err
     assert err.startswith("error: ") and err.count("\n") == 1, err
     assert "Traceback" not in err
+
+
+# ---------------------------------------------------------------------------
+# flags derived from the handlers' signatures
+
+
+OPTIONS = {  # subcommand: its option strings besides -h/--help, and positionals
+    "apply": ("--frame --grid --input --mode --n --out --seed --spectrum-csv --symbol", []),
+    "norms": ("--corpus --frame --grid --input --json --mode --n --out --seed --space", []),
+    "vfm": ("--frame --grid --input --m-max --mode --n --out --psi-count --refine --seed "
+            "--symbol", []),
+    "paradiff": ("--B --frame --grid --input --mode --n --out --report --seed --symbol", []),
+    "support-rule": ("--frame --grid --input --kind --mode --n --out --seed --symbol --tau", []),
+    "pointwise factorize": ("--frame --grid --input --mode --n --out --seed --symbol --tau", []),
+    "pointwise maximal-constant": ("--N-exp --band --grid --n --out --p --seed --trials", []),
+    "pointwise mihlin": ("--N-exp --R --c --frame --grid --n --out --slack --symbol", []),
+    "pointwise moment-decay": ("--M --N-exp --R --frame --grid --n --out --q-grid --symbol", []),
+    "experiment": ("--config --csv --dat --out --svg", ["runner"]),
+    "selftest": ("--quick", []),
+}
+
+
+def subparsers(parser, prefix=()):
+    """(subcommand name, its parser) for every leaf subcommand."""
+    for action in parser._actions:
+        if isinstance(action, argparse._SubParsersAction):
+            for name, sub in action.choices.items():
+                yield from subparsers(sub, prefix + (name,))
+            return
+    yield " ".join(prefix), parser
+
+
+def test_every_subcommand_has_its_flags():
+    got = {}
+    for name, p in subparsers(cli.build_parser()):
+        options = {s for a in p._actions for s in a.option_strings} - {"-h", "--help"}
+        got[name] = (" ".join(sorted(options)), [a.dest for a in p._actions if not a.option_strings])
+    assert got == {k: (" ".join(sorted(o.split())), pos) for k, (o, pos) in OPTIONS.items()}
+
+
+def scalar_types(hint) -> set:
+    if typing.get_origin(hint) is typing.Annotated:
+        return scalar_types(typing.get_args(hint)[0])
+    return {hint} if typing.get_origin(hint) is None else set(typing.get_args(hint)) - {type(None)}
+
+
+def numeric_flags():
+    """(subcommand, flag) for every int or float flag, read from the handler
+    signatures and the flags their supplied names bring."""
+    for name, handler in cli.COMMANDS.items():
+        params = inspect.signature(getattr(cli, handler), eval_str=True).parameters
+        hints = {k: q.annotation for k, q in params.items() if q.kind is q.KEYWORD_ONLY}
+        hints |= {f: cli._FLAGS[f][0] for k in params if k in cli._BRINGS for f in cli._BRINGS[k]}
+        for flag, hint in hints.items():
+            if scalar_types(hint) <= {int, float}:
+                yield name, "--" + flag.replace("_", "-")
+
+
+NUMERIC_FLAGS = sorted(numeric_flags())
+VALID_ARGV = {  # each subcommand's required flags
+    "apply": ["--symbol", "const", "--mode", "single:eta=1"],
+    "norms": ["--space", "L:p=2", "--mode", "single:eta=1"],
+    "pointwise maximal-constant": ["--p", "2"],
+    "pointwise mihlin": ["--symbol", "const"],
+    "pointwise moment-decay": ["--symbol", "const"],
+}
+
+
+def test_the_numeric_flags_are_found():
+    assert len(NUMERIC_FLAGS) == 33  # --n is a choice, not a number
+    assert ("pointwise maximal-constant", "--N-exp") in NUMERIC_FLAGS
+    assert ("vfm", "--seed") in NUMERIC_FLAGS and ("pointwise mihlin", "--seed") not in NUMERIC_FLAGS
+
+
+@pytest.mark.parametrize("name, flag", NUMERIC_FLAGS, ids=[" ".join(f) for f in NUMERIC_FLAGS])
+def test_a_non_number_names_its_flag_before_any_work(capsys, monkeypatch, name, flag):
+    ran = []
+
+    def spy(fn):
+        @functools.wraps(fn)
+        def recorded(*args, **kwargs):
+            ran.append(fn.__name__)
+            return fn(*args, **kwargs)
+        return recorded
+
+    monkeypatch.setattr(cli, cli.COMMANDS[name], spy(getattr(cli, cli.COMMANDS[name])))
+    monkeypatch.setattr(cli, "_cli_supplied", spy(cli._cli_supplied))
+    valid = VALID_ARGV.get(name, ["--symbol", "const", "--mode", "single:eta=1"])
+    assert main([*name.split(), *valid, flag, "x"]) == 2
+    assert capsys.readouterr().err == f"error: bad value for {flag} 'x'\n"
+    assert ran == []
+
+
+@pytest.mark.parametrize("argv", [
+    ["apply", "--symbol", "const", "--grid", "64", "--mode", "random:band=0.4"],
+    ["norms", "--space", "L:p=2", "--grid", "64", "--mode", "random:band=0.4"],
+])
+def test_a_negative_seed_names_the_flag_and_its_value(capsys, argv):
+    assert main([*argv, "--seed", "-1"]) == 2
+    assert capsys.readouterr().err == "error: bad value for --seed '-1'\n"
+
+
+def test_the_handler_is_looked_up_at_call_time(capsys, monkeypatch):
+    # a wrapper bound into pdlab.cli after import (as a tracer does) is the
+    # function that runs, and its wrapped signature gives the flags
+    calls = []
+    real = cli.cmd_selftest
+
+    @functools.wraps(real)
+    def spy(**kw):
+        calls.append(kw)
+        return 0
+
+    monkeypatch.setattr(cli, "cmd_selftest", spy)
+    assert main(["selftest", "--quick"]) == 0 and calls == [{"quick": True}]
+
+
+def test_maximal_constant_builds_each_u_star_once(capsys, monkeypatch):
+    calls = []
+    real = pointwise.peetre_maximal
+
+    def counted(*args, **kwargs):
+        calls.append(1)
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(pointwise, "peetre_maximal", counted)
+    assert main(["pointwise", "maximal-constant", "--p", "2", "--grid", "32",
+                 "--trials", "3"]) == 0
+    out, err = capsys.readouterr()
+    assert len(calls) == 3
+    ratios = [float(line.split(",")[3]) for line in out.splitlines()[1:]]
+    assert json.loads(err)["C_p"] == max(ratios) and len(ratios) == 3
