@@ -7,7 +7,7 @@ arguments, those without defaults are required, and each value is decoded by
 the argument's annotation.  Subcommands follow the same rule: COMMANDS names
 each one's handler, whose keyword-only parameter psi_count: int = 2 is the
 flag --psi-count, decoded by the annotation, the default if absent (a bool is
-a switch, a Literal gives choices, no default makes it required); the
+a switch, a Literal's members are listed, no default makes it required); the
 docstring is the help.  Positional parameters with these names are supplied:
 
     spec    the grid                                    --grid --n
@@ -171,12 +171,19 @@ class RunConfig:
     raw: dict
 
 
+def _seed(value: str | int) -> int:
+    """A run seed, from --seed's text or a config's integer: not negative."""
+    if int(value) < 0:
+        raise ValueError("negative seed")
+    return int(value)
+
+
 _CONFIG_TYPES = {
     "grid": dict | None,
     "frame": dict | None,
     "symbol": str | None,
     "params": dict,
-    "seed": int,
+    "seed": Annotated[int, _seed],
     "thresholds": dict,
     "out": dict[str, str],
 }
@@ -217,12 +224,6 @@ RUNNERS = {
 # supplied arguments
 
 
-def _seed(text: str) -> int:
-    if int(text) < 0:
-        raise ValueError("negative seed")
-    return int(text)
-
-
 _GRID_DEFAULT = 256
 _FLAGS = {  # flag -> (annotation, help): the flags supplied names bring
     "input": (str, "input .pdgf file"),
@@ -231,7 +232,7 @@ _FLAGS = {  # flag -> (annotation, help): the flags supplied names bring
     "symbol": (str, "symbol spec string"),
     "grid": (int, f"grid size N (default {_GRID_DEFAULT})"),
     "n": (Literal[1, 2], "dimension (default 1)"),
-    "frame": (str, "frame options r=..,R=..,h=..[,profile=..]"),
+    "frame": (str, "frame options r=..,R=..,h=.."),
     "seed": (Annotated[int, _seed], "seed for random generators (default 0)"),
 }
 _BRINGS = {  # supplied name -> the flags it brings
@@ -378,22 +379,9 @@ def cmd_apply(u: SpectralFunction, a: Symbol, symbol: str, *, out: str | None = 
         etas = zip(*(m.ravel().tolist() for m in spec.freq_mesh()))
         coeffs = y.coeffs.ravel().tolist()  # Python complex: plain float cells
         rows = [[*eta, repr(c.real), repr(c.imag)] for eta, c in zip(etas, coeffs)]
-        write_csv(
-            spectrum_csv,
-            [f"eta{i + 1}" for i in range(spec.n)] + ["re", "im"],
-            rows,
-        )
-    _emit_json(
-        {
-            "grid": {"n": spec.n, "N": spec.N},
-            "symbol": symbol,
-            "in_l2": lp_norm(u, 2),
-            "out_l2": lp_norm(y, 2),
-            "dominant_modes": _dominant_modes(y),
-            "out": out,
-        },
-        None,
-    )
+        write_csv(spectrum_csv, [f"eta{i + 1}" for i in range(spec.n)] + ["re", "im"], rows)
+    _emit_json({"grid": {"n": spec.n, "N": spec.N}, "symbol": symbol, "in_l2": lp_norm(u, 2),
+                "out_l2": lp_norm(y, 2), "dominant_modes": _dominant_modes(y), "out": out}, None)
     return 0
 
 
@@ -850,12 +838,15 @@ COMMANDS = {  # subcommand ('group name' if nested) -> handler in this module
 _GROUPS = {"pointwise": "pointwise factorization estimates"}
 
 
-def _choices(hint) -> list[str] | None:
-    return [str(c) for c in get_args(hint)] if get_origin(hint) is Literal else None
+def _metavar(hint) -> dict:
+    """A Literal's members, listed as argparse lists choices; main decodes
+    the value, so a bad one is a one-line error like any other."""
+    members = get_args(hint) if get_origin(hint) is Literal else ()
+    return {"metavar": "{" + ",".join(map(str, members)) + "}"} if members else {}
 
 
 def _add_flag(p, name: str, required: bool, hint, help: str | None = None) -> None:
-    kw = {"action": "store_true"} if hint is bool else {"choices": _choices(hint)}
+    kw = {"action": "store_true"} if hint is bool else _metavar(hint)
     p.add_argument("--" + name.replace("_", "-"), required=required,
                    default=argparse.SUPPRESS, help=help, **kw)
 
@@ -874,7 +865,15 @@ def _add_flags(p: argparse.ArgumentParser, params) -> None:
             _add_flag(p, name, q.default is q.empty, q.annotation,
                       f"default {q.default}" if shown else None)
         elif name not in _BRINGS:
-            p.add_argument(name, choices=_choices(q.annotation))
+            p.add_argument(name, **_metavar(q.annotation))
+
+
+def _shown(name: str, params) -> str:
+    """`name` as the command line writes it: an argument (a positional
+    parameter that is not supplied) plain, a flag as --name."""
+    q = params.get(name)
+    plain = q is not None and q.kind is not q.KEYWORD_ONLY and name not in _BRINGS
+    return name if plain else "--" + name.replace("_", "-")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -903,7 +902,7 @@ def main(argv=None) -> int:
     try:
         hints = {k: q.annotation for k, q in params.items()}
         hints |= {k: hint for k, (hint, _) in _FLAGS.items()}
-        flags = {k: decode(v, hints[k], f"--{k.replace('_', '-')} {v!r}", True)
+        flags = {k: decode(v, hints[k], f"{_shown(k, params)} {v!r}", True)
                  if isinstance(v, str) else v for k, v in args.items() if k in hints}
         own = {k: v for k, v in flags.items() if k in params and k not in _BRINGS}
         return fn(**own, **_cli_supplied(params, flags))

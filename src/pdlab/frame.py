@@ -28,12 +28,12 @@ from typing import Callable, Iterator
 
 import numpy as np
 
+from . import grid
 from .grid import GridSpec
 
 _GL_NODES, _GL_WEIGHTS = np.polynomial.legendre.leggauss(96)
 _GL_SHIFTED = _GL_NODES + 1.0
 _QUAD_CHUNK = 2048  # radii per quadrature pass: (2048 x 96) temporaries of 1.5 MiB
-BLOCK_CACHE_KEYS = 8  # grids whose block supports one LPFrame keeps
 
 
 def _bump_integral(t: np.ndarray) -> np.ndarray:
@@ -82,15 +82,12 @@ class ModulationFunction:
 
     r: float
     R: float
-    profile: str = "smoothstep"
 
     def __post_init__(self) -> None:
         if not (0 < self.r < self.R):
             raise ValueError(f"need 0 < r < R, got r={self.r}, R={self.R}")
         if self.R < 1:
             raise ValueError(f"need R >= 1, got R={self.R}")
-        if self.profile != "smoothstep":
-            raise ValueError(f"unknown profile {self.profile!r}")
 
     def radial(self, t) -> np.ndarray:
         """psi as a function of |xi|."""
@@ -175,7 +172,8 @@ class LPFrame:
         self, spec: GridSpec, j_max: int | None = None
     ) -> list[tuple[np.ndarray, np.ndarray]]:
         """Phi_0..Phi_{j_max} as (the flat lattice indices where Phi_j != 0,
-        ascending; Phi_j there), cached for the last BLOCK_CACHE_KEYS grids.
+        ascending; Phi_j there), cached per grid: the oldest grids go while
+        the cache holds more than grid.MEMORY_BUDGET bytes, the newest stays.
         Pool workers that miss the cache together wait on the frame's lock
         for one build; hits take no lock.  Block m is ball m less ball m-1,
         each ball on the distinct lattice radii (balls_on): the bits of
@@ -195,9 +193,11 @@ class LPFrame:
                     flat, prev = (ball - prev)[inverse], ball
                     idx = np.flatnonzero(flat)
                     supports.append((idx, flat[idx]))
-                self._block_cache[key] = supports
-                for stale in list(self._block_cache)[:-BLOCK_CACHE_KEYS]:
-                    self._block_cache.pop(stale, None)
+                cache = self._block_cache
+                cache[key] = supports
+                while len(cache) > 1 and sum(i.nbytes + v.nbytes for held in cache.values()
+                                             for i, v in held) > grid.MEMORY_BUDGET:
+                    del cache[next(iter(cache))]  # the oldest grid
             return supports
 
     def lattice_blocks(self, spec: GridSpec, j_max: int | None = None) -> list[np.ndarray]:
@@ -211,11 +211,9 @@ class LPFrame:
         return [t.reshape(spec.shape) for t in tables]
 
 
-def frame_from_options(
-    *, r: float = 1.0, R: float = 2.0, h: int = 3, profile: str = "smoothstep"
-) -> LPFrame:
+def frame_from_options(*, r: float = 1.0, R: float = 2.0, h: int = 3) -> LPFrame:
     """The frame of a --frame spec or a config "frame" object."""
-    return LPFrame(psi=ModulationFunction(r, R, profile), h=h)
+    return LPFrame(psi=ModulationFunction(r, R), h=h)
 
 
 DEFAULT_FRAME = frame_from_options()
@@ -231,9 +229,10 @@ DEFAULT_FRAME = frame_from_options()
 
 def decode(value, hint, where: str, text: bool = False):
     """`value` as annotation `hint` asks, or ValueError.  A JSON value must
-    have the hint's type (an integer serves a float); spec `text` is read by
-    int, float, complex, str, a Literal member's text or the parse of
-    Annotated[T, parse].  A hint the grammar cannot read: TypeError."""
+    have the hint's type (an integer serves a float), and Annotated[T, parse]
+    then applies parse to it; spec `text` is read by int, float, complex,
+    str, a Literal member's text or the parse of Annotated[T, parse].  A
+    hint the grammar cannot read: TypeError."""
     origin, args = typing.get_origin(hint), typing.get_args(hint)
     if origin in (typing.Union, types.UnionType):
         if value is None and type(None) in args:
@@ -249,11 +248,13 @@ def decode(value, hint, where: str, text: bool = False):
         for member in args:
             if value == member or text and value == str(member):
                 return member
-    if text:
+    if text or origin is typing.Annotated:
         if origin is typing.Literal or hint is type(None):
             raise ValueError(f"bad value for {where}")
         if hint not in (int, float, complex, str) and origin is not typing.Annotated:
             raise TypeError(f"the option grammar cannot read {hint!r} ({where})")
+        if not text:  # JSON Annotated: the base type first, then the parse
+            value, where = decode(value, args[0], where), f"{where}: {json.dumps(value)}"
         try:
             return args[1](value) if origin is typing.Annotated else hint(value)
         except ValueError as exc:

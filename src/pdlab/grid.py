@@ -15,10 +15,32 @@ import math
 import os
 import struct
 from dataclasses import dataclass
+from typing import Iterator
 
 import numpy as np
 
 TWO_PI = 2.0 * np.pi
+
+# bytes one dense N^n x N^n array, one row chunk or one frame's block cache
+# may hold; every reader reads it here at call time
+MEMORY_BUDGET = 1 << 26
+
+
+def check_budget(what: str, spec: GridSpec) -> None:
+    """ValueError, raised before any allocation, if `what` is an N^n x N^n
+    complex array past the budget."""
+    if (nbytes := 16 * spec.npoints**2) > MEMORY_BUDGET:
+        raise ValueError(f"{what} would hold {spec.npoints**2} table entries ({nbytes / 2**20:g}"
+                         f" MiB > {MEMORY_BUDGET / 2**20:g} MiB memory budget); use the "
+                         "structured paths")
+
+
+def row_chunks(count: int, row_bytes: int) -> Iterator[slice]:
+    """Consecutive slices over `count` rows of row_bytes each, each holding
+    as many rows as the budget does, at least one."""
+    step = max(1, MEMORY_BUDGET // row_bytes)
+    return (slice(lo, min(lo + step, count)) for lo in range(0, count, step))
+
 
 _PDGF_MAGIC = b"PDGF"
 _PDGF_HEADER = struct.Struct("<4sII4x")  # magic, n, N, 4 reserved bytes
@@ -233,19 +255,24 @@ def write_pdgf(u: GridFunction, path) -> None:
         fh.write(np.ascontiguousarray(u.values, dtype="<c16").tobytes())
 
 
-def read_pdgf(path) -> GridFunction:
+def read_grid_file(path, header: struct.Struct, magic: bytes, table: bool = False):
+    """(header fields after magic, n and N; the grid; the complex payload) of
+    a file of N^n values, or of an N^n x N^n table, which the memory budget
+    bounds.  The header's claims are checked before the payload is read."""
     with open(path, "rb") as fh:
-        header = fh.read(_PDGF_HEADER.size)
-        if len(header) != _PDGF_HEADER.size:
-            raise ValueError(f"{path}: truncated header")
-        magic, n, N = _PDGF_HEADER.unpack(header)
-        if magic != _PDGF_MAGIC:
-            raise ValueError(f"{path}: bad magic {magic!r}")
+        head = fh.read(header.size)
+        if len(head) < header.size or head[:4] != magic:
+            raise ValueError(f"{path}: not a {magic.decode()} file")
+        _, n, N, *rest = header.unpack(head)
         spec = GridSpec(int(n), int(N))
-        nbytes = 16 * spec.npoints
-        # check the header's size claim before allocating for it
-        if os.fstat(fh.fileno()).st_size - _PDGF_HEADER.size < nbytes:
-            raise ValueError(f"{path}: truncated payload, header claims n={n}, N={N}")
-        raw = fh.read(nbytes)
-    values = np.frombuffer(raw, dtype="<c16").reshape(spec.shape)
-    return GridFunction(spec, values.astype(complex))
+        if table:
+            check_budget(f"{path}: symbol table", spec)
+        expected = header.size + 16 * spec.npoints ** (1 + table)
+        if (found := os.fstat(fh.fileno()).st_size) != expected:
+            raise ValueError(f"{path}: truncated or overlong, expected {expected} bytes, "
+                             f"found {found}")
+        return rest, spec, np.fromfile(fh, dtype="<c16").reshape(spec.shape * (1 + table))
+
+
+def read_pdgf(path) -> GridFunction:
+    return GridFunction(*read_grid_file(path, _PDGF_HEADER, _PDGF_MAGIC)[1:])

@@ -22,8 +22,8 @@ same order of strategies:
   2. separable terms sum_j F^{-1}[w mhat_j](x) F^{-1}[g_j v](x), skipping the
      terms where either factor is exactly zero;
   3. for symbols with neither, the sheared table a_hat(xi, zeta - xi), built
-     once under TABLE_ENTRY_GUARD; a summand is a w-weighted sum of its rows
-     followed by one inverse FFT.
+     once if it fits grid.MEMORY_BUDGET; a summand is a w-weighted sum of its
+     rows followed by one inverse FFT.
 The support rules check an output against the supports it may reach.  The
 spatial rule takes the output from apply_auto() and the reach from the
 tau-supports of the kernel and of u.  The spectral rule reads the symbol's
@@ -46,16 +46,17 @@ from .grid import (
     SpectralFunction,
     as_spectral,
     as_values,
+    check_budget,
     fft_forward,
     fft_inverse,
     lattice_phase,
     lp_norm,
+    row_chunks,
 )
 from .symbols import (
     ShiftSymbol,
     ShiftTerm,
     Symbol,
-    TABLE_ENTRY_GUARD,
     _resolve_spec,
     modulate_symbol,
     operator_matrix,
@@ -85,11 +86,9 @@ def apply(a: Symbol, u: GridFunction | SpectralFunction) -> GridFunction:
     rows = a.rows(spec)
 
     out = np.empty(spec.npoints, dtype=complex)
-    step = max(1, (1 << 21) // spec.npoints)
-    for lo in range(0, spec.npoints, step):
-        hi = min(lo + step, spec.npoints)
-        block = rows(slice(lo, hi))  # named: the product reuses the phase temporary
-        out[lo:hi] = (block * lattice_phase(spec, k[lo:hi], eta)) @ c
+    for rs in row_chunks(spec.npoints, 2 * 16 * spec.npoints):  # rows and their phases
+        block = rows(rs)  # named: the product reuses the phase temporary
+        out[rs] = (block * lattice_phase(spec, k[rs], eta)) @ c
     return GridFunction(spec, out.reshape(spec.shape))
 
 
@@ -317,11 +316,7 @@ def _summand_route(a: Symbol, spec: GridSpec) -> Callable[[np.ndarray, np.ndarra
 
         return run_separable
 
-    if spec.npoints**2 > TABLE_ENTRY_GUARD:
-        raise ValueError(
-            f"paradiff split needs (N^n)^2 <= {TABLE_ENTRY_GUARD} table entries, "
-            f"got {spec.npoints**2}"
-        )
+    check_budget("paradiff split", spec)
     # sheared[xi, zeta] = a_hat(xi, zeta - xi), with zeta - xi folded mod N:
     # on the lattice e^{ix.(xi+eta)} = e^{ix.zeta}, so every summand is a
     # w-weighted sum of the table's rows
@@ -503,7 +498,7 @@ def corona_ball_report(
 def kernel(a: Symbol, spec: GridSpec | None = None) -> np.ndarray:
     """K[x,y] with apply(a,u)(x) = (2pi/N)^n sum_y K[x,y] u(y); exact."""
     spec = _resolve_spec(a, spec)
-    M = operator_matrix(a, spec)  # carries the N^n <= 4096 guard
+    M = operator_matrix(a, spec)  # checks the memory budget first
     scale = spec.npoints / TWO_PI**spec.n
     return (M * scale).reshape(spec.shape + spec.shape)
 

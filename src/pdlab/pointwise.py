@@ -10,7 +10,7 @@ import numpy as np
 
 from ._threads import pmap
 from .frame import ModulationFunction
-from .grid import TWO_PI, GridFunction, GridSpec, fft_forward, lp_norm
+from .grid import TWO_PI, GridFunction, GridSpec, fft_forward, lp_norm, row_chunks
 from .symbols import (
     Symbol,
     TabulatedSymbol,
@@ -155,7 +155,7 @@ def symbol_factor(
     symbol included, gives k(x,.) = sum_j m_j(x) k_j with k_j the kernel of
     g_j chi: one inverse FFT per term whose g_j chi is not identically zero,
     and no table.  Other symbols are tabulated.  Either way k is built and
-    summed over chunks of x-rows holding at most 2^22 entries.
+    summed over chunks of x-rows that fit the memory budget (grid.row_chunks).
     """
     chi = as_cutoff(chi)
     spec = _resolve_spec(a, spec)
@@ -178,20 +178,18 @@ def symbol_factor(
             mx[:, i] = m.reshape(-1)
             ky[i] = kernel(gc)
 
-        def rows(lo: int, hi: int) -> np.ndarray:
-            return mx[lo:hi] @ ky
+        def rows(rs: slice) -> np.ndarray:
+            return mx[rs] @ ky
 
     else:
         tab = a.table(spec).reshape((spec.npoints,) + spec.shape)
 
-        def rows(lo: int, hi: int) -> np.ndarray:
-            return kernel(tab[lo:hi] * chiv)
+        def rows(rs: slice) -> np.ndarray:
+            return kernel(tab[rs] * chiv)
 
     out = np.empty(spec.npoints)
-    step = max(1, (1 << 22) // spec.npoints)
-    for lo in range(0, spec.npoints, step):
-        hi = min(lo + step, spec.npoints)
-        out[lo:hi] = cell * np.sum(np.abs(rows(lo, hi)) * w, axis=-1)
+    for rs in row_chunks(spec.npoints, 16 * spec.npoints):
+        out[rs] = cell * np.sum(np.abs(rows(rs)) * w, axis=-1)
     return GridFunction(spec, out.reshape(spec.shape))
 
 

@@ -22,10 +22,7 @@ from typing import Annotated, Callable, Literal, NamedTuple
 import numpy as np
 
 from .frame import DEFAULT_FRAME, LPFrame, ModulationFunction, on_distinct, parse_spec, smoothstep
-from .grid import GridFunction, GridSpec, lattice_phase, read_pdgf
-
-TABLE_ENTRY_GUARD = 1 << 22  # complex entries; 64 MiB of table
-DENSE_MATRIX_GUARD = 4096  # N^n cap for dense operator matrices
+from .grid import GridFunction, GridSpec, check_budget, lattice_phase, read_grid_file, read_pdgf
 
 
 # ---------------------------------------------------------------------------
@@ -178,11 +175,7 @@ class Symbol:
 
     def table(self, spec: GridSpec) -> np.ndarray:
         """Dense table, shape spec.shape + spec.shape (x-axes then eta-axes)."""
-        if spec.npoints**2 > TABLE_ENTRY_GUARD:
-            raise ValueError(
-                f"table would hold {spec.npoints**2} entries "
-                f"(> {TABLE_ENTRY_GUARD}); use the structured paths"
-            )
+        check_budget("symbol table", spec)
         return self.rows(spec)(slice(None)).reshape(spec.shape + spec.shape)
 
 
@@ -253,11 +246,7 @@ def symbol_partial_ft(a: Symbol, spec: GridSpec) -> np.ndarray:
     terms = None if shifts is not None else a.spectral_terms(spec)
     if shifts is None and terms is None:
         return partial_ft(a.table(spec), spec)
-    if spec.npoints**2 > TABLE_ENTRY_GUARD:
-        raise ValueError(
-            f"spectral table would hold {spec.npoints**2} entries "
-            f"(> {TABLE_ENTRY_GUARD}); use the structured paths"
-        )
+    check_budget("spectral table", spec)
     if shifts is not None:
         xis, rows = _shift_rows(shifts, spec)
         out = np.zeros((spec.npoints,) + spec.shape, dtype=complex)
@@ -613,6 +602,7 @@ def mask_twisted_diagonal(a: Symbol, B: float, spec: GridSpec | None = None) -> 
     spec = _resolve_spec(a, spec)
     if B < 1.0:
         raise ValueError("B must be >= 1")
+    check_budget("twisted-diagonal mask", spec)  # before the radius meshes
     sum_rad, eta_rad = _sum_radius_mesh(spec)
     ahat = symbol_partial_ft(a, spec) * (B * (1.0 + sum_rad) >= eta_rad)
     return TabulatedSymbol(spec, partial_ift(ahat, spec), d=a.d, tdc_B=B, ahat=ahat)
@@ -707,7 +697,7 @@ def sigma_order_estimate(
         sum_{eta in S} |T(x,eta)|^2 = sum_{r,s} e^{i x.(xi_r-xi_s)} G[r,s]
     on each shell S, with G = H_S H_S^* the R x R Gram matrix of the rows on
     S, read at every x through exact lattice phases, negatives clipped to 0:
-    no N^n x N^n array, no FFT, no TABLE_ENTRY_GUARD.  Dense route, the
+    no N^n x N^n array, no FFT, no memory-budget check.  Dense route, the
     oracle for every other symbol: a_hat once (symbol_partial_ft), localized
     and inverse-transformed per eps, squared moduli summed over each shell.
     """
@@ -772,20 +762,14 @@ def _sigma_fit(alpha, eps_grid, results, spec: GridSpec) -> SigmaFit:
 
 def operator_matrix(a: Symbol, spec: GridSpec) -> np.ndarray:
     """Dense M with (a(x,D)u)(x_i) = sum_j M[i,j] u(x_j); flat C-order indices."""
-    if spec.npoints > DENSE_MATRIX_GUARD:
-        raise ValueError(f"dense matrix needs N^n <= {DENSE_MATRIX_GUARD}, got {spec.npoints}")
+    check_budget("dense operator matrix", spec)
     tab = a.table(spec)
     e_axes = tuple(range(spec.n, 2 * spec.n))
     # G[x, z] = sum_eta a(x,eta) e^{i z.eta};  M[x,y] = G[x, x-y] / N^n
     G = np.fft.ifftn(np.fft.ifftshift(tab, axes=e_axes), axes=e_axes) * spec.npoints
     G = G.reshape(spec.npoints, spec.npoints)
-    idx = np.arange(spec.N)
-    diff_1d = (idx[:, None] - idx[None, :]) % spec.N
-    if spec.n == 1:
-        gather = diff_1d
-    else:
-        flat = diff_1d[:, None, :, None] * spec.N + diff_1d[None, :, None, :]
-        gather = flat.reshape(spec.npoints, spec.npoints)
+    idx = np.unravel_index(np.arange(spec.npoints), spec.shape)
+    gather = np.ravel_multi_index(tuple(i[:, None] - i for i in idx), spec.shape, mode="wrap")
     rows = np.arange(spec.npoints)[:, None]
     return G[rows, gather] / spec.npoints
 
@@ -806,17 +790,8 @@ def write_pdsy(a: Symbol, spec: GridSpec, path) -> None:
 
 
 def read_pdsy(path) -> TabulatedSymbol:
-    raw = Path(path).read_bytes()
-    if len(raw) < _PDSY_HEADER.size or raw[:4] != _PDSY_MAGIC:
-        raise ValueError(f"{path}: not a PDSY symbol file")
-    _, n, N, d = _PDSY_HEADER.unpack_from(raw)
-    spec = GridSpec(n=int(n), N=int(N))
-    count = spec.npoints**2
-    expected = _PDSY_HEADER.size + 16 * count
-    if len(raw) != expected:
-        raise ValueError(f"{path}: expected {expected} bytes, found {len(raw)}")
-    table = np.frombuffer(raw, dtype="<c16", offset=_PDSY_HEADER.size, count=count)
-    return TabulatedSymbol(spec, table.reshape(spec.shape + spec.shape).copy(), d=float(d))
+    (d,), spec, table = read_grid_file(path, _PDSY_HEADER, _PDSY_MAGIC, table=True)
+    return TabulatedSymbol(spec, table, d=float(d))
 
 
 # ---------------------------------------------------------------------------

@@ -1,0 +1,127 @@
+"""One memory budget: grid.MEMORY_BUDGET, patched here in one place, bounds
+every dense N^n x N^n array and every row chunk.  The block cache's eviction
+by bytes is tested with the frame (tests/test_frame.py)."""
+import tracemalloc
+
+import numpy as np
+import pytest
+
+import pdlab.grid as grid
+import pdlab.operators as ops
+import pdlab.pointwise as pointwise
+from pdlab.grid import GridSpec, random_band_limited, row_chunks
+from pdlab.pointwise import MaximalParams, symbol_factor
+from pdlab.symbols import (
+    ConstantSymbol,
+    TabulatedSymbol,
+    ching_for_grid,
+    mask_twisted_diagonal,
+    operator_matrix,
+    read_pdsy,
+    symbol_partial_ft,
+    write_pdsy,
+)
+
+SPEC = GridSpec(1, 256)  # one N^n x N^n complex array: 65536 entries, 1 MiB
+DENSE_BYTES = 16 * SPEC.npoints**2
+
+
+def table(tmp_path):
+    a = ching_for_grid(SPEC)
+    return lambda: a.table(SPEC)
+
+
+def spectral_table(tmp_path):
+    a = ching_for_grid(SPEC)
+    return lambda: symbol_partial_ft(a, SPEC)
+
+
+def sheared_split(tmp_path):
+    rng = np.random.default_rng(3)
+    shape = SPEC.shape + SPEC.shape
+    a = TabulatedSymbol(SPEC, rng.standard_normal(shape) + 1j * rng.standard_normal(shape))
+    u = random_band_limited(SPEC, 20, rng)
+    return lambda: ops.paradiff_split(a, u)
+
+
+def dense_matrix(tmp_path):
+    return lambda: operator_matrix(ConstantSymbol(), SPEC)
+
+
+def twisted_diagonal_mask(tmp_path):
+    a = ching_for_grid(SPEC)
+    return lambda: mask_twisted_diagonal(a, 2.0, SPEC)
+
+
+def pdsy_file(tmp_path):
+    path = tmp_path / "sym.pdsy"
+    write_pdsy(ConstantSymbol(2.0), SPEC, path)
+    return lambda: read_pdsy(path)
+
+
+GUARDS = {  # the array each guard names -> its call, set up under the real budget
+    "symbol table": table,
+    "spectral table": spectral_table,
+    "paradiff split": sheared_split,
+    "dense operator matrix": dense_matrix,
+    "twisted-diagonal mask": twisted_diagonal_mask,
+    "sym.pdsy: symbol table": pdsy_file,
+}
+
+
+@pytest.mark.parametrize("what", sorted(GUARDS))
+def test_each_guard_raises_before_it_allocates(monkeypatch, tmp_path, what):
+    run = GUARDS[what](tmp_path)
+    monkeypatch.setattr(grid, "MEMORY_BUDGET", 1000)
+    tracemalloc.start()
+    try:
+        with pytest.raises(ValueError) as info:
+            run()
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert str(info.value).endswith(
+        f"{what} would hold 65536 table entries (1 MiB > 0.000953674 MiB memory budget); "
+        "use the structured paths")
+    assert peak < DENSE_BYTES / 4
+
+
+@pytest.mark.parametrize("what", sorted(GUARDS))
+def test_each_guard_passes_at_the_budget(monkeypatch, tmp_path, what):
+    run = GUARDS[what](tmp_path)
+    monkeypatch.setattr(grid, "MEMORY_BUDGET", DENSE_BYTES)
+    run()
+
+
+def test_the_chunks_are_the_old_literals():
+    # apply chunked rows by 2^21 entries (a row block and its phases) and
+    # symbol_factor by 2^22: 1 << 26 bytes at 32 and at 16 bytes an entry
+    assert grid.MEMORY_BUDGET == 1 << 26
+    for npoints in [2**k for k in range(21)] + [3, 1000, 4095]:
+        for row_bytes, entries in ((2 * 16 * npoints, 1 << 21), (16 * npoints, 1 << 22)):
+            step = max(1, entries // npoints)
+            chunks = row_chunks(npoints, row_bytes)
+            assert next(chunks) == slice(0, min(step, npoints))
+            assert next(chunks, slice(step, None)).start == step
+
+
+@pytest.mark.parametrize("module, run, rows", [
+    (ops, lambda a, u: ops.apply(a, u).values, 7),
+    (pointwise, lambda a, u: symbol_factor(a, MaximalParams(2.0, 8.0), spec=u.spec).values, 14),
+], ids=["apply", "symbol_factor"])
+def test_a_small_budget_chunks_the_rows(monkeypatch, module, run, rows):
+    spec = GridSpec(1, 64)
+    a = ching_for_grid(spec, d=0.5)
+    u = random_band_limited(spec, 20, np.random.default_rng(5))
+    whole = run(a, u)
+    real, chunks = module.row_chunks, []
+
+    def spy(count, row_bytes):
+        chunks.extend(real(count, row_bytes))
+        return chunks
+
+    monkeypatch.setattr(module, "row_chunks", spy)
+    monkeypatch.setattr(grid, "MEMORY_BUDGET", 7 * 2 * 16 * spec.npoints)
+    chunked = run(a, u)
+    assert [c.stop - c.start for c in chunks] == [rows] * (64 // rows) + [64 % rows]
+    assert np.max(np.abs(chunked - whole)) <= 1e-12 * np.max(np.abs(whole))

@@ -397,6 +397,17 @@ def test_malformed_config_exits_2(capsys, tmp_path, name):
     assert_one_line_error(capsys)
 
 
+@pytest.mark.parametrize("seed, error", [
+    (-1, "bad value for config.seed: -1"),
+    ("1", 'config.seed must be an integer, got "1"'),
+])
+def test_a_bad_config_seed_is_named_by_the_seed_rule(capsys, tmp_path, seed, error):
+    # the config's seed is decoded by --seed's rule, and the error names it
+    config = {"symbol": "const", "seed": seed, "params": {"cases": CASE}}
+    assert run_experiment(tmp_path, "continuity", config) == 2
+    assert capsys.readouterr().err == f"error: {error}\n"
+
+
 def test_config_frame_reaches_a_runner_through_its_symbol(capsys, tmp_path):
     config = {"symbol": SIGMA_SYMBOL, "grid": {"N": 256}, "frame": {"h": 4},
               "params": {"s_grid": [-1.0, 0.0], "eps_grid": [0.125, 0.0625]}}
@@ -661,25 +672,28 @@ def scalar_types(hint) -> set:
     return {hint} if typing.get_origin(hint) is None else set(typing.get_args(hint)) - {type(None)}
 
 
-def numeric_flags():
-    """(subcommand, flag) for every int or float flag, read from the handler
-    signatures and the flags their supplied names bring."""
+def decoded_flags(wanted):
+    """(subcommand, flag) for every flag or argument whose annotation
+    `wanted` accepts, read from the handler signatures and the flags their
+    supplied names bring; an argument is named without --."""
     for name, handler in cli.COMMANDS.items():
         params = inspect.signature(getattr(cli, handler), eval_str=True).parameters
-        hints = {k: q.annotation for k, q in params.items() if q.kind is q.KEYWORD_ONLY}
+        hints = {k: q.annotation for k, q in params.items() if k not in cli._BRINGS}
         hints |= {f: cli._FLAGS[f][0] for k in params if k in cli._BRINGS for f in cli._BRINGS[k]}
         for flag, hint in hints.items():
-            if scalar_types(hint) <= {int, float}:
-                yield name, "--" + flag.replace("_", "-")
+            if wanted(hint):
+                yield name, cli._shown(flag, params)
 
 
-NUMERIC_FLAGS = sorted(numeric_flags())
+NUMERIC_FLAGS = sorted(decoded_flags(lambda hint: scalar_types(hint) <= {int, float}))
+CHOICE_FLAGS = sorted(decoded_flags(lambda hint: typing.get_origin(hint) is typing.Literal))
 VALID_ARGV = {  # each subcommand's required flags
     "apply": ["--symbol", "const", "--mode", "single:eta=1"],
     "norms": ["--space", "L:p=2", "--mode", "single:eta=1"],
     "pointwise maximal-constant": ["--p", "2"],
     "pointwise mihlin": ["--symbol", "const"],
     "pointwise moment-decay": ["--symbol", "const"],
+    "experiment": ["--config", "run.json", "--out", "run-out.json"],
 }
 
 
@@ -689,7 +703,15 @@ def test_the_numeric_flags_are_found():
     assert ("vfm", "--seed") in NUMERIC_FLAGS and ("pointwise mihlin", "--seed") not in NUMERIC_FLAGS
 
 
-@pytest.mark.parametrize("name, flag", NUMERIC_FLAGS, ids=[" ".join(f) for f in NUMERIC_FLAGS])
+def test_the_choice_flags_are_found():
+    # --n wherever a grid is built, two report kinds and the runner
+    assert len(CHOICE_FLAGS) == 12
+    assert {("paradiff", "--report"), ("support-rule", "--kind"),
+            ("experiment", "runner"), ("apply", "--n")} <= set(CHOICE_FLAGS)
+
+
+@pytest.mark.parametrize("name, flag", NUMERIC_FLAGS + CHOICE_FLAGS,
+                         ids=[" ".join(f) for f in NUMERIC_FLAGS + CHOICE_FLAGS])
 def test_a_non_number_names_its_flag_before_any_work(capsys, monkeypatch, name, flag):
     ran = []
 
@@ -703,7 +725,8 @@ def test_a_non_number_names_its_flag_before_any_work(capsys, monkeypatch, name, 
     monkeypatch.setattr(cli, cli.COMMANDS[name], spy(getattr(cli, cli.COMMANDS[name])))
     monkeypatch.setattr(cli, "_cli_supplied", spy(cli._cli_supplied))
     valid = VALID_ARGV.get(name, ["--symbol", "const", "--mode", "single:eta=1"])
-    assert main([*name.split(), *valid, flag, "x"]) == 2
+    given = [flag, "x"] if flag.startswith("--") else ["x"]
+    assert main([*name.split(), *valid, *given]) == 2
     assert capsys.readouterr().err == f"error: bad value for {flag} 'x'\n"
     assert ran == []
 

@@ -9,9 +9,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import pdlab.grid
 from pdlab.frame import (
     _QUAD_CHUNK,
-    BLOCK_CACHE_KEYS,
     DEFAULT_FRAME,
     LPFrame,
     ModulationFunction,
@@ -48,8 +48,12 @@ def test_modulation_validation():
         ModulationFunction(2.0, 1.0)
     with pytest.raises(ValueError):
         ModulationFunction(0.3, 0.9)  # R < 1
-    with pytest.raises(ValueError):
-        ModulationFunction(1.0, 2.0, profile="gaussian")
+
+
+def test_the_frame_has_no_profile_option():
+    # smoothstep is the one profile, so it is no option
+    with pytest.raises(ValueError, match="unknown frame option 'profile'; allowed: R, h, r"):
+        parse_spec("profile=smoothstep", frame_from_options, "frame")
 
 
 def min_separation(psi):
@@ -307,26 +311,41 @@ def test_on_distinct_is_bit_identical_and_keeps_shape():
     assert on_distinct(smoothstep, np.empty(0)).shape == (0,)
 
 
-def test_block_cache_keeps_only_the_recent_grids():
+def cached_bytes(frame: LPFrame) -> int:
+    return sum(i.nbytes + v.nbytes for held in frame._block_cache.values() for i, v in held)
+
+
+def supports_bytes(spec: GridSpec) -> int:
     frame = LPFrame(DEFAULT_FRAME.psi, DEFAULT_FRAME.h)
+    frame.block_supports(spec)
+    return cached_bytes(frame)
+
+
+def test_block_cache_keeps_only_the_recent_grids(monkeypatch):
     specs = [GridSpec(n, 2**k) for k in range(3, 9) for n in (1, 2)]
-    assert len(specs) > BLOCK_CACHE_KEYS
+    # the budget holds the last three grids' supports, not the last four
+    monkeypatch.setattr(pdlab.grid, "MEMORY_BUDGET", sum(map(supports_bytes, specs[-3:])))
+    frame = LPFrame(DEFAULT_FRAME.psi, DEFAULT_FRAME.h)
     first = {spec: [b.copy() for b in frame.lattice_blocks(spec)] for spec in specs}
-    assert len(frame._block_cache) == BLOCK_CACHE_KEYS
-    assert [(n, N) for n, N, _ in frame._block_cache] == [
-        (s.n, s.N) for s in specs[-BLOCK_CACHE_KEYS:]
-    ]
+    assert [(n, N) for n, N, _ in frame._block_cache] == [(s.n, s.N) for s in specs[-3:]]
+    assert cached_bytes(frame) == pdlab.grid.MEMORY_BUDGET
     for spec in specs:  # the early grids were evicted and are rebuilt
         rebuilt = frame.lattice_blocks(spec)
         assert len(rebuilt) == len(first[spec])
         assert all(np.array_equal(a, b) for a, b in zip(rebuilt, first[spec]))
-    assert len(frame._block_cache) == BLOCK_CACHE_KEYS
+    assert [(n, N) for n, N, _ in frame._block_cache] == [(s.n, s.N) for s in specs[-3:]]
+    # a grid past the whole budget evicts every older one and stays
+    monkeypatch.setattr(pdlab.grid, "MEMORY_BUDGET", 1)
+    frame.lattice_blocks(GridSpec(1, 512))
+    assert [(n, N) for n, N, _ in frame._block_cache] == [(1, 512)]
 
 
-def test_block_cache_under_racing_threads():
+def test_block_cache_under_racing_threads(monkeypatch):
     frame = LPFrame(DEFAULT_FRAME.psi, DEFAULT_FRAME.h)
     specs = [GridSpec(n, 2**k) for k in range(3, 10) for n in (1, 2)] * 4
     want = {spec: LPFrame(frame.psi, frame.h).lattice_blocks(spec) for spec in set(specs)}
+    # half of what the grids' supports hold: the threads evict as they build
+    monkeypatch.setattr(pdlab.grid, "MEMORY_BUDGET", sum(map(supports_bytes, set(specs))) // 2)
     interval = sys.getswitchinterval()
     sys.setswitchinterval(1e-6)
     try:
@@ -336,7 +355,7 @@ def test_block_cache_under_racing_threads():
         sys.setswitchinterval(interval)
     for spec, blocks in zip(specs, got):
         assert all(np.array_equal(a, b) for a, b in zip(blocks, want[spec]))
-    assert len(frame._block_cache) <= BLOCK_CACHE_KEYS
+    assert cached_bytes(frame) <= pdlab.grid.MEMORY_BUDGET or len(frame._block_cache) == 1
 
 
 # ---------------------------------------------------------------------------
@@ -394,7 +413,7 @@ class TestParseSpec:
         assert frame_from_options(r=0.5, R=1.5, h=4) == LPFrame(ModulationFunction(0.5, 1.5), h=4)
         assert frame_from_options() == DEFAULT_FRAME
         assert keyword_options(frame_from_options) == (
-            {"r": float, "R": float, "h": int, "profile": str}, ())
+            {"r": float, "R": float, "h": int}, ())
 
 
 def _kind_tables():

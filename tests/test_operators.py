@@ -9,6 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import pdlab.grid
 import pdlab.operators as ops
 from pdlab.frame import DEFAULT_FRAME, LPFrame, ModulationFunction
 from pdlab.grid import (
@@ -556,7 +557,7 @@ class TestSpectralParadiff:
 
         spec = GridSpec(1, 64)
         a = random_table_symbol(spec, seed=7)  # no structure: the sheared route
-        monkeypatch.setattr(ops, "TABLE_ENTRY_GUARD", 1000)
+        monkeypatch.setattr(pdlab.grid, "MEMORY_BUDGET", 1000)
         monkeypatch.setattr(ops, "symbol_partial_ft", no_table)
         u = random_band_limited(spec, 20, np.random.default_rng(92))
         with pytest.raises(ValueError, match="table entries"):
@@ -566,7 +567,7 @@ class TestSpectralParadiff:
         def no_table(*args):
             raise AssertionError("table built on a structured route")
 
-        monkeypatch.setattr(ops, "TABLE_ENTRY_GUARD", 1000)
+        monkeypatch.setattr(pdlab.grid, "MEMORY_BUDGET", 1000)
         monkeypatch.setattr(ops, "symbol_partial_ft", no_table)
         monkeypatch.setattr(Symbol, "table", no_table)
         spec = GridSpec(1, 64)
@@ -941,7 +942,7 @@ class TestShiftPath:
 
     def test_reference_reads_modulated_shift_rows_past_the_table_cap(self):
         # a modulated ShiftSymbol has no continuum evaluator, and 2-d N=64 is
-        # past TABLE_ENTRY_GUARD: apply reads its rows from the shift terms
+        # past the memory budget's table: apply reads its rows from the shift terms
         spec = GridSpec(2, 64)
         ching = ching_for_grid(spec, d=0.5, theta=(1, 1))
         a = modulate_symbol(ching, 3, DEFAULT_PSI_FAMILY[0], spec)

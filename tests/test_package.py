@@ -96,3 +96,45 @@ def test_the_walk_follows_names_attributes_and_strings(tmp_path):
         "def orphan(): main()\n"
     )
     assert reached_from("main", tmp_path) == {"main", "helper", "RUN", "runner", "attr_target"}
+
+
+# module-level size constants that are no byte budget, and why; every byte
+# limit reads grid.MEMORY_BUDGET
+NOT_BYTE_BUDGETS = {
+    "DIRECT_APPLY_GUARD": "bounds the reference apply's O(N^{2n}) work, not its bytes",
+    "_QUAD_CHUNK": "radii per quadrature pass: a 1.5 MiB cache tile, not a budget",
+    "DERIVATIVE_BUDGET": "limits a difference order, not memory",
+}
+
+
+def size_constants(src: Path = SRC) -> set[str]:
+    """The module-level names ending in _GUARD, _KEYS, _CHUNK or _BUDGET, and
+    each `1 << k` with k >= 16 outside MEMORY_BUDGET's own definition."""
+    found = {n for n in _definitions(src) if n.endswith(("_GUARD", "_KEYS", "_CHUNK", "_BUDGET"))}
+    for path in sorted(src.glob("*.py")):
+        for stmt in ast.parse(path.read_text(), filename=str(path)).body:
+            if isinstance(stmt, ast.Assign) and "MEMORY_BUDGET" in _mentions(stmt.targets[0]):
+                continue
+            for n in ast.walk(stmt):
+                if (isinstance(n, ast.BinOp) and isinstance(n.op, ast.LShift)
+                        and isinstance(n.left, ast.Constant) and n.left.value == 1
+                        and isinstance(n.right, ast.Constant) and n.right.value >= 16):
+                    found.add(f"{path.name}:{n.lineno}: 1 << {n.right.value}")
+    return found
+
+
+def test_one_memory_budget():
+    assert size_constants() == {"MEMORY_BUDGET", *NOT_BYTE_BUDGETS}
+
+
+def test_the_budget_walk_finds_suffixes_and_shifts(tmp_path):
+    (tmp_path / "a.py").write_text(
+        "MEMORY_BUDGET = 1 << 26\n"
+        "TABLE_GUARD = 4096\n"
+        "CACHE_KEYS = 8\n"
+        "def f(n):\n"
+        "    local_CHUNK = 1 << 30\n"
+        "    return max(1, (1 << 21) // n) + (1 << 15)\n"
+    )
+    assert size_constants(tmp_path) == {"MEMORY_BUDGET", "TABLE_GUARD", "CACHE_KEYS",
+                                        "a.py:5: 1 << 30", "a.py:6: 1 << 21"}

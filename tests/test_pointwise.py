@@ -365,7 +365,7 @@ class TestFactorizationGate:
 
     def test_2d_elementary_past_the_table_cap(self):
         # F_a of a separable symbol needs no N^n x N^n table, so 2-d N=64
-        # (16.8e6 table entries, past TABLE_ENTRY_GUARD) runs
+        # (16.8e6 table entries, past the memory budget) runs
         spec = GridSpec(2, 64)
         a = random_elementary(spec, DEFAULT_FRAME, 4, seed=22)
         u = random_band_limited(spec, 12, np.random.default_rng(23))

@@ -5,6 +5,7 @@ import json
 import numpy as np
 import pytest
 
+import pdlab.grid
 import pdlab.symbols as symbols
 from pdlab.experiments import run_sigma_estimate
 from pdlab.frame import DEFAULT_FRAME, ModulationFunction
@@ -497,7 +498,7 @@ class TestSigmaGramRoute:
 
     def test_runs_past_the_table_guard(self):
         spec = GridSpec(1, 2**12)
-        assert spec.npoints**2 > symbols.TABLE_ENTRY_GUARD
+        assert 16 * spec.npoints**2 > pdlab.grid.MEMORY_BUDGET
         a = ching_symbol(0.0, theta=1, A=RadialBump(zero_order=1, zero_width=0.25), j_max=10,
                          spec=spec)
         with pytest.raises(ValueError, match="table"):
