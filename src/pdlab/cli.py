@@ -24,8 +24,12 @@ A .pdgf input (--input or file:) defines the grid: --grid/--n must agree.
 same rule: the config's grid, frame, symbol and seed are supplied, "params"
 and "thresholds" give the rest, and an unusable key is an error.
 
-Exit codes: 0 success, 1 a selftest gate failed, 2 usage errors (unknown
-flags, malformed options or configs, unreadable input files).
+`selftest` prints every check of every gate, its measured value beside the
+bound it must meet, and stops at the first gate with a check outside.
+
+Exit codes: 0 success, 1 a selftest gate failed (and nothing else), 2 usage
+errors (unknown flags, malformed options or configs, unreadable input files,
+values whose arithmetic overflows or divides by zero).
 """
 
 from __future__ import annotations
@@ -80,6 +84,7 @@ from .operators import (
     vfm_refinement,
 )
 from .pointwise import (
+    FACTORIZATION_SLACK,
     MaximalParams,
     factorization_check,
     maximal_lp_constant,
@@ -94,7 +99,12 @@ from .reporting import (
     write_report_json,
     write_report_svg,
 )
-from .symbols import Symbol, ching_symbol, parse_symbol_spec, symbol_factory
+from .spaces import embedding_report, summation_lemma_check
+from .symbols import (
+    ConstantSymbol, RadialBump, Symbol, TabulatedSymbol, check_twisted_diagonal, ching_symbol,
+    localize_symbol, mask_twisted_diagonal, parse_symbol_spec, random_elementary,
+    sigma_order_estimate, symbol_factory,
+)
 
 
 # ---------------------------------------------------------------------------
@@ -290,7 +300,10 @@ def dispatch_experiment(runner: str, cfg: RunConfig) -> ExperimentReport:
         raise ValueError(f"{runner} needs a config symbol")
     if cfg.grid is None and "spec" in params and params["spec"].default is inspect.Parameter.empty:
         raise ValueError(f"{runner} needs a config grid")
-    return fn(**kw, **_supply(params, cfg.grid, cfg.frame, cfg.symbol, cfg.seed))
+    try:
+        return fn(**kw, **_supply(params, cfg.grid, cfg.frame, cfg.symbol, cfg.seed))
+    except ArithmeticError as exc:
+        raise ValueError(f"{runner} params {json.dumps(cfg.params)}: {exc.args[-1]}") from exc
 
 
 def _cli_supplied(params, flags: dict) -> dict:
@@ -598,18 +611,14 @@ def cmd_experiment(runner: Literal[tuple(RUNNERS)], *, config: str, out: str,
 
 
 # ---------------------------------------------------------------------------
-# selftest gates
-
-
-def _gate(cond: bool, msg: str) -> None:
-    if not cond:
-        raise AssertionError(msg)
+# selftest gates: each returns its checks, (quantity, measured value, bound):
+# a number bounds the value above, a pair (lo, hi) is an open interval, and a
+# str or bool is the verdict label the value must equal.  A largest value is
+# np.max's, which keeps a NaN that max may drop.
 
 
 @functools.cache  # a pure function of fixed constants: both paradiff gates share one build
 def _gate_paradiff_pair():
-    from .symbols import TabulatedSymbol, random_elementary
-
     spec = GridSpec(1, 128)
     a = random_elementary(spec, DEFAULT_FRAME, J=5, seed=1)
     tab = TabulatedSymbol(spec, a.table(spec), d=0.0)
@@ -622,34 +631,34 @@ def _gate_paradiff_pair():
 def gate_paradiff_identity():
     _, y, recon = _gate_paradiff_pair()
     rel = lp_norm(recon - y, math.inf) / max(lp_norm(y, math.inf), 1e-300)
-    _gate(rel <= 1e-10, f"three-series identity residual {rel:.3e} > 1e-10")
+    return [("sup |t1+t2+t3 - a(x,D)u| / sup |a(x,D)u|", rel, experiments.IDENTITY_TOL)]
 
 
 def gate_corona_containment():
     terms, _, _ = _gate_paradiff_pair()
-    rep = corona_ball_report(terms)
-    _gate(
-        rep.max_outside <= 1e-10,
-        f"corona outside mass {rep.max_outside:.3e} > 1e-10",
-    )
+    return [("max outside mass", corona_ball_report(terms).max_outside, experiments.IDENTITY_TOL)]
 
 
 def gate_lacunary_amplification():
-    rep, lattice = (experiments.run_counterexample(N_list=(2, 3), spec=s)
-                    for s in (None, GridSpec(1, 2**11)))  # mode space, and its lattice oracle
-    _gate(rep.verdicts["identity"] and lattice.verdicts["identity"],
-          "lattice identity a(x,D)v_N = c_N v failed")
-    ratios = list(rep.series("ratio").values())
-    _gate(ratios[1] > ratios[0], "amplification ratios did not increase")
-    drift = max(abs(m.value - g.value) / abs(g.value) for m, g in zip(rep.rows, lattice.rows)
-                if not m.quantity.startswith("residual"))
-    _gate(drift <= 1e-13, f"mode-space rows differ from the lattice route's by {drift:.3e}")
+    reports = {route: experiments.run_counterexample(N_list=(2, 3), spec=s)
+               for route, s in (("modes", None), ("lattice", GridSpec(1, 2**11)))}
+    rep, lattice = reports.values()  # mode space, and its lattice oracle
+    checks = [(f"{r.quantity} ({route})", r.value, experiments.IDENTITY_TOL)
+              for route, report in reports.items() for r in report.rows
+              if r.quantity.startswith("residual")]
+    r2, r3 = rep.series("ratio").values()
+    drift = np.max([abs(m.value - g.value) / abs(g.value) for m, g in zip(rep.rows, lattice.rows)
+                    if not m.quantity.startswith("residual")])
+    return checks + [("ratio[N=2] / ratio[N=3]", r2 / r3 if r3 else math.nan, (-math.inf, 1.0)),
+                     ("mode-space row drift from the lattice route", drift, 1e-13)]
 
 
 def gate_wavefront_flip():
     rep = experiments.run_wavefront(J=5, spec=GridSpec(1, 256))
-    _gate(rep.verdicts["flip_exact"], "flip identity failed")
-    _gate(rep.verdicts["spectrum_flipped"], "output mass not on the flipped half-axis")
+    tol, rows = experiments.IDENTITY_TOL, {r.quantity: r.value for r in rep.rows}
+    return [("flip residual", rows["flip residual"], tol),
+            *((q, rows[q], (1.0 - tol, math.inf))
+              for q in ("input positive fraction", "output negative fraction"))]
 
 
 def gate_frequency_shift():
@@ -657,128 +666,89 @@ def gate_frequency_shift():
     a = parse_symbol_spec("ching:d=0,theta=+1,jmax=6", spec)
     c = as_spectral(plan(a, spec)(spectrum_from_coeffs(spec, {32: 1.0}))).coeffs
     total = float(np.sum(np.abs(c) ** 2))
-    _gate(total > 0.0, "shifted output vanished")
-    at_zero = float(np.abs(c[spec.N // 2]) ** 2)
-    _gate(
-        at_zero >= (1.0 - 1e-12) * total,
-        "output spectrum is not the single frequency 0",
-    )
+    off = 1.0 - float(np.abs(c[spec.N // 2]) ** 2) / total if total else math.nan
+    return [("output mass", total, (0.0, math.inf)), ("mass fraction off frequency 0", off, 1e-12)]
 
 
 def gate_factorization():
-    from .symbols import random_elementary
-
-    spec = GridSpec(1, 128)
+    spec, checks = GridSpec(1, 128), []
     for seed in (0, 1, 2):
         a = random_elementary(spec, DEFAULT_FRAME, J=4, seed=seed)
         u = random_band_limited(spec, 16, np.random.default_rng(seed + 10))
-        rep = factorization_check(a, u)
-        _gate(
-            rep.holds,
-            f"pointwise factorization ratio {rep.max_ratio:.6f} > 1 (seed {seed})",
-        )
+        checks.append((f"max |a(x,D)u| / F_a u* (seed {seed})",
+                       factorization_check(a, u).max_ratio, 1.0 + FACTORIZATION_SLACK))
+    return checks
 
 
 def gate_strict_tdc():
-    from .symbols import check_twisted_diagonal, localize_symbol, mask_twisted_diagonal
-
     spec = GridSpec(1, 128)
     a = ching_symbol(0.0, theta=2, j_max=5, spec=spec)
     mass = check_twisted_diagonal(a, a.tdc_B, spec=spec).violation_mass
-    _gate(mass == 0.0, f"twisted-diagonal violation mass {mass:.3e} != 0")
-    masked = mask_twisted_diagonal(a, a.tdc_B, spec=spec)
-    loc = localize_symbol(masked, 0.25, spec)
-    peak = float(np.abs(loc.table(spec)).max())
-    _gate(peak == 0.0, f"localized strict-tdc symbol peaks at {peak:.3e}, not 0")
+    loc = localize_symbol(mask_twisted_diagonal(a, a.tdc_B, spec=spec), 0.25, spec)
+    return [("twisted-diagonal violation mass", mass, 0.0),
+            ("localized symbol peak", float(np.abs(loc.table(spec)).max()), 0.0)]
 
 
 def gate_scale_sandwich():
-    from .spaces import embedding_report
-
     u = random_band_limited(GridSpec(1, 64), 20, np.random.default_rng(3))
-    eq = embedding_report([u], s=0.5, p=2.0, q=2.0, p_target=4.0)
-    off = max(abs(eq.sandwich_inner - 1.0), abs(eq.sandwich_outer - 1.0))
-    _gate(off <= 1e-12, f"B and F norms differ at p=q: F/B {eq.sandwich_inner!r}, "
-                        f"B/F {eq.sandwich_outer!r}")
-    rep = embedding_report([u], s=0.5, p=2.0, q=1.0, p_target=4.0)
-    worst = max(rep.sandwich_inner, rep.sandwich_outer)
-    _gate(worst <= 1.0 + 1e-9 and rep.holds,
-          f"B^s_(p,min(p,q)) -> F^s_(p,q) -> B^s_(p,max(p,q)) fails at q=1: "
-          f"F/B {rep.sandwich_inner!r}, B/F {rep.sandwich_outer!r}")
+    eq, rep = (embedding_report([u], s=0.5, p=2.0, q=q, p_target=4.0) for q in (2.0, 1.0))
+    return [("F/B at p=q=2", eq.sandwich_inner, (1.0 - 1e-12, 1.0 + 1e-12)),
+            ("B/F at p=q=2", eq.sandwich_outer, (1.0 - 1e-12, 1.0 + 1e-12)),
+            ("F/B at p=2, q=1", rep.sandwich_inner, 1.0 + 1e-9),
+            ("B/F at p=2, q=1", rep.sandwich_outer, 1.0 + 1e-9),
+            ("embedding holds at q=1", rep.holds, True)]
 
 
 def gate_summation_lemma():
-    from .spaces import summation_lemma_check
-
     c = summation_lemma_check(s=-0.5, q=2.0, count=100, length=32, seed=0)
-    _gate(math.isfinite(c) and c > 0.0, f"summation lemma fit returned {c!r}")
+    return [("summation lemma constant", c, (0.0, math.inf))]
 
 
 def gate_support_rule():
-    from .symbols import random_elementary
-
     spec = GridSpec(1, 128)
     a = random_elementary(spec, DEFAULT_FRAME, J=4, seed=5)
     u = random_band_limited(spec, 16, np.random.default_rng(6))
     rep = spectral_support_rule_check(a, u)
-    _gate(rep.holds, f"spectral support rule violated, mass {rep.violation_mass:.3e}")
+    return [("spectral support violation mass", rep.violation_mass, rep.tau)]
 
 
 def gate_maximal_stability():
     vals = []
     for N in (64, 128):
-        spec = GridSpec(1, N)
-        corpus = [
-            random_band_limited(spec, 0.25 * (N // 2), np.random.default_rng([7, t]))
-            for t in range(6)
-        ]
+        rngs = (np.random.default_rng([7, t]) for t in range(6))
+        corpus = [random_band_limited(GridSpec(1, N), 0.25 * (N // 2), rng) for rng in rngs]
         vals.append(maximal_lp_constant(corpus, 2.0, 2.0))
-    lo, hi = sorted(vals)
-    _gate(hi <= 1.5 * lo, f"maximal constant drifted {vals[0]:.4f} -> {vals[1]:.4f}")
+    return [("max / min maximal constant over N=64, 128", np.max(vals) / np.min(vals), 1.5)]
 
 
 def gate_sigma_order():
-    from .symbols import RadialBump, TabulatedSymbol, sigma_order_estimate
-
     bump = RadialBump(zero_order=1, zero_width=0.25)
     spec = GridSpec(1, 512)
     a = ching_symbol(0.0, theta=1, A=bump, j_max=7, spec=spec)
     rep = experiments.run_sigma_estimate(a, spec, r_expected=1.0)
-    _gate(rep.verdicts["sigma_matches"], "sigma_hat missed the planted zero order")
-    _gate(rep.verdicts["onset_matches"], "boundedness onset missed -r")
     small = GridSpec(1, 128)  # the Gram route against the dense oracle
     b = ching_symbol(0.0, theta=1, A=bump, j_max=5, spec=small)
     gram, dense = ([v for fit in sigma_order_estimate(sym, (0, 1), spec=small)
                     for shells in fit.shell_values for v in shells.values()]
                    for sym in (b, TabulatedSymbol(small, b.table(small), d=b.d)))
-    gap = max(abs(g - w) for g, w in zip(gram, dense, strict=True))
-    _gate(gap <= 1e-13 * max(dense), f"Gram and dense shell values differ by {gap:.3e}")
+    gap = np.max([abs(g - w) for g, w in zip(gram, dense, strict=True)])
+    return [*((f"verdict {k}", rep.verdicts[k], True) for k in ("sigma_matches", "onset_matches")),
+            ("Gram-dense shell value gap", gap, 1e-13 * max(dense))]
 
 
 def gate_continuity_identity():
-    from .symbols import ConstantSymbol
-
     rep = experiments.run_continuity_table(
         ConstantSymbol(1.0), cases=[("L:p=2", "L:p=2")], grids=(64, 128), trials=3
     )
-    _gate(
-        rep.verdicts["L:p=2 -> L:p=2"] == "bounded-consistent",
-        "identity operator not flagged bounded",
-    )
-    _gate(rep.verdicts["L:p=2 -> L:p=2 [control]"] == "clean", "control not clean")
+    return [(f"verdict {k}", rep.verdicts[k], label) for k, label in
+            (("L:p=2 -> L:p=2", "bounded-consistent"), ("L:p=2 -> L:p=2 [control]", "clean"))]
 
 
 def gate_vfm_independence():
-    from .symbols import random_elementary
-
     spec = GridSpec(1, 128)
     a = random_elementary(spec, DEFAULT_FRAME, J=4, seed=7)
     u = random_band_limited(spec, 16, np.random.default_rng(8))
-    trace = vfm_limit(a, u)
-    _gate(
-        trace.cross_dev <= 1e-12,
-        f"saturated modulation outputs differ across profiles by {trace.cross_dev:.3e}",
-    )
+    return [("cross-profile deviation", vfm_limit(a, u).cross_dev, 1e-12)]
 
 
 QUICK_GATES = [
@@ -802,17 +772,36 @@ FULL_GATES = QUICK_GATES + [
 ]
 
 
+def _checked(quantity: str, value, bound) -> tuple[bool, str]:
+    """Whether value lies within bound (NaN never does), and the line that
+    shows both."""
+    if isinstance(bound, str | bool):
+        ok, shown = value == bound, f"{{{bound!r}}}"
+    elif isinstance(bound, tuple):
+        value, (lo, hi) = float(value), map(float, bound)
+        ok, shown = lo < value < hi, f"({lo!r}, {hi!r})"
+    else:
+        value, hi = float(value), float(bound)
+        ok, shown = value <= hi, f"(-inf, {hi!r}]"
+    return ok, f"{quantity} {value!r} {'in' if ok else 'outside'} {shown}"
+
+
 def cmd_selftest(*, quick: bool = False) -> int:
     """run the exact-identity gate suite (--quick: core gates only)"""
     gates = QUICK_GATES if quick else FULL_GATES
-    for name, fn in gates:
+    for name, gate in gates:
         t0 = time.perf_counter()
         try:
-            fn()
-        except (AssertionError, ValueError) as exc:
-            print(f"FAIL {name}: {exc}")
+            lines = [_checked(*check) for check in gate()]
+        except (ValueError, ArithmeticError) as exc:
+            lines = [(False, f"raised {exc!r}")]
+        passed = all(ok for ok, _ in lines)
+        if passed:
+            print(f"ok {name} ({time.perf_counter() - t0:.2f}s)")
+        for ok, line in lines:
+            print(f"    {line}" if ok else f"FAIL {name}: {line}")
+        if not passed:
             return 1
-        print(f"ok {name} ({time.perf_counter() - t0:.2f}s)")
     print(f"selftest: {len(gates)} gates passed")
     return 0
 
@@ -910,7 +899,7 @@ def main(argv=None) -> int:
         missing = exc.filename if exc.filename else str(exc)
         print(f"error: input file not found: {missing}", file=sys.stderr)
         return 2
-    except (OSError, ValueError, OverflowError) as exc:
+    except (OSError, ValueError, ArithmeticError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

@@ -147,7 +147,13 @@ def lacunary_coeffs(N: int, d: float = 0.0, theta: int = 1) -> dict[int, float]:
     if theta == 0:
         raise ValueError("theta must be a nonzero integer")
     log_n = math.log(N)
-    return {2**j * theta: 1.0 / (j * 2.0 ** (j * d) * log_n) for j in range(N, N * N + 1)}
+    try:
+        coeffs = {2**j * theta: 1.0 / (j * 2.0 ** (j * d) * log_n) for j in range(N, N * N + 1)}
+    except ArithmeticError:
+        coeffs = None
+    if coeffs is None or not all(0.0 < w < math.inf for w in coeffs.values()):
+        raise ValueError(f"d = {d!r} gives a weight 1/(j 2^(jd) log N) that is 0 or not finite")
+    return coeffs
 
 
 def lacunary_spectrum(spec: GridSpec, N: int, d: float = 0.0, theta: int = 1) -> SpectralFunction:

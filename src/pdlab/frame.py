@@ -317,10 +317,10 @@ def parse_spec(text: str, kinds: dict[str, Callable] | Callable, what: str) -> C
     passes the builder's positional arguments (grid, frame, ...).  A kindless
     spec (a frame's) passes its builder for `kinds`.  An item without '=', a
     key the builder does not take, a missing required key and a value its
-    annotation rejects each raise ValueError, as does an OverflowError or a
-    ValueError in the build, quoting the spec; a builder's message that opens
-    with one of the spec's keys already names the value at fault and passes
-    as it is."""
+    annotation rejects each raise ValueError, as does an ArithmeticError, an
+    OSError or a ValueError in the build, quoting the spec; a builder's
+    message that opens with one of the spec's keys already names the value
+    at fault and passes as it is."""
     kind, _, rest = ("", "", text) if callable(kinds) else text.partition(":")
     build = kinds if callable(kinds) else kinds.get(kind.strip())
     if build is None:
@@ -331,8 +331,10 @@ def parse_spec(text: str, kinds: dict[str, Callable] | Callable, what: str) -> C
     def bound(*args):
         try:
             return build(*args, **values)
-        except OverflowError as exc:
+        except ArithmeticError as exc:
             raise ValueError(f"{what} {text!r}: {exc.args[-1]}") from exc
+        except OSError as exc:  # a file= key's file
+            raise ValueError(f"{what} {text!r}: {exc}") from exc
         except ValueError as exc:
             if str(exc).partition(" ")[0] in values:
                 raise

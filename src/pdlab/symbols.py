@@ -22,7 +22,8 @@ from typing import Annotated, Callable, Literal, NamedTuple
 import numpy as np
 
 from .frame import DEFAULT_FRAME, LPFrame, ModulationFunction, on_distinct, parse_spec, smoothstep
-from .grid import GridFunction, GridSpec, check_budget, lattice_phase, read_grid_file, read_pdgf
+from .grid import (GridFunction, GridSpec, check_budget, lattice_phase, read_grid_file, read_pdgf,
+                   row_chunks)
 
 
 # ---------------------------------------------------------------------------
@@ -763,15 +764,15 @@ def _sigma_fit(alpha, eps_grid, results, spec: GridSpec) -> SigmaFit:
 def operator_matrix(a: Symbol, spec: GridSpec) -> np.ndarray:
     """Dense M with (a(x,D)u)(x_i) = sum_j M[i,j] u(x_j); flat C-order indices."""
     check_budget("dense operator matrix", spec)
-    tab = a.table(spec)
-    e_axes = tuple(range(spec.n, 2 * spec.n))
-    # G[x, z] = sum_eta a(x,eta) e^{i z.eta};  M[x,y] = G[x, x-y] / N^n
-    G = np.fft.ifftn(np.fft.ifftshift(tab, axes=e_axes), axes=e_axes) * spec.npoints
-    G = G.reshape(spec.npoints, spec.npoints)
-    idx = np.unravel_index(np.arange(spec.npoints), spec.shape)
-    gather = np.ravel_multi_index(tuple(i[:, None] - i for i in idx), spec.shape, mode="wrap")
-    rows = np.arange(spec.npoints)[:, None]
-    return G[rows, gather] / spec.npoints
+    e_axes, P = tuple(range(spec.n, 2 * spec.n)), spec.npoints
+    # G[x, z] = N^-n sum_eta a(x,eta) e^{i z.eta};  M[x,y] = G[x, x-y], a gather
+    # within row x, so M takes G's place one row chunk at a time
+    G = np.fft.ifftn(np.fft.ifftshift(a.table(spec), axes=e_axes), axes=e_axes).reshape(P, P)
+    idx = np.unravel_index(np.arange(P), spec.shape)
+    for r in row_chunks(P, 24 * P):  # an int64 gather and the gathered values per row
+        gather = np.ravel_multi_index(tuple(i[r, None] - i for i in idx), spec.shape, mode="wrap")
+        G[r] = np.take_along_axis(G[r], gather, axis=1)
+    return G
 
 
 # ---------------------------------------------------------------------------

@@ -9,6 +9,7 @@ import pytest
 import pdlab.grid as grid
 import pdlab.operators as ops
 import pdlab.pointwise as pointwise
+from pdlab.frame import DEFAULT_FRAME
 from pdlab.grid import GridSpec, random_band_limited, row_chunks
 from pdlab.pointwise import MaximalParams, symbol_factor
 from pdlab.symbols import (
@@ -17,6 +18,7 @@ from pdlab.symbols import (
     ching_for_grid,
     mask_twisted_diagonal,
     operator_matrix,
+    random_elementary,
     read_pdsy,
     symbol_partial_ft,
     write_pdsy,
@@ -125,3 +127,19 @@ def test_a_small_budget_chunks_the_rows(monkeypatch, module, run, rows):
     chunked = run(a, u)
     assert [c.stop - c.start for c in chunks] == [rows] * (64 // rows) + [64 % rows]
     assert np.max(np.abs(chunked - whole)) <= 1e-12 * np.max(np.abs(whole))
+
+
+def test_the_operator_matrix_takes_the_place_of_its_transform():
+    # M[x, y] = G[x, x - y] is gathered within each row of G and written back
+    # over it: the peak is G, the gathered rows and their int64 indices, 2.5
+    # tables (3.5 when M was a fourth array)
+    spec = GridSpec(1, 1024)
+    a = random_elementary(spec, DEFAULT_FRAME, J=4, seed=3)
+    tracemalloc.start()
+    try:
+        M = operator_matrix(a, spec)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert M.shape == (spec.npoints, spec.npoints)
+    assert peak <= 2.6 * 16 * spec.npoints**2

@@ -5,6 +5,7 @@ import argparse
 import functools
 import inspect
 import json
+import math
 import typing
 
 import numpy as np
@@ -23,8 +24,9 @@ from pdlab import (
     write_pdgf,
 )
 from pdlab.cli import main
+from pdlab.frame import frame_from_options, keyword_options
 from pdlab.reporting import report_to_dict
-from pdlab.symbols import RadialBump
+from pdlab.symbols import SYMBOL_KINDS, RadialBump
 
 SYMBOL = ["--symbol", "elementary:seed=1,J=3"]
 SMALL = ["--grid", "32", "--mode", "random:band=0.4,seed=2"]
@@ -540,6 +542,73 @@ def test_an_overflowing_value_names_its_spec(capsys, spec):
     assert capsys.readouterr().err == f"error: {message}\n"
 
 
+SPEC_TABLES = {  # spec family: (its kinds, the argv that feeds a spec of it to the CLI)
+    "input": (cli.INPUT_KINDS, lambda spec: ["apply", "--symbol", "const", "--grid", "256",
+                                             "--mode", spec]),
+    "symbol": (SYMBOL_KINDS, lambda spec: ["apply", "--symbol", spec, "--grid", "256",
+                                           "--mode", "single:eta=1"]),
+    "norm": (experiments.NORM_KINDS, lambda spec: ["norms", "--space", spec, "--grid", "64",
+                                                   "--mode", "single:eta=1"]),
+    "frame": ({"": frame_from_options}, lambda spec: ["apply", "--symbol", "const", "--grid",
+                                                      "64", "--frame", spec, "--mode",
+                                                      "single:eta=1"]),
+}
+SPEC_REQUIRED = {"single": {"eta": "1"}, "lacunary": {"N": "2"}, "L": {"p": "2"},
+                 "H": {"s": "0"}, "B": {"s": "0", "p": "2", "q": "2"},
+                 "F": {"s": "0", "p": "2", "q": "2"}}  # valid values of each kind's required keys
+
+
+def spec_text(kind: str, options: dict) -> str:
+    text = ",".join(f"{k}={v}" for k, v in options.items())
+    return f"{kind}:{text}" if kind else text
+
+
+def spec_cases():
+    """(id, argv, texts one of which the error line must hold): every key of
+    every spec kind given x and an empty value, and one unknown key per kind."""
+    for family, (kinds, argv) in SPEC_TABLES.items():
+        for kind, build in kinds.items():
+            keys, _ = keyword_options(build)
+            for key, value in [(k, v) for k in keys for v in ("x", "")] + [("bogus", "1")]:
+                spec = spec_text(kind, {**SPEC_REQUIRED.get(kind, {}), key: value})
+                yield f"{family} {spec}", argv(spec), (repr(spec), repr(key))
+
+
+def config_argv(tmp_path, runner: str, params: dict) -> list[str]:
+    (tmp_path / "run.json").write_text(json.dumps({"params": params}))
+    return ["experiment", runner, "--config", str(tmp_path / "run.json"),
+            "--out", str(tmp_path / "out.json")]
+
+
+ARITHMETIC_CASES = [  # a d whose weights overflow or vanish: the line opens with the key
+    # or names the runner's params
+    *((f"input lacunary:N=2,d={d}",
+       ["apply", "--symbol", "const", "--grid", "64", "--mode", f"lacunary:N=2,d={d}"],
+       ("error: d = ",)) for d in ("-1e308", "1e308")),
+    *((f"experiment {runner} d={d}", (runner, {"d": d}), ("error: d = ", f'params {{"d": {d:g}'))
+      for runner in ("counterexample", "wavefront") for d in (-1e308, 1e308)),
+]
+CONTRACT_CASES = [*spec_cases(), *ARITHMETIC_CASES]
+
+
+def test_the_spec_cases_cover_every_kind():
+    kinds = sum(len(k) for k, _ in SPEC_TABLES.values())
+    assert kinds == 4 + 4 + 4 + 1  # input, symbol and norm kinds, the frame
+    keys = sum(len(keyword_options(b)[0]) for k, _ in SPEC_TABLES.values() for b in k.values())
+    assert len(CONTRACT_CASES) == 2 * keys + kinds + 6
+
+
+@pytest.mark.parametrize("argv, names", [c[1:] for c in CONTRACT_CASES],
+                         ids=[c[0] for c in CONTRACT_CASES])
+def test_a_malformed_spec_value_exits_2_naming_it(capsys, tmp_path, argv, names):
+    if isinstance(argv, tuple):  # an experiment runner and its params
+        argv = config_argv(tmp_path, *argv)
+    assert main(argv) == 2
+    out, err = capsys.readouterr()
+    assert out == "" and err.startswith("error: ") and err.count("\n") == 1, err
+    assert any(name in err for name in names), err
+
+
 def test_q_grid_error_names_the_flag_and_its_text(capsys):
     argv = ["pointwise", "moment-decay", *SYMBOL, "--grid", "32", "--q-grid", "2,x"]
     assert main(argv) == 2
@@ -552,36 +621,47 @@ def test_eta_names_the_grid_dimension(capsys):
     assert capsys.readouterr().err == "error: eta '3' has 1 components, grid has n=2\n"
 
 
+def recording_gates(ran: list, name: str, gate) -> tuple[list, int]:
+    """QUICK_GATES with `gate` in `name`'s place; the others return no
+    checks and only record that they ran."""
+    gates = [(n, lambda n=n: ran.append(n) or []) for n, _ in cli.QUICK_GATES]
+    at = [n for n, _ in gates].index(name)
+    gates[at] = (name, gate)
+    return gates, at
+
+
+def fail_lines(out: str, name: str) -> list[str]:
+    return [line for line in out.splitlines() if line.startswith(f"FAIL {name}: ")]
+
+
 def test_failed_gate_exits_1_and_stops(capsys, monkeypatch):
-    # the frequency-shift gate runs for real on a symbol that shifts nothing;
-    # the other gates only record that they ran
+    # the frequency-shift gate runs for real on a symbol that shifts nothing
     from pdlab.symbols import ConstantSymbol
 
-    ran = []
-    gates = [(name, functools.partial(ran.append, name)) for name, _ in cli.QUICK_GATES]
-    name = "frequency-shift bookkeeping"
-    at = [n for n, _ in gates].index(name)
-    gates[at] = (name, cli.gate_frequency_shift)
+    ran, name = [], "frequency-shift bookkeeping"
+    gates, at = recording_gates(ran, name, cli.gate_frequency_shift)
     monkeypatch.setattr(cli, "QUICK_GATES", gates)
     monkeypatch.setattr(cli, "parse_symbol_spec", lambda text, spec: ConstantSymbol(1.0))
     assert main(["selftest", "--quick"]) == 1
     out = capsys.readouterr().out
-    assert f"FAIL {name}: output spectrum is not the single frequency 0" in out
+    assert fail_lines(out, name) == [
+        f"FAIL {name}: mass fraction off frequency 0 1.0 outside (-inf, 1e-12]"]
+    assert "    output mass 1.0 in (0.0, inf)" in out.splitlines()
     assert ran == [n for n, _ in gates[:at]]
+    assert sum(line.startswith("ok ") for line in out.splitlines()) == at
 
 
-@pytest.mark.parametrize("q, message", [
-    (2.0, "B and F norms differ at p=q"),
-    (1.0, "B^s_(p,min(p,q)) -> F^s_(p,q) -> B^s_(p,max(p,q)) fails at q=1"),
+@pytest.mark.parametrize("q, quantity, bound", [  # ids: the embedding each case breaks
+    pytest.param(2.0, "F/B at p=q=2", "(0.999999999999, 1.000000000001)",
+                 id="2.0-B and F norms differ at p=q"),
+    pytest.param(1.0, "F/B at p=2, q=1", "(-inf, 1.000000001]",
+                 id="1.0-B^s_(p,min(p,q)) -> F^s_(p,q) -> B^s_(p,max(p,q)) fails at q=1"),
 ])
-def test_failed_sandwich_gate_exits_1_and_stops(capsys, monkeypatch, q, message):
+def test_failed_sandwich_gate_exits_1_and_stops(capsys, monkeypatch, q, quantity, bound):
     # the sandwich gate runs for real with its F norms at this q raised by a
-    # fifth, so F/B exceeds 1; the other gates only record that they ran
-    ran = []
-    gates = [(name, functools.partial(ran.append, name)) for name, _ in cli.QUICK_GATES]
-    name = "B-F sandwich embedding"
-    at = [n for n, _ in gates].index(name)
-    gates[at] = (name, cli.gate_scale_sandwich)
+    # fifth, so F/B exceeds 1
+    ran, name = [], "B-F sandwich embedding"
+    gates, at = recording_gates(ran, name, cli.gate_scale_sandwich)
     monkeypatch.setattr(cli, "QUICK_GATES", gates)
     real = spaces.space_norms
 
@@ -592,8 +672,45 @@ def test_failed_sandwich_gate_exits_1_and_stops(capsys, monkeypatch, q, message)
     monkeypatch.setattr(spaces, "space_norms", raised)
     assert main(["selftest", "--quick"]) == 1
     out = capsys.readouterr().out
-    assert f"FAIL {name}: {message}" in out
+    failed = [line for line in fail_lines(out, name) if f": {quantity} " in line]
+    assert len(failed) == 1 and failed[0].endswith(f" outside {bound}")
+    assert float(failed[0].removeprefix(f"FAIL {name}: {quantity} ").split()[0]) > 1.0 + 1e-9
     assert ran == [n for n, _ in gates[:at]]
+
+
+@pytest.mark.parametrize("name, gate", cli.FULL_GATES, ids=[n for n, _ in cli.FULL_GATES])
+def test_every_gate_returns_checks_within_their_bounds(name, gate):
+    checks = list(gate())
+    assert checks
+    for check in checks:
+        ok, line = cli._checked(*check)
+        assert ok, line
+
+
+def test_a_nan_check_fails_its_gate(capsys, monkeypatch):
+    ran, name = [], "wavefront flip"
+    gates, at = recording_gates(ran, name, lambda: [("flip residual", float("nan"), 1e-10)])
+    monkeypatch.setattr(cli, "QUICK_GATES", gates)
+    assert main(["selftest", "--quick"]) == 1
+    out = capsys.readouterr().out
+    assert out.splitlines()[-1] == f"FAIL {name}: flip residual nan outside (-inf, 1e-10]"
+    assert ran == [n for n, _ in gates[:at]]
+
+
+@pytest.mark.parametrize("value, bound, ok", [
+    (1e-10, 1e-10, True),  # an upper bound is closed
+    (0.0, (0.0, 1.0), False),  # an interval is open: strict conditions stay strict
+    (1.0, (0.0, 1.0), False),
+    (math.inf, (0.0, math.inf), False),
+    (0.5, (0.0, 1.0), True),
+    (math.nan, 1.0, False),
+    (math.nan, (-math.inf, math.inf), False),
+    ("clean", "clean", True),
+    ("suspect", "clean", False),
+    (False, True, False),
+])
+def test_a_check_is_within_its_bound(value, bound, ok):
+    assert cli._checked("q", value, bound)[0] is ok
 
 
 NORMS_SOURCES = {
