@@ -132,7 +132,7 @@ def _ladder(spec: GridSpec, run_seed: int, *, J: int = 6, d: float = 0.5):
         raise ValueError("ladder mode runs on 1-d grids")
     if not 1 <= J or 2**J > spec.N // 2:
         raise ValueError(f"ladder J={J} does not fit on an N={spec.N} grid")
-    return spectrum_from_coeffs(spec, {2**j: 2.0 ** (-j * d) for j in range(1, J + 1)})
+    return spectrum_from_coeffs(spec, experiments.ladder_coeffs(J, d))
 
 
 def _random(spec: GridSpec, run_seed: int, *, band: float = 0.4, seed: int | None = None):

@@ -151,8 +151,19 @@ def lacunary_coeffs(N: int, d: float = 0.0, theta: int = 1) -> dict[int, float]:
         coeffs = {2**j * theta: 1.0 / (j * 2.0 ** (j * d) * log_n) for j in range(N, N * N + 1)}
     except ArithmeticError:
         coeffs = None
+    return _checked_weights(coeffs, d, "1/(j 2^(jd) log N)")
+
+
+def ladder_coeffs(J: int, d: float) -> dict[int, float]:
+    """The ladder {2^j: 2^{-jd}}, j = 1..J, on no grid."""
+    return _checked_weights({2**j: 2.0 ** (-j * d) for j in range(1, J + 1)}, d, "2^(-jd)")
+
+
+def _checked_weights(coeffs: dict | None, d: float, weight: str) -> dict:
+    """coeffs, unless it is None or holds a weight that is 0 or not finite:
+    then ValueError, naming d."""
     if coeffs is None or not all(0.0 < w < math.inf for w in coeffs.values()):
-        raise ValueError(f"d = {d!r} gives a weight 1/(j 2^(jd) log N) that is 0 or not finite")
+        raise ValueError(f"d = {d!r} gives a weight {weight} that is 0 or not finite")
     return coeffs
 
 
@@ -342,7 +353,7 @@ def run_wavefront(
     m_range = [int(m) for m in m_range]
 
     # exact spectra throughout; only the flip residual is read on the grid
-    w_in = spectrum_from_coeffs(spec, {2**j: 2.0 ** (-j * d) for j in range(1, J + 1)})
+    w_in = spectrum_from_coeffs(spec, ladder_coeffs(J, d))
     expected = spectrum_from_coeffs(spec, {-(2**j): 1.0 for j in range(1, J + 1)})
     a = ching_symbol(d, theta=2, A=DEFAULT_BUMP, j_max=J, spec=spec)
 
@@ -368,9 +379,7 @@ def run_wavefront(
     if 0.0 < d <= 1.0:
         h_spec = GridSpec(n=1, N=max(int(holder_grid), spec.N))
         J_h = int(math.log2(h_spec.N)) - 3
-        ladder = from_coeffs(
-            h_spec, {2**j: 2.0 ** (-j * d) for j in range(1, J_h + 1)}
-        )
+        ladder = from_coeffs(h_spec, ladder_coeffs(J_h, d))
         increments = dyadic_increments(ladder, m_range)
         for m, D_m in zip(m_range, increments):
             entries.append(

@@ -64,7 +64,14 @@ def smoothstep(t) -> np.ndarray:
     out[t >= 1.0] = 1.0
     mid = (t > 0.0) & (t < 1.0)
     if np.any(mid):
-        out[mid] = np.clip(_bump_integral(t[mid]) / _BUMP_TOTAL, 0.0, 1.0)
+        # above 1/2, S(t) = 1 - S(1 - t) by the bump's symmetry, and 1 - t is
+        # exact there: the quadrature runs only on (0, 1/2], where it rises
+        s = t[mid]
+        upper = s > 0.5
+        s[upper] = 1.0 - s[upper]
+        v = _bump_integral(s) / _BUMP_TOTAL
+        v[upper] = 1.0 - v[upper]
+        out[mid] = np.clip(v, 0.0, 1.0)
     return out
 
 

@@ -15,15 +15,12 @@ the terms of the first strategy the symbol allows, each within 1e-10 of apply():
   3. the reference apply().
 apply_auto(a, u) is plan(a, u.spec)(u) as grid values.
 paradiff_split() runs each summand of the three series, the w(D_x)-cut
-symbol applied to block coefficients v, through the same kernels and in the
-same order of strategies:
-  1. shift terms with weights weight_j w(xi_j): one scatter-add and one
-     inverse FFT, no table;
-  2. separable terms sum_j F^{-1}[w mhat_j](x) F^{-1}[g_j v](x), skipping the
-     terms where either factor is exactly zero;
-  3. for symbols with neither, the sheared table a_hat(xi, zeta - xi), built
-     once if it fits grid.MEMORY_BUDGET; a summand is a w-weighted sum of its
-     rows followed by one inverse FFT.
+symbol applied to block coefficients v.  Structured summands go through
+symbols.filter_symbol and plan: the symbol is realized once, and each summand
+is plan(filter_symbol(a, spec, w, v != 0)) applied to v, where the indicator
+of v's support drops the terms v misses.  The sheared table a_hat(xi,
+zeta - xi) covers the rest: built once if it fits grid.MEMORY_BUDGET, a
+summand is a w-weighted sum of its rows followed by one inverse FFT.
 The support rules check an output against the supports it may reach.  The
 spatial rule takes the output from apply_auto() and the reach from the
 tau-supports of the kernel and of u.  The spectral rule reads the symbol's
@@ -54,10 +51,10 @@ from .grid import (
     row_chunks,
 )
 from .symbols import (
-    ShiftSymbol,
     ShiftTerm,
     Symbol,
     _resolve_spec,
+    filter_symbol,
     modulate_symbol,
     operator_matrix,
     symbol_partial_ft,
@@ -182,9 +179,7 @@ def vfm_limit(
     if m_max is not None and m_max < 0:
         raise ValueError(f"m_max must be >= 0, got {m_max}")
     spec = u.spec
-    # tabulate shift terms once; modulate_symbol rescales them per (psi, m)
-    if (shifts := a.shift_terms(spec)) is not None:
-        a = ShiftSymbol(spec, shifts, d=a.d, tdc_B=a.tdc_B)
+    a = filter_symbol(a, spec)  # realized once; modulate_symbol filters it per (psi, m)
     tags = [f"psi(r={p.r:g},R={p.R:g})" for p in psis]
     sats = {t: modulation_saturation(p, spec) for t, p in zip(tags, psis)}
     top = max(sats.values()) + 1 if m_max is None else m_max
@@ -288,33 +283,12 @@ class ParadiffTerms:
 def _summand_route(a: Symbol, spec: GridSpec) -> Callable[[np.ndarray, np.ndarray], GridFunction]:
     """run(w, v): the w(D_x)-cut symbol applied to flat coefficients v, i.e.
     F^{-1}[c] with c(zeta) = sum_xi w(xi) a_hat(xi, zeta - xi) v(zeta - xi),
-    by the first route (module docstring) the symbol allows; the table guard
-    fires before any table is built."""
-    shifts = a.shift_terms(spec)
-    if shifts is not None:
-        # w(D_x) e^{i xi_j.x} = w(xi_j) e^{i xi_j.x}: a scalar per term
-        at_xi = [np.ravel_multi_index(tuple(x + spec.N // 2 for x in t.xi), spec.shape)
-                 for t in shifts]
-
-        def run_shift(w: np.ndarray, v: np.ndarray) -> GridFunction:
-            cut = [t._replace(weight=t.weight * w[i]) for t, i in zip(shifts, at_xi) if w[i] != 0.0]
-            out = _apply_shift(cut, SpectralFunction(spec, v), _shift_targets(cut, spec))
-            return fft_inverse(out)
-
-        return run_shift
-
-    spectral = a.spectral_terms(spec)
-    if spectral is not None:
-
-        def run_separable(w: np.ndarray, v: np.ndarray) -> GridFunction:
-            c = SpectralFunction(spec, v)
-            cut = []
-            for mhat, g in spectral:  # an exactly zero factor gives an exact zero
-                if np.any(c.coeffs * g) and np.any(wm := w.reshape(spec.shape) * mhat):
-                    cut.append((fft_inverse(SpectralFunction(spec, wm)).values, g))
-            return _apply_separable(cut, c)
-
-        return run_separable
+    by the route (module docstring) the symbol's structure picks; the table
+    guard fires before any table is built."""
+    if a.shift_terms(spec) is not None or a.separable_terms(spec) is not None:
+        a = filter_symbol(a, spec)
+        return lambda w, v: as_values(plan(filter_symbol(a, spec, w, v != 0), spec)(
+            SpectralFunction(spec, v)))
 
     check_budget("paradiff split", spec)
     # sheared[xi, zeta] = a_hat(xi, zeta - xi), with zeta - xi folded mod N:

@@ -11,14 +11,7 @@ import numpy as np
 from ._threads import pmap
 from .frame import ModulationFunction
 from .grid import TWO_PI, GridFunction, GridSpec, fft_forward, lp_norm, row_chunks
-from .symbols import (
-    Symbol,
-    TabulatedSymbol,
-    _eta_difference,
-    _resolve_spec,
-    partial_ift,
-    symbol_partial_ft,
-)
+from .symbols import Symbol, _eta_difference, _resolve_spec, filter_symbol
 
 # Central differences of order k need a stencil of width k on the eta
 # lattice; beyond this the stencil stops resolving anything near the
@@ -426,7 +419,8 @@ def moment_decay_check(
     spec: GridSpec | None = None,
 ) -> MomentDecayReport:
     """Decay of sup_x F over the x-high-passed family a_Q = phi(Q^{-1}D_x)a
-    on a dyadic Q sweep; phi is radial and vanishes identically near 0.
+    on a dyadic Q sweep (filter_symbol: a shift or separable a_Q builds no
+    table); phi is radial and vanishes identically near 0.
 
     Passes when the fitted exponent is <= -M + 0.5, or on an exact-zero
     cliff: with a compactly supported chi, x-shells far above R_spec die
@@ -439,13 +433,11 @@ def moment_decay_check(
     if float(np.asarray(phi(np.array([0.0])))[0]) != 0.0:
         raise ValueError("phi must vanish at 0 (high-pass profile)")
     chi = as_cutoff(chi)
-    ahat = symbol_partial_ft(a, spec)
+    a = filter_symbol(a, spec)  # realized once, filtered per Q
     xrad = spec.freq_radius()
 
     def one(Q: float) -> float:
-        mult = phi(xrad / float(Q)).reshape(spec.shape + (1,) * spec.n)
-        masked = ahat * mult
-        a_q = TabulatedSymbol(spec, partial_ift(masked, spec), d=a.d, ahat=masked)
+        a_q = filter_symbol(a, spec, phi(xrad / float(Q)))
         return float(symbol_factor(a_q, p, chi, spec).values.real.max())
 
     values = pmap(one, list(q_grid))

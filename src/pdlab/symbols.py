@@ -1,6 +1,6 @@
-"""Symbols a(x,eta) on the discrete torus: construction, modulation,
-twisted-diagonal localization and order, the dense operator matrix, and the
-binary table format.
+"""Symbols a(x,eta) on the discrete torus: construction, Fourier multipliers
+(filter_symbol, modulation), twisted-diagonal localization and order, the
+dense operator matrix, and the binary table format.
 
 A symbol is realized on a grid as a table over (x-axes..., eta-axes...).
 The partial Fourier transform in x maps the table to a_hat(xi, eta) with
@@ -22,8 +22,8 @@ from typing import Annotated, Callable, Literal, NamedTuple
 import numpy as np
 
 from .frame import DEFAULT_FRAME, LPFrame, ModulationFunction, on_distinct, parse_spec, smoothstep
-from .grid import (GridFunction, GridSpec, check_budget, lattice_phase, read_grid_file, read_pdgf,
-                   row_chunks)
+from .grid import (GridFunction, GridSpec, SpectralFunction, check_budget, fft_inverse,
+                   lattice_phase, read_grid_file, read_pdgf, row_chunks)
 
 
 # ---------------------------------------------------------------------------
@@ -276,17 +276,27 @@ class ShiftSymbol(Symbol):
 
 @dataclass
 class SeparableSymbol(Symbol):
-    """a(x,eta) = sum_j m_j(x) g_j(eta) with tabulated factors."""
+    """a(x,eta) = sum_j m_j(x) g_j(eta) with tabulated factors; mhats, if
+    given, carries the exact x-spectra of the m_j as TabulatedSymbol.ahat
+    carries a_hat, each read as x_mult * mhat_j if x_mult is given."""
 
     spec: GridSpec
     terms: list[tuple[np.ndarray, np.ndarray]]
     d: float = 0.0
     tdc_B: float | None = None
+    mhats: list[np.ndarray] | None = None
+    x_mult: np.ndarray | None = None
 
     def separable_terms(self, spec: GridSpec) -> list[tuple[np.ndarray, np.ndarray]]:
         if spec != self.spec:
             raise ValueError(f"realized on {self.spec}, requested {spec}")
         return self.terms
+
+    def spectral_terms(self, spec: GridSpec) -> list[tuple[np.ndarray, np.ndarray]]:
+        if self.mhats is None:
+            return super().spectral_terms(spec)
+        return [(mhat if self.x_mult is None else self.x_mult * mhat, g)
+                for mhat, (_, g) in zip(self.mhats, self.separable_terms(spec))]
 
 
 class ConstantSymbol(Symbol):
@@ -504,41 +514,59 @@ class ElementarySymbol(Symbol):
 
 
 # ---------------------------------------------------------------------------
-# modulation (symbol side)
+# Fourier multipliers on a symbol, and modulation
+
+
+def filter_symbol(a: Symbol, spec: GridSpec, x=None, eta=None) -> Symbol:
+    """b with b_hat(xi,eta) = x(xi) a_hat(xi,eta) eta(eta), in a's own
+    structure; x and eta are arrays over the shifted lattice, None is 1.  A
+    shift term's weight takes x(xi_j), a separable term's m_j becomes
+    F^{-1}[x mhat_j] (b keeps x and a's mhat_j), any other symbol's exact
+    a_hat takes x; each g_j or a_hat takes eta.  Terms made exactly zero are
+    dropped, and a g_j that eta leaves unchanged is shared, not copied.
+    With neither multiplier, a is realized on spec once."""
+    xs = None if x is None else np.asarray(x).reshape(spec.shape)
+    es = None if eta is None else np.asarray(eta).reshape(spec.shape)
+    keep = dict(d=a.d, tdc_B=a.tdc_B)
+    shifts = a.shift_terms(spec)
+    if shifts is not None:
+        # x(D_x) e^{i xi_j.x} = x(xi_j) e^{i xi_j.x}: a scalar per term
+        terms = []
+        for t in shifts:
+            w = t.weight if xs is None else t.weight * xs[tuple(k + spec.N // 2 for k in t.xi)]
+            g = t.g if es is None else t.g * es.flat[t.idx]
+            if w != 0.0 and np.any(g):
+                terms.append(t._replace(weight=w, g=t.g if np.array_equal(g, t.g) else g))
+        return ShiftSymbol(spec, terms, **keep)
+    spectral = a.spectral_terms(spec)
+    if spectral is not None:
+        terms, mhats = [], []
+        for (m, _), (mhat, g) in zip(a.separable_terms(spec), spectral):
+            ge = g if es is None else g * es
+            if np.any(ge) and np.any(xmhat := mhat if xs is None else xs * mhat):
+                m = m if xs is None else fft_inverse(SpectralFunction(spec, xmhat)).values
+                terms.append((m, g if np.array_equal(ge, g) else ge))
+                mhats.append(mhat)
+        return SeparableSymbol(spec, terms, mhats=mhats, x_mult=xs, **keep)
+    ahat, ones = symbol_partial_ft(a, spec), (1,) * spec.n
+    ahat = ahat if xs is None else ahat * xs.reshape(spec.shape + ones)
+    ahat = ahat if es is None else ahat * es.reshape(ones + spec.shape)
+    table = a.table(spec) if x is None and eta is None else partial_ift(ahat, spec)
+    return TabulatedSymbol(spec, table, ahat=ahat, **keep)
 
 
 def modulate_symbol(
     a: Symbol, m: int, psi: ModulationFunction, spec: GridSpec | None = None
 ) -> Symbol:
-    """b_m(x,eta) = [psi(2^{-m}D_x)a](x,eta) * psi(2^{-m}eta); a itself once
-    psi(2^{-m}.) is 1 on the whole lattice.
-
-    Shift terms stay shift terms, exactly: psi(2^{-m}D_x) acts on
-    e^{i xi_j.x} as the scalar psi(2^{-m}|xi_j|), which scales weight_j.
-    The dense route keeps the exact spectral zeros of a_hat.
-    """
+    """b_m(x,eta) = [psi(2^{-m}D_x)a](x,eta) * psi(2^{-m}eta): filter_symbol
+    with psi(2^{-m}.) on both sides, so shift terms stay shift terms and
+    a_hat's exact zeros stay zeros; a itself once psi(2^{-m}.) is 1 on the
+    whole lattice."""
     spec = _resolve_spec(a, spec)
-    scale = 2.0**-m
-    mult = on_distinct(psi.radial, spec.freq_radius() * scale)
+    mult = on_distinct(psi.radial, spec.freq_radius() * 2.0**-m)
     if np.all(mult == 1.0):  # plateau covers the lattice: exact no-op
         return a
-    shifts = a.shift_terms(spec)
-    if shifts is not None:
-        terms = [t._replace(weight=t.weight * mult[tuple(x + spec.N // 2 for x in t.xi)],
-                            g=t.g * mult.flat[t.idx]) for t in shifts]
-        return ShiftSymbol(spec, terms, d=a.d, tdc_B=a.tdc_B)
-    terms = a.separable_terms(spec)
-    if terms is not None:
-        out_terms = []
-        for mx, g in terms:
-            chat = np.fft.fftshift(np.fft.fftn(mx)) / spec.npoints
-            mx_f = np.fft.ifftn(np.fft.ifftshift(chat * mult)) * spec.npoints
-            out_terms.append((mx_f, g * mult))
-        return SeparableSymbol(spec, out_terms, d=a.d, tdc_B=a.tdc_B)
-    ones = (1,) * spec.n
-    ahat = symbol_partial_ft(a, spec) * mult.reshape(spec.shape + ones)
-    ahat = ahat * mult.reshape(ones + spec.shape)
-    return TabulatedSymbol(spec, partial_ift(ahat, spec), d=a.d, tdc_B=a.tdc_B, ahat=ahat)
+    return filter_symbol(a, spec, mult, mult)
 
 
 # ---------------------------------------------------------------------------

@@ -585,6 +585,8 @@ ARITHMETIC_CASES = [  # a d whose weights overflow or vanish: the line opens wit
     *((f"input lacunary:N=2,d={d}",
        ["apply", "--symbol", "const", "--grid", "64", "--mode", f"lacunary:N=2,d={d}"],
        ("error: d = ",)) for d in ("-1e308", "1e308")),
+    ("input ladder:d=1e308",  # every weight 2^(-jd) underflows to 0
+     ["apply", "--symbol", "const", "--grid", "256", "--mode", "ladder:d=1e308"], ("error: d = ",)),
     *((f"experiment {runner} d={d}", (runner, {"d": d}), ("error: d = ", f'params {{"d": {d:g}'))
       for runner in ("counterexample", "wavefront") for d in (-1e308, 1e308)),
 ]
@@ -595,7 +597,7 @@ def test_the_spec_cases_cover_every_kind():
     kinds = sum(len(k) for k, _ in SPEC_TABLES.values())
     assert kinds == 4 + 4 + 4 + 1  # input, symbol and norm kinds, the frame
     keys = sum(len(keyword_options(b)[0]) for k, _ in SPEC_TABLES.values() for b in k.values())
-    assert len(CONTRACT_CASES) == 2 * keys + kinds + 6
+    assert len(CONTRACT_CASES) == 2 * keys + kinds + 7
 
 
 @pytest.mark.parametrize("argv, names", [c[1:] for c in CONTRACT_CASES],

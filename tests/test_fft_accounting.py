@@ -17,8 +17,6 @@ ALLOWED = {
     ("pointwise.py", "symbol_factor.kernel"): "kernels over the eta-axes of table rows",
     # the dense operator matrix
     ("symbols.py", "operator_matrix"): "G[x, z] over the eta-axes of the table",
-    # the separable branch of modulate_symbol: psi(2^-m D_x) m_j, on each m_j
-    ("symbols.py", "modulate_symbol"): "cuts each separable m_j in x-frequency",
     # a circular convolution of two boolean support indicators
     ("operators.py", "_allowed_sumset"): "the spectral support rule's sumsets",
 }

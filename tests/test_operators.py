@@ -666,6 +666,21 @@ class TestStructuredParadiff:
             first, second = summands(paradiff_split(a, u)), summands(paradiff_split(a, u))
             assert all(np.array_equal(x, y) for x, y in zip(first, second))
 
+    @pytest.mark.parametrize("n, N, inverse", [(1, 1024, 176), (2, 32, 100)])
+    def test_the_split_runs_a_fixed_count_of_ffts(self, fft_calls, n, N, inverse):
+        # one forward FFT of u; per kept term of a summand, one inverse FFT for
+        # its cut F^{-1}[w mhat_j] and one for F^{-1}[g_j v]; the terms v misses
+        # and the exactly zero cuts run none
+        from pdlab.cli import make_input, symbol_factory
+
+        spec = GridSpec(n, N)
+        a = symbol_factory("elementary:seed=1", DEFAULT_FRAME)(spec)
+        u = as_values(make_input("random:band=0.4,seed=1", spec, 1))
+        fft_calls.clear()
+        paradiff_split(a, u)
+        assert [c for c, _ in fft_calls].count("fft_forward") == 1
+        assert [c for c, _ in fft_calls].count("fft_inverse") == inverse
+
     def test_peak_memory_flat_in_thread_count(self, monkeypatch):
         spec = GridSpec(1, 1024)
         a = random_elementary(spec, DEFAULT_FRAME, J=5, seed=18)
@@ -1045,6 +1060,23 @@ class TestPlan:
         for spec in (GridSpec(1, 128), GridSpec(2, 256)):
             with pytest.raises(ValueError, match="planned for"):
                 op(single_mode(spec, (1,) * spec.n))
+
+    def test_vfm_limit_transforms_each_multiplier_forward_once(self, monkeypatch):
+        # vfm_limit realizes the symbol once: every modulation reads the
+        # carried x-spectra of the m_j instead of transforming them again
+        spec = GridSpec(1, 256)
+        a = random_elementary(spec, DEFAULT_FRAME, J=4, seed=9)
+        inputs, real = [], np.fft.fftn
+
+        def spy(x, *args, **kwargs):
+            inputs.append(np.array(x))
+            return real(x, *args, **kwargs)
+
+        monkeypatch.setattr(np.fft, "fftn", spy)
+        trace = vfm_limit(a, random_band_limited(spec, 50, np.random.default_rng(90)))
+        assert len(trace.m_values) > 4 and trace.cross_dev <= 1e-12
+        for m in a.multipliers:
+            assert sum(np.array_equal(x, m.values) for x in inputs) == 1
 
     def test_vfm_limit_tabulates_the_shift_terms_once(self, monkeypatch):
         calls = []

@@ -35,10 +35,13 @@ from pdlab.pointwise import (
 )
 from pdlab.symbols import (
     ConstantSymbol,
+    Symbol,
     TabulatedSymbol,
+    ching_for_grid,
     ching_symbol,
     partial_ift,
     random_elementary,
+    symbol_partial_ft,
 )
 
 
@@ -524,6 +527,44 @@ class TestMomentDecay:
         assert not rep.fit.cliff
         assert rep.fit.fit_points == 4
         assert rep.fit.slope <= -1.5
+
+
+class TestMomentDecayStructured:
+    """A shift or separable symbol keeps its terms through the x-high-pass:
+    F over each a_Q matches the dense route of its tabulated twin."""
+
+    @pytest.mark.parametrize("n, N, kind", [
+        (1, 256, "ching"), (1, 1024, "ching"), (2, 32, "ching"),
+        (1, 256, "elementary"), (1, 1024, "elementary"), (2, 32, "elementary"),
+    ])
+    def test_matches_the_dense_twin(self, n, N, kind):
+        spec = GridSpec(n, N)
+        theta = 1 if n == 1 else (1, 1)
+        a = (ching_for_grid(spec, d=0.5, theta=theta) if kind == "ching"
+             else random_elementary(spec, DEFAULT_FRAME, J=4, seed=8))
+        twin = TabulatedSymbol(spec, a.table(spec), d=a.d, ahat=symbol_partial_ft(a, spec))
+        # past Q = N/4 the high-pass leaves no Ching level inside chi's support
+        p, qs = MaximalParams(1.0, N / 32), [2.0**k for k in range(1, N.bit_length() - 2)]
+        got = moment_decay_check(a, p, qs, 2, spec=spec).fit.values
+        want = moment_decay_check(twin, p, qs, 2, spec=spec).fit.values
+        assert [v == 0.0 for v in got] == [v == 0.0 for v in want]
+        assert any(v > 0.0 for v in got)
+        assert kind != "ching" or got[-1] == 0.0
+        assert np.max(np.abs(np.subtract(got, want))) <= 1e-13 * max(want)
+
+    def test_ching_runs_at_4096_with_no_table(self, monkeypatch, capsys):
+        from pdlab import cli, symbols
+
+        def refuse(*args):
+            raise AssertionError("a dense table was built")
+
+        monkeypatch.setattr(Symbol, "table", refuse)
+        monkeypatch.setattr(symbols, "symbol_partial_ft", refuse)
+        monkeypatch.setenv("PDLAB_THREADS", "1")  # one 64 MiB kernel chunk at a time
+        argv = ["pointwise", "moment-decay", "--symbol", "ching:d=0,theta=+1,jmax=9",
+                "--grid", "4096"]
+        assert cli.main(argv) == 0
+        assert '"slope": ' in capsys.readouterr().err  # the summary line
 
 
 class TestNestedPools:

@@ -16,6 +16,7 @@ from pdlab.symbols import (
     ConstantSymbol,
     RadialBump,
     SeparableSymbol,
+    ShiftSymbol,
     Symbol,
     TabulatedSymbol,
     _parse_theta,
@@ -24,6 +25,7 @@ from pdlab.symbols import (
     check_twisted_diagonal,
     ching_for_grid,
     ching_symbol,
+    filter_symbol,
     localize_symbol,
     mask_twisted_diagonal,
     modulate_symbol,
@@ -249,6 +251,81 @@ class TestModulation:
         bhat = partial_ft(b.table(spec), spec)
         dead = psi.radial(np.abs(spec.axis_freqs()) / 2.0) == 0.0
         assert np.max(np.abs(bhat[dead, :])) < 1e-13 * np.max(np.abs(bhat))
+
+
+def structured_symbol(kind: str, spec: GridSpec) -> Symbol:
+    theta = 1 if spec.n == 1 else (1, 1)
+    return {
+        "ching": lambda: ching_for_grid(spec, d=0.5, theta=theta),
+        # |xi_j| = 3 2^j sits inside the transition band of a ball cut
+        "modulated-shift": lambda: modulate_symbol(
+            ching_for_grid(spec, d=0.5, theta=-3), 6, ModulationFunction(1.0, 2.0), spec),
+        "constant": lambda: ConstantSymbol(2.0 - 0.5j),
+        "elementary": lambda: random_elementary(spec, DEFAULT_FRAME, J=5, seed=7),
+        "table": lambda: random_table_symbol(spec, seed=7),
+    }[kind]()
+
+
+class TestFilterSymbol:
+    """filter_symbol in each structure against the multipliers applied to the
+    exact a_hat of a tabulated twin."""
+
+    CASES = [(1, 256, "ching"), (1, 2048, "ching"), (2, 32, "ching"),
+             (1, 512, "modulated-shift"), (1, 256, "constant"), (1, 1024, "elementary"),
+             (2, 32, "elementary"), (1, 256, "table"), (2, 32, "table")]
+
+    @pytest.mark.parametrize("n, N, kind", CASES)
+    @pytest.mark.parametrize("sides", ["x", "eta", "both", "none"])
+    def test_matches_the_filtered_twin(self, n, N, kind, sides):
+        spec = GridSpec(n, N)
+        a = structured_symbol(kind, spec)
+        rad = spec.freq_radius()
+        # a ball cut whose zeros drop the high shift levels and x-spectra, and
+        # a block indicator that drops the terms off its annulus
+        x = DEFAULT_FRAME.ball_radial(3, rad) if sides in ("x", "both") else None
+        eta = DEFAULT_FRAME.block_radial(4, rad) != 0 if sides in ("eta", "both") else None
+        ahat = symbol_partial_ft(a, spec)
+        ones = (1,) * n
+        want = ahat * (1.0 if x is None else x.reshape(spec.shape + ones))
+        want = want * (1.0 if eta is None else eta.reshape(ones + spec.shape))
+        b = filter_symbol(a, spec, x, eta)
+        scale = np.max(np.abs(ahat))
+        assert np.max(np.abs(symbol_partial_ft(b, spec) - want)) <= 1e-13 * scale
+        assert np.max(np.abs(b.table(spec) - symbols.partial_ift(want, spec))) <= 1e-13 * scale
+        xo = np.ones(spec.shape) if x is None else x
+        eo = np.ones(spec.shape) if eta is None else eta
+        if kind == "table":
+            assert isinstance(b, TabulatedSymbol)
+        elif kind == "elementary":
+            assert isinstance(b, SeparableSymbol)
+            assert all(np.any(g) and np.any(mhat) for mhat, g in b.spectral_terms(spec))
+            kept = [np.any(g * eo) and np.any(mhat * xo) for mhat, g in a.spectral_terms(spec)]
+            assert len(b.separable_terms(spec)) == sum(kept)
+        else:
+            assert isinstance(b, ShiftSymbol)
+            assert all(t.weight != 0.0 and np.any(t.g) for t in b.shift_terms(spec))
+            kept = [xo[tuple(k + N // 2 for k in t.xi)] != 0.0 and np.any(t.g * eo.flat[t.idx])
+                    for t in a.shift_terms(spec)]
+            assert len(b.shift_terms(spec)) == sum(kept)
+            if kind == "ching" and n == 1 and x is not None:
+                assert sum(kept) < len(kept)  # the levels past the cut are gone
+
+    @pytest.mark.parametrize("n, N", [(1, 1024), (2, 32)])
+    def test_realizing_keeps_the_table_bits(self, n, N):
+        spec = GridSpec(n, N)
+        for kind in ("ching", "elementary", "table"):
+            a = structured_symbol(kind, spec)
+            assert np.array_equal(filter_symbol(a, spec).table(spec), a.table(spec))
+
+    def test_a_g_that_eta_leaves_unchanged_is_shared(self):
+        spec = GridSpec(1, 256)
+        a = filter_symbol(random_elementary(spec, DEFAULT_FRAME, J=5, seed=7), spec)
+        eta = np.ones(spec.npoints, dtype=bool)
+        b = filter_symbol(a, spec, DEFAULT_FRAME.ball_radial(6, spec.freq_radius()), eta)
+        assert len(b.separable_terms(spec)) == len(a.separable_terms(spec)) == 6
+        assert all(gb is ga for (_, gb), (_, ga) in zip(b.separable_terms(spec),
+                                                        a.separable_terms(spec)))
+        assert all(mb is ma for mb, ma in zip(b.mhats, a.mhats))  # shared, not copied
 
 
 class TestChiCutoff:
