@@ -15,7 +15,7 @@ import math
 import os
 import struct
 from dataclasses import dataclass
-from typing import Iterator
+from typing import Iterator, NamedTuple
 
 import numpy as np
 
@@ -109,13 +109,19 @@ def lattice_phase(spec: GridSpec, k, eta) -> np.ndarray:
 
 def _check_values(spec: GridSpec, values: np.ndarray) -> np.ndarray:
     arr = np.asarray(values, dtype=complex)
-    if arr.shape == (spec.npoints,):
+    if arr.shape != spec.shape and arr.shape == (spec.npoints,):
         arr = arr.reshape(spec.shape)
     if arr.shape != spec.shape:
         raise ValueError(f"expected shape {spec.shape}, got {arr.shape}")
-    if not np.all(np.isfinite(arr.view(float))):
-        raise ValueError("non-finite entries")
+    _check_finite(arr)
     return arr
+
+
+def _check_finite(arr: np.ndarray) -> None:
+    # max and min carry any NaN and show any +-inf, with no bool array
+    f = arr.view(float)
+    if f.size and not (np.isfinite(f.max()) and np.isfinite(f.min())):
+        raise ValueError("non-finite entries")
 
 
 @dataclass(frozen=True)
@@ -161,10 +167,32 @@ def as_spectral(u: GridFunction | SpectralFunction) -> SpectralFunction:
     return u if isinstance(u, SpectralFunction) else fft_forward(u)
 
 
-def fft_inverse(c: SpectralFunction) -> GridFunction:
-    vals = np.fft.ifftn(np.fft.ifftshift(c.coeffs))
-    vals *= c.spec.npoints
-    return GridFunction(c.spec, vals)
+class SupportCoeffs(NamedTuple):
+    """Coefficients vals at the flat shifted-layout indices idx, 0 elsewhere."""
+
+    spec: GridSpec
+    idx: np.ndarray
+    vals: np.ndarray
+
+
+def fft_inverse(c: SpectralFunction | SupportCoeffs, out: np.ndarray | None = None) -> GridFunction:
+    """u(x) = sum c_eta e^{i x.eta} into `out` if given (a C-contiguous
+    complex array of the grid's shape, the caller's; the result wraps it).
+    Coefficients on a support are checked finite there, written straight
+    into FFT order (N is a power of two, so ifftshift takes flat index i to
+    i ^ flip, flip setting each axis index's top bit) and transformed in
+    place.  Both forms give the bits of ifftn(ifftshift(dense coefficients))."""
+    spec = c.spec
+    if isinstance(c, SpectralFunction):
+        vals = np.fft.ifftn(np.fft.ifftshift(c.coeffs), out=out)
+    else:
+        _check_finite(c.vals)
+        vals = np.empty(spec.shape, dtype=complex) if out is None else out
+        vals.fill(0)
+        vals.reshape(-1)[c.idx ^ sum(spec.N // 2 * spec.N**a for a in range(spec.n))] = c.vals
+        np.fft.ifftn(vals, out=vals)
+    vals *= spec.npoints
+    return GridFunction(spec, vals)
 
 
 def as_values(u: GridFunction | SpectralFunction) -> GridFunction:

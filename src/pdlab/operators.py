@@ -51,6 +51,7 @@ from .grid import (
     row_chunks,
 )
 from .symbols import (
+    ShiftSymbol,
     ShiftTerm,
     Symbol,
     _resolve_spec,
@@ -285,8 +286,9 @@ def _summand_route(a: Symbol, spec: GridSpec) -> Callable[[np.ndarray, np.ndarra
     F^{-1}[c] with c(zeta) = sum_xi w(xi) a_hat(xi, zeta - xi) v(zeta - xi),
     by the route (module docstring) the symbol's structure picks; the table
     guard fires before any table is built."""
-    if a.shift_terms(spec) is not None or a.separable_terms(spec) is not None:
-        a = filter_symbol(a, spec)
+    shifts = a.shift_terms(spec)  # realized once: filter_symbol reads these terms
+    if shifts is not None or a.separable_terms(spec) is not None:
+        a = filter_symbol(a if shifts is None else ShiftSymbol(spec, shifts, a.d, a.tdc_B), spec)
         return lambda w, v: as_values(plan(filter_symbol(a, spec, w, v != 0), spec)(
             SpectralFunction(spec, v)))
 

@@ -181,8 +181,11 @@ def symbol_factor(
             return kernel(tab[rs] * chiv)
 
     out = np.empty(spec.npoints)
-    for rs in row_chunks(spec.npoints, 16 * spec.npoints):
-        out[rs] = cell * np.sum(np.abs(rows(rs)) * w, axis=-1)
+    for rs in row_chunks(spec.npoints, 24 * spec.npoints):  # a chunk's rows, then their moduli
+        k = np.abs(rows(rs))
+        k *= w
+        out[rs] = cell * np.sum(k, axis=-1)
+        del k  # before the next chunk's rows are made
     return GridFunction(spec, out.reshape(spec.shape))
 
 

@@ -14,9 +14,19 @@ F adds nothing, bit for bit), one holding a single mode c' (as each block
 of a lacunary series does) the constant |c'|.  Each modulus gives each
 other B case its ||Phi_j(D)u||_p and joins each F case's running sum of
 (2^{sj}|Phi_j(D)u|)^q in block order (bit-identical to summing the stack),
-so memory is O(N^n).  Passes on different functions may run at once on pool
-workers (the continuity table runs one per input): they share the frame's
-block supports, which are built once per grid."""
+so memory is O(N^n).
+
+A pass allocates its grid-sized arrays once, not per block: a complex
+workspace that each live block's coefficients are written into, in FFT
+order straight from its support, and transformed in place (grid.fft_inverse
+with out=); a float workspace for the moduli; one float term array shared
+by the F cases; and each F case's running sum.  So a live block costs one
+inverse FFT and a few passes over arrays already mapped, plus temporaries
+the size of its support, and no fresh grid array.  The workspaces are
+released when the blocks run out, before the final norms.  Passes on
+different functions may run at once on pool workers (the continuity table
+runs one per input): each owns its workspaces, and they share only the
+frame's block supports, which are built once per grid."""
 from __future__ import annotations
 
 import functools
@@ -34,10 +44,10 @@ from .grid import (
     GridFunction,
     GridSpec,
     SpectralFunction,
+    SupportCoeffs,
     abs_lp_norm,
     as_spectral,
     fft_inverse,
-    lp_norm,
 )
 
 BESOV = "B"
@@ -108,24 +118,31 @@ def lp_block_coeffs(
 
 
 def lp_block_moduli(u: GridFunction | SpectralFunction, frame: LPFrame, j_max: int | None = None):
-    """|Phi_j(D)u| on the grid, j = 0..j_max, one at a time (_block_pass)."""
-    return _block_pass(lp_block_coeffs(u, frame, j_max), u.spec, None, True)
+    """|Phi_j(D)u| on the grid, j = 0..j_max, one at a time, each its own
+    array (_block_pass's moduli, copied out of its workspace)."""
+    return (a if a is None else a.copy()
+            for a in _block_pass(lp_block_coeffs(u, frame, j_max), u.spec, None, True))
 
 
 def _block_pass(blocks, spec: GridSpec, l2: list | None, moduli: bool) -> Iterator:
     """Per lp_block_coeffs pair: append ((2pi)^n sum |Phi_j c|^2)^{1/2} (Parseval)
     to l2 if given, then yield None if not `moduli` (no FFT) or the block
-    holds no mode, |c'| if it holds one mode c', else |inverse FFT|."""
+    holds no mode, |c'| broadcast over the grid (a read-only view) if it
+    holds one mode c', else |inverse FFT| in the pass's float workspace,
+    which the next block overwrites.  The inverse FFTs share one complex
+    workspace; both go when the pass ends."""
+    vals = mod = None
     for idx, b in blocks:
         if l2 is not None:
             l2.append(float(np.sqrt(TWO_PI**spec.n * np.sum(np.abs(b) ** 2))))
         live = np.count_nonzero(b) if moduli else 0
         if live <= 1:
-            yield np.full(spec.shape, np.abs(b).max()) if live else None
+            yield np.broadcast_to(np.abs(b).max(), spec.shape) if live else None
             continue
-        block = np.zeros(spec.npoints, dtype=complex)
-        block[idx] = b
-        yield np.abs(fft_inverse(SpectralFunction(spec, block.reshape(spec.shape))).values)
+        if vals is None:
+            vals, mod = np.empty(spec.shape, dtype=complex), np.empty(spec.shape)
+        fft_inverse(SupportCoeffs(spec, idx, b), out=vals)
+        yield np.abs(vals, out=mod)
 
 
 def _shell_weights(s: float, count: int) -> np.ndarray:
@@ -138,13 +155,14 @@ def _block_norms(
 ) -> list[float]:
     """Each case's quasi-norm over `count` block moduli |Phi_j(D)u|, read once
     in order and shared by every case; None stands for a block of zeros.
-    Each F case accumulates in place.  A B case with p = 2 reads l2 if
-    given, each block's ||Phi_j(D)u||_2, filled before its modulus is read."""
+    Each F case accumulates in place, through one float term array.  A B
+    case with p = 2 reads l2 if given, each block's ||Phi_j(D)u||_2, filled
+    before its modulus is read.  The moduli are read to their end, so a
+    pass's workspaces go before the norms are taken."""
     weights = [_shell_weights(sp.s, count) for sp in spaces]
     sums: list = [[] if sp.scale == BESOV else np.zeros(spec.shape) for sp in spaces]
-    moduli = iter(moduli)
-    for j in range(count):
-        a = next(moduli)  # dropped before the next modulus is made
+    term = np.empty(spec.shape)
+    for j, a in enumerate(moduli):
         for k, sp in enumerate(spaces):
             if sp.scale == BESOV:
                 p2 = l2 is not None and sp.p == 2
@@ -152,25 +170,29 @@ def _block_norms(
             elif a is None:
                 continue
             elif math.isinf(sp.q):
-                np.maximum(sums[k], weights[k][j] * a, out=sums[k])
+                np.maximum(sums[k], np.multiply(weights[k][j], a, out=term), out=sums[k])
             else:
-                sums[k] += (weights[k][j] * a) ** sp.q
-        del a
+                np.multiply(weights[k][j], a, out=term)
+                term **= sp.q
+                sums[k] += term
+    del term
     norms = []
     for w, sp, a in zip(weights, spaces, sums):
         if sp.scale == BESOV:  # a: each block's ||.||_p; for F, the pointwise sum
             a = w * np.array(a)
             norms.append(float(a.max() if math.isinf(sp.q) else np.sum(a**sp.q) ** (1.0 / sp.q)))
         else:
-            g = a if math.isinf(sp.q) else a ** (1.0 / sp.q)
-            norms.append(lp_norm(GridFunction(spec, g), sp.p))
+            if not math.isinf(sp.q):
+                a **= 1.0 / sp.q
+            norms.append(abs_lp_norm(spec, a, sp.p))
     return norms
 
 
 def space_norms(u: GridFunction | SpectralFunction, spaces: Sequence[SpaceParams]) -> list[float]:
     """Every quasi-norm in `spaces` of u (grid values or coefficients), from
     one block pass per frame; the moduli are made only if a case other
-    than B with p = 2 reads them."""
+    than B with p = 2 reads them.  A norm that is not finite (its weights or
+    powers overflow) raises ValueError naming its space."""
     norms: dict = {}
     for frame in dict.fromkeys(sp.frame for sp in spaces):
         mine = list(dict.fromkeys(sp for sp in spaces if sp.frame == frame))
@@ -178,7 +200,11 @@ def space_norms(u: GridFunction | SpectralFunction, spaces: Sequence[SpaceParams
         p2 = [sp.scale == BESOV and sp.p == 2 for sp in mine]
         moduli, l2 = not all(p2), [] if any(p2) else None
         blocks = _block_pass(lp_block_coeffs(u, frame), u.spec, l2, moduli)
-        norms.update(zip(mine, _block_norms(u.spec, blocks, count, mine, l2)))
+        with np.errstate(over="ignore", invalid="ignore"):  # checked below
+            norms.update(zip(mine, _block_norms(u.spec, blocks, count, mine, l2)))
+    for sp, value in norms.items():
+        if not math.isfinite(value):
+            raise ValueError(f"norm '{format_space(sp)}' is not finite: {value}")
     return [norms[sp] for sp in spaces]
 
 

@@ -96,8 +96,9 @@ def test_each_guard_passes_at_the_budget(monkeypatch, tmp_path, what):
 
 
 def test_the_chunks_are_the_old_literals():
-    # apply chunked rows by 2^21 entries (a row block and its phases) and
-    # symbol_factor by 2^22: 1 << 26 bytes at 32 and at 16 bytes an entry
+    # apply chunks rows by 2^21 entries (a row block and its phases), and
+    # symbol_factor chunked them by 2^22: 1 << 26 bytes at 32 and at 16 bytes
+    # an entry
     assert grid.MEMORY_BUDGET == 1 << 26
     for npoints in [2**k for k in range(21)] + [3, 1000, 4095]:
         for row_bytes, entries in ((2 * 16 * npoints, 1 << 21), (16 * npoints, 1 << 22)):
@@ -109,7 +110,7 @@ def test_the_chunks_are_the_old_literals():
 
 @pytest.mark.parametrize("module, run, rows", [
     (ops, lambda a, u: ops.apply(a, u).values, 7),
-    (pointwise, lambda a, u: symbol_factor(a, MaximalParams(2.0, 8.0), spec=u.spec).values, 14),
+    (pointwise, lambda a, u: symbol_factor(a, MaximalParams(2.0, 8.0), spec=u.spec).values, 9),
 ], ids=["apply", "symbol_factor"])
 def test_a_small_budget_chunks_the_rows(monkeypatch, module, run, rows):
     spec = GridSpec(1, 64)
@@ -127,6 +128,24 @@ def test_a_small_budget_chunks_the_rows(monkeypatch, module, run, rows):
     chunked = run(a, u)
     assert [c.stop - c.start for c in chunks] == [rows] * (64 // rows) + [64 % rows]
     assert np.max(np.abs(chunked - whole)) <= 1e-12 * np.max(np.abs(whole))
+
+
+def test_symbol_factor_holds_one_budget_of_rows(monkeypatch):
+    # a chunk's complex rows and then their moduli, 24 bytes an entry, fit
+    # the budget: the peak over a one-row budget grows by the budget alone
+    spec = GridSpec(1, 1024)
+    a, p = ching_for_grid(spec, d=0.5), MaximalParams(2.0, 8.0)
+    symbol_factor(a, p, spec=spec)  # caches filled outside the measurement
+    peaks = []
+    for rows in (1, 64):
+        monkeypatch.setattr(grid, "MEMORY_BUDGET", rows * 24 * spec.npoints)
+        tracemalloc.start()
+        try:
+            symbol_factor(a, p, spec=spec)
+            peaks.append(tracemalloc.get_traced_memory()[1])
+        finally:
+            tracemalloc.stop()
+    assert peaks[1] <= peaks[0] + 64 * 24 * spec.npoints
 
 
 def test_the_operator_matrix_takes_the_place_of_its_transform():

@@ -589,6 +589,11 @@ ARITHMETIC_CASES = [  # a d whose weights overflow or vanish: the line opens wit
      ["apply", "--symbol", "const", "--grid", "256", "--mode", "ladder:d=1e308"], ("error: d = ",)),
     *((f"experiment {runner} d={d}", (runner, {"d": d}), ("error: d = ", f'params {{"d": {d:g}'))
       for runner in ("counterexample", "wavefront") for d in (-1e308, 1e308)),
+    # a quasi-norm whose weights 2^(sj) or powers overflow: the line quotes its space
+    *((f"norm {spec}", ["norms", "--space", spec, "--grid", "64", "--mode", "single:eta=1"],
+       (f"'{spec.replace('1e308', '1e+308')}'",))
+      for spec in ("B:s=1e308,p=2,q=2", "B:s=0,p=1e308,q=2", "F:s=0,p=1e308,q=1",
+                   "F:s=1e308,p=2,q=2")),
 ]
 CONTRACT_CASES = [*spec_cases(), *ARITHMETIC_CASES]
 
@@ -597,7 +602,7 @@ def test_the_spec_cases_cover_every_kind():
     kinds = sum(len(k) for k, _ in SPEC_TABLES.values())
     assert kinds == 4 + 4 + 4 + 1  # input, symbol and norm kinds, the frame
     keys = sum(len(keyword_options(b)[0]) for k, _ in SPEC_TABLES.values() for b in k.values())
-    assert len(CONTRACT_CASES) == 2 * keys + kinds + 7
+    assert len(CONTRACT_CASES) == 2 * keys + kinds + 11
 
 
 @pytest.mark.parametrize("argv, names", [c[1:] for c in CONTRACT_CASES],

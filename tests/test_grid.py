@@ -1,10 +1,15 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from pdlab.frame import DEFAULT_FRAME
 from pdlab.grid import (
     GridFunction,
     GridSpec,
     SpectralFunction,
+    SupportCoeffs,
+    _check_values,
     as_values,
     fft_forward,
     fft_inverse,
@@ -103,6 +108,59 @@ def test_transforms_scale_in_place_bit_for_bit(n, N):
     for got, want in pairs:
         assert np.array_equal(got.view(float), want.view(float))
         assert np.array_equal(np.signbit(got.view(float)), np.signbit(want.view(float)))
+
+
+def support_cases(spec: GridSpec, rng: np.random.Generator):
+    """(flat indices, values) pairs: random supports of a few sizes, then
+    the frame's block supports weighting random coefficients."""
+    for size in (1, 2, spec.npoints // 3, spec.npoints):
+        idx = np.sort(rng.choice(spec.npoints, size, replace=False))
+        yield idx, rng.standard_normal(size) + 1j * rng.standard_normal(size)
+    for idx, phi in DEFAULT_FRAME.block_supports(spec):
+        yield idx, (rng.standard_normal(idx.size) + 1j * rng.standard_normal(idx.size)) * phi
+
+
+@pytest.mark.parametrize("n, N", [(1, 8), (1, 64), (1, 1024), (1, 4096), (2, 8), (2, 16), (2, 64)])
+def test_inverse_of_a_support_or_into_out_is_the_dense_bits(n, N):
+    spec = GridSpec(n, N)
+    rng = np.random.default_rng(N + n)
+    out = np.full(spec.shape, np.nan + 1j)  # stale contents must not leak through
+    for idx, vals in support_cases(spec, rng):
+        dense = np.zeros(spec.npoints, dtype=complex)
+        dense[idx] = vals
+        dense = dense.reshape(spec.shape)
+        want = (np.fft.ifftn(np.fft.ifftshift(dense)) * N**n).view(float)
+        on_support, on_dense = SupportCoeffs(spec, idx, vals), SpectralFunction(spec, dense)
+        got = [fft_inverse(on_support), fft_inverse(on_support, out=out), fft_inverse(on_dense),
+               fft_inverse(on_dense, out=np.empty(spec.shape, dtype=complex))]
+        assert got[1].values is out
+        for u in got:
+            assert np.array_equal(u.values.view(float), want)
+            assert np.array_equal(np.signbit(u.values.view(float)), np.signbit(want))
+
+
+def test_a_support_is_checked_finite_on_the_support():
+    spec = GridSpec(1, 64)
+    out = np.empty(spec.shape, dtype=complex)
+    for bad in (np.nan, np.inf, -np.inf, complex(0, np.nan), complex(1, -np.inf)):
+        with pytest.raises(ValueError, match="non-finite"):
+            fft_inverse(SupportCoeffs(spec, np.array([3, 40]), np.array([1.0, bad])), out=out)
+
+
+FINITE = st.floats(allow_nan=False, allow_infinity=False)
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.lists(st.tuples(FINITE, FINITE), min_size=8, max_size=8),
+       st.integers(0, 7), st.integers(0, 1), st.sampled_from([np.nan, np.inf, -np.inf, None]))
+def test_check_values_rejects_exactly_the_non_finite(entries, at, part, bad):
+    values = np.array([complex(re, im) for re, im in entries])
+    values.view(float)[2 * at + part] = 1.7e308 * (-1) ** part if bad is None else bad
+    if bad is None:
+        assert np.array_equal(_check_values(GridSpec(1, 8), values), values)
+    else:
+        with pytest.raises(ValueError, match="non-finite"):
+            _check_values(GridSpec(1, 8), values)
 
 
 def test_inverse_linearity():

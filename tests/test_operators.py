@@ -681,6 +681,22 @@ class TestStructuredParadiff:
         assert [c for c, _ in fft_calls].count("fft_forward") == 1
         assert [c for c, _ in fft_calls].count("fft_inverse") == inverse
 
+    def test_a_ching_split_realizes_its_shift_terms_once(self, monkeypatch):
+        spec = GridSpec(1, 2**14)
+        a = ching_for_grid(spec)
+        u = random_band_limited(spec, 0.4 * spec.N / 2, np.random.default_rng(99))
+        calls = []
+        real = ChingSymbol.shift_terms
+
+        def spy(self, spec):
+            calls.append(spec)
+            return real(self, spec)
+
+        monkeypatch.setattr(ChingSymbol, "shift_terms", spy)
+        terms = paradiff_split(a, u)
+        assert calls == [spec]
+        assert rel_sup(terms.total(), apply_auto(a, u)) <= 1e-10
+
     def test_peak_memory_flat_in_thread_count(self, monkeypatch):
         spec = GridSpec(1, 1024)
         a = random_elementary(spec, DEFAULT_FRAME, J=5, seed=18)

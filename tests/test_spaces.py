@@ -291,6 +291,9 @@ class TestOnePass:
         c = spectrum_from_coeffs(spec, modes)
         moduli = list(lp_block_moduli(c, DEFAULT_FRAME))
         assert fft_calls == []
+        held = [a for a in moduli if a is not None]  # independent, writeable arrays
+        assert all(a.flags.owndata and a.flags.writeable for a in held)
+        assert not any(np.shares_memory(a, b) for a in held for b in held if a is not b)
         blocks = DEFAULT_FRAME.lattice_blocks(spec)
         assert len(moduli) == len(blocks)
         for a, m in zip(moduli, blocks):
@@ -302,6 +305,17 @@ class TestOnePass:
             want = np.abs(fft_inverse(SpectralFunction(spec, masked)).values)
             assert np.all(a == np.abs(masked).max())
             assert np.max(np.abs(a - want)) <= 1e-15 * np.max(want)
+
+    @pytest.mark.parametrize("n, N, count", [(1, 2**12, 11), (2, 64, 5)])
+    def test_an_f_pass_transforms_each_block_holding_two_modes_once(self, n, N, count, fft_calls):
+        spec = GridSpec(n, N)
+        u = random_band_spectrum(spec, 0.4 * N / 2, np.random.default_rng(5))
+        live = [m for m in DEFAULT_FRAME.lattice_blocks(spec) if np.count_nonzero(u.coeffs * m) > 1]
+        space_norms(u, [SpaceParams(0.0, 2.0, 1.0, TRIEBEL_LIZORKIN)])
+        assert fft_calls == [("fft_inverse", spec)] * len(live) == [("fft_inverse", spec)] * count
+        fft_calls.clear()
+        list(lp_block_moduli(u, DEFAULT_FRAME))
+        assert len(fft_calls) == count
 
     def test_a_pass_that_overflows_raises(self):
         # finite values whose transform overflows: the coefficients' check
