@@ -1,10 +1,28 @@
-"""Worker-pool helpers.  PDLAB_THREADS caps the worker count."""
+"""Worker-pool helpers.  PDLAB_THREADS caps the worker count.
+
+A pool runs only where it pays.  `pmap` is told how many grid points each
+task works on, and runs the tasks inline, on the calling thread, below
+POOL_GUARD points; at or above it, on a pool of at most PDLAB_THREADS
+workers.  A `pmap` called from a pool worker runs inline too, so pools
+never nest.  Where a task runs changes no result: every output is the same
+inline and pooled.
+
+POOL_GUARD's value comes from `tools/pool_sweep.py`, which times the
+paradifferential split and one continuity-table grid inline and on a pool
+of 2 workers, on 1-d grids of 2^10-2^18 points and 2-d grids of 32-128.
+On a 2-CPU machine the pool lost on every grid up to 2^13 points: pooled,
+the split took 2.3x as long at 1-d 2^10, where each task is a few short
+numpy calls, and 1.1x at 2^13.  At 2^14 points it broke even or won
+(0.84-0.98x), and from 2^15 points on it won (0.6-0.9x).
+"""
 from __future__ import annotations
 
 import os
 import threading
 from collections.abc import Callable, Iterable, Sequence
 from concurrent.futures import ThreadPoolExecutor
+
+POOL_GUARD = 16384  # grid points per task below which pmap runs inline
 
 _local = threading.local()  # in_worker: this thread belongs to a pmap pool
 
@@ -22,12 +40,15 @@ def worker_count(task_count: int) -> int:
     return max(1, min(limit, task_count))
 
 
-def pmap(fn: Callable, items: Iterable) -> list:
-    """map preserving order; runs on a thread pool when it can help, and
-    inline when called from a pool worker, so pools never nest."""
+def pmap(fn: Callable, items: Iterable, *, points: int) -> list:
+    """map preserving order, where each task works on `points` grid points
+    (0 for work off the grid); runs on a thread pool when the tasks are
+    large enough to pay for it, and inline otherwise or when called from a
+    pool worker, so pools never nest."""
     seq: Sequence = list(items)
     workers = worker_count(len(seq))
-    if workers <= 1 or len(seq) <= 1 or getattr(_local, "in_worker", False):
+    if (workers <= 1 or len(seq) <= 1 or points < POOL_GUARD
+            or getattr(_local, "in_worker", False)):
         return [fn(item) for item in seq]
     mark = (_local, "in_worker", True)  # set on each pool thread as it starts
     with ThreadPoolExecutor(workers, initializer=setattr, initargs=mark) as pool:

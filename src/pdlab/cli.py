@@ -373,7 +373,10 @@ def _dominant_modes(y: SpectralFunction, limit: int = 8) -> list[dict]:
 
 
 def _floats(text: str) -> list[float]:
-    return [float(q) for q in text.split(",")]
+    values = [float(q) for q in text.split(",")]
+    if any(map(math.isnan, values)):
+        raise ValueError(f"nan in {text!r}")
+    return values
 
 
 # ---------------------------------------------------------------------------
@@ -538,8 +541,11 @@ def cmd_pointwise_maximal(spec: GridSpec, seed: int, *, p: float, N_exp: float |
     rows, ratios = [], []
     for t in range(trials):
         u = random_band_limited(spec, band * (spec.N // 2), np.random.default_rng([seed, t]))
-        rhs = lp_norm(u, p)
-        ratios.append(maximal_lp_constant([u], p, n_exp))  # one u* per trial
+        with np.errstate(over="ignore", invalid="ignore"):  # a C_p not finite is refused
+            rhs = lp_norm(u, p)
+            ratios.append(maximal_lp_constant([u], p, n_exp))  # one u* per trial
+        if not math.isfinite(ratios[-1]):
+            raise ValueError(f"C_p is {ratios[-1]} at --p {p!r}: ||u||_p is {rhs!r}")
         rows.append((t, repr(ratios[-1] * rhs), repr(rhs), repr(ratios[-1])))
     return _pointwise_csv(
         out,

@@ -243,7 +243,7 @@ def run_counterexample(
         h_d = mode_norm(v_n, d)
         return c_n, residual, h_d, mode_norm(out, 0.0) / h_d, mode_norm(control, 0.0) / h_d
 
-    results = pmap(one_member, N_list)
+    results = pmap(one_member, N_list, points=0 if spec is None else spec.npoints)
 
     entries: list[tuple[str, float, str]] = []
     for N, (c_n, residual, h_d, ratio, control) in zip(N_list, results):
@@ -581,7 +581,7 @@ def run_continuity_table(
                 _norm_values(targets, control_op(u)),
             )
 
-        norms = pmap(one_input, members)
+        norms = pmap(one_input, members, points=spec.npoints)
 
         for i, lab in enumerate(labels):
             ratios = [(N, tgt[i] / src[i])
@@ -727,7 +727,7 @@ def run_sigma_estimate(
     def sweep(sym: Symbol) -> list[float]:
         d_sym = float(sym.d)
         probes = [spectrum_from_coeffs(spec, {2**j + offset: 1.0}) for j in j_range]
-        outs = [as_spectral(out) for out in pmap(plan(sym, spec), probes)]
+        outs = [as_spectral(out) for out in pmap(plan(sym, spec), probes, points=spec.npoints)]
         for j, u, out in zip(j_range, probes, outs):
             # an output at rounding-dust level carries no signal; a slope
             # fitted through it would measure the FFT noise floor

@@ -16,6 +16,7 @@ the two blocks that share it.
 """
 from __future__ import annotations
 
+import cmath
 import collections.abc
 import functools
 import inspect
@@ -239,7 +240,8 @@ def decode(value, hint, where: str, text: bool = False):
     have the hint's type (an integer serves a float), and Annotated[T, parse]
     then applies parse to it; spec `text` is read by int, float, complex,
     str, a Literal member's text or the parse of Annotated[T, parse].  A
-    hint the grammar cannot read: TypeError."""
+    float or complex is never NaN (an infinity passes).  A hint the grammar
+    cannot read: TypeError."""
     origin, args = typing.get_origin(hint), typing.get_args(hint)
     if origin in (typing.Union, types.UnionType):
         if value is None and type(None) in args:
@@ -263,10 +265,13 @@ def decode(value, hint, where: str, text: bool = False):
         if not text:  # JSON Annotated: the base type first, then the parse
             value, where = decode(value, args[0], where), f"{where}: {json.dumps(value)}"
         try:
-            return args[1](value) if origin is typing.Annotated else hint(value)
+            got = args[1](value) if origin is typing.Annotated else hint(value)
         except ValueError as exc:
             raise ValueError(f"bad value for {where}") from exc
-    if hint is float and type(value) in (int, float):
+        if hint in (float, complex) and cmath.isnan(got):
+            raise ValueError(f"bad value for {where}")
+        return got
+    if hint is float and type(value) in (int, float) and not cmath.isnan(value):
         return float(value)
     if hint in (int, bool, str) and type(value) is hint:
         return value

@@ -188,7 +188,7 @@ def vfm_limit(
     norms: dict[str, list[float]] = {}
     saturated: dict[str, GridFunction] = {}
     for tag, psi in zip(tags, psis):
-        ys = pmap(lambda m: vfm_apply(a, u, psi, m), m_values)
+        ys = pmap(lambda m: vfm_apply(a, u, psi, m), m_values, points=spec.npoints)
         norms[tag] = [lp_norm(y, 2) for y in ys]
         idx = min(sats[tag], len(ys) - 1)
         saturated[tag] = ys[idx]
@@ -332,22 +332,19 @@ def paradiff_split(a: Symbol, u: GridFunction, frame: LPFrame = DEFAULT_FRAME) -
     def at(seq: list[np.ndarray], m: int) -> np.ndarray:
         return seq[m] if m >= 0 else zero
 
-    t1_parts = dict(
-        zip(range(h, K + 1),
-            pmap(lambda k: run(psi[k - h], c * blocks[k]), range(h, K + 1)))
-    )
+    t1_parts = dict(zip(range(h, K + 1), pmap(
+        lambda k: run(psi[k - h], c * blocks[k]), range(h, K + 1), points=spec.npoints)))
 
     def t2_summand(k: int) -> GridFunction:
         first = run(psi[k] - at(psi, k - h), c * blocks[k])
         second = run(psi[k] - at(psi, k - 1), c * (at(ball, k - 1) - at(ball, k - h)))
         return first + second
 
-    t2_parts = dict(zip(range(0, K + 1), pmap(t2_summand, range(0, K + 1))))
+    t2_parts = dict(zip(range(0, K + 1), pmap(t2_summand, range(0, K + 1), points=spec.npoints)))
 
-    t3_parts = dict(
-        zip(range(h, K + 1),
-            pmap(lambda j: run(psi[j] - at(psi, j - 1), c * ball[j - h]), range(h, K + 1)))
-    )
+    t3_parts = dict(zip(range(h, K + 1), pmap(
+        lambda j: run(psi[j] - at(psi, j - 1), c * ball[j - h]), range(h, K + 1),
+        points=spec.npoints)))
 
     def series_sum(parts: dict[int, GridFunction]) -> GridFunction:
         out = np.zeros(spec.shape, dtype=complex)

@@ -318,7 +318,7 @@ def embedding_report(
     sp_tgt = SpaceParams(s_target, p_target, q, TRIEBEL_LIZORKIN, fr)
 
     spaces = [sp_f, sp_lo, sp_hi, sp_tgt, SpaceParams(s, math.inf, math.inf, BESOV, fr)]
-    norms = pmap(lambda u: space_norms(u, spaces), members)
+    norms = pmap(lambda u: space_norms(u, spaces), members, points=members[0].spec.npoints)
     rows = [(0.0, 0.0, 0.0) if f == 0.0 else (f / lo, hi / f, tgt / f)
             for f, lo, hi, tgt, _ in norms]
     inner, outer, sob = (max(col) for col in zip(*rows))

@@ -768,7 +768,7 @@ def sigma_order_estimate(
             out.append((max(float(R) ** scale * v for R, v in per_shell.items()), per_shell))
         return out
 
-    results = pmap(one_eps, eps_grid)  # results[i][k]: eps_grid[i], alphas[k]
+    results = pmap(one_eps, eps_grid, points=spec.npoints)  # results[i][k]: eps_grid[i], alphas[k]
     return [_sigma_fit(al, eps_grid, [r[k] for r in results], spec) for k, al in enumerate(alphas)]
 
 

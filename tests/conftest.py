@@ -2,10 +2,12 @@
 
 import importlib
 import pkgutil
+import threading
 
 import pytest
 
 import pdlab
+import pdlab._threads as _threads
 import pdlab.grid as grid
 
 
@@ -27,3 +29,27 @@ def fft_calls(monkeypatch):
             if getattr(mod, name, None) is real:
                 monkeypatch.setattr(mod, name, spy)
     return calls
+
+
+@pytest.fixture
+def pooled(monkeypatch):
+    """Every pmap of two workers or more runs on a pool, whatever its grid
+    (the pool gate patched to 0).  Returns the idents of the threads that
+    ran a pool task, each one other than the thread that submitted it: a
+    test asserts the list is not empty to show that a pool really ran."""
+    ran = []
+
+    class Recording(_threads.ThreadPoolExecutor):
+        def submit(self, fn, /, *args, **kwargs):
+            caller = threading.get_ident()
+
+            def task(*a, **kw):
+                if threading.get_ident() != caller:
+                    ran.append(threading.get_ident())
+                return fn(*a, **kw)
+
+            return super().submit(task, *args, **kwargs)
+
+    monkeypatch.setattr(_threads, "POOL_GUARD", 0)
+    monkeypatch.setattr(_threads, "ThreadPoolExecutor", Recording)
+    return ran

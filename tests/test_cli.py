@@ -199,6 +199,14 @@ class TestSubcommands:
         assert out.splitlines()[0] == "x,lhs,rhs,ratio" and len(out.splitlines()) == 3
         assert set(json.loads(err)) == {"C_p", "p", "N_exp", "trials"}
 
+    @pytest.mark.parametrize("p", ["1e-308", "1e308"])
+    def test_pointwise_maximal_constant_refuses_a_constant_not_finite(self, capsys, p):
+        # ||u||_p overflows to inf, and C_p = ||u*||_p / ||u||_p reads nan
+        assert main(["pointwise", "maximal-constant", "--p", p, "--grid", "64"]) == 2
+        out, err = capsys.readouterr()
+        assert out == "" and err.startswith("error: C_p is nan at --p ")
+        assert err.count("\n") == 1
+
     def test_pointwise_mihlin(self, capsys, tmp_path):
         out = tmp_path / "m.csv"
         obj = run_json(capsys, ["pointwise", "mihlin", *SYMBOL, "--grid", "32",
@@ -322,7 +330,8 @@ def test_integer_thresholds_are_reported_as_floats(capsys, tmp_path):
     assert '"family_factor": 2.0,' in (tmp_path / "report.json").read_text()
 
 
-def test_continuity_files_are_byte_identical_across_thread_counts(capsys, tmp_path, monkeypatch):
+def test_continuity_files_are_byte_identical_across_thread_counts(capsys, tmp_path, monkeypatch,
+                                                                 pooled):
     config = {"symbol": "ching:d=0,theta=+1,jmax=auto", "seed": 3,
               "params": {"cases": [["F:s=0,p=2,q=1", "L:p=2"], ["B:s=0,p=2,q=2", "H:s=0"]],
                          "grids": [128, 2048], "trials": 3}}
@@ -335,6 +344,7 @@ def test_continuity_files_are_byte_identical_across_thread_counts(capsys, tmp_pa
         written.append([(run_dir / "report").with_suffix(s).read_bytes() for s in (".json", ".csv")])
     assert written[0] == written[1]
     assert b"family[" in written[0][1]
+    assert pooled
 
 
 def test_runner_is_looked_up_at_call_time(capsys, tmp_path, monkeypatch):
@@ -563,13 +573,21 @@ def spec_text(kind: str, options: dict) -> str:
     return f"{kind}:{text}" if kind else text
 
 
+def takes_a_float(hint) -> bool:
+    """A float or complex annotation, alone or as a member of a union."""
+    return bool({float, complex} & {hint, *typing.get_args(hint)})
+
+
 def spec_cases():
     """(id, argv, texts one of which the error line must hold): every key of
-    every spec kind given x and an empty value, and one unknown key per kind."""
+    every spec kind given x and an empty value, every float or complex key
+    given nan, and one unknown key per kind."""
     for family, (kinds, argv) in SPEC_TABLES.items():
         for kind, build in kinds.items():
             keys, _ = keyword_options(build)
-            for key, value in [(k, v) for k in keys for v in ("x", "")] + [("bogus", "1")]:
+            bad = [(k, v) for k in keys for v in ("x", "")]
+            bad += [(k, "nan") for k, hint in keys.items() if takes_a_float(hint)]
+            for key, value in bad + [("bogus", "1")]:
                 spec = spec_text(kind, {**SPEC_REQUIRED.get(kind, {}), key: value})
                 yield f"{family} {spec}", argv(spec), (repr(spec), repr(key))
 
@@ -601,8 +619,11 @@ CONTRACT_CASES = [*spec_cases(), *ARITHMETIC_CASES]
 def test_the_spec_cases_cover_every_kind():
     kinds = sum(len(k) for k, _ in SPEC_TABLES.values())
     assert kinds == 4 + 4 + 4 + 1  # input, symbol and norm kinds, the frame
-    keys = sum(len(keyword_options(b)[0]) for k, _ in SPEC_TABLES.values() for b in k.values())
-    assert len(CONTRACT_CASES) == 2 * keys + kinds + 11
+    hints = [h for k, _ in SPEC_TABLES.values() for b in k.values()
+             for h in keyword_options(b)[0].values()]
+    floats = sum(map(takes_a_float, hints))
+    assert floats == 23  # d, c, band, s, p, q, the frame's r and R, ching's levels
+    assert len(CONTRACT_CASES) == 2 * len(hints) + floats + kinds + 11
 
 
 @pytest.mark.parametrize("argv, names", [c[1:] for c in CONTRACT_CASES],
@@ -620,6 +641,12 @@ def test_q_grid_error_names_the_flag_and_its_text(capsys):
     argv = ["pointwise", "moment-decay", *SYMBOL, "--grid", "32", "--q-grid", "2,x"]
     assert main(argv) == 2
     assert capsys.readouterr().err == "error: bad value for --q-grid '2,x'\n"
+
+
+def test_a_nan_in_the_q_grid_names_the_flag(capsys):
+    argv = ["pointwise", "moment-decay", *SYMBOL, "--grid", "32", "--q-grid", "2,nan"]
+    assert main(argv) == 2
+    assert capsys.readouterr().err == "error: bad value for --q-grid '2,nan'\n"
 
 
 def test_eta_names_the_grid_dimension(capsys):

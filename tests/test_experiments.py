@@ -544,7 +544,7 @@ class TestOneTaskPerInput:
     CASES = [("F:s=0,p=2,q=1", "L:p=2"), ("B:s=0,p=2,q=2", "H:s=0"),
              ("L:p=2", "B:s=0,p=2,q=2"), ("H:s=0.5", "F:s=0.5,p=2,q=1")]
 
-    def test_rows_equal_across_thread_counts_and_the_serial_reference(self, monkeypatch):
+    def test_rows_equal_across_thread_counts_and_the_serial_reference(self, monkeypatch, pooled):
         kw = dict(cases=self.CASES, grids=(64, 2**12), trials=3, seed=5)
         reports = []
         for threads in ("1", "2"):
@@ -552,6 +552,7 @@ class TestOneTaskPerInput:
             reports.append(run_continuity_table(ching_for_grid, **kw))
         one, two = reports
         assert one.rows == two.rows and one.verdicts == two.verdicts
+        assert pooled
         est, control, family = serial_continuity(
             ching_for_grid, self.CASES, (64, 2**12), trials=3, seed=5
         )
@@ -559,7 +560,7 @@ class TestOneTaskPerInput:
         assert two.series("control est") == control
         assert two.series("family") == family and len(family) == 2 * len(self.CASES)
 
-    def test_memory_holds_only_the_workers_inputs(self, monkeypatch):
+    def test_memory_holds_only_the_workers_inputs(self, monkeypatch, pooled):
         # the stage-by-stage table held every input, output and control
         # output of a grid at once: on this call its tracemalloc peak was
         # 26.28-27.05 MiB (1-d 2^16, two threads, a fresh frame so the block
@@ -577,6 +578,7 @@ class TestOneTaskPerInput:
         finally:
             tracemalloc.stop()
         assert peak < 26.28 * 2**20
+        assert pooled
 
 
 class TestContinuityTable:

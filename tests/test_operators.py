@@ -540,7 +540,7 @@ class TestSpectralParadiff:
         assert rel_sup(terms.total(), apply(a, u)) <= 1e-10
         assert corona_ball_report(terms).max_outside <= 1e-10
 
-    def test_threaded_reruns_are_bit_identical_2d(self, monkeypatch):
+    def test_threaded_reruns_are_bit_identical_2d(self, monkeypatch, pooled):
         monkeypatch.setenv("PDLAB_THREADS", "2")
         spec = GridSpec(2, 32)
         a = random_elementary(spec, DEFAULT_FRAME, J=4, seed=12)
@@ -550,6 +550,7 @@ class TestSpectralParadiff:
             one, two = getattr(first, name), getattr(second, name)
             assert sorted(one) == sorted(two)
             assert all(np.array_equal(one[k].values, two[k].values) for k in one)
+        assert pooled
 
     def test_guard_raises_before_any_table(self, monkeypatch):
         def no_table(*args):
@@ -577,7 +578,7 @@ class TestSpectralParadiff:
             terms = paradiff_split(a, u)
             assert rel_sup(terms.total(), apply_auto(a, u)) <= 1e-12
 
-    def test_peak_memory_under_eight_tables(self, monkeypatch):
+    def test_peak_memory_under_eight_tables(self, monkeypatch, pooled):
         monkeypatch.setenv("PDLAB_THREADS", "2")
         spec = GridSpec(1, 1024)
         a = random_table_symbol(spec, seed=13)  # no structure: the sheared route
@@ -589,6 +590,28 @@ class TestSpectralParadiff:
         finally:
             tracemalloc.stop()
         assert peak < 8 * spec.npoints**2 * 16
+        assert pooled
+
+    def test_sheared_memory_is_flat_in_thread_count(self, monkeypatch):
+        # the budget admits the sheared route only up to N^n = 2048 points,
+        # below the pool gate, so its one N^n x N^n temporary is never held
+        # once per worker (pooled: 40.8 MiB with 1 thread, 88.9 with 4)
+        spec = GridSpec(1, 1024)
+        a = random_table_symbol(spec, seed=13)
+        u = random_band_limited(spec, 400, np.random.default_rng(93))
+        paradiff_split(a, u)  # the frame's block tables are cached from here on
+        peaks = {}
+        for threads in ("1", "4"):
+            monkeypatch.setenv("PDLAB_THREADS", threads)
+            tracemalloc.start()
+            try:
+                paradiff_split(a, u)
+                peaks[threads] = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+        # equal but for a few interpreter objects; a second worker's
+        # temporary would add one N^n x N^n table, 16 MiB
+        assert abs(peaks["4"] - peaks["1"]) < 1024
 
 
 def sheared_twin(a, spec):
@@ -658,13 +681,14 @@ class TestStructuredParadiff:
         assert rel_sup(terms.total(), apply_auto(a, u)) <= 1e-10
         assert corona_ball_report(terms).max_outside <= 1e-10
 
-    def test_threaded_reruns_are_bit_identical(self, monkeypatch):
+    def test_threaded_reruns_are_bit_identical(self, monkeypatch, pooled):
         monkeypatch.setenv("PDLAB_THREADS", "2")
         spec = GridSpec(1, 1024)
         u = random_band_limited(spec, 400, np.random.default_rng(97))
         for a in (random_elementary(spec, DEFAULT_FRAME, J=5, seed=17), ching_for_grid(spec)):
             first, second = summands(paradiff_split(a, u)), summands(paradiff_split(a, u))
             assert all(np.array_equal(x, y) for x, y in zip(first, second))
+        assert pooled
 
     @pytest.mark.parametrize("n, N, inverse", [(1, 1024, 176), (2, 32, 100)])
     def test_the_split_runs_a_fixed_count_of_ffts(self, fft_calls, n, N, inverse):
@@ -697,7 +721,7 @@ class TestStructuredParadiff:
         assert calls == [spec]
         assert rel_sup(terms.total(), apply_auto(a, u)) <= 1e-10
 
-    def test_peak_memory_flat_in_thread_count(self, monkeypatch):
+    def test_peak_memory_flat_in_thread_count(self, monkeypatch, pooled):
         spec = GridSpec(1, 1024)
         a = random_elementary(spec, DEFAULT_FRAME, J=5, seed=18)
         u = random_band_limited(spec, 400, np.random.default_rng(98))
@@ -713,6 +737,7 @@ class TestStructuredParadiff:
                 tracemalloc.stop()
         assert peaks["1"] < spec.npoints**2 * 16  # below one N^n x N^n table
         assert peaks["4"] <= 1.1 * peaks["1"]
+        assert pooled
 
 
 class TestKernel:
@@ -875,7 +900,7 @@ class TestSpectralSupportRule:
 
 
 class TestConcurrency:
-    def test_thread_count_does_not_change_results(self, monkeypatch):
+    def test_thread_count_does_not_change_results(self, monkeypatch, pooled):
         spec = GridSpec(1, 64)
         a = random_table_symbol(spec, seed=12)
         u = random_band_limited(spec, 24, np.random.default_rng(70))
@@ -884,6 +909,7 @@ class TestConcurrency:
         monkeypatch.setenv("PDLAB_THREADS", "4")
         threaded = paradiff_split(a, u).total()
         assert np.array_equal(serial.values, threaded.values)
+        assert pooled
 
 
 class TestShiftPath:

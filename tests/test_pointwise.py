@@ -570,7 +570,7 @@ class TestMomentDecayStructured:
 class TestNestedPools:
     """A pmap called from a pool worker runs inline: one live pool at most."""
 
-    def test_inner_pmap_runs_inline(self, monkeypatch):
+    def test_inner_pmap_runs_inline(self, monkeypatch, pooled):
         monkeypatch.setenv("PDLAB_THREADS", "2")
         base = threading.active_count()
         live = []
@@ -579,11 +579,12 @@ class TestNestedPools:
             live.append(threading.active_count())
             return x * x
 
-        got = pmap(lambda i: pmap(inner, range(3 * i, 3 * i + 3)), range(4))
+        got = pmap(lambda i: pmap(inner, range(3 * i, 3 * i + 3), points=1), range(4), points=1)
         assert got == [[x * x for x in range(3 * i, 3 * i + 3)] for i in range(4)]
         assert max(live) <= base + 2
+        assert pooled
 
-    def test_nested_sites_match_serial(self, monkeypatch):
+    def test_nested_sites_match_serial(self, monkeypatch, pooled):
         spec = GridSpec(1, 64)
         a = random_elementary(spec, DEFAULT_FRAME, 4, seed=5)
         p = MaximalParams(1.0, 8.0)
@@ -595,3 +596,4 @@ class TestNestedPools:
         serial = run()
         monkeypatch.setenv("PDLAB_THREADS", "2")
         assert np.array_equal(run(), serial)
+        assert pooled
