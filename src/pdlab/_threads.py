@@ -1,19 +1,27 @@
 """Worker-pool helpers.  PDLAB_THREADS caps the worker count.
 
-A pool runs only where it pays.  `pmap` is told how many grid points each
-task works on, and runs the tasks inline, on the calling thread, below
+A pool runs only where it pays.  `pmap` is told each task's work as
+`points`, in grid points of a paradifferential-split task: N^n for a site
+whose tasks do what a split task does per point, scaled where a task does
+more or less.  It runs the tasks inline, on the calling thread, below
 POOL_GUARD points; at or above it, on a pool of at most PDLAB_THREADS
 workers.  A `pmap` called from a pool worker runs inline too, so pools
 never nest.  Where a task runs changes no result: every output is the same
 inline and pooled.
 
-POOL_GUARD's value comes from `tools/pool_sweep.py`, which times the
-paradifferential split and one continuity-table grid inline and on a pool
-of 2 workers, on 1-d grids of 2^10-2^18 points and 2-d grids of 32-128.
-On a 2-CPU machine the pool lost on every grid up to 2^13 points: pooled,
-the split took 2.3x as long at 1-d 2^10, where each task is a few short
-numpy calls, and 1.1x at 2^13.  At 2^14 points it broke even or won
-(0.84-0.98x), and from 2^15 points on it won (0.6-0.9x).
+POOL_GUARD's value and each site's work measure come from
+`tools/pool_sweep.py`, which times every kind of pool task inline and on a
+pool of 2 workers over a range of grids.  On a 2-CPU machine the split
+pooled took 2.3x as long at 1-d 2^10, where each task is a few short numpy
+calls, and 1.1x at 2^13; at 2^14 it read 0.78-1.07x over two runs of the
+split and a continuity grid, and from 2^15 on the pool won (0.6-0.9x).
+The other sites cross over elsewhere, and pass their work scaled to
+match: vfm 2 N^n (the pool won from 2^13), the sigma onset probes N^n / 4
+(from 2^16), the Peetre maximal scan N^n / 8 (from 2^17), moment decay's
+N^n x N^n kernel entries / 16 (from 1-d 512 and 2-d 32), sigma order's
+dense route (N^n)^2 (from 1-d 128) and its Gram route N^n R^2 for R rows
+(from 1-d 512).  Embedding passes N^n: the pool neither won nor lost on
+it at 1-d 2^10-2^14.  The counterexample's mode-space route passes 0.
 """
 from __future__ import annotations
 

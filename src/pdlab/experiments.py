@@ -727,7 +727,9 @@ def run_sigma_estimate(
     def sweep(sym: Symbol) -> list[float]:
         d_sym = float(sym.d)
         probes = [spectrum_from_coeffs(spec, {2**j + offset: 1.0}) for j in j_range]
-        outs = [as_spectral(out) for out in pmap(plan(sym, spec), probes, points=spec.npoints)]
+        # one-mode applies: about a quarter of a split task's work per grid point
+        outs = pmap(plan(sym, spec), probes, points=spec.npoints // 4)
+        outs = [as_spectral(out) for out in outs]
         for j, u, out in zip(j_range, probes, outs):
             # an output at rounding-dust level carries no signal; a slope
             # fitted through it would measure the FFT noise floor

@@ -188,7 +188,8 @@ def vfm_limit(
     norms: dict[str, list[float]] = {}
     saturated: dict[str, GridFunction] = {}
     for tag, psi in zip(tags, psis):
-        ys = pmap(lambda m: vfm_apply(a, u, psi, m), m_values, points=spec.npoints)
+        # a modulated apply: about twice a split task's work per grid point
+        ys = pmap(lambda m: vfm_apply(a, u, psi, m), m_values, points=2 * spec.npoints)
         norms[tag] = [lp_norm(y, 2) for y in ys]
         idx = min(sats[tag], len(ys) - 1)
         saturated[tag] = ys[idx]

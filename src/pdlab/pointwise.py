@@ -269,7 +269,8 @@ def maximal_ratio(corpus, p_exp: float, N_exp: float, tau: float = 1e-10) -> flo
         pr = MaximalParams(N_exp, max(1.0, spectral_radius(u, tau)))
         return lp_norm(peetre_maximal(u, pr), p_exp) / lp_norm(u, p_exp)
 
-    return float(max(pmap(one, corpus, points=corpus[0].spec.npoints)))
+    # a Peetre scan stops early: about 1/8 of a split task's work per grid point
+    return float(max(pmap(one, corpus, points=corpus[0].spec.npoints // 8)))
 
 
 def maximal_lp_constant(corpus, p_exp: float, N_exp: float, tau: float = 1e-10) -> float:
@@ -443,7 +444,9 @@ def moment_decay_check(
         a_q = filter_symbol(a, spec, phi(xrad / float(Q)))
         return float(symbol_factor(a_q, p, chi, spec).values.real.max())
 
-    values = pmap(one, list(q_grid), points=spec.npoints)
+    # symbol_factor sums N^n x N^n kernel entries, each about 1/16 of the
+    # work of a grid point in a split task (tools/pool_sweep.py)
+    values = pmap(one, list(q_grid), points=spec.npoints**2 // 16)
     fit = _fit_exponent(q_grid, values)
     drops = []
     for i in range(len(values) - 1):

@@ -742,11 +742,13 @@ def sigma_order_estimate(
     shifts = a.shift_terms(spec)
     if shifts is None:
         ahat = symbol_partial_ft(a, spec)
+        work = spec.npoints**2  # per eps: an N^n x N^n table
     else:
         xis, ahat = _shift_rows(shifts, spec)
         sum_rad, eta_rad = _sum_radius_mesh(spec, xis)
         k = np.moveaxis(np.indices(spec.shape), 0, -1).reshape(-1, spec.n)
         phase = lattice_phase(spec, k, xis)  # (N^n, R): e^{i x_k.xi_r}
+        work = spec.npoints * len(xis) ** 2  # per eps and shell: phase . G . phase^*
     e_axes = tuple(range(ahat.ndim - spec.n, ahat.ndim))
 
     def shell_sup(diff: np.ndarray, mask: np.ndarray) -> float:
@@ -768,7 +770,7 @@ def sigma_order_estimate(
             out.append((max(float(R) ** scale * v for R, v in per_shell.items()), per_shell))
         return out
 
-    results = pmap(one_eps, eps_grid, points=spec.npoints)  # results[i][k]: eps_grid[i], alphas[k]
+    results = pmap(one_eps, eps_grid, points=work)  # results[i][k]: eps_grid[i], alphas[k]
     return [_sigma_fit(al, eps_grid, [r[k] for r in results], spec) for k, al in enumerate(alphas)]
 
 

@@ -9,6 +9,9 @@ import pytest
 import pdlab
 import pdlab._threads as _threads
 from pdlab._threads import POOL_GUARD, pmap
+from pdlab.grid import GridSpec
+from pdlab.pointwise import MaximalParams, moment_decay_check
+from pdlab.symbols import TabulatedSymbol, ching_for_grid, sigma_order_estimate
 
 
 @pytest.fixture
@@ -56,6 +59,32 @@ def test_a_nested_pmap_runs_inline(pools):
     got = pmap(outer, range(4), points=POOL_GUARD)
     assert all(inner == [ident] * 3 and ident != threading.get_ident() for ident, inner in got)
     assert pools == [2]  # one pool: the inner calls built none
+
+
+def moment_decay(spec):
+    params = MaximalParams(2.0, spec.N / 8.0)
+    moment_decay_check(ching_for_grid(spec), params, (2.0, 4.0), 2, spec=spec)
+
+
+def sigma_dense(spec):
+    b = ching_for_grid(spec)
+    sigma_order_estimate(TabulatedSymbol(spec, b.table(spec), d=b.d), (0,), spec=spec)
+
+
+def sigma_gram(spec):
+    sigma_order_estimate(ching_for_grid(spec), (0,), spec=spec)
+
+
+# the N^n x N^n table sites pass their table work: each pools from the
+# smallest 1-d grid where tools/pool_sweep.py saw the pool win
+@pytest.mark.parametrize("site, N, pool", [
+    (moment_decay, 256, False), (moment_decay, 512, True),
+    (sigma_dense, 64, False), (sigma_dense, 128, True),
+    (sigma_gram, 256, False), (sigma_gram, 512, True),
+])
+def test_table_sites_pool_from_their_crossover(pools, site, N, pool):
+    site(GridSpec(1, N))
+    assert pools == ([2] if pool else [])
 
 
 def test_points_is_required():
