@@ -13,15 +13,16 @@ POOL_GUARD's value and each site's work measure come from
 `tools/pool_sweep.py`, which times every kind of pool task inline and on a
 pool of 2 workers over a range of grids.  On a 2-CPU machine the split
 pooled took 2.3x as long at 1-d 2^10, where each task is a few short numpy
-calls, and 1.1x at 2^13; at 2^14 it read 0.78-1.07x over two runs of the
-split and a continuity grid, and from 2^15 on the pool won (0.6-0.9x).
-The other sites cross over elsewhere, and pass their work scaled to
-match: vfm 2 N^n (the pool won from 2^13), the sigma onset probes N^n / 4
-(from 2^16), the Peetre maximal scan N^n / 8 (from 2^17), moment decay's
-N^n x N^n kernel entries / 16 (from 1-d 512 and 2-d 32), sigma order's
-dense route (N^n)^2 (from 1-d 128) and its Gram route N^n R^2 for R rows
-(from 1-d 512).  Embedding passes N^n: the pool neither won nor lost on
-it at 1-d 2^10-2^14.  The counterexample's mode-space route passes 0.
+calls, and 0.9-1.1x at 2^13; at 2^14 it read 0.76-1.21x over three runs
+of the split and a continuity grid, and from 2^15 on the pool won
+(0.6-0.9x).  The other sites' pools stop losing elsewhere, and they pass
+their work scaled to match: vfm 2 N^n (the pool won from 2^13), the sigma
+onset probes N^n / 4 (even at 2^16), the Peetre maximal scan N^n / 8 (won
+from 2^17), moment decay's N^n x N^n kernel entries / 16 (even at 1-d 512,
+won from 2-d 32), sigma order's dense route (N^n)^2 (even at 1-d 128) and
+its Gram route N^n R^2 for R rows (won from 1-d 512).  Embedding passes
+N^n: the pool neither won nor lost on it at 1-d 2^10-2^14.  The
+counterexample's mode-space route, pure-Python mode sums, passes 0.
 """
 from __future__ import annotations
 
@@ -30,7 +31,7 @@ import threading
 from collections.abc import Callable, Iterable, Sequence
 from concurrent.futures import ThreadPoolExecutor
 
-POOL_GUARD = 16384  # grid points per task below which pmap runs inline
+POOL_GUARD = 16384  # points of work per task below which pmap runs inline
 
 _local = threading.local()  # in_worker: this thread belongs to a pmap pool
 
@@ -49,10 +50,10 @@ def worker_count(task_count: int) -> int:
 
 
 def pmap(fn: Callable, items: Iterable, *, points: int) -> list:
-    """map preserving order, where each task works on `points` grid points
-    (0 for work off the grid); runs on a thread pool when the tasks are
-    large enough to pay for it, and inline otherwise or when called from a
-    pool worker, so pools never nest."""
+    """map preserving order, where each task's work is `points` grid points
+    of a split task (0 for work off the grid); runs on a thread pool when
+    the tasks are large enough to pay for it, and inline otherwise or when
+    called from a pool worker, so pools never nest."""
     seq: Sequence = list(items)
     workers = worker_count(len(seq))
     if (workers <= 1 or len(seq) <= 1 or points < POOL_GUARD

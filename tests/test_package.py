@@ -104,7 +104,7 @@ NOT_BYTE_BUDGETS = {
     "DIRECT_APPLY_GUARD": "bounds the reference apply's O(N^{2n}) work, not its bytes",
     "_QUAD_CHUNK": "radii per quadrature pass: a 1.5 MiB cache tile, not a budget",
     "DERIVATIVE_BUDGET": "limits a difference order, not memory",
-    "POOL_GUARD": "grid points per task below which pmap runs inline: work, not bytes",
+    "POOL_GUARD": "points of work per task below which pmap runs inline: work, not bytes",
 }
 
 

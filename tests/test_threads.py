@@ -75,8 +75,8 @@ def sigma_gram(spec):
     sigma_order_estimate(ching_for_grid(spec), (0,), spec=spec)
 
 
-# the N^n x N^n table sites pass their table work: each pools from the
-# smallest 1-d grid where tools/pool_sweep.py saw the pool win
+# sites whose tasks do other than N^n work pass their own: each pools from
+# the smallest 1-d grid where tools/pool_sweep.py saw the pool stop losing
 @pytest.mark.parametrize("site, N, pool", [
     (moment_decay, 256, False), (moment_decay, 512, True),
     (sigma_dense, 64, False), (sigma_dense, 128, True),
