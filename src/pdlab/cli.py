@@ -19,7 +19,14 @@ docstring is the help.  Positional parameters with these names are supplied:
     mode    the --mode text, None with --input          as u
     corpus  (text, input) per entry of a JSON list      --corpus, in u's group
 
+The parser is built once per process, on the first build_parser() call, from
+the handler signatures of that moment; main parses every call with it and
+then looks the handler up by name, so a handler rebound later (a tracer, a
+spy) is the one that runs, and must keep its signature (functools.wraps).
+
 A .pdgf input (--input or file:) defines the grid: --grid/--n must agree.
+A --grid/--n whose one complex grid array (16 N^n bytes) would pass
+grid.MEMORY_BUDGET is refused before anything is built.
 `experiment NAME` calls the pdlab.experiments function RUNNERS[NAME] by the
 same rule: the config's grid, frame, symbol and seed are supplied, "params"
 and "thresholds" give the rest, and an unusable key is an error.
@@ -65,6 +72,7 @@ from .grid import (
     SpectralFunction,
     as_spectral,
     as_values,
+    check_grid_budget,
     lp_norm,
     random_band_limited,
     random_band_spectrum,
@@ -310,6 +318,7 @@ def _cli_supplied(params, flags: dict) -> dict:
     """The supplied arguments among `params`, from the decoded flags."""
     grid, n, seed = flags.get("grid"), flags.get("n"), flags.get("seed", 0)
     spec = GridSpec(n=1 if n is None else n, N=_GRID_DEFAULT if grid is None else grid)
+    check_grid_budget(f"--grid {spec.N} (n={spec.n})", spec)
     frame = (parse_spec(flags["frame"], frame_from_options, "frame")() if flags.get("frame")
              else DEFAULT_FRAME)
 
@@ -871,7 +880,9 @@ def _shown(name: str, params) -> str:
     return name if plain else "--" + name.replace("_", "-")
 
 
+@functools.cache  # one parser per process (module docstring)
 def build_parser() -> argparse.ArgumentParser:
+    """The pdlab parser, built on the first call; later calls return it."""
     parser = argparse.ArgumentParser(
         prog="pdlab",
         description="Type 1,1 pseudo-differential operators on the discrete torus",

@@ -35,7 +35,7 @@ from .grid import (
     spectrum_from_coeffs,
 )
 from .operators import plan
-from .spaces import SPACE_KINDS, SpaceParams, format_space, space_norms
+from .spaces import SPACE_KINDS, SpaceParams, finite_norm, format_space, space_norms
 from .symbols import (
     DEFAULT_BUMP,
     ConstantSymbol,
@@ -427,7 +427,8 @@ class _Lebesgue(NamedTuple):  # the one norm kind that may read grid values
     p: float
 
     def __call__(self, u: GridFunction | SpectralFunction) -> float:
-        return lp_norm(u, self.p)
+        with np.errstate(over="ignore", invalid="ignore"):  # a norm not finite is refused
+            return finite_norm(f"L:p={self.p:g}", lp_norm(u, self.p))
 
 
 def _lebesgue(frame: LPFrame, *, p: float) -> _Lebesgue:
@@ -435,7 +436,10 @@ def _lebesgue(frame: LPFrame, *, p: float) -> _Lebesgue:
 
 
 def _sobolev(frame: LPFrame, *, s: float) -> Callable[[GridFunction | SpectralFunction], float]:
-    return lambda u: sobolev_norm(as_spectral(u), s)
+    def norm(u: GridFunction | SpectralFunction) -> float:
+        with np.errstate(over="ignore", invalid="ignore"):  # a norm not finite is refused
+            return finite_norm(f"H:s={s:g}", sobolev_norm(as_spectral(u), s))
+    return norm
 
 
 NORM_KINDS = {"L": _lebesgue, "H": _sobolev, **SPACE_KINDS}

@@ -35,6 +35,15 @@ def check_budget(what: str, spec: GridSpec) -> None:
                          "structured paths")
 
 
+def check_grid_budget(what: str, spec: GridSpec) -> None:
+    """ValueError, raised before any allocation, if one complex array on
+    spec's grid (16 N^n bytes) would pass the budget."""
+    if (nbytes := 16 * spec.npoints) > MEMORY_BUDGET:
+        raise ValueError(f"{what} would hold {spec.npoints} points in one complex grid array "
+                         f"(16 bytes a point: {nbytes / 2**20:g} MiB > {MEMORY_BUDGET / 2**20:g}"
+                         " MiB memory budget)")
+
+
 def row_chunks(count: int, row_bytes: int) -> Iterator[slice]:
     """Consecutive slices over `count` rows of row_bytes each, each holding
     as many rows as the budget does, at least one."""

@@ -3,6 +3,7 @@ pointwise factorization bound with its derivative-sum and decay controls."""
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass, field
 
@@ -148,7 +149,9 @@ def symbol_factor(
     symbol included, gives k(x,.) = sum_j m_j(x) k_j with k_j the kernel of
     g_j chi: one inverse FFT per term whose g_j chi is not identically zero,
     and no table.  Other symbols are tabulated.  Either way k is built and
-    summed over chunks of x-rows that fit the memory budget (grid.row_chunks).
+    summed over chunks of x-rows that fit the memory budget (grid.row_chunks):
+    a chunk holds its complex rows and their moduli, 24 bytes an entry, in
+    two workspaces that every chunk reuses.
     """
     chi = as_cutoff(chi)
     spec = _resolve_spec(a, spec)
@@ -156,36 +159,48 @@ def symbol_factor(
     w = ((1.0 + p.R_spec * _offset_radius(spec)) ** p.N_exp).reshape(-1)
     cell = (TWO_PI / spec.N) ** spec.n
     e_axes = tuple(range(-spec.n, 0))
+    h = spec.N // 2  # ifftshift moves each eta axis's index h to 0: the halves swap
+    swaps = [tuple(zip(*axes)) for axes in itertools.product(
+        ((slice(0, h), slice(h, None)), (slice(h, None), slice(0, h))), repeat=spec.n)]
 
-    def kernel(filtered: np.ndarray) -> np.ndarray:
-        """k over y for a(x,.) chi tabulated on the trailing eta axes."""
-        k = np.fft.ifftn(np.fft.ifftshift(filtered, axes=e_axes), axes=e_axes)
-        return (k * (spec.npoints / TWO_PI**spec.n)).reshape(-1, spec.npoints)
+    def kernel(g: np.ndarray, out: np.ndarray) -> None:
+        """k over y into `out`, for a(x,.) = g tabulated on the trailing eta
+        axes: g chi is written in ifftshift's order, then transformed and
+        scaled in place."""
+        for dst, src in swaps:
+            np.multiply(g[(..., *src)], chiv[src], out=out[(..., *dst)])
+        np.fft.ifftn(out, axes=e_axes, out=out)
+        out *= spec.npoints / TWO_PI**spec.n
 
     terms = a.separable_terms(spec)
     if terms is not None:
-        kept = [(m, gc) for m, g in terms if np.any(gc := g * chiv)]
+        kept = [(m, g) for m, g in terms if np.any(g * chiv)]
         mx = np.zeros((spec.npoints, len(kept)), dtype=complex)
-        ky = np.zeros((len(kept), spec.npoints), dtype=complex)
-        for i, (m, gc) in enumerate(kept):
+        ky = np.zeros((len(kept),) + spec.shape, dtype=complex)
+        for i, (m, g) in enumerate(kept):
             mx[:, i] = m.reshape(-1)
-            ky[i] = kernel(gc)
+            kernel(np.broadcast_to(g, spec.shape), ky[i])
+        ky = ky.reshape(len(kept), spec.npoints)
 
-        def rows(rs: slice) -> np.ndarray:
-            return mx[rs] @ ky
+        def rows(rs: slice, out: np.ndarray) -> None:
+            np.matmul(mx[rs], ky, out=out)
 
     else:
         tab = a.table(spec).reshape((spec.npoints,) + spec.shape)
 
-        def rows(rs: slice) -> np.ndarray:
-            return kernel(tab[rs] * chiv)
+        def rows(rs: slice, out: np.ndarray) -> None:
+            kernel(tab[rs], out.reshape(out.shape[:1] + spec.shape))
 
     out = np.empty(spec.npoints)
-    for rs in row_chunks(spec.npoints, 24 * spec.npoints):  # a chunk's rows, then their moduli
-        k = np.abs(rows(rs))
-        k *= w
-        out[rs] = cell * np.sum(k, axis=-1)
-        del k  # before the next chunk's rows are made
+    chunks = list(row_chunks(spec.npoints, 24 * spec.npoints))
+    krows = np.empty((chunks[0].stop, spec.npoints), dtype=complex)
+    kmod = np.empty(krows.shape)
+    for rs in chunks:
+        k, m = krows[: rs.stop - rs.start], kmod[: rs.stop - rs.start]
+        rows(rs, k)
+        np.abs(k, out=m)
+        m *= w
+        out[rs] = cell * np.sum(m, axis=-1)
     return GridFunction(spec, out.reshape(spec.shape))
 
 

@@ -148,6 +148,26 @@ def test_symbol_factor_holds_one_budget_of_rows(monkeypatch):
     assert peaks[1] <= peaks[0] + 64 * 24 * spec.npoints
 
 
+def test_symbol_factor_table_route_holds_one_budget_of_rows(monkeypatch):
+    # a table symbol's chunk is its rows times chi, written in ifftshift's
+    # order, transformed and scaled in place, and then their moduli: 24 bytes
+    # an entry (about 48-64 when each step made a new array)
+    spec = GridSpec(1, 256)
+    a = TabulatedSymbol(spec, random_elementary(spec, DEFAULT_FRAME, J=4, seed=3).table(spec))
+    p = MaximalParams(2.0, 64.0)
+    symbol_factor(a, p, spec=spec)  # caches filled outside the measurement
+    peaks = []
+    for rows in (1, 128):
+        monkeypatch.setattr(grid, "MEMORY_BUDGET", rows * 24 * spec.npoints)
+        tracemalloc.start()
+        try:
+            symbol_factor(a, p, spec=spec)
+            peaks.append(tracemalloc.get_traced_memory()[1])
+        finally:
+            tracemalloc.stop()
+    assert peaks[1] <= peaks[0] + 1.05 * 128 * 24 * spec.npoints
+
+
 def test_the_operator_matrix_takes_the_place_of_its_transform():
     # M[x, y] = G[x, x - y] is gathered within each row of G and written back
     # over it: the peak is G, the gathered rows and their int64 indices, 2.5

@@ -6,12 +6,14 @@ import functools
 import inspect
 import json
 import math
+import tracemalloc
 import typing
+import warnings
 
 import numpy as np
 import pytest
 
-from pdlab import cli, experiments, pointwise, spaces
+from pdlab import cli, experiments, grid, pointwise, spaces
 from pdlab import (
     GridSpec,
     ching_for_grid,
@@ -637,6 +639,51 @@ def test_a_malformed_spec_value_exits_2_naming_it(capsys, tmp_path, argv, names)
     assert any(name in err for name in names), err
 
 
+@pytest.mark.parametrize("space, value", [("H:s=1e308", "nan"), ("L:p=1e308", "inf")])
+def test_a_norm_that_is_not_finite_exits_2_naming_its_space(capsys, space, value):
+    argv = ["norms", "--space", space, "--mode", "random:band=0.4", "--grid", "64", "--json"]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")  # no overflow warning on the way
+        assert main(argv) == 2
+    label = space.replace("1e308", "1e+308")
+    assert capsys.readouterr() == ("", f"error: norm '{label}' is not finite: {value}\n")
+
+
+GRID_PAST_THE_BUDGET = {  # one complex grid array: 16 GiB, 64 GiB
+    "apply 1-d 2^30": (["apply", "--symbol", "const", "--mode", "single:eta=1",
+                        "--grid", str(2**30)], "--grid 1073741824 (n=1) would hold 1073741824"),
+    "norms 2-d 65536": (["norms", "--space", "L:p=2", "--mode", "single:eta=1x1", "--n", "2",
+                         "--grid", "65536"], "--grid 65536 (n=2) would hold 4294967296"),
+}
+
+
+@pytest.mark.parametrize("name", sorted(GRID_PAST_THE_BUDGET))
+def test_a_grid_past_the_budget_exits_2_before_it_is_allocated(capsys, name):
+    argv, opening = GRID_PAST_THE_BUDGET[name]
+    cli.build_parser()  # the parser is built once, outside the measurement
+    tracemalloc.start()
+    try:
+        code = main(argv)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert code == 2 and peak < 1 << 20
+    out, err = capsys.readouterr()
+    assert out == "" and err.startswith(f"error: {opening} points in one complex grid array "
+                                        "(16 bytes a point: ")
+    assert err.endswith(" MiB > 64 MiB memory budget)\n") and err.count("\n") == 1
+
+
+def test_a_grid_array_may_fill_the_budget(capsys, monkeypatch):
+    # 2^20 points (16 MiB) run under the real budget; under a budget of
+    # exactly one 64-point array, 64 points run and 128 do not
+    assert main(["norms", "--space", "L:p=2", "--mode", "single:eta=1", "--grid", str(2**20)]) == 0
+    monkeypatch.setattr(grid, "MEMORY_BUDGET", 16 * 64)
+    assert main(["norms", "--space", "L:p=2", "--mode", "single:eta=1", "--grid", "64"]) == 0
+    assert main(["norms", "--space", "L:p=2", "--mode", "single:eta=1", "--grid", "128"]) == 2
+    assert capsys.readouterr().err.startswith("error: --grid 128 (n=1) would hold 128 points")
+
+
 def test_q_grid_error_names_the_flag_and_its_text(capsys):
     argv = ["pointwise", "moment-decay", *SYMBOL, "--grid", "32", "--q-grid", "2,x"]
     assert main(argv) == 2
@@ -892,8 +939,10 @@ def test_a_negative_seed_names_the_flag_and_its_value(capsys, argv):
 
 
 def test_the_handler_is_looked_up_at_call_time(capsys, monkeypatch):
-    # a wrapper bound into pdlab.cli after import (as a tracer does) is the
-    # function that runs, and its wrapped signature gives the flags
+    # a wrapper bound into pdlab.cli after import and after the parser is
+    # built (as a tracer does) is the function that runs, and its wrapped
+    # signature gives the flags
+    parser = cli.build_parser()
     calls = []
     real = cli.cmd_selftest
 
@@ -904,6 +953,56 @@ def test_the_handler_is_looked_up_at_call_time(capsys, monkeypatch):
 
     monkeypatch.setattr(cli, "cmd_selftest", spy)
     assert main(["selftest", "--quick"]) == 0 and calls == [{"quick": True}]
+    assert cli.build_parser() is parser
+
+
+# ---------------------------------------------------------------------------
+# one parser per process
+
+
+@pytest.fixture
+def fresh_parser():
+    """The next build_parser() call builds; the test's parser is dropped after."""
+    cli.build_parser.cache_clear()
+    yield
+    cli.build_parser.cache_clear()
+
+
+def test_twenty_calls_build_the_parser_once(capsys, monkeypatch, fresh_parser):
+    built, real = [], argparse.ArgumentParser.__init__
+
+    @functools.wraps(real)
+    def counted(self, *args, **kwargs):  # every parser, subparsers too
+        built.append(kwargs.get("prog"))
+        real(self, *args, **kwargs)
+
+    monkeypatch.setattr(argparse.ArgumentParser, "__init__", counted)
+    argv = ["apply", "--symbol", "const", "--grid", "8", "--mode", "single:eta=1"]
+    outs = []
+    for call in range(20):
+        assert main(argv) == 0
+        outs.append(capsys.readouterr().out)
+        if call == 0:
+            first = len(built)
+    assert first == len(built) == 1 + len(cli.COMMANDS) + len(cli._GROUPS)
+    assert outs == outs[:1] * 20
+
+
+def test_a_flag_does_not_carry_into_the_next_call(capsys):
+    argv = ["apply", "--symbol", "const", "--grid", "16", "--mode", "random:band=0.4"]
+    seeded, unseeded, zero = (run_json(capsys, argv + extra)
+                              for extra in (["--seed", "5"], [], ["--seed", "0"]))
+    assert unseeded == zero != seeded
+
+
+def test_help_exits_0_for_every_subcommand_from_one_parser(capsys):
+    parser = cli.build_parser()
+    for name in cli.COMMANDS:
+        with pytest.raises(SystemExit) as info:
+            main([*name.split(), "--help"])
+        assert info.value.code == 0
+        assert capsys.readouterr().out.startswith(f"usage: pdlab {name} ")
+    assert cli.build_parser() is parser
 
 
 def test_maximal_constant_builds_each_u_star_once(capsys, monkeypatch):

@@ -517,6 +517,24 @@ class TestEmbeddingReport:
         assert rep.holder_band is None
         assert rep.holds
 
+    @pytest.mark.parametrize("n, N", [(1, 64), (1, 4096), (2, 32)])
+    def test_holder_norm_equals_the_full_scan(self, monkeypatch, n, N):
+        spec = GridSpec(n, N)
+        rng = np.random.default_rng(7)
+        noise = GridFunction(spec, rng.standard_normal(spec.shape) + 0j)
+        axis = (((np.arange(N) + N // 2) % N) - N // 2) * spec.spacing
+        rad = np.abs(axis) if n == 1 else np.hypot(axis[:, None], axis[None, :])
+        real_roll, rolls = np.roll, []
+        monkeypatch.setattr(np, "roll", lambda *a, **k: rolls.append(1) or real_roll(*a, **k))
+        for u in (rand_u(spec, 0.25 * (N // 2), 7), noise):
+            for s in (0.3, 0.9):
+                full = max(float(np.max(np.abs(real_roll(u.values, idx, axis=tuple(range(n)))
+                                               - u.values))) / rad[idx] ** s
+                           for idx in np.ndindex(spec.shape) if rad[idx] > 0.0)
+                rolls.clear()
+                assert holder_norm(u, s) == float(np.max(np.abs(u.values))) + full
+                assert len(rolls) < spec.npoints // 2  # the scan stopped early
+
     def test_holder_norm_validates_smoothness(self):
         u = rand_u(GridSpec(1, 32), 8.0, 0)
         with pytest.raises(ValueError, match="0 < s < 1"):

@@ -13,7 +13,7 @@ One workload per kind of pool task:
 - vfm: `vfm_limit` of `elementary:seed=1,J=4` on the split's input, one
   pool task per modulation index, on 1-d grids 2^10-2^16 and 2-d 32-128;
 - embedding: `embedding_report` over four `random_band_limited` members,
-  one pool task per member, on 1-d grids 2^10-2^14;
+  one pool task per member, on 1-d grids 2^10-2^16;
 - maximal: `maximal_lp_constant` (p = N = 2) over six `random_band_limited`
   members, one brute-force Peetre maximal function per pool task, on 1-d
   grids 2^6-2^18 and 2-d grids 16-256;
@@ -135,7 +135,7 @@ SITES = {
                    lambda s: s.npoints),
     "vfm": (grids(1, [2**k for k in powers(10, 16)]) + grids(2, [32, 64, 128]),
             vfm_call, lambda s: 2 * s.npoints),
-    "embedding": (grids(1, [2**k for k in powers(10, 14)]), embedding_call,
+    "embedding": (grids(1, [2**k for k in powers(10, 16)]), embedding_call,
                   lambda s: s.npoints),
     "maximal": (grids(1, [2**k for k in powers(6, 18)]) + grids(2, [16, 32, 64, 128, 256]),
                 maximal_call, lambda s: s.npoints // 8),
