@@ -21,8 +21,9 @@ onset probes N^n / 4 (even at 2^16), the Peetre maximal scan N^n / 8 (won
 from 2^17), moment decay's N^n x N^n kernel entries / 16 (even at 1-d 512,
 won from 2-d 32), sigma order's dense route (N^n)^2 (even at 1-d 128) and
 its Gram route N^n R^2 for R rows (won from 1-d 512).  Embedding passes
-N^n: the pool neither won nor lost on it at 1-d 2^10-2^14.  The
-counterexample's mode-space route, pure-Python mode sums, passes 0.
+N^n: its pool lost at 1-d 2^10-2^12 (1.1-2.3x), read 0.90-1.26x at 2^13
+and won from 2^14 (0.70-0.82x).  The counterexample's mode-space route,
+pure-Python mode sums, passes 0.
 """
 from __future__ import annotations
 

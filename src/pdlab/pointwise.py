@@ -179,7 +179,7 @@ def symbol_factor(
         ky = np.zeros((len(kept),) + spec.shape, dtype=complex)
         for i, (m, g) in enumerate(kept):
             mx[:, i] = m.reshape(-1)
-            kernel(np.broadcast_to(g, spec.shape), ky[i])
+            kernel(g, ky[i])
         ky = ky.reshape(len(kept), spec.npoints)
 
         def rows(rs: slice, out: np.ndarray) -> None:
