@@ -25,8 +25,9 @@ then looks the handler up by name, so a handler rebound later (a tracer, a
 spy) is the one that runs, and must keep its signature (functools.wraps).
 
 A .pdgf input (--input or file:) defines the grid: --grid/--n must agree.
-A --grid/--n whose one complex grid array (16 N^n bytes) would pass
-grid.MEMORY_BUDGET is refused before anything is built.
+A grid whose one complex grid array (16 N^n bytes) would pass
+grid.MEMORY_BUDGET is refused before anything is built: --grid/--n, a
+config's grid, and each of vfm --refine's doubled grids.
 `experiment NAME` calls the pdlab.experiments function RUNNERS[NAME] by the
 same rule: the config's grid, frame, symbol and seed are supplied, "params"
 and "thresholds" give the rest, and an unusable key is an error.
@@ -82,6 +83,7 @@ from .grid import (
     write_pdgf,
 )
 from .operators import (
+    apply,
     apply_auto,
     corona_ball_report,
     paradiff_split,
@@ -213,6 +215,7 @@ def config_from_dict(obj: dict) -> RunConfig:
     if grid is not None:
         g = decode_options(grid, {"n": int, "N": int}, "grid", required=("N",))
         grid = GridSpec(n=g.get("n", 1), N=g["N"])
+        check_grid_budget(f"config grid N={grid.N} (n={grid.n})", grid)
     frame = c.get("frame")
     if frame is not None:
         hints, _ = keyword_options(frame_from_options)
@@ -396,8 +399,12 @@ def cmd_apply(u: SpectralFunction, a: Symbol, symbol: str, *, out: str | None = 
               spectrum_csv: str | None = None) -> int:
     """apply a symbol to an input function (--out: the output as .pdgf)"""
     spec = u.spec
-    w = plan(a, spec)(u)  # coefficients on the shift route, else grid values
-    y = as_spectral(w)
+    with np.errstate(over="ignore", invalid="ignore"):  # an output not finite is refused
+        w = plan(a, spec)(u)  # coefficients on the shift route, else grid values
+        y = as_spectral(w)
+        out_l2 = lp_norm(y, 2)
+    if not math.isfinite(out_l2):
+        raise ValueError(f"out_l2 of symbol {symbol!r} is not finite: {out_l2}")
     if out:
         write_pdgf(as_values(w), out)
     if spectrum_csv:
@@ -406,7 +413,7 @@ def cmd_apply(u: SpectralFunction, a: Symbol, symbol: str, *, out: str | None = 
         rows = [[*eta, repr(c.real), repr(c.imag)] for eta, c in zip(etas, coeffs)]
         write_csv(spectrum_csv, [f"eta{i + 1}" for i in range(spec.n)] + ["re", "im"], rows)
     _emit_json({"grid": {"n": spec.n, "N": spec.N}, "symbol": symbol, "in_l2": lp_norm(u, 2),
-                "out_l2": lp_norm(y, 2), "dominant_modes": _dominant_modes(y), "out": out}, None)
+                "out_l2": out_l2, "dominant_modes": _dominant_modes(y), "out": out}, None)
     return 0
 
 
@@ -437,6 +444,7 @@ def cmd_vfm(u: GridFunction, a: Symbol, symbol: str, frame: LPFrame, mode: str |
     psis = tuple(
         ModulationFunction(r=1.0 * 0.8**i, R=2.0 * 0.8**i) for i in range(psi_count)
     )
+    specs = []
     if refine:
         if refine < 2:
             raise ValueError("--refine counts grids, need at least 2")
@@ -444,6 +452,9 @@ def cmd_vfm(u: GridFunction, a: Symbol, symbol: str, frame: LPFrame, mode: str |
             raise ValueError(
                 "--refine needs a generator --mode (the input is re-sampled per grid)"
             )
+        for i in range(refine):  # each doubled grid is checked before anything is built
+            specs.append(GridSpec(n=spec.n, N=spec.N << i))
+            check_grid_budget(f"--refine {refine}: grid {specs[-1].N} (n={spec.n})", specs[-1])
     trace = vfm_limit(a, u, psis, m_max=m_max)
     obj: dict = {
         "grid": {"n": spec.n, "N": spec.N},
@@ -455,7 +466,6 @@ def cmd_vfm(u: GridFunction, a: Symbol, symbol: str, frame: LPFrame, mode: str |
         "cross_profile_deviation": trace.cross_dev,
     }
     if refine:
-        specs = [GridSpec(n=spec.n, N=spec.N << i) for i in range(refine)]
         rr = vfm_refinement(
             symbol_factory(symbol, frame), lambda s: make_input(mode, s, seed=seed), specs, psis
         )
@@ -639,7 +649,7 @@ def _gate_paradiff_pair():
     tab = TabulatedSymbol(spec, a.table(spec), d=0.0)
     u = random_band_limited(spec, 40, np.random.default_rng(2))
     terms = paradiff_split(tab, u)
-    y = apply_auto(tab, u)
+    y = apply(tab, u)  # the reference quadrature, a route apart from the split's
     return terms, y, terms.total()
 
 

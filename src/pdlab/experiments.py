@@ -27,6 +27,7 @@ from .grid import (
     SpectralFunction,
     as_spectral,
     as_values,
+    check_grid_budget,
     from_coeffs,
     lp_norm,
     mode_norm,
@@ -344,6 +345,7 @@ def run_wavefront(
         raise ValueError("need at least one ladder rung, J >= 1")
     if spec is None:
         spec = GridSpec(n=1, N=max(512, 2 ** (J + 3)))
+        check_grid_budget(f"J={J}: grid {spec.N}", spec)
     if spec.n != 1:
         raise ValueError("the flip experiment runs on 1-d grids")
     if 2 ** (J + 1) > spec.N // 2:
@@ -378,6 +380,7 @@ def run_wavefront(
     J_h = 0
     if 0.0 < d <= 1.0:
         h_spec = GridSpec(n=1, N=max(int(holder_grid), spec.N))
+        check_grid_budget(f"holder_grid {holder_grid}", h_spec)
         J_h = int(math.log2(h_spec.N)) - 3
         ladder = from_coeffs(h_spec, ladder_coeffs(J_h, d))
         increments = dyadic_increments(ladder, m_range)
@@ -543,6 +546,8 @@ def run_continuity_table(
     grids = [int(g) for g in grids]
     if len(grids) < 2 or sorted(grids) != grids or len(set(grids)) != len(grids):
         raise ValueError("grids must be at least two sizes, strictly increasing")
+    for g in grids:
+        check_grid_budget(f"grids entry {g}", GridSpec(n=1, N=g))
     if trials < 1:
         raise ValueError("need at least one probe per grid")
     if not cases:

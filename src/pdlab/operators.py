@@ -1,26 +1,27 @@
 """Operator application on the grid, frequency-modulation limits, the
 three-series paradifferential splitting, kernels, and support rules.
 
-apply() is the definitional reference: a row-by-row quadrature of
-sum_eta a(x,eta) c_eta e^{ix.eta}, whose phases are exact lattice roots of
-unity, e^{ix_k.eta} = e^{2 pi i (k.eta mod N)/N} (grid.lattice_phase).  It
-reads the rows a(x_k, .) in chunks from Symbol.rows, the one dense source,
-and builds no table.
-plan(a, spec) is what experiments run on large grids: like an FFTW plan it is
-built once per (symbol, grid), shared read-only by pool workers, and holds
-the terms of the first strategy the symbol allows, each within 1e-10 of apply():
-  1. spectral shift (Symbol.shift_terms, e.g. Ching, constants): a scatter-add
-     of weight * g * u_hat onto eta + xi per term, coefficients in and out;
-  2. separable, sum_j m_j(x) (g_j(D)u)(x) (Symbol.separable_terms);
-  3. the reference apply().
+apply() is the definitional reference and the one dense oracle: a row-by-row
+quadrature of sum_eta a(x,eta) c_eta e^{ix.eta}, whose phases are exact
+lattice roots of unity, e^{ix_k.eta} = e^{2 pi i (k.eta mod N)/N}
+(grid.lattice_phase).  It reads the rows a(x_k, .) in chunks from
+Symbol.rows and builds no table; only oracles call it, never plan.
+plan(a, spec) is what everything else runs: like an FFTW plan it is built
+once per (symbol, grid), shared read-only by pool workers, and holds the
+terms of one of two strategies, each within 1e-10 of apply():
+  1. separable, sum_j m_j(x) (g_j(D)u)(x), for a symbol with separable
+     terms and no shift terms;
+  2. spectral shift, for every other symbol: one scatter of weight * g *
+     u_hat onto eta + xi for all terms' entries at once, coefficients in
+     and out.  The terms are the shift terms (Ching, constants), or the
+     nonzero xi-rows of the exact a_hat (symbols.row_terms): tables and
+     symbols known only by eval take this one row route too.
 apply_auto(a, u) is plan(a, u.spec)(u) as grid values.
 paradiff_split() runs each summand of the three series, the w(D_x)-cut
-symbol applied to block coefficients v.  Structured summands go through
-symbols.filter_symbol and plan: the symbol is realized once, and each summand
-is plan(filter_symbol(a, spec, w, v != 0)) applied to v, where the indicator
-of v's support drops the terms v misses.  The sheared table a_hat(xi,
-zeta - xi) covers the rest: built once if it fits grid.MEMORY_BUDGET, a
-summand is a w-weighted sum of its rows followed by one inverse FFT.
+symbol applied to block coefficients v.  A separable summand is
+plan(filter_symbol(a, spec, w, v != 0)) applied to v, where the indicator
+of v's support drops the terms v misses; every other symbol's summand is
+the packed scatter with the weights w(xi_j), and one inverse FFT.
 The support rules check an output against the supports it may reach.  The
 spatial rule takes the output from apply_auto() and the reach from the
 tau-supports of the kernel and of u.  The spectral rule reads the symbol's
@@ -43,7 +44,6 @@ from .grid import (
     SpectralFunction,
     as_spectral,
     as_values,
-    check_budget,
     fft_forward,
     fft_inverse,
     lattice_phase,
@@ -51,13 +51,13 @@ from .grid import (
     row_chunks,
 )
 from .symbols import (
-    ShiftSymbol,
     ShiftTerm,
     Symbol,
     _resolve_spec,
     filter_symbol,
     modulate_symbol,
     operator_matrix,
+    row_terms,
     symbol_partial_ft,
 )
 
@@ -98,24 +98,39 @@ def _apply_separable(terms: list[tuple[np.ndarray, np.ndarray]], c: SpectralFunc
     return GridFunction(c.spec, out)
 
 
-def _shift_targets(terms: list[ShiftTerm], spec: GridSpec) -> list[np.ndarray]:
-    """Each term's flat indices of eta + xi, for its flat indices idx of eta."""
-    def target(t: ShiftTerm) -> np.ndarray:
-        dst = tuple(i + x for i, x in zip(np.unravel_index(t.idx, spec.shape), t.xi))
-        return np.ravel_multi_index(dst, spec.shape, mode="wrap")
+def _shift_scatter(terms: list[ShiftTerm], spec: GridSpec) -> Callable[..., np.ndarray]:
+    """scatter(c, w): the flat coefficients sum_j weight_j w(xi_j) shift_{xi_j}(g_j c)
+    of flat coefficients c, w over the flat shifted xi-lattice (None: 1).  The
+    terms' eta indices, targets eta + xi_j and g_j are packed once, in term order;
+    an entry is ((weight_j w(xi_j)) g_j) c, and np.add.at adds each target's
+    entries in term order, as a per-term loop does.  Only nonzero weights are read."""
+    n = np.array([t.idx.size for t in terms], dtype=np.intp)
+    bounds = np.concatenate(([0], np.cumsum(n)))
+    weights = np.array([t.weight for t in terms])
+    xis = np.array([t.xi for t in terms], dtype=np.intp).reshape(-1, spec.n)
+    at = np.ravel_multi_index(tuple((xis + spec.N // 2).T), spec.shape)
+    idx, g = ((terms[0].idx, terms[0].g) if len(terms) == 1 else  # one term: no copies
+              (np.concatenate([np.zeros(0, np.intp), *(t.idx for t in terms)]),
+               np.concatenate([np.zeros(0), *(t.g for t in terms)])))
+    # eta + xi_j folded per axis: N is a power of two, so the axis with flat
+    # stride s holds the bits (N - 1) s of a flat index
+    dst = idx if not xis.any() else sum((idx + np.repeat(x * s, n)) & ((spec.N - 1) * s)
+              for x, s in zip(xis.T, spec.N ** np.arange(spec.n - 1, -1, -1)))
 
-    return [target(t) if any(t.xi) else t.idx for t in terms]
+    def scatter(c: np.ndarray, w: np.ndarray | None = None) -> np.ndarray:
+        scale = weights if w is None else weights * w[at]
+        kept = np.flatnonzero(scale)
+        if kept.size and kept[-1] - kept[0] == kept.size - 1:  # one run of terms: views
+            part = slice(bounds[kept[0]], bounds[kept[-1] + 1])
+        else:
+            part = np.concatenate([np.zeros(0, np.intp),
+                                   *(np.arange(bounds[j], bounds[j + 1]) for j in kept)])
+        entries = np.repeat(scale[kept], n[kept]) * g[part] * c[idx[part]]
+        out = np.zeros(spec.npoints, dtype=complex)
+        np.add.at(out, dst[part], entries)
+        return out
 
-
-def _apply_shift(
-    terms: list[ShiftTerm], c: SpectralFunction, targets: list[np.ndarray]
-) -> SpectralFunction:
-    """The coefficients sum_j weight_j shift_{xi_j}(g_j c); targets from _shift_targets."""
-    flat = c.coeffs.reshape(-1)
-    out = np.zeros(c.spec.npoints, dtype=complex)
-    for t, dst in zip(terms, targets):
-        out[dst] += t.weight * t.g * flat[t.idx]  # eta -> eta + xi is one-to-one
-    return SpectralFunction(c.spec, out.reshape(c.spec.shape))
+    return scatter
 
 
 def plan(
@@ -123,17 +138,19 @@ def plan(
 ) -> Callable[[GridFunction | SpectralFunction], GridFunction | SpectralFunction]:
     """u -> a(x,D)u on spec; the strategy is picked and its terms built once.
     u is grid values or coefficients, which skip the forward FFT; the shift
-    route returns coefficients, the others grid values."""
+    route returns coefficients, the separable route grid values."""
     shifts = a.shift_terms(spec)
-    targets = None if shifts is None else _shift_targets(shifts, spec)
     terms = a.separable_terms(spec) if shifts is None else None
+    scatter = None if terms is not None else _shift_scatter(
+        row_terms(a, spec) if shifts is None else shifts, spec)
 
     def planned(u: GridFunction | SpectralFunction) -> GridFunction | SpectralFunction:
         if u.spec != spec:
             raise ValueError(f"planned for {spec}, got an input on {u.spec}")
-        if shifts is not None:
-            return _apply_shift(shifts, as_spectral(u), targets)
-        return apply(a, u) if terms is None else _apply_separable(terms, as_spectral(u))
+        c = as_spectral(u)
+        if terms is not None:
+            return _apply_separable(terms, c)
+        return SpectralFunction(spec, scatter(c.coeffs.reshape(-1)).reshape(spec.shape))
 
     return planned
 
@@ -285,33 +302,15 @@ class ParadiffTerms:
 def _summand_route(a: Symbol, spec: GridSpec) -> Callable[[np.ndarray, np.ndarray], GridFunction]:
     """run(w, v): the w(D_x)-cut symbol applied to flat coefficients v, i.e.
     F^{-1}[c] with c(zeta) = sum_xi w(xi) a_hat(xi, zeta - xi) v(zeta - xi),
-    by the route (module docstring) the symbol's structure picks; the table
-    guard fires before any table is built."""
-    shifts = a.shift_terms(spec)  # realized once: filter_symbol reads these terms
-    if shifts is not None or a.separable_terms(spec) is not None:
-        a = filter_symbol(a if shifts is None else ShiftSymbol(spec, shifts, a.d, a.tdc_B), spec)
+    by the route (module docstring) the symbol's structure picks; the terms
+    are realized once, here."""
+    shifts = a.shift_terms(spec)
+    if shifts is None and a.separable_terms(spec) is not None:
+        a = filter_symbol(a, spec)
         return lambda w, v: as_values(plan(filter_symbol(a, spec, w, v != 0), spec)(
             SpectralFunction(spec, v)))
-
-    check_budget("paradiff split", spec)
-    # sheared[xi, zeta] = a_hat(xi, zeta - xi), with zeta - xi folded mod N:
-    # on the lattice e^{ix.(xi+eta)} = e^{ix.zeta}, so every summand is a
-    # w-weighted sum of the table's rows
-    idx = np.unravel_index(np.arange(spec.npoints), spec.shape)
-    shear = np.ravel_multi_index(
-        tuple(i[None, :] - i[:, None] + spec.N // 2 for i in idx), spec.shape, mode="wrap"
-    )
-    sheared = np.take_along_axis(
-        symbol_partial_ft(a, spec).reshape(spec.npoints, spec.npoints), shear, axis=1
-    )
-
-    def run_sheared(w: np.ndarray, v: np.ndarray) -> GridFunction:
-        terms = v[shear]
-        terms *= sheared
-        # einsum, not @: a threaded BLAS product would nest inside pool workers
-        return fft_inverse(SpectralFunction(spec, np.einsum("k,kz", w, terms).reshape(spec.shape)))
-
-    return run_sheared
+    scatter = _shift_scatter(row_terms(a, spec) if shifts is None else shifts, spec)
+    return lambda w, v: fft_inverse(SpectralFunction(spec, scatter(v, w).reshape(spec.shape)))
 
 
 def paradiff_split(a: Symbol, u: GridFunction, frame: LPFrame = DEFAULT_FRAME) -> ParadiffTerms:

@@ -90,7 +90,10 @@ class Symbol:
 
     Shift terms, where a subclass gives them, derive the separable terms
     (m_j = weight_j e^{i xi_j.x}, an exact lattice phase), the spectral
-    terms (a delta of weight_j at xi_j) and the table.
+    terms (a delta of weight_j at xi_j) and the table.  A symbol with
+    neither shift nor separable terms (a table, or eval alone) is still a
+    sum of shift terms, one per nonzero xi-row of a_hat: row_terms gives
+    them, and operators.plan and the split run them on the shift route.
 
     rows() is the one source of dense values, read by table() and by the
     reference operators.apply.  It takes them from the first source the
@@ -257,6 +260,26 @@ def symbol_partial_ft(a: Symbol, spec: GridSpec) -> np.ndarray:
     for mhat, g in terms:
         out += np.multiply.outer(mhat, g)
     return out
+
+
+def row_terms(a: Symbol, spec: GridSpec) -> list[ShiftTerm]:
+    """a's shift terms.  A symbol without them gets one term per nonzero
+    xi-row of a_hat (symbol_partial_ft), since on the lattice a(x,eta) =
+    sum_xi e^{i xi.x} a_hat(xi,eta) exactly: the term at the flat row r has
+    weight 1, idx the row's nonzero eta and g their values, and the terms
+    come in order of |xi_r|, so a radial cut keeps one run of them.  The
+    budget is checked before a_hat is built."""
+    shifts = a.shift_terms(spec)
+    if shifts is not None:
+        return shifts
+    check_budget("spectral rows", spec)
+    ahat = symbol_partial_ft(a, spec).reshape(spec.npoints, spec.npoints)
+    xis = np.stack(np.unravel_index(np.arange(spec.npoints), spec.shape), axis=-1) - spec.N // 2
+    order = np.argsort(spec.freq_radius().ravel(), kind="stable")
+    pos, idx = np.nonzero((ahat != 0)[order])  # positions in order, eta indices
+    ends = np.cumsum(np.bincount(pos, minlength=spec.npoints))[:-1]
+    return [ShiftTerm(int(r), 1.0, tuple(xis[r].tolist()), i, g) for r, i, g in
+            zip(order, np.split(idx, ends), np.split(ahat[order[pos], idx], ends)) if i.size]
 
 
 @dataclass

@@ -38,7 +38,8 @@ def spectral_table(tmp_path):
     return lambda: symbol_partial_ft(a, SPEC)
 
 
-def sheared_split(tmp_path):
+def spectral_rows(tmp_path):
+    # a table has no terms: the split takes its a_hat's rows as shift terms
     rng = np.random.default_rng(3)
     shape = SPEC.shape + SPEC.shape
     a = TabulatedSymbol(SPEC, rng.standard_normal(shape) + 1j * rng.standard_normal(shape))
@@ -64,7 +65,7 @@ def pdsy_file(tmp_path):
 GUARDS = {  # the array each guard names -> its call, set up under the real budget
     "symbol table": table,
     "spectral table": spectral_table,
-    "paradiff split": sheared_split,
+    "spectral rows": spectral_rows,
     "dense operator matrix": dense_matrix,
     "twisted-diagonal mask": twisted_diagonal_mask,
     "sym.pdsy: symbol table": pdsy_file,

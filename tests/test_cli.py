@@ -614,6 +614,9 @@ ARITHMETIC_CASES = [  # a d whose weights overflow or vanish: the line opens wit
        (f"'{spec.replace('1e308', '1e+308')}'",))
       for spec in ("B:s=1e308,p=2,q=2", "B:s=0,p=1e308,q=2", "F:s=0,p=1e308,q=1",
                    "F:s=1e308,p=2,q=2")),
+    # an output whose L2 norm overflows: the line names out_l2 and the symbol
+    ("symbol const:c=1e308", ["apply", "--symbol", "const:c=1e308", "--grid", "64", "--mode",
+                              "single:eta=1"], ("error: out_l2 of symbol 'const:c=1e308' ",)),
 ]
 CONTRACT_CASES = [*spec_cases(), *ARITHMETIC_CASES]
 
@@ -625,7 +628,7 @@ def test_the_spec_cases_cover_every_kind():
              for h in keyword_options(b)[0].values()]
     floats = sum(map(takes_a_float, hints))
     assert floats == 23  # d, c, band, s, p, q, the frame's r and R, ching's levels
-    assert len(CONTRACT_CASES) == 2 * len(hints) + floats + kinds + 11
+    assert len(CONTRACT_CASES) == 2 * len(hints) + floats + kinds + 12
 
 
 @pytest.mark.parametrize("argv, names", [c[1:] for c in CONTRACT_CASES],
@@ -649,17 +652,34 @@ def test_a_norm_that_is_not_finite_exits_2_naming_its_space(capsys, space, value
     assert capsys.readouterr() == ("", f"error: norm '{label}' is not finite: {value}\n")
 
 
-GRID_PAST_THE_BUDGET = {  # one complex grid array: 16 GiB, 64 GiB
+GRID_PAST_THE_BUDGET = {  # one complex grid array: 16 GiB, 64 GiB, 128 MiB, 128 TiB
     "apply 1-d 2^30": (["apply", "--symbol", "const", "--mode", "single:eta=1",
                         "--grid", str(2**30)], "--grid 1073741824 (n=1) would hold 1073741824"),
     "norms 2-d 65536": (["norms", "--space", "L:p=2", "--mode", "single:eta=1x1", "--n", "2",
                          "--grid", "65536"], "--grid 65536 (n=2) would hold 4294967296"),
+    # grids that --grid does not give: vfm's doubled grids, a config's grid, a
+    # runner's grid list, and the grids a runner sizes from its params
+    "vfm --refine 30": (["vfm", "--symbol", "const", "--grid", "64", "--mode", "single:eta=1",
+                         "--refine", "30"], "--refine 30: grid 8388608 (n=1) would hold 8388608"),
+    "config grid": (("sigma", {"symbol": "const", "grid": {"N": 2**30}}),
+                    "config grid N=1073741824 (n=1) would hold 1073741824"),
+    "continuity grids": (("continuity", {"symbol": "const", "params": {
+        "cases": [["L:p=2", "L:p=2"]], "grids": [64, 2**30]}}),
+        "grids entry 1073741824 would hold 1073741824"),
+    "wavefront holder_grid": (("wavefront", {"params": {"holder_grid": 2**30}}),
+                              "holder_grid 1073741824 would hold 1073741824"),
+    "wavefront J": (("wavefront", {"params": {"J": 40}}),
+                    "J=40: grid 8796093022208 would hold 8796093022208"),
 }
 
 
 @pytest.mark.parametrize("name", sorted(GRID_PAST_THE_BUDGET))
-def test_a_grid_past_the_budget_exits_2_before_it_is_allocated(capsys, name):
+def test_a_grid_past_the_budget_exits_2_before_it_is_allocated(capsys, tmp_path, name):
     argv, opening = GRID_PAST_THE_BUDGET[name]
+    if isinstance(argv, tuple):  # an experiment runner and its config
+        (tmp_path / "run.json").write_text(json.dumps(argv[1]))
+        argv = ["experiment", argv[0], "--config", str(tmp_path / "run.json"),
+                "--out", str(tmp_path / "out.json")]
     cli.build_parser()  # the parser is built once, outside the measurement
     tracemalloc.start()
     try:

@@ -11,6 +11,7 @@ from hypothesis import strategies as st
 
 import pdlab.grid
 import pdlab.operators as ops
+import pdlab.symbols
 from pdlab.frame import DEFAULT_FRAME, LPFrame, ModulationFunction
 from pdlab.grid import (
     GridFunction,
@@ -48,6 +49,7 @@ from pdlab.symbols import (
     RadialBump,
     SeparableSymbol,
     ShiftSymbol,
+    ShiftTerm,
     Symbol,
     TabulatedSymbol,
     ching_symbol,
@@ -529,8 +531,8 @@ class TestCoronaOneSummandAtATime:
 
 
 class TestSpectralParadiff:
-    """The split on 2-d grids and its reruns; the sheared table's guard and
-    the memory it takes."""
+    """The split on 2-d grids and its reruns; the row route's guard and the
+    memory it takes."""
 
     def test_identity_and_corona_2d(self):
         spec = GridSpec(2, 32)
@@ -554,15 +556,16 @@ class TestSpectralParadiff:
 
     def test_guard_raises_before_any_table(self, monkeypatch):
         def no_table(*args):
-            raise AssertionError("symbol table built before the guard")
+            raise AssertionError("a_hat built before the guard")
 
         spec = GridSpec(1, 64)
-        a = random_table_symbol(spec, seed=7)  # no structure: the sheared route
+        a = random_table_symbol(spec, seed=7)  # no structure: the row route
         monkeypatch.setattr(pdlab.grid, "MEMORY_BUDGET", 1000)
-        monkeypatch.setattr(ops, "symbol_partial_ft", no_table)
+        monkeypatch.setattr(pdlab.symbols, "symbol_partial_ft", no_table)
         u = random_band_limited(spec, 20, np.random.default_rng(92))
-        with pytest.raises(ValueError, match="table entries"):
-            paradiff_split(a, u)
+        for run in (lambda: paradiff_split(a, u), lambda: plan(a, spec)):
+            with pytest.raises(ValueError, match="spectral rows would hold 4096 table entries"):
+                run()
 
     def test_structured_symbols_split_without_a_table(self, monkeypatch):
         def no_table(*args):
@@ -581,7 +584,7 @@ class TestSpectralParadiff:
     def test_peak_memory_under_eight_tables(self, monkeypatch, pooled):
         monkeypatch.setenv("PDLAB_THREADS", "2")
         spec = GridSpec(1, 1024)
-        a = random_table_symbol(spec, seed=13)  # no structure: the sheared route
+        a = random_table_symbol(spec, seed=13)  # no structure: the row route
         u = random_band_limited(spec, 400, np.random.default_rng(93))
         tracemalloc.start()
         try:
@@ -593,9 +596,9 @@ class TestSpectralParadiff:
         assert pooled
 
     def test_sheared_memory_is_flat_in_thread_count(self, monkeypatch):
-        # the budget admits the sheared route only up to N^n = 2048 points,
-        # below the pool gate, so its one N^n x N^n temporary is never held
-        # once per worker (pooled: 40.8 MiB with 1 thread, 88.9 with 4)
+        # the budget admits a table's rows only up to N^n = 2048 points,
+        # below the pool gate, so a summand's temporaries over all the rows'
+        # entries, up to N^n x N^n, are never held once per worker
         spec = GridSpec(1, 1024)
         a = random_table_symbol(spec, seed=13)
         u = random_band_limited(spec, 400, np.random.default_rng(93))
@@ -614,10 +617,26 @@ class TestSpectralParadiff:
         assert abs(peaks["4"] - peaks["1"]) < 1024
 
 
-def sheared_twin(a, spec):
-    """a with its structure hidden: only the exact a_hat is kept, so the
-    split takes the sheared-table route (and never reads a table)."""
-    return TabulatedSymbol(spec, None, d=a.d, ahat=symbol_partial_ft(a, spec))
+def sheared_route(a, spec):
+    """The split's summand route through the sheared table, the oracle for
+    every route of the split: sheared[xi, zeta] = a_hat(xi, zeta - xi), with
+    zeta - xi folded mod N, so on the lattice e^{ix.(xi+eta)} = e^{ix.zeta}
+    and a summand is a w-weighted sum of the table's rows and one inverse
+    FFT."""
+    idx = np.unravel_index(np.arange(spec.npoints), spec.shape)
+    shear = np.ravel_multi_index(
+        tuple(i[None, :] - i[:, None] + spec.N // 2 for i in idx), spec.shape, mode="wrap")
+    sheared = np.take_along_axis(
+        symbol_partial_ft(a, spec).reshape(spec.npoints, spec.npoints), shear, axis=1)
+    return lambda w, v: fft_inverse(SpectralFunction(
+        spec, np.einsum("k,kz", w, v[shear] * sheared).reshape(spec.shape)))
+
+
+def split_by(route, a, u):
+    """paradiff_split's summands with each one run by route(a, spec)."""
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(ops, "_summand_route", route)
+        return summands(paradiff_split(a, u))
 
 
 def summands(terms):
@@ -629,7 +648,7 @@ def split_gap(a, u):
     """max |structured - sheared| over all summands, relative to the largest
     summand sup."""
     ours = summands(paradiff_split(a, u))
-    ref = summands(paradiff_split(sheared_twin(a, u.spec), u))
+    ref = split_by(sheared_route, a, u)
     assert len(ours) == len(ref)
     scale = max(np.max(np.abs(y)) for y in ref)
     return max(np.max(np.abs(x - y)) for x, y in zip(ours, ref)) / scale
@@ -637,12 +656,14 @@ def split_gap(a, u):
 
 class TestStructuredParadiff:
     """The split routed by symbol structure: shift and separable summands
-    with no N^n x N^n table, checked against the sheared table."""
+    with no N^n x N^n table, checked against the sheared table built in the
+    test."""
 
     @pytest.mark.parametrize(
         "n, N, kind",
         [(1, 1024, "elementary"), (2, 32, "elementary"), (1, 2048, "ching"),
-         (1, 512, "modulated-shift"), (1, 256, "constant")],
+         (1, 512, "modulated-shift"), (1, 256, "constant"), (1, 1024, "table"),
+         (2, 32, "table")],
     )
     def test_matches_the_sheared_table(self, monkeypatch, n, N, kind):
         monkeypatch.setenv("PDLAB_THREADS", "1")  # one sheared temporary at a time
@@ -654,6 +675,7 @@ class TestStructuredParadiff:
             "modulated-shift": lambda: modulate_symbol(
                 ching_for_grid(spec, d=0.5, theta=-3), 6, DEFAULT_PSI_FAMILY[0], spec),
             "constant": lambda: ConstantSymbol(2.0 - 0.5j),
+            "table": lambda: random_table_symbol(spec, seed=15),  # the rows of its a_hat
         }[kind]()
         u = random_band_limited(spec, 0.4 * N / 2, np.random.default_rng(94))
         assert split_gap(a, u) <= 1e-13
@@ -1027,11 +1049,29 @@ class TestShiftPath:
         assert trace.cross_dev == 0.0
 
 
+def ahat_rows(a, spec):
+    """The nonzero xi-rows of a's exact a_hat as shift terms of weight 1, in
+    order of |xi|."""
+    ahat = symbol_partial_ft(a, spec).reshape(spec.npoints, spec.npoints)
+    terms = []
+    for r in sorted(np.flatnonzero(np.any(ahat != 0, axis=1)),
+                    key=lambda r: spec.freq_radius().flat[r]):
+        idx = np.flatnonzero(ahat[r])
+        xi = tuple(int(k) - spec.N // 2 for k in np.unravel_index(r, spec.shape))
+        terms.append(ShiftTerm(int(r), 1.0, xi, idx, ahat[r, idx]))
+    return terms
+
+
 def parent_route(a, u):
     """apply_auto as it was before plans: the strategy picked and its terms
-    built on every call; plans must reproduce it bit for bit."""
+    built on every call, term by term; plans must reproduce it bit for bit.
+    A symbol with neither shift nor separable terms runs the shift loop on
+    its a_hat rows, the route plan takes for it in place of the reference
+    apply (TestOneRowRoute checks it against apply)."""
     spec = u.spec
     shifts = a.shift_terms(spec)
+    if shifts is None and a.separable_terms(spec) is None:
+        shifts = ahat_rows(a, spec)
     if shifts is not None:
         c = fft_forward(u).coeffs.reshape(-1)
         out = np.zeros(spec.npoints, dtype=complex)
@@ -1049,7 +1089,6 @@ def parent_route(a, u):
         for m, g in terms:
             out += m * fft_inverse(SpectralFunction(spec, c * g)).values
         return out
-    return apply(a, u).values
 
 
 class TestPlan:
@@ -1134,3 +1173,67 @@ class TestPlan:
         trace = vfm_limit(ching_for_grid(spec), u)
         assert calls == [spec]
         assert len(trace.m_values) > 10 and trace.cross_dev == 0.0
+
+
+def term_loop_route(a, spec):
+    """The split's summand route as a loop over a's shift terms, term after
+    term: c[eta + xi_j] += ((weight_j w(xi_j)) g_j) v[eta]."""
+    terms = a.shift_terms(spec)
+    at = [np.ravel_multi_index(tuple(x + spec.N // 2 for x in t.xi), spec.shape) for t in terms]
+    dst = [np.ravel_multi_index(tuple(i + x for i, x in zip(np.unravel_index(t.idx, spec.shape),
+                                                            t.xi)), spec.shape, mode="wrap")
+           for t in terms]
+
+    def run(w, v):
+        out = np.zeros(spec.npoints, dtype=complex)
+        for t, xi, to in zip(terms, at, dst):
+            out[to] += t.weight * w[xi] * t.g * v[t.idx]
+        return fft_inverse(SpectralFunction(spec, out.reshape(spec.shape)))
+
+    return run
+
+
+class TestOneRowRoute:
+    """plan and the split have two strategies, shift and separable; a symbol
+    with neither kind of term takes the shift route on its a_hat rows, and
+    the reference apply is reached only as the oracle."""
+
+    @pytest.mark.parametrize("n, N", [(1, 256), (2, 16)])
+    def test_plan_and_the_split_never_reach_apply(self, monkeypatch, n, N):
+        def no_apply(*args):
+            raise AssertionError("the reference apply was reached")
+
+        spec = GridSpec(n, N)
+        ching = ching_for_grid(spec, d=0.5, theta=1 if n == 1 else (1, 1))
+        table = random_table_symbol(spec, seed=21)
+        symbols = {
+            "const": ConstantSymbol(2.0 - 0.5j),
+            "ching": ching,
+            "elementary": random_elementary(spec, DEFAULT_FRAME, J=4, seed=21),
+            "table": table,
+            "ahat only": TabulatedSymbol(spec, None, ahat=symbol_partial_ft(table, spec)),
+            "eval only": EvalOnly(ching),
+        }
+        u = random_band_limited(spec, 0.4 * N / 2, np.random.default_rng(21))
+        refs = {name: apply(table if name == "ahat only" else a, u)
+                for name, a in symbols.items()}
+        monkeypatch.setattr(ops, "apply", no_apply)
+        for name, a in symbols.items():
+            assert rel_sup(apply_auto(a, u), refs[name]) <= 1e-13, name
+            assert rel_sup(paradiff_split(a, u).total(), refs[name]) <= 1e-13, name
+
+    @pytest.mark.parametrize("n, N", [(1, 2**14), (2, 64)])
+    @pytest.mark.parametrize("kind", ["ching", "constant", "modulated-shift"])
+    def test_shift_symbols_equal_a_per_term_loop(self, n, N, kind):
+        spec = GridSpec(n, N)
+        ching = ching_for_grid(spec, d=0.5, theta=1 if n == 1 else (1, 1))
+        a = {
+            "ching": ching,
+            "constant": ConstantSymbol(2.0 - 0.5j),
+            "modulated-shift": modulate_symbol(ching, 3, DEFAULT_PSI_FAMILY[0], spec),
+        }[kind]
+        u = random_band_limited(spec, 0.4 * N / 2, np.random.default_rng(22))
+        assert np.array_equal(as_values(plan(a, spec)(u)).values, parent_route(a, u))
+        ours, ref = summands(paradiff_split(a, u)), split_by(term_loop_route, a, u)
+        assert len(ours) == len(ref)
+        assert all(np.array_equal(x, y) for x, y in zip(ours, ref))
