@@ -399,10 +399,15 @@ def cmd_apply(u: SpectralFunction, a: Symbol, symbol: str, *, out: str | None = 
               spectrum_csv: str | None = None) -> int:
     """apply a symbol to an input function (--out: the output as .pdgf)"""
     spec = u.spec
-    with np.errstate(over="ignore", invalid="ignore"):  # an output not finite is refused
-        w = plan(a, spec)(u)  # coefficients on the shift route, else grid values
-        y = as_spectral(w)
-        out_l2 = lp_norm(y, 2)
+    try:
+        with np.errstate(over="ignore", invalid="ignore"):  # an output not finite is refused
+            w = plan(a, spec)(u)  # coefficients on the shift route, else grid values
+            y = as_spectral(w)
+            out_l2 = lp_norm(y, 2)
+    except ValueError as exc:  # an overflowing entry, refused as the output is made
+        if str(exc) != "non-finite entries":
+            raise
+        out_l2 = math.inf
     if not math.isfinite(out_l2):
         raise ValueError(f"out_l2 of symbol {symbol!r} is not finite: {out_l2}")
     if out:

@@ -496,6 +496,11 @@ class SupportReport:
     allowed_support: int
 
 
+def _check_tau(tau: float) -> None:
+    if not 0.0 <= tau < 1.0:  # NaN fails too
+        raise ValueError(f"tau must lie in [0, 1), got {tau!r}")
+
+
 def _support_report(y_power: np.ndarray, allowed: np.ndarray, tau: float) -> SupportReport:
     total = float(y_power.sum())
     viol = 0.0 if total == 0.0 else float(y_power[~allowed].sum()) / total
@@ -506,6 +511,7 @@ def _support_report(y_power: np.ndarray, allowed: np.ndarray, tau: float) -> Sup
 def support_rule_check(a: Symbol, u: GridFunction, tau: float = 1e-8) -> SupportReport:
     """Spatial support rule: supp a(x,D)u within supp_tau K composed with
     supp_tau u; smooth cutoffs have global tails, so this is thresholded."""
+    _check_tau(tau)
     spec = u.spec
     K = kernel(a, spec).reshape(spec.npoints, spec.npoints)
     u_supp = _tau_support(np.abs(u.values.reshape(-1)) ** 2, tau)
@@ -547,6 +553,7 @@ def spectral_support_rule_check(
     {xi + eta : (xi,eta) in supp a_hat, eta in supp_tau u_hat}; see
     _allowed_sumset for how supp a_hat is read.  u is transformed once at
     most; the output spectrum is the plan's, exact on the shift route."""
+    _check_tau(tau)
     c = as_spectral(u)
     u_supp = _tau_support(np.abs(c.coeffs) ** 2, tau)
     allowed = _allowed_sumset(a, u.spec, u_supp, tau)

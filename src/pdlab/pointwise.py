@@ -12,7 +12,7 @@ import numpy as np
 from ._threads import pmap
 from .frame import ModulationFunction
 from .grid import TWO_PI, GridFunction, GridSpec, fft_forward, lp_norm, row_chunks
-from .symbols import Symbol, _eta_difference, _resolve_spec, filter_symbol
+from .symbols import Symbol, _eta_power, _resolve_spec, _shift_rows, filter_symbol
 
 # Central differences of order k need a stencil of width k on the eta
 # lattice; beyond this the stencil stops resolving anything near the
@@ -29,17 +29,17 @@ class MaximalParams:
     """Weight exponent and spectral radius for the maximal-function family.
 
     The weight is (1 + R|y|)^{-N} over torus-centered offsets y, each axis
-    reduced to [-pi, pi).  N_exp and R_spec must both be positive.
+    reduced to [-pi, pi).  N_exp and R_spec must both be positive and finite.
     """
 
     N_exp: float
     R_spec: float
 
     def __post_init__(self) -> None:
-        if not self.N_exp > 0:
-            raise ValueError(f"N_exp must be positive, got {self.N_exp}")
-        if not self.R_spec > 0:
-            raise ValueError(f"R_spec must be positive, got {self.R_spec}")
+        if not 0 < self.N_exp < math.inf:
+            raise ValueError(f"N_exp must be positive and finite, got {self.N_exp}")
+        if not 0 < self.R_spec < math.inf:
+            raise ValueError(f"R_spec must be positive and finite, got {self.R_spec}")
 
 
 def spectral_radius(u: GridFunction, tau: float = 1e-10) -> float:
@@ -314,8 +314,15 @@ def _multiindices(n: int, total: int) -> list[tuple[int, ...]]:
 
 
 def derivative_order(p: MaximalParams, n: int) -> int:
-    """Least integer k > N + n/2, the derivative count of the bound below."""
-    return _least_integer_above(p.N_exp + n / 2.0)
+    """Least integer k > N + n/2, the derivative count of the bound below;
+    ValueError past DERIVATIVE_BUDGET."""
+    k = _least_integer_above(p.N_exp + n / 2.0)
+    if k > DERIVATIVE_BUDGET:
+        raise ValueError(
+            f"order {k:g} differences exceed the budget {DERIVATIVE_BUDGET}; "
+            f"lower N_exp"
+        )
+    return k
 
 
 def mihlin_rhs(
@@ -326,15 +333,11 @@ def mihlin_rhs(
 ) -> np.ndarray:
     """sum_{|alpha| <= k} (sum_{eta in R supp chi} |R^|alpha| D^alpha_eta a|^2
     / R^n)^{1/2} per x, with k the least integer above N + n/2 and the eta
-    derivatives taken as unit-step central differences on the lattice."""
+    derivatives taken as unit-step central differences on the lattice; a
+    shift symbol's sums take its rows' Gram identity (symbols._eta_power)."""
     chi = as_cutoff(chi)
     spec = _resolve_spec(a, spec)
     k = derivative_order(p, spec.n)
-    if k > DERIVATIVE_BUDGET:
-        raise ValueError(
-            f"order {k} differences exceed the budget {DERIVATIVE_BUDGET}; "
-            f"lower N_exp"
-        )
     R = p.R_spec
     hi = chi.support[1] * R
     if hi + k > spec.N / 2:
@@ -344,14 +347,13 @@ def mihlin_rhs(
         )
     rad = spec.freq_radius()
     mask = (rad >= chi.support[0] * R) & (rad <= hi)
-    tab = a.table(spec)
-    e_axes = tuple(range(spec.n, 2 * spec.n))
+    shifts = a.shift_terms(spec)
+    form = a.table(spec) if shifts is None else _shift_rows(shifts, spec)
     out = np.zeros(spec.shape)
     for total in range(k + 1):
         for alpha in _multiindices(spec.n, total):
-            diff = _eta_difference(tab, alpha, spec) if total else tab
-            sq = (np.abs(diff) ** 2) * mask
-            out += R**total * np.sqrt(np.sum(sq, axis=e_axes) / R**spec.n)
+            (sq,) = _eta_power(form, alpha, [mask], spec)
+            out += R**total * np.sqrt(sq / R**spec.n)
     return out
 
 
@@ -375,14 +377,15 @@ def mihlin_bound_check(
 ) -> MihlinReport:
     """F_a <= c * derivative-sum at every x, with relative slack on the
     fitted constant c (fit on one corpus, verify on another); c = None
-    uses a's own worst ratio."""
+    uses a's own worst ratio.  The derivative order is checked first."""
     spec = _resolve_spec(a, spec)
+    k = derivative_order(p, spec.n)
     factor = symbol_factor(a, p, chi, spec).values.real
     rhs = mihlin_rhs(a, p, chi, spec)
     ratio = _worst_ratio(factor, rhs)
     c = ratio if c is None else float(c)
     return MihlinReport(
-        k=derivative_order(p, spec.n),
+        k=k,
         c_used=c,
         worst_ratio=ratio,
         holds=ratio <= c * (1.0 + slack),

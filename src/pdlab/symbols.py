@@ -5,13 +5,17 @@ dense operator matrix, and the binary table format.
 A symbol is realized on a grid as a table over (x-axes..., eta-axes...).
 The partial Fourier transform in x maps the table to a_hat(xi, eta) with
 xi in the same shifted integer layout as eta; that transform is exact on
-the lattice and is where every support statement is checked.
+the lattice and is where every support statement is checked.  The
+twisted-diagonal tools read a_hat as rows in the symbol's own form: a shift
+symbol's R nonzero xi-rows, so its table and dense a_hat are built only by
+oracles; any other symbol's N^n rows.
 
 Frequency rows with a component at -N/2 are zeroed when constructing
 symbols, so conjugate-symmetry bookkeeping never enters.
 """
 from __future__ import annotations
 
+import cmath
 import json
 import math
 import struct
@@ -238,6 +242,18 @@ def _shift_rows(shifts: list[ShiftTerm], spec: GridSpec) -> tuple[np.ndarray, np
     return np.array(list(at), dtype=np.int64).reshape(-1, spec.n), rows.reshape((-1,) + spec.shape)
 
 
+def _ahat_rows(a: Symbol, spec: GridSpec, what: str) -> tuple[np.ndarray, np.ndarray, bool]:
+    """a_hat in a's own form, (xis, rows, dense): a shift symbol's _shift_rows,
+    or (dense) every lattice xi in flat order and a view of symbol_partial_ft
+    as N^n rows, after the budget check that names `what`."""
+    shifts = a.shift_terms(spec)
+    if shifts is not None:
+        return *_shift_rows(shifts, spec), False
+    check_budget(what, spec)
+    xis = np.stack(np.unravel_index(np.arange(spec.npoints), spec.shape), axis=-1) - spec.N // 2
+    return xis, symbol_partial_ft(a, spec).reshape((spec.npoints,) + spec.shape), True
+
+
 def symbol_partial_ft(a: Symbol, spec: GridSpec) -> np.ndarray:
     """a_hat(xi,eta), through the most exact route the symbol offers:
     a construction-time spectral table, exact per-term x-spectra, or an
@@ -272,9 +288,8 @@ def row_terms(a: Symbol, spec: GridSpec) -> list[ShiftTerm]:
     shifts = a.shift_terms(spec)
     if shifts is not None:
         return shifts
-    check_budget("spectral rows", spec)
-    ahat = symbol_partial_ft(a, spec).reshape(spec.npoints, spec.npoints)
-    xis = np.stack(np.unravel_index(np.arange(spec.npoints), spec.shape), axis=-1) - spec.N // 2
+    xis, ahat, _ = _ahat_rows(a, spec, "spectral rows")
+    ahat = ahat.reshape(spec.npoints, spec.npoints)
     order = np.argsort(spec.freq_radius().ravel(), kind="stable")
     pos, idx = np.nonzero((ahat != 0)[order])  # positions in order, eta indices
     ends = np.cumsum(np.bincount(pos, minlength=spec.npoints))[:-1]
@@ -328,6 +343,8 @@ class ConstantSymbol(Symbol):
 
     def __init__(self, c: complex = 1.0, d: float = 0.0):
         self.c = complex(c)
+        if not cmath.isfinite(self.c):
+            raise ValueError(f"expected a finite c, got {c!r}")
         self.d = d
         self.tdc_B = 1.0  # x-independent symbols satisfy the condition trivially
 
@@ -408,6 +425,8 @@ class ChingSymbol(Symbol):
         if j_max < 0:
             raise ValueError("j_max must be >= 0")
         self.d = float(d)
+        if not math.isfinite(self.d):
+            raise ValueError(f"expected a finite d, got {d!r}")
         self.theta = theta
         self.A = A
         self.j_max = int(j_max)
@@ -620,44 +639,52 @@ def build_chi() -> ChiCutoff:
     return ChiCutoff()
 
 
-def _sum_radius_mesh(spec: GridSpec, xis: np.ndarray | None = None) -> tuple[np.ndarray, ...]:
-    """(|xi+eta|, |eta|) over the (xi, eta) product lattice, or with xis
-    (shape (R, n)) over those rows xi only: shape (R,) + spec.shape."""
+def _sum_radius_mesh(spec: GridSpec, xis: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(|xi+eta|, |eta|) over the rows xis (shape (R, n)) and the eta-lattice:
+    shapes (R,) + spec.shape and spec.shape."""
     eta = [m.astype(float) for m in spec.freq_mesh()]
-    xi = eta if xis is None else list(xis.T.astype(float))
-    s = [x.reshape(x.shape + (1,) * spec.n) + e for x, e in zip(xi, eta)]
+    s = [x.reshape(x.shape + (1,) * spec.n) + e for x, e in zip(xis.T.astype(float), eta)]
     if spec.n == 1:
         return np.abs(s[0]), np.abs(eta[0])
     return np.sqrt(s[0] ** 2 + s[1] ** 2), np.sqrt(eta[0] ** 2 + eta[1] ** 2)
 
 
-def localize_symbol(a: Symbol, eps: float, spec: GridSpec | None = None) -> TabulatedSymbol:
+def _localization(eps: float) -> Callable[[np.ndarray, np.ndarray], np.ndarray]:
+    """chi(xi+eta, eps*eta) as a function of (|xi+eta|, |eta|)."""
+    return lambda sum_rad, eta_rad: build_chi().from_radii(sum_rad, eps * eta_rad)
+
+
+def _weighted(a: Symbol, spec: GridSpec, what: str, weight, **keep) -> Symbol:
+    """b_hat(xi,eta) = a_hat(xi,eta) weight(|xi+eta|, |eta|) on a's rows, in a's
+    form: a ShiftSymbol of the nonzero rows, or a TabulatedSymbol with b_hat."""
+    xis, rows, dense = _ahat_rows(a, spec, what)
+    rows = rows * weight(*_sum_radius_mesh(spec, xis))
+    if dense:
+        bhat = rows.reshape(spec.shape + spec.shape)
+        return TabulatedSymbol(spec, partial_ift(bhat, spec), d=a.d, ahat=bhat, **keep)
+    return ShiftSymbol(spec, [ShiftTerm(r, 1.0, tuple(xi.tolist()), i, h.flat[i]) for r, (xi, h)
+                              in enumerate(zip(xis, rows)) if (i := np.flatnonzero(h)).size],
+                       d=a.d, **keep)
+
+
+def localize_symbol(a: Symbol, eps: float, spec: GridSpec | None = None) -> Symbol:
     """a_chi,eps with hat(a_chi,eps)(xi,eta) = a_hat(xi,eta) chi(xi+eta, eps*eta).
 
-    The result's partial FT is exactly zero wherever 1+|xi+eta| > 2 eps |eta|.
-    sigma_order_estimate masks one shared a_hat the same way at every eps.
+    The result, in a's form (_weighted), has its partial FT exactly zero where
+    1+|xi+eta| > 2 eps |eta|; sigma_order_estimate localizes rows the same way.
     """
     spec = _resolve_spec(a, spec)
     if not (0.0 < eps <= 1.0):
         raise ValueError("eps must lie in (0, 1]")
-    return _localize(symbol_partial_ft(a, spec), eps, spec, a.d)
+    return _weighted(a, spec, "spectral table", _localization(eps))
 
 
-def _localize(ahat: np.ndarray, eps: float, spec: GridSpec, d: float) -> TabulatedSymbol:
-    sum_rad, eta_rad = _sum_radius_mesh(spec)
-    masked = ahat * build_chi().from_radii(sum_rad, eps * eta_rad)
-    return TabulatedSymbol(spec, partial_ift(masked, spec), d=d, ahat=masked)
-
-
-def mask_twisted_diagonal(a: Symbol, B: float, spec: GridSpec | None = None) -> TabulatedSymbol:
-    """Force the condition a_hat(xi,eta) = 0 where B(1+|xi+eta|) < |eta|."""
+def mask_twisted_diagonal(a: Symbol, B: float, spec: GridSpec | None = None) -> Symbol:
+    """Force a_hat(xi,eta) = 0 where B(1+|xi+eta|) < |eta|, in a's form (_weighted)."""
     spec = _resolve_spec(a, spec)
     if B < 1.0:
         raise ValueError("B must be >= 1")
-    check_budget("twisted-diagonal mask", spec)  # before the radius meshes
-    sum_rad, eta_rad = _sum_radius_mesh(spec)
-    ahat = symbol_partial_ft(a, spec) * (B * (1.0 + sum_rad) >= eta_rad)
-    return TabulatedSymbol(spec, partial_ift(ahat, spec), d=a.d, tdc_B=B, ahat=ahat)
+    return _weighted(a, spec, "twisted-diagonal mask", lambda s, e: B * (1.0 + s) >= e, tdc_B=B)
 
 
 @dataclass(frozen=True)
@@ -671,10 +698,10 @@ class TdcReport:
 def check_twisted_diagonal(
     a: Symbol, B: float, tau: float = 1e-10, spec: GridSpec | None = None
 ) -> TdcReport:
-    """Relative squared mass of a_hat where B(|xi+eta|+1) < |eta|."""
+    """Relative squared mass of a_hat's rows where B(|xi+eta|+1) < |eta|."""
     spec = _resolve_spec(a, spec)
-    ahat = symbol_partial_ft(a, spec)
-    sum_rad, eta_rad = _sum_radius_mesh(spec)
+    xis, ahat, _ = _ahat_rows(a, spec, "spectral table")
+    sum_rad, eta_rad = _sum_radius_mesh(spec, xis)
     forbidden = B * (sum_rad + 1.0) < eta_rad
     total = float(np.sum(np.abs(ahat) ** 2))
     if total == 0.0:
@@ -731,6 +758,25 @@ def _eta_difference(table: np.ndarray, alpha: tuple[int, ...], spec: GridSpec) -
     return out
 
 
+def _eta_power(form, alpha: tuple[int, ...], masks, spec: GridSpec) -> list[np.ndarray]:
+    """sum_{eta in S} |D^alpha_eta a(x,eta)|^2 at every grid x, per eta set S in
+    `masks`, from a's table (squared moduli summed) or a_hat rows (xis, rows)
+    h_r.  As D^alpha a(x,eta) = sum_r e^{i x.xi_r} D^alpha h_r(eta), rows take
+        sum_{eta in S} |D^alpha a(x,eta)|^2 = sum_{r,s} e^{i x.(xi_r-xi_s)} G[r,s]
+    with G = H_S H_S^* the Gram matrix of the differenced rows on S, read
+    through exact lattice phases, negatives clipped to 0: no N^n x N^n array."""
+    if isinstance(form, np.ndarray):
+        diff = np.abs(_eta_difference(form, alpha, spec) if sum(alpha) else form) ** 2
+        return [np.sum(diff * mask, axis=tuple(range(spec.n, 2 * spec.n))) for mask in masks]
+    xis, rows = form
+    diff = _eta_difference(rows, alpha, spec) if sum(alpha) else rows
+    phase = lattice_phase(spec, np.moveaxis(np.indices(spec.shape), 0, -1), xis)  # e^{i x.xi_r}
+    # einsum, not @: no threaded BLAS on pool workers
+    grams = [np.einsum("rk,sk->rs", h, h.conj()) for h in (diff[:, m] for m in masks)]
+    return [np.maximum(np.einsum("...r,rs,...s->...", phase, g, phase.conj()).real, 0.0)
+            for g in grams]
+
+
 def sigma_order_estimate(
     a: Symbol,
     alphas,
@@ -742,16 +788,9 @@ def sigma_order_estimate(
     sups.  Shells within max(2,|alpha|) cells of the Nyquist boundary are
     dropped.  Each eps is one pool task that localizes once for every alpha.
 
-    Gram route, for symbols with shift terms: a_hat is nonzero on R rows
-    xi_r only (the distinct xi_j; terms that share one add up), each
-    localized, h_r(eta) = a_hat(xi_r,eta) chi(xi_r+eta, eps eta), and
-    differenced on its own.  As T(x,eta) = sum_r e^{i x.xi_r} D^alpha h_r(eta),
-        sum_{eta in S} |T(x,eta)|^2 = sum_{r,s} e^{i x.(xi_r-xi_s)} G[r,s]
-    on each shell S, with G = H_S H_S^* the R x R Gram matrix of the rows on
-    S, read at every x through exact lattice phases, negatives clipped to 0:
-    no N^n x N^n array, no FFT, no memory-budget check.  Dense route, the
-    oracle for every other symbol: a_hat once (symbol_partial_ft), localized
-    and inverse-transformed per eps, squared moduli summed over each shell.
+    a's rows (_ahat_rows) are localized per eps and summed over each shell
+    by _eta_power: a shift symbol's R rows by the Gram identity; any other
+    symbol's (the dense route, the oracle) as the localized table.
     """
     spec = _resolve_spec(a, spec)
     alphas = [as_multiindex(alpha, spec.n) for alpha in alphas]
@@ -762,33 +801,16 @@ def sigma_order_estimate(
 
     from ._threads import pmap
 
-    shifts = a.shift_terms(spec)
-    if shifts is None:
-        ahat = symbol_partial_ft(a, spec)
-        work = spec.npoints**2  # per eps: an N^n x N^n table
-    else:
-        xis, ahat = _shift_rows(shifts, spec)
-        sum_rad, eta_rad = _sum_radius_mesh(spec, xis)
-        k = np.moveaxis(np.indices(spec.shape), 0, -1).reshape(-1, spec.n)
-        phase = lattice_phase(spec, k, xis)  # (N^n, R): e^{i x_k.xi_r}
-        work = spec.npoints * len(xis) ** 2  # per eps and shell: phase . G . phase^*
-    e_axes = tuple(range(ahat.ndim - spec.n, ahat.ndim))
-
-    def shell_sup(diff: np.ndarray, mask: np.ndarray) -> float:
-        if shifts is None:  # diff holds the squared moduli here
-            return float(np.max(np.sum(diff * mask, axis=e_axes)))
-        h = diff[:, mask]  # einsum, not @: no threaded BLAS on pool workers
-        gram = np.einsum("rk,sk->rs", h, h.conj())
-        return max(0.0, float(np.einsum("xr,rs,xs->x", phase, gram, phase.conj()).real.max()))
+    xis, ahat, dense = _ahat_rows(a, spec, "spectral table")
+    work = spec.npoints**2 if dense else spec.npoints * len(xis) ** 2  # per eps: table or Gram
 
     def one_eps(eps: float) -> list[tuple[float, dict]]:
-        tab = (_localize(ahat, eps, spec, a.d).table(spec) if shifts is None
-               else ahat * build_chi().from_radii(sum_rad, eps * eta_rad))
+        rows = ahat * _localization(eps)(*_sum_radius_mesh(spec, xis))
+        form = partial_ift(rows.reshape(spec.shape + spec.shape), spec) if dense else (xis, rows)
         out = []
         for alpha, shells in zip(alphas, shell_sets):
-            diff = _eta_difference(tab, alpha, spec) if sum(alpha) else tab
-            diff = np.abs(diff) ** 2 if shifts is None else diff
-            per_shell = {R: float(np.sqrt(shell_sup(diff, mask))) for R, mask in shells}
+            sums = _eta_power(form, alpha, [mask for _, mask in shells], spec)
+            per_shell = {R: float(np.sqrt(s.max())) for (R, _), s in zip(shells, sums)}
             scale = sum(alpha) - a.d - spec.n / 2.0
             out.append((max(float(R) ** scale * v for R, v in per_shell.items()), per_shell))
         return out

@@ -52,7 +52,8 @@ def dense_matrix(tmp_path):
 
 
 def twisted_diagonal_mask(tmp_path):
-    a = ching_for_grid(SPEC)
+    # a symbol without shift terms: a shift symbol's mask is read from its rows
+    a = random_elementary(SPEC, DEFAULT_FRAME, J=4, seed=2)
     return lambda: mask_twisted_diagonal(a, 2.0, SPEC)
 
 

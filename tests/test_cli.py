@@ -614,9 +614,31 @@ ARITHMETIC_CASES = [  # a d whose weights overflow or vanish: the line opens wit
        (f"'{spec.replace('1e308', '1e+308')}'",))
       for spec in ("B:s=1e308,p=2,q=2", "B:s=0,p=1e308,q=2", "F:s=0,p=1e308,q=1",
                    "F:s=1e308,p=2,q=2")),
-    # an output whose L2 norm overflows: the line names out_l2 and the symbol
+    # an output whose L2 norm or whose entries overflow: the line names out_l2 and the symbol
     ("symbol const:c=1e308", ["apply", "--symbol", "const:c=1e308", "--grid", "64", "--mode",
                               "single:eta=1"], ("error: out_l2 of symbol 'const:c=1e308' ",)),
+    *((f"symbol const:c=1e308 on {mode}", ["apply", "--symbol", "const:c=1e308", "--grid", "64",
+                                           "--mode", mode],
+       ("error: out_l2 of symbol 'const:c=1e308' ",))
+      for mode in ("random:band=0.4", "lacunary:N=2")),
+    # a key that cannot be infinite: its builder names the key and the spec
+    *((f"symbol {spec}", ["apply", "--symbol", spec, "--grid", "64", "--mode", "single:eta=1"],
+       (f"error: symbol '{spec}': expected a finite {key}, got ",))
+      for spec, key in (("const:c=inf", "c"), ("const:c=-inf", "c"),
+                        ("ching:d=inf,theta=+1,jmax=3", "d"),
+                        ("ching:d=-inf,theta=+1,jmax=3", "d"))),
+    # a threshold outside [0, 1) would give a verdict that means nothing
+    *((f"support-rule {kind} tau={tau}",
+       ["support-rule", "--symbol", "const", "--grid", "64", "--mode", "single:eta=1",
+        "--kind", kind, "--tau", tau], ("error: tau must lie in [0, 1), got ",))
+      for kind in ("spatial", "spectral") for tau in ("5", "1", "inf", "-1")),
+    # maximal-function parameters: finite, and a derivative order within the budget
+    *((f"pointwise mihlin {flag} {value}",
+       ["pointwise", "mihlin", "--symbol", "const", "--grid", "64", flag, value], (error,))
+      for flag, value, error in (
+          ("--N-exp", "inf", "error: N_exp must be positive and finite, got inf"),
+          ("--R", "inf", "error: R_spec must be positive and finite, got inf"),
+          ("--N-exp", "1e308", "error: order 1e+308 differences exceed the budget 4"))),
 ]
 CONTRACT_CASES = [*spec_cases(), *ARITHMETIC_CASES]
 
@@ -628,7 +650,7 @@ def test_the_spec_cases_cover_every_kind():
              for h in keyword_options(b)[0].values()]
     floats = sum(map(takes_a_float, hints))
     assert floats == 23  # d, c, band, s, p, q, the frame's r and R, ching's levels
-    assert len(CONTRACT_CASES) == 2 * len(hints) + floats + kinds + 12
+    assert len(CONTRACT_CASES) == 2 * len(hints) + floats + kinds + 29
 
 
 @pytest.mark.parametrize("argv, names", [c[1:] for c in CONTRACT_CASES],
@@ -640,6 +662,16 @@ def test_a_malformed_spec_value_exits_2_naming_it(capsys, tmp_path, argv, names)
     out, err = capsys.readouterr()
     assert out == "" and err.startswith("error: ") and err.count("\n") == 1, err
     assert any(name in err for name in names), err
+
+
+@pytest.mark.parametrize("argv", [
+    ["norms", "--space", "L:p=inf", "--grid", "64", "--mode", "single:eta=1"],
+    ["norms", "--space", "B:s=0,p=2,q=inf", "--grid", "64", "--mode", "single:eta=1"],
+    ["apply", "--symbol", "elementary:J=3,spread=inf", "--grid", "64", "--mode", "single:eta=1"],
+    ["support-rule", "--symbol", "const", "--grid", "64", "--mode", "single:eta=1", "--tau", "0"],
+])
+def test_a_key_that_may_be_infinite_or_zero_still_runs(capsys, argv):
+    assert main(argv) == 0
 
 
 @pytest.mark.parametrize("space, value", [("H:s=1e308", "nan"), ("L:p=1e308", "inf")])

@@ -1,5 +1,6 @@
 """Application paths, modulation limits, the three-series splitting,
 corona geometry, kernels, and both support rules."""
+import gc
 import time
 import tracemalloc
 import warnings
@@ -595,7 +596,7 @@ class TestSpectralParadiff:
         assert peak < 8 * spec.npoints**2 * 16
         assert pooled
 
-    def test_sheared_memory_is_flat_in_thread_count(self, monkeypatch):
+    def test_row_route_memory_is_flat_in_thread_count(self, monkeypatch):
         # the budget admits a table's rows only up to N^n = 2048 points,
         # below the pool gate, so a summand's temporaries over all the rows'
         # entries, up to N^n x N^n, are never held once per worker
@@ -606,12 +607,18 @@ class TestSpectralParadiff:
         peaks = {}
         for threads in ("1", "4"):
             monkeypatch.setenv("PDLAB_THREADS", threads)
+            # a full collection empties CPython's free lists, whose objects
+            # tracemalloc counts only when they are first allocated: each
+            # call starts from them empty, and no collection runs inside it
+            gc.collect()
+            gc.disable()
             tracemalloc.start()
             try:
                 paradiff_split(a, u)
                 peaks[threads] = tracemalloc.get_traced_memory()[1]
             finally:
                 tracemalloc.stop()
+                gc.enable()
         # equal but for a few interpreter objects; a second worker's
         # temporary would add one N^n x N^n table, 16 MiB
         assert abs(peaks["4"] - peaks["1"]) < 1024

@@ -10,6 +10,8 @@ import pdlab.symbols as symbols
 from pdlab.experiments import run_sigma_estimate
 from pdlab.frame import DEFAULT_FRAME, ModulationFunction
 from pdlab.grid import GridFunction, GridSpec, random_band_limited
+from pdlab.operators import DEFAULT_PSI_FAMILY
+from pdlab.pointwise import MaximalParams, _multiindices, derivative_order, mihlin_rhs
 from pdlab.symbols import (
     DEFAULT_BUMP,
     ChingSymbol,
@@ -503,13 +505,13 @@ class TestSigmaEstimate:
     @pytest.mark.parametrize("alphas", [[0], [0, 1], [0, 1, 2]])
     def test_one_localization_per_eps_for_every_alpha(self, monkeypatch, alphas):
         built = []
-        real = symbols._localize
+        real = symbols._localization
 
-        def counted(ahat, eps, spec, d):
+        def counted(eps):
             built.append(eps)
-            return real(ahat, eps, spec, d)
+            return real(eps)
 
-        monkeypatch.setattr(symbols, "_localize", counted)
+        monkeypatch.setattr(symbols, "_localization", counted)
         eps_grid = (0.25, 0.125, 0.0625)
         fits = sigma_order_estimate(random_table_symbol(GridSpec(n=1, N=64)), alphas, eps_grid)
         assert len(fits) == len(alphas)
@@ -583,6 +585,151 @@ class TestSigmaGramRoute:
         rep = run_sigma_estimate(a, spec, r_expected=1.0)
         assert rep.verdicts["sigma_matches"] is True
         assert rep.verdicts["onset_matches"] is True
+
+
+ZERO_BUMP = RadialBump(zero_order=1, zero_width=0.25)
+
+
+def shift_symbol(kind: str, spec: GridSpec) -> Symbol:
+    """A symbol with shift terms on spec's grid."""
+    e1 = 1 if spec.n == 1 else (1, 0)
+    if kind == "ching theta=1":
+        return ching_for_grid(spec, theta=e1, A=ZERO_BUMP)
+    if kind == "ching theta=2":
+        return ching_for_grid(spec, theta=2 if spec.n == 1 else (2, 0), A=ZERO_BUMP)
+    if kind == "modulated ching":
+        return modulate_symbol(ching_for_grid(spec, d=0.5, theta=e1), 3, DEFAULT_PSI_FAMILY[0],
+                               spec)
+    return ConstantSymbol(2.0)
+
+
+def full_radius_mesh(spec: GridSpec) -> tuple[np.ndarray, np.ndarray]:
+    """(|xi+eta|, |eta|) over the whole (xi, eta) product lattice."""
+    f = [m.astype(float) for m in spec.freq_mesh()]
+    s = [x.reshape(x.shape + (1,) * spec.n) + e for x, e in zip(f, f)]
+    if spec.n == 1:
+        return np.abs(s[0]), np.abs(f[0])
+    return np.sqrt(s[0] ** 2 + s[1] ** 2), np.sqrt(f[0] ** 2 + f[1] ** 2)
+
+
+def dense_shell_values(a, alphas, eps_grid, spec) -> list[float]:
+    """sigma_order_estimate's shell values, in its order, from the whole
+    a_hat: localized on the full mesh, inverse-transformed, squared moduli
+    summed over each shell."""
+    ahat = symbol_partial_ft(a, spec)
+    sum_rad, eta_rad = full_radius_mesh(spec)
+    tabs = [symbols.partial_ift(ahat * build_chi().from_radii(sum_rad, eps * eta_rad), spec)
+            for eps in eps_grid]
+    e_axes, out = tuple(range(spec.n, 2 * spec.n)), []
+    for alpha in (as_multiindex(al, spec.n) for al in alphas):
+        for tab in tabs:
+            sq = np.abs(symbols._eta_difference(tab, alpha, spec) if sum(alpha) else tab) ** 2
+            out += [float(np.sqrt(np.max(np.sum(sq * mask, axis=e_axes))))
+                    for _, mask in symbols._dyadic_shells(spec, alpha)]
+    return out
+
+
+def dense_mihlin(a, p, spec) -> np.ndarray:
+    """mihlin_rhs with the default ball cutoff, summed over a's whole table."""
+    rad, R = spec.freq_radius(), p.R_spec
+    tab, mask = a.table(spec), rad <= 2.0 * R
+    out = np.zeros(spec.shape)
+    for total in range(derivative_order(p, spec.n) + 1):
+        for alpha in _multiindices(spec.n, total):
+            sq = np.abs(symbols._eta_difference(tab, alpha, spec) if total else tab) ** 2
+            out += R**total * np.sqrt(np.sum(sq * mask, axis=tuple(range(spec.n, 2 * spec.n)))
+                                      / R**spec.n)
+    return out
+
+
+TWISTED_TOOLS = {  # each of the five tools on (a, spec), as numbers
+    "mask": lambda a, spec: mask_twisted_diagonal(a, 2.0, spec).table(spec),
+    "localize": lambda a, spec: localize_symbol(a, 0.5, spec).table(spec),
+    "check": lambda a, spec: [check_twisted_diagonal(a, B, spec=spec).violation_mass
+                              for B in (1.0, 4.0)],
+    "sigma": lambda a, spec: shell_values(sigma_order_estimate(
+        a, [0, 1] if spec.n == 1 else [(0, 0), (1, 0)], (0.25,), spec)),
+    "mihlin": lambda a, spec: mihlin_rhs(a, MaximalParams(0.5, spec.N / 8), spec=spec),
+}
+
+
+class TestTwistedDiagonalRows:
+    """mask, localize, check, sigma and Mihlin read a_hat's rows in the
+    symbol's own form: a shift symbol's R rows, any other symbol's whole
+    a_hat (or, for Mihlin, its table)."""
+
+    @pytest.mark.parametrize("kind, n, N", [
+        (kind, n, N) for kind in ("ching theta=1", "ching theta=2", "modulated ching", "const")
+        for n, N in ((1, 256), (2, 32))
+    ] + [("ching theta=1", 1, 1024), ("ching theta=2", 1, 2048)])
+    def test_shift_rows_match_the_dense_twin(self, kind, n, N):
+        spec = GridSpec(n, N)
+        a = shift_symbol(kind, spec)
+        twin = TabulatedSymbol(spec, a.table(spec), ahat=symbol_partial_ft(a, spec))
+        for name, tool in TWISTED_TOOLS.items():  # one pair of outputs held at a time
+            got, want = tool(a, spec), tool(twin, spec)
+            scale = max(np.max(np.abs(want)), 1e-300)
+            assert np.max(np.abs(np.subtract(got, want))) <= 1e-13 * scale, name
+
+    @pytest.mark.parametrize("n, N", [(1, 256), (2, 32)])
+    def test_every_lattice_xi_gives_the_full_mesh(self, n, N):
+        spec = GridSpec(n, N)
+        every = np.stack(np.unravel_index(np.arange(spec.npoints), spec.shape), -1) - N // 2
+        got, want = symbols._sum_radius_mesh(spec, every), full_radius_mesh(spec)
+        assert np.array_equal(got[0], want[0].reshape(got[0].shape))
+        assert np.array_equal(got[1], want[1])
+
+    @pytest.mark.parametrize("kind", ["elementary", "table"])
+    @pytest.mark.parametrize("n, N", [(1, 256), (2, 32)])
+    def test_dense_symbols_match_the_full_mesh_bit_for_bit(self, kind, n, N):
+        spec = GridSpec(n, N)
+        a = (random_elementary(spec, DEFAULT_FRAME, J=4, seed=3) if kind == "elementary"
+             else random_table_symbol(spec, seed=5))
+        ahat, (sum_rad, eta_rad) = symbol_partial_ft(a, spec), full_radius_mesh(spec)
+        for got, weight in (
+            (mask_twisted_diagonal(a, 2.0, spec), 2.0 * (1.0 + sum_rad) >= eta_rad),
+            (localize_symbol(a, 0.5, spec), build_chi().from_radii(sum_rad, 0.5 * eta_rad)),
+        ):
+            assert isinstance(got, TabulatedSymbol)
+            assert np.array_equal(got.ahat, ahat * weight)
+            assert np.array_equal(got.table(spec), symbols.partial_ift(ahat * weight, spec))
+        bad = np.sum(np.abs(ahat[2.0 * (sum_rad + 1.0) < eta_rad]) ** 2)
+        assert (check_twisted_diagonal(a, 2.0, spec=spec).violation_mass
+                == float(bad) / float(np.sum(np.abs(ahat) ** 2)))
+        alphas = [0, 1] if n == 1 else [(0, 0), (1, 0)]
+        fits = sigma_order_estimate(a, alphas, (0.25,), spec)
+        assert shell_values(fits) == dense_shell_values(a, alphas, (0.25,), spec)
+        p = MaximalParams(0.5, N / 8)
+        assert np.array_equal(mihlin_rhs(a, p, spec=spec), dense_mihlin(a, p, spec))
+
+    @pytest.mark.parametrize("kind", ["ching theta=1", "modulated ching", "const"])
+    def test_a_masked_or_localized_shift_symbol_is_a_shift_symbol(self, kind):
+        spec = GridSpec(1, 128)
+        a = shift_symbol(kind, spec)
+        # const localizes to zero: chi(eta, eps eta) vanishes for eps < 1
+        for b in (mask_twisted_diagonal(a, 2.0, spec), localize_symbol(a, 0.5, spec)):
+            assert isinstance(b, ShiftSymbol) and b.d == a.d
+            assert all(t.g.size and np.all(t.g != 0) for t in b.terms)
+        masked = mask_twisted_diagonal(a, 2.0, spec)
+        assert masked.tdc_B == 2.0 and masked.terms
+
+    def test_strict_sigma_and_mihlin_build_no_table(self, monkeypatch):
+        def refuse(name):
+            def spy(*args, **kwargs):
+                raise AssertionError(f"{name} called on the shift route")
+            return spy
+
+        for name in ("symbol_partial_ft", "partial_ft", "partial_ift"):
+            monkeypatch.setattr(symbols, name, refuse(name))
+        monkeypatch.setattr(Symbol, "table", refuse("Symbol.table"))
+        spec = GridSpec(1, 4096)
+        assert 16 * spec.npoints**2 > pdlab.grid.MEMORY_BUDGET
+        rep = run_sigma_estimate(ching_symbol(0.0, theta=2, j_max=9), spec, strict=True)
+        assert rep.verdicts["sigma_infinite"] is True and rep.verdicts["class_membership"]
+        spec = GridSpec(1, 8192)
+        a = ching_symbol(0.0, theta=1, j_max=9, spec=spec)
+        rhs = mihlin_rhs(a, MaximalParams(2.0, 64.0), spec=spec)
+        assert rhs.shape == spec.shape and np.all(np.isfinite(rhs)) and rhs.max() > 0.0
 
 
 class TestOperatorMatrix:
