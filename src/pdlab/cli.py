@@ -164,10 +164,7 @@ def make_input(text: str, spec: GridSpec, seed: int = 0) -> GridFunction:
            lacunary:N=3[,d=0][,theta=1]
            ladder:J=6[,d=0.5]            (modes 2^j, weights 2^{-jd})
            random:band=0.4[,seed=0]
-           file:u.pdgf
     """
-    if text.startswith("file:"):
-        return read_pdgf(text.removeprefix("file:"))
     return as_values(parse_spec(text, INPUT_KINDS, "input")(spec, seed))
 
 
@@ -510,7 +507,7 @@ def cmd_paradiff(u: GridFunction, a: Symbol, symbol: str, frame: LPFrame, *,
 def cmd_support_rule(u: GridFunction, a: Symbol, symbol: str, *, tau: float = 1e-8,
                      kind: Literal["spatial", "spectral"] = "spatial",
                      out: str | None = None) -> int:
-    """kernel or spectral support containment"""
+    """kernel (streamed in row chunks) or spectral support containment"""
     check = spectral_support_rule_check if kind == "spectral" else support_rule_check
     rep = check(a, u, tau=tau)
     _emit_json({"grid": {"n": u.spec.n, "N": u.spec.N}, "symbol": symbol, "kind": kind,

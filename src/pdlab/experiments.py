@@ -173,12 +173,12 @@ def lacunary_spectrum(spec: GridSpec, N: int, d: float = 0.0, theta: int = 1) ->
     as its exact coefficients (lacunary_coeffs on the lattice)."""
     if spec.n != 1:
         raise ValueError("the lacunary family lives on 1-d grids")
-    top = 2 ** (N * N) * abs(theta)
-    if top >= spec.N // 2:
-        raise ValueError(
-            f"family index {N} needs mode 2^{N * N}*|theta| = {top} "
-            f"inside the lattice; grid holds |eta| < {spec.N // 2}"
-        )
+    # |theta| has b bits, so the top mode 2^(N^2)|theta| reaches N/2 = 2^log2(N/2)
+    # exactly when N^2 + b - 1 >= log2(N/2): no 2^(N^2) is built to compare
+    half = spec.N // 2
+    if N * N + abs(int(theta)).bit_length() - 1 >= half.bit_length() - 1:
+        raise ValueError(f"family index {N} needs mode 2^{N * N}*|theta| inside the lattice; "
+                         f"grid holds |eta| < {half}")
     return spectrum_from_coeffs(spec, lacunary_coeffs(N, d, theta))
 
 

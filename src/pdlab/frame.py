@@ -102,11 +102,6 @@ class ModulationFunction:
         t = np.abs(np.asarray(t, dtype=float))
         return smoothstep((self.R - t) / (self.R - self.r))
 
-    def __call__(self, xi) -> np.ndarray:
-        """psi(xi) for frequency vectors xi, shape (..., n) or scalar radius."""
-        xi = np.asarray(xi, dtype=float)
-        return self.radial(xi if xi.ndim == 0 else np.linalg.norm(np.atleast_2d(xi), axis=-1))
-
     def corona(self, t) -> np.ndarray:
         """phi(|xi|) = psi(|xi|) - psi(2|xi|)."""
         t = np.abs(np.asarray(t, dtype=float))

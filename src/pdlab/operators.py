@@ -24,9 +24,11 @@ of v's support drops the terms v misses; every other symbol's summand is
 the packed scatter with the weights w(xi_j), and one inverse FFT.
 The support rules check an output against the supports it may reach.  The
 spatial rule takes the output from apply_auto() and the reach from the
-tau-supports of the kernel and of u.  The spectral rule reads the symbol's
-spectral terms (one indicator convolution per term) and falls back to the
-tau-thresholded a_hat table only for symbols without terms.
+tau-supports of the kernel and of u, read from the kernel rows that
+symbols._kernel_rows streams in budget-sized chunks: no N^n x N^n array.
+kernel(), the dense oracle, copies that stream.  The spectral rule reads
+the symbol's spectral terms (one indicator convolution per term) and falls
+back to the tau-thresholded a_hat table only for symbols without terms.
 """
 from __future__ import annotations
 
@@ -38,12 +40,12 @@ import numpy as np
 from ._threads import pmap
 from .frame import DEFAULT_FRAME, LPFrame, ModulationFunction, modulation_saturation
 from .grid import (
-    TWO_PI,
     GridFunction,
     GridSpec,
     SpectralFunction,
     as_spectral,
     as_values,
+    check_budget,
     fft_forward,
     fft_inverse,
     lattice_phase,
@@ -53,10 +55,10 @@ from .grid import (
 from .symbols import (
     ShiftTerm,
     Symbol,
+    _kernel_rows,
     _resolve_spec,
     filter_symbol,
     modulate_symbol,
-    operator_matrix,
     row_terms,
     symbol_partial_ft,
 )
@@ -468,12 +470,24 @@ def corona_ball_report(
 # kernels
 
 
+def _wrapped_differences(spec: GridSpec, rs: slice) -> np.ndarray:
+    """The flat index of x - z (each axis mod N): flat rows x in rs, every flat z."""
+    idx = np.unravel_index(np.arange(spec.npoints), spec.shape)
+    return np.ravel_multi_index(tuple(i[rs, None] - i for i in idx), spec.shape, mode="wrap")
+
+
 def kernel(a: Symbol, spec: GridSpec | None = None) -> np.ndarray:
-    """K[x,y] with apply(a,u)(x) = (2pi/N)^n sum_y K[x,y] u(y); exact."""
+    """K[x,y] with apply(a,u)(x) = (2pi/N)^n sum_y K[x,y] u(y); exact.  The dense
+    oracle: K[x,y] = k(x, x-y), the kernel rows copied in, then gathered per row."""
     spec = _resolve_spec(a, spec)
-    M = operator_matrix(a, spec)  # checks the memory budget first
-    scale = spec.npoints / TWO_PI**spec.n
-    return (M * scale).reshape(spec.shape + spec.shape)
+    check_budget("dense operator matrix", spec)
+    K = np.empty((spec.npoints, spec.npoints), dtype=complex)
+    for rs, k in _kernel_rows(a, spec, 16 * spec.npoints):  # the stream's rows alone
+        K[rs] = k
+    del k  # the last view of the stream's workspace, so the gather does not add to it
+    for rs in row_chunks(spec.npoints, 24 * spec.npoints):  # an int64 gather, the gathered rows
+        K[rs] = np.take_along_axis(K[rs], _wrapped_differences(spec, rs), axis=1)
+    return K.reshape(spec.shape + spec.shape)
 
 
 # ---------------------------------------------------------------------------
@@ -510,12 +524,21 @@ def _support_report(y_power: np.ndarray, allowed: np.ndarray, tau: float) -> Sup
 
 def support_rule_check(a: Symbol, u: GridFunction, tau: float = 1e-8) -> SupportReport:
     """Spatial support rule: supp a(x,D)u within supp_tau K composed with
-    supp_tau u; smooth cutoffs have global tails, so this is thresholded."""
+    supp_tau u; smooth cutoffs have global tails, so this is thresholded.
+    K[x,y] = k(x, x-y) is read in two passes over the kernel rows, never whole:
+    the sum of |k|^2, then each row's entries above tau times it against
+    supp_tau u at the wrapped offsets y = x - z."""
     _check_tau(tau)
     spec = u.spec
-    K = kernel(a, spec).reshape(spec.npoints, spec.npoints)
     u_supp = _tau_support(np.abs(u.values.reshape(-1)) ** 2, tau)
-    reach = (_tau_support(np.abs(K) ** 2, tau) & u_supp[None, :]).any(axis=1)
+    # a chunk's rows (16 bytes an entry), then |k| and |k|^2 (16), or the entries
+    # above the threshold and the int64 offsets with their differences (26): 48
+    row_bytes = 48 * spec.npoints
+    total = sum(float(np.sum(np.abs(k) ** 2)) for _, k in _kernel_rows(a, spec, row_bytes))
+    reach = np.zeros(spec.npoints, dtype=bool)
+    for rs, k in _kernel_rows(a, spec, row_bytes):
+        above = np.abs(k) ** 2 > tau * total
+        reach[rs] = (above & u_supp[_wrapped_differences(spec, rs)]).any(axis=1)
     y = apply_auto(a, u)
     return _support_report(np.abs(y.values.reshape(-1)) ** 2, reach, tau)
 

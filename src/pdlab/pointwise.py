@@ -3,7 +3,6 @@ pointwise factorization bound with its derivative-sum and decay controls."""
 
 from __future__ import annotations
 
-import itertools
 import math
 from dataclasses import dataclass, field
 
@@ -11,8 +10,9 @@ import numpy as np
 
 from ._threads import pmap
 from .frame import ModulationFunction
-from .grid import TWO_PI, GridFunction, GridSpec, fft_forward, lp_norm, row_chunks
-from .symbols import Symbol, _eta_power, _resolve_spec, _shift_rows, filter_symbol
+from .grid import TWO_PI, GridFunction, GridSpec, fft_forward, lp_norm
+from .operators import _tau_support, apply_auto
+from .symbols import Symbol, _eta_power, _kernel_rows, _resolve_spec, _shift_rows, filter_symbol
 
 # Central differences of order k need a stencil of width k on the eta
 # lattice; beyond this the stencil stops resolving anything near the
@@ -44,12 +44,7 @@ class MaximalParams:
 
 def spectral_radius(u: GridFunction, tau: float = 1e-10) -> float:
     """Largest |eta| whose coefficient power exceeds tau relative to the total."""
-    c = fft_forward(u).coeffs
-    power = np.abs(c) ** 2
-    total = float(power.sum())
-    if total == 0.0:
-        return 0.0
-    mask = power > tau * total
+    mask = _tau_support(np.abs(fft_forward(u).coeffs) ** 2, tau)
     return float(u.spec.freq_radius()[mask].max()) if mask.any() else 0.0
 
 
@@ -145,62 +140,26 @@ def symbol_factor(
     so |a(x,D)u| <= F_a u* closes over exactly the lattice sums both
     sides are built from (Parseval on the offset sum).
 
-    A symbol with separable terms a = sum_j m_j(x) g_j(eta), every shift
-    symbol included, gives k(x,.) = sum_j m_j(x) k_j with k_j the kernel of
-    g_j chi: one inverse FFT per term whose g_j chi is not identically zero,
-    and no table.  Other symbols are tabulated.  Either way k is built and
-    summed over chunks of x-rows that fit the memory budget (grid.row_chunks):
-    a chunk holds its complex rows and their moduli, 24 bytes an entry, in
-    two workspaces that every chunk reuses.
+    k(x, .) comes from symbols._kernel_rows, in the symbol's own form: one
+    inverse FFT per separable term (every shift symbol's included) and one
+    product per chunk of x-rows, or any other symbol's rows times chi,
+    transformed over eta; no table.  The weights are checked finite first.
     """
     chi = as_cutoff(chi)
     spec = _resolve_spec(a, spec)
-    chiv = chi.values(spec, p.R_spec)
-    w = ((1.0 + p.R_spec * _offset_radius(spec)) ** p.N_exp).reshape(-1)
+    with np.errstate(over="ignore"):
+        w = ((1.0 + p.R_spec * _offset_radius(spec)) ** p.N_exp).reshape(-1)
+    if not np.isfinite(w.max()):
+        raise ValueError(f"the weight (1 + R|y|)^N_exp is not finite for N_exp = {p.N_exp!r} "
+                         f"and R = {p.R_spec!r}")
     cell = (TWO_PI / spec.N) ** spec.n
-    e_axes = tuple(range(-spec.n, 0))
-    h = spec.N // 2  # ifftshift moves each eta axis's index h to 0: the halves swap
-    swaps = [tuple(zip(*axes)) for axes in itertools.product(
-        ((slice(0, h), slice(h, None)), (slice(h, None), slice(0, h))), repeat=spec.n)]
-
-    def kernel(g: np.ndarray, out: np.ndarray) -> None:
-        """k over y into `out`, for a(x,.) = g tabulated on the trailing eta
-        axes: g chi is written in ifftshift's order, then transformed and
-        scaled in place."""
-        for dst, src in swaps:
-            np.multiply(g[(..., *src)], chiv[src], out=out[(..., *dst)])
-        np.fft.ifftn(out, axes=e_axes, out=out)
-        out *= spec.npoints / TWO_PI**spec.n
-
-    terms = a.separable_terms(spec)
-    if terms is not None:
-        kept = [(m, g) for m, g in terms if np.any(g * chiv)]
-        mx = np.zeros((spec.npoints, len(kept)), dtype=complex)
-        ky = np.zeros((len(kept),) + spec.shape, dtype=complex)
-        for i, (m, g) in enumerate(kept):
-            mx[:, i] = m.reshape(-1)
-            kernel(g, ky[i])
-        ky = ky.reshape(len(kept), spec.npoints)
-
-        def rows(rs: slice, out: np.ndarray) -> None:
-            np.matmul(mx[rs], ky, out=out)
-
-    else:
-        tab = a.table(spec).reshape((spec.npoints,) + spec.shape)
-
-        def rows(rs: slice, out: np.ndarray) -> None:
-            kernel(tab[rs], out.reshape(out.shape[:1] + spec.shape))
-
     out = np.empty(spec.npoints)
-    chunks = list(row_chunks(spec.npoints, 24 * spec.npoints))
-    krows = np.empty((chunks[0].stop, spec.npoints), dtype=complex)
-    kmod = np.empty(krows.shape)
-    for rs in chunks:
-        k, m = krows[: rs.stop - rs.start], kmod[: rs.stop - rs.start]
-        rows(rs, k)
-        np.abs(k, out=m)
+    # a chunk's complex rows and then their moduli: 24 bytes an entry
+    for rs, k in _kernel_rows(a, spec, 24 * spec.npoints, chi.values(spec, p.R_spec)):
+        m = np.abs(k)
         m *= w
         out[rs] = cell * np.sum(m, axis=-1)
+        del m  # before the next chunk's moduli are made
     return GridFunction(spec, out.reshape(spec.shape))
 
 
@@ -236,15 +195,11 @@ def factorization_check(
     A spectrum escaping the plateau is raised as an error, never silently
     absorbed into the ratio.
     """
-    from .operators import apply_auto
-
     spec = u.spec
     p = p if p is not None else default_maximal_params(u, tau)
     chi = as_cutoff(chi)
 
-    power = np.abs(fft_forward(u).coeffs) ** 2
-    total = float(power.sum())
-    supp = power > tau * total if total > 0.0 else np.zeros(spec.shape, dtype=bool)
+    supp = _tau_support(np.abs(fft_forward(u).coeffs) ** 2, tau)
     chiv = chi.values(spec, p.R_spec)
     if np.any(supp & (chiv != 1.0)):
         worst = float(spec.freq_radius()[supp].max())

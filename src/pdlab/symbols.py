@@ -1,6 +1,6 @@
 """Symbols a(x,eta) on the discrete torus: construction, Fourier multipliers
 (filter_symbol, modulation), twisted-diagonal localization and order, the
-dense operator matrix, and the binary table format.
+kernel rows k(x, .) in budget-sized chunks, and the binary table format.
 
 A symbol is realized on a grid as a table over (x-axes..., eta-axes...).
 The partial Fourier transform in x maps the table to a_hat(xi, eta) with
@@ -16,17 +16,18 @@ symbols, so conjugate-symmetry bookkeeping never enters.
 from __future__ import annotations
 
 import cmath
+import itertools
 import json
 import math
 import struct
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Annotated, Callable, Literal, NamedTuple
+from typing import Annotated, Callable, Iterator, Literal, NamedTuple
 
 import numpy as np
 
 from .frame import DEFAULT_FRAME, LPFrame, ModulationFunction, on_distinct, parse_spec, smoothstep
-from .grid import (GridFunction, GridSpec, SpectralFunction, check_budget, fft_inverse,
+from .grid import (TWO_PI, GridFunction, GridSpec, SpectralFunction, check_budget, fft_inverse,
                    lattice_phase, read_grid_file, read_pdgf, row_chunks)
 
 
@@ -99,8 +100,8 @@ class Symbol:
     sum of shift terms, one per nonzero xi-row of a_hat: row_terms gives
     them, and operators.plan and the split run them on the shift route.
 
-    rows() is the one source of dense values, read by table() and by the
-    reference operators.apply.  It takes them from the first source the
+    rows() is the one source of dense values, read by table(), the reference
+    operators.apply and _kernel_rows.  It takes them from the first source the
     symbol has: shift terms, then separable terms, then eval on the
     lattice; TabulatedSymbol slices its stored table."""
 
@@ -279,15 +280,12 @@ def symbol_partial_ft(a: Symbol, spec: GridSpec) -> np.ndarray:
 
 
 def row_terms(a: Symbol, spec: GridSpec) -> list[ShiftTerm]:
-    """a's shift terms.  A symbol without them gets one term per nonzero
-    xi-row of a_hat (symbol_partial_ft), since on the lattice a(x,eta) =
-    sum_xi e^{i xi.x} a_hat(xi,eta) exactly: the term at the flat row r has
-    weight 1, idx the row's nonzero eta and g their values, and the terms
-    come in order of |xi_r|, so a radial cut keeps one run of them.  The
-    budget is checked before a_hat is built."""
-    shifts = a.shift_terms(spec)
-    if shifts is not None:
-        return shifts
+    """Shift terms for a symbol without them (a shift symbol's callers pass its
+    own): one per nonzero xi-row of a_hat (symbol_partial_ft), since on the
+    lattice a(x,eta) = sum_xi e^{i xi.x} a_hat(xi,eta) exactly.  The term at the
+    flat row r has weight 1, idx the row's nonzero eta and g their values, and
+    the terms come in order of |xi_r|, so a radial cut keeps one run of them.
+    The budget is checked before a_hat is built."""
     xis, ahat, _ = _ahat_rows(a, spec, "spectral rows")
     ahat = ahat.reshape(spec.npoints, spec.npoints)
     order = np.argsort(spec.freq_radius().ravel(), kind="stable")
@@ -347,11 +345,6 @@ class ConstantSymbol(Symbol):
             raise ValueError(f"expected a finite c, got {c!r}")
         self.d = d
         self.tdc_B = 1.0  # x-independent symbols satisfy the condition trivially
-
-    def eval(self, x, eta):
-        x = np.asarray(x, dtype=float)
-        shape = np.broadcast_shapes(x.shape[:-1], np.asarray(eta, dtype=float).shape[:-1])
-        return np.full(shape, self.c, dtype=complex)
 
     def shift_terms(self, spec: GridSpec) -> list[ShiftTerm]:
         return [ShiftTerm(0, self.c, (0,) * spec.n, np.arange(spec.npoints), np.ones(spec.npoints))]
@@ -431,7 +424,11 @@ class ChingSymbol(Symbol):
         self.A = A
         self.j_max = int(j_max)
         # the level weights 2^{jd}, made here so that an overflowing d fails at build
-        self.weights = tuple(2.0 ** (j * self.d) for j in range(self.j_max + 1))
+        try:
+            self.weights = tuple(2.0 ** (j * self.d) for j in range(self.j_max + 1))
+        except OverflowError:
+            raise ValueError(f"d = {d!r} gives a level weight 2^(jd), j <= {self.j_max}, "
+                             "that is not finite") from None
         tnorm = float(np.linalg.norm(theta))
         self.tdc_B = A.a1 / (tnorm - A.a1) if tnorm > A.a1 else None
 
@@ -833,21 +830,52 @@ def _sigma_fit(alpha, eps_grid, results, spec: GridSpec) -> SigmaFit:
 
 
 # ---------------------------------------------------------------------------
-# the dense operator matrix
+# kernel rows
 
 
-def operator_matrix(a: Symbol, spec: GridSpec) -> np.ndarray:
-    """Dense M with (a(x,D)u)(x_i) = sum_j M[i,j] u(x_j); flat C-order indices."""
-    check_budget("dense operator matrix", spec)
-    e_axes, P = tuple(range(spec.n, 2 * spec.n)), spec.npoints
-    # G[x, z] = N^-n sum_eta a(x,eta) e^{i z.eta};  M[x,y] = G[x, x-y], a gather
-    # within row x, so M takes G's place one row chunk at a time
-    G = np.fft.ifftn(np.fft.ifftshift(a.table(spec), axes=e_axes), axes=e_axes).reshape(P, P)
-    idx = np.unravel_index(np.arange(P), spec.shape)
-    for r in row_chunks(P, 24 * P):  # an int64 gather and the gathered values per row
-        gather = np.ravel_multi_index(tuple(i[r, None] - i for i in idx), spec.shape, mode="wrap")
-        G[r] = np.take_along_axis(G[r], gather, axis=1)
-    return G
+def _kernel_rows(a: Symbol, spec: GridSpec, row_bytes: int,
+                 chi: np.ndarray | None = None) -> Iterator[tuple[slice, np.ndarray]]:
+    """(rs, k) per chunk rs of flat x-rows (grid.row_chunks, row_bytes a row):
+    k[i, z] = (2pi)^{-n} sum_eta a(x,eta) chi(eta) e^{i z.eta} at the flat row
+    x = rs.start + i and every flat offset z; chi is over the shifted
+    eta-lattice, None is 1.  Separable terms (every shift symbol's included)
+    give k(x,.) = sum_j m_j(x) k_j: one inverse FFT per term that chi keeps,
+    one product per chunk.  Any other symbol's rows (Symbol.rows) times chi are
+    transformed over eta in place.  Each k is a view of one workspace, 16
+    bytes an entry, that the next chunk overwrites."""
+    chiv = np.ones(spec.shape) if chi is None else chi
+    e_axes = tuple(range(-spec.n, 0))
+    h = spec.N // 2  # ifftshift moves each eta axis's index h to 0: the halves swap
+    swaps = [tuple(zip(*axes)) for axes in itertools.product(
+        ((slice(0, h), slice(h, None)), (slice(h, None), slice(0, h))), repeat=spec.n)]
+
+    def transform(g: np.ndarray, out: np.ndarray) -> None:
+        # g chi in ifftshift's order, then transformed and scaled in place
+        for dst, src in swaps:
+            np.multiply(g[(..., *src)], chiv[src], out=out[(..., *dst)])
+        np.fft.ifftn(out, axes=e_axes, out=out)
+        out *= spec.npoints / TWO_PI**spec.n
+
+    terms = a.separable_terms(spec)
+    if terms is not None:
+        kept = [(m, g) for m, g in terms if np.any(g * chiv)]
+        mx = np.zeros((spec.npoints, len(kept)), dtype=complex)
+        ky = np.zeros((len(kept),) + spec.shape, dtype=complex)
+        for i, (m, g) in enumerate(kept):
+            mx[:, i] = m.reshape(-1)
+            transform(g, ky[i])
+        ky = ky.reshape(len(kept), spec.npoints)
+    else:
+        rows = a.rows(spec)
+    chunks = list(row_chunks(spec.npoints, row_bytes))
+    work = np.empty((chunks[0].stop, spec.npoints), dtype=complex)
+    for rs in chunks:
+        k = work[: rs.stop - rs.start]
+        if terms is not None:
+            np.matmul(mx[rs], ky, out=k)
+        else:
+            transform(rows(rs).reshape((-1,) + spec.shape), k.reshape((-1,) + spec.shape))
+        yield rs, k
 
 
 # ---------------------------------------------------------------------------

@@ -8,7 +8,7 @@ import pytest
 
 import pdlab.grid as grid
 import pdlab.operators as ops
-import pdlab.pointwise as pointwise
+import pdlab.symbols as symbols
 from pdlab.frame import DEFAULT_FRAME
 from pdlab.grid import GridSpec, random_band_limited, row_chunks
 from pdlab.pointwise import MaximalParams, symbol_factor
@@ -17,7 +17,6 @@ from pdlab.symbols import (
     TabulatedSymbol,
     ching_for_grid,
     mask_twisted_diagonal,
-    operator_matrix,
     random_elementary,
     read_pdsy,
     symbol_partial_ft,
@@ -48,7 +47,7 @@ def spectral_rows(tmp_path):
 
 
 def dense_matrix(tmp_path):
-    return lambda: operator_matrix(ConstantSymbol(), SPEC)
+    return lambda: ops.kernel(ConstantSymbol(), SPEC)
 
 
 def twisted_diagonal_mask(tmp_path):
@@ -112,7 +111,8 @@ def test_the_chunks_are_the_old_literals():
 
 @pytest.mark.parametrize("module, run, rows", [
     (ops, lambda a, u: ops.apply(a, u).values, 7),
-    (pointwise, lambda a, u: symbol_factor(a, MaximalParams(2.0, 8.0), spec=u.spec).values, 9),
+    # symbol_factor's rows come from symbols._kernel_rows, which chunks them
+    (symbols, lambda a, u: symbol_factor(a, MaximalParams(2.0, 8.0), spec=u.spec).values, 9),
 ], ids=["apply", "symbol_factor"])
 def test_a_small_budget_chunks_the_rows(monkeypatch, module, run, rows):
     spec = GridSpec(1, 64)
@@ -172,16 +172,32 @@ def test_symbol_factor_table_route_holds_one_budget_of_rows(monkeypatch):
 
 
 def test_the_operator_matrix_takes_the_place_of_its_transform():
-    # M[x, y] = G[x, x - y] is gathered within each row of G and written back
-    # over it: the peak is G, the gathered rows and their int64 indices, 2.5
-    # tables (3.5 when M was a fourth array)
+    # K[x, y] = k(x, x - y) is gathered within each row of the copied kernel
+    # rows and written back over them: the peak is K, the gathered rows and
+    # their int64 indices, 2.5 tables (3.5 when M was a fourth array)
     spec = GridSpec(1, 1024)
     a = random_elementary(spec, DEFAULT_FRAME, J=4, seed=3)
     tracemalloc.start()
     try:
-        M = operator_matrix(a, spec)
+        K = ops.kernel(a, spec)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert M.shape == (spec.npoints, spec.npoints)
+    assert K.shape == spec.shape + spec.shape
     assert peak <= 2.6 * 16 * spec.npoints**2
+
+
+def test_the_spatial_rule_holds_one_budget_at_4096():
+    # the rule streams the kernel rows, about 48 bytes an entry; the dense
+    # kernel at 1-d 4096 would be 256 MiB, four budgets
+    spec = GridSpec(1, 4096)
+    a = ching_for_grid(spec)
+    u = random_band_limited(spec, 0.2 * spec.N / 2, np.random.default_rng(1))
+    tracemalloc.start()
+    try:
+        report = ops.support_rule_check(a, u)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert report.holds and report.allowed_support == spec.npoints
+    assert peak <= grid.MEMORY_BUDGET

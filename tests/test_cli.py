@@ -6,6 +6,7 @@ import functools
 import inspect
 import json
 import math
+import time
 import tracemalloc
 import typing
 import warnings
@@ -534,7 +535,7 @@ def test_malformed_value_names_key_and_spec(capsys, spec):
 OVERFLOWS = {  # argv: the error line
     "ching:d=1e308,jmax=3": (["apply", "--symbol", "ching:d=1e308,jmax=3", "--grid", "64",
                               "--mode", "random:band=0.4"],
-                             "symbol 'ching:d=1e308,jmax=3': Numerical result out of range"),
+                             "d = 1e+308 gives a level weight 2^(jd), j <= 3, that is not finite"),
     "elementary:J=1100": (["apply", "--symbol", "elementary:J=1100", "--grid", "64",
                            "--mode", "random:band=0.4"],
                           "symbol 'elementary:J=1100': Numerical result out of range"),
@@ -682,6 +683,39 @@ def test_a_norm_that_is_not_finite_exits_2_naming_its_space(capsys, space, value
         assert main(argv) == 2
     label = space.replace("1e308", "1e+308")
     assert capsys.readouterr() == ("", f"error: norm '{label}' is not finite: {value}\n")
+
+
+@pytest.mark.parametrize("argv, quantity", [
+    (["pointwise", "moment-decay", "--symbol", "const", "--grid", "64", "--N-exp", "1e308"],
+     "N_exp = 1e+308"),
+    (["pointwise", "moment-decay", "--symbol", "const", "--grid", "64", "--R", "1e308"],
+     "R = 1e+308"),
+    (["pointwise", "mihlin", "--symbol", "const", "--grid", "64", "--R", "1e308"], "R = 1e+308"),
+])
+def test_a_factor_weight_that_is_not_finite_exits_2_naming_it(capsys, argv, quantity):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")  # no overflow warning on the way
+        assert main(argv) == 2
+    out, err = capsys.readouterr()
+    assert out == "" and err.count("\n") == 1, err
+    assert err.startswith("error: the weight (1 + R|y|)^N_exp is not finite") and quantity in err
+
+
+def test_a_lacunary_index_past_the_grid_exits_2_before_its_top_mode_is_built(capsys):
+    # 2^(N^2) at N = 10^6 has 10^12 bits: the exponents refuse it first
+    start = time.perf_counter()
+    assert main(["apply", "--symbol", "const", "--grid", "64", "--mode", "lacunary:N=1000000"]) == 2
+    assert time.perf_counter() - start < 1.0
+    out, err = capsys.readouterr()
+    assert out == "" and err == ("error: input 'lacunary:N=1000000': family index 1000000 needs "
+                                 "mode 2^1000000000000*|theta| inside the lattice; grid holds "
+                                 "|eta| < 32\n")
+
+
+def test_a_missing_input_file_exits_2_naming_it(capsys, tmp_path):
+    path = tmp_path / "missing.pdgf"
+    assert main(["norms", "--space", "L:p=2", "--mode", f"file:{path}", "--json"]) == 2
+    assert capsys.readouterr() == ("", f"error: input file not found: {path}\n")
 
 
 GRID_PAST_THE_BUDGET = {  # one complex grid array: 16 GiB, 64 GiB, 128 MiB, 128 TiB

@@ -14,9 +14,8 @@ ALLOWED = {
     ("symbols.py", "Symbol.spectral_terms"): "m_hat_j of a separable term, over x",
     ("symbols.py", "partial_ft"): "a_hat(xi, eta), over the x-axes of a table",
     ("symbols.py", "partial_ift"): "the inverse of partial_ft",
-    ("pointwise.py", "symbol_factor.kernel"): "kernels over the eta-axes of table rows",
-    # the dense operator matrix
-    ("symbols.py", "operator_matrix"): "G[x, z] over the eta-axes of the table",
+    # the one transform of kernel rows
+    ("symbols.py", "_kernel_rows.transform"): "k(x, z) over the eta-axes of a term or of rows",
     # a circular convolution of two boolean support indicators
     ("operators.py", "_allowed_sumset"): "the spectral support rule's sumsets",
 }

@@ -814,12 +814,14 @@ class TestKernel:
 
 
 def banded_kernel_symbol(spec: GridSpec, uniform: float = 0.0) -> SeparableSymbol:
-    """The x-independent symbol of the kernel K(x_i, x_k) = [|i - k| <= 2]
-    + uniform (indices mod N): sum_{|k|<=2} e^{ik h eta} with h the grid
-    spacing, plus N uniform at eta = 0."""
-    eta = spec.axis_freqs()
+    """The x-independent symbol of the kernel K(x_i, x_k) = prod over the axes
+    of [|i_a - k_a| <= 2], + uniform (indices mod N): the product of sum_{|k|<=2}
+    e^{ik h eta_a} with h the grid spacing, plus N^n uniform at eta = 0."""
     h = spec.spacing
-    g = 1.0 + 2.0 * np.cos(h * eta) + 2.0 * np.cos(2.0 * h * eta) + spec.N * uniform * (eta == 0)
+    g = np.ones(spec.shape)
+    for eta in spec.freq_mesh():
+        g = g * (1.0 + 2.0 * np.cos(h * eta) + 2.0 * np.cos(2.0 * h * eta))
+    g = g + spec.npoints * uniform * np.all([eta == 0 for eta in spec.freq_mesh()], axis=0)
     return SeparableSymbol(spec, [(np.ones(spec.shape), g.astype(complex))])
 
 
@@ -852,6 +854,34 @@ class TestSupportRule:
         report = support_rule_check(a, GridFunction(spec, vals))
         assert not report.holds
         assert report.violation_mass > 1e-8
+
+
+    @pytest.mark.parametrize("n, N", [(1, 256), (2, 16)])
+    @pytest.mark.parametrize("kind", ["elementary", "ching", "banded"])
+    def test_the_streamed_reach_is_the_dense_kernels(self, monkeypatch, kind, n, N):
+        # the rule reads the kernel rows in chunks of 7 rows; the oracle
+        # thresholds the whole dense kernel().  A compactly supported u (and
+        # tau = 1e-4 for the smooth symbols' tails) keeps the reach off the
+        # whole grid
+        spec = GridSpec(n, N)
+        a, tau = {
+            "elementary": (random_elementary(spec, DEFAULT_FRAME, J=3, seed=1), 1e-4),
+            "ching": (ching_for_grid(spec, theta=(1,) * n), 1e-4),
+            "banded": (banded_kernel_symbol(spec, uniform=0.001), 1e-8),
+        }[kind]
+        r2 = sum((x - np.pi) ** 2 for x in spec.coord_mesh())
+        u = GridFunction(spec, (r2 < 0.25).astype(complex))
+        power = np.abs(kernel(a, spec).reshape(spec.npoints, spec.npoints)) ** 2
+        u_supp = np.abs(u.values.reshape(-1)) ** 2 > tau * np.sum(np.abs(u.values) ** 2)
+        dense = ((power > tau * power.sum()) & u_supp).any(axis=1)
+        assert 0 < dense.sum() < spec.npoints
+
+        seen, report = [], ops._support_report
+        monkeypatch.setattr(ops, "_support_report",
+                            lambda y, allowed, t: seen.append(allowed) or report(y, allowed, t))
+        monkeypatch.setattr(pdlab.grid, "MEMORY_BUDGET", 7 * 48 * spec.npoints)
+        support_rule_check(a, u, tau)
+        assert np.array_equal(seen[0], dense)
 
 
 class TestSpectralSupportRule:

@@ -12,6 +12,7 @@ SRC = Path(pdlab.__file__).parent
 UNREACHED = {
     "write_pdsy": "writes the table:file= format that read_pdsy reads",
     "lp_block_moduli": "the public view of the block pass",
+    "kernel": "the dense oracle that the spatial rule's streamed kernel rows are tested against",
 }
 
 

@@ -10,7 +10,7 @@ import pdlab.symbols as symbols
 from pdlab.experiments import run_sigma_estimate
 from pdlab.frame import DEFAULT_FRAME, ModulationFunction
 from pdlab.grid import GridFunction, GridSpec, random_band_limited
-from pdlab.operators import DEFAULT_PSI_FAMILY
+from pdlab.operators import DEFAULT_PSI_FAMILY, kernel
 from pdlab.pointwise import MaximalParams, _multiindices, derivative_order, mihlin_rhs
 from pdlab.symbols import (
     DEFAULT_BUMP,
@@ -32,7 +32,6 @@ from pdlab.symbols import (
     mask_twisted_diagonal,
     modulate_symbol,
     nyquist_mask,
-    operator_matrix,
     parse_symbol_spec,
     partial_ft,
     random_elementary,
@@ -736,7 +735,7 @@ class TestOperatorMatrix:
     def test_size_guard(self):
         spec = GridSpec(n=2, N=128)
         with pytest.raises(ValueError, match="dense"):
-            operator_matrix(ConstantSymbol(), spec)
+            kernel(ConstantSymbol(), spec)
 
 
 class TestSerialization:
