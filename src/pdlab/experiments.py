@@ -227,6 +227,11 @@ def run_counterexample(
     if spec is not None and spec.n != 1:
         raise ValueError("the family experiment runs on 1-d grids")
     j_max = max(N_list) ** 2
+    # the top mode 2^(N^2) has the H^d weight (1 + eta^2)^d ~ 2^(2 N^2 d), a float:
+    # its exponent is checked before any mode or symbol is built
+    if 2 * j_max * max(1.0, d) >= 1024:
+        raise ValueError(f"d = {d!r} with N_list {N_list}: the top mode 2^{j_max} squared or its "
+                         "H^d weight (1 + eta^2)^d overflows a float; need 2 N^2 max(1, d) < 1024")
     a = ching_symbol(d, theta=1, A=A, j_max=j_max, spec=spec)
     if spec is not None:
         ops, etas = (plan(a, spec), plan(CONTROL_SYMBOL, spec)), spec.axis_freqs().tolist()

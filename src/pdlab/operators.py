@@ -17,22 +17,24 @@ terms of one of two strategies, each within 1e-10 of apply():
      nonzero xi-rows of the exact a_hat (symbols.row_terms): tables and
      symbols known only by eval take this one row route too.
 apply_auto(a, u) is plan(a, u.spec)(u) as grid values.
-paradiff_split() runs each summand of the three series, the w(D_x)-cut
-symbol applied to block coefficients v.  A separable summand is
-plan(filter_symbol(a, spec, w, v != 0)) applied to v, where the indicator
-of v's support drops the terms v misses; every other symbol's summand is
-the packed scatter with the weights w(xi_j), and one inverse FFT.
+paradiff_split() builds one plan and runs each summand of the three series,
+the w(D_x)-cut symbol applied to block coefficients v, as its cut call
+(v, w): the shift route scales the weights by w(xi_j), the separable route
+runs filter_symbol(a, spec, w, v != 0), whose indicator drops the terms v
+misses.
 The support rules check an output against the supports it may reach.  The
 spatial rule takes the output from apply_auto() and the reach from the
 tau-supports of the kernel and of u, read from the kernel rows that
 symbols._kernel_rows streams in budget-sized chunks: no N^n x N^n array.
-kernel(), the dense oracle, copies that stream.  The spectral rule reads
-the symbol's spectral terms (one indicator convolution per term) and falls
-back to the tau-thresholded a_hat table only for symbols without terms.
+kernel(), the dense oracle, copies that stream.  The spectral rule marks
+the targets eta + xi_j of a shift symbol's packed entries, convolves each
+spectral term's indicators, and falls back to the tau-thresholded a_hat
+table only for symbols with neither kind of term.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cache
 from typing import Callable
 
 import numpy as np
@@ -100,12 +102,20 @@ def _apply_separable(terms: list[tuple[np.ndarray, np.ndarray]], c: SpectralFunc
     return GridFunction(c.spec, out)
 
 
-def _shift_scatter(terms: list[ShiftTerm], spec: GridSpec) -> Callable[..., np.ndarray]:
-    """scatter(c, w): the flat coefficients sum_j weight_j w(xi_j) shift_{xi_j}(g_j c)
-    of flat coefficients c, w over the flat shifted xi-lattice (None: 1).  The
-    terms' eta indices, targets eta + xi_j and g_j are packed once, in term order;
-    an entry is ((weight_j w(xi_j)) g_j) c, and np.add.at adds each target's
-    entries in term order, as a per-term loop does.  Only nonzero weights are read."""
+def _fold(idx: np.ndarray, xis, spec: GridSpec) -> np.ndarray:
+    """The flat indices of eta + xi, each axis mod N, for flat eta indices idx
+    and xi given one axis at a time (xis yields arrays that broadcast against
+    idx): N is a power of two, so the axis with flat stride s holds the bits
+    (N - 1) s of a flat index."""
+    strides = spec.N ** np.arange(spec.n - 1, -1, -1)
+    return sum((idx + x * s) & ((spec.N - 1) * s) for x, s in zip(xis, strides))
+
+
+def _pack(terms: list[ShiftTerm], spec: GridSpec) -> tuple[np.ndarray, ...]:
+    """The terms packed once, in term order: (n, bounds, weights, at, idx, g, dst),
+    per term its entry count, its entries' bounds, its weight and the flat
+    index of xi_j in the shifted lattice; per entry its eta index, g_j and
+    target eta + xi_j."""
     n = np.array([t.idx.size for t in terms], dtype=np.intp)
     bounds = np.concatenate(([0], np.cumsum(n)))
     weights = np.array([t.weight for t in terms])
@@ -114,10 +124,17 @@ def _shift_scatter(terms: list[ShiftTerm], spec: GridSpec) -> Callable[..., np.n
     idx, g = ((terms[0].idx, terms[0].g) if len(terms) == 1 else  # one term: no copies
               (np.concatenate([np.zeros(0, np.intp), *(t.idx for t in terms)]),
                np.concatenate([np.zeros(0), *(t.g for t in terms)])))
-    # eta + xi_j folded per axis: N is a power of two, so the axis with flat
-    # stride s holds the bits (N - 1) s of a flat index
-    dst = idx if not xis.any() else sum((idx + np.repeat(x * s, n)) & ((spec.N - 1) * s)
-              for x, s in zip(xis.T, spec.N ** np.arange(spec.n - 1, -1, -1)))
+    dst = idx if not xis.any() else _fold(idx, (np.repeat(x, n) for x in xis.T), spec)
+    return n, bounds, weights, at, idx, g, dst
+
+
+def _shift_scatter(terms: list[ShiftTerm], spec: GridSpec) -> Callable[..., np.ndarray]:
+    """scatter(c, w): the flat coefficients sum_j weight_j w(xi_j) shift_{xi_j}(g_j c)
+    of flat coefficients c, w over the flat shifted xi-lattice (None: 1), from
+    the packed terms (_pack).  An entry is ((weight_j w(xi_j)) g_j) c, and
+    np.add.at adds each target's entries in term order, as a per-term loop
+    does.  Only nonzero weights are read."""
+    n, bounds, weights, at, idx, g, dst = _pack(terms, spec)
 
     def scatter(c: np.ndarray, w: np.ndarray | None = None) -> np.ndarray:
         scale = weights if w is None else weights * w[at]
@@ -137,22 +154,29 @@ def _shift_scatter(terms: list[ShiftTerm], spec: GridSpec) -> Callable[..., np.n
 
 def plan(
     a: Symbol, spec: GridSpec
-) -> Callable[[GridFunction | SpectralFunction], GridFunction | SpectralFunction]:
-    """u -> a(x,D)u on spec; the strategy is picked and its terms built once.
-    u is grid values or coefficients, which skip the forward FFT; the shift
-    route returns coefficients, the separable route grid values."""
+) -> Callable[..., GridFunction | SpectralFunction]:
+    """(u, w=None) -> b(x,D)u on spec, b_hat(xi,eta) = w(xi) a_hat(xi,eta), w an
+    x-frequency cut over the shifted lattice (None: 1).  The strategy is picked
+    and its terms built once, a separable symbol's realized terms on the first
+    cut.  u is grid values or coefficients, which skip the forward FFT; the
+    shift route returns coefficients, the separable route grid values."""
     shifts = a.shift_terms(spec)
     terms = a.separable_terms(spec) if shifts is None else None
     scatter = None if terms is not None else _shift_scatter(
         row_terms(a, spec) if shifts is None else shifts, spec)
+    realized = cache(lambda: filter_symbol(a, spec))  # first cuts at once make equal terms
 
-    def planned(u: GridFunction | SpectralFunction) -> GridFunction | SpectralFunction:
+    def planned(u: GridFunction | SpectralFunction,
+                w: np.ndarray | None = None) -> GridFunction | SpectralFunction:
         if u.spec != spec:
             raise ValueError(f"planned for {spec}, got an input on {u.spec}")
         c = as_spectral(u)
-        if terms is not None:
+        if terms is None:
+            return SpectralFunction(spec, scatter(c.coeffs.reshape(-1), w).reshape(spec.shape))
+        if w is None:
             return _apply_separable(terms, c)
-        return SpectralFunction(spec, scatter(c.coeffs.reshape(-1)).reshape(spec.shape))
+        cut = filter_symbol(realized(), spec, w, c.coeffs != 0)
+        return _apply_separable(cut.separable_terms(spec), c)
 
     return planned
 
@@ -301,23 +325,15 @@ class ParadiffTerms:
         return self.t1 + self.t2 + self.t3
 
 
-def _summand_route(a: Symbol, spec: GridSpec) -> Callable[[np.ndarray, np.ndarray], GridFunction]:
-    """run(w, v): the w(D_x)-cut symbol applied to flat coefficients v, i.e.
-    F^{-1}[c] with c(zeta) = sum_xi w(xi) a_hat(xi, zeta - xi) v(zeta - xi),
-    by the route (module docstring) the symbol's structure picks; the terms
-    are realized once, here."""
-    shifts = a.shift_terms(spec)
-    if shifts is None and a.separable_terms(spec) is not None:
-        a = filter_symbol(a, spec)
-        return lambda w, v: as_values(plan(filter_symbol(a, spec, w, v != 0), spec)(
-            SpectralFunction(spec, v)))
-    scatter = _shift_scatter(row_terms(a, spec) if shifts is None else shifts, spec)
-    return lambda w, v: fft_inverse(SpectralFunction(spec, scatter(v, w).reshape(spec.shape)))
-
-
 def paradiff_split(a: Symbol, u: GridFunction, frame: LPFrame = DEFAULT_FRAME) -> ParadiffTerms:
     spec = u.spec
-    run = _summand_route(a, spec)
+    planned = plan(a, spec)
+    zero = np.zeros(spec.npoints)
+    planned(SpectralFunction(spec, zero), zero)  # realizes the cut terms here, not in a pool worker
+
+    def run(w: np.ndarray, v: np.ndarray) -> GridFunction:  # the cut symbol on coefficients v
+        return as_values(planned(SpectralFunction(spec, v), w))
+
     K = frame.j_saturation(spec)
     h = frame.h
     rad = spec.freq_radius().reshape(-1)
@@ -329,7 +345,6 @@ def paradiff_split(a: Symbol, u: GridFunction, frame: LPFrame = DEFAULT_FRAME) -
     c = fft_forward(u).coeffs.reshape(-1)
     blocks = [b.reshape(-1) for b in frame.lattice_blocks(spec, K)]
     ball = list(np.cumsum(blocks, axis=0))
-    zero = np.zeros(spec.npoints)
 
     def at(seq: list[np.ndarray], m: int) -> np.ndarray:
         return seq[m] if m >= 0 else zero
@@ -546,12 +561,20 @@ def support_rule_check(a: Symbol, u: GridFunction, tau: float = 1e-8) -> Support
 def _allowed_sumset(a: Symbol, spec: GridSpec, u_supp: np.ndarray, tau: float) -> np.ndarray:
     """The spectral rule's allowed set, folded mod N (shifted layout).
 
-    With spectral terms a_hat = sum_j mhat_j(xi) g_j(eta), it is the union
-    over j of supp_tau mhat_j + (supp g_j & u_supp), each sumset a circular
-    convolution of two indicator arrays (one FFT product, thresholded at
-    1/2): ifftshift puts frequency f at index f mod N, where frequencies add
-    as indices.  Other symbols use the tau-thresholded table of a_hat."""
+    With shift terms it is the targets eta + xi_j of the packed entries
+    (_pack) whose weight and g_j are nonzero and whose eta is in u_supp: a
+    term's x-spectrum is one delta.  With spectral terms a_hat = sum_j
+    mhat_j(xi) g_j(eta), it is the union over j of supp_tau mhat_j + (supp
+    g_j & u_supp), each sumset a circular convolution of two indicator arrays
+    (one FFT product, thresholded at 1/2): ifftshift puts frequency f at index
+    f mod N, where frequencies add as indices.  Other symbols use the
+    tau-thresholded table of a_hat."""
     allowed = np.zeros(spec.shape, dtype=bool)
+    shifts = a.shift_terms(spec)
+    if shifts is not None:
+        n, _, weights, _, idx, g, dst = _pack(shifts, spec)
+        allowed.flat[dst[np.repeat(weights != 0, n) & (g != 0) & u_supp.flat[idx]]] = True
+        return allowed
     terms = a.spectral_terms(spec)
     if terms is not None:
         for mhat, g in terms:
@@ -562,10 +585,9 @@ def _allowed_sumset(a: Symbol, spec: GridSpec, u_supp: np.ndarray, tau: float) -
                 allowed |= np.fft.fftshift(np.fft.ifftn(fx * fe).real > 0.5)
         return allowed
     a_supp = _tau_support(np.abs(symbol_partial_ft(a, spec)) ** 2, tau)
-    idx = np.nonzero(a_supp & u_supp.reshape((1,) * spec.n + spec.shape))
-    if idx[0].size:
-        half = spec.N // 2
-        allowed[tuple((idx[i] + idx[spec.n + i] - half) % spec.N for i in range(spec.n))] = True
+    rows, idx = np.nonzero(a_supp.reshape(spec.npoints, -1) & u_supp.reshape(1, -1))
+    xis = (i - spec.N // 2 for i in np.unravel_index(rows, spec.shape))
+    allowed.flat[_fold(idx, xis, spec)] = True
     return allowed
 
 

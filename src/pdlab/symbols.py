@@ -94,8 +94,9 @@ class Symbol:
     """Base symbol: order d, optional twisted-diagonal flag, lattice table.
 
     Shift terms, where a subclass gives them, derive the separable terms
-    (m_j = weight_j e^{i xi_j.x}, an exact lattice phase), the spectral
-    terms (a delta of weight_j at xi_j) and the table.  A symbol with
+    (m_j = weight_j e^{i xi_j.x}, an exact lattice phase) and the table; their
+    x-spectra are deltas of weight_j at xi_j, which every reader of a_hat
+    takes from the terms themselves, before spectral_terms.  A symbol with
     neither shift nor separable terms (a table, or eval alone) is still a
     sum of shift terms, one per nonzero xi-row of a_hat: row_terms gives
     them, and operators.plan and the split run them on the shift route.
@@ -132,15 +133,9 @@ class Symbol:
 
     def spectral_terms(self, spec: GridSpec) -> list[tuple[np.ndarray, np.ndarray]] | None:
         """Terms (mhat_j over the shifted xi-lattice, g_j over eta) with
-        a_hat(xi,eta) = sum_j mhat_j(xi) g_j(eta); exact where possible."""
-        shifts = self.shift_terms(spec)
-        if shifts is not None:
-            terms = []
-            for t in shifts:
-                mhat = np.zeros(spec.shape, dtype=complex)
-                mhat[tuple(x + spec.N // 2 for x in t.xi)] = t.weight
-                terms.append((mhat, t.g_table(spec)))
-            return terms
+        a_hat(xi,eta) = sum_j mhat_j(xi) g_j(eta), the x-spectra of the
+        separable terms; exact where possible.  A shift term's x-spectrum is
+        one delta of weight_j at xi_j: callers read shift terms first."""
         terms = self.separable_terms(spec)
         if terms is None:
             return None
@@ -423,12 +418,15 @@ class ChingSymbol(Symbol):
         self.theta = theta
         self.A = A
         self.j_max = int(j_max)
-        # the level weights 2^{jd}, made here so that an overflowing d fails at build
+        # the level weights 2^{jd}, made here so that a d whose weights overflow
+        # or vanish (the level would drop out) fails at build
         try:
             self.weights = tuple(2.0 ** (j * self.d) for j in range(self.j_max + 1))
         except OverflowError:
             raise ValueError(f"d = {d!r} gives a level weight 2^(jd), j <= {self.j_max}, "
                              "that is not finite") from None
+        if 0.0 in self.weights:
+            raise ValueError(f"d = {d!r} gives a level weight 2^(jd), j <= {self.j_max}, that is 0")
         tnorm = float(np.linalg.norm(theta))
         self.tdc_B = A.a1 / (tnorm - A.a1) if tnorm > A.a1 else None
 

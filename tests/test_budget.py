@@ -10,7 +10,7 @@ import pdlab.grid as grid
 import pdlab.operators as ops
 import pdlab.symbols as symbols
 from pdlab.frame import DEFAULT_FRAME
-from pdlab.grid import GridSpec, random_band_limited, row_chunks
+from pdlab.grid import GridSpec, random_band_limited, random_band_spectrum, row_chunks
 from pdlab.pointwise import MaximalParams, symbol_factor
 from pdlab.symbols import (
     ConstantSymbol,
@@ -201,3 +201,19 @@ def test_the_spatial_rule_holds_one_budget_at_4096():
         tracemalloc.stop()
     assert report.holds and report.allowed_support == spec.npoints
     assert peak <= grid.MEMORY_BUDGET
+
+
+def test_the_spectral_rule_holds_half_a_budget_at_2_18():
+    # a shift symbol's sumset is the targets of its packed entries: no N^n
+    # delta or g table per term, and no FFT
+    spec = GridSpec(1, 2**18)
+    a = ching_for_grid(spec)
+    c = random_band_spectrum(spec, 0.5 * spec.N / 2, np.random.default_rng(1))
+    tracemalloc.start()
+    try:
+        report = ops.spectral_support_rule_check(a, c)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert report.allowed_support > 0
+    assert peak <= 0.5 * grid.MEMORY_BUDGET

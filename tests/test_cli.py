@@ -610,6 +610,9 @@ ARITHMETIC_CASES = [  # a d whose weights overflow or vanish: the line opens wit
      ["apply", "--symbol", "const", "--grid", "256", "--mode", "ladder:d=1e308"], ("error: d = ",)),
     *((f"experiment {runner} d={d}", (runner, {"d": d}), ("error: d = ", f'params {{"d": {d:g}'))
       for runner in ("counterexample", "wavefront") for d in (-1e308, 1e308)),
+    ("symbol ching:d=-1e308",  # every level weight 2^(jd) past j = 0 underflows to 0
+     ["apply", "--symbol", "ching:d=-1e308,theta=+1,jmax=3", "--grid", "64", "--mode",
+      "single:eta=8"], ("error: d = -1e+308 gives a level weight 2^(jd), j <= 3, that is 0\n",)),
     # a quasi-norm whose weights 2^(sj) or powers overflow: the line quotes its space
     *((f"norm {spec}", ["norms", "--space", spec, "--grid", "64", "--mode", "single:eta=1"],
        (f"'{spec.replace('1e308', '1e+308')}'",))
@@ -651,7 +654,7 @@ def test_the_spec_cases_cover_every_kind():
              for h in keyword_options(b)[0].values()]
     floats = sum(map(takes_a_float, hints))
     assert floats == 23  # d, c, band, s, p, q, the frame's r and R, ching's levels
-    assert len(CONTRACT_CASES) == 2 * len(hints) + floats + kinds + 29
+    assert len(CONTRACT_CASES) == 2 * len(hints) + floats + kinds + 30
 
 
 @pytest.mark.parametrize("argv, names", [c[1:] for c in CONTRACT_CASES],
@@ -710,6 +713,22 @@ def test_a_lacunary_index_past_the_grid_exits_2_before_its_top_mode_is_built(cap
     assert out == "" and err == ("error: input 'lacunary:N=1000000': family index 1000000 needs "
                                  "mode 2^1000000000000*|theta| inside the lattice; grid holds "
                                  "|eta| < 32\n")
+
+
+@pytest.mark.parametrize("N_list", [[2, 23], [2, 1000]])
+def test_a_family_index_past_a_float_exits_2_before_its_modes_are_built(capsys, tmp_path, N_list):
+    # (1 + eta^2)^d of the top mode 2^(N^2) needs 2 N^2 max(1, d) < 1024; at
+    # N = 1000 the family would hold about 10^6 modes of up to 10^6 bits
+    start = time.perf_counter()
+    assert main(config_argv(tmp_path, "counterexample", {"N_list": N_list})) == 2
+    assert time.perf_counter() - start < 1.0
+    out, err = capsys.readouterr()
+    assert out == "" and err.count("\n") == 1, err
+    assert err.startswith(f"error: d = 0.0 with N_list {N_list}: the top mode 2^{N_list[-1] ** 2} ")
+
+
+def test_the_largest_family_index_a_float_holds_still_runs(capsys, tmp_path):
+    assert main(config_argv(tmp_path, "counterexample", {"N_list": [2, 22]})) == 0
 
 
 def test_a_missing_input_file_exits_2_naming_it(capsys, tmp_path):

@@ -1,9 +1,11 @@
 """Application paths, modulation limits, the three-series splitting,
 corona geometry, kernels, and both support rules."""
 import gc
+import sys
 import time
 import tracemalloc
 import warnings
+from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 import pytest
@@ -54,6 +56,8 @@ from pdlab.symbols import (
     Symbol,
     TabulatedSymbol,
     ching_symbol,
+    filter_symbol,
+    localize_symbol,
     mask_twisted_diagonal,
     modulate_symbol,
     nyquist_mask,
@@ -640,9 +644,14 @@ def sheared_route(a, spec):
 
 
 def split_by(route, a, u):
-    """paradiff_split's summands with each one run by route(a, spec)."""
+    """paradiff_split's summands with each one run by route(a, spec): its
+    run(w, v) stands in for the plan's cut call."""
+    def route_plan(a, spec):
+        run = route(a, spec)
+        return lambda u, w: run(w, u.coeffs.reshape(-1))
+
     with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(ops, "_summand_route", route)
+        mp.setattr(ops, "plan", route_plan)
         return summands(paradiff_split(a, u))
 
 
@@ -957,6 +966,50 @@ class TestSpectralSupportRule:
         report = spectral_support_rule_check(a, u, tau)
         assert report.holds and report.allowed_support == terms.sum()
 
+    @pytest.mark.parametrize("n, N", [(1, 1024), (2, 32)])
+    @pytest.mark.parametrize(
+        "kind", ["ching", "modulated", "masked", "localized", "constant", "zero"])
+    def test_a_shift_sumset_is_its_rolled_term_supports(self, n, N, kind):
+        spec = GridSpec(n, N)
+        ching = ching_for_grid(spec, d=0.5, theta=1 if n == 1 else (1, 1))
+        a = {
+            "ching": lambda: ching,
+            "modulated": lambda: modulate_symbol(ching, 3, DEFAULT_PSI_FAMILY[0], spec),
+            "masked": lambda: mask_twisted_diagonal(ching, 2.0, spec),
+            "localized": lambda: localize_symbol(ching, 0.5, spec),
+            "constant": lambda: ConstantSymbol(2.0 - 0.5j),
+            "zero": lambda: ConstantSymbol(0.0),
+        }[kind]()
+        c = fft_forward(random_band_limited(spec, 0.5 * N / 2, np.random.default_rng(25)))
+        for tau in (1e-8, 1e-10):
+            u_supp = ops._tau_support(np.abs(c.coeffs) ** 2, tau)
+            allowed = ops._allowed_sumset(a, spec, u_supp, tau)
+            assert np.array_equal(allowed, rolled_sumset(a, spec, u_supp))
+            assert spectral_support_rule_check(a, c, tau).allowed_support == allowed.sum()
+
+    def test_a_shift_sumset_takes_no_fft(self, monkeypatch):
+        spec = GridSpec(1, 2048)
+        a = ching_for_grid(spec)
+        c = fft_forward(random_band_limited(spec, 0.5 * spec.N / 2, np.random.default_rng(26)))
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("the rule took an FFT")
+
+        for name in ("fft", "ifft", "fftn", "ifftn"):  # operators' np.fft is numpy's
+            monkeypatch.setattr(ops.np.fft, name, refuse)
+        report = spectral_support_rule_check(a, c)
+        assert report.holds and report.allowed_support > 0
+
+
+def rolled_sumset(a, spec, u_supp):
+    """The spectral rule's allowed set of a shift symbol, term by term: the
+    indicator of supp g_j & u_supp rolled by xi_j, for each nonzero weight."""
+    allowed = np.zeros(spec.shape, dtype=bool)
+    for t in a.shift_terms(spec):
+        if t.weight != 0:
+            allowed |= np.roll((t.g_table(spec) != 0) & u_supp, t.xi, axis=tuple(range(spec.n)))
+    return allowed
+
 
 class TestConcurrency:
     def test_thread_count_does_not_change_results(self, monkeypatch, pooled):
@@ -1172,6 +1225,62 @@ class TestPlan:
         y = plan(ConstantSymbol(c), spec)(u)
         assert fft_calls == []
         assert np.array_equal(y.coeffs, c * u.coeffs)
+
+    @pytest.mark.parametrize("n, N", [(1, 256), (2, 32)])
+    @pytest.mark.parametrize("kind", ["elementary", "ching", "constant", "table"])
+    def test_a_cut_call_is_the_plan_of_the_cut_symbol(self, n, N, kind):
+        spec = GridSpec(n, N)
+        a = {
+            "elementary": lambda: random_elementary(spec, DEFAULT_FRAME, J=4, seed=23),
+            "ching": lambda: ching_for_grid(spec, d=0.5, theta=1 if n == 1 else (1, 1)),
+            "constant": lambda: ConstantSymbol(2.0 - 0.5j),
+            "table": lambda: random_table_symbol(spec, seed=23),
+        }[kind]()
+        u = fft_forward(random_band_limited(spec, 0.4 * N / 2, np.random.default_rng(23)))
+        rad = spec.freq_radius().reshape(-1)
+        op = plan(a, spec)
+        for k, m in ((2, 1), (3, 3)):  # a block of u: its support drops terms
+            v = SpectralFunction(spec, u.coeffs * DEFAULT_FRAME.lattice_blocks(spec, k)[k])
+            w = DEFAULT_FRAME.ball_radial(m, rad)
+            cut = filter_symbol(filter_symbol(a, spec), spec, w, v.coeffs != 0)
+            assert np.array_equal(as_values(op(v, w)).values, as_values(plan(cut, spec)(v)).values)
+
+    def test_a_split_realizes_a_separable_symbol_once(self, monkeypatch, pooled):
+        monkeypatch.setenv("PDLAB_THREADS", "2")
+        spec = GridSpec(1, 256)
+        a = random_elementary(spec, DEFAULT_FRAME, J=4, seed=24)
+        u = random_band_limited(spec, 0.4 * spec.N / 2, np.random.default_rng(24))
+        realized, real = [], ops.filter_symbol
+
+        def spy(b, spec, x=None, eta=None):
+            if x is None and eta is None:
+                realized.append(b)
+            return real(b, spec, x, eta)
+
+        monkeypatch.setattr(ops, "filter_symbol", spy)
+        terms = paradiff_split(a, u)
+        assert realized == [a] and pooled
+        assert rel_sup(terms.total(), apply(a, u)) <= 1e-10
+
+    def test_first_cuts_made_at_once_give_the_serial_result(self):
+        # the realized terms are made on the first cut; workers that make it
+        # together, on a fresh plan each round, must each get equal terms
+        spec = GridSpec(1, 256)
+        a = random_elementary(spec, DEFAULT_FRAME, J=4, seed=27)
+        u = fft_forward(random_band_limited(spec, 0.4 * spec.N / 2, np.random.default_rng(27)))
+        w = DEFAULT_FRAME.ball_radial(3, spec.freq_radius().reshape(-1))
+        serial = as_values(plan(a, spec)(u, w)).values
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            with ThreadPoolExecutor(8) as pool:  # more workers than cores
+                for _ in range(5):
+                    op = plan(a, spec)
+                    futures = [pool.submit(op, u, w) for _ in range(8)]
+                    outs = [f.result(timeout=60) for f in futures]
+                    assert all(np.array_equal(as_values(y).values, serial) for y in outs)
+        finally:
+            sys.setswitchinterval(interval)
 
     def test_rejects_an_input_on_another_grid(self):
         op = plan(ching_for_grid(GridSpec(1, 256)), GridSpec(1, 256))
