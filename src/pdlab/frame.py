@@ -84,6 +84,23 @@ def on_distinct(fn, t: np.ndarray) -> np.ndarray:
     return fn(vals)[..., inverse.reshape(np.shape(t))]
 
 
+def _runs_support(order: np.ndarray, starts: np.ndarray, step: np.ndarray):
+    """(ascending indices, values) where step, one value per run of `order`
+    (run i is order[starts[i]:starts[i+1]]), is nonzero.  A block's exact
+    zeros lie at its ends, where both balls are 1 or both 0: they are cut
+    before anything the size of the support is made."""
+    live = np.flatnonzero(step)
+    if live.size and live.size < step.size:
+        step, starts = step[live[0] : live[-1] + 1], starts[live[0] : live[-1] + 2]
+    runs = starts[1:] - starts[:-1]
+    idx, vals = order[starts[0] : starts[-1]], np.repeat(step, runs)
+    if not step.all():
+        live = np.repeat(step != 0, runs)
+        idx, vals = idx[live], vals[live]
+    rank = np.argsort(idx)
+    return idx[rank], vals[rank]
+
+
 @dataclass(frozen=True)
 class ModulationFunction:
     """psi with psi=1 on |xi|<=r, psi=0 on |xi|>=R, radially non-increasing."""
@@ -159,16 +176,27 @@ class LPFrame:
 
     def balls_on(self, radii: np.ndarray, j_max: int) -> Iterator[np.ndarray]:
         """psi(2^-m radii), m = 0..j_max, one ball at a time, the bits of
-        ball_radial.  The quadrature runs once, on the distinct arguments in
-        (r, R) of all balls (on a lattice ball m's are a subset of ball
-        m+1's); psi is exactly 1 at or below r and 0 at or above R."""
+        ball_radial.  psi is exactly 1 at or below r and 0 at or above R;
+        in between it is S(s), s = (R - t)/(R - r).  The quadrature runs
+        once, on the distinct values of min(s, 1 - s) over all balls (on a
+        lattice, ball m's arguments are a subset of ball m+1's), and psi is
+        1 - S(1 - s) where s > 1/2: smoothstep's own fold, taken before the
+        distinct values are found, so it halves them."""
         scaled = (radii * 2.0**-m for m in range(j_max + 1))
-        inside = [t[(t > self.r) & (t < self.R)] for t in scaled]
-        values = on_distinct(self.psi.radial, np.concatenate(inside))
-        for m, mid in enumerate(np.split(values, np.cumsum([t.size for t in inside])[:-1])):
+        args = [(self.R - t[(t > self.r) & (t < self.R)]) / (self.R - self.r) for t in scaled]
+        cuts = np.cumsum([s.size for s in args])[:-1]
+        folded = np.concatenate(args)
+        del args
+        upper = folded > 0.5
+        folded[upper] = 1.0 - folded[upper]
+        values = on_distinct(smoothstep, folded)
+        values[upper] = 1.0 - values[upper]
+        del folded, upper
+        for m, mid in enumerate(np.split(values, cuts)):
             t = radii * 2.0**-m
             ball = (t <= self.r).astype(float)
             ball[(t > self.r) & (t < self.R)] = mid
+            del t  # a generator's locals live across its yield
             yield ball
 
     def block_supports(
@@ -178,9 +206,15 @@ class LPFrame:
         ascending; Phi_j there), cached per grid: the oldest grids go while
         the cache holds more than grid.MEMORY_BUDGET bytes, the newest stays.
         Pool workers that miss the cache together wait on the frame's lock
-        for one build; hits take no lock.  Block m is ball m less ball m-1,
-        each ball on the distinct lattice radii (balls_on): the bits of
-        block_radial, since the power-of-two scalings are exact."""
+        for one build; hits take no lock.
+
+        Block m is ball m less ball m-1, each ball on the distinct lattice
+        radii (balls_on): the bits of block_radial, since the power-of-two
+        scalings are exact.  One stable argsort puts the lattice in radius
+        order, in which each distinct radius is a run.  Phi_m vanishes at or
+        below r 2^(m-1), where both balls are 1, and at or above R 2^m, where
+        both are 0, so its support is one contiguous range of runs: each
+        block costs O(its support), not a sweep of the grid."""
         if j_max is None:
             j_max = self.j_saturation(spec)
         key = (spec.n, spec.N, j_max)
@@ -190,18 +224,30 @@ class LPFrame:
         with self._block_lock:
             supports = self._block_cache.get(key)
             if supports is None:
-                radii, inverse = np.unique(spec.freq_radius().reshape(-1), return_inverse=True)
-                supports, prev = [], 0.0
-                for ball in self.balls_on(radii, j_max):
-                    flat, prev = (ball - prev)[inverse], ball
-                    idx = np.flatnonzero(flat)
-                    supports.append((idx, flat[idx]))
+                supports = self._build_supports(spec, j_max)
                 cache = self._block_cache
                 cache[key] = supports
                 while len(cache) > 1 and sum(i.nbytes + v.nbytes for held in cache.values()
                                              for i, v in held) > grid.MEMORY_BUDGET:
                     del cache[next(iter(cache))]  # the oldest grid
             return supports
+
+    def _build_supports(self, spec: GridSpec, j_max: int) -> list[tuple[np.ndarray, np.ndarray]]:
+        rad = spec.freq_radius().reshape(-1)
+        order = np.argsort(rad, kind="stable")
+        ranked = rad[order]
+        del rad
+        starts = np.flatnonzero(np.concatenate(([True], ranked[1:] != ranked[:-1], [True])))
+        radii = ranked[starts[:-1]]
+        del ranked
+        supports, prev = [], np.zeros(radii.size)
+        for m, ball in enumerate(self.balls_on(radii, j_max)):
+            lo = 0 if m == 0 else np.count_nonzero(radii <= self.r * 2.0 ** (m - 1))
+            hi = np.count_nonzero(radii < self.R * 2.0**m)
+            step = ball[lo:hi] - prev[lo:hi]
+            supports.append(_runs_support(order, starts[lo : hi + 1], step))
+            prev = ball
+        return supports
 
     def lattice_blocks(self, spec: GridSpec, j_max: int | None = None) -> list[np.ndarray]:
         """Dense tables of Phi_0..Phi_{j_max}, made per call from

@@ -26,11 +26,13 @@ TWO_PI = 2.0 * np.pi
 MEMORY_BUDGET = 1 << 26
 
 
-def check_budget(what: str, spec: GridSpec) -> None:
-    """ValueError, raised before any allocation, if `what` is an N^n x N^n
-    complex array past the budget."""
-    if (nbytes := 16 * spec.npoints**2) > MEMORY_BUDGET:
-        raise ValueError(f"{what} would hold {spec.npoints**2} table entries ({nbytes / 2**20:g}"
+def check_budget(what: str, spec: GridSpec, rows: int | None = None, entry_bytes: int = 16) -> None:
+    """ValueError, raised before any allocation, if `what` would pass the
+    budget: `rows` rows (default N^n) of N^n entries, entry_bytes each
+    (default 16, one complex number)."""
+    entries = spec.npoints * (spec.npoints if rows is None else rows)
+    if (nbytes := entry_bytes * entries) > MEMORY_BUDGET:
+        raise ValueError(f"{what} would hold {entries} table entries ({nbytes / 2**20:g}"
                          f" MiB > {MEMORY_BUDGET / 2**20:g} MiB memory budget); use the "
                          "structured paths")
 
@@ -165,10 +167,12 @@ class SpectralFunction:
 
 
 def fft_forward(u: GridFunction) -> SpectralFunction:
-    """Coefficients c_eta with u(x) = sum c_eta e^{i x.eta}, exact on the grid."""
-    c = np.fft.fftshift(np.fft.fftn(u.values))
-    c /= u.spec.npoints  # in place: scaling commutes with the shift, bit for bit
-    return SpectralFunction(u.spec, c)
+    """Coefficients c_eta with u(x) = sum c_eta e^{i x.eta}, exact on the grid.
+    numpy's pocketfft scales each axis's transform by 1/N inside it
+    (norm="forward"), with no pass of its own.  N is a power of two, so
+    that gives the bits of fftshift(fftn(u)) / N^n, except where a value
+    falls below 2^-1022 and the two scalings lose its low bits differently."""
+    return SpectralFunction(u.spec, np.fft.fftshift(np.fft.fftn(u.values, norm="forward")))
 
 
 def as_spectral(u: GridFunction | SpectralFunction) -> SpectralFunction:
@@ -190,17 +194,20 @@ def fft_inverse(c: SpectralFunction | SupportCoeffs, out: np.ndarray | None = No
     Coefficients on a support are checked finite there, written straight
     into FFT order (N is a power of two, so ifftshift takes flat index i to
     i ^ flip, flip setting each axis index's top bit) and transformed in
-    place.  Both forms give the bits of ifftn(ifftshift(dense coefficients))."""
+    place.  The synthesis is ifftn unscaled (norm="forward"), with no pass
+    to undo its 1/N^n: both forms give the bits of
+    ifftn(ifftshift(dense coefficients)) * N^n, a power of two, except
+    where ifftn's output falls below N^n 2^-1022 and the scaling lost its
+    low bits there."""
     spec = c.spec
     if isinstance(c, SpectralFunction):
-        vals = np.fft.ifftn(np.fft.ifftshift(c.coeffs), out=out)
+        vals = np.fft.ifftn(np.fft.ifftshift(c.coeffs), out=out, norm="forward")
     else:
         _check_finite(c.vals)
         vals = np.empty(spec.shape, dtype=complex) if out is None else out
         vals.fill(0)
         vals.reshape(-1)[c.idx ^ sum(spec.N // 2 * spec.N**a for a in range(spec.n))] = c.vals
-        np.fft.ifftn(vals, out=vals)
-    vals *= spec.npoints
+        np.fft.ifftn(vals, out=vals, norm="forward")
     return GridFunction(spec, vals)
 
 

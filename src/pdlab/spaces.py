@@ -11,22 +11,27 @@ Parseval; a pass whose cases are all of that kind runs no FFT.  Every other
 case reads the moduli |Phi_j(D)u|: an inverse FFT for each block holding
 two modes or more.  A block that misses the spectrum gives 0 (B takes 0.0,
 F adds nothing, bit for bit), one holding a single mode c' (as each block
-of a lacunary series does) the constant |c'|.  Each modulus gives each
-other B case its ||Phi_j(D)u||_p and joins each F case's running sum of
-(2^{sj}|Phi_j(D)u|)^q in block order (bit-identical to summing the stack),
-so memory is O(N^n).
+of a lacunary series does) the constant |c'|, passed as one element.  Each
+modulus gives each other B case its ||Phi_j(D)u||_p and joins each F
+case's running sum of (2^{sj}|Phi_j(D)u|)^q in block order (bit-identical
+to summing the stack), so memory is O(N^n).  A running sum is one element
+until its first block of two modes or more, so a pass over a lacunary
+series costs O(blocks) until its final norms; a weight 2^{sj} of 1.0 and a
+power q = 1 are skipped, as exact no-ops.
 
 A pass allocates its grid-sized arrays once, not per block: a complex
 workspace that each live block's coefficients are written into, in FFT
 order straight from its support, and transformed in place (grid.fft_inverse
 with out=); a float workspace for the moduli; one float term array shared
-by the F cases; and each F case's running sum.  So a live block costs one
+by the F cases, made only if a weight or a power needs it; and each F
+case's running sum.  So a live block costs one
 inverse FFT and a few passes over arrays already mapped, plus temporaries
 the size of its support, and no fresh grid array.  The workspaces are
 released when the blocks run out, before the final norms.  Passes on
 different functions may run at once on pool workers (the continuity table
 runs one per input): each owns its workspaces, and they share only the
-frame's block supports, which are built once per grid."""
+frame's block supports, which are built once per grid, at a cost of
+O(each block's support) after one sort of the lattice radii."""
 from __future__ import annotations
 
 import functools
@@ -119,25 +124,27 @@ def lp_block_coeffs(
 
 def lp_block_moduli(u: GridFunction | SpectralFunction, frame: LPFrame, j_max: int | None = None):
     """|Phi_j(D)u| on the grid, j = 0..j_max, one at a time, each its own
-    array (_block_pass's moduli, copied out of its workspace)."""
-    return (a if a is None else a.copy()
-            for a in _block_pass(lp_block_coeffs(u, frame, j_max), u.spec, None, True))
+    array (_block_pass's moduli, copied out of its workspace or spread
+    over the grid)."""
+    spec = u.spec
+    return (a if a is None else np.full(spec.shape, a[0]) if a.size == 1 else a.copy()
+            for a in _block_pass(lp_block_coeffs(u, frame, j_max), spec, None, True))
 
 
 def _block_pass(blocks, spec: GridSpec, l2: list | None, moduli: bool) -> Iterator:
     """Per lp_block_coeffs pair: append ((2pi)^n sum |Phi_j c|^2)^{1/2} (Parseval)
     to l2 if given, then yield None if not `moduli` (no FFT) or the block
-    holds no mode, |c'| broadcast over the grid (a read-only view) if it
-    holds one mode c', else |inverse FFT| in the pass's float workspace,
-    which the next block overwrites.  The inverse FFTs share one complex
-    workspace; both go when the pass ends."""
+    holds no mode, the one-element array [|c'|] if it holds one mode c',
+    else |inverse FFT| in the pass's float workspace, which the next block
+    overwrites.  The inverse FFTs share one complex workspace; both go
+    when the pass ends."""
     vals = mod = None
     for idx, b in blocks:
         if l2 is not None:
             l2.append(float(np.sqrt(TWO_PI**spec.n * np.sum(np.abs(b) ** 2))))
         live = np.count_nonzero(b) if moduli else 0
         if live <= 1:
-            yield np.broadcast_to(np.abs(b).max(), spec.shape) if live else None
+            yield np.abs(b).max(keepdims=True) if live else None
             continue
         if vals is None:
             vals, mod = np.empty(spec.shape, dtype=complex), np.empty(spec.shape)
@@ -154,28 +161,46 @@ def _block_norms(
     l2: Sequence[float] | None = None,
 ) -> list[float]:
     """Each case's quasi-norm over `count` block moduli |Phi_j(D)u|, read once
-    in order and shared by every case; None stands for a block of zeros.
-    Each F case accumulates in place, through one float term array.  A B
-    case with p = 2 reads l2 if given, each block's ||Phi_j(D)u||_2, filled
-    before its modulus is read.  The moduli are read to their end, so a
-    pass's workspaces go before the norms are taken."""
+    in order and shared by every case: a grid array, a one-element array
+    standing for that constant over the grid, or None for a block of zeros.
+    Each F case accumulates (2^{sj} |Phi_j(D)u|)^q in place, through one
+    float term array per shape; its running sum stays one element while
+    every block so far was constant and is spread over the grid (np.full)
+    at the first that is not, so each point sees the same operations, bit
+    for bit.  A weight of 1.0 is not multiplied in, nor a power q = 1
+    taken: both are exact no-ops.  A B case with p = 2 reads l2 if given,
+    each block's ||Phi_j(D)u||_2, filled before its modulus is read.  The
+    moduli are read to their end, so a pass's workspaces go before the
+    norms are taken."""
     weights = [_shell_weights(sp.s, count) for sp in spaces]
-    sums: list = [[] if sp.scale == BESOV else np.zeros(spec.shape) for sp in spaces]
-    term = np.empty(spec.shape)
+    sums: list = [[] if sp.scale == BESOV else np.zeros(1) for sp in spaces]
+    terms: dict = {}  # shape -> term array, made when first needed
+
+    def term(w: float, a: np.ndarray) -> np.ndarray:
+        if a.shape not in terms:
+            terms[a.shape] = np.empty(a.shape)
+        return np.multiply(w, a, out=terms[a.shape])
+
     for j, a in enumerate(moduli):
         for k, sp in enumerate(spaces):
+            w = weights[k][j]
             if sp.scale == BESOV:
                 p2 = l2 is not None and sp.p == 2
-                sums[k].append(l2[j] if p2 else 0.0 if a is None else abs_lp_norm(spec, a, sp.p))
-            elif a is None:
-                continue
-            elif math.isinf(sp.q):
-                np.maximum(sums[k], np.multiply(weights[k][j], a, out=term), out=sums[k])
-            else:
-                np.multiply(weights[k][j], a, out=term)
-                term **= sp.q
-                sums[k] += term
-    del term
+                sums[k].append(l2[j] if p2 else 0.0 if a is None
+                               else abs_lp_norm(spec, np.broadcast_to(a, spec.shape), sp.p))
+            elif a is not None:
+                if a.size > sums[k].size:  # the first block that is not constant
+                    sums[k] = np.full(spec.shape, sums[k][0])
+                if math.isinf(sp.q):
+                    np.maximum(sums[k], a if w == 1.0 else term(w, a), out=sums[k])
+                elif w == 1.0 and sp.q == 1.0:
+                    sums[k] += a
+                else:
+                    t = term(w, a)
+                    if sp.q != 1.0:
+                        t **= sp.q
+                    sums[k] += t
+    terms.clear()
     norms = []
     for w, sp, a in zip(weights, spaces, sums):
         if sp.scale == BESOV:  # a: each block's ||.||_p; for F, the pointwise sum
@@ -184,7 +209,7 @@ def _block_norms(
         else:
             if not math.isinf(sp.q):
                 a **= 1.0 / sp.q
-            norms.append(abs_lp_norm(spec, a, sp.p))
+            norms.append(abs_lp_norm(spec, np.broadcast_to(a, spec.shape), sp.p))
     return norms
 
 

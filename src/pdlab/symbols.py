@@ -241,9 +241,12 @@ def _shift_rows(shifts: list[ShiftTerm], spec: GridSpec) -> tuple[np.ndarray, np
 def _ahat_rows(a: Symbol, spec: GridSpec, what: str) -> tuple[np.ndarray, np.ndarray, bool]:
     """a_hat in a's own form, (xis, rows, dense): a shift symbol's _shift_rows,
     or (dense) every lattice xi in flat order and a view of symbol_partial_ft
-    as N^n rows, after the budget check that names `what`."""
+    as N^n rows, after the budget check that names `what`.  A shift
+    symbol's check counts its R rows with the radius mesh every caller
+    lays over them (_sum_radius_mesh): 16 + 8 bytes an entry."""
     shifts = a.shift_terms(spec)
     if shifts is not None:
+        check_budget(what, spec, rows=len({t.xi for t in shifts}), entry_bytes=24)
         return *_shift_rows(shifts, spec), False
     check_budget(what, spec)
     xis = np.stack(np.unravel_index(np.arange(spec.npoints), spec.shape), axis=-1) - spec.N // 2

@@ -1,6 +1,7 @@
 """One memory budget: grid.MEMORY_BUDGET, patched here in one place, bounds
-every dense N^n x N^n array and every row chunk.  The block cache's eviction
-by bytes is tested with the frame (tests/test_frame.py)."""
+every dense N^n x N^n array, every row chunk and a shift symbol's rows.
+The block cache's eviction by bytes is tested with the frame
+(tests/test_frame.py)."""
 import tracemalloc
 
 import numpy as np
@@ -15,7 +16,9 @@ from pdlab.pointwise import MaximalParams, symbol_factor
 from pdlab.symbols import (
     ConstantSymbol,
     TabulatedSymbol,
+    check_twisted_diagonal,
     ching_for_grid,
+    localize_symbol,
     mask_twisted_diagonal,
     random_elementary,
     read_pdsy,
@@ -217,3 +220,34 @@ def test_the_spectral_rule_holds_half_a_budget_at_2_18():
         tracemalloc.stop()
     assert report.allowed_support > 0
     assert peak <= 0.5 * grid.MEMORY_BUDGET
+
+
+SHIFT_ROW_TOOLS = {  # a tool reading a shift symbol's rows -> the name it gives them, its call
+    "mask": ("twisted-diagonal mask", lambda a, spec: mask_twisted_diagonal(a, 2.0, spec)),
+    "check": ("spectral table", lambda a, spec: check_twisted_diagonal(a, 2.0, spec=spec)),
+    "localize": ("spectral table", lambda a, spec: localize_symbol(a, 0.5, spec)),
+}
+
+
+@pytest.mark.parametrize("tool", sorted(SHIFT_ROW_TOOLS))
+def test_a_shift_symbols_rows_are_checked_before_they_are_made(monkeypatch, tool):
+    # Ching at theta = 2 has 15 distinct xi-rows at 1-d 2^16: its rows and
+    # their radius mesh, 24 bytes an entry, are 22.5 MiB, the rows alone
+    # 15 MiB; its terms' own build peaks near 7 MiB
+    what, run = SHIFT_ROW_TOOLS[tool]
+    spec = GridSpec(1, 2**16)
+    a = ching_for_grid(spec, theta=2)
+    rows = len({t.xi for t in a.shift_terms(spec)})
+    nbytes = 24 * rows * spec.npoints
+    monkeypatch.setattr(grid, "MEMORY_BUDGET", nbytes - 1)
+    tracemalloc.start()
+    try:
+        with pytest.raises(ValueError) as info:
+            run(a, spec)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert str(info.value).startswith(f"{what} would hold {rows * spec.npoints} table entries (")
+    assert peak < nbytes / 2
+    monkeypatch.setattr(grid, "MEMORY_BUDGET", nbytes)
+    run(a, spec)

@@ -95,8 +95,8 @@ def test_round_trip(n, N):
 
 @pytest.mark.parametrize("n,N", [(1, 4096), (2, 64)])
 def test_transforms_scale_in_place_bit_for_bit(n, N):
-    # the wrappers scale their fresh arrays in place; the bits are those of
-    # the out-of-place expressions, signed zeros included
+    # the wrappers let pocketfft scale (norm="forward"); the bits are those
+    # of the expressions that scale afterwards, signed zeros included
     rng = np.random.default_rng(N + n)
     spec = GridSpec(n, N)
     v = rng.standard_normal(spec.shape) + 1j * rng.standard_normal(spec.shape)
@@ -108,6 +108,29 @@ def test_transforms_scale_in_place_bit_for_bit(n, N):
     for got, want in pairs:
         assert np.array_equal(got.view(float), want.view(float))
         assert np.array_equal(np.signbit(got.view(float)), np.signbit(want.view(float)))
+
+
+@pytest.mark.parametrize(
+    "n, N", [(1, 2**k) for k in range(7, 19)] + [(2, 32), (2, 64), (2, 128), (2, 256)]
+)
+@pytest.mark.parametrize("spread", [False, True], ids=["normal", "lognormal"])
+def test_transforms_scaled_by_pocketfft_are_the_scaled_bits(n, N, spread):
+    # N^n is a power of two, so scaling by it inside the transform or after
+    # it differs only below 2^-1022; lognormal(0, 8) scales span 30 decades
+    rng = np.random.default_rng(N + n + spread)
+    spec = GridSpec(n, N)
+    v = rng.standard_normal(spec.shape) + 1j * rng.standard_normal(spec.shape)
+    if spread:
+        v *= rng.lognormal(0.0, 8.0, spec.shape)
+    flat = np.arange(spec.npoints)
+    want = np.fft.ifftn(np.fft.ifftshift(v)) * N**n
+    pairs = (
+        (fft_forward(GridFunction(spec, v)).coeffs, np.fft.fftshift(np.fft.fftn(v)) / N**n),
+        (fft_inverse(SpectralFunction(spec, v)).values, want),
+        (fft_inverse(SupportCoeffs(spec, flat, v.reshape(-1))).values, want),
+    )
+    for got, ref in pairs:
+        assert np.array_equal(got.view(float), ref.view(float))
 
 
 def support_cases(spec: GridSpec, rng: np.random.Generator):

@@ -191,11 +191,14 @@ class TestTriebelNorm:
         assert f == pytest.approx(b, rel=1e-12)
 
 
-def stacked_norm(u: GridFunction, sp: SpaceParams) -> float:
+def stacked_norm(u: GridFunction, sp: SpaceParams, fields=None) -> float:
     """The quasi-norm from all J+1 block fields held at once: the reference
-    the one-pass norms must reproduce bit for bit.  B with p = 2 reads each
-    block's Parseval sum over its gathered coefficients."""
-    fields = list(lp_block_moduli(u, sp.frame))
+    the one-pass norms must reproduce bit for bit.  A block of zeros (None)
+    is a field of zeros.  B with p = 2 reads each block's Parseval sum over
+    its gathered coefficients.  `fields`: u's lp_block_moduli, if made."""
+    if fields is None:
+        fields = list(lp_block_moduli(u, sp.frame))
+    fields = [np.zeros(u.spec.shape) if f is None else f for f in fields]
     w = 2.0 ** (sp.s * np.arange(len(fields), dtype=float))
     if sp.scale == BESOV and sp.p == 2:
         coeffs = [b for _, b in spaces.lp_block_coeffs(u, sp.frame)]
@@ -316,6 +319,51 @@ class TestOnePass:
         fft_calls.clear()
         list(lp_block_moduli(u, DEFAULT_FRAME))
         assert len(fft_calls) == count
+
+    SCALAR_CASES = [
+        SpaceParams(s, p, q, TRIEBEL_LIZORKIN)
+        for s in (0.0, 0.5) for q in (0.7, 1.0, 2.0, math.inf) for p in (1.5, 2.0)
+    ] + [SpaceParams(0.5, 1.5, 2.0, BESOV)]
+
+    def scalar_cases_match_the_stack(self, u: SpectralFunction) -> list:
+        got = space_norms(u, self.SCALAR_CASES)
+        fields = list(lp_block_moduli(u, DEFAULT_FRAME))
+        assert all(f is None or f.shape == u.spec.shape for f in fields)  # grid arrays still
+        for sp, g in zip(self.SCALAR_CASES, got):
+            assert g == stacked_norm(u, sp, fields), format_space(sp)
+        return fields
+
+    @pytest.mark.parametrize("member, N", [(2, 2**7), (3, 2**11), (4, 2**18)])
+    def test_a_lacunary_member_is_scalars_bit_for_bit(self, member, N, fft_calls):
+        # v_N's mode 2^j lies in block j alone: every block holds one mode or none
+        u = spectrum_from_coeffs(GridSpec(1, N), lacunary_coeffs(member))
+        fields = self.scalar_cases_match_the_stack(u)
+        assert fft_calls == []
+        assert sum(f is not None for f in fields) == member * member - member + 1
+
+    @pytest.mark.parametrize("n, N, singles", [(1, 2**12, [3, 7, 8, 9]), (2, 256, [3, 7])])
+    def test_scalar_blocks_around_grid_blocks_are_bit_for_bit(self, n, N, singles, fft_calls):
+        # v_3 (along -eta_1 in 2-d, up to the lattice's edge) plus a probe at
+        # radii 20..40: blocks 4-6 hold many modes, the others one or none,
+        # so the running sums start as scalars, are spread over the grid at
+        # block 4 and take scalars again from block 7
+        spec = GridSpec(n, N)
+        rad = spec.freq_radius()
+        if n == 1:
+            modes = lacunary_coeffs(3)
+        else:
+            modes = {(-eta, 0): c for eta, c in lacunary_coeffs(3).items() if eta <= N // 2}
+        rng = np.random.default_rng(n)
+        for at in zip(*np.nonzero((rad >= 20) & (rad <= 40))):
+            eta = tuple(int(i) - N // 2 for i in at)
+            modes[eta[0] if n == 1 else eta] = complex(*rng.standard_normal(2))
+        u = spectrum_from_coeffs(spec, modes)
+        fields = self.scalar_cases_match_the_stack(u)
+        held = [np.count_nonzero(u.coeffs * m) for m in DEFAULT_FRAME.lattice_blocks(spec)]
+        assert [j for j, k in enumerate(held) if k > 1] == [4, 5, 6]
+        assert [j for j, k in enumerate(held) if k == 1] == singles
+        assert fft_calls == [("fft_inverse", spec)] * 6  # blocks 4-6, for the norms and the moduli
+        assert all(np.all(fields[j] == fields[j].flat[0]) for j in singles)
 
     def test_a_pass_that_overflows_raises(self):
         # finite values whose transform overflows: the coefficients' check
