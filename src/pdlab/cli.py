@@ -578,8 +578,8 @@ def cmd_pointwise_maximal(spec: GridSpec, seed: int, *, p: float, N_exp: float |
 def cmd_pointwise_mihlin(spec: GridSpec, a: Symbol, *, N_exp: float = 2.0,
                          R: float | None = None, c: float | None = None, slack: float = 0.01,
                          out: str | None = None) -> int:
-    """F_a against the derivative-sum bound (--R default N/4, --c fitted)"""
-    params = MaximalParams(N_exp=N_exp, R_spec=R if R is not None else spec.N / 4.0)
+    """F_a against the derivative-sum bound (--R default N/8, --c fitted)"""
+    params = MaximalParams(N_exp=N_exp, R_spec=R if R is not None else spec.N / 8.0)
     rep = mihlin_bound_check(a, params, c, spec=spec, slack=slack)
     return _pointwise_csv(
         out,

@@ -182,9 +182,9 @@ def lacunary_spectrum(spec: GridSpec, N: int, d: float = 0.0, theta: int = 1) ->
     return spectrum_from_coeffs(spec, lacunary_coeffs(N, d, theta))
 
 
-def family_indices(spec: GridSpec, theta: int = 1, cap: int = 5) -> list[int]:
-    """Family indices whose top mode 2^{N^2} theta fits on the grid."""
-    return [N for N in range(2, cap + 1) if 2 ** (N * N) * abs(theta) < spec.N // 2]
+def family_indices(spec: GridSpec, theta: int = 1) -> list[int]:
+    """Family indices 2 <= N <= 5 whose top mode 2^{N^2} theta fits on the grid."""
+    return [N for N in range(2, 6) if 2 ** (N * N) * abs(theta) < spec.N // 2]
 
 
 def _family_blow_up(ratios: Sequence[float], margin: float, factor: float) -> bool:

@@ -58,7 +58,6 @@ from .symbols import (
     ShiftTerm,
     Symbol,
     _kernel_rows,
-    _resolve_spec,
     filter_symbol,
     modulate_symbol,
     row_terms,
@@ -417,9 +416,7 @@ class CoronaReport:
 MASS_FLOOR = 1e-24
 
 
-def corona_ball_report(
-    terms: ParadiffTerms, B: float | None = None, floor: float = MASS_FLOOR
-) -> CoronaReport:
+def corona_ball_report(terms: ParadiffTerms, B: float | None = None) -> CoronaReport:
     """Spectral containment of each summand.
 
     t1 and t3 summands live in the corona {R_h 2^k <= |xi| <= (5R/4) 2^k}
@@ -454,7 +451,7 @@ def corona_ball_report(
                     below = float(power[rad < tdc_lo].sum()) / total
             measured.append((series, k, lo, hi, total, out, tdc_lo, below))
             del power  # before the next spectrum is made
-    mass_floor = floor * max((m[4] for m in measured), default=0.0)
+    mass_floor = MASS_FLOOR * max((m[4] for m in measured), default=0.0)
 
     rows: list[CoronaRow] = []
     below_flags: list[tuple[int, float]] = []
@@ -491,10 +488,9 @@ def _wrapped_differences(spec: GridSpec, rs: slice) -> np.ndarray:
     return np.ravel_multi_index(tuple(i[rs, None] - i for i in idx), spec.shape, mode="wrap")
 
 
-def kernel(a: Symbol, spec: GridSpec | None = None) -> np.ndarray:
+def kernel(a: Symbol, spec: GridSpec) -> np.ndarray:
     """K[x,y] with apply(a,u)(x) = (2pi/N)^n sum_y K[x,y] u(y); exact.  The dense
     oracle: K[x,y] = k(x, x-y), the kernel rows copied in, then gathered per row."""
-    spec = _resolve_spec(a, spec)
     check_budget("dense operator matrix", spec)
     K = np.empty((spec.npoints, spec.npoints), dtype=complex)
     for rs, k in _kernel_rows(a, spec, 16 * spec.npoints):  # the stream's rows alone

@@ -1,5 +1,12 @@
 """Peetre-type maximal functions, weighted-L1 symbol factors, and the
-pointwise factorization bound with its derivative-sum and decay controls."""
+pointwise factorization bound with its derivative-sum and decay controls.
+
+The factorization |a(x,D)u| <= F_a u* holds for any auxiliary cutoff chi
+that is 1 on the spectrum of u.  The lab fixes one: chi(eta) =
+CHI.radial(|eta|/R), identically 1 on |eta| <= CHI.r R and 0 past
+|eta| >= CHI.R R, with R the maximal function's R_spec; the x-high-pass of
+the decay sweep is CHI's corona.
+"""
 
 from __future__ import annotations
 
@@ -10,7 +17,7 @@ import numpy as np
 
 from ._threads import pmap
 from .frame import ModulationFunction
-from .grid import TWO_PI, GridFunction, GridSpec, fft_forward, lp_norm
+from .grid import TWO_PI, GridFunction, GridSpec, check_budget, fft_forward, lp_norm
 from .operators import _tau_support, apply_auto
 from .symbols import Symbol, _eta_power, _kernel_rows, _resolve_spec, _shift_rows, filter_symbol
 
@@ -22,6 +29,9 @@ DERIVATIVE_BUDGET = 4
 # Relative slack on the hard factorization gate; the only inexactness in
 # the chain is spectral dust outside the cutoff plateau plus fp roundoff.
 FACTORIZATION_SLACK = 1e-8
+
+# the auxiliary cutoff's profile: chi(eta) = CHI.radial(|eta|/R)
+CHI = ModulationFunction(1.0, 2.0)
 
 
 @dataclass(frozen=True)
@@ -94,47 +104,25 @@ def peetre_maximal(u: GridFunction, p: MaximalParams) -> GridFunction:
     return GridFunction(spec, best)
 
 
-class AuxCutoff:
-    """Radial cutoff chi(eta) = profile(|eta|/R) with its support radii (in
-    units of R) known exactly up front."""
-
-    def __init__(self, profile, support, tag: str):
-        self.profile = profile
-        self.support = (float(support[0]), float(support[1]))
-        self.tag = tag
-
-    def values(self, spec: GridSpec, R: float) -> np.ndarray:
-        return self.profile(spec.freq_radius() / R)
-
-    def __repr__(self) -> str:
-        return f"AuxCutoff({self.tag})"
+def _chi(spec: GridSpec, R: float) -> np.ndarray:
+    """The auxiliary cutoff chi(eta) = CHI.radial(|eta|/R) over the shifted lattice."""
+    return CHI.radial(spec.freq_radius() / R)
 
 
-def ball_cutoff(psi: ModulationFunction | None = None) -> AuxCutoff:
-    """chi identically 1 on |eta| <= r R, vanishing outside |eta| <= R_psi R."""
-    psi = psi if psi is not None else ModulationFunction(1.0, 2.0)
-    return AuxCutoff(psi.radial, (0.0, psi.R), f"ball(r={psi.r:g},R={psi.R:g})")
+def _factor_weights(p: MaximalParams, spec: GridSpec) -> np.ndarray:
+    """(1 + R|y|)^N over the flat offsets y; ValueError if one is not finite."""
+    with np.errstate(over="ignore"):
+        w = ((1.0 + p.R_spec * _offset_radius(spec)) ** p.N_exp).reshape(-1)
+    if not np.isfinite(w.max()):
+        raise ValueError(f"the weight (1 + R|y|)^N_exp is not finite for N_exp = {p.N_exp!r} "
+                         f"and R = {p.R_spec!r}")
+    return w
 
 
-def as_cutoff(chi) -> AuxCutoff:
-    """A plain modulation function means its plateau ball."""
-    if chi is None:
-        return ball_cutoff()
-    if isinstance(chi, AuxCutoff):
-        return chi
-    if isinstance(chi, ModulationFunction):
-        return ball_cutoff(chi)
-    raise TypeError(f"expected AuxCutoff or ModulationFunction, got {type(chi).__name__}")
-
-
-def symbol_factor(
-    a: Symbol,
-    p: MaximalParams,
-    chi: AuxCutoff | None = None,
-    spec: GridSpec | None = None,
-) -> GridFunction:
+def symbol_factor(a: Symbol, p: MaximalParams, spec: GridSpec | None = None) -> GridFunction:
     """F_a(x) = (2pi/N)^n sum_y (1 + R|y|)^N |k(x,y)| with
-    k(x,y) = (2pi)^{-n} sum_eta a(x,eta) chi(eta) e^{i y.eta}.
+    k(x,y) = (2pi)^{-n} sum_eta a(x,eta) chi(eta) e^{i y.eta}, chi the fixed
+    cutoff CHI.radial(|eta|/R) at R = R_spec.
 
     The y-sum runs over the same torus-centered offsets as peetre_maximal,
     so |a(x,D)u| <= F_a u* closes over exactly the lattice sums both
@@ -145,17 +133,12 @@ def symbol_factor(
     product per chunk of x-rows, or any other symbol's rows times chi,
     transformed over eta; no table.  The weights are checked finite first.
     """
-    chi = as_cutoff(chi)
     spec = _resolve_spec(a, spec)
-    with np.errstate(over="ignore"):
-        w = ((1.0 + p.R_spec * _offset_radius(spec)) ** p.N_exp).reshape(-1)
-    if not np.isfinite(w.max()):
-        raise ValueError(f"the weight (1 + R|y|)^N_exp is not finite for N_exp = {p.N_exp!r} "
-                         f"and R = {p.R_spec!r}")
+    w = _factor_weights(p, spec)
     cell = (TWO_PI / spec.N) ** spec.n
     out = np.empty(spec.npoints)
     # a chunk's complex rows and then their moduli: 24 bytes an entry
-    for rs, k in _kernel_rows(a, spec, 24 * spec.npoints, chi.values(spec, p.R_spec)):
+    for rs, k in _kernel_rows(a, spec, 24 * spec.npoints, _chi(spec, p.R_spec)):
         m = np.abs(k)
         m *= w
         out[rs] = cell * np.sum(m, axis=-1)
@@ -186,7 +169,6 @@ def factorization_check(
     a: Symbol,
     u: GridFunction,
     p: MaximalParams | None = None,
-    chi: AuxCutoff | None = None,
     tau: float = 1e-10,
 ) -> FactorizationReport:
     """Hard gate |a(x,D)u(x)| <= F_a(x) u*(x) at every grid point.
@@ -197,19 +179,17 @@ def factorization_check(
     """
     spec = u.spec
     p = p if p is not None else default_maximal_params(u, tau)
-    chi = as_cutoff(chi)
 
     supp = _tau_support(np.abs(fft_forward(u).coeffs) ** 2, tau)
-    chiv = chi.values(spec, p.R_spec)
-    if np.any(supp & (chiv != 1.0)):
+    if np.any(supp & (_chi(spec, p.R_spec) != 1.0)):
         worst = float(spec.freq_radius()[supp].max())
         raise ValueError(
-            f"tau-support of u reaches |eta|={worst:g} where {chi!r} at "
+            f"tau-support of u reaches |eta|={worst:g} where the cutoff chi at "
             f"R={p.R_spec:g} is not identically 1"
         )
 
     lhs = np.abs(apply_auto(a, u).values)
-    factor = symbol_factor(a, p, chi, spec).values.real
+    factor = symbol_factor(a, p, spec).values.real
     maximal = peetre_maximal(u, p).values.real
     bound = factor * maximal
     ratio = _worst_ratio(lhs, bound)
@@ -224,9 +204,10 @@ def factorization_check(
     )
 
 
-def maximal_ratio(corpus, p_exp: float, N_exp: float, tau: float = 1e-10) -> float:
+def maximal_ratio(corpus, p_exp: float, N_exp: float) -> float:
     """max over the corpus of ||u*||_p / ||u||_p, with R chosen per member
-    as the smallest radius covering its tau-support.
+    as the smallest radius covering its tau-support at tau = 1e-10
+    (spectral_radius).
 
     No integrability-line check here: the negative control below the line
     calls this directly to watch the ratio grow under refinement.
@@ -236,14 +217,14 @@ def maximal_ratio(corpus, p_exp: float, N_exp: float, tau: float = 1e-10) -> flo
         raise ValueError("empty corpus")
 
     def one(u: GridFunction) -> float:
-        pr = MaximalParams(N_exp, max(1.0, spectral_radius(u, tau)))
+        pr = MaximalParams(N_exp, max(1.0, spectral_radius(u)))
         return lp_norm(peetre_maximal(u, pr), p_exp) / lp_norm(u, p_exp)
 
     # a Peetre scan stops early: about 1/8 of a split task's work per grid point
     return float(max(pmap(one, corpus, points=corpus[0].spec.npoints // 8)))
 
 
-def maximal_lp_constant(corpus, p_exp: float, N_exp: float, tau: float = 1e-10) -> float:
+def maximal_lp_constant(corpus, p_exp: float, N_exp: float) -> float:
     """Empirical constant in ||u*||_p <= C ||u||_p over the corpus.
 
     The weight exponent must clear the integrability line N > n/p, the
@@ -255,7 +236,7 @@ def maximal_lp_constant(corpus, p_exp: float, N_exp: float, tau: float = 1e-10) 
     line = corpus[0].spec.n / p_exp
     if not N_exp > line:
         raise ValueError(f"need N_exp > n/p = {line:g}, got {N_exp:g}")
-    return maximal_ratio(corpus, p_exp, N_exp, tau)
+    return maximal_ratio(corpus, p_exp, N_exp)
 
 
 def _least_integer_above(x: float) -> int:
@@ -280,30 +261,31 @@ def derivative_order(p: MaximalParams, n: int) -> int:
     return k
 
 
-def mihlin_rhs(
-    a: Symbol,
-    p: MaximalParams,
-    chi: AuxCutoff | None = None,
-    spec: GridSpec | None = None,
-) -> np.ndarray:
-    """sum_{|alpha| <= k} (sum_{eta in R supp chi} |R^|alpha| D^alpha_eta a|^2
-    / R^n)^{1/2} per x, with k the least integer above N + n/2 and the eta
-    derivatives taken as unit-step central differences on the lattice; a
-    shift symbol's sums take its rows' Gram identity (symbols._eta_power)."""
-    chi = as_cutoff(chi)
+def mihlin_rhs(a: Symbol, p: MaximalParams, spec: GridSpec | None = None) -> np.ndarray:
+    """sum_{|alpha| <= k} (sum_{|eta| <= CHI.R R} |R^|alpha| D^alpha_eta a|^2
+    / R^n)^{1/2} per x, over the support of the fixed cutoff chi at R =
+    R_spec, with k the least integer above N + n/2 and the eta derivatives
+    taken as unit-step central differences on the lattice.  A shift
+    symbol's sums take its rows' Gram identity (symbols._eta_power), after
+    a budget check on its R rows: they, their differences, the x-phases and
+    the masked copies peak at 67.5 bytes an entry (1-d 2^15, tracemalloc)."""
     spec = _resolve_spec(a, spec)
     k = derivative_order(p, spec.n)
     R = p.R_spec
-    hi = chi.support[1] * R
+    hi = CHI.R * R
     if hi + k > spec.N / 2:
         raise ValueError(
             f"cutoff support |eta| <= {hi:g} leaves no room for order-{k} "
             f"differences inside the band of N={spec.N}"
         )
-    rad = spec.freq_radius()
-    mask = (rad >= chi.support[0] * R) & (rad <= hi)
+    mask = spec.freq_radius() <= hi
     shifts = a.shift_terms(spec)
-    form = a.table(spec) if shifts is None else _shift_rows(shifts, spec)
+    if shifts is None:
+        form = a.table(spec)
+    else:
+        check_budget("derivative-sum rows", spec, rows=len({t.xi for t in shifts}),
+                     entry_bytes=68)
+        form = _shift_rows(shifts, spec)
     out = np.zeros(spec.shape)
     for total in range(k + 1):
         for alpha in _multiindices(spec.n, total):
@@ -326,17 +308,19 @@ def mihlin_bound_check(
     a: Symbol,
     p: MaximalParams,
     c: float | None,
-    chi: AuxCutoff | None = None,
     spec: GridSpec | None = None,
     slack: float = 0.01,
 ) -> MihlinReport:
     """F_a <= c * derivative-sum at every x, with relative slack on the
     fitted constant c (fit on one corpus, verify on another); c = None
-    uses a's own worst ratio.  The derivative order is checked first."""
+    uses a's own worst ratio.  Every check (the derivative order, F_a's
+    weights, and the band and budget of the derivative sum) comes before
+    F_a's O(N^{2n}) kernel sums."""
     spec = _resolve_spec(a, spec)
     k = derivative_order(p, spec.n)
-    factor = symbol_factor(a, p, chi, spec).values.real
-    rhs = mihlin_rhs(a, p, chi, spec)
+    _factor_weights(p, spec)
+    rhs = mihlin_rhs(a, p, spec)
+    factor = symbol_factor(a, p, spec).values.real
     ratio = _worst_ratio(factor, rhs)
     c = ratio if c is None else float(c)
     return MihlinReport(
@@ -391,31 +375,25 @@ def moment_decay_check(
     p: MaximalParams,
     q_grid,
     M: int,
-    phi=None,
-    chi: AuxCutoff | None = None,
     spec: GridSpec | None = None,
 ) -> MomentDecayReport:
     """Decay of sup_x F over the x-high-passed family a_Q = phi(Q^{-1}D_x)a
     on a dyadic Q sweep (filter_symbol: a shift or separable a_Q builds no
-    table); phi is radial and vanishes identically near 0.
+    table); phi is fixed to CHI.corona, radial and identically 0 near 0.
 
     Passes when the fitted exponent is <= -M + 0.5, or on an exact-zero
-    cliff: with a compactly supported chi, x-shells far above R_spec die
+    cliff: with the compactly supported chi, x-shells far above R_spec die
     exactly on the lattice, which is faster than any polynomial rate.
     step_drops holds log2(F(Q)/F(Q')) per consecutive positive Q (inf when
     the successor is exactly zero).
     """
     spec = _resolve_spec(a, spec)
-    phi = phi if phi is not None else ModulationFunction(1.0, 2.0).corona
-    if float(np.asarray(phi(np.array([0.0])))[0]) != 0.0:
-        raise ValueError("phi must vanish at 0 (high-pass profile)")
-    chi = as_cutoff(chi)
     a = filter_symbol(a, spec)  # realized once, filtered per Q
     xrad = spec.freq_radius()
 
     def one(Q: float) -> float:
-        a_q = filter_symbol(a, spec, phi(xrad / float(Q)))
-        return float(symbol_factor(a_q, p, chi, spec).values.real.max())
+        a_q = filter_symbol(a, spec, CHI.corona(xrad / float(Q)))
+        return float(symbol_factor(a_q, p, spec).values.real.max())
 
     # symbol_factor sums N^n x N^n kernel entries, each about 1/16 of the
     # work of a grid point in a split task (tools/pool_sweep.py)

@@ -166,11 +166,9 @@ def svg_line_chart(
     title: str = "",
     x_label: str = "",
     y_label: str = "",
-    width: int = 720,
-    height: int = 460,
     log_y: bool = False,
 ) -> None:
-    """Data-only SVG: axes, tick labels, one polyline per series, legend.
+    """Data-only SVG, 720 x 460: axes, tick labels, one polyline per series, legend.
 
     With log_y the y coordinates are mapped through log10; every y must
     then be positive.
@@ -196,6 +194,7 @@ def svg_line_chart(
     pad_y = 0.05 * (y_hi - y_lo)
     y_lo, y_hi = y_lo - pad_y, y_hi + pad_y
 
+    width, height = 720, 460
     left, right, top, bottom = 70, 20, 40, 50
     pw, ph = width - left - right, height - top - bottom
 
@@ -275,10 +274,11 @@ def svg_line_chart(
     Path(path).write_text("\n".join(parts) + "\n")
 
 
-def write_report_svg(report: ExperimentReport, path, title: str | None = None) -> None:
-    """Chart every multi-point series of the report; falls back to scalar
-    rows over their index when the report has no series.  Switches to a
-    log10 y axis when all values are positive and span three decades."""
+def write_report_svg(report: ExperimentReport, path) -> None:
+    """Chart every multi-point series of the report, titled "pdlab <name>";
+    falls back to scalar rows over their index when the report has no
+    series.  Switches to a log10 y axis when all values are positive and
+    span three decades."""
     series = {
         prefix: [(x, v) for x, v, _ in pts]
         for prefix, pts in report_series_points(report).items()
@@ -300,7 +300,7 @@ def write_report_svg(report: ExperimentReport, path, title: str | None = None) -
     svg_line_chart(
         finite,
         path,
-        title=title if title is not None else f"pdlab {report.name}",
+        title=f"pdlab {report.name}",
         x_label="series key",
         y_label="log10(value)" if log_y else "value",
         log_y=log_y,

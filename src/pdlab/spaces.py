@@ -338,25 +338,23 @@ def embedding_report(
     p: float = 2.0,
     q: float = 1.0,
     p_target: float = 4.0,
-    frame: LPFrame | None = None,
 ) -> EmbeddingReport:
     """Check B^s_{p,min(p,q)} -> F^s_{p,q} -> B^s_{p,max(p,q)} together with
     the Sobolev embedding along s - n/p = s1 - n/p1 and the agreement of the
-    Hoelder quantity with the (inf, inf) Besov norm."""
+    Hoelder quantity with the (inf, inf) Besov norm, all in DEFAULT_FRAME."""
     members = list(corpus)
     if not members:
         raise ValueError("empty corpus")
     if not p < p_target:
         raise ValueError(f"Sobolev embedding needs p < p_target, got {p} vs {p_target}")
-    fr = frame if frame is not None else DEFAULT_FRAME
     n = members[0].spec.n
-    sp_f = SpaceParams(s, p, q, TRIEBEL_LIZORKIN, fr)
-    sp_lo = SpaceParams(s, p, min(p, q), BESOV, fr)
-    sp_hi = SpaceParams(s, p, max(p, q), BESOV, fr)
+    sp_f = SpaceParams(s, p, q, TRIEBEL_LIZORKIN)
+    sp_lo = SpaceParams(s, p, min(p, q), BESOV)
+    sp_hi = SpaceParams(s, p, max(p, q), BESOV)
     s_target = s - n / p + n / p_target
-    sp_tgt = SpaceParams(s_target, p_target, q, TRIEBEL_LIZORKIN, fr)
+    sp_tgt = SpaceParams(s_target, p_target, q, TRIEBEL_LIZORKIN)
 
-    spaces = [sp_f, sp_lo, sp_hi, sp_tgt, SpaceParams(s, math.inf, math.inf, BESOV, fr)]
+    spaces = [sp_f, sp_lo, sp_hi, sp_tgt, SpaceParams(s, math.inf, math.inf, BESOV)]
     norms = pmap(lambda u: space_norms(u, spaces), members, points=members[0].spec.npoints)
     rows = [(0.0, 0.0, 0.0) if f == 0.0 else (f / lo, hi / f, tgt / f)
             for f, lo, hi, tgt, _ in norms]

@@ -94,17 +94,16 @@ class Symbol:
     """Base symbol: order d, optional twisted-diagonal flag, lattice table.
 
     Shift terms, where a subclass gives them, derive the separable terms
-    (m_j = weight_j e^{i xi_j.x}, an exact lattice phase) and the table; their
-    x-spectra are deltas of weight_j at xi_j, which every reader of a_hat
-    takes from the terms themselves, before spectral_terms.  A symbol with
+    (m_j = weight_j e^{i xi_j.x}, an exact lattice phase), the spectral terms
+    (a delta of weight_j at xi_j) and the table.  A symbol with
     neither shift nor separable terms (a table, or eval alone) is still a
     sum of shift terms, one per nonzero xi-row of a_hat: row_terms gives
     them, and operators.plan and the split run them on the shift route.
 
     rows() is the one source of dense values, read by table(), the reference
     operators.apply and _kernel_rows.  It takes them from the first source the
-    symbol has: shift terms, then separable terms, then eval on the
-    lattice; TabulatedSymbol slices its stored table."""
+    symbol has: separable terms (a shift symbol's included), then eval on
+    the lattice; TabulatedSymbol slices its stored table."""
 
     d: float = 0.0
     tdc_B: float | None = None
@@ -135,7 +134,15 @@ class Symbol:
         """Terms (mhat_j over the shifted xi-lattice, g_j over eta) with
         a_hat(xi,eta) = sum_j mhat_j(xi) g_j(eta), the x-spectra of the
         separable terms; exact where possible.  A shift term's x-spectrum is
-        one delta of weight_j at xi_j: callers read shift terms first."""
+        its exact delta of weight_j at xi_j, with no FFT."""
+        shifts = self.shift_terms(spec)
+        if shifts is not None:
+            out = []
+            for t in shifts:
+                mhat = np.zeros(spec.shape, dtype=complex)
+                mhat[tuple(k + spec.N // 2 for k in t.xi)] = t.weight
+                out.append((mhat, t.g_table(spec)))
+            return out
         terms = self.separable_terms(spec)
         if terms is None:
             return None
@@ -146,26 +153,14 @@ class Symbol:
     def rows(self, spec: GridSpec) -> Callable[[np.ndarray | slice], np.ndarray]:
         """k -> a(x_k, eta) over the flat eta-lattice, shape (len(k), N^n), for
         flat grid indices k (an index array or a slice); the terms are
-        fetched once, here.  A shift term adds only where g_j is nonzero."""
-        kk = np.moveaxis(np.indices(spec.shape), 0, -1).reshape(-1, spec.n)
-        shifts = self.shift_terms(spec)
-        if shifts is not None:
-
-            def shift_rows(k):
-                kx = kk[k]
-                out = np.zeros((len(kx), spec.npoints), dtype=complex)
-                for t in shifts:
-                    phase = t.weight * lattice_phase(spec, kx, t.xi)
-                    out[:, t.idx] += np.multiply.outer(phase, t.g)
-                return out
-
-            return shift_rows
+        fetched once, here.  A shift symbol's rows are its separable terms'."""
         terms = self.separable_terms(spec)
         if terms is not None:
             flat = [(m.reshape(-1), g.reshape(-1)) for m, g in terms]
+            flat_k = np.arange(spec.npoints)
 
             def separable_rows(k):
-                out = np.zeros((len(kk[k]), spec.npoints), dtype=complex)
+                out = np.zeros((len(flat_k[k]), spec.npoints), dtype=complex)
                 for m, g in flat:
                     out += np.multiply.outer(m[k], g)
                 return out
@@ -255,22 +250,15 @@ def _ahat_rows(a: Symbol, spec: GridSpec, what: str) -> tuple[np.ndarray, np.nda
 
 def symbol_partial_ft(a: Symbol, spec: GridSpec) -> np.ndarray:
     """a_hat(xi,eta), through the most exact route the symbol offers:
-    a construction-time spectral table, exact per-term x-spectra, or an
-    FFT of the dense table as the last resort.  A shift term's x-spectrum
-    is one delta, so it fills one row of the table, on its eta indices."""
+    a construction-time spectral table, exact per-term x-spectra (a shift
+    term's is one delta), or an FFT of the dense table as the last resort."""
     cached = getattr(a, "ahat", None)
     if cached is not None and getattr(a, "spec", None) == spec:
         return cached
-    shifts = a.shift_terms(spec)
-    terms = None if shifts is not None else a.spectral_terms(spec)
-    if shifts is None and terms is None:
+    check_budget("spectral table", spec)  # before any term is made
+    terms = a.spectral_terms(spec)
+    if terms is None:
         return partial_ft(a.table(spec), spec)
-    check_budget("spectral table", spec)
-    if shifts is not None:
-        xis, rows = _shift_rows(shifts, spec)
-        out = np.zeros((spec.npoints,) + spec.shape, dtype=complex)
-        out[np.ravel_multi_index(tuple((xis + spec.N // 2).T), spec.shape)] = rows
-        return out.reshape(spec.shape + spec.shape)
     out = np.zeros(spec.shape + spec.shape, dtype=complex)
     for mhat, g in terms:
         out += np.multiply.outer(mhat, g)
@@ -337,11 +325,10 @@ class ConstantSymbol(Symbol):
     """a(x,eta) = c exactly (no Nyquist masking: the identity stays exact); one
     shift term, xi = 0 with weight c and g = 1, so a plan scales coefficients."""
 
-    def __init__(self, c: complex = 1.0, d: float = 0.0):
+    def __init__(self, c: complex = 1.0):
         self.c = complex(c)
         if not cmath.isfinite(self.c):
             raise ValueError(f"expected a finite c, got {c!r}")
-        self.d = d
         self.tdc_B = 1.0  # x-independent symbols satisfy the condition trivially
 
     def shift_terms(self, spec: GridSpec) -> list[ShiftTerm]:
@@ -693,10 +680,10 @@ class TdcReport:
     tau: float
 
 
-def check_twisted_diagonal(
-    a: Symbol, B: float, tau: float = 1e-10, spec: GridSpec | None = None
-) -> TdcReport:
-    """Relative squared mass of a_hat's rows where B(|xi+eta|+1) < |eta|."""
+def check_twisted_diagonal(a: Symbol, B: float, spec: GridSpec | None = None) -> TdcReport:
+    """Relative squared mass of a_hat's rows where B(|xi+eta|+1) < |eta|;
+    the condition holds at a mass of at most tau = 1e-10."""
+    tau = 1e-10
     spec = _resolve_spec(a, spec)
     xis, ahat, _ = _ahat_rows(a, spec, "spectral table")
     sum_rad, eta_rad = _sum_radius_mesh(spec, xis)
@@ -1003,7 +990,7 @@ SYMBOL_KINDS = {"const": _const, "ching": _ching, "elementary": _elementary, "ta
 """Symbol spec kinds; each builder takes (grid, frame)."""
 
 
-def parse_symbol_spec(text: str, spec: GridSpec, frame: LPFrame | None = None) -> Symbol:
+def parse_symbol_spec(text: str, spec: GridSpec) -> Symbol:
     """Build a symbol from a CLI string.
 
     Forms: ching:d=0,theta=+1,jmax=8[,a0=..,a1=..,b0=..,b1=..,zr=..,zat=..,zw=..]
@@ -1013,7 +1000,7 @@ def parse_symbol_spec(text: str, spec: GridSpec, frame: LPFrame | None = None) -
            table:file=sym.pdsy
            const[:c=1]
     """
-    return symbol_factory(text, frame if frame is not None else DEFAULT_FRAME)(spec)
+    return symbol_factory(text, DEFAULT_FRAME)(spec)
 
 
 def symbol_factory(text: str, frame: LPFrame) -> Callable[[GridSpec], Symbol]:

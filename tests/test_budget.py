@@ -7,12 +7,13 @@ import tracemalloc
 import numpy as np
 import pytest
 
+import pdlab.cli as cli
 import pdlab.grid as grid
 import pdlab.operators as ops
 import pdlab.symbols as symbols
 from pdlab.frame import DEFAULT_FRAME
 from pdlab.grid import GridSpec, random_band_limited, random_band_spectrum, row_chunks
-from pdlab.pointwise import MaximalParams, symbol_factor
+from pdlab.pointwise import MaximalParams, mihlin_rhs, symbol_factor
 from pdlab.symbols import (
     ConstantSymbol,
     TabulatedSymbol,
@@ -222,10 +223,12 @@ def test_the_spectral_rule_holds_half_a_budget_at_2_18():
     assert peak <= 0.5 * grid.MEMORY_BUDGET
 
 
-SHIFT_ROW_TOOLS = {  # a tool reading a shift symbol's rows -> the name it gives them, its call
-    "mask": ("twisted-diagonal mask", lambda a, spec: mask_twisted_diagonal(a, 2.0, spec)),
-    "check": ("spectral table", lambda a, spec: check_twisted_diagonal(a, 2.0, spec=spec)),
-    "localize": ("spectral table", lambda a, spec: localize_symbol(a, 0.5, spec)),
+SHIFT_ROW_TOOLS = {  # a tool reading a shift symbol's rows -> their name, bytes an entry, call
+    "mask": ("twisted-diagonal mask", 24, lambda a, spec: mask_twisted_diagonal(a, 2.0, spec)),
+    "check": ("spectral table", 24, lambda a, spec: check_twisted_diagonal(a, 2.0, spec=spec)),
+    "localize": ("spectral table", 24, lambda a, spec: localize_symbol(a, 0.5, spec)),
+    "mihlin": ("derivative-sum rows", 68,
+               lambda a, spec: mihlin_rhs(a, MaximalParams(2.0, spec.N / 8), spec=spec)),
 }
 
 
@@ -233,12 +236,14 @@ SHIFT_ROW_TOOLS = {  # a tool reading a shift symbol's rows -> the name it gives
 def test_a_shift_symbols_rows_are_checked_before_they_are_made(monkeypatch, tool):
     # Ching at theta = 2 has 15 distinct xi-rows at 1-d 2^16: its rows and
     # their radius mesh, 24 bytes an entry, are 22.5 MiB, the rows alone
-    # 15 MiB; its terms' own build peaks near 7 MiB
-    what, run = SHIFT_ROW_TOOLS[tool]
+    # 15 MiB; the derivative sum's rows, differences, phases and masked
+    # copies, 68 bytes an entry, 63.75 MiB; its terms' own build peaks near
+    # 7 MiB
+    what, entry_bytes, run = SHIFT_ROW_TOOLS[tool]
     spec = GridSpec(1, 2**16)
     a = ching_for_grid(spec, theta=2)
     rows = len({t.xi for t in a.shift_terms(spec)})
-    nbytes = 24 * rows * spec.npoints
+    nbytes = entry_bytes * rows * spec.npoints
     monkeypatch.setattr(grid, "MEMORY_BUDGET", nbytes - 1)
     tracemalloc.start()
     try:
@@ -251,3 +256,20 @@ def test_a_shift_symbols_rows_are_checked_before_they_are_made(monkeypatch, tool
     assert peak < nbytes / 2
     monkeypatch.setattr(grid, "MEMORY_BUDGET", nbytes)
     run(a, spec)
+
+
+def test_the_mihlin_rows_are_refused_within_one_budget(capsys):
+    # 16 rows of 2^17 entries at 68 bytes an entry are 136 MiB: the check
+    # refuses them before they are made, and before F_a's kernel sums start
+    argv = ["pointwise", "mihlin", "--symbol", "ching:d=0,theta=+1,jmax=auto",
+            "--grid", str(2**17), "--R", "16384"]
+    tracemalloc.start()
+    try:
+        code = cli.main(argv)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert code == 2
+    assert capsys.readouterr().err.startswith(
+        "error: derivative-sum rows would hold 2097152 table entries (136 MiB > 64 MiB")
+    assert peak < grid.MEMORY_BUDGET

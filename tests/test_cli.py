@@ -217,6 +217,12 @@ class TestSubcommands:
         assert set(obj) == {"k", "c_used", "worst_ratio", "holds"}
         assert len(out.read_text().splitlines()) == 33
 
+    def test_pointwise_mihlin_default_R_leaves_room_for_the_differences(self, capsys):
+        # --R defaults to N/8: chi's support |eta| <= 2R = N/4 clears the band
+        assert main(["pointwise", "mihlin", "--symbol", "ching:d=0,theta=+1,jmax=auto"]) == 0
+        out, err = capsys.readouterr()
+        assert len(out.splitlines()) == 257 and json.loads(err)["k"] == 3
+
     def test_pointwise_moment_decay(self, capsys):
         assert main(["pointwise", "moment-decay", *SYMBOL, "--grid", "32",
                      "--q-grid", "2,4"]) == 0
@@ -227,6 +233,14 @@ class TestSubcommands:
     def test_selftest_quick(self, capsys):
         assert main(["selftest", "--quick"]) == 0
         assert capsys.readouterr().out.strip().endswith("10 gates passed")
+
+    def test_selftest_a_gate_that_raises_fails_naming_it(self, capsys, monkeypatch):
+        def broken():
+            raise ValueError("no room")
+
+        monkeypatch.setattr(cli, "QUICK_GATES", [("broken", broken)])
+        assert main(["selftest", "--quick"]) == 1
+        assert capsys.readouterr().out == "FAIL broken: raised ValueError('no room')\n"
 
     def test_selftest_builds_the_three_series_pair_once(self, capsys, monkeypatch):
         calls = []

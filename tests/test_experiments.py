@@ -632,6 +632,23 @@ class TestContinuityTable:
         est = [rep.series("est")[f"L:p=2 -> L:p=2 @N={g}"] for g in (64, 128, 256)]
         assert est[1] / est[0] >= 2.0 and est[2] / est[1] >= 2.0
 
+    def test_growth_below_both_blow_up_rules_is_inconclusive(self):
+        # the estimates grow past the stability band, 1.5, but below the
+        # doubling rule's factor, and the family stays below its own
+        rep = run_continuity_table(
+            lambda spec: ching_for_grid(spec, d=1.5),
+            cases=[("L:p=2", "L:p=2")],
+            grids=(64, 128),
+            trials=2,
+            band_fraction=0.9,
+            growth_factor=100.0,
+            family_factor=100.0,
+        )
+        est = [rep.series("est")[f"L:p=2 -> L:p=2 @N={g}"] for g in (64, 128)]
+        assert 1.5 < est[1] / est[0] < 100.0
+        assert rep.verdicts["L:p=2 -> L:p=2"] == INCONCLUSIVE
+        assert rep.verdicts["L:p=2 -> L:p=2 [control]"] == "clean"
+
     def test_masked_symbol_stable_all_orders(self):
         def factory(spec):
             return mask_twisted_diagonal(

@@ -140,3 +140,80 @@ def test_the_budget_walk_finds_suffixes_and_shifts(tmp_path):
     )
     assert size_constants(tmp_path) == {"MEMORY_BUDGET", "TABLE_GUARD", "CACHE_KEYS",
                                         "a.py:5: 1 << 30", "a.py:6: 1 << 21"}
+
+
+# defaulted parameters of public functions that no call in the package sets,
+# and why each stays a parameter; every other fixed choice is a constant
+UNVARIED = {
+    "cli.main(argv)": "None reads sys.argv, for the console script; tests pass argv",
+    "operators.support_rule_check(tau)": "cmd_support_rule passes --tau through the alias `check`",
+    "operators.spectral_support_rule_check(tau)": "cmd_support_rule passes --tau through `check`",
+    "pointwise.factorization_check(p)": "tests set R to put u's spectrum off chi's plateau or on "
+                                        "its edge; the CLI takes default_maximal_params",
+    "spaces.lp_block_moduli(j_max)": "the public view of the block pass: tests read blocks past "
+                                     "the closing shell and its refusal below it",
+    "spaces.summation_lemma_check(b)": "a test seam: tests pass sequences the random corpus "
+                                       "never draws (a delta, zeros)",
+}
+
+
+def _defaulted(fn: ast.FunctionDef, method: bool) -> list[tuple[int | None, str]]:
+    """(position in a call, name) of each parameter with a default; a
+    keyword-only one has no position, and a method's calls skip self."""
+    pos = fn.args.posonlyargs + fn.args.args
+    first = len(pos) - len(fn.args.defaults)
+    out = [(i - method, a.arg) for i, a in enumerate(pos) if i >= first]
+    return out + [(None, a.arg) for a, d in zip(fn.args.kwonlyargs, fn.args.kw_defaults)
+                  if d is not None]
+
+
+def unvaried_defaults(src: Path = SRC) -> set[str]:
+    """"module.function(param)" for each defaulted parameter of a public
+    function, public method or constructor in the package that no call in
+    the package passes, by position or by keyword.  A call is matched by its
+    last name (a constructor by its class's), so names stand for every
+    definition of that name; a call with *args or **kwargs passes every
+    parameter.  run_* runners and cmd_* handlers are exempt: their
+    parameters are config keys and CLI flags."""
+    defs, passed = [], {}
+    for path in sorted(src.glob("*.py")):
+        tree = ast.parse(path.read_text(), filename=str(path))
+        for node in tree.body:
+            if isinstance(node, ast.FunctionDef) and not node.name.startswith(("_", "run_", "cmd_")):
+                defs.append((node.name, f"{path.stem}.{node.name}", _defaulted(node, False)))
+            elif isinstance(node, ast.ClassDef) and not node.name.startswith("_"):
+                defs += [(node.name if m.name == "__init__" else m.name,
+                          f"{path.stem}.{node.name}.{m.name}", _defaulted(m, True))
+                         for m in node.body if isinstance(m, ast.FunctionDef)
+                         and (m.name == "__init__" or not m.name.startswith("_"))]
+        for call in ast.walk(tree):
+            if isinstance(call, ast.Call) and isinstance(call.func, (ast.Name, ast.Attribute)):
+                name = call.func.id if isinstance(call.func, ast.Name) else call.func.attr
+                got = passed.setdefault(name, set())
+                got.update(range(len(call.args)), (k.arg for k in call.keywords))
+                if any(isinstance(a, ast.Starred) for a in call.args) or None in got:
+                    got.add("*")
+    return {f"{where}({param})" for name, where, params in defs for i, param in params
+            if not {"*", i, param} & passed.get(name, set())}
+
+
+def test_every_unvaried_default_is_listed_with_a_reason():
+    # a default no caller changes is a constant: make it one, or list it here
+    assert unvaried_defaults() == set(UNVARIED)
+
+
+def test_the_unvaried_walk_counts_positions_keywords_and_stars(tmp_path):
+    (tmp_path / "a.py").write_text(
+        "def f(x, k=1, m=2, *, w=3, z=4):\n"
+        "    return g() + h(1) + C(0) + C(0).meth()\n"
+        "def g(a=1, b=2): pass\n"
+        "def h(*args, **kw): f(0, 5, w=6)\n"
+        "def run_x(flag=1): pass\n"
+        "def _private(y=1): pass\n"
+        "class C:\n"
+        "    def __init__(self, c=1, d=2): pass\n"
+        "    def meth(self, e=1): pass\n"
+        "    def _hidden(self, q=1): pass\n"
+        "def spread(args): g(*args)\n"
+    )
+    assert unvaried_defaults(tmp_path) == {"a.f(m)", "a.f(z)", "a.C.__init__(d)", "a.C.meth(e)"}

@@ -9,7 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from pdlab._threads import pmap
-from pdlab.frame import DEFAULT_FRAME, ModulationFunction
+from pdlab.frame import DEFAULT_FRAME
 from pdlab.grid import (
     GridFunction,
     GridSpec,
@@ -18,9 +18,8 @@ from pdlab.grid import (
     single_mode,
 )
 from pdlab.pointwise import (
+    CHI,
     MaximalParams,
-    as_cutoff,
-    ball_cutoff,
     default_maximal_params,
     derivative_order,
     factorization_check,
@@ -242,9 +241,8 @@ class TestSymbolFactor:
     def test_constant_symbol_direct_sum_oracle(self):
         spec = GridSpec(1, 32)
         p = MaximalParams(1.0, 4.0)
-        chi = ball_cutoff()
-        got = symbol_factor(ConstantSymbol(2.5), p, chi, spec).values.real
-        chiv = chi.values(spec, p.R_spec)
+        got = symbol_factor(ConstantSymbol(2.5), p, spec).values.real
+        chiv = CHI.radial(spec.freq_radius() / p.R_spec)
         etas = spec.axis_freqs()
         N = spec.N
         expected = 0.0
@@ -288,14 +286,6 @@ class TestSymbolFactor:
             2.0 * symbol_factor(a, p, spec=spec).values,
         )
 
-    def test_modulation_function_accepted_as_cutoff(self):
-        spec = GridSpec(1, 32)
-        a = random_table_symbol(spec, 6)
-        p = MaximalParams(1.0, 4.0)
-        via_psi = symbol_factor(a, p, ModulationFunction(1.0, 2.0), spec)
-        via_ball = symbol_factor(a, p, ball_cutoff(), spec)
-        assert np.array_equal(via_psi.values, via_ball.values)
-
     @pytest.mark.parametrize("n, N", [(1, 1024), (2, 32)])
     def test_structured_route_matches_the_table(self, n, N):
         # separable terms (elementary) and shift terms (Ching) never build
@@ -307,10 +297,6 @@ class TestSymbolFactor:
             got = symbol_factor(a, p, spec=spec).values.real
             ref = symbol_factor(TabulatedSymbol(spec, a.table(spec)), p, spec=spec).values.real
             assert np.max(np.abs(got - ref)) <= 1e-13 * np.max(ref)
-
-    def test_as_cutoff_rejects_other_types(self):
-        with pytest.raises(TypeError, match="ModulationFunction"):
-            as_cutoff(3.0)
 
 
 class TestFactorizationGate:
@@ -485,18 +471,6 @@ class TestMihlinBound:
         assert max(r, 1 / r) <= 1.5
 
 class TestMomentDecay:
-    def test_high_pass_profile_validated(self):
-        spec = GridSpec(1, 32)
-        a = random_table_symbol(spec, 5)
-        with pytest.raises(ValueError, match="vanish"):
-            moment_decay_check(
-                a,
-                MaximalParams(1.0, 4.0),
-                (2.0, 4.0),
-                1,
-                phi=ModulationFunction(1.0, 2.0).radial,
-            )
-
     def test_x_independent_symbol_dies_entirely(self):
         spec = GridSpec(1, 64)
         a = x_independent_symbol(spec, np.exp(-spec.freq_radius() / 4.0))

@@ -21,6 +21,7 @@ from pdlab.symbols import (
     ShiftSymbol,
     Symbol,
     TabulatedSymbol,
+    TdcReport,
     _parse_theta,
     as_multiindex,
     build_chi,
@@ -228,6 +229,34 @@ class TestModulation:
         assert b.shift_terms(spec) is not None
         assert check_twisted_diagonal(b, a.tdc_B, spec=spec).violation_mass == 0.0
 
+    @pytest.mark.parametrize("kind, n, N", [
+        *((kind, 1, N) for kind in (1, 3, "const", "modulated") for N in (256, 1024)),
+        *((kind, 2, 16) for kind in ((1, 1), (3, -2), "const", "modulated")),
+    ])
+    def test_shift_views_are_the_packed_sums_bit_for_bit(self, kind, n, N):
+        # the table (separable rows) and a_hat (spectral terms, one delta a
+        # term) against each term added only on its own eta indices, and
+        # a_hat's rows placed at their xi: the same bits, sign bits included
+        spec = GridSpec(n=n, N=N)
+        if kind == "const":
+            a = parse_symbol_spec("const:c=2-0.5j", spec)
+        elif kind == "modulated":
+            a = modulate_symbol(ching_for_grid(spec, d=0.5, theta=1 if n == 1 else (1, 1)), 2,
+                                ModulationFunction(1.0, 2.0), spec)
+        else:  # a Ching theta
+            a = ching_for_grid(spec, d=0.5, theta=kind)
+        terms = a.shift_terms(spec)
+        kx = np.moveaxis(np.indices(spec.shape), 0, -1).reshape(-1, n)
+        table = np.zeros((spec.npoints, spec.npoints), dtype=complex)
+        for t in terms:
+            phase = t.weight * pdlab.grid.lattice_phase(spec, kx, t.xi)
+            table[:, t.idx] += np.multiply.outer(phase, t.g)
+        xis, rows = symbols._shift_rows(terms, spec)
+        ahat = np.zeros((spec.npoints,) + spec.shape, dtype=complex)
+        ahat[np.ravel_multi_index(tuple((xis + N // 2).T), spec.shape)] = rows
+        for got, want in ((a.table(spec), table), (symbol_partial_ft(a, spec), ahat)):
+            assert got.tobytes() == want.reshape(spec.shape + spec.shape).tobytes()
+
     @pytest.mark.parametrize("n, N, theta", [(1, 2048, 1), (2, 32, (1, 1))])
     def test_shift_table_equals_the_full_outer_products(self, n, N, theta):
         # the table adds each level only on its annulus' columns, and the
@@ -430,27 +459,31 @@ class TestTwistedDiagonalCheck:
         spec = GridSpec(n=1, N=32)
         g = np.exp(-0.05 * spec.axis_freqs().astype(float) ** 2)
         a = SeparableSymbol(spec, [(np.ones(spec.shape, dtype=complex), g)])
-        rep = check_twisted_diagonal(a, B=1.0, tau=1e-10)
+        rep = check_twisted_diagonal(a, B=1.0)
         assert rep.holds and rep.violation_mass == 0.0
+
+    def test_a_zero_symbol_holds_with_no_mass(self):
+        rep = check_twisted_diagonal(ConstantSymbol(0.0), B=1.0, spec=GridSpec(n=1, N=32))
+        assert rep == TdcReport(True, 0.0, 1.0, 1e-10)
 
     def test_plain_ching_fails_every_B(self):
         spec = GridSpec(n=1, N=128)
         a = ching_symbol(d=0.0, theta=1, j_max=5, spec=spec)
         for B in (1.0, 2.0, 4.0):
-            rep = check_twisted_diagonal(a, B=B, tau=1e-10, spec=spec)
+            rep = check_twisted_diagonal(a, B=B, spec=spec)
             assert not rep.holds
             assert rep.violation_mass > 1e-3
 
     def test_two_theta_variant_holds(self):
         spec = GridSpec(n=1, N=128)
         a = ching_symbol(d=0.0, theta=2, j_max=5, spec=spec)
-        rep = check_twisted_diagonal(a, B=2.0, tau=1e-10, spec=spec)
+        rep = check_twisted_diagonal(a, B=2.0, spec=spec)
         assert rep.holds and rep.violation_mass == 0.0
 
     def test_masked_symbol_holds(self):
         spec = GridSpec(n=1, N=32)
         a = mask_twisted_diagonal(random_table_symbol(spec, seed=6), B=2.0)
-        rep = check_twisted_diagonal(a, B=2.0, tau=1e-10)
+        rep = check_twisted_diagonal(a, B=2.0)
         assert rep.holds
         assert a.tdc_B == 2.0
 
@@ -640,7 +673,7 @@ def dense_shell_values(a, alphas, eps_grid, spec) -> list[float]:
 
 
 def dense_mihlin(a, p, spec) -> np.ndarray:
-    """mihlin_rhs with the default ball cutoff, summed over a's whole table."""
+    """mihlin_rhs over the cutoff's support |eta| <= 2R, summed over a's whole table."""
     rad, R = spec.freq_radius(), p.R_spec
     tab, mask = a.table(spec), rad <= 2.0 * R
     out = np.zeros(spec.shape)
