@@ -288,8 +288,7 @@ def dispatch_experiment(runner: str, cfg: RunConfig) -> ExperimentReport:
     the runner's own signature, plus the arguments the CLI supplies."""
     fn = getattr(experiments, RUNNERS[runner])  # at call time: it may be rebound
     params = _parameters(fn)
-    settable = {k: p.annotation for k, p in params.items()
-                if k not in _BRINGS and k != "A"}  # A, a RadialBump, has no JSON form
+    settable = {k: p.annotation for k, p in params.items() if k not in _BRINGS}
     kw = decode_options(cfg.params, settable, "params")
     thresholds = decode_options(cfg.thresholds, settable, "thresholds")
     both = set(kw) & set(thresholds)

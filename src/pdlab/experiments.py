@@ -38,9 +38,7 @@ from .grid import (
 from .operators import plan
 from .spaces import SPACE_KINDS, SpaceParams, finite_norm, format_space, space_norms
 from .symbols import (
-    DEFAULT_BUMP,
     ConstantSymbol,
-    RadialBump,
     Symbol,
     check_twisted_diagonal,
     ching_for_grid,
@@ -202,7 +200,6 @@ def run_counterexample(
     d: float = 0.0,
     N_list: Sequence[int] = (2, 3, 4),
     spec: GridSpec | None = None,
-    A: RadialBump = DEFAULT_BUMP,
     family_margin: float = 1.05,
     family_factor: float = 1.5,
 ) -> ExperimentReport:
@@ -232,7 +229,7 @@ def run_counterexample(
     if 2 * j_max * max(1.0, d) >= 1024:
         raise ValueError(f"d = {d!r} with N_list {N_list}: the top mode 2^{j_max} squared or its "
                          "H^d weight (1 + eta^2)^d overflows a float; need 2 N^2 max(1, d) < 1024")
-    a = ching_symbol(d, theta=1, A=A, j_max=j_max, spec=spec)
+    a = ching_symbol(d, theta=1, j_max=j_max, spec=spec)
     if spec is not None:
         ops, etas = (plan(a, spec), plan(CONTROL_SYMBOL, spec)), spec.axis_freqs().tolist()
 
@@ -362,7 +359,7 @@ def run_wavefront(
     # exact spectra throughout; only the flip residual is read on the grid
     w_in = spectrum_from_coeffs(spec, ladder_coeffs(J, d))
     expected = spectrum_from_coeffs(spec, {-(2**j): 1.0 for j in range(1, J + 1)})
-    a = ching_symbol(d, theta=2, A=DEFAULT_BUMP, j_max=J, spec=spec)
+    a = ching_symbol(d, theta=2, j_max=J, spec=spec)
 
     out = as_spectral(plan(a, spec)(w_in))
     flip_residual = lp_norm(SpectralFunction(spec, out.coeffs - expected.coeffs), math.inf)

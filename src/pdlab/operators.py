@@ -17,11 +17,12 @@ terms of one of two strategies, each within 1e-10 of apply():
      nonzero xi-rows of the exact a_hat (symbols.row_terms): tables and
      symbols known only by eval take this one row route too.
 apply_auto(a, u) is plan(a, u.spec)(u) as grid values.
-paradiff_split() builds one plan and runs each summand of the three series,
-the w(D_x)-cut symbol applied to block coefficients v, as its cut call
-(v, w): the shift route scales the weights by w(xi_j), the separable route
-runs filter_symbol(a, spec, w, v != 0), whose indicator drops the terms v
-misses.
+The plan's cut call (v, w) applies the w(D_x)-cut symbol to coefficients v:
+the shift route scales the weights by w(xi_j), the separable route runs
+filter_symbol(a, spec, w, v != 0), whose indicator drops the terms v misses.
+paradiff_split() makes one cut call per summand of the three series, and
+vfm_limit() one per (psi, m): b_m(x,D)u = (psi_m(D_x)a)(x,D)[psi_m(D)u] on
+the lattice, psi_m = psi(2^{-m}.).
 The support rules check an output against the supports it may reach.  The
 spatial rule takes the output from apply_auto() and the reach from the
 tau-supports of the kernel and of u, read from the kernel rows that
@@ -35,12 +36,13 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from functools import cache
+from itertools import combinations
 from typing import Callable
 
 import numpy as np
 
 from ._threads import pmap
-from .frame import DEFAULT_FRAME, LPFrame, ModulationFunction, modulation_saturation
+from .frame import DEFAULT_FRAME, LPFrame, ModulationFunction, modulation_saturation, on_distinct
 from .grid import (
     GridFunction,
     GridSpec,
@@ -59,7 +61,6 @@ from .symbols import (
     Symbol,
     _kernel_rows,
     filter_symbol,
-    modulate_symbol,
     row_terms,
     symbol_partial_ft,
 )
@@ -185,21 +186,37 @@ def apply_auto(a: Symbol, u: GridFunction) -> GridFunction:
     return as_values(plan(a, u.spec)(u))
 
 
+def _cut_plan(a: Symbol, spec: GridSpec) -> Callable[..., GridFunction | SpectralFunction]:
+    """plan(a, spec) for pooled cut calls: a zero cut realizes the separable
+    route's cut terms here, before the pool, not in its workers."""
+    planned, zero = plan(a, spec), np.zeros(spec.npoints)
+    planned(SpectralFunction(spec, zero), zero)
+    return planned
+
+
 # ---------------------------------------------------------------------------
 # vanishing frequency modulation
 
 
-def vfm_apply(a: Symbol, u: GridFunction, psi: ModulationFunction, m: int) -> GridFunction:
-    """OP(psi(2^{-m}D_x)a(x,eta) psi(2^{-m}eta)) u."""
-    return apply_auto(modulate_symbol(a, m, psi, u.spec), u)
+def vfm_apply(planned: Callable, c: SpectralFunction, psi: ModulationFunction,
+              m: int) -> GridFunction:
+    """OP(psi(2^{-m}D_x)a(x,eta) psi(2^{-m}eta)) u for planned = plan(a, spec)
+    and u's coefficients c: the cut call planned(psi_m c, psi_m), psi_m =
+    psi(2^{-m}.), or where psi_m is 1 on the lattice the plain call, bit for
+    bit apply_auto(a, u)."""
+    mult = on_distinct(psi.radial, c.spec.freq_radius() * 2.0**-m)
+    return as_values(planned(c) if np.all(mult == 1.0) else
+                     planned(SpectralFunction(c.spec, c.coeffs * mult), mult.reshape(-1)))
 
 
 @dataclass
 class VfmTrace:
-    """Per-m modulation outputs for each auxiliary profile.
+    """Per-m modulation outputs for each auxiliary profile, each a cut call
+    of the symbol's one plan (vfm_apply).
 
     On a fixed lattice every profile saturates: outputs for m >= m_sat are
-    bit-identical, so cross_dev measures profile independence exactly.
+    the plain call, bit-identical, so cross_dev measures profile independence
+    exactly.
     """
 
     spec: GridSpec
@@ -211,35 +228,34 @@ class VfmTrace:
     cross_dev: float
 
 
-def vfm_limit(
-    a: Symbol,
-    u: GridFunction,
-    psis=DEFAULT_PSI_FAMILY,
-    m_max: int | None = None,
-) -> VfmTrace:
+def vfm_limit(a: Symbol, u: GridFunction, psis=DEFAULT_PSI_FAMILY,
+              m_max: int | None = None) -> VfmTrace:
+    """vfm_apply for every (psi, m), m up to m_max (default: one past the last
+    saturation): cut calls of one plan on u's coefficients, in one pool."""
     if len(psis) < 2:
         raise ValueError("need at least two modulation functions to witness independence")
     if m_max is not None and m_max < 0:
         raise ValueError(f"m_max must be >= 0, got {m_max}")
     spec = u.spec
-    a = filter_symbol(a, spec)  # realized once; modulate_symbol filters it per (psi, m)
+    planned, c = _cut_plan(a, spec), as_spectral(u)
     tags = [f"psi(r={p.r:g},R={p.R:g})" for p in psis]
     sats = {t: modulation_saturation(p, spec) for t, p in zip(tags, psis)}
     top = max(sats.values()) + 1 if m_max is None else m_max
     m_values = list(range(top + 1))
-    norms: dict[str, list[float]] = {}
-    saturated: dict[str, GridFunction] = {}
-    for tag, psi in zip(tags, psis):
-        # a modulated apply: about twice a split task's work per grid point
-        ys = pmap(lambda m: vfm_apply(a, u, psi, m), m_values, points=2 * spec.npoints)
-        norms[tag] = [lp_norm(y, 2) for y in ys]
-        idx = min(sats[tag], len(ys) - 1)
-        saturated[tag] = ys[idx]
-    dev = 0.0
-    vals = list(saturated.values())
-    for i in range(len(vals)):
-        for j in range(i + 1, len(vals)):
-            dev = max(dev, float(np.max(np.abs(vals[i].values - vals[j].values))))
+    keep = [min(sats[t], top) for t in tags]  # the m whose output each psi keeps
+
+    def one(pair: tuple[int, int]) -> tuple[float, GridFunction | None]:
+        i, m = pair
+        y = vfm_apply(planned, c, psis[i], m)
+        return lp_norm(y, 2), y if m == keep[i] else None
+
+    # a cut call: about twice a split task's work per grid point
+    runs = pmap(one, [(i, m) for i in range(len(psis)) for m in m_values], points=2 * spec.npoints)
+    per = len(m_values)
+    norms = {t: [r[0] for r in runs[i * per:(i + 1) * per]] for i, t in enumerate(tags)}
+    saturated = {t: runs[i * per + keep[i]][1] for i, t in enumerate(tags)}
+    dev = max(float(np.max(np.abs(y.values - z.values)))
+              for y, z in combinations(saturated.values(), 2))
     return VfmTrace(spec, tags, m_values, norms, sats, saturated, dev)
 
 
@@ -326,9 +342,7 @@ class ParadiffTerms:
 
 def paradiff_split(a: Symbol, u: GridFunction, frame: LPFrame = DEFAULT_FRAME) -> ParadiffTerms:
     spec = u.spec
-    planned = plan(a, spec)
-    zero = np.zeros(spec.npoints)
-    planned(SpectralFunction(spec, zero), zero)  # realizes the cut terms here, not in a pool worker
+    planned, zero = _cut_plan(a, spec), np.zeros(spec.npoints)
 
     def run(w: np.ndarray, v: np.ndarray) -> GridFunction:  # the cut symbol on coefficients v
         return as_values(planned(SpectralFunction(spec, v), w))

@@ -268,7 +268,9 @@ def mihlin_rhs(a: Symbol, p: MaximalParams, spec: GridSpec | None = None) -> np.
     taken as unit-step central differences on the lattice.  A shift
     symbol's sums take its rows' Gram identity (symbols._eta_power), after
     a budget check on its R rows: they, their differences, the x-phases and
-    the masked copies peak at 67.5 bytes an entry (1-d 2^15, tracemalloc)."""
+    the masked copies peak at 67.5 bytes an entry (1-d 2^15, tracemalloc).
+    Any other symbol's table is checked first at 48 bytes an entry: it, a
+    difference and its moduli peak at 40, plus np.roll's small arrays."""
     spec = _resolve_spec(a, spec)
     k = derivative_order(p, spec.n)
     R = p.R_spec
@@ -281,6 +283,7 @@ def mihlin_rhs(a: Symbol, p: MaximalParams, spec: GridSpec | None = None) -> np.
     mask = spec.freq_radius() <= hi
     shifts = a.shift_terms(spec)
     if shifts is None:
+        check_budget("derivative-sum table", spec, entry_bytes=48)
         form = a.table(spec)
     else:
         check_budget("derivative-sum rows", spec, rows=len({t.xi for t in shifts}),

@@ -1,5 +1,5 @@
 """Symbols a(x,eta) on the discrete torus: construction, Fourier multipliers
-(filter_symbol, modulation), twisted-diagonal localization and order, the
+(filter_symbol), twisted-diagonal localization and order, the
 kernel rows k(x, .) in budget-sized chunks, and the binary table format.
 
 A symbol is realized on a grid as a table over (x-axes..., eta-axes...).
@@ -26,7 +26,7 @@ from typing import Annotated, Callable, Iterator, Literal, NamedTuple
 
 import numpy as np
 
-from .frame import DEFAULT_FRAME, LPFrame, ModulationFunction, on_distinct, parse_spec, smoothstep
+from .frame import DEFAULT_FRAME, LPFrame, on_distinct, parse_spec, smoothstep
 from .grid import (TWO_PI, GridFunction, GridSpec, SpectralFunction, check_budget, fft_inverse,
                    lattice_phase, read_grid_file, read_pdgf, row_chunks)
 
@@ -541,7 +541,7 @@ class ElementarySymbol(Symbol):
 
 
 # ---------------------------------------------------------------------------
-# Fourier multipliers on a symbol, and modulation
+# Fourier multipliers on a symbol
 
 
 def filter_symbol(a: Symbol, spec: GridSpec, x=None, eta=None) -> Symbol:
@@ -580,20 +580,6 @@ def filter_symbol(a: Symbol, spec: GridSpec, x=None, eta=None) -> Symbol:
     ahat = ahat if es is None else ahat * es.reshape(ones + spec.shape)
     table = a.table(spec) if x is None and eta is None else partial_ift(ahat, spec)
     return TabulatedSymbol(spec, table, ahat=ahat, **keep)
-
-
-def modulate_symbol(
-    a: Symbol, m: int, psi: ModulationFunction, spec: GridSpec | None = None
-) -> Symbol:
-    """b_m(x,eta) = [psi(2^{-m}D_x)a](x,eta) * psi(2^{-m}eta): filter_symbol
-    with psi(2^{-m}.) on both sides, so shift terms stay shift terms and
-    a_hat's exact zeros stay zeros; a itself once psi(2^{-m}.) is 1 on the
-    whole lattice."""
-    spec = _resolve_spec(a, spec)
-    mult = on_distinct(psi.radial, spec.freq_radius() * 2.0**-m)
-    if np.all(mult == 1.0):  # plateau covers the lattice: exact no-op
-        return a
-    return filter_symbol(a, spec, mult, mult)
 
 
 # ---------------------------------------------------------------------------
@@ -734,12 +720,14 @@ def _dyadic_shells(spec: GridSpec, alpha: tuple[int, ...]) -> list[tuple[int, np
 
 
 def _eta_difference(table: np.ndarray, alpha: tuple[int, ...], spec: GridSpec) -> np.ndarray:
-    """D^alpha along the last spec.n axes (eta) by periodic rolls."""
+    """D^alpha along the last spec.n axes (eta) by periodic rolls of the real and
+    imaginary parts, 8 bytes an entry a copy: the complex sums bit for bit."""
     e_axes = tuple(range(table.ndim - spec.n, table.ndim))
     out = np.zeros_like(table)
     for off, w in _difference_stencil(alpha):
         shift = [-int(round(o)) for o in off]
-        out += w * np.roll(table, shift, axis=e_axes)
+        for acc, part in ((out.real, table.real), (out.imag, table.imag)):
+            acc += np.roll(part, shift, axis=e_axes) * w  # the product reuses the copy
     return out
 
 

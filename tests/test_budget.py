@@ -273,3 +273,43 @@ def test_the_mihlin_rows_are_refused_within_one_budget(capsys):
     assert capsys.readouterr().err.startswith(
         "error: derivative-sum rows would hold 2097152 table entries (136 MiB > 64 MiB")
     assert peak < grid.MEMORY_BUDGET
+
+
+def test_the_mihlin_table_is_checked_at_its_peak(monkeypatch):
+    # a symbol without shift terms sums its table's eta differences: the
+    # table, a difference and its moduli, checked at 48 bytes an entry
+    # before the table is built (elementary J=6 at 1-d 256 peaks at 40)
+    spec = GridSpec(1, 256)
+    a, p = random_elementary(spec, DEFAULT_FRAME, J=6, seed=1), MaximalParams(2.0, spec.N / 8)
+    mihlin_rhs(a, p, spec=spec)  # caches filled outside the measurement
+    nbytes = 48 * spec.npoints**2
+    monkeypatch.setattr(grid, "MEMORY_BUDGET", nbytes - 1)
+    tracemalloc.start()
+    try:
+        with pytest.raises(ValueError) as info:
+            mihlin_rhs(a, p, spec=spec)
+        refused = tracemalloc.get_traced_memory()[1]
+        tracemalloc.reset_peak()
+        monkeypatch.setattr(grid, "MEMORY_BUDGET", nbytes)
+        mihlin_rhs(a, p, spec=spec)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert str(info.value).startswith("derivative-sum table would hold 65536 table entries (3 MiB")
+    assert refused < DENSE_BYTES / 4
+    assert peak <= nbytes
+
+
+def test_the_mihlin_table_is_refused_from_the_cli(capsys):
+    # 2^22 entries at 48 bytes are 192 MiB: refused before the table is built
+    argv = ["pointwise", "mihlin", "--symbol", "elementary:seed=1", "--grid", "2048"]
+    tracemalloc.start()
+    try:
+        code = cli.main(argv)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert code == 2
+    assert capsys.readouterr().err.startswith(
+        "error: derivative-sum table would hold 4194304 table entries (192 MiB > 64 MiB")
+    assert peak < grid.MEMORY_BUDGET / 4

@@ -59,7 +59,6 @@ from pdlab.symbols import (
     filter_symbol,
     localize_symbol,
     mask_twisted_diagonal,
-    modulate_symbol,
     nyquist_mask,
     partial_ift,
     random_elementary,
@@ -87,6 +86,13 @@ def random_table_symbol(spec, seed=0, d=0.0):
     shape = spec.shape + spec.shape
     tab = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
     return TabulatedSymbol(spec, tab, d=d)
+
+
+def modulated(a, m, psi, spec):
+    """b_m(x,eta) = [psi(2^{-m}D_x)a](x,eta) psi(2^{-m}eta): filter_symbol
+    with psi(2^{-m}.) on both sides, the symbol that vfm_apply applies."""
+    mult = psi.radial(spec.freq_radius() * 2.0**-m)
+    return filter_symbol(a, spec, mult, mult)
 
 
 def x_independent_symbol(spec, weights):
@@ -222,16 +228,77 @@ class TestFastPath:
         assert t_direct / t_fast >= 10.0
 
 
+def vfm(a, u, psi, m):
+    """vfm_apply on a's plan and u's coefficients."""
+    return vfm_apply(plan(a, u.spec), fft_forward(u), psi, m)
+
+
+def vfm_case(kind, n, N):
+    spec = GridSpec(n, N)
+    a = {
+        "ching": lambda: ching_for_grid(spec, d=0.5, theta=1 if n == 1 else (1, 1)),
+        "elementary": lambda: random_elementary(spec, DEFAULT_FRAME, J=4, seed=11),
+        "table": lambda: random_table_symbol(spec, seed=11),
+        "const": lambda: ConstantSymbol(2.0 - 0.5j),
+    }[kind]()
+    return spec, a, random_band_limited(spec, 0.4 * N / 2, np.random.default_rng(12))
+
+
 class TestVfm:
-    def test_saturation_is_bitwise_exact(self):
-        spec = GridSpec(1, 64)
-        a = ching_symbol(0.0, 1, j_max=4, spec=spec)
-        u = random_band_limited(spec, 24, np.random.default_rng(8))
+    @pytest.mark.parametrize("kind", ["ching", "elementary", "table", "const"])
+    def test_saturation_is_bitwise_exact(self, kind):
+        # psi(2^{-m}.) is 1 on the lattice from m_sat on: the plain call,
+        # bit for bit apply_auto; at m = 1, a real cut
+        spec, a, u = vfm_case(kind, 1, 32)
         psi = ModulationFunction(r=1.0, R=2.0)
         m_sat = modulation_saturation(psi, spec)
-        y_mod = vfm_apply(a, u, psi, m_sat)
-        y = apply_auto(a, u)
-        assert np.array_equal(y_mod.values, y.values)
+        planned, c, y = plan(a, spec), fft_forward(u), apply_auto(a, u)
+        for m in range(m_sat, m_sat + 3):
+            assert np.array_equal(vfm_apply(planned, c, psi, m).values, y.values)
+        assert not np.array_equal(vfm_apply(planned, c, psi, 1).values, y.values)
+
+    @pytest.mark.parametrize("kind, n, N", [
+        ("ching", 1, 1024), ("ching", 2, 32), ("elementary", 1, 256), ("elementary", 2, 16),
+        ("table", 1, 128), ("const", 1, 256)])
+    def test_every_m_matches_the_modulated_reference(self, kind, n, N):
+        # the cut call planned(psi_m c, psi_m) against the quadrature of the
+        # modulated symbol b_m on u itself
+        spec, a, u = vfm_case(kind, n, N)
+        planned, c = plan(a, spec), fft_forward(u)
+        for psi in DEFAULT_PSI_FAMILY:
+            for m in range(modulation_saturation(psi, spec) + 1):
+                ref = apply(modulated(a, m, psi, spec), u).values
+                y = vfm_apply(planned, c, psi, m).values
+                assert np.max(np.abs(y - ref)) <= 1e-12 * np.max(np.abs(ref))
+
+    @pytest.mark.parametrize("kind", ["ching", "elementary", "table", "const"])
+    def test_limit_plans_once_and_modulates_no_symbol(self, monkeypatch, kind):
+        # one plan a call, its terms packed at most once, and no filter_symbol
+        # with an eta multiplier: a separable cut's eta side is the indicator
+        # of the cut coefficients
+        spec, a, u = vfm_case(kind, 1, 128)
+        calls = {"plan": 0, "_pack": 0}
+        etas = []
+        for name in calls:
+            real = getattr(ops, name)
+
+            def counted(*args, _real=real, _name=name):
+                calls[_name] += 1
+                return _real(*args)
+
+            monkeypatch.setattr(ops, name, counted)
+        real_filter = pdlab.symbols.filter_symbol
+
+        def filtered(b, spec, x=None, eta=None):
+            etas.append(eta)
+            return real_filter(b, spec, x, eta)
+
+        for mod in (ops, pdlab.symbols):
+            monkeypatch.setattr(mod, "filter_symbol", filtered)
+        trace = vfm_limit(a, u)
+        assert len(trace.m_values) > 4 and trace.cross_dev == 0.0
+        assert calls == {"plan": 1, "_pack": 0 if kind == "elementary" else 1}
+        assert all(eta is None or eta.dtype == bool for eta in etas)
 
     def test_low_m_removes_high_modes(self):
         # the eta-side cutoff is exactly zero at |eta| = 5, so all that can
@@ -239,7 +306,7 @@ class TestVfm:
         spec = GridSpec(1, 64)
         a = ching_symbol(0.0, 1, j_max=3, spec=spec)
         u = single_mode(spec, 5)
-        y = vfm_apply(a, u, ModulationFunction(1.0, 2.0), 0)
+        y = vfm(a, u, ModulationFunction(1.0, 2.0), 0)
         assert np.max(np.abs(y.values)) < 1e-14
 
     def test_band_limited_input_reaches_limit_early(self):
@@ -247,7 +314,7 @@ class TestVfm:
         w = np.exp(-((spec.axis_freqs() / 6.0) ** 2))
         a = x_independent_symbol(spec, w.astype(complex))
         u = random_band_limited(spec, 8, np.random.default_rng(9))
-        y3 = vfm_apply(a, u, ModulationFunction(1.0, 2.0), 3)
+        y3 = vfm(a, u, ModulationFunction(1.0, 2.0), 3)
         y = apply(a, u)
         assert np.max(np.abs(y3.values - y.values)) < 1e-12 * lp_norm(y, np.inf)
 
@@ -688,7 +755,7 @@ class TestStructuredParadiff:
             "elementary": lambda: random_elementary(spec, DEFAULT_FRAME, J=5, seed=15),
             "ching": lambda: ching_for_grid(spec, d=0.5),
             # |xi_j| = 3 2^j sits inside the transition band of a ball cut
-            "modulated-shift": lambda: modulate_symbol(
+            "modulated-shift": lambda: modulated(
                 ching_for_grid(spec, d=0.5, theta=-3), 6, DEFAULT_PSI_FAMILY[0], spec),
             "constant": lambda: ConstantSymbol(2.0 - 0.5j),
             "table": lambda: random_table_symbol(spec, seed=15),  # the rows of its a_hat
@@ -974,7 +1041,7 @@ class TestSpectralSupportRule:
         ching = ching_for_grid(spec, d=0.5, theta=1 if n == 1 else (1, 1))
         a = {
             "ching": lambda: ching,
-            "modulated": lambda: modulate_symbol(ching, 3, DEFAULT_PSI_FAMILY[0], spec),
+            "modulated": lambda: modulated(ching, 3, DEFAULT_PSI_FAMILY[0], spec),
             "masked": lambda: mask_twisted_diagonal(ching, 2.0, spec),
             "localized": lambda: localize_symbol(ching, 0.5, spec),
             "constant": lambda: ConstantSymbol(2.0 - 0.5j),
@@ -1104,7 +1171,7 @@ class TestShiftPath:
         u = random_band_limited(spec, 0.4 * N / 2, np.random.default_rng(84))
         psi = DEFAULT_PSI_FAMILY[0]
         for m in range(modulation_saturation(psi, spec) + 1):
-            b = modulate_symbol(a, m, psi, spec)
+            b = modulated(a, m, psi, spec)
             assert b.shift_terms(spec) is not None
             ref = apply(b, u).values
             assert np.max(np.abs(apply_auto(b, u).values - ref)) <= 1e-12 * np.max(np.abs(ref))
@@ -1114,7 +1181,7 @@ class TestShiftPath:
         # past the memory budget's table: apply reads its rows from the shift terms
         spec = GridSpec(2, 64)
         ching = ching_for_grid(spec, d=0.5, theta=(1, 1))
-        a = modulate_symbol(ching, 3, DEFAULT_PSI_FAMILY[0], spec)
+        a = modulated(ching, 3, DEFAULT_PSI_FAMILY[0], spec)
         assert isinstance(a, ShiftSymbol) and not a.has_eval
         u = random_band_limited(spec, 0.4 * spec.N / 2, np.random.default_rng(89))
         ref = as_values(plan(a, spec)(u)).values
@@ -1194,7 +1261,7 @@ class TestPlan:
             "elementary": random_elementary(spec, DEFAULT_FRAME, J=4, seed=6),
             "constant": ConstantSymbol(2.0 - 0.5j),
             "tabulated": random_table_symbol(spec, seed=6),
-            "modulated-shift": modulate_symbol(ching, 2, DEFAULT_PSI_FAMILY[1], spec),
+            "modulated-shift": modulated(ching, 2, DEFAULT_PSI_FAMILY[1], spec),
         }[kind]
         op = plan(a, spec)
         for seed in (86, 87):
@@ -1207,8 +1274,8 @@ class TestPlan:
         spec = GridSpec(n, N)
         ching = ching_for_grid(spec, d=0.5, theta=1 if n == 1 else (1, 1))
         u = random_band_limited(spec, 0.4 * N / 2, np.random.default_rng(88))
-        modulated = modulate_symbol(ching, 2, DEFAULT_PSI_FAMILY[1], spec)
-        for a in (ching, ConstantSymbol(2.0 - 0.5j), modulated):
+        shifted = modulated(ching, 2, DEFAULT_PSI_FAMILY[1], spec)
+        for a in (ching, ConstantSymbol(2.0 - 0.5j), shifted):
             y = plan(a, spec)(u)
             assert isinstance(y, SpectralFunction)
             assert np.array_equal(fft_inverse(y).values, apply_auto(a, u).values)
@@ -1376,7 +1443,7 @@ class TestOneRowRoute:
         a = {
             "ching": ching,
             "constant": ConstantSymbol(2.0 - 0.5j),
-            "modulated-shift": modulate_symbol(ching, 3, DEFAULT_PSI_FAMILY[0], spec),
+            "modulated-shift": modulated(ching, 3, DEFAULT_PSI_FAMILY[0], spec),
         }[kind]
         u = random_band_limited(spec, 0.4 * N / 2, np.random.default_rng(22))
         assert np.array_equal(as_values(plan(a, spec)(u)).values, parent_route(a, u))

@@ -11,7 +11,8 @@ One workload per kind of pool task:
   the `lacunary-1d` cases on grids (64, N), two trials, one pool map per
   grid, for N = 2^10-2^18;
 - vfm: `vfm_limit` of `elementary:seed=1,J=4` on the split's input, one
-  pool task per modulation index, on 1-d grids 2^10-2^16 and 2-d 32-128;
+  pool task per (psi, m), a cut call of the symbol's one plan, on 1-d grids
+  2^10-2^16 and 2-d 32-128;
 - embedding: `embedding_report` over four `random_band_limited` members,
   one pool task per member, on 1-d grids 2^10-2^16;
 - maximal: `maximal_lp_constant` (p = N = 2) over six `random_band_limited`
