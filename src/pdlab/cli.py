@@ -145,11 +145,16 @@ def _ladder(spec: GridSpec, run_seed: int, *, J: int = 6, d: float = 0.5):
     return spectrum_from_coeffs(spec, experiments.ladder_coeffs(J, d))
 
 
-def _random(spec: GridSpec, run_seed: int, *, band: float = 0.4, seed: int | None = None):
+def _band_radius(spec: GridSpec, band: float, what: str) -> float:
+    # a random input's spectral radius, band * N/2; `what` names the input
     if not 0.0 < band <= 1.0:
-        raise ValueError(f"random band must be in (0, 1], got {band}")
+        raise ValueError(f"{what} must be in (0, 1], got {band}")
+    return band * (spec.N // 2)
+
+
+def _random(spec: GridSpec, run_seed: int, *, band: float = 0.4, seed: int | None = None):
     rng = np.random.default_rng(run_seed if seed is None else seed)
-    return random_band_spectrum(spec, band * (spec.N // 2), rng)
+    return random_band_spectrum(spec, _band_radius(spec, band, "random band"), rng)
 
 
 INPUT_KINDS = {"single": _single, "lacunary": _lacunary, "ladder": _ladder, "random": _random}
@@ -557,10 +562,11 @@ def cmd_pointwise_maximal(spec: GridSpec, seed: int, *, p: float, N_exp: float |
     """fitted constant in ||u*||_p <= C||u||_p (--N-exp default ⌊n/p⌋+1)"""
     if trials < 1:
         raise ValueError(f"--trials must be at least 1, got {trials}")
+    radius = _band_radius(spec, band, "--band")
     n_exp = N_exp if N_exp is not None else math.floor(spec.n / p) + 1
     rows, ratios = [], []
     for t in range(trials):
-        u = random_band_limited(spec, band * (spec.N // 2), np.random.default_rng([seed, t]))
+        u = random_band_limited(spec, radius, np.random.default_rng([seed, t]))
         with np.errstate(over="ignore", invalid="ignore"):  # a C_p not finite is refused
             rhs = lp_norm(u, p)
             ratios.append(maximal_lp_constant([u], p, n_exp))  # one u* per trial

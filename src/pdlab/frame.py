@@ -21,6 +21,7 @@ import collections.abc
 import functools
 import inspect
 import json
+import math
 import threading
 import types
 import typing
@@ -84,23 +85,6 @@ def on_distinct(fn, t: np.ndarray) -> np.ndarray:
     return fn(vals)[..., inverse.reshape(np.shape(t))]
 
 
-def _runs_support(order: np.ndarray, starts: np.ndarray, step: np.ndarray):
-    """(ascending indices, values) where step, one value per run of `order`
-    (run i is order[starts[i]:starts[i+1]]), is nonzero.  A block's exact
-    zeros lie at its ends, where both balls are 1 or both 0: they are cut
-    before anything the size of the support is made."""
-    live = np.flatnonzero(step)
-    if live.size and live.size < step.size:
-        step, starts = step[live[0] : live[-1] + 1], starts[live[0] : live[-1] + 2]
-    runs = starts[1:] - starts[:-1]
-    idx, vals = order[starts[0] : starts[-1]], np.repeat(step, runs)
-    if not step.all():
-        live = np.repeat(step != 0, runs)
-        idx, vals = idx[live], vals[live]
-    rank = np.argsort(idx)
-    return idx[rank], vals[rank]
-
-
 @dataclass(frozen=True)
 class ModulationFunction:
     """psi with psi=1 on |xi|<=r, psi=0 on |xi|>=R, radially non-increasing."""
@@ -147,10 +131,12 @@ class LPFrame:
     def __post_init__(self) -> None:
         if self.h < 2:
             raise ValueError("separation integer h must be >= 2")
-        if not 2.0 * self.psi.R < self.psi.r * 2.0**self.h:
-            raise ValueError(
-                f"need 2R < r*2^h: 2*{self.psi.R} vs {self.psi.r}*2^{self.h}"
-            )
+        try:
+            top = math.ldexp(self.psi.r, self.h)
+        except OverflowError:
+            raise ValueError(f"h = {self.h} overflows r*2^h = {self.psi.r}*2^{self.h}") from None
+        if not 2.0 * self.psi.R < top:
+            raise ValueError(f"need 2R < r*2^h: 2*{self.psi.R} vs {self.psi.r}*2^{self.h}")
 
     @property
     def r(self) -> float:
@@ -209,12 +195,12 @@ class LPFrame:
         for one build; hits take no lock.
 
         Block m is ball m less ball m-1, each ball on the distinct lattice
-        radii (balls_on): the bits of block_radial, since the power-of-two
-        scalings are exact.  One stable argsort puts the lattice in radius
-        order, in which each distinct radius is a run.  Phi_m vanishes at or
+        radii of grid.radius_classes (balls_on): the bits of block_radial,
+        since the power-of-two scalings are exact.  Phi_m vanishes at or
         below r 2^(m-1), where both balls are 1, and at or above R 2^m, where
-        both are 0, so its support is one contiguous range of runs: each
-        block costs O(its support), not a sweep of the grid."""
+        both are 0, so its support is the lattice points whose radius class
+        lies between its first and last nonzero class: one comparison sweep
+        of the integer classes a block, and no sort."""
         if j_max is None:
             j_max = self.j_saturation(spec)
         key = (spec.n, spec.N, j_max)
@@ -233,20 +219,13 @@ class LPFrame:
             return supports
 
     def _build_supports(self, spec: GridSpec, j_max: int) -> list[tuple[np.ndarray, np.ndarray]]:
-        rad = spec.freq_radius().reshape(-1)
-        order = np.argsort(rad, kind="stable")
-        ranked = rad[order]
-        del rad
-        starts = np.flatnonzero(np.concatenate(([True], ranked[1:] != ranked[:-1], [True])))
-        radii = ranked[starts[:-1]]
-        del ranked
+        cls, radii = grid.radius_classes(spec)
         supports, prev = [], np.zeros(radii.size)
-        for m, ball in enumerate(self.balls_on(radii, j_max)):
-            lo = 0 if m == 0 else np.count_nonzero(radii <= self.r * 2.0 ** (m - 1))
-            hi = np.count_nonzero(radii < self.R * 2.0**m)
-            step = ball[lo:hi] - prev[lo:hi]
-            supports.append(_runs_support(order, starts[lo : hi + 1], step))
-            prev = ball
+        for ball in self.balls_on(radii, j_max):
+            step, prev = ball - prev, ball
+            live = np.flatnonzero(step)
+            idx = np.flatnonzero((cls >= live[0]) & (cls <= live[-1])) if live.size else live
+            supports.append((idx, step[cls[idx]]))
         return supports
 
     def lattice_blocks(self, spec: GridSpec, j_max: int | None = None) -> list[np.ndarray]:

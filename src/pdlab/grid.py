@@ -107,6 +107,21 @@ class GridSpec:
         return np.sqrt(sum(m.astype(float) ** 2 for m in mesh))
 
 
+def radius_classes(spec: GridSpec) -> tuple[np.ndarray, np.ndarray]:
+    """(cls, radii): each flat lattice point's radius class, int32, and the
+    distinct radii ascending; radii[cls] has the bits of freq_radius().  A
+    lattice radius is the root of the integer |eta|^2, so the class is |eta|
+    in 1-d and, in 2-d, the rank of |eta|^2 in a presence array: no sort."""
+    f = spec.axis_freqs().astype(np.int32)
+    if spec.n == 1:
+        return np.abs(f), np.arange(spec.N // 2 + 1, dtype=float)
+    sq = (f * f)[:, None] + (f * f)[None, :]
+    present = np.zeros(spec.N**2 // 2 + 1, dtype=bool)
+    present[sq] = True
+    rank = np.cumsum(present, dtype=np.int32) - 1
+    return rank[sq.reshape(-1)], np.sqrt(np.flatnonzero(present).astype(float))
+
+
 def lattice_phase(spec: GridSpec, k, eta) -> np.ndarray:
     """e^{i x_k.eta} for integer grid indices k and frequencies eta, arrays
     of shape (..., n); the result has k's leading axes, then eta's.  Since

@@ -42,7 +42,7 @@ from typing import Callable
 import numpy as np
 
 from ._threads import pmap
-from .frame import DEFAULT_FRAME, LPFrame, ModulationFunction, modulation_saturation, on_distinct
+from .frame import DEFAULT_FRAME, LPFrame, ModulationFunction, modulation_saturation
 from .grid import (
     GridFunction,
     GridSpec,
@@ -54,6 +54,7 @@ from .grid import (
     fft_inverse,
     lattice_phase,
     lp_norm,
+    radius_classes,
     row_chunks,
 )
 from .symbols import (
@@ -204,9 +205,10 @@ def vfm_apply(planned: Callable, c: SpectralFunction, psi: ModulationFunction,
     and u's coefficients c: the cut call planned(psi_m c, psi_m), psi_m =
     psi(2^{-m}.), or where psi_m is 1 on the lattice the plain call, bit for
     bit apply_auto(a, u)."""
-    mult = on_distinct(psi.radial, c.spec.freq_radius() * 2.0**-m)
+    cls, radii = radius_classes(c.spec)
+    mult = psi.radial(radii * 2.0**-m)[cls]
     return as_values(planned(c) if np.all(mult == 1.0) else
-                     planned(SpectralFunction(c.spec, c.coeffs * mult), mult.reshape(-1)))
+                     planned(SpectralFunction(c.spec, c.coeffs.reshape(-1) * mult), mult))
 
 
 @dataclass

@@ -28,7 +28,7 @@ import numpy as np
 
 from .frame import DEFAULT_FRAME, LPFrame, on_distinct, parse_spec, smoothstep
 from .grid import (TWO_PI, GridFunction, GridSpec, SpectralFunction, check_budget, fft_inverse,
-                   lattice_phase, read_grid_file, read_pdgf, row_chunks)
+                   lattice_phase, radius_classes, read_grid_file, read_pdgf, row_chunks)
 
 
 # ---------------------------------------------------------------------------
@@ -274,7 +274,7 @@ def row_terms(a: Symbol, spec: GridSpec) -> list[ShiftTerm]:
     The budget is checked before a_hat is built."""
     xis, ahat, _ = _ahat_rows(a, spec, "spectral rows")
     ahat = ahat.reshape(spec.npoints, spec.npoints)
-    order = np.argsort(spec.freq_radius().ravel(), kind="stable")
+    order = np.argsort(radius_classes(spec)[0], kind="stable")
     pos, idx = np.nonzero((ahat != 0)[order])  # positions in order, eta indices
     ends = np.cumsum(np.bincount(pos, minlength=spec.npoints))[:-1]
     return [ShiftTerm(int(r), 1.0, tuple(xis[r].tolist()), i, g) for r, i, g in
@@ -606,10 +606,6 @@ class ChiCutoff:
         return self.from_radii(np.linalg.norm(xi, axis=-1), np.linalg.norm(eta, axis=-1))
 
 
-def build_chi() -> ChiCutoff:
-    return ChiCutoff()
-
-
 def _sum_radius_mesh(spec: GridSpec, xis: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """(|xi+eta|, |eta|) over the rows xis (shape (R, n)) and the eta-lattice:
     shapes (R,) + spec.shape and spec.shape."""
@@ -622,7 +618,7 @@ def _sum_radius_mesh(spec: GridSpec, xis: np.ndarray) -> tuple[np.ndarray, np.nd
 
 def _localization(eps: float) -> Callable[[np.ndarray, np.ndarray], np.ndarray]:
     """chi(xi+eta, eps*eta) as a function of (|xi+eta|, |eta|)."""
-    return lambda sum_rad, eta_rad: build_chi().from_radii(sum_rad, eps * eta_rad)
+    return lambda sum_rad, eta_rad: ChiCutoff().from_radii(sum_rad, eps * eta_rad)
 
 
 def _weighted(a: Symbol, spec: GridSpec, what: str, weight, **keep) -> Symbol:

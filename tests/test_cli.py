@@ -202,6 +202,18 @@ class TestSubcommands:
         assert out.splitlines()[0] == "x,lhs,rhs,ratio" and len(out.splitlines()) == 3
         assert set(json.loads(err)) == {"C_p", "p", "N_exp", "trials"}
 
+    @pytest.mark.parametrize("band, shown", [("2", "2.0"), ("1e308", "1e+308"), ("-1", "-1.0"),
+                                             ("0", "0.0")])
+    def test_a_band_outside_the_unit_interval_is_refused_by_name(self, capsys, band, shown):
+        # --band and random:band= share one check; each names its own input
+        refusals = {("pointwise", "maximal-constant", "--p", "2", "--grid", "32", "--band", band):
+                    f"--band must be in (0, 1], got {shown}",
+                    ("apply", *SYMBOL, "--grid", "32", "--mode", f"random:band={band}"):
+                    f"input 'random:band={band}': random band must be in (0, 1], got {shown}"}
+        for argv, message in refusals.items():
+            assert main(list(argv)) == 2
+            assert capsys.readouterr() == ("", f"error: {message}\n")
+
     @pytest.mark.parametrize("p", ["1e-308", "1e308"])
     def test_pointwise_maximal_constant_refuses_a_constant_not_finite(self, capsys, p):
         # ||u||_p overflows to inf, and C_p = ||u*||_p / ||u||_p reads nan
@@ -556,9 +568,13 @@ OVERFLOWS = {  # argv: the error line
     "ladder:J=3,d=-1e308": (["apply", "--symbol", "const", "--grid", "64",
                              "--mode", "ladder:J=3,d=-1e308"],
                             "input 'ladder:J=3,d=-1e308': Numerical result out of range"),
+    # the frame refuses an h whose r*2^h overflows, naming h
     "h=2000": (["apply", "--symbol", "const", "--grid", "64", "--frame", "h=2000",
                 "--mode", "random:band=0.4"],
-               "frame 'h=2000': Numerical result out of range"),
+               "h = 2000 overflows r*2^h = 1.0*2^2000"),
+    "h=1000000": (["apply", "--symbol", "const", "--grid", "64", "--frame", "h=1000000",
+                   "--mode", "random:band=0.4"],
+                  "h = 1000000 overflows r*2^h = 1.0*2^1000000"),
 }
 
 

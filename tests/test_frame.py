@@ -301,10 +301,10 @@ def test_block_supports_hold_each_block_where_it_is_nonzero(n, N):
 
 
 def test_a_cold_block_build_peaks_within_its_old_multiple_of_the_supports():
-    # a build holds the lattice's radius order, its distinct radii, two
-    # balls and one block's temporaries beside the supports it keeps; the
-    # ball-by-ball sweep of the grid it replaced peaked at 4.22 times the
-    # supports' bytes here (8.30 MiB against 1.97 MiB)
+    # a build holds the lattice's int32 radius classes, the distinct radii,
+    # two balls and one block's comparison mask beside the supports it keeps:
+    # 3.84 times the supports' bytes here (7.57 MiB against 1.97 MiB); the
+    # ball-by-ball sweep of the grid it replaced peaked at 4.22 times (8.30 MiB)
     spec = GridSpec(1, 2**16)
     frame = LPFrame(DEFAULT_FRAME.psi, DEFAULT_FRAME.h)
     tracemalloc.start()

@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -16,6 +18,7 @@ from pdlab.grid import (
     from_coeffs,
     lattice_phase,
     lp_norm,
+    radius_classes,
     random_band_limited,
     read_pdgf,
     single_mode,
@@ -52,6 +55,29 @@ def test_lattice_phase_is_the_grid_exponential(n, N):
     # periodic in eta mod N, bit for bit, which float phases x.eta are not
     assert np.array_equal(lattice_phase(spec, k, eta + N), got)
     assert np.array_equal(lattice_phase(spec, k[0], eta[0]), got[0, 0])
+
+
+@pytest.mark.parametrize("n, N", [(1, 8), (1, 2**11), (1, 2**18), (2, 8), (2, 64), (2, 512)])
+def test_radius_classes_give_the_float_radii_and_their_order(n, N):
+    spec = GridSpec(n, N)
+    cls, radii = radius_classes(spec)
+    rad = spec.freq_radius().ravel()
+    assert np.array_equal(radii[cls].view(np.int64), rad.view(np.int64))  # bit for bit
+    assert np.all(radii[1:] > radii[:-1])
+    assert np.array_equal(np.argsort(cls, kind="stable"), np.argsort(rad, kind="stable"))
+
+
+def test_the_radius_table_peaks_within_the_float_radii():
+    spec = GridSpec(2, 512)
+    peaks = []
+    for build in (spec.freq_radius, lambda: radius_classes(spec)):
+        tracemalloc.start()
+        try:
+            build()
+            peaks.append(tracemalloc.get_traced_memory()[1])
+        finally:
+            tracemalloc.stop()
+    assert peaks[1] <= peaks[0]
 
 
 def test_constant_function_forward():

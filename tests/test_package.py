@@ -217,3 +217,78 @@ def test_the_unvaried_walk_counts_positions_keywords_and_stars(tmp_path):
         "def spread(args): g(*args)\n"
     )
     assert unvaried_defaults(tmp_path) == {"a.f(m)", "a.f(z)", "a.C.__init__(d)", "a.C.meth(e)"}
+
+
+# sorts and dedups of the lattice's float radii that stay, and why; every
+# other site reads the integer classes of grid.radius_classes
+RADIUS_SORTS = {
+    "ChingSymbol.shift_terms": "dedups 2^-j|eta| across levels, not the radii of one level: a "
+                               "per-level class form was bit-identical but took 27 -> 45 ms at "
+                               "1-d 2^18",
+}
+SORTS = {"argsort", "sort", "unique", "on_distinct"}
+
+
+def _functions(tree: ast.Module):
+    """(qualified name, node) of each module-level function and method."""
+    for node in tree.body:
+        if isinstance(node, ast.FunctionDef):
+            yield node.name, node
+        elif isinstance(node, ast.ClassDef):
+            yield from ((f"{node.name}.{m.name}", m) for m in node.body
+                        if isinstance(m, ast.FunctionDef))
+
+
+def _reads_radius(node: ast.AST, bound: set[str]) -> bool:
+    return any(isinstance(n, ast.Name) and n.id in bound
+               or isinstance(n, ast.Call) and isinstance(n.func, ast.Attribute)
+               and n.func.attr == "freq_radius" for n in ast.walk(node))
+
+
+def radius_sorts(src: Path = SRC) -> set[str]:
+    """The functions in the package that call argsort, sort, unique or
+    on_distinct on freq_radius() or on a name bound to it (or to such a
+    name, and so on) inside the same function."""
+    found = set()
+    for path in sorted(src.glob("*.py")):
+        for name, fn in _functions(ast.parse(path.read_text(), filename=str(path))):
+            assigns = [n for n in ast.walk(fn) if isinstance(n, ast.Assign)]
+            bound, grew = set(), True
+            while grew:
+                new = {t.id for a in assigns if _reads_radius(a.value, bound)
+                       for target in a.targets for t in ast.walk(target)
+                       if isinstance(t, ast.Name)} - bound
+                bound, grew = bound | new, bool(new)
+            for call in ast.walk(fn):
+                if not isinstance(call, ast.Call):
+                    continue
+                callee = getattr(call.func, "attr", getattr(call.func, "id", None))
+                if callee in SORTS and _reads_radius(call, bound):
+                    found.add(name)
+    return found
+
+
+def test_no_float_radius_sort_outside_its_list():
+    # a lattice radius is the root of an integer: read grid.radius_classes,
+    # or list the site here with a reason
+    assert radius_sorts() == set(RADIUS_SORTS)
+
+
+def test_the_radius_walk_follows_bound_names(tmp_path):
+    (tmp_path / "a.py").write_text(
+        "def direct(spec):\n"
+        "    return np.argsort(spec.freq_radius().ravel())\n"
+        "def bound(spec):\n"
+        "    rad = spec.freq_radius()\n"
+        "    flat = rad.reshape(-1)\n"
+        "    return on_distinct(f, [flat[i] for i in range(3)])\n"
+        "class C:\n"
+        "    def meth(self, spec):\n"
+        "        return spec.freq_radius().argsort()\n"
+        "def spatial(x):\n"
+        "    rad = np.abs(x)\n"
+        "    return np.argsort(rad)\n"
+        "def classes(spec):\n"
+        "    return np.argsort(radius_classes(spec)[0]) + spec.freq_radius()\n"
+    )
+    assert radius_sorts(tmp_path) == {"direct", "bound", "C.meth"}

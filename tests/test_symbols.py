@@ -14,6 +14,7 @@ from pdlab.operators import DEFAULT_PSI_FAMILY, kernel
 from pdlab.pointwise import MaximalParams, _multiindices, derivative_order, mihlin_rhs
 from pdlab.symbols import (
     DEFAULT_BUMP,
+    ChiCutoff,
     ChingSymbol,
     ConstantSymbol,
     RadialBump,
@@ -24,7 +25,6 @@ from pdlab.symbols import (
     TdcReport,
     _parse_theta,
     as_multiindex,
-    build_chi,
     check_twisted_diagonal,
     ching_for_grid,
     ching_symbol,
@@ -359,11 +359,11 @@ class TestFilterSymbol:
 
 class TestChiCutoff:
     def test_plateau_point(self):
-        chi = build_chi()
+        chi = ChiCutoff()
         assert chi(np.array([1.0, 0.0]), np.array([4.0, 0.0])) == 1.0
 
     def test_vanishing_regions(self):
-        chi = build_chi()
+        chi = ChiCutoff()
         # |xi| >= |eta| dead
         assert chi.from_radii(5.0, 5.0) == 0.0
         assert chi.from_radii(7.0, 5.0) == 0.0
@@ -372,7 +372,7 @@ class TestChiCutoff:
         assert chi.from_radii(0.0, 0.5) == 0.0
 
     def test_scale_invariance(self):
-        chi = build_chi()
+        chi = ChiCutoff()
         rng = np.random.default_rng(0)
         xi = rng.uniform(0.0, 6.0, 200)
         eta = rng.uniform(2.0, 8.0, 200)
@@ -648,7 +648,7 @@ def dense_shell_values(a, alphas, eps_grid, spec) -> list[float]:
     summed over each shell."""
     ahat = symbol_partial_ft(a, spec)
     sum_rad, eta_rad = full_radius_mesh(spec)
-    tabs = [symbols.partial_ift(ahat * build_chi().from_radii(sum_rad, eps * eta_rad), spec)
+    tabs = [symbols.partial_ift(ahat * ChiCutoff().from_radii(sum_rad, eps * eta_rad), spec)
             for eps in eps_grid]
     e_axes, out = tuple(range(spec.n, 2 * spec.n)), []
     for alpha in (as_multiindex(al, spec.n) for al in alphas):
@@ -722,7 +722,7 @@ class TestTwistedDiagonalRows:
         ahat, (sum_rad, eta_rad) = symbol_partial_ft(a, spec), full_radius_mesh(spec)
         for got, weight in (
             (mask_twisted_diagonal(a, 2.0, spec), 2.0 * (1.0 + sum_rad) >= eta_rad),
-            (localize_symbol(a, 0.5, spec), build_chi().from_radii(sum_rad, 0.5 * eta_rad)),
+            (localize_symbol(a, 0.5, spec), ChiCutoff().from_radii(sum_rad, 0.5 * eta_rad)),
         ):
             assert isinstance(got, TabulatedSymbol)
             assert np.array_equal(got.ahat, ahat * weight)
